@@ -46,8 +46,9 @@ class Case:
 
 # Stated error constants: the max nodal error of each family must stay below
 # C h^2 plus the roundoff allowance eps/h^2 (oracle.solution_error_bound).
-# Each C is about four times the constant measured on grids of 256 to 16384
-# nodes, so a first-order or wrong solution fails by orders of magnitude.
+# Each C is 4 to 14 times the constant measured (in units of the grid's own
+# h) on grids of 256 to 16384 nodes, so a first-order or wrong solution
+# fails by orders of magnitude.
 ERROR_CONSTANTS = {
     "cole-hopf": 0.05,
     "p3-ball": 16.0,

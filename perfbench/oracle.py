@@ -309,7 +309,7 @@ def sweep_rows_ok(text: str, points) -> bool:
         return False
     for line, (d, p, gamma, q) in zip(rows, sorted(points)):
         cells = line.split(",")
-        if int(cells[0]) != d or float(cells[1]) != p or float(cells[2]) != gamma:
+        if int(cells[0]) != d or float(cells[1]) != p or float(cells[2]) != gamma or float(cells[3]) != q:
             return False
         if not valid_params(d, p, gamma, q):
             if cells[9] != "INVALID":

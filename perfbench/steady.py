@@ -7,10 +7,9 @@ each run with its own seed, all with the run length in BENCHMARK.json.
 For every workload and end-to-end metric it prints each set's median and
 quartiles, the spread (quartile distance over median) and whether
 
-  * the spread is within the metric's bound (setup_s excepted, as the
-    bound for set-up time guards against drift, not noise);
-  * every later set's median is no worse than the first set's by more
-    than the bound;
+  * the spread is within the metric's bound;
+  * every later set's median is within the bound of the first set's, in
+    either direction;
   * the share of failed ops is identical in every run.
 
 Exits 0 when every check holds. Results are also written as JSON to
@@ -26,7 +25,7 @@ import statistics
 import subprocess
 import sys
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+SEED_BASE = 100  # set s, run i uses seed SEED_BASE + 1000 s + i
 
 
 def load_benchmark():
@@ -52,18 +51,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--workloads", default="", help="comma list; default all")
-    ap.add_argument("--seed-base", type=int, default=100)
     args = ap.parse_args(argv)
     bench = load_benchmark()
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    names = [w["name"] for w in bench["workloads"]]
     bounds = {m["name"]: m for m in bench["end_to_end"]}
 
     runs = {w: [[] for _ in range(args.sets)] for w in names}
     for s in range(args.sets):
         for i in range(args.runs):
             for w in names:  # interleaved, so slow drift of the machine hits every workload alike
-                seed = args.seed_base + 1000 * s + i
+                seed = SEED_BASE + 1000 * s + i
                 out = one_run(bench, w, seed)
                 runs[w][s].append(out)
                 print(f"set {s} run {i} {w} seed {seed}: " + ", ".join(
@@ -80,14 +77,14 @@ def main(argv=None) -> int:
         ok &= same_share and correct
         report[w] = {"failed_attempted": sorted(shares), "metrics": {}}
         for name, spec in bounds.items():
-            bound, lower = spec["bound"], spec["better"] == "lower"
+            bound = spec["bound"]
             cells, medians = [], []
             for s in range(args.sets):
                 values = [r["metrics"][name]["value"] for r in runs[w][s]]
                 q1, med, q3 = quartiles(values)
                 spread = (q3 - q1) / med
                 medians.append(med)
-                spread_ok = name == "setup_s" or spread <= bound
+                spread_ok = spread <= bound
                 ok &= spread_ok
                 cells.append({"q1": q1, "median": med, "q3": q3, "spread": spread, "values": values})
                 print(f"  {name:12s} set {s}: median {med:12.6g} [{q1:.6g}, {q3:.6g}] "
@@ -95,8 +92,7 @@ def main(argv=None) -> int:
                       f"{'ok' if spread_ok else 'TOO WIDE'}")
             for s in range(1, args.sets):
                 change = (medians[s] - medians[0]) / medians[0]
-                worse = change if lower else -change
-                agree = worse <= bound
+                agree = abs(change) <= bound
                 ok &= agree
                 print(f"  {name:12s} set {s} vs set 0: {change:+.2%} "
                       f"{'agree' if agree else 'DISAGREE'} within {bound:.0%}")

@@ -221,6 +221,9 @@ def test_sweep_rows_check_accepts_truth_and_rejects_a_changed_cell():
     assert oracle.sweep_rows_ok(text, points)
     assert not oracle.sweep_rows_ok(text.replace("NO_LIOUVILLE", "LIOUVILLE", 1), points)
     assert not oracle.sweep_rows_ok(text, points[:-1])
+    # q = 8 leaves alpha and s of this row unchanged, so only the q cell shows it.
+    assert "\n3,1.5,4.0,inf," in text
+    assert not oracle.sweep_rows_ok(text.replace("\n3,1.5,4.0,inf,", "\n3,1.5,4.0,8.0,"), points)
 
 
 def test_error_bound_has_second_order_and_roundoff_parts():

@@ -21,8 +21,6 @@ import warnings
 import cases as workloads
 from tracer import Tracer, layer_sums
 
-IN_PROCESS = ("solve", "audit", "classify")
-
 
 def order(n: int, seed: int, pass_index: int) -> list[int]:
     """The seeded op order of one pass (pass -1 is the warm-up)."""
@@ -96,11 +94,10 @@ def import_figures(runs: int = 3) -> dict:
 
 def traced_section(name, seed, cases, passes, probe):
     """Run this worker's passes again under the tracer; with ``probe``, also
-    one traced pass of every other in-process workload and the cli layer
-    probe, so each traced run reports every layer."""
-    others = {w: workloads.WORKLOADS[w](seed) for w in IN_PROCESS if probe and w != name}
-    cli_argvs = [argv for argv, _ in workloads.cli_argvs().values()] if probe else []
-    cli_argvs = [[a.format(pid=os.getpid()) for a in argv] for argv in cli_argvs]
+    one traced pass of every other workload and the cli layer probe, so
+    each traced run reports every layer."""
+    others = {w: make(seed) for w, make in workloads.WORKLOADS.items() if probe and w != name}
+    cli_argvs = [[a.format(pid=os.getpid()) for a in argv] for argv in workloads.CLI_ARGVS] if probe else []
     for argv in cli_argvs:  # warm the in-process cli path, untraced
         workloads.run_cli_inprocess(argv)
     tracer, work = Tracer(), {}
@@ -142,14 +139,11 @@ def main(argv=None) -> int:
     records = []
     for k in passes:
         records += run_pass(cases, order(len(cases), args.seed, k))
-    usage = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
-    if args.workload == "cli":
-        usage.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     result = {
         "cases": [c.name for c in cases],
         "known_fault": [bool(c.known_fault) for c in cases],
         "records": records,
-        "peak_rss_mb": max(usage) / 1024.0,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if args.trace:
         result["traced_records"], result["sums"], result["imports"] = traced_section(

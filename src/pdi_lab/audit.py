@@ -32,11 +32,10 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 from .errors import DomainExceeded, InsufficientScales, NonIntegrable, PreconditionViolation
-from .params import ProblemParams, caccioppoli_exponent
+from .params import ProblemParams, caccioppoli_exponent, unit_ball_volume
 from .solver import RadialPowerSource, ZeroSource
 
 __all__ = [
-    "unit_ball_volume",
     "gradient_energy",
     "CaccioppoliReport",
     "caccioppoli_audit",
@@ -47,11 +46,6 @@ __all__ = [
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-def unit_ball_volume(dim: int) -> float:
-    """Volume of the unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +154,8 @@ def caccioppoli_audit(
 
     ``lambda_part`` optionally overrides the lam-term as a callable of t.
     """
+    if not R > 0:
+        raise PreconditionViolation(f"R must be positive, got {R}")
     t_arr = np.asarray(t_list, dtype=float)
     if t_arr.size < 2 or np.any(t_arr <= 0) or np.any(t_arr >= R):
         raise PreconditionViolation("t_list must contain at least two radii in (0, R)")
@@ -240,6 +236,8 @@ def holder_fit(
     regression uses each bin's sup increment against the distance that
     attained it, which keeps pure powers exactly on a line.
     """
+    if not pair_budget >= 1:
+        raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
     h_min, h_max = float(scale_range[0]), float(scale_range[1])
     if not 0 < h_min < h_max:
         raise PreconditionViolation("scale_range must satisfy 0 < h_min < h_max")
@@ -342,13 +340,8 @@ def _mass_on_intersection(f, s_index, dim, center_dist, r, omega_radius):
     def density(rho):
         return np.abs(f(rho)) ** s_index
 
+    # A centered ball (d = 0) is all full shells: its cap range is empty.
     d = center_dist
-    if d == 0.0:
-        hi = min(r, omega_radius)
-        if power:
-            return _ball_mass_power(a_s, s_beta, dim, hi)
-        val, _ = quad(lambda rho: density(rho) * dim * unit_ball_volume(dim) * rho ** (dim - 1), 0.0, hi, limit=200)
-        return val
     full_hi = min(max(r - d, 0.0), omega_radius)
     if power:
         mass = _ball_mass_power(a_s, s_beta, dim, full_hi) if full_hi > 0 else 0.0
@@ -400,12 +393,14 @@ def morrey_norm(
     A norm that keeps growing through the two finest radius decades with
     its maximum at the smallest sampled radius is flagged divergent.
     """
-    if s_index < 1:
+    if not s_index >= 1:
         raise PreconditionViolation(f"s_index must be >= 1, got {s_index}")
     if not 0 < theta <= dim:
         raise PreconditionViolation(f"theta must be in (0, dim], got {theta}")
     if not omega_radius > 0:
         raise PreconditionViolation("omega_radius must be positive")
+    if not center_samples >= 1:
+        raise PreconditionViolation(f"center_samples must be >= 1, got {center_samples}")
     if isinstance(f, RadialPowerSource) and s_index * f.beta >= dim:
         raise NonIntegrable(
             f"|x|^(-{f.beta}) is not locally L^{s_index} in dimension {dim}"

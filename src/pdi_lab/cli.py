@@ -3,13 +3,13 @@
 Every subcommand prints one JSON report on stdout and a one-line human
 summary on stderr. Exit codes: 0 for a passing run, 1 when a verification
 or audit fails on the science (residual too large, witness missing,
-mismatched verdicts), 2 for usage and precondition errors. Reports carry
-no timestamps and all randomness is seeded, so identical invocations
-produce byte-identical output; floats are serialized with shortest
-round-trip precision (up to 17 significant digits).
+mismatched verdicts, no solver convergence), 2 for usage, precondition
+and file errors, which print one ``error:`` line and no report. Reports
+carry no timestamps and all randomness is seeded, so identical
+invocations produce byte-identical output; floats are serialized with
+shortest round-trip precision (up to 17 significant digits).
 
-``sweep`` writes CSV (stdout or --out) over a parameter grid; the env var
-PDI_LAB_THREADS caps its worker threads without affecting row order.
+``sweep`` writes CSV (stdout or --out) over a parameter grid.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,12 +28,10 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DomainExceeded,
-    IllPosedBoundary,
     InsufficientScales,
     NoAdmissibleScale,
     NoConvergence,
-    NonIntegrable,
+    PdiLabError,
     PreconditionViolation,
 )
 from .params import (
@@ -52,6 +48,7 @@ from .radial import (
     PLaplacian,
     PowerProfile,
     SampledProfile,
+    _checked_samples,
     bump_profile_scale,
     nonconstant_entire_profile,
     residual_scan,
@@ -147,17 +144,13 @@ def _read_two_column_csv(path: str):
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue
+            if len(row) < 2:
+                raise PreconditionViolation(f"{path}: need two columns r,value, got {row!r}")
             try:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:
                 continue  # header line
-    if len(rows) < 2:
-        raise PreconditionViolation(f"{path}: need at least 2 data rows of r,value")
-    grid = np.array([r for r, _ in rows])
-    vals = np.array([v for _, v in rows])
-    if not np.all(np.diff(grid) > 0):
-        raise PreconditionViolation(f"{path}: radii must be strictly increasing")
-    return grid, vals
+    return _checked_samples([r for r, _ in rows], [v for _, v in rows], path, 2)
 
 
 def _parse_source(text: str):
@@ -280,6 +273,11 @@ def _cmd_exponents(args) -> int:
     return _emit("exponents", _params_dict(params), results, passed=True)
 
 
+def _check_nodes(nodes: int) -> None:
+    if not nodes >= 2:
+        raise PreconditionViolation(f"--nodes must be at least 2, got {nodes}")
+
+
 def _params_dict(params: ProblemParams) -> dict:
     return {
         "dim": params.dim,
@@ -295,6 +293,7 @@ def _params_dict(params: ProblemParams) -> dict:
 def _cmd_verify_sharpness(args) -> int:
     profile = sharpness_profile(args.dim, args.p, args.gamma)
     params = _problem_params(args)
+    _check_nodes(args.nodes)
     grid = np.linspace(0.05, 0.95, args.nodes)
     report = residual_scan(PLaplacian(args.p), profile, params, None, grid, tol=args.tol)
     passed = report.max_abs_residual <= args.tol
@@ -310,6 +309,7 @@ def _cmd_verify_sharpness(args) -> int:
 
 def _cmd_verify_bump(args) -> int:
     params = _problem_params(args)
+    _check_nodes(args.nodes)
     grid = np.linspace(0.05, args.grid_max, args.nodes)
     c, report = bump_profile_scale(args.dim, args.p, args.gamma, args.c_h, grid)
     results = {
@@ -327,7 +327,9 @@ def _cmd_solve(args) -> int:
     if kind is None:
         kind = PLaplacian(args.p)
     f = _parse_source(args.source)
-    bc_left = None if args.bc_left.strip().lower() == "none" else float(args.bc_left)
+    bc_left = None
+    if args.bc_left.strip().lower() != "none":
+        (bc_left,) = _parse_floats(args.bc_left, "bc-left", 1)
     config = SolverConfig(n_nodes=args.nodes, newton_tol=args.tol)
     sol = solve_radial_dirichlet(
         kind, params, f, (args.r_in, args.r_out), bc_left, args.bc_right, config
@@ -351,8 +353,9 @@ def _cmd_solve(args) -> int:
         "u_min": float(np.min(sol.values)),
         "u_max": float(np.max(sol.values)),
     }
-    passed = sol.meta["final_residual"] <= args.tol
-    return _emit("solve", _params_dict(params), results, passed)
+    # A returned solve converged by the solver's own rule; NoConvergence
+    # is reported by run().
+    return _emit("solve", _params_dict(params), results, passed=True)
 
 
 def _load_witness(args):
@@ -370,6 +373,8 @@ def _load_witness(args):
 def _cmd_audit_caccioppoli(args) -> int:
     params = _problem_params(args)
     u = _load_witness(args)
+    if not args.R > 0:
+        raise PreconditionViolation(f"--radius must be positive, got {args.R}")
     t_list = np.geomspace(0.02 * args.R, 0.95 * args.R, 24)
     report = caccioppoli_audit(u, params, args.R, t_list)
     results = {
@@ -570,12 +575,7 @@ def _cmd_sweep(args) -> int:
     points = sorted(
         (d, p, g, q) for d in dims for p in ps for g in gammas for q in qs
     )
-    threads = int(os.environ.get("PDI_LAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_row, points))
-    else:
-        rows = [_sweep_row(pt) for pt in points]
+    rows = [_sweep_row(pt) for pt in points]
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_SWEEP_HEADER, lineterminator="\n")
@@ -626,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=_cmd_verify_sharpness)
 
-    sp = sub.add_parser("verify-bump", help="search a bounded supersolution witness scale")
+    sp = sub.add_parser("verify-bump", help="largest bounded supersolution witness scale")
     _add_param_flags(sp)
     sp.add_argument("--nodes", type=int, default=300)
     sp.add_argument("--grid-max", type=float, default=10.0)
@@ -717,12 +717,6 @@ def run(argv) -> int:
         return code
     try:
         return args.func(args)
-    except PreconditionViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (IllPosedBoundary, DomainExceeded, NonIntegrable) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (NoAdmissibleScale, NoConvergence, InsufficientScales) as exc:
         report = {
             "command": args.command,
@@ -733,6 +727,9 @@ def run(argv) -> int:
         sys.stdout.write(json.dumps(report) + "\n")
         sys.stderr.write(f"{args.command}: FAIL ({exc})\n")
         return 1
+    except (PdiLabError, OSError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 def main(argv=None) -> int:

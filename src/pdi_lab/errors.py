@@ -41,4 +41,4 @@ class NonIntegrable(PdiLabError, ValueError):
 
 
 class NoAdmissibleScale(PdiLabError, RuntimeError):
-    """The scale search for a supersolution witness exhausted its range."""
+    """No scale makes the candidate witness a supersolution on its grid."""

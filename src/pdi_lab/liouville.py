@@ -30,6 +30,7 @@ as proportional to C rather than relying on its absolute size.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,12 +41,12 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainExceeded, PreconditionViolation
-from .params import ProblemParams, liouville_threshold
+from .params import ProblemParams, liouville_threshold, unit_ball_volume
 from .radial import (
     BumpProfile,
     PLaplacian,
     RadialProfile,
-    ResidualReport,
+    _checked_samples,
     bump_profile_scale,
     nonconstant_entire_profile,
     residual_scan,
@@ -70,10 +71,6 @@ __all__ = [
     "liouville_classify_manifold",
     "verify_euclidean_witness",
 ]
-
-
-def _unit_ball_volume(dim: int) -> float:
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +103,7 @@ class EuclideanArea(AreaProfile):
 
     @property
     def coefficient(self) -> float:
-        return self.dim * _unit_ball_volume(self.dim)
+        return self.dim * unit_ball_volume(self.dim)
 
     @property
     def shape_power(self) -> float:
@@ -126,6 +123,8 @@ class PowerArea(AreaProfile):
     def __post_init__(self):
         if not self.amplitude > 0:
             raise PreconditionViolation("area amplitude must be positive")
+        if not math.isfinite(self.beta):
+            raise PreconditionViolation(f"area exponent beta must be finite, got {self.beta}")
 
     @property
     def coefficient(self) -> float:
@@ -149,6 +148,8 @@ class ExponentialArea(AreaProfile):
     def __post_init__(self):
         if not self.amplitude > 0:
             raise PreconditionViolation("area amplitude must be positive")
+        if not math.isfinite(self.kappa):
+            raise PreconditionViolation(f"area rate kappa must be finite, got {self.kappa}")
 
     @property
     def coefficient(self) -> float:
@@ -166,14 +167,7 @@ class SampledArea(AreaProfile):
     values: np.ndarray
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size < 2:
-            raise PreconditionViolation("sampled area needs at least 2 nodes")
-        if self.values.shape != self.grid.shape:
-            raise PreconditionViolation("grid and values must have equal length")
-        if not np.all(np.diff(self.grid) > 0):
-            raise PreconditionViolation("sampled area grid must be strictly increasing")
+        self.grid, self.values = _checked_samples(self.grid, self.values, "sampled area", 2)
         if not np.all(self.values > 0):
             raise PreconditionViolation("area values must be strictly positive")
 
@@ -461,26 +455,15 @@ def liouville_classify_euclidean(
         raise PreconditionViolation(f"gamma must exceed p - 1 = {p - 1}, got {gamma}")
     if not c_h > 0:
         raise PreconditionViolation(f"c_h must be positive, got {c_h}")
+    verdict = functools.partial(
+        LiouvilleVerdict, dim=dim, p=p, gamma=gamma, gamma_star=gamma_star, c_h=c_h
+    )
     if power_area_diverges(dim - 1, p, gamma):
-        return LiouvilleVerdict(
-            verdict=Verdict.LIOUVILLE,
-            mechanism=Mechanism.CLOSED_FORM_THRESHOLD,
-            dim=dim,
-            p=p,
-            gamma=gamma,
-            gamma_star=gamma_star,
-            c_h=c_h,
-        )
+        return verdict(Verdict.LIOUVILLE, Mechanism.CLOSED_FORM_THRESHOLD)
     if gamma == p:
-        return LiouvilleVerdict(
-            verdict=Verdict.NO_LIOUVILLE,
-            mechanism=Mechanism.COUNTEREXAMPLE_WITNESS,
-            dim=dim,
-            p=p,
-            gamma=gamma,
-            gamma_star=gamma_star,
-            c_h=c_h,
-            witness=None,
+        return verdict(
+            Verdict.NO_LIOUVILLE,
+            Mechanism.COUNTEREXAMPLE_WITNESS,
             witness_note="WITNESS_UNAVAILABLE",
         )
     if gamma > p:
@@ -490,16 +473,7 @@ def liouville_classify_euclidean(
             witness_grid = np.linspace(*_DEFAULT_BUMP_GRID)
         c, _ = bump_profile_scale(dim, p, gamma, c_h, witness_grid)
         witness = BumpProfile(c=c, delta=(p - gamma) / (gamma - (p - 1)))
-    return LiouvilleVerdict(
-        verdict=Verdict.NO_LIOUVILLE,
-        mechanism=Mechanism.COUNTEREXAMPLE_WITNESS,
-        dim=dim,
-        p=p,
-        gamma=gamma,
-        gamma_star=gamma_star,
-        c_h=c_h,
-        witness=witness,
-    )
+    return verdict(Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS, witness=witness)
 
 
 def liouville_classify_manifold(
@@ -519,34 +493,14 @@ def liouville_classify_manifold(
     euclidean = isinstance(profile, EuclideanArea)
     dim = profile.dim if euclidean else None
     gamma_star = liouville_threshold(dim, p) if euclidean and 1 < p < dim else None
+    verdict = functools.partial(LiouvilleVerdict, dim=dim, p=p, gamma=gamma, gamma_star=gamma_star)
     if test is IntegralVerdict.DIVERGENT:
-        return LiouvilleVerdict(
-            verdict=Verdict.LIOUVILLE,
-            mechanism=Mechanism.AREA_INTEGRAL_DIVERGES,
-            dim=dim,
-            p=p,
-            gamma=gamma,
-            gamma_star=gamma_star,
-        )
+        return verdict(Verdict.LIOUVILLE, Mechanism.AREA_INTEGRAL_DIVERGES)
     if test is IntegralVerdict.CONVERGENT:
         if euclidean and 1 < p < profile.dim:
             return liouville_classify_euclidean(profile.dim, p, gamma)
-        return LiouvilleVerdict(
-            verdict=Verdict.INCONCLUSIVE,
-            mechanism=Mechanism.AREA_INTEGRAL_CONVERGES,
-            dim=dim,
-            p=p,
-            gamma=gamma,
-            gamma_star=gamma_star,
-        )
-    return LiouvilleVerdict(
-        verdict=Verdict.INCONCLUSIVE,
-        mechanism=None,
-        dim=dim,
-        p=p,
-        gamma=gamma,
-        gamma_star=gamma_star,
-    )
+        return verdict(Verdict.INCONCLUSIVE, Mechanism.AREA_INTEGRAL_CONVERGES)
+    return verdict(Verdict.INCONCLUSIVE, None)
 
 
 def verify_euclidean_witness(

@@ -72,7 +72,7 @@ class ProblemParams:
             raise PreconditionViolation(
                 f"gamma must exceed p - 1 = {self.p - 1}, got {self.gamma}"
             )
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise PreconditionViolation(f"lam must be >= 0, got {self.lam}")
         if not self.c_h > 0:
             raise PreconditionViolation(f"c_h must be positive, got {self.c_h}")
@@ -164,6 +164,11 @@ def caccioppoli_exponent(params: ProblemParams):
         params.dim_over_q,
         params.gamma / (params.gamma - (params.p - 1)),
     )
+
+
+def unit_ball_volume(dim: int) -> float:
+    """Volume of the unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
+    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 def liouville_threshold(dim, p):

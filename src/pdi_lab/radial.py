@@ -21,8 +21,8 @@ throughout the package:
   all of R^dim. These exist exactly for gamma above the critical exponent.
 * ``bump_profile_scale``: V(r) = c (1 + r^2)^(-delta/2) with
   delta = (p-gamma)/(gamma-(p-1)), a bounded positive supersolution of
-  -Delta_p u >= c_h |Du|^gamma for small enough c > 0, again only above
-  the critical exponent.
+  -Delta_p u >= c_h |Du|^gamma for every c > 0 up to a closed-form largest
+  scale, again only above the critical exponent.
 
 Residual sign convention: a scan reports
 
@@ -50,7 +50,6 @@ from .params import ProblemParams, liouville_threshold
 
 __all__ = [
     "RadialProfile",
-    "PowerShiftedProfile",
     "PowerProfile",
     "BumpProfile",
     "SampledProfile",
@@ -89,44 +88,19 @@ class RadialProfile:
 
 
 @dataclass(frozen=True)
-class PowerShiftedProfile(RadialProfile):
-    """V(r) = c (r^a - 1); vanishes at r = 1."""
-
-    c: float
-    a: float
-
-    def __post_init__(self):
-        if self.a == 0 and self.c != 0:
-            raise PreconditionViolation("power-shifted profile needs a != 0 unless c = 0")
-
-    def value(self, r):
-        return self.c * (np.asarray(r, dtype=float) ** self.a - 1.0)
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.c * self.a * r ** (self.a - 1.0)
-
-    def second_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.c * self.a * (self.a - 1.0) * r ** (self.a - 2.0)
-
-    def negated(self):
-        return PowerShiftedProfile(-self.c, self.a)
-
-
-@dataclass(frozen=True)
 class PowerProfile(RadialProfile):
-    """V(r) = c r^a."""
+    """V(r) = c (r^a - shift); shift = 1 makes it vanish at r = 1."""
 
     c: float
     a: float
+    shift: float = 0.0
 
     def __post_init__(self):
         if self.a == 0 and self.c != 0:
             raise PreconditionViolation("power profile needs a != 0 unless c = 0")
 
     def value(self, r):
-        return self.c * np.asarray(r, dtype=float) ** self.a
+        return self.c * (np.asarray(r, dtype=float) ** self.a - self.shift)
 
     def derivative(self, r):
         r = np.asarray(r, dtype=float)
@@ -137,7 +111,7 @@ class PowerProfile(RadialProfile):
         return self.c * self.a * (self.a - 1.0) * r ** (self.a - 2.0)
 
     def negated(self):
-        return PowerProfile(-self.c, self.a)
+        return PowerProfile(-self.c, self.a, self.shift)
 
 
 @dataclass(frozen=True)
@@ -170,6 +144,23 @@ class BumpProfile(RadialProfile):
         return BumpProfile(-self.c, self.delta)
 
 
+def _checked_samples(grid, values, what: str, min_nodes: int):
+    """(grid, values) as float arrays after the checks every sampled input
+    shares: 1-D, equal lengths, finite, strictly increasing radii and at
+    least ``min_nodes`` nodes."""
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < min_nodes:
+        raise PreconditionViolation(f"{what} needs at least {min_nodes} nodes")
+    if values.shape != grid.shape:
+        raise PreconditionViolation(f"{what}: grid and values must have equal length")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise PreconditionViolation(f"{what}: grid and values must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise PreconditionViolation(f"{what}: grid must be strictly increasing")
+    return grid, values
+
+
 @dataclass(eq=False)
 class SampledProfile(RadialProfile):
     """V given by samples on a strictly increasing grid of radii > 0.
@@ -185,14 +176,7 @@ class SampledProfile(RadialProfile):
     _d2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size < 4:
-            raise PreconditionViolation("sampled profile needs at least 4 nodes")
-        if self.values.shape != self.grid.shape:
-            raise PreconditionViolation("grid and values must have equal length")
-        if not np.all(np.diff(self.grid) > 0):
-            raise PreconditionViolation("sampled grid must be strictly increasing")
+        self.grid, self.values = _checked_samples(self.grid, self.values, "sampled profile", 4)
         if not self.grid[0] > 0:
             raise PreconditionViolation("sampled grid must start at a radius > 0")
         self._d1 = np.gradient(self.values, self.grid)
@@ -354,13 +338,9 @@ def radial_operator(kind: OperatorKind, profile: RadialProfile, r, dim: int):
             )
         safe_v1 = np.where(zero, 1.0, v1)
         out = -np.abs(safe_v1) ** (p - 2.0) * ((p - 1.0) * v2 + (dim - 1) * v1 / rr)
-        if p < 2:
-            out = np.where(zero, 0.0, out)
-        elif p > 2:
-            out = np.where(zero, 0.0, out)
-        else:
-            # p = 2 is the Laplacian, smooth through critical points.
-            out = np.where(zero, -v2, out)
+        # p = 2 is the Laplacian, smooth through critical points; otherwise
+        # the weight |V'|^(p-2) sends the value to 0 there.
+        out = np.where(zero, -v2 if p == 2 else 0.0, out)
     else:
         out = -(
             kind.flux_derivative(v1) * v2 + (dim - 1) * kind.flux(v1) / rr
@@ -373,13 +353,18 @@ def radial_operator(kind: OperatorKind, profile: RadialProfile, r, dim: int):
 # ---------------------------------------------------------------------------
 
 
+# Scans allowed to absorb rounding below the closed-form bump scale; the
+# step down doubles from one ulp, so the last one is 2^39 ulp ~ 1e-4 c.
+_CERTIFY_STEPS = 40
+
+
 def _growth_gap(dim: int, p: float, gamma: float) -> float:
     # ((dim-1)*gamma - dim*(p-1)) / (gamma - (p-1)); positive exactly above
     # the critical exponent.
     return ((dim - 1) * gamma - dim * (p - 1)) / (gamma - (p - 1))
 
 
-def sharpness_profile(dim: int, p: float, gamma: float) -> PowerShiftedProfile:
+def sharpness_profile(dim: int, p: float, gamma: float) -> PowerProfile:
     """Explicit solution of -Delta_p u = |Du|^gamma on the unit ball.
 
     Returns V(r) = c (r^a - 1) with a = (gamma-p)/(gamma-(p-1)) in (0, 1) and
@@ -402,7 +387,7 @@ def sharpness_profile(dim: int, p: float, gamma: float) -> PowerShiftedProfile:
         )
     a = (gamma - p) / (gamma - (p - 1))
     c = -(gap ** (1.0 / (gamma - (p - 1)))) / a
-    return PowerShiftedProfile(c=c, a=a)
+    return PowerProfile(c=c, a=a, shift=1.0)
 
 
 def nonconstant_entire_profile(dim: int, p: float, gamma: float, c_h: float = 1.0) -> PowerProfile:
@@ -433,27 +418,23 @@ def nonconstant_entire_profile(dim: int, p: float, gamma: float, c_h: float = 1.
     return PowerProfile(c=c, a=a)
 
 
-def bump_profile_scale(
-    dim: int,
-    p: float,
-    gamma: float,
-    c_h: float,
-    grid,
-    seed_scale: float = 1.0,
-    max_halvings: int = 200,
-    refine_steps: int = 40,
-):
-    """Search a scale c > 0 making c(1+r^2)^(-delta/2) a supersolution.
+def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
+    """Largest scale c > 0 making c(1+r^2)^(-delta/2) a supersolution.
 
     The inequality -Delta_p u >= c_h |Du|^gamma is checked node by node on
-    ``grid``; the search halves c on a log scale from ``seed_scale`` until
-    the scan passes, then bisects toward the largest passing scale. Returns
-    (c, ResidualReport).
+    ``grid``. For the unit bump w, with A = -Delta_p w and B = |w'|^gamma,
+    the (p-1)-homogeneity of the p-Laplacian turns the inequality for c w
+    into c^(gamma-p+1) <= A / (c_h B), so the largest scale is
+
+        c = min over the grid of (A / (c_h B))^(1/(gamma-p+1)).
+
+    It is certified by a strict residual scan; while rounding fails the
+    scan, c steps down by 1, 2, 4, ... ulp. Returns (c, ResidualReport).
 
     A passing scale exists exactly above the critical exponent. Below it
-    the diffusion term changes sign at a finite radius, so the grid must
-    extend past that radius for the failure to be detected; near the
-    critical exponent that radius grows without bound.
+    A changes sign at a finite radius, so the grid must extend past that
+    radius for the failure to be detected; near the critical exponent that
+    radius grows without bound.
     """
     if not gamma < p:
         raise PreconditionViolation(
@@ -465,44 +446,31 @@ def bump_profile_scale(
         )
     if not c_h > 0:
         raise PreconditionViolation(f"c_h must be positive, got {c_h}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0):
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0 or not np.all(grid > 0):
         raise PreconditionViolation("scan grid must contain radii > 0 only")
     delta = (p - gamma) / (gamma - (p - 1))
     kind = PLaplacian(p)
+    unit = BumpProfile(c=1.0, delta=delta)
+    diffusion = radial_operator(kind, unit, grid, dim)
+    if not np.all(diffusion > 0):
+        r_bad = float(grid[np.argmin(diffusion > 0)])
+        raise NoAdmissibleScale(
+            f"-Delta_p of the bump is not positive at r={r_bad:.6g} for gamma={gamma}"
+        )
+    gradient = c_h * np.abs(unit.derivative(grid)) ** gamma
+    c = float(np.min(diffusion / gradient)) ** (1.0 / (gamma - (p - 1)))
     scan_params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h)
-
-    def attempt(c):
+    for k in range(_CERTIFY_STEPS):
         report = residual_scan(
             kind, BumpProfile(c=c, delta=delta), scan_params, None, grid, tol=0.0
         )
-        return report
-
-    c = float(seed_scale)
-    passing = None
-    for _ in range(max_halvings):
-        report = attempt(c)
         if report.passed:
-            passing = (c, report)
-            break
-        c *= 0.5
-    if passing is None:
-        raise NoAdmissibleScale(
-            f"no admissible scale in ({c:.3g}, {seed_scale:.3g}] for gamma={gamma}"
-        )
-    c_pass, report = passing
-    if c_pass == seed_scale:
-        return c_pass, report
-    # Sharpen toward the largest passing scale; keep the proven one.
-    lo, hi = c_pass, c_pass * 2.0
-    for _ in range(refine_steps):
-        mid = math.sqrt(lo * hi)
-        rep = attempt(mid)
-        if rep.passed:
-            lo, report = mid, rep
-        else:
-            hi = mid
-    return lo, report
+            return c, report
+        c -= 2.0**k * math.ulp(c)
+    raise NoAdmissibleScale(
+        f"scale {c:.17g} still fails its residual scan for gamma={gamma}"
+    )
 
 
 # ---------------------------------------------------------------------------

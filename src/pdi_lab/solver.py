@@ -4,10 +4,11 @@ Solves the two-point boundary problem
 
     -(1/r^(d-1)) d/dr [ r^(d-1) a_eps(V') ] + lam V + c_h |V'|^gamma = f(r)
 
-on an interval [r_in, r_out], with a Dirichlet value or a zero-flux
-condition at each end. The flux a_eps is the operator kind's regularized
-flux; for degenerate kinds the regularization is driven to a small final
-eps by a continuation schedule, each stage warm-starting the next.
+on an interval [r_in, r_out], with a Dirichlet value at r_out and either
+a Dirichlet value or a zero-flux condition at r_in. The flux a_eps is the
+operator kind's regularized flux; for degenerate kinds the regularization
+is driven to a small final eps by a continuation schedule, each stage
+warm-starting the next.
 
 Discretization is conservative: fluxes live on face radii, and each cell
 is weighted by its exact shell volume (r_{i+1/2}^d - r_{i-1/2}^d)/d
@@ -17,8 +18,8 @@ accurate in general; the cell at r = 0 needs no special casing beyond
 its zero inner flux.
 
 The gradient term uses the centered difference (V_{i+1} - V_{i-1})/(2h)
-at interior nodes and one-sided differences at Dirichlet ends; at a
-zero-flux end the symmetric extension makes it vanish.
+and enters interior rows only: a Dirichlet row pins the value, and at a
+zero-flux inner end the symmetric extension makes the gradient vanish.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.linalg import solve_banded
 
 from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
 from .params import ProblemParams
-from .radial import MeanCurvature, OperatorKind, PLaplacian
+from .radial import MeanCurvature, OperatorKind, PLaplacian, _checked_samples
 
 __all__ = [
     "SourceTerm",
@@ -69,6 +70,12 @@ class RadialPowerSource(SourceTerm):
     amplitude: float
     beta: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.beta)):
+            raise PreconditionViolation(
+                f"power source needs finite amplitude and beta, got {self.amplitude}, {self.beta}"
+            )
+
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         # r = 0 with beta > 0 legitimately evaluates to inf; callers that
@@ -85,14 +92,7 @@ class SampledSource(SourceTerm):
     values: np.ndarray
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size < 2:
-            raise PreconditionViolation("sampled source needs at least 2 nodes")
-        if self.values.shape != self.grid.shape:
-            raise PreconditionViolation("grid and values must have equal length")
-        if not np.all(np.diff(self.grid) > 0):
-            raise PreconditionViolation("sampled source grid must be strictly increasing")
+        self.grid, self.values = _checked_samples(self.grid, self.values, "sampled source", 2)
 
     def __call__(self, r):
         return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
@@ -118,6 +118,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_nodes < 8:
             raise PreconditionViolation("need at least 8 nodes")
+        if not self.newton_tol >= 0:
+            raise PreconditionViolation(f"Newton tolerance must be >= 0, got {self.newton_tol}")
         if not 0 < self.eps_reg <= 1e-8:
             raise PreconditionViolation("final regularization must be in (0, 1e-8]")
         if any(b >= a for a, b in zip(self.continuation, self.continuation[1:])):
@@ -158,22 +160,6 @@ def _cell_volumes(faces: np.ndarray, d: int) -> np.ndarray:
     return (faces[1:] ** d - faces[:-1] ** d) / d
 
 
-def _hamiltonian_slope(values: np.ndarray, h: float, left_dirichlet: bool, right_dirichlet: bool):
-    """Nodal slope estimate for the |V'|^gamma term.
-
-    Centered at interior nodes; one-sided at a Dirichlet end; zero at a
-    zero-flux end where the even extension kills the derivative.
-    """
-    n = values.size
-    dv = np.zeros(n)
-    dv[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    if left_dirichlet:
-        dv[0] = (values[1] - values[0]) / h
-    if right_dirichlet:
-        dv[-1] = (values[-1] - values[-2]) / h
-    return dv
-
-
 def _assemble(
     values: np.ndarray,
     grid: np.ndarray,
@@ -184,7 +170,7 @@ def _assemble(
     f_vals: np.ndarray,
     eps: float,
     bc_left: Optional[float],
-    bc_right: Optional[float],
+    bc_right: float,
 ):
     """Residual vector and tridiagonal Jacobian in banded storage."""
     n = grid.size
@@ -192,14 +178,14 @@ def _assemble(
     d = params.dim
     gamma, lam, c_h = params.gamma, params.lam, params.c_h
     left_dirichlet = bc_left is not None
-    right_dirichlet = bc_right is not None
 
     slopes = np.diff(values) / h
     area = faces[1:-1] ** (d - 1)
     flux = area * np.asarray(kind.flux(slopes, eps), dtype=float)
     dflux = area * np.asarray(kind.flux_derivative(slopes, eps), dtype=float) / h
 
-    dv = _hamiltonian_slope(values, h, left_dirichlet, right_dirichlet)
+    # Centered slope at the interior nodes, the only rows with a gradient term.
+    dv = (values[2:] - values[:-2]) / (2.0 * h)
     ham = c_h * np.abs(dv) ** gamma
     safe_dv = np.where(dv == 0.0, 1.0, dv)
     dham = np.where(
@@ -210,7 +196,7 @@ def _assemble(
 
     R = np.empty(n)
     # Interior balance: flux divergence plus reaction, Hamiltonian, source.
-    R[1:-1] = -(flux[1:] - flux[:-1]) / vols[1:-1] + lam * values[1:-1] + ham[1:-1] - f_vals[1:-1]
+    R[1:-1] = -(flux[1:] - flux[:-1]) / vols[1:-1] + lam * values[1:-1] + ham - f_vals[1:-1]
 
     sub = np.zeros(n)   # J[i, i-1] stored at sub[i]
     dia = np.zeros(n)
@@ -220,8 +206,8 @@ def _assemble(
     sub[1:-1] = -dflux[:-1] / vols[1:-1]
     sup[1:-1] = -dflux[1:] / vols[1:-1]
     # Centered Hamiltonian couples to both neighbors.
-    sub[1:-1] += dham[1:-1] * (-1.0 / (2.0 * h))
-    sup[1:-1] += dham[1:-1] * (+1.0 / (2.0 * h))
+    sub[1:-1] += dham * (-1.0 / (2.0 * h))
+    sup[1:-1] += dham * (+1.0 / (2.0 * h))
 
     if left_dirichlet:
         R[0] = values[0] - bc_left
@@ -233,23 +219,16 @@ def _assemble(
         dia[0] = dflux[0] / vols[0] + lam
         sup[0] = -dflux[0] / vols[0]
 
-    if right_dirichlet:
-        R[-1] = values[-1] - bc_right
-        dia[-1] = 1.0
-    else:
-        R[-1] = flux[-1] / vols[-1] + lam * values[-1] - f_vals[-1]
-        dia[-1] = dflux[-1] / vols[-1] + lam
-        sub[-1] = -dflux[-1] / vols[-1]
+    R[-1] = values[-1] - bc_right
+    dia[-1] = 1.0
 
     ab = np.zeros((3, n))
     ab[0, 1:] = sup[:-1]
     ab[1, :] = dia
     ab[2, :-1] = sub[1:]
     mask = np.ones(n, dtype=bool)
-    if left_dirichlet:
-        mask[0] = False
-    if right_dirichlet:
-        mask[-1] = False
+    mask[0] = not left_dirichlet
+    mask[-1] = False
     return R, ab, mask
 
 
@@ -280,6 +259,10 @@ def solve_radial_dirichlet(
         )
     if bc_right is None:
         raise IllPosedBoundary("the outer boundary needs a Dirichlet value")
+    if not (math.isfinite(bc_right) and (bc_left is None or math.isfinite(bc_left))):
+        raise PreconditionViolation(
+            f"boundary values must be finite, got bc_left={bc_left}, bc_right={bc_right}"
+        )
 
     grid = np.linspace(r_in, r_out, config.n_nodes)
     h = grid[1] - grid[0]

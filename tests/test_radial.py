@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pdi_lab import radial
 from pdi_lab.errors import (
     DegeneratePoint,
     DomainExceeded,
@@ -19,7 +20,6 @@ from pdi_lab.radial import (
     MeanCurvature,
     PLaplacian,
     PowerProfile,
-    PowerShiftedProfile,
     SampledProfile,
     bump_profile_scale,
     nonconstant_entire_profile,
@@ -33,7 +33,7 @@ ALL_KINDS = [PLaplacian(2.0), PLaplacian(3.0), MeanCurvature(), GeneralizedMeanC
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__ + str(k.p))
 def test_constant_profile_maps_to_zero(kind):
-    flat = PowerShiftedProfile(c=0.0, a=0.5)
+    flat = PowerProfile(c=0.0, a=0.5, shift=1.0)
     for r in (0.2, 1.0, 7.5):
         assert radial_operator(kind, flat, r, dim=3) == 0.0
 
@@ -158,7 +158,7 @@ def test_sharpness_residual_scan_is_equality():
 
 def test_zero_function_also_solves_the_zero_data_problem():
     # non-uniqueness: the trivial profile passes the same scan
-    flat = PowerShiftedProfile(c=0.0, a=0.5)
+    flat = PowerProfile(c=0.0, a=0.5, shift=1.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     report = residual_scan(PLaplacian(2.0), flat, params, None, np.linspace(0.05, 0.95, 64))
     assert report.passed
@@ -167,7 +167,7 @@ def test_zero_function_also_solves_the_zero_data_problem():
 
 def test_residual_scan_flags_violations():
     # overscaled constant: the gradient term outgrows the diffusion term
-    bad = PowerShiftedProfile(c=-10.0, a=2.0 / 3.0)
+    bad = PowerProfile(c=-10.0, a=2.0 / 3.0, shift=1.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     report = residual_scan(PLaplacian(2.0), bad, params, None, np.linspace(0.1, 0.9, 64), tol=0.0)
     assert not report.passed
@@ -211,6 +211,35 @@ def test_bump_scale_exists_above_threshold():
     assert c > 0
     assert report.passed
     assert report.min_residual >= 0
+
+
+@pytest.mark.parametrize(
+    "dim,p,gamma", [(3, 2.0, 1.6), (3, 2.0, 1.8), (3, 2.0, 1.95), (4, 3.0, 2.8)]
+)
+def test_bump_scale_is_the_largest_passing_scale(monkeypatch, dim, p, gamma):
+    grid = np.linspace(0.05, 10.0, 300)
+    scans = []
+    monkeypatch.setattr(
+        radial, "residual_scan", lambda *a, **k: scans.append(1) or residual_scan(*a, **k)
+    )
+    c, report = bump_profile_scale(dim, p, gamma, 1.0, grid)
+    monkeypatch.undo()
+    assert len(scans) <= 5  # closed form plus rounding steps, not a search
+    delta = (p - gamma) / (gamma - (p - 1))
+    params = ProblemParams(dim=dim, p=p, gamma=gamma)
+
+    def scan(scale):
+        return residual_scan(PLaplacian(p), BumpProfile(scale, delta), params, None, grid, tol=0.0)
+
+    assert report.passed and scan(c).passed
+    assert report.min_residual == scan(c).min_residual
+    assert not scan(c * (1.0 + 1e-9)).passed
+
+
+def test_bump_scale_matches_the_bisection_it_replaced():
+    # 0.27658346079093826 is what a 40-step bisection converged to at (3, 2, 1.6).
+    c, _ = bump_profile_scale(3, 2.0, 1.6, 1.0, np.linspace(0.05, 10.0, 300))
+    assert c == pytest.approx(0.27658346079093826, rel=1e-12)
 
 
 def test_bump_scale_absent_below_threshold():

@@ -154,8 +154,8 @@ def caccioppoli_audit(
 
     ``lambda_part`` optionally overrides the lam-term as a callable of t.
     """
-    if not R > 0:
-        raise PreconditionViolation(f"R must be positive, got {R}")
+    if not (math.isfinite(R) and R > 0):
+        raise PreconditionViolation(f"R must be finite and positive, got {R}")
     t_arr = np.asarray(t_list, dtype=float)
     if t_arr.size < 2 or np.any(t_arr <= 0) or np.any(t_arr >= R):
         raise PreconditionViolation("t_list must contain at least two radii in (0, R)")
@@ -397,8 +397,8 @@ def morrey_norm(
         raise PreconditionViolation(f"s_index must be >= 1, got {s_index}")
     if not 0 < theta <= dim:
         raise PreconditionViolation(f"theta must be in (0, dim], got {theta}")
-    if not omega_radius > 0:
-        raise PreconditionViolation("omega_radius must be positive")
+    if not (math.isfinite(omega_radius) and omega_radius > 0):
+        raise PreconditionViolation(f"omega_radius must be finite and positive, got {omega_radius}")
     if not center_samples >= 1:
         raise PreconditionViolation(f"center_samples must be >= 1, got {center_samples}")
     if isinstance(f, RadialPowerSource) and s_index * f.beta >= dim:

@@ -373,8 +373,8 @@ def _load_witness(args):
 def _cmd_audit_caccioppoli(args) -> int:
     params = _problem_params(args)
     u = _load_witness(args)
-    if not args.R > 0:
-        raise PreconditionViolation(f"--radius must be positive, got {args.R}")
+    if not (math.isfinite(args.R) and args.R > 0):
+        raise PreconditionViolation(f"--radius must be finite and positive, got {args.R}")
     t_list = np.geomspace(0.02 * args.R, 0.95 * args.R, 24)
     report = caccioppoli_audit(u, params, args.R, t_list)
     results = {

@@ -72,12 +72,12 @@ class ProblemParams:
             raise PreconditionViolation(
                 f"gamma must exceed p - 1 = {self.p - 1}, got {self.gamma}"
             )
-        if not self.lam >= 0:
-            raise PreconditionViolation(f"lam must be >= 0, got {self.lam}")
-        if not self.c_h > 0:
-            raise PreconditionViolation(f"c_h must be positive, got {self.c_h}")
-        if not self.nu > 0:
-            raise PreconditionViolation(f"nu must be positive, got {self.nu}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise PreconditionViolation(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.c_h) and self.c_h > 0):
+            raise PreconditionViolation(f"c_h must be finite and positive, got {self.c_h}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise PreconditionViolation(f"nu must be finite and positive, got {self.nu}")
         if not _is_infinite(self.q) and not self.q >= 1:
             raise PreconditionViolation(f"q must be >= 1 or INFINITY, got {self.q}")
 

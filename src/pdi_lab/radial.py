@@ -419,22 +419,24 @@ def nonconstant_entire_profile(dim: int, p: float, gamma: float, c_h: float = 1.
 
 
 def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
-    """Largest scale c > 0 making c(1+r^2)^(-delta/2) a supersolution.
+    """Largest scale c > 0 making c(1+r^2)^(-delta/2) a supersolution on R^dim.
 
-    The inequality -Delta_p u >= c_h |Du|^gamma is checked node by node on
-    ``grid``. For the unit bump w, with A = -Delta_p w and B = |w'|^gamma,
-    the (p-1)-homogeneity of the p-Laplacian turns the inequality for c w
-    into c^(gamma-p+1) <= A / (c_h B), so the largest scale is
+    For the unit bump w, with A = -Delta_p w and B = |w'|^gamma, the
+    (p-1)-homogeneity of the p-Laplacian turns the inequality
+    -Delta_p (c w) >= c_h |D(c w)|^gamma into c^(gamma-p+1) <= A / (c_h B).
+    In closed form
 
-        c = min over the grid of (A / (c_h B))^(1/(gamma-p+1)).
+        A / B = delta^(p-1-gamma) (1 + 1/r^2)^((gamma-p)/2) (g + (dim+p-2)/r^2),
 
-    It is certified by a strict residual scan; while rounding fails the
-    scan, c steps down by 1, 2, 4, ... ulp. Returns (c, ResidualReport).
+    with g = _growth_gap(dim, p, gamma). It falls strictly in r towards
+    delta^(p-1-gamma) g, so the largest scale valid for every radius is
 
-    A passing scale exists exactly above the critical exponent. Below it
-    A changes sign at a finite radius, so the grid must extend past that
-    radius for the failure to be detected; near the critical exponent that
-    radius grows without bound.
+        c = (delta^(p-1-gamma) g / c_h)^(1/(gamma-p+1)),
+
+    and none exists when g <= 0, i.e. at or below the critical exponent
+    (then A < 0 for r^2 > (dim+p-2)/(-g)). ``grid`` only certifies c by a
+    strict residual scan; while rounding fails the scan, c steps down by
+    1, 2, 4, ... ulp. Returns (c, ResidualReport).
     """
     if not gamma < p:
         raise PreconditionViolation(
@@ -449,17 +451,15 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0 or not np.all(grid > 0):
         raise PreconditionViolation("scan grid must contain radii > 0 only")
-    delta = (p - gamma) / (gamma - (p - 1))
-    kind = PLaplacian(p)
-    unit = BumpProfile(c=1.0, delta=delta)
-    diffusion = radial_operator(kind, unit, grid, dim)
-    if not np.all(diffusion > 0):
-        r_bad = float(grid[np.argmin(diffusion > 0)])
+    gap = _growth_gap(dim, p, gamma)
+    if not gap > 0:
         raise NoAdmissibleScale(
-            f"-Delta_p of the bump is not positive at r={r_bad:.6g} for gamma={gamma}"
+            f"no bump supersolution on R^{dim} for gamma={gamma}: "
+            f"(dim-1)*gamma - dim*(p-1) = {(dim - 1) * gamma - dim * (p - 1):.6g} is not positive"
         )
-    gradient = c_h * np.abs(unit.derivative(grid)) ** gamma
-    c = float(np.min(diffusion / gradient)) ** (1.0 / (gamma - (p - 1)))
+    delta = (p - gamma) / (gamma - (p - 1))
+    c = (delta ** (p - 1 - gamma) * gap / c_h) ** (1.0 / (gamma - (p - 1)))
+    kind = PLaplacian(p)
     scan_params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h)
     for k in range(_CERTIFY_STEPS):
         report = residual_scan(

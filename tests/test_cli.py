@@ -84,7 +84,7 @@ def test_verify_bump_witness_found(capsys):
         capsys, "verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8"
     )
     assert rc == 0
-    assert report["results"]["c"] == pytest.approx(2.9284517507, rel=1e-10)
+    assert report["results"]["c"] == pytest.approx(2.7918145773, rel=1e-10)
     assert report["results"]["min_residual"] >= 0
 
 
@@ -362,6 +362,11 @@ SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]
         SOLVE + ["--bc-right", "0", "--source", "file:/nonexistent"],
         ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "nan"],
         ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "0"],
+        ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "inf"],
+        ["morrey", "--source", "power:1,1", "--theta", "1.5", "--omega-radius", "inf"],
+        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--c-h", "inf"],
+        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--nu", "inf"],
+        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lambda", "inf"],
         ["manifold", "--profile", "exp:1,nan", "--p", "2", "--gamma", "1.4"],
         ["manifold", "--profile", "power:1,nan", "--p", "2", "--gamma", "1.4"],
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--centers", "0"],

@@ -278,6 +278,9 @@ def test_classify_euclidean_bump_witness_below_p():
     report, ok = verify_euclidean_witness(v)
     assert ok
     assert report.passed
+    # a witness on R^dim, not only on the grid its scale was certified on
+    assert verify_euclidean_witness(v, grid=np.linspace(0.05, 40.0, 800))[1]
+    assert verify_euclidean_witness(v, grid=np.geomspace(0.05, 1e6, 400))[1]
 
 
 def test_classify_euclidean_entire_witness_above_p():

@@ -213,33 +213,49 @@ def test_bump_scale_exists_above_threshold():
     assert report.min_residual >= 0
 
 
+def _bump_scan(dim, p, gamma, scale, grid):
+    delta = (p - gamma) / (gamma - (p - 1))
+    params = ProblemParams(dim=dim, p=p, gamma=gamma)
+    return residual_scan(PLaplacian(p), BumpProfile(scale, delta), params, None, grid, tol=0.0)
+
+
+# A/(c_h B) falls towards its limit like 1/r^2, so a scale 1e-9 too large
+# first fails near r ~ 1e5.
+FAR_GRID = np.geomspace(0.05, 1e6, 400)
+
+
 @pytest.mark.parametrize(
     "dim,p,gamma", [(3, 2.0, 1.6), (3, 2.0, 1.8), (3, 2.0, 1.95), (4, 3.0, 2.8)]
 )
 def test_bump_scale_is_the_largest_passing_scale(monkeypatch, dim, p, gamma):
-    grid = np.linspace(0.05, 10.0, 300)
     scans = []
     monkeypatch.setattr(
         radial, "residual_scan", lambda *a, **k: scans.append(1) or residual_scan(*a, **k)
     )
-    c, report = bump_profile_scale(dim, p, gamma, 1.0, grid)
+    c, report = bump_profile_scale(dim, p, gamma, 1.0, FAR_GRID)
     monkeypatch.undo()
     assert len(scans) <= 5  # closed form plus rounding steps, not a search
-    delta = (p - gamma) / (gamma - (p - 1))
-    params = ProblemParams(dim=dim, p=p, gamma=gamma)
-
-    def scan(scale):
-        return residual_scan(PLaplacian(p), BumpProfile(scale, delta), params, None, grid, tol=0.0)
-
-    assert report.passed and scan(c).passed
-    assert report.min_residual == scan(c).min_residual
-    assert not scan(c * (1.0 + 1e-9)).passed
+    assert report.passed and _bump_scan(dim, p, gamma, c, FAR_GRID).passed
+    assert report.min_residual == _bump_scan(dim, p, gamma, c, FAR_GRID).min_residual
+    assert not _bump_scan(dim, p, gamma, c * (1.0 + 1e-9), FAR_GRID).passed
 
 
-def test_bump_scale_matches_the_bisection_it_replaced():
-    # 0.27658346079093826 is what a 40-step bisection converged to at (3, 2, 1.6).
+@pytest.mark.parametrize(
+    "dim,p,gamma", [(3, 2.0, 1.6), (3, 2.0, 1.8), (3, 2.0, 1.95), (4, 3.0, 2.8)]
+)
+def test_bump_scale_holds_beyond_its_build_grid(dim, p, gamma):
+    c, _ = bump_profile_scale(dim, p, gamma, 1.0, np.linspace(0.05, 10.0, 300))
+    assert c == bump_profile_scale(dim, p, gamma, 1.0, FAR_GRID)[0]
+    assert _bump_scan(dim, p, gamma, c, FAR_GRID).passed
+
+
+def test_grid_limited_bump_scale_fails_beyond_the_grid():
+    # 0.27658346079093826 is the largest scale passing on [0.05, 10] at
+    # (3, 2, 1.6), what a bisection over that grid converged to.
     c, _ = bump_profile_scale(3, 2.0, 1.6, 1.0, np.linspace(0.05, 10.0, 300))
-    assert c == pytest.approx(0.27658346079093826, rel=1e-12)
+    assert c < 0.27658346079093826
+    assert _bump_scan(3, 2.0, 1.6, 0.27658346079093826, np.linspace(0.05, 10.0, 300)).passed
+    assert not _bump_scan(3, 2.0, 1.6, 0.27658346079093826, FAR_GRID).passed
 
 
 def test_bump_scale_absent_below_threshold():

@@ -156,7 +156,10 @@ class ExponentialArea(AreaProfile):
         return self.amplitude
 
     def area(self, t):
-        return self.amplitude * np.exp(self.kappa * np.asarray(t, dtype=float))
+        # Past kappa t ~ 709 the area is inf, and the integrand area^(-e)
+        # is then exactly 0, the limit it tends to.
+        with np.errstate(over="ignore"):
+            return self.amplitude * np.exp(self.kappa * np.asarray(t, dtype=float))
 
 
 @dataclass(eq=False)

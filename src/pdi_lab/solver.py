@@ -6,9 +6,18 @@ Solves the two-point boundary problem
 
 on an interval [r_in, r_out], with a Dirichlet value at r_out and either
 a Dirichlet value or a zero-flux condition at r_in. The flux a_eps is the
-operator kind's regularized flux; for degenerate kinds the regularization
-is driven to a small final eps by a continuation schedule, each stage
-warm-starting the next.
+operator kind's regularized flux. The Laplacian and the mean-curvature
+flux are solved at eps = 1e-10 directly; the other kinds are continued
+through the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, each
+stage warm-starting the next.
+
+Each Newton step starts with the one convergence test: the max residual
+over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
+|J_ij| |V_j|. The roundoff term follows the Jacobian, through the 1/h^2
+of flux differences and the eps^(p-2) of a p < 2 flux derivative, so a
+solve that has reached roundoff ends there. The line search halves the
+step until the residual falls, and the accepted trial's residual and
+Jacobian serve the next step: each iterate is assembled once.
 
 Discretization is conservative: fluxes live on face radii, and each cell
 is weighted by its exact shell volume (r_{i+1/2}^d - r_{i-1/2}^d)/d
@@ -25,7 +34,7 @@ zero-flux inner end the symmetric extension makes the gradient vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,36 +114,35 @@ class SampledSource(SourceTerm):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton/continuation knobs; the defaults solve every shipped case."""
+    """Grid size, Newton tolerance and Newton step budget per eps stage."""
 
     n_nodes: int = 256
-    eps_reg: float = 1e-10
     newton_tol: float = 1e-10
     max_iter: int = 60
-    damping: float = 1.0
-    line_search_halvings: int = 30
-    continuation: tuple = (1e-2, 1e-4, 1e-6, 1e-8)
 
     def __post_init__(self):
         if self.n_nodes < 8:
             raise PreconditionViolation("need at least 8 nodes")
         if not self.newton_tol >= 0:
             raise PreconditionViolation(f"Newton tolerance must be >= 0, got {self.newton_tol}")
-        if not 0 < self.eps_reg <= 1e-8:
-            raise PreconditionViolation("final regularization must be in (0, 1e-8]")
-        if any(b >= a for a, b in zip(self.continuation, self.continuation[1:])):
-            raise PreconditionViolation("continuation schedule must be strictly decreasing")
+        if not self.max_iter >= 1:
+            raise PreconditionViolation(f"need at least one Newton step, got {self.max_iter}")
 
-    def schedule(self, kind: OperatorKind) -> tuple:
-        # The Laplacian and the plain mean-curvature flux are uniformly
-        # smooth; a single stage at the final eps suffices.
-        smooth = isinstance(kind, MeanCurvature) or (
-            isinstance(kind, PLaplacian) and kind.p == 2.0
-        )
-        if smooth:
-            return (self.eps_reg,)
-        stages = tuple(e for e in self.continuation if e > self.eps_reg)
-        return stages + (self.eps_reg,)
+
+# Regularizations of the degenerate kinds, each stage warm-starting the
+# next; the last is the final eps of every solve.
+_CONTINUATION = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+# A line search tries the full Newton step, then halves it up to this often.
+_LINE_SEARCH_HALVINGS = 30
+
+
+def _schedule(kind: OperatorKind) -> tuple:
+    # The Laplacian and the plain mean-curvature flux are uniformly
+    # smooth; a single stage at the final eps suffices.
+    smooth = isinstance(kind, MeanCurvature) or (
+        isinstance(kind, PLaplacian) and kind.p == 2.0
+    )
+    return _CONTINUATION[-1:] if smooth else _CONTINUATION
 
 
 @dataclass(eq=False)
@@ -156,8 +164,21 @@ class DiscreteRadialSolution:
 # ---------------------------------------------------------------------------
 
 
-def _cell_volumes(faces: np.ndarray, d: int) -> np.ndarray:
-    return (faces[1:] ** d - faces[:-1] ** d) / d
+def _discretize(grid: np.ndarray, d: int, f: Optional[Callable]):
+    """Face radii, exact shell volumes and source values (f = None is zero)."""
+    faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
+    vols = (faces[1:] ** d - faces[:-1] ** d) / d
+    f_vals = np.zeros(grid.size) if f is None else np.asarray(f(grid), dtype=float)
+    return faces, vols, f_vals
+
+
+def _roundoff_floor(ab: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:
+    """eps_mach * max over the masked rows i of sum_j |J_ij| |V_j|."""
+    a, v = np.abs(ab), np.abs(values)
+    rows = a[1] * v
+    rows[1:] += a[2, :-1] * v[:-1]   # J[i, i-1] V[i-1]
+    rows[:-1] += a[0, 1:] * v[1:]    # J[i, i+1] V[i+1]
+    return float(np.finfo(float).eps * np.max(rows[mask]))
 
 
 def _assemble(
@@ -246,8 +267,8 @@ def solve_radial_dirichlet(
     ``bc_left`` may be None for a zero-flux condition (mandatory at
     r_in = 0, where a Dirichlet pin would overdetermine the symmetric
     problem). ``bc_right`` is always a Dirichlet value. Raises
-    NoConvergence if the final continuation stage cannot reach the
-    Newton tolerance.
+    NoConvergence if the final continuation stage fails the convergence
+    test (module docstring) within ``max_iter`` Newton steps.
     """
     r_in, r_out = float(domain[0]), float(domain[1])
     if not r_out > r_in >= 0:
@@ -265,12 +286,7 @@ def solve_radial_dirichlet(
         )
 
     grid = np.linspace(r_in, r_out, config.n_nodes)
-    h = grid[1] - grid[0]
-    faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
-    vols = _cell_volumes(faces, params.dim)
-
-    f = f if f is not None else ZeroSource()
-    f_vals = np.asarray(f(grid), dtype=float)
+    faces, vols, f_vals = _discretize(grid, params.dim, f)
     if not np.all(np.isfinite(f_vals)):
         raise PreconditionViolation(
             "source term is not finite on the grid; singular sources need r_in > 0"
@@ -281,62 +297,47 @@ def solve_radial_dirichlet(
     else:
         values = np.full(grid.size, float(bc_right))
 
+    def assemble(v, eps):
+        return _assemble(v, grid, faces, vols, kind, params, f_vals, eps, bc_left, bc_right)
+
     iterations = 0
-    stage_residual = math.inf
-    at_noise_floor = False
-    for eps in config.schedule(kind):
+    for eps in _schedule(kind):
+        # Intermediate stages only warm-start the next one; failure to
+        # fully converge there is harmless.
+        R, ab, mask = assemble(values, eps)
         converged = False
         for _ in range(config.max_iter):
-            R, ab, mask = _assemble(
-                values, grid, faces, vols, kind, params, f_vals, eps, bc_left, bc_right
-            )
             res_norm = float(np.max(np.abs(R[mask])))
-            stage_residual = res_norm
-            if res_norm <= config.newton_tol:
+            if res_norm <= config.newton_tol + _roundoff_floor(ab, values, mask):
                 converged = True
                 break
             step = solve_banded((1, 1), ab, -R)
-            scale = config.damping
-            accepted = False
-            for _ in range(config.line_search_halvings):
+            iterations += 1
+            scale = 1.0
+            for _ in range(_LINE_SEARCH_HALVINGS):
                 trial = values + scale * step
-                R_trial, _, _ = _assemble(
-                    trial, grid, faces, vols, kind, params, f_vals, eps, bc_left, bc_right
-                )
-                trial_norm = float(np.max(np.abs(R_trial[mask])))
-                if trial_norm < res_norm:
-                    values = trial
-                    accepted = True
+                trial_out = assemble(trial, eps)
+                if float(np.max(np.abs(trial_out[0][mask]))) < res_norm:
                     break
                 scale *= 0.5
-            iterations += 1
-            if not accepted:
+            else:
                 break
-        # Intermediate stages only warm-start the next one; failure to
-        # fully converge there is harmless.
-    if not converged:
-        # Flux differences amplify rounding like eps_mach/h^2, so on fine
-        # grids the assembled residual has a floor the tolerance may sit
-        # under; a stall at that floor is convergence, not failure.
-        floor = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(values)))) / h**2
-        if stage_residual <= floor:
-            converged = True
-            at_noise_floor = True
+            # The accepted trial's assembly serves the next step.
+            values = trial
+            R, ab, _ = trial_out
     if not converged:
         raise NoConvergence(
-            f"Newton stalled at residual {stage_residual:.3e} "
+            f"Newton stalled at residual {res_norm:.3e} "
             f"(tol {config.newton_tol:.1e}) at eps={eps:.1e}"
         )
 
     meta = {
         "iterations": iterations,
-        "final_residual": stage_residual,
-        "eps_final": config.schedule(kind)[-1],
+        "final_residual": res_norm,
+        "eps_final": eps,
         "bc_left": bc_left,
         "bc_right": bc_right,
     }
-    if at_noise_floor:
-        meta["at_noise_floor"] = True
     return DiscreteRadialSolution(
         grid=grid, values=values, params=params, kind=kind, meta=meta
     )
@@ -344,15 +345,9 @@ def solve_radial_dirichlet(
 
 def solution_residual(sol: DiscreteRadialSolution, f: Callable) -> float:
     """Max discrete residual of a solution, excluding Dirichlet rows."""
-    grid, params, kind = sol.grid, sol.params, sol.kind
-    faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
-    vols = _cell_volumes(faces, params.dim)
-    f = f if f is not None else ZeroSource()
-    f_vals = np.asarray(f(grid), dtype=float)
-    bc_left = sol.meta["bc_left"]
-    bc_right = sol.meta["bc_right"]
+    faces, vols, f_vals = _discretize(sol.grid, sol.params.dim, f)
     R, _, mask = _assemble(
-        sol.values, grid, faces, vols, kind, params, f_vals,
-        sol.meta["eps_final"], bc_left, bc_right,
+        sol.values, sol.grid, faces, vols, sol.kind, sol.params, f_vals,
+        sol.meta["eps_final"], sol.meta["bc_left"], sol.meta["bc_right"],
     )
     return float(np.max(np.abs(R[mask])))

@@ -1,6 +1,7 @@
 """Area integral test, sigma comparison chain, and the constancy verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ def test_area_test_exponential_growth():
         area_condition_test(ExponentialArea(2.0, 0.0), 2.0, 1.2)
         is IntegralVerdict.DIVERGENT
     )
+
+
+def test_numeric_exponential_area_past_overflow_is_silent():
+    # The doublings pass t ~ 709 / kappa, where exp overflows to an
+    # infinite area and the integrand is exactly 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = area_condition_test(ExponentialArea(1.0, 1.0), 2.0, 1.4, mode="numeric")
+    assert verdict is IntegralVerdict.CONVERGENT
 
 
 def test_area_test_analytic_refuses_sampled_data():

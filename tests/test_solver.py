@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pdi_lab import solver
 from pdi_lab.errors import IllPosedBoundary, NoConvergence, PreconditionViolation
 from pdi_lab.params import ProblemParams
 from pdi_lab.radial import MeanCurvature, PLaplacian, sharpness_profile
@@ -191,18 +192,95 @@ def test_config_validation():
     with pytest.raises(PreconditionViolation):
         SolverConfig(n_nodes=4)
     with pytest.raises(PreconditionViolation):
-        SolverConfig(eps_reg=1e-6)  # final regularization too coarse
+        SolverConfig(newton_tol=math.nan)
     with pytest.raises(PreconditionViolation):
-        SolverConfig(continuation=(1e-4, 1e-2))  # not decreasing
+        SolverConfig(max_iter=0)
 
 
 def test_continuation_schedule_shape():
-    cfg = SolverConfig()
-    assert cfg.schedule(PLaplacian(2.0)) == (cfg.eps_reg,)
-    assert cfg.schedule(MeanCurvature()) == (cfg.eps_reg,)
-    staged = cfg.schedule(PLaplacian(3.0))
-    assert staged[-1] == cfg.eps_reg
+    final = solver._schedule(PLaplacian(2.0))
+    assert len(final) == 1 and 0 < final[0] <= 1e-8
+    assert solver._schedule(MeanCurvature()) == final
+    staged = solver._schedule(PLaplacian(3.0))
+    assert staged[-1] == final[0]
+    assert len(staged) > 1
     assert all(b < a for a, b in zip(staged, staged[1:]))
+
+
+P15_PARAMS = ProblemParams(dim=3, p=1.5, gamma=1.2)
+
+
+def p15_source(r):
+    # forcing for V = 1 - r^3 in -Delta_1.5 V + |V'|^1.2 = f, dim 3; the
+    # flux |V'|^(-1/2) V' = -sqrt(3) r is smooth through the axis
+    r = np.asarray(r, dtype=float)
+    return 3.0 * math.sqrt(3.0) + (3.0 * r**2) ** 1.2
+
+
+def solve_p15_ball(n, newton_tol=1e-10):
+    return solve_radial_dirichlet(
+        PLaplacian(1.5), P15_PARAMS, p15_source, (0.0, 1.0), bc_left=None, bc_right=0.0,
+        config=SolverConfig(n_nodes=n, newton_tol=newton_tol),
+    )
+
+
+def test_p15_ball_converges_second_order():
+    # The residual of these solves stalls above the tolerance, at the
+    # roundoff the eps-regularized p < 2 flux derivative amplifies.
+    errs = {}
+    for n in (256, 1024, 4096):
+        sol = solve_p15_ball(n)
+        h = sol.grid[1] - sol.grid[0]
+        errs[n] = float(np.max(np.abs(sol.values - (1.0 - sol.grid**3))))
+        assert errs[n] <= h**2
+    assert math.log(errs[256] / errs[1024], 4.0) >= 1.9
+    assert math.log(errs[1024] / errs[4096], 4.0) >= 1.9
+
+
+def test_zero_tolerance_ends_at_roundoff():
+    sol = solve_p15_ball(64, newton_tol=0.0)
+    assert 0.0 < sol.meta["final_residual"] <= 1e-10
+    assert np.max(np.abs(sol.values - (1.0 - sol.grid**3))) <= 1e-3
+
+
+def test_each_iterate_is_assembled_once(monkeypatch):
+    """One assembly per eps stage plus one per line-search trial: an
+    accepted trial's residual and Jacobian serve the next Newton step."""
+    calls, steps = [], []
+    assemble, banded = solver._assemble, solver.solve_banded
+
+    def counting_assemble(values, *args):
+        calls.append((args[6], values.copy()))  # (eps, iterate)
+        return assemble(values, *args)
+
+    def counting_banded(*args):
+        steps.append(1)
+        return banded(*args)
+
+    monkeypatch.setattr(solver, "_assemble", counting_assemble)
+    monkeypatch.setattr(solver, "solve_banded", counting_banded)
+    prof = sharpness_profile(3, 2.0, 4.0)
+    runs = [
+        lambda: solve_quadratic(128),
+        lambda: solve_p15_ball(256),
+        lambda: solve_radial_dirichlet(
+            PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=4.0), ZeroSource(),
+            (0.25, 1.0), bc_left=-prof.value(0.25), bc_right=0.0,
+        ),
+    ]
+    for run in runs:
+        calls.clear()
+        steps.clear()
+        sol = run()
+        stages = len(solver._schedule(sol.kind))
+        # a trial is a point after its stage's first assembly that differs
+        # from the point assembled just before it
+        trials = sum(
+            1 for (eps0, v0), (eps, v) in zip(calls, calls[1:])
+            if eps == eps0 and not np.array_equal(v, v0)
+        )
+        assert len(calls) == stages + trials
+        assert trials >= len(steps) == sol.meta["iterations"] > 0
 
 
 def test_sampled_source_interpolates():

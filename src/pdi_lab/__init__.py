@@ -4,157 +4,16 @@ solutions and counterexamples, a radial BVP solver, energy/regularity
 audits, and area-growth Liouville criteria.
 """
 
-from .errors import (
-    DegeneratePoint,
-    DomainExceeded,
-    IllPosedBoundary,
-    InsufficientScales,
-    NoAdmissibleScale,
-    NoConvergence,
-    NonIntegrable,
-    PdiLabError,
-    PreconditionViolation,
-)
-from .params import (
-    INFINITY,
-    Branch,
-    ExponentReport,
-    GrowthRegime,
-    LiouvilleRegime,
-    ProblemParams,
-    Regime,
-    caccioppoli_exponent,
-    classify_regime,
-    exponent_report,
-    holder_exponent,
-    liouville_threshold,
-    unit_ball_volume,
-)
-from .radial import (
-    BumpProfile,
-    GeneralizedMeanCurvature,
-    MeanCurvature,
-    OperatorKind,
-    PLaplacian,
-    PowerProfile,
-    RadialProfile,
-    ResidualReport,
-    SampledProfile,
-    bump_profile_scale,
-    nonconstant_entire_profile,
-    radial_operator,
-    residual_scan,
-    sharpness_profile,
-)
-from .solver import (
-    DiscreteRadialSolution,
-    RadialPowerSource,
-    SampledSource,
-    SolverConfig,
-    SourceTerm,
-    ZeroSource,
-    solution_residual,
-    solve_radial_dirichlet,
-)
-from .audit import (
-    CaccioppoliReport,
-    HolderFitReport,
-    MorreyNorm,
-    caccioppoli_audit,
-    gradient_energy,
-    holder_fit,
-    morrey_norm,
-)
-from .liouville import (
-    AreaProfile,
-    EuclideanArea,
-    ExponentialArea,
-    IntegralVerdict,
-    LiouvilleVerdict,
-    Mechanism,
-    PowerArea,
-    SampledArea,
-    SigmaBoundReport,
-    Verdict,
-    area_condition_test,
-    find_contradiction_radius,
-    liouville_classify_euclidean,
-    liouville_classify_manifold,
-    power_area_diverges,
-    sigma_lower_bound,
-    verify_euclidean_witness,
-)
+from . import errors, params, radial, solver, audit, liouville
+from .errors import *
+from .params import *
+from .radial import *
+from .solver import *
+from .audit import *
+from .liouville import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "PdiLabError",
-    "PreconditionViolation",
-    "DegeneratePoint",
-    "NoConvergence",
-    "IllPosedBoundary",
-    "DomainExceeded",
-    "InsufficientScales",
-    "NonIntegrable",
-    "NoAdmissibleScale",
-    "INFINITY",
-    "ProblemParams",
-    "Branch",
-    "GrowthRegime",
-    "LiouvilleRegime",
-    "Regime",
-    "ExponentReport",
-    "holder_exponent",
-    "caccioppoli_exponent",
-    "liouville_threshold",
-    "exponent_report",
-    "classify_regime",
-    "RadialProfile",
-    "PowerProfile",
-    "BumpProfile",
-    "SampledProfile",
-    "OperatorKind",
-    "PLaplacian",
-    "MeanCurvature",
-    "GeneralizedMeanCurvature",
-    "ResidualReport",
-    "radial_operator",
-    "sharpness_profile",
-    "nonconstant_entire_profile",
-    "bump_profile_scale",
-    "residual_scan",
-    "SourceTerm",
-    "ZeroSource",
-    "RadialPowerSource",
-    "SampledSource",
-    "SolverConfig",
-    "DiscreteRadialSolution",
-    "solve_radial_dirichlet",
-    "solution_residual",
-    "unit_ball_volume",
-    "gradient_energy",
-    "CaccioppoliReport",
-    "caccioppoli_audit",
-    "HolderFitReport",
-    "holder_fit",
-    "MorreyNorm",
-    "morrey_norm",
-    "AreaProfile",
-    "EuclideanArea",
-    "PowerArea",
-    "ExponentialArea",
-    "SampledArea",
-    "IntegralVerdict",
-    "Verdict",
-    "Mechanism",
-    "LiouvilleVerdict",
-    "SigmaBoundReport",
-    "power_area_diverges",
-    "area_condition_test",
-    "sigma_lower_bound",
-    "find_contradiction_radius",
-    "liouville_classify_euclidean",
-    "liouville_classify_manifold",
-    "verify_euclidean_witness",
+__all__ = ["__version__"] + [
+    name for module in (errors, params, radial, solver, audit, liouville) for name in module.__all__
 ]

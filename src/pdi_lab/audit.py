@@ -238,6 +238,8 @@ def holder_fit(
     """
     if not pair_budget >= 1:
         raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
+    if not seed >= 0:
+        raise PreconditionViolation(f"seed must be >= 0, got {seed}")
     h_min, h_max = float(scale_range[0]), float(scale_range[1])
     if not 0 < h_min < h_max:
         raise PreconditionViolation("scale_range must satisfy 0 < h_min < h_max")

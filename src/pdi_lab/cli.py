@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,7 +40,6 @@ from .params import (
     classify_regime,
     exponent_report,
     holder_exponent,
-    liouville_threshold,
 )
 from .radial import (
     GeneralizedMeanCurvature,
@@ -50,7 +49,6 @@ from .radial import (
     SampledProfile,
     _checked_samples,
     bump_profile_scale,
-    nonconstant_entire_profile,
     residual_scan,
     sharpness_profile,
 )
@@ -67,7 +65,6 @@ from .liouville import (
     EuclideanArea,
     ExponentialArea,
     IntegralVerdict,
-    Mechanism,
     PowerArea,
     SampledArea,
     Verdict,
@@ -95,25 +92,12 @@ class RunReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-            "provenance": self.provenance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # Argument helpers
 # ---------------------------------------------------------------------------
-
-
-def _parse_q(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return INFINITY
-    value = float(text)
-    return value
 
 
 def _parse_floats(text: str, what: str, count: int):
@@ -124,18 +108,6 @@ def _parse_floats(text: str, what: str, count: int):
         return tuple(float(x) for x in parts)
     except ValueError:
         raise PreconditionViolation(f"malformed {what} {text!r}") from None
-
-
-def _parse_operator(text: str):
-    t = text.strip().lower()
-    if t.startswith("gmc:"):
-        (k,) = _parse_floats(t[4:], "operator", 1)
-        return GeneralizedMeanCurvature(k=k)
-    if t == "mean-curvature":
-        return MeanCurvature()
-    if t == "p-laplacian":
-        return None  # placeholder; built later with the actual p
-    raise PreconditionViolation(f"unknown operator {text!r}")
 
 
 def _read_two_column_csv(path: str):
@@ -153,51 +125,63 @@ def _read_two_column_csv(path: str):
     return _checked_samples([r for r, _ in rows], [v for _, v in rows], path, 2)
 
 
-def _parse_source(text: str):
-    t = text.strip()
-    if t.lower() == "zero":
-        return ZeroSource()
-    if t.lower().startswith("power:"):
-        a, beta = _parse_floats(t[6:], "source", 2)
-        return RadialPowerSource(amplitude=a, beta=beta)
-    if t.lower().startswith("file:"):
-        grid, vals = _read_two_column_csv(t[5:])
-        return SampledSource(grid=grid, values=vals)
-    raise PreconditionViolation(f"unknown source {text!r}")
+def _parse_spec(text: str, what: str, families: dict, sampled=None):
+    """The one spec grammar: ``name`` or ``name:x[,y]`` for a family in
+    ``families`` (name -> (number count, constructor)), or ``file:path``
+    for tabulated data when ``sampled`` builds it from (grid, values).
+    Names are case-insensitive."""
+    name, colon, rest = text.strip().partition(":")
+    name = name.lower()
+    if sampled is not None and name == "file" and colon:
+        return sampled(*_read_two_column_csv(rest))
+    count, build = families.get(name, (None, None))
+    if count == 0 and not colon:
+        return build()
+    if count and colon:
+        return build(*_parse_floats(rest, what, count))
+    raise PreconditionViolation(f"unknown {what} {text!r}")
 
 
-def _parse_area_profile(text: str, dim: int):
-    t = text.strip().lower()
-    if t == "euclidean":
-        return EuclideanArea(dim=dim)
-    if t.startswith("power:"):
-        a, beta = _parse_floats(text[6:], "area profile", 2)
-        return PowerArea(amplitude=a, beta=beta)
-    if t.startswith("exp:"):
-        a, kappa = _parse_floats(text[4:], "area profile", 2)
-        return ExponentialArea(amplitude=a, kappa=kappa)
-    if t.startswith("file:"):
-        grid, vals = _read_two_column_csv(text[5:])
-        return SampledArea(grid=grid, values=vals)
-    raise PreconditionViolation(f"unknown area profile {text!r}")
+def _source(args):
+    families = {"zero": (0, ZeroSource), "power": (2, RadialPowerSource)}
+    return _parse_spec(args.source, "source", families, SampledSource)
+
+
+def _area_profile(args):
+    families = {
+        "euclidean": (0, lambda: EuclideanArea(args.dim)),
+        "power": (2, PowerArea),
+        "exp": (2, ExponentialArea),
+    }
+    return _parse_spec(args.profile, "area profile", families, SampledArea)
+
+
+def _witness(args):
+    families = {
+        "sharpness": (0, lambda: sharpness_profile(args.dim, args.p, args.gamma)),
+        "linear": (0, lambda: PowerProfile(c=1.0, a=1.0)),
+    }
+    return _parse_spec(args.witness, "witness", families, SampledProfile)
 
 
 def _parse_value_list(text: str):
     """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive)."""
-    t = text.strip()
+    is_range = ":" in text
     try:
-        if ":" in t:
-            parts = t.split(":")
-            if len(parts) != 3:
-                raise PreconditionViolation(f"range syntax is start:stop:step, got {text!r}")
-            start, stop, step = (float(x) for x in parts)
-            if step <= 0:
-                raise PreconditionViolation("range step must be positive")
-            n = int(math.floor((stop - start) / step + 0.5)) + 1
-            return [round(start + k * step, 10) for k in range(n) if start + k * step <= stop + step / 2]
-        return [INFINITY if x.strip().lower() in ("inf", "infinity") else float(x) for x in t.split(",")]
+        values = [float(x) for x in text.split(":" if is_range else ",")]
     except ValueError:
         raise PreconditionViolation(f"malformed value list {text!r}") from None
+    if not is_range:
+        return values
+    if len(values) != 3:
+        raise PreconditionViolation(f"range syntax is start:stop:step, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise PreconditionViolation(f"range bounds and step must be finite, got {text!r}")
+    start, stop, step = values
+    if step <= 0:
+        raise PreconditionViolation("range step must be positive")
+    n = int(math.floor((stop - start) / step + 0.5)) + 1
+    return [round(start + k * step, 10) for k in range(n) if start + k * step <= stop + step / 2]
 
 
 def _jsonable(obj):
@@ -219,35 +203,35 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(command: str, params: dict, results: dict, passed: bool, seed: int = 0) -> int:
+def _emit(args, params: dict, results: dict, passed: bool) -> int:
     params_clean = _jsonable(params)
     blob = json.dumps(params_clean, sort_keys=True).encode()
     report = RunReport(
-        command=command,
+        command=args.command,
         params=params_clean,
         results=_jsonable(results),
         provenance={
             "version": __version__,
-            "seed": seed,
+            "seed": getattr(args, "seed", 0),
             "config_hash": hashlib.sha256(blob).hexdigest()[:12],
         },
         passed=bool(passed),
     )
     sys.stdout.write(json.dumps(report.as_dict(), allow_nan=False) + "\n")
     status = "PASS" if passed else "FAIL"
-    sys.stderr.write(f"{command}: {status}\n")
+    sys.stderr.write(f"{args.command}: {status}\n")
     return 0 if passed else 1
 
 
-def _problem_params(args, default_q=INFINITY) -> ProblemParams:
+def _problem_params(args) -> ProblemParams:
     return ProblemParams(
         dim=args.dim,
         p=args.p,
         gamma=args.gamma,
-        lam=getattr(args, "lam", 0.0),
-        c_h=getattr(args, "c_h", 1.0),
-        nu=getattr(args, "nu", 1.0),
-        q=getattr(args, "q", default_q) if getattr(args, "q", None) is not None else default_q,
+        lam=args.lam,
+        c_h=args.c_h,
+        nu=args.nu,
+        q=args.q,
     )
 
 
@@ -270,7 +254,7 @@ def _cmd_exponents(args) -> int:
         regime = classify_regime(params)
         results["growth_regime"] = regime.growth.value
         results["liouville_regime"] = regime.liouville.value
-    return _emit("exponents", _params_dict(params), results, passed=True)
+    return _emit(args, _params_dict(params), results, passed=True)
 
 
 def _check_nodes(nodes: int) -> None:
@@ -279,15 +263,8 @@ def _check_nodes(nodes: int) -> None:
 
 
 def _params_dict(params: ProblemParams) -> dict:
-    return {
-        "dim": params.dim,
-        "p": params.p,
-        "gamma": params.gamma,
-        "lambda": params.lam,
-        "c_h": params.c_h,
-        "nu": params.nu,
-        "q": "inf" if params.q == INFINITY else params.q,
-    }
+    # The report names the zero-order coefficient after its flag, --lambda.
+    return {"lambda" if k == "lam" else k: v for k, v in asdict(params).items()}
 
 
 def _cmd_verify_sharpness(args) -> int:
@@ -304,12 +281,14 @@ def _cmd_verify_sharpness(args) -> int:
         "min_residual": report.min_residual,
         "max_abs_residual": report.max_abs_residual,
     }
-    return _emit("verify-sharpness", _params_dict(params), results, passed)
+    return _emit(args, _params_dict(params), results, passed)
 
 
 def _cmd_verify_bump(args) -> int:
     params = _problem_params(args)
     _check_nodes(args.nodes)
+    if not 0.05 < args.grid_max < math.inf:
+        raise PreconditionViolation(f"--grid-max must be finite and exceed 0.05, got {args.grid_max}")
     grid = np.linspace(0.05, args.grid_max, args.nodes)
     c, report = bump_profile_scale(args.dim, args.p, args.gamma, args.c_h, grid)
     results = {
@@ -318,15 +297,18 @@ def _cmd_verify_bump(args) -> int:
         "min_residual": report.min_residual,
         "grid_max": args.grid_max,
     }
-    return _emit("verify-bump", _params_dict(params), results, passed=report.passed)
+    return _emit(args, _params_dict(params), results, passed=report.passed)
 
 
 def _cmd_solve(args) -> int:
     params = _problem_params(args)
-    kind = _parse_operator(args.operator)
-    if kind is None:
-        kind = PLaplacian(args.p)
-    f = _parse_source(args.source)
+    operators = {
+        "p-laplacian": (0, lambda: PLaplacian(args.p)),
+        "mean-curvature": (0, MeanCurvature),
+        "gmc": (1, GeneralizedMeanCurvature),
+    }
+    kind = _parse_spec(args.operator, "operator", operators)
+    f = _source(args)
     bc_left = None
     if args.bc_left.strip().lower() != "none":
         (bc_left,) = _parse_floats(args.bc_left, "bc-left", 1)
@@ -355,24 +337,12 @@ def _cmd_solve(args) -> int:
     }
     # A returned solve converged by the solver's own rule; NoConvergence
     # is reported by run().
-    return _emit("solve", _params_dict(params), results, passed=True)
-
-
-def _load_witness(args):
-    spec = args.witness.strip()
-    if spec.lower() == "sharpness":
-        return sharpness_profile(args.dim, args.p, args.gamma)
-    if spec.lower() == "linear":
-        return PowerProfile(c=1.0, a=1.0)
-    if spec.lower().startswith("file:"):
-        grid, vals = _read_two_column_csv(spec[5:])
-        return SampledProfile(grid=grid, values=vals)
-    raise PreconditionViolation(f"unknown witness {spec!r}")
+    return _emit(args, _params_dict(params), results, passed=True)
 
 
 def _cmd_audit_caccioppoli(args) -> int:
     params = _problem_params(args)
-    u = _load_witness(args)
+    u = _witness(args)
     if not (math.isfinite(args.R) and args.R > 0):
         raise PreconditionViolation(f"--radius must be finite and positive, got {args.R}")
     t_list = np.geomspace(0.02 * args.R, 0.95 * args.R, 24)
@@ -384,22 +354,17 @@ def _cmd_audit_caccioppoli(args) -> int:
         "fitted_K": report.fitted_K,
         "k_stable": report.k_stable,
     }
-    return _emit(
-        "audit-caccioppoli",
-        _params_dict(params),
-        results,
-        passed=report.passed and report.k_stable,
-        seed=0,
-    )
+    return _emit(args, _params_dict(params), results, passed=report.passed and report.k_stable)
 
 
 def _cmd_audit_holder(args) -> int:
     params = _problem_params(args)
-    u = _load_witness(args)
+    u = _witness(args)
+    name = args.witness.strip().lower()  # as _parse_spec reads it
     predicted = None
-    if args.witness.lower() == "sharpness":
+    if name == "sharpness":
         predicted = holder_exponent(params)
-    elif args.witness.lower() == "linear":
+    elif name == "linear":
         predicted = 1.0
     report = holder_fit(
         u,
@@ -416,11 +381,11 @@ def _cmd_audit_holder(args) -> int:
         "bins": int(report.scales.size),
     }
     passed = report.passed if report.passed is not None else 0 < report.fitted_alpha <= 1 + args.tol
-    return _emit("audit-holder", _params_dict(params), results, passed, seed=args.seed)
+    return _emit(args, _params_dict(params), results, passed)
 
 
 def _cmd_morrey(args) -> int:
-    f = _parse_source(args.source)
+    f = _source(args)
     norm = morrey_norm(
         f,
         s_index=args.s_index,
@@ -442,7 +407,7 @@ def _cmd_morrey(args) -> int:
         "dim": args.dim,
         "centers": args.centers,
     }
-    return _emit("morrey", params, results, passed=True)
+    return _emit(args, params, results, passed=True)
 
 
 def _cmd_liouville(args) -> int:
@@ -472,11 +437,11 @@ def _cmd_liouville(args) -> int:
     }
     passed = consistent and witness_ok is not False
     params = {"dim": args.dim, "p": args.p, "gamma": args.gamma, "c_h": args.c_h}
-    return _emit("liouville", params, results, passed)
+    return _emit(args, params, results, passed)
 
 
 def _cmd_manifold(args) -> int:
-    profile = _parse_area_profile(args.profile, args.dim)
+    profile = _area_profile(args)
     verdict = liouville_classify_manifold(
         profile, args.p, args.gamma, t_start=args.t_start, mode=args.mode
     )
@@ -493,12 +458,12 @@ def _cmd_manifold(args) -> int:
         "t_start": args.t_start,
         "mode": args.mode,
     }
-    return _emit("manifold", params, results, passed=True)
+    return _emit(args, params, results, passed=True)
 
 
 def _cmd_sigma_bound(args) -> int:
     params = _problem_params(args)
-    profile = _parse_area_profile(args.profile, args.dim)
+    profile = _area_profile(args)
     report = sigma_lower_bound(
         args.sigma_r, params, profile, args.R, args.r, weight=args.weight
     )
@@ -513,14 +478,14 @@ def _cmd_sigma_bound(args) -> int:
     }
     p = _params_dict(params)
     p.update({"profile": args.profile, "sigma_R": args.sigma_r, "R": args.R, "r": args.r})
-    return _emit("sigma-bound", p, results, passed=True)
+    return _emit(args, p, results, passed=True)
 
 
 # ---------------------------------------------------------------------------
 # Sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_HEADER = [
+_SWEEP_HEADER = (
     "dim",
     "p",
     "gamma",
@@ -531,57 +496,49 @@ _SWEEP_HEADER = [
     "growth_regime",
     "liouville_regime",
     "verdict",
-]
+)
 
 
 def _sweep_row(point):
+    """(alpha, s, gamma_star, growth_regime, liouville_regime, verdict)
+    cells for one grid point; an inadmissible point is INVALID."""
     dim, p, gamma, q = point
-    row = {
-        "dim": int(dim),
-        "p": p,
-        "gamma": gamma,
-        "q": "inf" if q == INFINITY else q,
-        "alpha": "",
-        "s": "",
-        "gamma_star": "",
-        "growth_regime": "",
-        "liouville_regime": "",
-        "verdict": "INVALID",
-    }
     try:
-        params = ProblemParams(dim=int(dim), p=p, gamma=gamma, q=q)
+        params = ProblemParams(dim=dim, p=p, gamma=gamma, q=q)
         rep = exponent_report(params)
     except PreconditionViolation:
-        return row
-    row["s"] = repr(rep.s)
-    if rep.alpha is not None:
-        row["alpha"] = repr(rep.alpha)
-    if rep.gamma_star is not None:
-        row["gamma_star"] = repr(rep.gamma_star)
-        regime = classify_regime(params)
-        row["growth_regime"] = regime.growth.value
-        row["liouville_regime"] = regime.liouville.value
-        row["verdict"] = (
-            "LIOUVILLE" if power_area_diverges(dim - 1, p, gamma) else "NO_LIOUVILLE"
-        )
-    return row
+        return point + ("", "", "", "", "", "INVALID")
+    alpha = "" if rep.alpha is None else repr(rep.alpha)
+    if rep.gamma_star is None:
+        return point + (alpha, repr(rep.s), "", "", "", "INVALID")
+    regime = classify_regime(params)
+    verdict = "LIOUVILLE" if power_area_diverges(dim - 1, p, gamma) else "NO_LIOUVILLE"
+    return point + (
+        alpha,
+        repr(rep.s),
+        repr(rep.gamma_star),
+        regime.growth.value,
+        regime.liouville.value,
+        verdict,
+    )
 
 
 def _cmd_sweep(args) -> int:
     dims = _parse_value_list(args.dim)
+    if not all(math.isfinite(d) and d == int(d) for d in dims):
+        raise PreconditionViolation(f"sweep dims must be finite integers, got {args.dim!r}")
     ps = _parse_value_list(args.p)
     gammas = _parse_value_list(args.gamma)
     qs = _parse_value_list(args.q) if args.q else [INFINITY]
     points = sorted(
-        (d, p, g, q) for d in dims for p in ps for g in gammas for q in qs
+        (int(d), p, g, q) for d in dims for p in ps for g in gammas for q in qs
     )
     rows = [_sweep_row(pt) for pt in points]
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SWEEP_HEADER, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_SWEEP_HEADER)
+    writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -597,14 +554,14 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_param_flags(sp, p_required=True):
+def _add_param_flags(sp):
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--p", type=float, required=p_required)
-    sp.add_argument("--gamma", type=float, required=p_required)
+    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
     sp.add_argument("--c-h", dest="c_h", type=float, default=1.0)
     sp.add_argument("--nu", type=float, default=1.0)
-    sp.add_argument("--q", type=_parse_q, default=None)
+    sp.add_argument("--q", type=float, default=INFINITY)
 
 
 def build_parser() -> argparse.ArgumentParser:

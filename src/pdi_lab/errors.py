@@ -7,6 +7,18 @@ strings.
 
 from __future__ import annotations
 
+__all__ = [
+    "PdiLabError",
+    "PreconditionViolation",
+    "DegeneratePoint",
+    "NoConvergence",
+    "IllPosedBoundary",
+    "DomainExceeded",
+    "InsufficientScales",
+    "NonIntegrable",
+    "NoAdmissibleScale",
+]
+
 
 class PdiLabError(Exception):
     """Base class for all errors raised by this package."""

@@ -41,7 +41,13 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainExceeded, PreconditionViolation
-from .params import ProblemParams, liouville_threshold, unit_ball_volume
+from .params import (
+    ProblemParams,
+    _check_dim,
+    _check_exponents,
+    liouville_threshold,
+    unit_ball_volume,
+)
 from .radial import (
     BumpProfile,
     PLaplacian,
@@ -91,15 +97,23 @@ class AreaProfile:
         raise NotImplementedError
 
 
+class _PowerLawArea(AreaProfile):
+    """area(dB_t) = coefficient * t^shape_power."""
+
+    shape_power: float
+
+    def area(self, t):
+        return self.coefficient * np.asarray(t, dtype=float) ** self.shape_power
+
+
 @dataclass(frozen=True)
-class EuclideanArea(AreaProfile):
+class EuclideanArea(_PowerLawArea):
     """area(dB_t) = dim * omega_dim * t^(dim-1)."""
 
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2 or self.dim != int(self.dim):
-            raise PreconditionViolation(f"dim must be an integer >= 2, got {self.dim}")
+        _check_dim(self.dim)
 
     @property
     def coefficient(self) -> float:
@@ -109,12 +123,9 @@ class EuclideanArea(AreaProfile):
     def shape_power(self) -> float:
         return float(self.dim - 1)
 
-    def area(self, t):
-        return self.coefficient * np.asarray(t, dtype=float) ** self.shape_power
-
 
 @dataclass(frozen=True)
-class PowerArea(AreaProfile):
+class PowerArea(_PowerLawArea):
     """area(dB_t) = amplitude * t^beta."""
 
     amplitude: float
@@ -133,9 +144,6 @@ class PowerArea(AreaProfile):
     @property
     def shape_power(self) -> float:
         return self.beta
-
-    def area(self, t):
-        return self.amplitude * np.asarray(t, dtype=float) ** self.beta
 
 
 @dataclass(frozen=True)
@@ -156,10 +164,7 @@ class ExponentialArea(AreaProfile):
         return self.amplitude
 
     def area(self, t):
-        # Past kappa t ~ 709 the area is inf, and the integrand area^(-e)
-        # is then exactly 0, the limit it tends to.
-        with np.errstate(over="ignore"):
-            return self.amplitude * np.exp(self.kappa * np.asarray(t, dtype=float))
+        return self.amplitude * np.exp(self.kappa * np.asarray(t, dtype=float))
 
 
 @dataclass(eq=False)
@@ -228,10 +233,7 @@ class LiouvilleVerdict:
 
 
 def _comparison_exponent(p: float, gamma: float) -> float:
-    if not p > 1:
-        raise PreconditionViolation(f"p must exceed 1, got {p}")
-    if not gamma > p - 1:
-        raise PreconditionViolation(f"gamma must exceed p - 1 = {p - 1}, got {gamma}")
+    _check_exponents(p, gamma)
     return (gamma - (p - 1)) / (p - 1)
 
 
@@ -267,7 +269,7 @@ def area_condition_test(
     if not t_start > 0:
         raise PreconditionViolation("t_start must be positive")
     if mode == "analytic":
-        if isinstance(profile, (EuclideanArea, PowerArea)):
+        if isinstance(profile, _PowerLawArea):
             beta = profile.shape_power
             return (
                 IntegralVerdict.DIVERGENT
@@ -294,10 +296,13 @@ def area_condition_test(
         upper = 2.0 * T
         if isinstance(profile, SampledArea) and upper > profile.grid[-1]:
             return IntegralVerdict.INCONCLUSIVE
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             # Late doublings integrate over [T, 2T] with T ~ 1e70; quad's
             # roundoff complaint there is expected and harmless for a
-            # heuristic probe that only compares segment ratios.
+            # heuristic probe that only compares segment ratios. There the
+            # area may overflow to inf (t^beta past ~1e308, exp past kappa
+            # t ~ 709), and the integrand area^(-e) is then exactly 0, the
+            # limit it tends to.
             warnings.simplefilter("ignore", IntegrationWarning)
             seg, _ = quad(integrand, T, upper, limit=200)
         total += seg
@@ -375,7 +380,7 @@ def sigma_lower_bound(
     e = _comparison_exponent(params.p, params.gamma)
     lhs = sigma_R**-e / e
 
-    if isinstance(profile, (EuclideanArea, PowerArea)):
+    if isinstance(profile, _PowerLawArea):
         comparison = _power_integral(profile.shape_power * e, R, r)
     elif isinstance(profile, ExponentialArea):
         ke = profile.kappa * e
@@ -454,8 +459,7 @@ def liouville_classify_euclidean(
     note for gamma = p, whose known construction is logarithmic.
     """
     gamma_star = liouville_threshold(dim, p)
-    if not gamma > p - 1:
-        raise PreconditionViolation(f"gamma must exceed p - 1 = {p - 1}, got {gamma}")
+    _check_exponents(p, gamma)
     if not c_h > 0:
         raise PreconditionViolation(f"c_h must be positive, got {c_h}")
     verdict = functools.partial(

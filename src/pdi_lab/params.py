@@ -35,11 +35,39 @@ from enum import Enum
 
 from .errors import PreconditionViolation
 
+__all__ = [
+    "INFINITY",
+    "ProblemParams",
+    "Branch",
+    "GrowthRegime",
+    "LiouvilleRegime",
+    "Regime",
+    "ExponentReport",
+    "holder_exponent",
+    "caccioppoli_exponent",
+    "unit_ball_volume",
+    "liouville_threshold",
+    "exponent_report",
+    "classify_regime",
+]
+
 INFINITY = math.inf
 
 
-def _is_infinite(q) -> bool:
-    return isinstance(q, float) and math.isinf(q)
+def _check_dim(dim) -> None:
+    """A dimension is a finite integer >= 2 (nan and inf fail the chain)."""
+    if not (2 <= dim < INFINITY and int(dim) == dim):
+        raise PreconditionViolation(f"dim must be an integer >= 2, got {dim}")
+
+
+def _check_exponents(p, gamma) -> None:
+    """Finite growth orders with p > 1 and gamma > p - 1."""
+    if not 1 < p < INFINITY:
+        raise PreconditionViolation(f"p must be finite and exceed 1, got {p}")
+    if not p - 1 < gamma < INFINITY:
+        raise PreconditionViolation(
+            f"gamma must be finite and exceed p - 1 = {p - 1}, got {gamma}"
+        )
 
 
 @dataclass(frozen=True)
@@ -47,8 +75,8 @@ class ProblemParams:
     """Coefficient tuple for one problem instance.
 
     dim    space dimension (or homogeneous dimension), integer >= 2
-    p      growth order of the flux, p > 1
-    gamma  gradient exponent, gamma > p - 1
+    p      growth order of the flux, finite, p > 1
+    gamma  gradient exponent, finite, gamma > p - 1
     lam    zero-order coefficient, lam >= 0
     c_h    gradient-term constant, c_h > 0
     nu     flux bound constant, nu > 0
@@ -64,28 +92,22 @@ class ProblemParams:
     q: float = INFINITY
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise PreconditionViolation(f"dim must be an integer >= 2, got {self.dim}")
-        if not self.p > 1:
-            raise PreconditionViolation(f"p must exceed 1, got {self.p}")
-        if not self.gamma > self.p - 1:
-            raise PreconditionViolation(
-                f"gamma must exceed p - 1 = {self.p - 1}, got {self.gamma}"
-            )
+        _check_dim(self.dim)
+        _check_exponents(self.p, self.gamma)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise PreconditionViolation(f"lam must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.c_h) and self.c_h > 0):
             raise PreconditionViolation(f"c_h must be finite and positive, got {self.c_h}")
         if not (math.isfinite(self.nu) and self.nu > 0):
             raise PreconditionViolation(f"nu must be finite and positive, got {self.nu}")
-        if not _is_infinite(self.q) and not self.q >= 1:
+        if not self.q >= 1:
             raise PreconditionViolation(f"q must be >= 1 or INFINITY, got {self.q}")
 
     @property
     def dim_over_q(self):
         # Exact zero for q = INFINITY, so the branch selection below never
         # sees rounding noise from a huge-but-finite q.
-        if _is_infinite(self.q):
+        if self.q == INFINITY:
             return 0
         return self.dim / self.q
 

@@ -271,8 +271,8 @@ def solve_radial_dirichlet(
     test (module docstring) within ``max_iter`` Newton steps.
     """
     r_in, r_out = float(domain[0]), float(domain[1])
-    if not r_out > r_in >= 0:
-        raise PreconditionViolation(f"domain must satisfy 0 <= r_in < r_out, got {domain}")
+    if not math.inf > r_out > r_in >= 0:
+        raise PreconditionViolation(f"domain must satisfy 0 <= r_in < r_out < inf, got {domain}")
     if r_in == 0.0 and bc_left is not None:
         raise IllPosedBoundary(
             "a Dirichlet value at r = 0 overdetermines the symmetric problem; "

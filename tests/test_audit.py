@@ -219,6 +219,8 @@ def test_holder_fit_determinism_and_scale_guards():
         holder_fit(prof, pair_budget=5000, scale_range=(0.3, 0.5))
     with pytest.raises(PreconditionViolation):
         holder_fit(prof, pair_budget=5000, scale_range=(1e-4, 2.0))
+    with pytest.raises(PreconditionViolation):
+        holder_fit(prof, pair_budget=5000, scale_range=(1e-4, 0.5), seed=-1)
 
 
 def test_morrey_centered_power_oracle():

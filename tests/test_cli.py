@@ -1,6 +1,8 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pdi_lab
 from pdi_lab.cli import RunReport, main, run
@@ -374,6 +377,16 @@ SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]
         SOLVE + ["--bc-right", "0", "--tol", "nan"],
         ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "0"],
         ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--nodes", "1"],
+        ["exponents", "--dim", "3", "--p", "2", "--gamma", "inf"],
+        SOLVE[:-2] + ["--r-out", "inf", "--bc-right", "0"],
+        ["sweep", "--dim", "inf", "--p", "2", "--gamma", "3"],
+        ["sweep", "--dim", "nan", "--p", "2", "--gamma", "3"],
+        ["sweep", "--dim", "1e400", "--p", "2", "--gamma", "3"],
+        ["sweep", "--dim", "2.5", "--p", "2", "--gamma", "3"],
+        ["sweep", "--dim", "3", "--p", "2", "--gamma", "0:inf:1"],
+        ["sweep", "--dim", "3", "--p", "2", "--gamma", "1:3:inf"],
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--seed=-1"],
+        ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8", "--grid-max=-inf"],
     ],
     ids=" ".join,
 )
@@ -383,3 +396,80 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert cap.out == ""
     assert "Traceback" not in cap.err
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary argv: every outcome is an exit code and clean output
+# ---------------------------------------------------------------------------
+
+_NUMBERS = ("2", "3", "4", "1.5", "2.5", "0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "x")
+_COUNTS = ("0", "1", "2", "3", "-1", "x", "1e400")
+_SPECS = (
+    "zero", "power:1,0", "power:1,1", "power:1", "power:x,1", "power:nan,inf", "exp:1,1",
+    "exp:1,nan", "euclidean", "gmc:4", "gmc:", "mean-curvature", "p-laplacian", "sharpness",
+    "linear", "file:/nonexistent/f.csv", "file:", "bogus", "",
+)
+_LISTS = ("3", "2,3", "nan", "inf", "1e400", "2.5", "-1", "1:2:0.5", "0:inf:1", "1:3:inf", "1:2", "x", "")
+_POOLS = {
+    "--nodes": _COUNTS, "--pairs": _COUNTS, "--centers": _COUNTS, "--seed": _COUNTS,
+    "--operator": _SPECS, "--source": _SPECS, "--witness": _SPECS, "--profile": _SPECS,
+    "--mode": ("analytic", "numeric", "x"), "--weight": ("none", "exp", "x"),
+    "--bc-left": _NUMBERS + ("none",),
+}
+# Kept present, so the work stays small whatever else is drawn.
+_SIZE_FLAGS = ("--nodes", "--pairs", "--centers")
+_PARAMS = "--dim 3 --p 2 --gamma {} --lambda 0 --c-h 1 --nu 1 --q inf "
+# One valid, small invocation per subcommand; each draw changes or drops
+# up to three of its flags.
+_VALID = {
+    "exponents": _PARAMS.format(4),
+    "verify-sharpness": _PARAMS.format(4) + "--nodes 17 --tol 1e-8",
+    "verify-bump": _PARAMS.format(1.8) + "--nodes 17 --grid-max 10",
+    "solve": _PARAMS.format(2) + "--operator p-laplacian --source power:1,0 --r-in 0 "
+    "--r-out 1 --bc-left none --bc-right 0 --nodes 17 --tol 1e-10",
+    "audit-caccioppoli": _PARAMS.format(4) + "--witness sharpness --radius 1",
+    "audit-holder": _PARAMS.format(4) + "--witness sharpness --pairs 17 --scale-min 0.001 "
+    "--scale-max 0.25 --seed 0 --tol 0.05",
+    "morrey": "--source power:1,1 --s-index 1 --theta 1.5 --omega-radius 1 --centers 2 --dim 3",
+    "liouville": "--dim 3 --p 2 --gamma 1.4 --c-h 1",
+    "manifold": "--profile power:1,2 --dim 3 --p 2 --gamma 1.4 --t-start 1 --mode numeric",
+    "sigma-bound": _PARAMS.format(1.4) + "--profile euclidean --sigma-r 1 --radius-inner 1 "
+    "--radius-outer 10 --weight none",
+    "sweep": "--dim 3,4 --p 2 --gamma 1:2:0.5 --q inf",
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_VALID)))
+    tokens = _VALID[command].split()
+    flags = dict(zip(tokens[::2], tokens[1::2]))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        pool = _LISTS if command == "sweep" else _POOLS.get(flag, _NUMBERS)
+        value = draw(st.sampled_from(pool if flag in _SIZE_FLAGS else pool + (None,)))
+        if value is None:
+            del flags[flag]
+        else:
+            flags[flag] = value
+    # "--flag=value" keeps values such as "-1" from reading as flags.
+    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_any_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if rc == 2:
+        assert text == ""
+    elif argv[0] == "sweep":
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0][:4] == ["dim", "p", "gamma", "q"]
+        assert all(len(row) == 10 for row in rows)
+    else:
+        assert text.count("\n") == 1
+        json.loads(text)

@@ -69,6 +69,14 @@ def test_numeric_exponential_area_past_overflow_is_silent():
     assert verdict is IntegralVerdict.CONVERGENT
 
 
+@pytest.mark.parametrize("profile", [EuclideanArea(5), PowerArea(2.0, 4.0)], ids=repr)
+def test_numeric_power_area_past_overflow_is_silent(profile):
+    # Late doublings reach t ~ 1e77, where t^4 overflows to an infinite
+    # area; the pytest RuntimeWarning gate fails the test on any warning.
+    verdict = area_condition_test(profile, 3.0, 2.55, mode="numeric")
+    assert verdict is IntegralVerdict.INCONCLUSIVE
+
+
 def test_area_test_analytic_refuses_sampled_data():
     area = SampledArea(np.linspace(1.0, 8.0, 50), np.linspace(1.0, 8.0, 50) ** 2)
     assert area_condition_test(area, 2.0, 2.0) is IntegralVerdict.INCONCLUSIVE
@@ -102,6 +110,9 @@ def test_area_test_guards():
         area_condition_test(EuclideanArea(3), 2.0, 2.0, t_start=0.0)
     with pytest.raises(PreconditionViolation):
         area_condition_test(EuclideanArea(3), 2.0, 2.0, mode="magic")
+    for p, gamma in [(math.inf, 3.0), (math.nan, 3.0), (2.0, math.inf), (2.0, math.nan)]:
+        with pytest.raises(PreconditionViolation):
+            area_condition_test(EuclideanArea(3), p, gamma)
 
 
 def test_power_area_divergence_predicate():
@@ -120,8 +131,9 @@ def test_power_area_divergence_predicate():
 
 
 def test_area_profile_guards():
-    with pytest.raises(PreconditionViolation):
-        EuclideanArea(1)
+    for dim in (1, 2.5, math.nan, math.inf):
+        with pytest.raises(PreconditionViolation):
+            EuclideanArea(dim)
     with pytest.raises(PreconditionViolation):
         PowerArea(0.0, 2.0)
     with pytest.raises(PreconditionViolation):

@@ -82,6 +82,19 @@ def test_params_validation():
         ProblemParams(dim=3, p=2.0, gamma=3.0, lam=-1.0)
     with pytest.raises(PreconditionViolation):
         ProblemParams(dim=3, p=2.0, gamma=3.0, q=0.5)
+    non_finite = [
+        {"dim": math.nan},
+        {"dim": math.inf},
+        {"dim": 2.5},
+        {"p": math.inf, "gamma": math.inf},
+        {"p": math.nan},
+        {"gamma": math.inf},
+        {"gamma": math.nan},
+        {"q": -INFINITY},
+    ]
+    for bad in non_finite:
+        with pytest.raises(PreconditionViolation):
+            ProblemParams(**{"dim": 3, "p": 2.0, "gamma": 3.0, **bad})
 
 
 def test_infinite_q_gives_exact_zero():

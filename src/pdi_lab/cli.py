@@ -111,9 +111,13 @@ def _parse_floats(text: str, what: str, count: int):
 
 
 def _read_two_column_csv(path: str):
+    """Sample pairs from a CSV file; only the first row that is not blank
+    or a ``#`` comment may be a non-numeric header."""
     rows = []
+    first = True
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) < 2:
@@ -121,7 +125,11 @@ def _read_two_column_csv(path: str):
             try:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:
-                continue  # header line
+                if not first:
+                    raise PreconditionViolation(
+                        f"{path}: line {reader.line_num}: not a number pair: {row!r}"
+                    ) from None
+            first = False
     return _checked_samples([r for r, _ in rows], [v for _, v in rows], path, 2)
 
 

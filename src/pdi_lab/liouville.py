@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainExceeded, PreconditionViolation
 from .params import (
@@ -48,6 +46,8 @@ from .params import (
     liouville_threshold,
     unit_ball_volume,
 )
+from .quadrature import SAMPLE_PANEL_NODES, sample_panels
+from .quadrature import gauss_legendre as quad
 from .radial import (
     BumpProfile,
     PLaplacian,
@@ -249,6 +249,10 @@ def power_area_diverges(beta: float, p: float, gamma: float) -> bool:
     return beta * (gamma - (p - 1)) <= (p - 1)
 
 
+# Gauss-Legendre nodes per doubling segment of the numeric area test.
+_DOUBLING_NODES = 16
+
+
 def area_condition_test(
     profile: AreaProfile,
     p: float,
@@ -260,10 +264,12 @@ def area_condition_test(
     """Decide int_{t_start}^inf area(dB_t)^(-e) dt = +inf or < inf.
 
     Analytic mode is exact for the closed-form families and refuses to
-    guess for sampled data. Numeric mode integrates over doubling
-    segments: three consecutive increments below 1e-12 of the running
-    total mean convergence, increment ratios pinned at 1 (>= 0.999) mean
-    divergence, anything else is inconclusive.
+    guess for sampled data. Numeric mode integrates each doubling segment
+    [T, 2T] by the fixed 16-node Gauss-Legendre rule, all segments in one
+    call (a sampled area only up to the end of its grid), then reads the
+    increments in order: three consecutive increments below 1e-12 of the
+    running total mean convergence, increment ratios pinned at 1
+    (>= 0.999) mean divergence, anything else is inconclusive.
     """
     e = _comparison_exponent(p, gamma)
     if not t_start > 0:
@@ -286,29 +292,24 @@ def area_condition_test(
     if mode != "numeric":
         raise PreconditionViolation(f"mode must be 'analytic' or 'numeric', got {mode!r}")
 
-    def integrand(t):
-        return float(profile.area(t)) ** (-e)
+    lower = t_start * 2.0 ** np.arange(max_doublings)
+    if isinstance(profile, SampledArea):
+        # Only the doublings that end inside the grid can be integrated.
+        lower = lower[2.0 * lower <= profile.grid[-1]]
+    with np.errstate(over="ignore", divide="ignore"):
+        # Late doublings reach T ~ 1e77, where the area may overflow to
+        # inf (t^beta past ~1e308, exp past kappa t ~ 709) and the
+        # integrand area^(-e) is then exactly 0, the limit it tends to; a
+        # decaying area may underflow to 0 and make it inf.
+        increments = quad(
+            lambda t: profile.area(t) ** (-e), lower, 2.0 * lower, _DOUBLING_NODES
+        ).tolist()
 
     total = 0.0
-    increments = []
-    T = t_start
-    for _ in range(max_doublings):
-        upper = 2.0 * T
-        if isinstance(profile, SampledArea) and upper > profile.grid[-1]:
-            return IntegralVerdict.INCONCLUSIVE
-        with warnings.catch_warnings(), np.errstate(over="ignore"):
-            # Late doublings integrate over [T, 2T] with T ~ 1e70; quad's
-            # roundoff complaint there is expected and harmless for a
-            # heuristic probe that only compares segment ratios. There the
-            # area may overflow to inf (t^beta past ~1e308, exp past kappa
-            # t ~ 709), and the integrand area^(-e) is then exactly 0, the
-            # limit it tends to.
-            warnings.simplefilter("ignore", IntegrationWarning)
-            seg, _ = quad(integrand, T, upper, limit=200)
+    for k, seg in enumerate(increments):
         total += seg
-        increments.append(seg)
-        if len(increments) >= 3 and total > 0:
-            last3 = increments[-3:]
+        if k >= 2 and total > 0:
+            last3 = increments[k - 2 : k + 1]
             if all(s <= 1e-12 * total for s in last3):
                 return IntegralVerdict.CONVERGENT
             ratios = [
@@ -316,7 +317,6 @@ def area_condition_test(
             ]
             if len(ratios) == 2 and all(rho >= 0.999 for rho in ratios):
                 return IntegralVerdict.DIVERGENT
-        T = upper
     return IntegralVerdict.INCONCLUSIVE
 
 
@@ -391,11 +391,9 @@ def sigma_lower_bound(
     else:
         if r > profile.grid[-1] * (1.0 + 1e-12):
             raise DomainExceeded("comparison integral extends beyond the sampled area")
-        comparison, _ = (
-            quad(lambda t: float(profile.area(t)) ** (-e), R, r, limit=200)
-            if r > R
-            else (0.0, 0.0)
-        )
+        edges = sample_panels(profile.grid, R, r)
+        panels = quad(lambda t: profile.area(t) ** (-e), edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
+        comparison = float(np.sum(panels))
 
     c_h, nu = params.c_h, params.nu
     constant_C = (c_h / nu) ** (params.gamma / (params.gamma - (params.p - 1))) * e

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
 from .params import ProblemParams
@@ -170,6 +169,14 @@ def _discretize(grid: np.ndarray, d: int, f: Optional[Callable]):
     vols = (faces[1:] ** d - faces[:-1] ** d) / d
     f_vals = np.zeros(grid.size) if f is None else np.asarray(f(grid), dtype=float)
     return faces, vols, f_vals
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on the first solve, so that
+    importing the package does not load scipy."""
+    from scipy.linalg import solve_banded as banded
+
+    return banded(l_and_u, ab, b)
 
 
 def _roundoff_floor(ab: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:

@@ -1,10 +1,12 @@
 """Energy quadrature, Caccioppoli growth audit, Holder fits, Morrey norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from pdi_lab import audit
 from pdi_lab.audit import (
     caccioppoli_audit,
     gradient_energy,
@@ -22,6 +24,7 @@ from pdi_lab.params import ProblemParams
 from pdi_lab.radial import PowerProfile, SampledProfile, sharpness_profile
 from pdi_lab.solver import (
     RadialPowerSource,
+    SampledSource,
     SolverConfig,
     ZeroSource,
     solve_radial_dirichlet,
@@ -261,3 +264,136 @@ def test_morrey_guards():
         morrey_norm(ZeroSource(), s_index=0.5, theta=1.5, omega_radius=1.0)
     with pytest.raises(PreconditionViolation):
         morrey_norm(ZeroSource(), s_index=1.0, theta=4.0, omega_radius=1.0)
+    # the closed-form cap fraction needs an integer dimension >= 2
+    for dim in (2.5, 1, 0, math.nan):
+        with pytest.raises(PreconditionViolation):
+            morrey_norm(RadialPowerSource(1.0, 1.0), 1.0, 1.5, 1.0, dim=dim)
+
+
+# ---------------------------------------------------------------------------
+# The off-centre cap path, which the centred oracles above never reach
+# ---------------------------------------------------------------------------
+
+
+def _lens_area(d, r, big):
+    """Area of B_r(z) cap B_big(0) in the plane, |z| = d."""
+    if d + r <= big:
+        return math.pi * r * r
+    if d + big <= r:
+        return math.pi * big * big
+    kite = math.sqrt((-d + r + big) * (d + r - big) * (d - r + big) * (d + r + big))
+    return (
+        r * r * math.acos((d * d + r * r - big * big) / (2.0 * d * r))
+        + big * big * math.acos((d * d + big * big - r * r) / (2.0 * d * big))
+        - 0.5 * kite
+    )
+
+
+def _lens_volume(d, r, big):
+    """Volume of B_r(z) cap B_big(0) in R^3, |z| = d."""
+    if d + r <= big:
+        return 4.0 / 3.0 * math.pi * r**3
+    if d + big <= r:
+        return 4.0 / 3.0 * math.pi * big**3
+    return (
+        math.pi * (big + r - d) ** 2
+        * (d * d + 2.0 * d * r - 3.0 * r * r + 2.0 * d * big + 6.0 * r * big - 3.0 * big * big)
+        / (12.0 * d)
+    )
+
+
+_GRID = np.linspace(0.0, 1.0, 33)
+_FINE = np.linspace(0.0, 1.0, 257)
+
+
+@pytest.mark.parametrize(
+    "one",
+    [
+        RadialPowerSource(1.0, 0.0),
+        SampledSource(_GRID, np.ones_like(_GRID)),
+        lambda rho: np.ones_like(rho),
+    ],
+    ids=["power", "sampled", "callable"],
+)
+@pytest.mark.parametrize("dim, lens", [(2, _lens_area), (3, _lens_volume)], ids=["d2", "d3"])
+@pytest.mark.parametrize(
+    "d, r",
+    [(0.5, 0.3), (0.8, 0.5), (0.95, 0.06), (0.3, 0.5), (0.3, 0.9), (0.5, 1.4)],
+    ids=[
+        "r-below-z-inside", "r-below-z-sticks-out", "r-below-z-small",
+        "r-above-z-inside", "r-above-z-sticks-out", "r-above-z-wide",
+    ],
+)
+def test_mass_on_intersection_of_one_is_the_lens(one, dim, lens, d, r):
+    mass = audit._mass_on_intersection(one, 1.0, dim, d, r, 1.0)
+    assert float(mass) == pytest.approx(lens(d, r, 1.0), rel=1e-12)
+
+
+def test_mass_on_intersection_is_vectorized():
+    d, r = np.meshgrid([0.3, 0.8], [0.2, 0.5, 0.9, 1.5], indexing="ij")
+    masses = audit._mass_on_intersection(RadialPowerSource(1.0, 0.0), 1.0, 3, d, r, 1.0)
+    assert masses.shape == d.shape
+    for i, j in np.ndindex(d.shape):
+        assert masses[i, j] == pytest.approx(_lens_volume(d[i, j], r[i, j], 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_cap_fraction_matches_incomplete_beta(dim):
+    from scipy.special import betainc
+
+    c = np.linspace(-1.0, 1.0, 401)
+    half = 0.5 * betainc((dim - 1) / 2.0, 0.5, 1.0 - c * c)
+    want = np.where(c >= 0.0, half, 1.0 - half)
+    assert np.max(np.abs(audit._cap_fraction(c, dim) - want)) <= 1e-13
+
+
+def test_sampled_ball_mass_is_exact_for_the_interpolant():
+    # s = 1 in d = 3: on each panel the interpolant times 4 pi rho^2 is a
+    # cubic, which Simpson's rule integrates exactly.
+    g = np.linspace(0.0, 1.0, 17)
+    f = SampledSource(g, 1.0 + g**2)
+    a, b = g[:-1], g[1:]
+    m = 0.5 * (a + b)
+
+    def w(rho):
+        return f(rho) * 4.0 * math.pi * rho**2
+
+    want = float(np.sum((b - a) / 6.0 * (w(a) + 4.0 * w(m) + w(b))))
+    mass = audit._mass_on_intersection(f, 1.0, 3, 0.0, 1.0, 1.0)
+    assert float(mass) == pytest.approx(want, rel=1e-14)
+
+
+def test_morrey_d2_default_settings_is_two_pi():
+    norm = morrey_norm(RadialPowerSource(1.0, 1.0), s_index=1.0, theta=1.5,
+                       omega_radius=1.0, dim=2)
+    assert norm.value == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert not norm.divergent
+
+
+@pytest.mark.parametrize(
+    "f, dim, centers, calls_wanted",
+    [(RadialPowerSource(1.0, 1.0), dim, 8, 1) for dim in (2, 3, 4, 5)]
+    + [
+        (SampledSource(_FINE, 1.0 + _FINE**2), 3, 8, 3),
+        (RadialPowerSource(1.0, 1.0), 3, 130, 3),
+    ],
+    ids=["power-d2", "power-d3", "power-d4", "power-d5", "sampled-d3", "power-130-centers"],
+)
+def test_morrey_scan_is_a_few_vectorized_rule_calls(monkeypatch, f, dim, centers, calls_wanted):
+    # Every integral goes through the module's ``quad`` binding, one call
+    # per kind of integral for a pass over up to 64 centers: the caps, and
+    # for sampled data the whole panels and the partial last panels.
+    calls = []
+    rule = audit.quad
+
+    def counting(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(audit, "quad", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = morrey_norm(f, s_index=1.0, theta=2.0, omega_radius=1.0,
+                           center_samples=centers, dim=dim)
+    assert math.isfinite(norm.value)
+    assert len(calls) == calls_wanted

@@ -355,6 +355,23 @@ def test_sweep_range_syntax_and_outfile(capsys, tmp_path):
 SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]
 
 
+def _write_typo_csv(tmp_path):
+    """A 33-row constant source whose 17th row reads 4.O for 4.0."""
+    path = tmp_path / "typo.csv"
+    rows = [f"{k / 32.0},{'4.O' if k == 16 else '4.0'}" for k in range(33)]
+    path.write_text("r,value\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
+    # Only the first row may be a header; a typo in row 17 (line 18) is an
+    # error, not a dropped sample.
+    typo_csv = _write_typo_csv(tmp_path)
+    rc, _, cap = run_cli(capsys, *SOLVE, "--bc-right", "0", "--source", f"file:{typo_csv}")
+    assert rc == 2
+    assert "line 18" in cap.err and "4.O" in cap.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -387,11 +404,13 @@ SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "1:3:inf"],
         ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--seed=-1"],
         ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8", "--grid-max=-inf"],
+        SOLVE + ["--bc-right", "0", "--source", "file:{typo_csv}"],
     ],
     ids=" ".join,
 )
-def test_bad_input_exits_2_with_one_line(capsys, argv):
-    rc, _, cap = run_cli(capsys, *argv)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    typo_csv = _write_typo_csv(tmp_path)
+    rc, _, cap = run_cli(capsys, *(a.format(typo_csv=typo_csv) for a in argv))
     assert rc == 2
     assert cap.out == ""
     assert "Traceback" not in cap.err

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pdi_lab import liouville
 from pdi_lab.errors import DomainExceeded, PreconditionViolation
 from pdi_lab.liouville import (
     EuclideanArea,
@@ -75,6 +76,53 @@ def test_numeric_power_area_past_overflow_is_silent(profile):
     # area; the pytest RuntimeWarning gate fails the test on any warning.
     verdict = area_condition_test(profile, 3.0, 2.55, mode="numeric")
     assert verdict is IntegralVerdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "profile, p, gamma",
+    [
+        (ExponentialArea(1.0, -0.5), 2.0, 2.5),
+        (ExponentialArea(1.0, -0.01), 2.0, 1.4),
+        (ExponentialArea(1.0, 0.0), 1.5, 1.2),
+        (PowerArea(1.0, -1.0), 2.0, 1.4),
+    ],
+    ids=repr,
+)
+def test_numeric_growing_increments_are_divergent(profile, p, gamma):
+    # The doubling increments grow without bound; on the two kappa < 0
+    # areas they overflow to inf (after 7.6e166 and 1.8e116). The verdict
+    # must stay DIVERGENT, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = area_condition_test(profile, p, gamma, mode="numeric")
+    assert verdict is IntegralVerdict.DIVERGENT
+
+
+def _count_rule_calls(monkeypatch):
+    calls = []
+    rule = liouville.quad
+
+    def counting(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(liouville, "quad", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        EuclideanArea(3),
+        ExponentialArea(1.0, 0.5),
+        SampledArea(np.linspace(1.0, 64.0, 200), np.linspace(1.0, 64.0, 200) ** 2),
+    ],
+    ids=["euclidean", "exp", "sampled"],
+)
+def test_numeric_area_test_integrates_all_doublings_in_one_rule_call(monkeypatch, profile):
+    calls = _count_rule_calls(monkeypatch)
+    area_condition_test(profile, 2.0, 1.6, mode="numeric")
+    assert len(calls) == 1
 
 
 def test_area_test_analytic_refuses_sampled_data():
@@ -214,6 +262,23 @@ def test_sigma_bound_sampled_area_matches_power_closed_form():
     assert num.area_integral == pytest.approx(ref.area_integral, rel=1e-6)
     with pytest.raises(DomainExceeded):
         sigma_lower_bound(1.0, _params(1.4), area, 1.0, 32.0)
+
+
+def test_sigma_bound_sampled_area_is_one_rule_call_over_sample_panels(monkeypatch):
+    # e = 1 and an area linear on each panel: int 1/(a + b t) is a log per
+    # panel, which the panel rule approximates closely even on a coarse table.
+    grid = np.array([1.0, 1.5, 3.0, 4.0, 8.0])
+    values = np.array([2.0, 2.5, 7.0, 7.5, 10.0])
+    area = SampledArea(grid, values)
+    calls = _count_rule_calls(monkeypatch)
+    rep = sigma_lower_bound(1.0, ProblemParams(dim=3, p=2.0, gamma=2.0), area, 1.25, 6.0)
+    assert len(calls) == 1
+    edges = [1.25, 1.5, 3.0, 4.0, 6.0]
+    want = 0.0
+    for a, b in zip(edges, edges[1:]):
+        va, vb = np.interp([a, b], grid, values)
+        want += (b - a) / (vb - va) * math.log(vb / va)
+    assert rep.comparison_integral == pytest.approx(want, rel=1e-9)
 
 
 def test_sigma_bound_guards():

@@ -64,6 +64,8 @@ _CAP_NODES = 48
 # pairs, so a scan over many centers keeps its (pairs x nodes)
 # temporaries to a few megabytes.
 _CENTERS_PER_PASS = 64
+# Uniform panels of [0, t] for the energies of a closed-form profile.
+_N_PANELS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -101,41 +103,39 @@ def _gridded_ball_integral(grid, nodal, t, dim):
     return total
 
 
-def gradient_energy(u, gamma: float, t: float, dim: int, n_panels: int = 2048) -> float:
-    """sigma(t) = int_{B_t} |Du|^gamma dx for a radial u.
+def _ball_integral(u, nodal, t: float, dim: int, slope: bool) -> float:
+    """int_{B_t} nodal(w) dx for a radial u, with w = u' if slope else u.
 
     Gridded inputs (solver output, sampled profile) are integrated on
-    their own grid starting at its first node; closed-form profiles on a
-    uniform partition of [0, t] with the r = 0 node dropped from the
-    integrand (power-type gradients are singular there but integrably so).
+    their own grid starting at its first node, w' by ``np.gradient``;
+    closed-form profiles on a uniform partition of [0, t] into
+    ``_N_PANELS`` panels with the r = 0 node dropped from the integrand
+    (power-type gradients are singular there but integrably so).
     """
+    if _is_gridded(u):
+        grid = np.asarray(u.grid, dtype=float)
+        w = np.asarray(u.values, dtype=float)
+        return _gridded_ball_integral(grid, nodal(np.gradient(w, grid) if slope else w), t, dim)
+    r = np.linspace(0.0, t, _N_PANELS + 1)
+    w = np.asarray((u.derivative if slope else u.value)(r[1:]), dtype=float)
+    integrand = np.zeros(r.size)
+    integrand[1:] = nodal(w) * _shell_weight(r[1:], dim)
+    return float(_trapz(integrand, r))
+
+
+def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
+    """sigma(t) = int_{B_t} |Du|^gamma dx for a radial u."""
     if not gamma > 0:
         raise PreconditionViolation(f"gamma must be positive, got {gamma}")
     if t < 0:
         raise DomainExceeded(f"negative radius t={t}")
     if t == 0:
         return 0.0
-    if _is_gridded(u):
-        grid = np.asarray(u.grid, dtype=float)
-        slopes = np.gradient(np.asarray(u.values, dtype=float), grid)
-        return _gridded_ball_integral(grid, np.abs(slopes) ** gamma, t, dim)
-    r = np.linspace(0.0, t, n_panels + 1)
-    integrand = np.zeros(r.size)
-    v1 = np.asarray(u.derivative(r[1:]), dtype=float)
-    integrand[1:] = np.abs(v1) ** gamma * _shell_weight(r[1:], dim)
-    return float(_trapz(integrand, r))
+    return _ball_integral(u, lambda w: np.abs(w) ** gamma, t, dim, slope=True)
 
 
-def _negative_part_integral(u, t: float, dim: int, n_panels: int = 2048) -> float:
-    if _is_gridded(u):
-        grid = np.asarray(u.grid, dtype=float)
-        neg = np.maximum(-np.asarray(u.values, dtype=float), 0.0)
-        return _gridded_ball_integral(grid, neg, t, dim)
-    r = np.linspace(0.0, t, n_panels + 1)
-    neg = np.maximum(-np.asarray(u.value(r[1:]), dtype=float), 0.0)
-    integrand = np.zeros(r.size)
-    integrand[1:] = neg * _shell_weight(r[1:], dim)
-    return float(_trapz(integrand, r))
+def _negative_part_integral(u, t: float, dim: int) -> float:
+    return _ball_integral(u, lambda w: np.maximum(-w, 0.0), t, dim, slope=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
 """Command-line surface.
 
+Each subcommand is declared once, as a row of ``COMMANDS``: its name,
+help, flags and handler. The parser, the report's ``params`` and the
+tests all read that table.
+
 Every subcommand prints one JSON report on stdout and a one-line human
-summary on stderr. Exit codes: 0 for a passing run, 1 when a verification
-or audit fails on the science (residual too large, witness missing,
-mismatched verdicts, no solver convergence), 2 for usage, precondition
-and file errors, which print one ``error:`` line and no report. Reports
-carry no timestamps and all randomness is seeded, so identical
-invocations produce byte-identical output; floats are serialized with
-shortest round-trip precision (up to 17 significant digits).
+summary on stderr. ``params`` holds every flag of the subcommand, parsed
+or defaulted, under argparse's default dest (``--s-index`` -> ``s_index``,
+``--lambda`` -> ``lambda``), and ``provenance.config_hash`` hashes those
+params, so two reports with one hash ran the same configuration. Exit
+codes: 0 for a passing run, 1 when a verification or audit fails on the
+science (residual too large, witness missing, mismatched verdicts, no
+solver convergence), 2 for usage, precondition and file errors, which
+print one ``error:`` line and no report. An exit-1 run that could not
+finish (no admissible scale, no convergence, too few scales) reports
+``results = {"error": message}``. Reports carry no timestamps and all
+randomness is seeded, so identical invocations produce byte-identical
+output; floats are serialized with shortest round-trip precision (up to
+17 significant digits).
 
 ``sweep`` writes CSV (stdout or --out) over a parameter grid.
 """
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -76,7 +87,7 @@ from .liouville import (
     verify_euclidean_witness,
 )
 
-__all__ = ["RunReport", "main", "run"]
+__all__ = ["COMMANDS", "REQUIRED", "RunReport", "main", "run"]
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,11 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, params: dict, results: dict, passed: bool) -> int:
+def _emit(args, results: dict, passed: bool, note: str = "") -> int:
+    """Write the one report of a run: its params are every flag of the
+    subcommand's COMMANDS row, by dest (``args.dests``); ``note`` ends the
+    stderr line."""
+    params = {dest: getattr(args, dest) for dest in args.dests}
     params_clean = _jsonable(params)
     blob = json.dumps(params_clean, sort_keys=True).encode()
     report = RunReport(
@@ -227,28 +242,21 @@ def _emit(args, params: dict, results: dict, passed: bool) -> int:
     )
     sys.stdout.write(json.dumps(report.as_dict(), allow_nan=False) + "\n")
     status = "PASS" if passed else "FAIL"
-    sys.stderr.write(f"{args.command}: {status}\n")
+    sys.stderr.write(f"{args.command}: {status}{note}\n")
     return 0 if passed else 1
 
 
 def _problem_params(args) -> ProblemParams:
-    return ProblemParams(
-        dim=args.dim,
-        p=args.p,
-        gamma=args.gamma,
-        lam=args.lam,
-        c_h=args.c_h,
-        nu=args.nu,
-        q=args.q,
-    )
+    lam = getattr(args, "lambda")  # a keyword, so never args.lambda
+    return ProblemParams(args.dim, args.p, args.gamma, lam, args.c_h, args.nu, args.q)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: args -> (results, passed)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_exponents(args) -> int:
+def _cmd_exponents(args):
     params = _problem_params(args)
     rep = exponent_report(params)
     results = {
@@ -262,7 +270,7 @@ def _cmd_exponents(args) -> int:
         regime = classify_regime(params)
         results["growth_regime"] = regime.growth.value
         results["liouville_regime"] = regime.liouville.value
-    return _emit(args, _params_dict(params), results, passed=True)
+    return results, True
 
 
 def _check_nodes(nodes: int) -> None:
@@ -270,18 +278,12 @@ def _check_nodes(nodes: int) -> None:
         raise PreconditionViolation(f"--nodes must be at least 2, got {nodes}")
 
 
-def _params_dict(params: ProblemParams) -> dict:
-    # The report names the zero-order coefficient after its flag, --lambda.
-    return {"lambda" if k == "lam" else k: v for k, v in asdict(params).items()}
-
-
-def _cmd_verify_sharpness(args) -> int:
+def _cmd_verify_sharpness(args):
     profile = sharpness_profile(args.dim, args.p, args.gamma)
     params = _problem_params(args)
     _check_nodes(args.nodes)
     grid = np.linspace(0.05, 0.95, args.nodes)
     report = residual_scan(PLaplacian(args.p), profile, params, None, grid, tol=args.tol)
-    passed = report.max_abs_residual <= args.tol
     results = {
         "c": profile.c,
         "a": profile.a,
@@ -289,11 +291,11 @@ def _cmd_verify_sharpness(args) -> int:
         "min_residual": report.min_residual,
         "max_abs_residual": report.max_abs_residual,
     }
-    return _emit(args, _params_dict(params), results, passed)
+    return results, report.max_abs_residual <= args.tol
 
 
-def _cmd_verify_bump(args) -> int:
-    params = _problem_params(args)
+def _cmd_verify_bump(args):
+    _problem_params(args)  # validates the problem flags
     _check_nodes(args.nodes)
     if not 0.05 < args.grid_max < math.inf:
         raise PreconditionViolation(f"--grid-max must be finite and exceed 0.05, got {args.grid_max}")
@@ -305,10 +307,10 @@ def _cmd_verify_bump(args) -> int:
         "min_residual": report.min_residual,
         "grid_max": args.grid_max,
     }
-    return _emit(args, _params_dict(params), results, passed=report.passed)
+    return results, report.passed
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     params = _problem_params(args)
     operators = {
         "p-laplacian": (0, lambda: PLaplacian(args.p)),
@@ -336,6 +338,7 @@ def _cmd_solve(args) -> int:
         "nodes": args.nodes,
         "iterations": sol.meta["iterations"],
         "final_residual": sol.meta["final_residual"],
+        "roundoff_floor": sol.meta["roundoff_floor"],
         "recomputed_residual": recomputed,
         "u_left": float(sol.values[0]),
         "u_mid": float(sol.values[mid]),
@@ -345,16 +348,17 @@ def _cmd_solve(args) -> int:
     }
     # A returned solve converged by the solver's own rule; NoConvergence
     # is reported by run().
-    return _emit(args, _params_dict(params), results, passed=True)
+    return results, True
 
 
-def _cmd_audit_caccioppoli(args) -> int:
+def _cmd_audit_caccioppoli(args):
     params = _problem_params(args)
     u = _witness(args)
-    if not (math.isfinite(args.R) and args.R > 0):
-        raise PreconditionViolation(f"--radius must be finite and positive, got {args.R}")
-    t_list = np.geomspace(0.02 * args.R, 0.95 * args.R, 24)
-    report = caccioppoli_audit(u, params, args.R, t_list)
+    radius = args.radius
+    if not (math.isfinite(radius) and radius > 0):
+        raise PreconditionViolation(f"--radius must be finite and positive, got {radius}")
+    t_list = np.geomspace(0.02 * radius, 0.95 * radius, 24)
+    report = caccioppoli_audit(u, params, radius, t_list)
     results = {
         "predicted_s": report.predicted_s,
         "growth_target": params.dim - report.predicted_s,
@@ -362,10 +366,10 @@ def _cmd_audit_caccioppoli(args) -> int:
         "fitted_K": report.fitted_K,
         "k_stable": report.k_stable,
     }
-    return _emit(args, _params_dict(params), results, passed=report.passed and report.k_stable)
+    return results, report.passed and report.k_stable
 
 
-def _cmd_audit_holder(args) -> int:
+def _cmd_audit_holder(args):
     params = _problem_params(args)
     u = _witness(args)
     name = args.witness.strip().lower()  # as _parse_spec reads it
@@ -389,10 +393,10 @@ def _cmd_audit_holder(args) -> int:
         "bins": int(report.scales.size),
     }
     passed = report.passed if report.passed is not None else 0 < report.fitted_alpha <= 1 + args.tol
-    return _emit(args, _params_dict(params), results, passed)
+    return results, passed
 
 
-def _cmd_morrey(args) -> int:
+def _cmd_morrey(args):
     f = _source(args)
     norm = morrey_norm(
         f,
@@ -407,18 +411,10 @@ def _cmd_morrey(args) -> int:
         "divergent": norm.divergent,
         "argmax_radius": norm.argmax_radius,
     }
-    params = {
-        "source": args.source,
-        "s_index": args.s_index,
-        "theta": args.theta,
-        "omega_radius": args.omega_radius,
-        "dim": args.dim,
-        "centers": args.centers,
-    }
-    return _emit(args, params, results, passed=True)
+    return results, True
 
 
-def _cmd_liouville(args) -> int:
+def _cmd_liouville(args):
     verdict = liouville_classify_euclidean(args.dim, args.p, args.gamma, c_h=args.c_h)
     area = area_condition_test(EuclideanArea(args.dim), args.p, args.gamma)
     consistent = (verdict.verdict is Verdict.LIOUVILLE) == (
@@ -443,12 +439,10 @@ def _cmd_liouville(args) -> int:
         "witness_note": verdict.witness_note,
         "witness_ok": witness_ok,
     }
-    passed = consistent and witness_ok is not False
-    params = {"dim": args.dim, "p": args.p, "gamma": args.gamma, "c_h": args.c_h}
-    return _emit(args, params, results, passed)
+    return results, consistent and witness_ok is not False
 
 
-def _cmd_manifold(args) -> int:
+def _cmd_manifold(args):
     profile = _area_profile(args)
     verdict = liouville_classify_manifold(
         profile, args.p, args.gamma, t_start=args.t_start, mode=args.mode
@@ -458,22 +452,14 @@ def _cmd_manifold(args) -> int:
         "mechanism": verdict.mechanism,
         "gamma_star": verdict.gamma_star,
     }
-    params = {
-        "profile": args.profile,
-        "dim": args.dim,
-        "p": args.p,
-        "gamma": args.gamma,
-        "t_start": args.t_start,
-        "mode": args.mode,
-    }
-    return _emit(args, params, results, passed=True)
+    return results, True
 
 
-def _cmd_sigma_bound(args) -> int:
+def _cmd_sigma_bound(args):
     params = _problem_params(args)
     profile = _area_profile(args)
     report = sigma_lower_bound(
-        args.sigma_r, params, profile, args.R, args.r, weight=args.weight
+        args.sigma_r, params, profile, args.radius_inner, args.radius_outer, weight=args.weight
     )
     results = {
         "lhs": report.lhs,
@@ -484,9 +470,7 @@ def _cmd_sigma_bound(args) -> int:
         "contradiction": report.contradiction,
         "weight": report.weight,
     }
-    p = _params_dict(params)
-    p.update({"profile": args.profile, "sigma_R": args.sigma_r, "R": args.R, "r": args.r})
-    return _emit(args, p, results, passed=True)
+    return results, True
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +515,7 @@ def _sweep_row(point):
     )
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     dims = _parse_value_list(args.dim)
     if not all(math.isfinite(d) and d == int(d) for d in dims):
         raise PreconditionViolation(f"sweep dims must be finite integers, got {args.dim!r}")
@@ -554,25 +538,76 @@ def _cmd_sweep(args) -> int:
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"sweep: {len(rows)} rows\n")
-    return 0
+    return None, True
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# The subcommand table and the parser built from it
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # the default slot of a flag that must be given
 
-def _add_param_flags(sp):
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    sp.add_argument("--c-h", dest="c_h", type=float, default=1.0)
-    sp.add_argument("--nu", type=float, default=1.0)
-    sp.add_argument("--q", type=float, default=INFINITY)
+# A flag is (flag, type or choices, default or REQUIRED). The seven
+# problem flags shared by most subcommands:
+_PROBLEM = (
+    ("--dim", int, REQUIRED),
+    ("--p", float, REQUIRED),
+    ("--gamma", float, REQUIRED),
+    ("--lambda", float, 0.0),
+    ("--c-h", float, 1.0),
+    ("--nu", float, 1.0),
+    ("--q", float, INFINITY),
+)
+
+# One row per subcommand: (name, help, flags, handler).
+COMMANDS = (
+    ("exponents", "closed-form exponent calculus", _PROBLEM, _cmd_exponents),
+    ("verify-sharpness", "residual-check the explicit sharp solution",
+     _PROBLEM + (("--nodes", int, 512), ("--tol", float, 1e-8)), _cmd_verify_sharpness),
+    ("verify-bump", "largest bounded supersolution witness scale",
+     _PROBLEM + (("--nodes", int, 300), ("--grid-max", float, 10.0)), _cmd_verify_bump),
+    ("solve", "radial Dirichlet solve of the model equation", _PROBLEM + (
+        ("--operator", str, "p-laplacian"), ("--source", str, "zero"),
+        ("--r-in", float, 0.0), ("--r-out", float, 1.0),
+        ("--bc-left", str, "none"), ("--bc-right", float, REQUIRED),
+        ("--nodes", int, 256), ("--tol", float, 1e-10), ("--out", str, None),
+    ), _cmd_solve),
+    ("audit-caccioppoli", "energy growth vs the two-ball bound",
+     _PROBLEM + (("--witness", str, "sharpness"), ("--radius", float, 1.0)),
+     _cmd_audit_caccioppoli),
+    ("audit-holder", "empirical Holder exponent fit", _PROBLEM + (
+        ("--witness", str, "sharpness"), ("--pairs", int, 20000),
+        ("--scale-min", float, 1e-3), ("--scale-max", float, 0.25),
+        ("--seed", int, 0), ("--tol", float, 0.05),
+    ), _cmd_audit_holder),
+    ("morrey", "Morrey norm of a source term on a ball", (
+        ("--source", str, REQUIRED), ("--s-index", float, 1.0),
+        ("--theta", float, REQUIRED), ("--omega-radius", float, 1.0),
+        ("--dim", int, 3), ("--centers", int, 8),
+    ), _cmd_morrey),
+    ("liouville", "Euclidean classification with witnesses",
+     _PROBLEM[:3] + _PROBLEM[4:5], _cmd_liouville),  # --dim --p --gamma --c-h
+    ("manifold", "area-growth Liouville test", (
+        ("--profile", str, REQUIRED), ("--dim", int, 3),
+        ("--p", float, REQUIRED), ("--gamma", float, REQUIRED),
+        ("--t-start", float, 1.0), ("--mode", ("analytic", "numeric"), "analytic"),
+    ), _cmd_manifold),
+    ("sigma-bound", "both sides of the energy comparison", _PROBLEM + (
+        ("--profile", str, "euclidean"), ("--sigma-r", float, REQUIRED),
+        ("--radius-inner", float, REQUIRED), ("--radius-outer", float, REQUIRED),
+        ("--weight", ("none", "exp"), "none"),
+    ), _cmd_sigma_bound),
+    ("sweep", "CSV exponent/verdict table over a parameter grid", (
+        ("--dim", str, REQUIRED), ("--p", str, REQUIRED), ("--gamma", str, REQUIRED),
+        ("--q", str, None), ("--out", str, None),
+    ), _cmd_sweep),
+)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``, built once per process (argparse keeps
+    no state between parses); callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="pdi-lab",
         description="Desk-scale verification of exponent formulas, explicit "
@@ -580,121 +615,36 @@ def build_parser() -> argparse.ArgumentParser:
         "elliptic inequalities with gradient terms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("exponents", help="closed-form exponent calculus")
-    _add_param_flags(sp)
-    sp.set_defaults(func=_cmd_exponents)
-
-    sp = sub.add_parser("verify-sharpness", help="residual-check the explicit sharp solution")
-    _add_param_flags(sp)
-    sp.add_argument("--nodes", type=int, default=512)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.set_defaults(func=_cmd_verify_sharpness)
-
-    sp = sub.add_parser("verify-bump", help="largest bounded supersolution witness scale")
-    _add_param_flags(sp)
-    sp.add_argument("--nodes", type=int, default=300)
-    sp.add_argument("--grid-max", type=float, default=10.0)
-    sp.set_defaults(func=_cmd_verify_bump)
-
-    sp = sub.add_parser("solve", help="radial Dirichlet solve of the model equation")
-    _add_param_flags(sp)
-    sp.add_argument("--operator", default="p-laplacian")
-    sp.add_argument("--source", default="zero")
-    sp.add_argument("--r-in", type=float, default=0.0)
-    sp.add_argument("--r-out", type=float, default=1.0)
-    sp.add_argument("--bc-left", default="none")
-    sp.add_argument("--bc-right", type=float, required=True)
-    sp.add_argument("--nodes", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("audit-caccioppoli", help="energy growth vs the two-ball bound")
-    _add_param_flags(sp)
-    sp.add_argument("--witness", default="sharpness")
-    sp.add_argument("--radius", dest="R", type=float, default=1.0)
-    sp.set_defaults(func=_cmd_audit_caccioppoli)
-
-    sp = sub.add_parser("audit-holder", help="empirical Holder exponent fit")
-    _add_param_flags(sp)
-    sp.add_argument("--witness", default="sharpness")
-    sp.add_argument("--pairs", type=int, default=20000)
-    sp.add_argument("--scale-min", type=float, default=1e-3)
-    sp.add_argument("--scale-max", type=float, default=0.25)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=0.05)
-    sp.set_defaults(func=_cmd_audit_holder)
-
-    sp = sub.add_parser("morrey", help="Morrey norm of a source term on a ball")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--s-index", type=float, default=1.0)
-    sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--omega-radius", type=float, default=1.0)
-    sp.add_argument("--centers", type=int, default=8)
-    sp.add_argument("--dim", type=int, default=3)
-    sp.set_defaults(func=_cmd_morrey)
-
-    sp = sub.add_parser("liouville", help="Euclidean classification with witnesses")
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--c-h", dest="c_h", type=float, default=1.0)
-    sp.set_defaults(func=_cmd_liouville)
-
-    sp = sub.add_parser("manifold", help="area-growth Liouville test")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--dim", type=int, default=3)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--t-start", type=float, default=1.0)
-    sp.add_argument("--mode", choices=("analytic", "numeric"), default="analytic")
-    sp.set_defaults(func=_cmd_manifold)
-
-    sp = sub.add_parser("sigma-bound", help="both sides of the energy comparison")
-    _add_param_flags(sp)
-    sp.add_argument("--profile", default="euclidean")
-    sp.add_argument("--sigma-r", type=float, required=True)
-    sp.add_argument("--radius-inner", dest="R", type=float, required=True)
-    sp.add_argument("--radius-outer", dest="r", type=float, required=True)
-    sp.add_argument("--weight", choices=("none", "exp"), default="none")
-    sp.set_defaults(func=_cmd_sigma_bound)
-
-    sp = sub.add_parser("sweep", help="CSV exponent/verdict table over a parameter grid")
-    sp.add_argument("--dim", required=True)
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--gamma", required=True)
-    sp.add_argument("--q", default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_sweep)
-
+    for name, help_text, flags, handler in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        dests = []
+        for flag, kind, default in flags:
+            spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            spec.update({"required": True} if default is REQUIRED else {"default": default})
+            dests.append(sp.add_argument(flag, **spec).dest)
+        sp.set_defaults(func=handler, dests=tuple(dests))
     return parser
 
 
 def run(argv) -> int:
     """Execute one invocation given its argument tokens and return the
     exit code. The report goes to stdout, the one-line summary to stderr."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        return exc.code if isinstance(exc.code, int) else 2
+    note = ""
     try:
-        return args.func(args)
+        results, passed = args.func(args)
     except (NoAdmissibleScale, NoConvergence, InsufficientScales) as exc:
-        report = {
-            "command": args.command,
-            "error": str(exc),
-            "provenance": {"version": __version__},
-            "passed": False,
-        }
-        sys.stdout.write(json.dumps(report) + "\n")
-        sys.stderr.write(f"{args.command}: FAIL ({exc})\n")
-        return 1
+        # stopped on the science, not the input: a report, exit 1
+        results, passed, note = {"error": str(exc)}, False, f" ({exc})"
     except (PdiLabError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if results is None:  # sweep wrote its CSV itself
+        return 0
+    return _emit(args, results, passed, note)
 
 
 def main(argv=None) -> int:

@@ -249,8 +249,10 @@ def power_area_diverges(beta: float, p: float, gamma: float) -> bool:
     return beta * (gamma - (p - 1)) <= (p - 1)
 
 
-# Gauss-Legendre nodes per doubling segment of the numeric area test.
+# Gauss-Legendre nodes per doubling segment of the numeric area test,
+# and the segments [T, 2T] it integrates, from T = t_start to 2^255 t_start.
 _DOUBLING_NODES = 16
+_AREA_DOUBLINGS = 256
 
 
 def area_condition_test(
@@ -259,7 +261,6 @@ def area_condition_test(
     gamma: float,
     t_start: float = 1.0,
     mode: str = "analytic",
-    max_doublings: int = 256,
 ) -> IntegralVerdict:
     """Decide int_{t_start}^inf area(dB_t)^(-e) dt = +inf or < inf.
 
@@ -292,7 +293,7 @@ def area_condition_test(
     if mode != "numeric":
         raise PreconditionViolation(f"mode must be 'analytic' or 'numeric', got {mode!r}")
 
-    lower = t_start * 2.0 ** np.arange(max_doublings)
+    lower = t_start * 2.0 ** np.arange(_AREA_DOUBLINGS)
     if isinstance(profile, SampledArea):
         # Only the doublings that end inside the grid can be integrated.
         lower = lower[2.0 * lower <= profile.grid[-1]]
@@ -413,12 +414,15 @@ def sigma_lower_bound(
     )
 
 
+# Doublings of r that find_contradiction_radius tries, r = 2R to 2^200 R.
+_CONTRADICTION_DOUBLINGS = 200
+
+
 def find_contradiction_radius(
     sigma_R: float,
     params: ProblemParams,
     profile: AreaProfile,
     R: float,
-    max_doublings: int = 200,
 ) -> Optional[SigmaBoundReport]:
     """Double r from 2R until rhs overtakes lhs; None if it never does.
 
@@ -426,7 +430,7 @@ def find_contradiction_radius(
     budget ran out; on a convergent one it is the expected outcome.
     """
     r = 2.0 * R
-    for _ in range(max_doublings):
+    for _ in range(_CONTRADICTION_DOUBLINGS):
         report = sigma_lower_bound(sigma_R, params, profile, R, r)
         if report.contradiction:
             return report
@@ -447,7 +451,6 @@ def liouville_classify_euclidean(
     p: float,
     gamma: float,
     c_h: float = 1.0,
-    witness_grid=None,
 ) -> LiouvilleVerdict:
     """Closed-form classification on R^dim with explicit witnesses.
 
@@ -474,9 +477,7 @@ def liouville_classify_euclidean(
     if gamma > p:
         witness: RadialProfile = nonconstant_entire_profile(dim, p, gamma, c_h)
     else:
-        if witness_grid is None:
-            witness_grid = np.linspace(*_DEFAULT_BUMP_GRID)
-        c, _ = bump_profile_scale(dim, p, gamma, c_h, witness_grid)
+        c, _ = bump_profile_scale(dim, p, gamma, c_h, np.linspace(*_DEFAULT_BUMP_GRID))
         witness = BumpProfile(c=c, delta=(p - gamma) / (gamma - (p - 1)))
     return verdict(Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS, witness=witness)
 

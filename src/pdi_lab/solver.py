@@ -15,7 +15,8 @@ Each Newton step starts with the one convergence test: the max residual
 over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
 |J_ij| |V_j|. The roundoff term follows the Jacobian, through the 1/h^2
 of flux differences and the eps^(p-2) of a p < 2 flux derivative, so a
-solve that has reached roundoff ends there. The line search halves the
+solve that has reached roundoff ends there; ``meta["roundoff_floor"]``
+keeps the roundoff term of the passing test. The line search halves the
 step until the residual falls, and the accepted trial's residual and
 Jacobian serve the next step: each iterate is assembled once.
 
@@ -315,7 +316,8 @@ def solve_radial_dirichlet(
         converged = False
         for _ in range(config.max_iter):
             res_norm = float(np.max(np.abs(R[mask])))
-            if res_norm <= config.newton_tol + _roundoff_floor(ab, values, mask):
+            floor = _roundoff_floor(ab, values, mask)
+            if res_norm <= config.newton_tol + floor:
                 converged = True
                 break
             step = solve_banded((1, 1), ab, -R)
@@ -341,6 +343,7 @@ def solve_radial_dirichlet(
     meta = {
         "iterations": iterations,
         "final_residual": res_norm,
+        "roundoff_floor": floor,
         "eps_final": eps,
         "bc_left": bc_left,
         "bc_right": bc_right,

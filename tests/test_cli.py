@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pdi_lab
-from pdi_lab.cli import RunReport, main, run
+from pdi_lab.cli import COMMANDS, REQUIRED, RunReport, main, run
 
 
 def run_cli(capsys, *argv):
@@ -44,10 +44,17 @@ def test_exponents_finite_q(capsys):
     assert report["params"]["q"] == 2.0
 
 
-def test_report_shape_and_provenance(capsys):
-    _, report, _ = run_cli(
-        capsys, "exponents", "--dim", "3", "--p", "2", "--gamma", "4"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4"],
+        # exit 1: no admissible bump scale; a failure report has the same shape
+        ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.4"],
+    ],
+    ids=" ".join,
+)
+def test_report_shape_and_provenance(capsys, argv):
+    _, report, _ = run_cli(capsys, *argv)
     assert set(report) == {"command", "params", "results", "provenance", "passed"}
     assert set(report["provenance"]) == {"version", "seed", "config_hash"}
     assert report["params"]["q"] == "inf"
@@ -98,7 +105,7 @@ def test_verify_bump_no_admissible_scale(capsys):
     )
     assert rc == 1
     assert report["passed"] is False
-    assert "error" in report
+    assert "error" in report["results"]
     assert "FAIL" in cap.err
 
 
@@ -133,7 +140,8 @@ def test_solve_at_roundoff_passes(capsys):
     )
     assert rc == 0
     assert report["passed"] is True
-    assert report["results"]["final_residual"] > 1e-10
+    results = report["results"]
+    assert 1e-10 < results["final_residual"] <= 1e-10 + results["roundoff_floor"]
 
 
 def test_solve_file_source_matches_power_source(capsys, tmp_path):
@@ -437,32 +445,47 @@ _POOLS = {
 }
 # Kept present, so the work stays small whatever else is drawn.
 _SIZE_FLAGS = ("--nodes", "--pairs", "--centers")
-_PARAMS = "--dim 3 --p 2 --gamma {} --lambda 0 --c-h 1 --nu 1 --q inf "
-# One valid, small invocation per subcommand; each draw changes or drops
-# up to three of its flags.
-_VALID = {
-    "exponents": _PARAMS.format(4),
-    "verify-sharpness": _PARAMS.format(4) + "--nodes 17 --tol 1e-8",
-    "verify-bump": _PARAMS.format(1.8) + "--nodes 17 --grid-max 10",
-    "solve": _PARAMS.format(2) + "--operator p-laplacian --source power:1,0 --r-in 0 "
-    "--r-out 1 --bc-left none --bc-right 0 --nodes 17 --tol 1e-10",
-    "audit-caccioppoli": _PARAMS.format(4) + "--witness sharpness --radius 1",
-    "audit-holder": _PARAMS.format(4) + "--witness sharpness --pairs 17 --scale-min 0.001 "
-    "--scale-max 0.25 --seed 0 --tol 0.05",
-    "morrey": "--source power:1,1 --s-index 1 --theta 1.5 --omega-radius 1 --centers 2 --dim 3",
-    "liouville": "--dim 3 --p 2 --gamma 1.4 --c-h 1",
-    "manifold": "--profile power:1,2 --dim 3 --p 2 --gamma 1.4 --t-start 1 --mode numeric",
-    "sigma-bound": _PARAMS.format(1.4) + "--profile euclidean --sigma-r 1 --radius-inner 1 "
-    "--radius-outer 10 --weight none",
+# The flags a valid, small invocation of each subcommand sets; every
+# other flag of its COMMANDS row keeps the table's default.
+_SET = {
+    "exponents": "--dim 3 --p 2 --gamma 4",
+    "verify-sharpness": "--dim 3 --p 2 --gamma 4 --nodes 17",
+    "verify-bump": "--dim 3 --p 2 --gamma 1.8 --nodes 17",
+    "solve": "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 "
+    "--bc-right 0 --nodes 17",
+    "audit-caccioppoli": "--dim 3 --p 2 --gamma 4",
+    "audit-holder": "--dim 3 --p 2 --gamma 4 --pairs 17",
+    "morrey": "--source power:1,1 --theta 1.5 --centers 2",
+    "liouville": "--dim 3 --p 2 --gamma 1.4",
+    "manifold": "--profile power:1,2 --p 2 --gamma 1.4 --mode numeric",
+    "sigma-bound": "--dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10",
     "sweep": "--dim 3,4 --p 2 --gamma 1:2:0.5 --q inf",
 }
+_ROWS = {name: flags for name, _, flags, _ in COMMANDS}
+
+
+def _valid_flags(command) -> dict:
+    """flag -> value of one valid, small invocation: the table's defaults,
+    then ``_SET``."""
+    flags = {
+        flag: str(default)
+        for flag, _, default in _ROWS[command]
+        if default is not REQUIRED and default is not None
+    }
+    tokens = _SET[command].split()
+    flags.update(zip(tokens[::2], tokens[1::2]))
+    return flags
+
+
+def _argv_of(command, flags) -> list:
+    # "--flag=value" keeps values such as "-1" from reading as flags.
+    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(sorted(_VALID)))
-    tokens = _VALID[command].split()
-    flags = dict(zip(tokens[::2], tokens[1::2]))
+    command = draw(st.sampled_from(sorted(_ROWS)))
+    flags = _valid_flags(command)
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
         pool = _LISTS if command == "sweep" else _POOLS.get(flag, _NUMBERS)
         value = draw(st.sampled_from(pool if flag in _SIZE_FLAGS else pool + (None,)))
@@ -470,8 +493,7 @@ def _argv(draw):
             del flags[flag]
         else:
             flags[flag] = value
-    # "--flag=value" keeps values such as "-1" from reading as flags.
-    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    return _argv_of(command, flags)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
@@ -492,3 +514,48 @@ def test_any_argv_exits_cleanly(argv):
     else:
         assert text.count("\n") == 1
         json.loads(text)
+
+
+# A different valid value for each spec flag; numbers move by one step.
+_OTHER_SPEC = {
+    "--operator": "gmc:4", "--source": "power:2,0", "--bc-left": "1.5", "--witness": "linear",
+    "--profile": "power:1,3",
+}
+
+
+def _other_value(flag, kind, value, tmp_path) -> str:
+    if isinstance(kind, tuple):
+        return next(choice for choice in kind if choice != value)
+    if flag == "--out":
+        return str(tmp_path / "u.csv")
+    if kind is str:
+        return _OTHER_SPEC[flag]
+    if kind is int:
+        return str(int(value) + 1)
+    return "8" if value == "inf" else str(float(value) + 0.05)
+
+
+# Every flag of every subcommand but sweep, which writes CSV, not a report.
+@pytest.mark.parametrize(
+    "command, flag",
+    [(name, flag) for name, flags in _ROWS.items() if name != "sweep" for flag, _, _ in flags],
+)
+def test_each_flag_moves_params_and_config_hash(capsys, tmp_path, command, flag):
+    kind = next(kind for f, kind, _ in _ROWS[command] if f == flag)
+    flags = _valid_flags(command)
+    rc, base, _ = run_cli(capsys, *_argv_of(command, flags))
+    assert rc == 0
+    flags[flag] = _other_value(flag, kind, flags.get(flag), tmp_path)
+    rc, report, _ = run_cli(capsys, *_argv_of(command, flags))
+    assert rc in (0, 1)
+    moved = {key for key, value in base["params"].items() if report["params"][key] != value}
+    assert moved == {flag[2:].replace("-", "_")}
+    assert report["provenance"]["config_hash"] != base["provenance"]["config_hash"]
+
+
+def test_readme_lists_the_table():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    listed = [tuple(line.split(None, 2)[1:]) for line in block.strip().splitlines()]
+    assert listed == [(name, help_text) for name, help_text, _, _ in COMMANDS]

@@ -240,6 +240,8 @@ def test_p15_ball_converges_second_order():
 def test_zero_tolerance_ends_at_roundoff():
     sol = solve_p15_ball(64, newton_tol=0.0)
     assert 0.0 < sol.meta["final_residual"] <= 1e-10
+    # with no tolerance, the residual passed the roundoff floor alone
+    assert sol.meta["final_residual"] <= sol.meta["roundoff_floor"]
     assert np.max(np.abs(sol.values - (1.0 - sol.grid**3))) <= 1e-3
 
 

@@ -47,7 +47,9 @@ from .errors import (
 )
 from .params import (
     INFINITY,
+    LiouvilleRegime,
     ProblemParams,
+    _gradient_arm,
     classify_regime,
     exponent_report,
     holder_exponent,
@@ -82,7 +84,6 @@ from .liouville import (
     area_condition_test,
     liouville_classify_euclidean,
     liouville_classify_manifold,
-    power_area_diverges,
     sigma_lower_bound,
     verify_euclidean_witness,
 )
@@ -303,7 +304,7 @@ def _cmd_verify_bump(args):
     c, report = bump_profile_scale(args.dim, args.p, args.gamma, args.c_h, grid)
     results = {
         "c": c,
-        "delta": (args.p - args.gamma) / (args.gamma - (args.p - 1)),
+        "delta": -_gradient_arm(args.p, args.gamma),
         "min_residual": report.min_residual,
         "grid_max": args.grid_max,
     }
@@ -504,7 +505,7 @@ def _sweep_row(point):
     if rep.gamma_star is None:
         return point + (alpha, repr(rep.s), "", "", "", "INVALID")
     regime = classify_regime(params)
-    verdict = "LIOUVILLE" if power_area_diverges(dim - 1, p, gamma) else "NO_LIOUVILLE"
+    verdict = "NO_LIOUVILLE" if regime.liouville is LiouvilleRegime.SUPERCRITICAL else "LIOUVILLE"
     return point + (
         alpha,
         repr(rep.s),

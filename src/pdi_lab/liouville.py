@@ -13,9 +13,11 @@ area(dB_t) grows like t^(dim-1), it reduces to the closed-form threshold
 
     gamma <= gamma* = dim (p-1)/(dim-1),
 
-and that reduction is kept structural here: the Euclidean classifier and
-the analytic area test share one predicate, so the phase diagrams agree
-identically, float ties included.
+and that reduction is kept structural here: every threshold comparison,
+in the Euclidean classifier and in the analytic area test alike, compares
+gamma with the one float ``params._critical_gamma`` returns, so the phase
+diagrams agree identically, float ties included, and a verdict is
+LIOUVILLE exactly when gamma <= the gamma_star it reports.
 
 Above the threshold the classifier produces explicit nonconstant
 witnesses (entire power profiles for gamma > p, scaled bumps for
@@ -43,6 +45,9 @@ from .params import (
     ProblemParams,
     _check_dim,
     _check_exponents,
+    _critical_gamma,
+    _energy_arm,
+    _gradient_arm,
     liouville_threshold,
     unit_ball_volume,
 )
@@ -241,12 +246,17 @@ def power_area_diverges(beta: float, p: float, gamma: float) -> bool:
     """Whether int^inf (t^beta)^(-e) dt diverges, e = (gamma-(p-1))/(p-1).
 
     The borderline beta*e = 1 is the logarithmic case and counts as
-    divergent. This single predicate backs both the analytic area test
-    and the Euclidean threshold classification, which keeps the two
-    phase diagrams identical by construction.
+    divergent. beta*e <= 1 reads gamma <= (beta+1)(p-1)/beta, the critical
+    exponent of dimension beta + 1, so the test compares gamma with
+    ``params._critical_gamma(beta + 1, p)``, the float every threshold
+    comparison reads; for beta = dim - 1 it is bit-identical to
+    ``gamma <= liouville_threshold(dim, p)``. beta + 1 <= 1 (beta <= 0, or
+    so small that beta + 1 rounds to 1) puts the threshold at +inf. Where
+    (beta + 1)(p - 1) exceeds the float range (~1.8e308) the threshold
+    overflows to +inf as well, and the test reads divergent.
     """
     _comparison_exponent(p, gamma)
-    return beta * (gamma - (p - 1)) <= (p - 1)
+    return beta + 1 <= 1 or gamma <= _critical_gamma(beta + 1, p)
 
 
 # Gauss-Legendre nodes per doubling segment of the numeric area test,
@@ -397,7 +407,7 @@ def sigma_lower_bound(
         comparison = float(np.sum(panels))
 
     c_h, nu = params.c_h, params.nu
-    constant_C = (c_h / nu) ** (params.gamma / (params.gamma - (params.p - 1))) * e
+    constant_C = (c_h / nu) ** _energy_arm(params.p, params.gamma) * e
     rhs = constant_C * profile.coefficient**-e * comparison
     return SigmaBoundReport(
         R=R,
@@ -466,7 +476,7 @@ def liouville_classify_euclidean(
     verdict = functools.partial(
         LiouvilleVerdict, dim=dim, p=p, gamma=gamma, gamma_star=gamma_star, c_h=c_h
     )
-    if power_area_diverges(dim - 1, p, gamma):
+    if gamma <= gamma_star:
         return verdict(Verdict.LIOUVILLE, Mechanism.CLOSED_FORM_THRESHOLD)
     if gamma == p:
         return verdict(
@@ -478,7 +488,7 @@ def liouville_classify_euclidean(
         witness: RadialProfile = nonconstant_entire_profile(dim, p, gamma, c_h)
     else:
         c, _ = bump_profile_scale(dim, p, gamma, c_h, np.linspace(*_DEFAULT_BUMP_GRID))
-        witness = BumpProfile(c=c, delta=(p - gamma) / (gamma - (p - 1)))
+        witness = BumpProfile(c=c, delta=-_gradient_arm(p, gamma))
     return verdict(Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS, witness=witness)
 
 

@@ -22,6 +22,10 @@ inputs give float results, fractions.Fraction inputs give exact rational
 results. The integrability index q may be INFINITY (math.inf), in which
 case dim/q is exactly 0 and no rounding enters the branch selection.
 
+Each formula is written once, here, and read by every other module: every
+decision whether gamma lies above gamma_star compares gamma with the one
+float ``_critical_gamma`` returns.
+
 The dimension field doubles as a homogeneous dimension: substituting the
 homogeneous dimension of a stratified group for ``dim`` evaluates the
 subelliptic versions of the same formulas with no other change.
@@ -152,21 +156,38 @@ class ExponentReport:
     s_branch: Branch
 
 
-def _branch(integrability_arm, gradient_arm, pick_min: bool) -> Branch:
+def _gradient_arm(p, gamma):
+    """The power of the sharp and entire profiles; minus the bump's delta."""
+    return (gamma - p) / (gamma - (p - 1))
+
+
+def _energy_arm(p, gamma):
+    """Also the power of c_H/nu in the Liouville comparison constant."""
+    return gamma / (gamma - (p - 1))
+
+
+def _critical_gamma(dim, p):
+    """gamma_star with no guards (``liouville_threshold`` checks 1 < p < dim)."""
+    return dim * (p - 1) / (dim - 1)
+
+
+def _growth_gap(dim, p, gamma):
+    """Base of the witness scales, positive exactly when gamma > gamma_star."""
+    return (dim - 1) * (gamma - _critical_gamma(dim, p)) / (gamma - (p - 1))
+
+
+def _select(integrability_arm, gradient_arm, pick_min: bool):
+    """The smaller (pick_min) or larger arm, with the Branch that gave it;
+    a tie returns the integrability arm, as min and max do."""
     if integrability_arm == gradient_arm:
-        return Branch.BOTH
-    if pick_min:
-        winner_is_integrability = integrability_arm < gradient_arm
-    else:
-        winner_is_integrability = integrability_arm > gradient_arm
-    return Branch.INTEGRABILITY if winner_is_integrability else Branch.GRADIENT
+        return integrability_arm, Branch.BOTH
+    if (integrability_arm < gradient_arm) == pick_min:
+        return integrability_arm, Branch.INTEGRABILITY
+    return gradient_arm, Branch.GRADIENT
 
 
-def holder_exponent(params: ProblemParams):
-    """Interior Holder exponent min(1 - dim/(q*gamma), (gamma-p)/(gamma-(p-1))).
-
-    Requires gamma > p and q > dim/gamma; the result lies in (0, 1).
-    """
+def _holder(params: ProblemParams):
+    """(alpha, branch) after the Holder exponent's preconditions."""
     if not params.gamma > params.p:
         raise PreconditionViolation(
             f"holder exponent needs gamma > p, got gamma={params.gamma}, p={params.p}"
@@ -175,17 +196,29 @@ def holder_exponent(params: ProblemParams):
         raise PreconditionViolation(
             f"holder exponent needs q > dim/gamma, got q={params.q}"
         )
-    integrability_arm = 1 - params.dim_over_q / params.gamma
-    gradient_arm = (params.gamma - params.p) / (params.gamma - (params.p - 1))
-    return min(integrability_arm, gradient_arm)
+    return _select(
+        1 - params.dim_over_q / params.gamma,
+        _gradient_arm(params.p, params.gamma),
+        pick_min=True,
+    )
+
+
+def _caccioppoli(params: ProblemParams):
+    """(s, branch) of the energy-growth exponent."""
+    return _select(params.dim_over_q, _energy_arm(params.p, params.gamma), pick_min=False)
+
+
+def holder_exponent(params: ProblemParams):
+    """Interior Holder exponent min(1 - dim/(q*gamma), (gamma-p)/(gamma-(p-1))).
+
+    Requires gamma > p and q > dim/gamma; the result lies in (0, 1).
+    """
+    return _holder(params)[0]
 
 
 def caccioppoli_exponent(params: ProblemParams):
     """Energy-growth exponent s = max(dim/q, gamma/(gamma - (p - 1)))."""
-    return max(
-        params.dim_over_q,
-        params.gamma / (params.gamma - (params.p - 1)),
-    )
+    return _caccioppoli(params)[0]
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -201,26 +234,15 @@ def liouville_threshold(dim, p):
         raise PreconditionViolation(
             f"threshold needs p < dim, got p={p}, dim={dim}"
         )
-    return dim * (p - 1) / (dim - 1)
+    return _critical_gamma(dim, p)
 
 
 def exponent_report(params: ProblemParams) -> ExponentReport:
     """Bundle the three exponents with branch tags for one parameter tuple."""
-    s = caccioppoli_exponent(params)
-    s_branch = _branch(
-        params.dim_over_q,
-        params.gamma / (params.gamma - (params.p - 1)),
-        pick_min=False,
-    )
-    alpha = None
-    alpha_branch = None
+    s, s_branch = _caccioppoli(params)
+    alpha = alpha_branch = None
     if params.gamma > params.p and params.dim_over_q < params.gamma:
-        alpha = holder_exponent(params)
-        alpha_branch = _branch(
-            1 - params.dim_over_q / params.gamma,
-            (params.gamma - params.p) / (params.gamma - (params.p - 1)),
-            pick_min=True,
-        )
+        alpha, alpha_branch = _holder(params)
     gamma_star = None
     if 1 < params.p < params.dim:
         gamma_star = liouville_threshold(params.dim, params.p)

@@ -46,7 +46,13 @@ from .errors import (
     NoAdmissibleScale,
     PreconditionViolation,
 )
-from .params import ProblemParams, liouville_threshold
+from .params import (
+    ProblemParams,
+    _critical_gamma,
+    _gradient_arm,
+    _growth_gap,
+    liouville_threshold,
+)
 
 __all__ = [
     "RadialProfile",
@@ -358,35 +364,28 @@ def radial_operator(kind: OperatorKind, profile: RadialProfile, r, dim: int):
 _CERTIFY_STEPS = 40
 
 
-def _growth_gap(dim: int, p: float, gamma: float) -> float:
-    # ((dim-1)*gamma - dim*(p-1)) / (gamma - (p-1)); positive exactly above
-    # the critical exponent.
-    return ((dim - 1) * gamma - dim * (p - 1)) / (gamma - (p - 1))
-
-
 def sharpness_profile(dim: int, p: float, gamma: float) -> PowerProfile:
     """Explicit solution of -Delta_p u = |Du|^gamma on the unit ball.
 
     Returns V(r) = c (r^a - 1) with a = (gamma-p)/(gamma-(p-1)) in (0, 1) and
 
-        c = -((gamma-(p-1))/(gamma-p))
-            * (((dim-1)*gamma - dim*(p-1))/(gamma-(p-1)))^(1/(gamma-(p-1))).
+        c = -((gamma-(p-1))/(gamma-p)) * g^(1/(gamma-(p-1))),
 
-    Requires gamma > p and (dim-1)*gamma - dim*(p-1) > 0. The profile's
-    modulus of continuity at the origin is exactly r^a, which matches the
-    gradient arm of the Holder exponent formula.
+    g = _growth_gap(dim, p, gamma) = (dim-1)(gamma-gamma*)/(gamma-(p-1)).
+    Requires gamma > p and gamma > gamma* = _critical_gamma(dim, p). The
+    profile's modulus of continuity at the origin is exactly r^a, which
+    matches the gradient arm of the Holder exponent formula.
     """
     if not gamma > p:
         raise PreconditionViolation(
             f"sharpness profile needs gamma > p, got gamma={gamma}, p={p}"
         )
-    gap = _growth_gap(dim, p, gamma)
-    if not gap > 0:
+    if not gamma > _critical_gamma(dim, p):
         raise PreconditionViolation(
             f"sharpness profile needs (dim-1)*gamma > dim*(p-1), got dim={dim}, p={p}, gamma={gamma}"
         )
-    a = (gamma - p) / (gamma - (p - 1))
-    c = -(gap ** (1.0 / (gamma - (p - 1)))) / a
+    a = _gradient_arm(p, gamma)
+    c = -(_growth_gap(dim, p, gamma) ** (1.0 / (gamma - (p - 1)))) / a
     return PowerProfile(c=c, a=a, shift=1.0)
 
 
@@ -411,9 +410,8 @@ def nonconstant_entire_profile(dim: int, p: float, gamma: float, c_h: float = 1.
         raise PreconditionViolation(
             "gamma = p is the logarithmic case, no power profile exists"
         )
-    a = (gamma - p) / (gamma - (p - 1))
-    gap = _growth_gap(dim, p, gamma)
-    magnitude = (gap / c_h) ** (1.0 / (gamma - (p - 1)))
+    a = _gradient_arm(p, gamma)
+    magnitude = (_growth_gap(dim, p, gamma) / c_h) ** (1.0 / (gamma - (p - 1)))
     c = magnitude / a
     return PowerProfile(c=c, a=a)
 
@@ -428,15 +426,18 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
 
         A / B = delta^(p-1-gamma) (1 + 1/r^2)^((gamma-p)/2) (g + (dim+p-2)/r^2),
 
-    with g = _growth_gap(dim, p, gamma). It falls strictly in r towards
-    delta^(p-1-gamma) g, so the largest scale valid for every radius is
+    with g = _growth_gap(dim, p, gamma), a multiple of gamma - gamma*. It
+    falls strictly in r towards delta^(p-1-gamma) g, so the largest scale
+    valid for every radius is
 
         c = (delta^(p-1-gamma) g / c_h)^(1/(gamma-p+1)),
 
-    and none exists when g <= 0, i.e. at or below the critical exponent
-    (then A < 0 for r^2 > (dim+p-2)/(-g)). ``grid`` only certifies c by a
-    strict residual scan; while rounding fails the scan, c steps down by
-    1, 2, 4, ... ulp. Returns (c, ResidualReport).
+    and none exists unless gamma > gamma* = _critical_gamma(dim, p) (at or
+    below it A < 0 for r^2 > (dim+p-2)/(-g)). ``grid`` only certifies c by
+    a strict residual scan; while rounding fails the scan, c steps down by
+    1, 2, 4, ... ulp, and a scale that would step down to 0 (near gamma*,
+    where c underflows) raises NoAdmissibleScale. Returns
+    (c, ResidualReport).
     """
     if not gamma < p:
         raise PreconditionViolation(
@@ -451,17 +452,23 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0 or not np.all(grid > 0):
         raise PreconditionViolation("scan grid must contain radii > 0 only")
-    gap = _growth_gap(dim, p, gamma)
-    if not gap > 0:
+    gamma_star = _critical_gamma(dim, p)
+    if not gamma > gamma_star:
         raise NoAdmissibleScale(
             f"no bump supersolution on R^{dim} for gamma={gamma}: "
-            f"(dim-1)*gamma - dim*(p-1) = {(dim - 1) * gamma - dim * (p - 1):.6g} is not positive"
+            f"gamma is not above the critical exponent {gamma_star!r}"
         )
-    delta = (p - gamma) / (gamma - (p - 1))
-    c = (delta ** (p - 1 - gamma) * gap / c_h) ** (1.0 / (gamma - (p - 1)))
+    delta = -_gradient_arm(p, gamma)
+    base = delta ** (p - 1 - gamma) * _growth_gap(dim, p, gamma) / c_h
+    c = base ** (1.0 / (gamma - (p - 1)))
     kind = PLaplacian(p)
     scan_params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h)
     for k in range(_CERTIFY_STEPS):
+        if not c > 0:
+            raise NoAdmissibleScale(
+                f"bump scale for gamma={gamma} underflows: no positive scale "
+                f"passed its residual scan"
+            )
         report = residual_scan(
             kind, BumpProfile(c=c, delta=delta), scan_params, None, grid, tol=0.0
         )

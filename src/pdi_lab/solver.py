@@ -189,6 +189,9 @@ def _roundoff_floor(ab: np.ndarray, values: np.ndarray, mask: np.ndarray) -> flo
     return float(np.finfo(float).eps * np.max(rows[mask]))
 
 
+# A stiff trial iterate may overflow to inf or nan here; its residual then
+# fails the line search, so the warnings would only be noise on stderr.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _assemble(
     values: np.ndarray,
     grid: np.ndarray,

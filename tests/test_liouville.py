@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pdi_lab import liouville
-from pdi_lab.errors import DomainExceeded, PreconditionViolation
+from pdi_lab import liouville, params
+from pdi_lab.cli import _sweep_row
+from pdi_lab.errors import DomainExceeded, NoAdmissibleScale, PreconditionViolation
 from pdi_lab.liouville import (
     EuclideanArea,
     ExponentialArea,
@@ -24,8 +25,10 @@ from pdi_lab.liouville import (
     sigma_lower_bound,
     verify_euclidean_witness,
 )
-from pdi_lab.params import ProblemParams, liouville_threshold
+from pdi_lab.params import LiouvilleRegime, ProblemParams, classify_regime, liouville_threshold
 from pdi_lab.radial import BumpProfile, PowerProfile
+
+_AREA = {True: IntegralVerdict.DIVERGENT, False: IntegralVerdict.CONVERGENT}
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +166,48 @@ def test_area_test_guards():
             area_condition_test(EuclideanArea(3), p, gamma)
 
 
+def _tie_grid():
+    """(dim, p, gamma, gamma_star) at and next to the float gamma_star:
+    dim 3..8, p = k/100 < dim, gamma in {gamma_star, both of its float
+    neighbours, gamma_star rounded to 10 decimals} with gamma > p - 1."""
+    points = []
+    for dim in range(3, 9):
+        for k in range(101, 100 * dim):
+            p = k / 100
+            star = liouville_threshold(dim, p)
+            ties = {star, math.nextafter(star, 0), math.nextafter(star, math.inf), round(star, 10)}
+            points += [(dim, p, gamma, star) for gamma in sorted(ties) if gamma > p - 1]
+    return points
+
+
 def test_power_area_divergence_predicate():
     assert power_area_diverges(2.0, 2.0, 1.5)
     assert not power_area_diverges(2.0, 2.0, 1.5 + 1e-12)
-    # the predicate and the closed-form threshold agree by construction
-    for dim in (3, 4, 7):
-        for gamma in (1.1, 1.3, 1.5, 1.7, 2.5):
-            star = liouville_threshold(dim, 2.0)
-            assert power_area_diverges(dim - 1, 2.0, gamma) == (gamma <= star)
+    assert power_area_diverges(0.0, 2.0, 100.0) and power_area_diverges(1e-17, 2.0, 100.0)
+    # Every threshold comparison reads params._critical_gamma, so on the tie
+    # grid each verdict, regime and sweep row follows from gamma <= gamma_star.
+    grid = _tie_grid()
+    disagree = []
+    for dim, p, gamma, star in grid:
+        constant = gamma <= star
+        try:
+            classified = liouville_classify_euclidean(dim, p, gamma).verdict is Verdict.LIOUVILLE
+        except NoAdmissibleScale:  # no representable bump scale, only above gamma_star
+            classified = False
+        regime = classify_regime(ProblemParams(dim=dim, p=p, gamma=gamma)).liouville
+        row = _sweep_row((dim, p, gamma, math.inf))
+        agree = (
+            classified == constant
+            and area_condition_test(EuclideanArea(dim), p, gamma) is _AREA[constant]
+            and power_area_diverges(dim - 1, p, gamma) == constant
+            and area_condition_test(PowerArea(1.0, dim - 1), p, gamma) is _AREA[constant]
+            and (regime is LiouvilleRegime.CRITICAL) == (gamma == star)
+            and row[-2:] == (regime.value, "LIOUVILLE" if constant else "NO_LIOUVILLE")
+        )
+        if not agree:
+            disagree.append((dim, p, gamma))
+    assert len(grid) > 9_000 and disagree == []
+    assert all(params._growth_gap(dim, p, g) > 0 for dim, p, g, star in grid if g > star)
 
 
 # ---------------------------------------------------------------------------

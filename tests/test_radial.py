@@ -264,6 +264,22 @@ def test_bump_scale_absent_below_threshold():
         bump_profile_scale(3, 2.0, 1.4, 1.0, grid)
 
 
+def test_bump_scale_stops_before_the_scale_underflows(monkeypatch):
+    # gamma = 0.225 lies a few ulp above gamma* = 0.22499999999999992: the
+    # closed-form scale is about 4.6e-316, and stepping it down by 1, 2,
+    # 4, ... ulp while rounding fails the scan would carry it through 0.
+    scanned = []
+
+    def recording_scan(kind, profile, *args, **kwargs):
+        scanned.append(profile.c)
+        return residual_scan(kind, profile, *args, **kwargs)
+
+    monkeypatch.setattr(radial, "residual_scan", recording_scan)
+    with pytest.raises(NoAdmissibleScale, match="underflows"):
+        bump_profile_scale(5, 1.18, 0.225, 1.0, np.linspace(0.05, 10, 300))
+    assert scanned and min(scanned) > 0
+
+
 def test_bump_scale_guards():
     grid = np.linspace(0.05, 10.0, 300)
     with pytest.raises(PreconditionViolation):

@@ -252,11 +252,18 @@ def power_area_diverges(beta: float, p: float, gamma: float) -> bool:
     comparison reads; for beta = dim - 1 it is bit-identical to
     ``gamma <= liouville_threshold(dim, p)``. beta + 1 <= 1 (beta <= 0, or
     so small that beta + 1 rounds to 1) puts the threshold at +inf. Where
-    (beta + 1)(p - 1) exceeds the float range (~1.8e308) the threshold
-    overflows to +inf as well, and the test reads divergent.
+    (beta + 1)(p - 1) exceeds the float range (~1.8e308) and a finite beta
+    overflows the threshold to +inf, the test compares gamma with
+    (p - 1)((beta + 1)/beta) instead, the same threshold without the
+    overflow.
     """
     _comparison_exponent(p, gamma)
-    return beta + 1 <= 1 or gamma <= _critical_gamma(beta + 1, p)
+    if beta + 1 <= 1:
+        return True
+    threshold = _critical_gamma(beta + 1, p)
+    if threshold == math.inf and beta < math.inf:
+        threshold = (p - 1) * ((beta + 1) / beta)
+    return gamma <= threshold
 
 
 # Gauss-Legendre nodes per doubling segment of the numeric area test,

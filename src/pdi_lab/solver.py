@@ -16,9 +16,13 @@ over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
 |J_ij| |V_j|. The roundoff term follows the Jacobian, through the 1/h^2
 of flux differences and the eps^(p-2) of a p < 2 flux derivative, so a
 solve that has reached roundoff ends there; ``meta["roundoff_floor"]``
-keeps the roundoff term of the passing test. The line search halves the
-step until the residual falls, and the accepted trial's residual and
-Jacobian serve the next step: each iterate is assembled once.
+keeps the roundoff term of the passing test. The test and the step read
+one Jacobian, formed at the current iterate. The line search halves the
+step until the residual falls and evaluates only the residual of each
+trial; the accepted trial's residual serves the next step. So each trial
+costs one residual and each Newton test one Jacobian, and a rejected
+trial never builds a Jacobian. The grid data no iterate changes (shell
+volumes, face areas, source values) are computed once per solve.
 
 Discretization is conservative: fluxes live on face radii, and each cell
 is weighted by its exact shell volume (r_{i+1/2}^d - r_{i-1/2}^d)/d
@@ -160,108 +164,118 @@ class DiscreteRadialSolution:
 
 
 # ---------------------------------------------------------------------------
-# Assembly
+# Residual and Jacobian
 # ---------------------------------------------------------------------------
 
-
-def _discretize(grid: np.ndarray, d: int, f: Optional[Callable]):
-    """Face radii, exact shell volumes and source values (f = None is zero)."""
-    faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
-    vols = (faces[1:] ** d - faces[:-1] ** d) / d
-    f_vals = np.zeros(grid.size) if f is None else np.asarray(f(grid), dtype=float)
-    return faces, vols, f_vals
+_EPS_MACH = float(np.finfo(float).eps)
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on the first solve, so that
-    importing the package does not load scipy."""
-    from scipy.linalg import solve_banded as banded
+class _Discretization:
+    """Everything an evaluation on one grid reads that no iterate changes:
+    the spacing, the exact shell volumes, the face areas r^(d-1), the
+    source values, the boundary data and the non-Dirichlet rows."""
 
-    return banded(l_and_u, ab, b)
+    def __init__(self, grid, kind, params, f, bc_left, bc_right):
+        d = params.dim
+        faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
+        self.h = float(grid[1] - grid[0])
+        self.vols = (faces[1:] ** d - faces[:-1] ** d) / d
+        self.area = faces[1:-1] ** (d - 1)
+        self.f_vals = np.asarray(f(grid), dtype=float)
+        self.kind, self.lam, self.gamma, self.c_h = kind, params.lam, params.gamma, params.c_h
+        self.bc_left, self.bc_right = bc_left, bc_right
+        self.rows = slice(0 if bc_left is None else 1, grid.size - 1)
 
 
-def _roundoff_floor(ab: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:
-    """eps_mach * max over the masked rows i of sum_j |J_ij| |V_j|."""
-    a, v = np.abs(ab), np.abs(values)
-    rows = a[1] * v
-    rows[1:] += a[2, :-1] * v[:-1]   # J[i, i-1] V[i-1]
-    rows[:-1] += a[0, 1:] * v[1:]    # J[i, i+1] V[i+1]
-    return float(np.finfo(float).eps * np.max(rows[mask]))
+def solve_banded(sub, dia, sup, rhs):
+    """Solve the tridiagonal system J x = rhs, J[i+1, i] = sub[i],
+    J[i, i] = dia[i], J[i, i+1] = sup[i], with LAPACK ``gtsv``: the routine
+    and the inputs of ``scipy.linalg.solve_banded((1, 1), ...)``, so the
+    same bits, without its validation layers. scipy is imported on the
+    first call, so that importing the package does not load it."""
+    from scipy.linalg.lapack import dgtsv
+
+    for a in (sub, dia, sup, rhs):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(sub, dia, sup, rhs)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
-# A stiff trial iterate may overflow to inf or nan here; its residual then
-# fails the line search, so the warnings would only be noise on stderr.
+def _roundoff_floor(sub, dia, sup, values, rows: slice) -> float:
+    """eps_mach * max over the non-Dirichlet rows i of sum_j |J_ij| |V_j|."""
+    v = np.abs(values)
+    sums = np.abs(dia) * v
+    sums[1:] += np.abs(sub) * v[:-1]   # J[i, i-1] V[i-1]
+    sums[:-1] += np.abs(sup) * v[1:]   # J[i, i+1] V[i+1]
+    return _EPS_MACH * float(sums[rows].max())
+
+
+# A stiff iterate may overflow to inf or nan here and in the Jacobian; a
+# trial's residual then fails the line search, so the warnings would only
+# be noise on stderr.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _assemble(
-    values: np.ndarray,
-    grid: np.ndarray,
-    faces: np.ndarray,
-    vols: np.ndarray,
-    kind: OperatorKind,
-    params: ProblemParams,
-    f_vals: np.ndarray,
-    eps: float,
-    bc_left: Optional[float],
-    bc_right: float,
-):
-    """Residual vector and tridiagonal Jacobian in banded storage."""
-    n = grid.size
-    h = grid[1] - grid[0]
-    d = params.dim
-    gamma, lam, c_h = params.gamma, params.lam, params.c_h
-    left_dirichlet = bc_left is not None
-
-    slopes = np.diff(values) / h
-    area = faces[1:-1] ** (d - 1)
-    flux = area * np.asarray(kind.flux(slopes, eps), dtype=float)
-    dflux = area * np.asarray(kind.flux_derivative(slopes, eps), dtype=float) / h
-
+def _residual(values: np.ndarray, disc: _Discretization, eps: float):
+    """Residual vector and its max over the non-Dirichlet rows; one flux
+    evaluation."""
+    h = disc.h
+    flux = disc.area * np.asarray(disc.kind.flux((values[1:] - values[:-1]) / h, eps), dtype=float)
     # Centered slope at the interior nodes, the only rows with a gradient term.
     dv = (values[2:] - values[:-2]) / (2.0 * h)
-    ham = c_h * np.abs(dv) ** gamma
-    safe_dv = np.where(dv == 0.0, 1.0, dv)
+    vols, f_vals = disc.vols, disc.f_vals
+
+    R = np.empty(values.size)
+    # Interior balance: flux divergence plus reaction, Hamiltonian, source.
+    R[1:-1] = (
+        -(flux[1:] - flux[:-1]) / vols[1:-1] + disc.lam * values[1:-1]
+        + disc.c_h * np.abs(dv) ** disc.gamma - f_vals[1:-1]
+    )
+    if disc.bc_left is None:
+        # Zero flux through the left face; at r = 0 this is the symmetry
+        # condition and the Hamiltonian vanishes with the gradient.
+        R[0] = -flux[0] / vols[0] + disc.lam * values[0] - f_vals[0]
+    else:
+        R[0] = values[0] - disc.bc_left
+    R[-1] = values[-1] - disc.bc_right
+    return R, float(np.abs(R[disc.rows]).max())
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _jacobian(values: np.ndarray, disc: _Discretization, eps: float):
+    """Tridiagonal Jacobian as (sub, dia, sup), the layout of
+    ``solve_banded``; one flux-derivative evaluation."""
+    h, gamma, c_h = disc.h, disc.gamma, disc.c_h
+    dflux = disc.area * np.asarray(
+        disc.kind.flux_derivative((values[1:] - values[:-1]) / h, eps), dtype=float
+    ) / h
+    dv = (values[2:] - values[:-2]) / (2.0 * h)
+    flat = dv == 0.0
+    safe_dv = np.where(flat, 1.0, dv)
     dham = np.where(
-        dv == 0.0,
+        flat,
         0.0,
         c_h * gamma * np.abs(safe_dv) ** (gamma - 1.0) * np.sign(safe_dv),
     )
+    vols = disc.vols
 
-    R = np.empty(n)
-    # Interior balance: flux divergence plus reaction, Hamiltonian, source.
-    R[1:-1] = -(flux[1:] - flux[:-1]) / vols[1:-1] + lam * values[1:-1] + ham - f_vals[1:-1]
-
-    sub = np.zeros(n)   # J[i, i-1] stored at sub[i]
-    dia = np.zeros(n)
-    sup = np.zeros(n)   # J[i, i+1] stored at sup[i]
-
-    dia[1:-1] = (dflux[1:] + dflux[:-1]) / vols[1:-1] + lam
-    sub[1:-1] = -dflux[:-1] / vols[1:-1]
-    sup[1:-1] = -dflux[1:] / vols[1:-1]
+    # A Dirichlet row keeps its zero off-diagonal entries.
+    n = values.size
+    sub = np.zeros(n - 1)
+    dia = np.empty(n)
+    sup = np.zeros(n - 1)
+    dia[1:-1] = (dflux[1:] + dflux[:-1]) / vols[1:-1] + disc.lam
     # Centered Hamiltonian couples to both neighbors.
-    sub[1:-1] += dham * (-1.0 / (2.0 * h))
-    sup[1:-1] += dham * (+1.0 / (2.0 * h))
-
-    if left_dirichlet:
-        R[0] = values[0] - bc_left
-        dia[0] = 1.0
-    else:
-        # Zero flux through the left face; at r = 0 this is the symmetry
-        # condition and the Hamiltonian vanishes with the gradient.
-        R[0] = -flux[0] / vols[0] + lam * values[0] - f_vals[0]
-        dia[0] = dflux[0] / vols[0] + lam
+    sub[:-1] = -dflux[:-1] / vols[1:-1] + dham * (-1.0 / (2.0 * h))
+    sup[1:] = -dflux[1:] / vols[1:-1] + dham * (+1.0 / (2.0 * h))
+    if disc.bc_left is None:
+        dia[0] = dflux[0] / vols[0] + disc.lam
         sup[0] = -dflux[0] / vols[0]
-
-    R[-1] = values[-1] - bc_right
+    else:
+        dia[0] = 1.0
     dia[-1] = 1.0
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = dia
-    ab[2, :-1] = sub[1:]
-    mask = np.ones(n, dtype=bool)
-    mask[0] = not left_dirichlet
-    mask[-1] = False
-    return R, ab, mask
+    return sub, dia, sup
 
 
 def solve_radial_dirichlet(
@@ -297,8 +311,8 @@ def solve_radial_dirichlet(
         )
 
     grid = np.linspace(r_in, r_out, config.n_nodes)
-    faces, vols, f_vals = _discretize(grid, params.dim, f)
-    if not np.all(np.isfinite(f_vals)):
+    disc = _Discretization(grid, kind, params, f, bc_left, bc_right)
+    if not np.all(np.isfinite(disc.f_vals)):
         raise PreconditionViolation(
             "source term is not finite on the grid; singular sources need r_in > 0"
         )
@@ -308,35 +322,34 @@ def solve_radial_dirichlet(
     else:
         values = np.full(grid.size, float(bc_right))
 
-    def assemble(v, eps):
-        return _assemble(v, grid, faces, vols, kind, params, f_vals, eps, bc_left, bc_right)
-
     iterations = 0
     for eps in _schedule(kind):
         # Intermediate stages only warm-start the next one; failure to
         # fully converge there is harmless.
-        R, ab, mask = assemble(values, eps)
+        R, norm = _residual(values, disc, eps)
         converged = False
         for _ in range(config.max_iter):
-            res_norm = float(np.max(np.abs(R[mask])))
-            floor = _roundoff_floor(ab, values, mask)
+            # res_norm is the residual of the last test, which the failure
+            # message reports.
+            res_norm = norm
+            sub, dia, sup = _jacobian(values, disc, eps)
+            floor = _roundoff_floor(sub, dia, sup, values, disc.rows)
             if res_norm <= config.newton_tol + floor:
                 converged = True
                 break
-            step = solve_banded((1, 1), ab, -R)
+            step = solve_banded(sub, dia, sup, -R)
             iterations += 1
             scale = 1.0
             for _ in range(_LINE_SEARCH_HALVINGS):
                 trial = values + scale * step
-                trial_out = assemble(trial, eps)
-                if float(np.max(np.abs(trial_out[0][mask]))) < res_norm:
+                trial_R, trial_norm = _residual(trial, disc, eps)
+                if trial_norm < res_norm:
                     break
                 scale *= 0.5
             else:
                 break
-            # The accepted trial's assembly serves the next step.
-            values = trial
-            R, ab, _ = trial_out
+            # The accepted trial's residual serves the next step.
+            values, R, norm = trial, trial_R, trial_norm
     if not converged:
         raise NoConvergence(
             f"Newton stalled at residual {res_norm:.3e} "
@@ -358,9 +371,6 @@ def solve_radial_dirichlet(
 
 def solution_residual(sol: DiscreteRadialSolution, f: Callable) -> float:
     """Max discrete residual of a solution, excluding Dirichlet rows."""
-    faces, vols, f_vals = _discretize(sol.grid, sol.params.dim, f)
-    R, _, mask = _assemble(
-        sol.values, sol.grid, faces, vols, sol.kind, sol.params, f_vals,
-        sol.meta["eps_final"], sol.meta["bc_left"], sol.meta["bc_right"],
-    )
-    return float(np.max(np.abs(R[mask])))
+    meta = sol.meta
+    disc = _Discretization(sol.grid, sol.kind, sol.params, f, meta["bc_left"], meta["bc_right"])
+    return _residual(sol.values, disc, meta["eps_final"])[1]

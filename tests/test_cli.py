@@ -282,6 +282,17 @@ def test_manifold_euclidean_and_exponential(capsys):
     assert report["results"]["mechanism"] == "AREA_INTEGRAL_CONVERGES"
 
 
+@pytest.mark.parametrize("beta", ["1e307", "1e308"])
+def test_manifold_huge_power_area_converges(capsys, beta):
+    # at beta = 1e308 the threshold (beta + 1)(p - 1)/beta overflows
+    rc, report, _ = run_cli(
+        capsys, "manifold", "--profile", f"power:1,{beta}", "--p", "3", "--gamma", "2.5"
+    )
+    assert rc == 0
+    assert report["results"]["verdict"] == "INCONCLUSIVE"
+    assert report["results"]["mechanism"] == "AREA_INTEGRAL_CONVERGES"
+
+
 def test_manifold_numeric_mode(capsys):
     rc, report, _ = run_cli(
         capsys, "manifold", "--profile", "power:1,2", "--p", "2",

@@ -184,6 +184,9 @@ def test_power_area_divergence_predicate():
     assert power_area_diverges(2.0, 2.0, 1.5)
     assert not power_area_diverges(2.0, 2.0, 1.5 + 1e-12)
     assert power_area_diverges(0.0, 2.0, 100.0) and power_area_diverges(1e-17, 2.0, 100.0)
+    # (beta + 1)(p - 1) overflows for beta = 1e308; the threshold is then
+    # read without the overflow, just above p - 1 = 2
+    assert not power_area_diverges(1e308, 3.0, 2.5) and not power_area_diverges(1e307, 3.0, 2.5)
     # Every threshold comparison reads params._critical_gamma, so on the tie
     # grid each verdict, regime and sweep row follows from gamma <= gamma_star.
     grid = _tie_grid()

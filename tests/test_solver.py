@@ -9,7 +9,12 @@ import pytest
 from pdi_lab import solver
 from pdi_lab.errors import IllPosedBoundary, NoConvergence, PreconditionViolation
 from pdi_lab.params import ProblemParams
-from pdi_lab.radial import MeanCurvature, PLaplacian, sharpness_profile
+from pdi_lab.radial import (
+    GeneralizedMeanCurvature,
+    MeanCurvature,
+    PLaplacian,
+    sharpness_profile,
+)
 from pdi_lab.solver import (
     RadialPowerSource,
     SampledSource,
@@ -119,8 +124,7 @@ def test_mean_curvature_constant_and_smooth_solve():
 
 def test_solution_residual_matches_meta():
     sol = solve_quadratic(128)
-    res = solution_residual(sol, quadratic_source)
-    assert abs(res - sol.meta["final_residual"]) <= 1e-12
+    assert solution_residual(sol, quadratic_source) == sol.meta["final_residual"]
 
 
 def test_residual_detects_perturbation():
@@ -246,20 +250,26 @@ def test_zero_tolerance_ends_at_roundoff():
 
 
 def test_each_iterate_is_assembled_once(monkeypatch):
-    """One assembly per eps stage plus one per line-search trial: an
-    accepted trial's residual and Jacobian serve the next Newton step."""
-    calls, steps = [], []
-    assemble, banded = solver._assemble, solver.solve_banded
+    """One residual per eps stage plus one per line-search trial, and one
+    Jacobian per Newton test, formed at the current iterate: a rejected
+    trial never builds a Jacobian."""
+    events = []  # ("R" | "J" | "step", eps, iterate)
+    residual, jacobian, banded = solver._residual, solver._jacobian, solver.solve_banded
 
-    def counting_assemble(values, *args):
-        calls.append((args[6], values.copy()))  # (eps, iterate)
-        return assemble(values, *args)
+    def counting_residual(values, disc, eps):
+        events.append(("R", eps, values.copy()))
+        return residual(values, disc, eps)
+
+    def counting_jacobian(values, disc, eps):
+        events.append(("J", eps, values.copy()))
+        return jacobian(values, disc, eps)
 
     def counting_banded(*args):
-        steps.append(1)
+        events.append(("step", None, None))
         return banded(*args)
 
-    monkeypatch.setattr(solver, "_assemble", counting_assemble)
+    monkeypatch.setattr(solver, "_residual", counting_residual)
+    monkeypatch.setattr(solver, "_jacobian", counting_jacobian)
     monkeypatch.setattr(solver, "solve_banded", counting_banded)
     prof = sharpness_profile(3, 2.0, 4.0)
     runs = [
@@ -271,18 +281,84 @@ def test_each_iterate_is_assembled_once(monkeypatch):
         ),
     ]
     for run in runs:
-        calls.clear()
-        steps.clear()
+        events.clear()
         sol = run()
         stages = len(solver._schedule(sol.kind))
-        # a trial is a point after its stage's first assembly that differs
-        # from the point assembled just before it
+        residuals = [(eps, v) for tag, eps, v in events if tag == "R"]
+        # a trial is a point after its stage's first residual that differs
+        # from the point evaluated just before it
         trials = sum(
-            1 for (eps0, v0), (eps, v) in zip(calls, calls[1:])
+            1 for (eps0, v0), (eps, v) in zip(residuals, residuals[1:])
             if eps == eps0 and not np.array_equal(v, v0)
         )
-        assert len(calls) == stages + trials
-        assert trials >= len(steps) == sol.meta["iterations"] > 0
+        assert len(residuals) == stages + trials
+        jacobians = [i for i, (tag, _, _) in enumerate(events) if tag == "J"]
+        steps = [tag for tag, _, _ in events].count("step")
+        assert trials >= steps == sol.meta["iterations"] > 0
+        # A test that passes ends its stage without a step; every stage of
+        # these runs ends that way.
+        passed = sum(1 for i in jacobians if i + 1 == len(events) or events[i + 1][0] != "step")
+        assert passed == stages
+        assert len(jacobians) == sol.meta["iterations"] + passed
+        for i in jacobians:
+            # at the point of the residual just before it: the stage's
+            # start or an accepted trial
+            tag, eps, v = events[i - 1]
+            assert tag == "R" and eps == events[i][1] and np.array_equal(v, events[i][2])
+
+
+def _jacobian_cases():
+    """(sub, dia, sup, rhs) of real Newton systems: each operator at a
+    non-trivial iterate, with a zero-flux and with a Dirichlet left end."""
+    kinds = (
+        (PLaplacian(1.5), 1.2), (PLaplacian(3.0), 2.5),
+        (MeanCurvature(), 1.5), (GeneralizedMeanCurvature(4.0), 2.5),
+    )
+    for kind, gamma in kinds:
+        params = ProblemParams(dim=3, p=kind.p, gamma=gamma)
+        for domain, bc_left in (((0.0, 1.0), None), ((0.25, 1.0), 0.9)):
+            grid = np.linspace(domain[0], domain[1], 64)
+            disc = solver._Discretization(
+                grid, kind, params, RadialPowerSource(2.0, 0.0), bc_left, 0.0
+            )
+            values = 1.0 - grid**2 + 0.01 * np.sin(7.0 * grid)
+            R, _ = solver._residual(values, disc, 1e-4)
+            yield (*solver._jacobian(values, disc, 1e-4), -R)
+
+
+def test_solve_banded_is_bit_identical_to_scipy():
+    from scipy.linalg import solve_banded as scipy_banded
+
+    for sub, dia, sup, rhs in _jacobian_cases():
+        ab = np.zeros((3, dia.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup, dia, sub
+        assert np.array_equal(solver.solve_banded(sub, dia, sup, rhs), scipy_banded((1, 1), ab, rhs))
+
+
+def test_solve_banded_keeps_scipys_guards():
+    sub, dia, sup, rhs = next(_jacobian_cases())
+    for k in range(4):
+        for bad in (math.inf, math.nan):
+            args = [a.copy() for a in (sub, dia, sup, rhs)]
+            args[k][3] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solver.solve_banded(*args)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solver.solve_banded(np.zeros_like(sub), np.zeros_like(dia), sup, rhs)
+
+
+@pytest.mark.parametrize("kind,gamma", [
+    (PLaplacian(1.5), 1.2), (PLaplacian(3.0), 2.5), (GeneralizedMeanCurvature(4.0), 1.5),
+])
+@pytest.mark.parametrize("domain,bc_left", [((0.0, 1.0), None), ((0.25, 1.0), 0.5)])
+def test_solution_residual_is_the_final_residual(kind, gamma, domain, bc_left):
+    # the solver's test and solution_residual evaluate the same residual
+    f = RadialPowerSource(1.0, 0.0)
+    sol = solve_radial_dirichlet(
+        kind, ProblemParams(dim=3, p=kind.p, gamma=gamma), f, domain, bc_left, 0.0,
+        config=SolverConfig(n_nodes=128),
+    )
+    assert solution_residual(sol, f) == sol.meta["final_residual"]
 
 
 def test_sampled_source_interpolates():

@@ -19,7 +19,9 @@ randomness is seeded, so identical invocations produce byte-identical
 output; floats are serialized with shortest round-trip precision (up to
 17 significant digits).
 
-``sweep`` writes CSV (stdout or --out) over a parameter grid.
+``sweep`` writes CSV (stdout or --out) over a parameter grid, its rows
+sorted by parameters and computed in one array pass over the grid; a NaN
+in any of its lists exits 2.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from .errors import (
 )
 from .params import (
     INFINITY,
-    LiouvilleRegime,
     ProblemParams,
+    _critical_gamma,
+    _energy_arm,
     _gradient_arm,
     classify_regime,
     exponent_report,
@@ -185,13 +188,16 @@ def _witness(args):
 
 
 def _parse_value_list(text: str):
-    """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive)."""
+    """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive).
+    NaN has no place in the sorted grid and is rejected; inf is allowed."""
     is_range = ":" in text
     try:
         values = [float(x) for x in text.split(":" if is_range else ",")]
     except ValueError:
         raise PreconditionViolation(f"malformed value list {text!r}") from None
     if not is_range:
+        if any(map(math.isnan, values)):
+            raise PreconditionViolation(f"value lists must not contain NaN, got {text!r}")
         return values
     if len(values) != 3:
         raise PreconditionViolation(f"range syntax is start:stop:step, got {text!r}")
@@ -492,28 +498,46 @@ _SWEEP_HEADER = (
 )
 
 
-def _sweep_row(point):
-    """(alpha, s, gamma_star, growth_regime, liouville_regime, verdict)
-    cells for one grid point; an inadmissible point is INVALID."""
-    dim, p, gamma, q = point
-    try:
-        params = ProblemParams(dim=dim, p=p, gamma=gamma, q=q)
-        rep = exponent_report(params)
-    except PreconditionViolation:
-        return point + ("", "", "", "", "", "INVALID")
-    alpha = "" if rep.alpha is None else repr(rep.alpha)
-    if rep.gamma_star is None:
-        return point + (alpha, repr(rep.s), "", "", "", "INVALID")
-    regime = classify_regime(params)
-    verdict = "NO_LIOUVILLE" if regime.liouville is LiouvilleRegime.SUPERCRITICAL else "LIOUVILLE"
-    return point + (
-        alpha,
-        repr(rep.s),
-        repr(rep.gamma_star),
-        regime.growth.value,
-        regime.liouville.value,
-        verdict,
+def _sweep_rows(points):
+    """Each (dim, p, gamma, q) point with integer dim, followed by its
+    (alpha, s, gamma_star, growth_regime, liouville_regime, verdict) cells,
+    computed in one float64 pass over all points. The cells are those of
+    ``exponent_report`` and ``classify_regime`` for ``ProblemParams(dim, p,
+    gamma, q=q)``; an inadmissible point is INVALID."""
+    d, p, gamma, q = np.array(points, dtype=float).reshape(-1, 4).T
+    # An inadmissible point may divide by zero; its numbers are never read.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dim_over_q = d / q  # exactly 0 at q = inf
+        # ProblemParams.__post_init__ with the default lam, c_h and nu, then
+        # the guards of exponent_report.
+        valid = (d >= 2) & (1 < p) & (p < INFINITY) & (p - 1 < gamma) & (gamma < INFINITY)
+        valid &= q >= 1
+        has_alpha = valid & (gamma > p) & (dim_over_q < gamma)
+        has_star = valid & (p < d)  # a valid p exceeds 1
+        # _select's tie rule: a tie returns the integrability arm.
+        integrability, gradient = 1 - dim_over_q / gamma, _gradient_arm(p, gamma)
+        alpha = np.where(integrability <= gradient, integrability, gradient)
+        energy = _energy_arm(p, gamma)
+        s = np.where(dim_over_q < energy, energy, dim_over_q)
+        star = _critical_gamma(d, p)
+    growth = np.where(gamma > p, "supernatural", "subnatural")
+    liouville = np.where(
+        gamma < star, "subcritical", np.where(gamma == star, "critical", "supercritical")
     )
+    verdict = np.where(liouville == "supercritical", "NO_LIOUVILLE", "LIOUVILLE")
+    invalid = ~has_star
+    for column in (growth, liouville):
+        column[invalid] = ""
+    verdict[invalid] = "INVALID"
+    cells = zip(
+        [repr(a) if ok else "" for a, ok in zip(alpha.tolist(), has_alpha.tolist())],
+        [repr(v) if ok else "" for v, ok in zip(s.tolist(), valid.tolist())],
+        [repr(v) if ok else "" for v, ok in zip(star.tolist(), has_star.tolist())],
+        growth.tolist(),
+        liouville.tolist(),
+        verdict.tolist(),
+    )
+    return list(map(tuple.__add__, points, cells))
 
 
 def _cmd_sweep(args):
@@ -526,7 +550,7 @@ def _cmd_sweep(args):
     points = sorted(
         (int(d), p, g, q) for d in dims for p in ps for g in gammas for q in qs
     )
-    rows = [_sweep_row(pt) for pt in points]
+    rows = _sweep_rows(points)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -6,10 +6,11 @@ Solves the two-point boundary problem
 
 on an interval [r_in, r_out], with a Dirichlet value at r_out and either
 a Dirichlet value or a zero-flux condition at r_in. The flux a_eps is the
-operator kind's regularized flux. The Laplacian and the mean-curvature
-flux are solved at eps = 1e-10 directly; the other kinds are continued
-through the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, each
-stage warm-starting the next.
+operator kind's regularized flux. The kinds whose flux derivative stays
+positive at zero slope (the p-Laplacian with p <= 2, mean curvature,
+gmc with k = 2) are solved at eps = 1e-10 directly; the degenerate kinds
+are continued through the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8,
+1e-10, each stage warm-starting the next.
 
 Each Newton step starts with the one convergence test: the max residual
 over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
@@ -46,7 +47,13 @@ import numpy as np
 
 from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
 from .params import ProblemParams
-from .radial import MeanCurvature, OperatorKind, PLaplacian, _checked_samples
+from .radial import (
+    GeneralizedMeanCurvature,
+    MeanCurvature,
+    OperatorKind,
+    PLaplacian,
+    _checked_samples,
+)
 
 __all__ = [
     "SourceTerm",
@@ -141,12 +148,13 @@ _LINE_SEARCH_HALVINGS = 30
 
 
 def _schedule(kind: OperatorKind) -> tuple:
-    # The Laplacian and the plain mean-curvature flux are uniformly
-    # smooth; a single stage at the final eps suffices.
-    smooth = isinstance(kind, MeanCurvature) or (
-        isinstance(kind, PLaplacian) and kind.p == 2.0
-    )
-    return _CONTINUATION[-1:] if smooth else _CONTINUATION
+    # A kind whose regularized flux derivative stays positive at zero slope
+    # (the p-Laplacian with p <= 2, mean curvature, gmc with k = 2) is not
+    # degenerate there; a single stage at the final eps suffices.
+    nondegenerate = isinstance(kind, MeanCurvature) or (
+        isinstance(kind, PLaplacian) and kind.p <= 2.0
+    ) or (isinstance(kind, GeneralizedMeanCurvature) and kind.k == 2.0)
+    return _CONTINUATION[-1:] if nondegenerate else _CONTINUATION
 
 
 @dataclass(eq=False)
@@ -329,12 +337,9 @@ def solve_radial_dirichlet(
         R, norm = _residual(values, disc, eps)
         converged = False
         for _ in range(config.max_iter):
-            # res_norm is the residual of the last test, which the failure
-            # message reports.
-            res_norm = norm
             sub, dia, sup = _jacobian(values, disc, eps)
             floor = _roundoff_floor(sub, dia, sup, values, disc.rows)
-            if res_norm <= config.newton_tol + floor:
+            if norm <= config.newton_tol + floor:
                 converged = True
                 break
             step = solve_banded(sub, dia, sup, -R)
@@ -343,7 +348,7 @@ def solve_radial_dirichlet(
             for _ in range(_LINE_SEARCH_HALVINGS):
                 trial = values + scale * step
                 trial_R, trial_norm = _residual(trial, disc, eps)
-                if trial_norm < res_norm:
+                if trial_norm < norm:
                     break
                 scale *= 0.5
             else:
@@ -352,13 +357,13 @@ def solve_radial_dirichlet(
             values, R, norm = trial, trial_R, trial_norm
     if not converged:
         raise NoConvergence(
-            f"Newton stalled at residual {res_norm:.3e} "
+            f"Newton stalled at residual {norm:.3e} "
             f"(tol {config.newton_tol:.1e}) at eps={eps:.1e}"
         )
 
     meta = {
         "iterations": iterations,
-        "final_residual": res_norm,
+        "final_residual": norm,
         "roundoff_floor": floor,
         "eps_final": eps,
         "bc_left": bc_left,

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pdi_lab
-from pdi_lab.cli import COMMANDS, REQUIRED, RunReport, main, run
+from pdi_lab.cli import COMMANDS, REQUIRED, RunReport, _sweep_rows, main, run
+from pdi_lab.errors import PreconditionViolation
+from pdi_lab.params import LiouvilleRegime, ProblemParams, classify_regime, exponent_report
 
 
 def run_cli(capsys, *argv):
@@ -371,6 +373,51 @@ def test_sweep_range_syntax_and_outfile(capsys, tmp_path):
     assert [r["gamma"] for r in rows] == ["1.2", "1.4", "1.6", "1.8", "2.0"]
 
 
+def _reference_sweep_row(point):
+    """The cells of one sweep point from its own reports, point by point."""
+    dim, p, gamma, q = point
+    try:
+        params = ProblemParams(dim=dim, p=p, gamma=gamma, q=q)
+    except PreconditionViolation:
+        return point + ("", "", "", "", "", "INVALID")
+    rep = exponent_report(params)
+    alpha = "" if rep.alpha is None else repr(rep.alpha)
+    if rep.gamma_star is None:
+        return point + (alpha, repr(rep.s), "", "", "", "INVALID")
+    regime = classify_regime(params)
+    verdict = "NO_LIOUVILLE" if regime.liouville is LiouvilleRegime.SUPERCRITICAL else "LIOUVILLE"
+    return point + (
+        alpha, repr(rep.s), repr(rep.gamma_star), regime.growth.value, regime.liouville.value,
+        verdict,
+    )
+
+
+def test_sweep_rows_match_the_per_point_reports():
+    inf = math.inf
+    edges = [-inf, -1.0, 0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), 1.0000001, 1.5,
+             math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0), 2.5, 3.0, 4.0, 7.5, 1e300, inf]
+    gammas = sorted(set(edges + [p - 1 for p in edges] + [0.6, 1.2, 4 / 3, 2.25, 5.0, 1e3]))
+    # q = 9/4 ties both arms of alpha and of s at (3, 2, 4, q)
+    points = [
+        (dim, p, gamma, q)
+        for dim in range(11) for p in edges for gamma in gammas
+        for q in (-inf, 0.5, 1.0, 2.0, 2.25, 6.0, 1e300, inf)
+    ]
+    # gamma at gamma* and at both of its float neighbours
+    for dim in range(2, 11):
+        for k in range(101, 100 * dim, 2):
+            p = k / 100
+            star = dim * (p - 1) / (dim - 1)
+            for gamma in (math.nextafter(star, 0.0), star, math.nextafter(star, inf)):
+                points += [(dim, p, gamma, inf), (dim, p, gamma, 4.0)]
+    rows = _sweep_rows(points)
+    assert rows == [_reference_sweep_row(point) for point in points]
+    assert len(points) >= 50_000
+    assert sum(row[8] == "critical" for row in rows) >= 4_000
+    assert sum(row[9] == "INVALID" for row in rows) >= 20_000
+    assert sum(row[4] != "" for row in rows) >= 4_000
+
+
 SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]
 
 
@@ -421,6 +468,11 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["sweep", "--dim", "2.5", "--p", "2", "--gamma", "3"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "0:inf:1"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "1:3:inf"],
+        # Sorting has no order for NaN, so a NaN in any list is refused.
+        ["sweep", "--dim", "3,nan", "--p", "2", "--gamma", "3"],
+        ["sweep", "--dim", "3", "--p", "nan,2", "--gamma", "3,nan,1.5"],
+        ["sweep", "--dim", "3", "--p", "2,nan", "--gamma", "1.5,nan,3"],
+        ["sweep", "--dim", "3", "--p", "2", "--gamma", "3", "--q", "inf,nan"],
         ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--seed=-1"],
         ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8", "--grid-max=-inf"],
         SOLVE + ["--bc-right", "0", "--source", "file:{typo_csv}"],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdi_lab import liouville, params
-from pdi_lab.cli import _sweep_row
+from pdi_lab.cli import _sweep_rows
 from pdi_lab.errors import DomainExceeded, NoAdmissibleScale, PreconditionViolation
 from pdi_lab.liouville import (
     EuclideanArea,
@@ -190,15 +190,15 @@ def test_power_area_divergence_predicate():
     # Every threshold comparison reads params._critical_gamma, so on the tie
     # grid each verdict, regime and sweep row follows from gamma <= gamma_star.
     grid = _tie_grid()
+    rows = _sweep_rows([(dim, p, gamma, math.inf) for dim, p, gamma, _ in grid])
     disagree = []
-    for dim, p, gamma, star in grid:
+    for (dim, p, gamma, star), row in zip(grid, rows):
         constant = gamma <= star
         try:
             classified = liouville_classify_euclidean(dim, p, gamma).verdict is Verdict.LIOUVILLE
         except NoAdmissibleScale:  # no representable bump scale, only above gamma_star
             classified = False
         regime = classify_regime(ProblemParams(dim=dim, p=p, gamma=gamma)).liouville
-        row = _sweep_row((dim, p, gamma, math.inf))
         agree = (
             classified == constant
             and area_condition_test(EuclideanArea(dim), p, gamma) is _AREA[constant]

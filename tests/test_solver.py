@@ -184,7 +184,9 @@ def test_singular_source_needs_positive_inner_radius():
 def test_no_convergence_is_reported():
     prof = sharpness_profile(3, 2.0, 4.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
-    with pytest.raises(NoConvergence):
+    # The message names the residual of the iterate the solve stopped at,
+    # the one its single accepted step reached.
+    with pytest.raises(NoConvergence, match=r"stalled at residual 5\.725e\+00 "):
         solve_radial_dirichlet(
             PLaplacian(2.0), params, ZeroSource(), (0.25, 1.0),
             bc_left=-prof.value(0.25), bc_right=0.0,
@@ -204,10 +206,13 @@ def test_config_validation():
 def test_continuation_schedule_shape():
     final = solver._schedule(PLaplacian(2.0))
     assert len(final) == 1 and 0 < final[0] <= 1e-8
-    assert solver._schedule(MeanCurvature()) == final
-    staged = solver._schedule(PLaplacian(3.0))
-    assert staged[-1] == final[0]
-    assert len(staged) > 1
+    # Every kind whose flux derivative stays positive at zero slope
+    for kind in (MeanCurvature(), PLaplacian(1.5), GeneralizedMeanCurvature(2.0)):
+        assert solver._schedule(kind) == final
+    for kind in (PLaplacian(3.0), GeneralizedMeanCurvature(4.0)):
+        staged = solver._schedule(kind)
+        assert staged[-1] == final[0]
+        assert len(staged) > 1
     assert all(b < a for a, b in zip(staged, staged[1:]))
 
 

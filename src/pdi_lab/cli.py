@@ -20,8 +20,8 @@ output; floats are serialized with shortest round-trip precision (up to
 17 significant digits).
 
 ``sweep`` writes CSV (stdout or --out) over a parameter grid, its rows
-sorted by parameters and computed in one array pass over the grid; a NaN
-in any of its lists exits 2.
+sorted by parameters and computed in one array pass over the grid (one
+``ParamGrid`` report); a NaN in any of its lists exits 2.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ from .errors import (
 )
 from .params import (
     INFINITY,
+    LiouvilleRegime,
+    ParamGrid,
     ProblemParams,
-    _critical_gamma,
-    _energy_arm,
     _gradient_arm,
     classify_regime,
     exponent_report,
@@ -500,44 +500,31 @@ _SWEEP_HEADER = (
 
 def _sweep_rows(points):
     """Each (dim, p, gamma, q) point with integer dim, followed by its
-    (alpha, s, gamma_star, growth_regime, liouville_regime, verdict) cells,
-    computed in one float64 pass over all points. The cells are those of
-    ``exponent_report`` and ``classify_regime`` for ``ProblemParams(dim, p,
-    gamma, q=q)``; an inadmissible point is INVALID."""
+    (alpha, s, gamma_star, growth_regime, liouville_regime, verdict) cells:
+    the ``exponent_report`` and ``classify_regime`` of ``ProblemParams(dim,
+    p, gamma, q=q)``, taken for all points at once through one ParamGrid. A
+    point with no gamma_star, admissible or not, is INVALID."""
     d, p, gamma, q = np.array(points, dtype=float).reshape(-1, 4).T
-    # An inadmissible point may divide by zero; its numbers are never read.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dim_over_q = d / q  # exactly 0 at q = inf
-        # ProblemParams.__post_init__ with the default lam, c_h and nu, then
-        # the guards of exponent_report.
-        valid = (d >= 2) & (1 < p) & (p < INFINITY) & (p - 1 < gamma) & (gamma < INFINITY)
-        valid &= q >= 1
-        has_alpha = valid & (gamma > p) & (dim_over_q < gamma)
-        has_star = valid & (p < d)  # a valid p exceeds 1
-        # _select's tie rule: a tie returns the integrability arm.
-        integrability, gradient = 1 - dim_over_q / gamma, _gradient_arm(p, gamma)
-        alpha = np.where(integrability <= gradient, integrability, gradient)
-        energy = _energy_arm(p, gamma)
-        s = np.where(dim_over_q < energy, energy, dim_over_q)
-        star = _critical_gamma(d, p)
-    growth = np.where(gamma > p, "supernatural", "subnatural")
-    liouville = np.where(
-        gamma < star, "subcritical", np.where(gamma == star, "critical", "supercritical")
+    grid = ParamGrid(d, p, gamma, q=q)
+    rep, regime = exponent_report(grid), classify_regime(grid)
+    verdict = np.where(
+        regime.liouville == LiouvilleRegime.SUPERCRITICAL.value, "NO_LIOUVILLE", "LIOUVILLE"
     )
-    verdict = np.where(liouville == "supercritical", "NO_LIOUVILLE", "LIOUVILLE")
-    invalid = ~has_star
-    for column in (growth, liouville):
-        column[invalid] = ""
-    verdict[invalid] = "INVALID"
+    verdict[regime.liouville == ""] = "INVALID"
     cells = zip(
-        [repr(a) if ok else "" for a, ok in zip(alpha.tolist(), has_alpha.tolist())],
-        [repr(v) if ok else "" for v, ok in zip(s.tolist(), valid.tolist())],
-        [repr(v) if ok else "" for v, ok in zip(star.tolist(), has_star.tolist())],
-        growth.tolist(),
-        liouville.tolist(),
+        map(_cell, rep.alpha.tolist()),
+        map(_cell, rep.s.tolist()),
+        map(_cell, rep.gamma_star.tolist()),
+        regime.growth.tolist(),
+        regime.liouville.tolist(),
         verdict.tolist(),
     )
     return list(map(tuple.__add__, points, cells))
+
+
+def _cell(value: float) -> str:
+    """A sweep number as its repr, or empty where the report has none."""
+    return "" if math.isnan(value) else repr(value)
 
 
 def _cmd_sweep(args):

@@ -24,7 +24,11 @@ case dim/q is exactly 0 and no rounding enters the branch selection.
 
 Each formula is written once, here, and read by every other module: every
 decision whether gamma lies above gamma_star compares gamma with the one
-float ``_critical_gamma`` returns.
+float ``_critical_gamma`` returns. The formulas, the admissibility tests
+and the tie rule of the min and max are plain arithmetic and comparisons,
+so they also apply elementwise to arrays: ``exponent_report`` and
+``classify_regime`` take a ``ParamGrid`` of many points as well as one
+``ProblemParams``, and answer with arrays of the same fields.
 
 The dimension field doubles as a homogeneous dimension: substituting the
 homogeneous dimension of a stratified group for ``dim`` evaluates the
@@ -36,12 +40,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from .errors import PreconditionViolation
 
 __all__ = [
     "INFINITY",
     "ProblemParams",
+    "ParamGrid",
     "Branch",
     "GrowthRegime",
     "LiouvilleRegime",
@@ -58,17 +66,37 @@ __all__ = [
 INFINITY = math.inf
 
 
+# Admissibility of each field, elementwise on arrays: ProblemParams raises
+# where one fails, ParamGrid marks the point invalid. nan fails every test.
+
+
+def _dim_ok(dim):
+    """A dimension is a finite integer >= 2."""
+    return (2 <= dim) & (dim < INFINITY) & (dim % 1 == 0)
+
+
+def _p_ok(p):
+    return (1 < p) & (p < INFINITY)
+
+
+def _gamma_ok(p, gamma):
+    return (p - 1 < gamma) & (gamma < INFINITY)
+
+
+def _q_ok(q):
+    return q >= 1
+
+
 def _check_dim(dim) -> None:
-    """A dimension is a finite integer >= 2 (nan and inf fail the chain)."""
-    if not (2 <= dim < INFINITY and int(dim) == dim):
+    if not _dim_ok(dim):
         raise PreconditionViolation(f"dim must be an integer >= 2, got {dim}")
 
 
 def _check_exponents(p, gamma) -> None:
     """Finite growth orders with p > 1 and gamma > p - 1."""
-    if not 1 < p < INFINITY:
+    if not _p_ok(p):
         raise PreconditionViolation(f"p must be finite and exceed 1, got {p}")
-    if not p - 1 < gamma < INFINITY:
+    if not _gamma_ok(p, gamma):
         raise PreconditionViolation(
             f"gamma must be finite and exceed p - 1 = {p - 1}, got {gamma}"
         )
@@ -104,7 +132,7 @@ class ProblemParams:
             raise PreconditionViolation(f"c_h must be finite and positive, got {self.c_h}")
         if not (math.isfinite(self.nu) and self.nu > 0):
             raise PreconditionViolation(f"nu must be finite and positive, got {self.nu}")
-        if not self.q >= 1:
+        if not _q_ok(self.q):
             raise PreconditionViolation(f"q must be >= 1 or INFINITY, got {self.q}")
 
     @property
@@ -114,6 +142,35 @@ class ProblemParams:
         if self.q == INFINITY:
             return 0
         return self.dim / self.q
+
+
+@dataclass(frozen=True, eq=False)
+class ParamGrid:
+    """Many (dim, p, gamma, q) points at once, as float64 arrays that
+    broadcast together, one point per element; lam, c_h and nu, which no
+    exponent reads, take the ProblemParams defaults.
+
+    Where ProblemParams would raise, the point is kept and ``valid`` is
+    False there; ``exponent_report`` and ``classify_regime`` then give it
+    no values.
+    """
+
+    dim: np.ndarray
+    p: np.ndarray
+    gamma: np.ndarray
+    q: np.ndarray = INFINITY
+
+    def __post_init__(self):
+        for name in ("dim", "p", "gamma", "q"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        """The points ``ProblemParams(dim, p, gamma, q=q)`` accepts."""
+        with np.errstate(invalid="ignore"):  # inf % 1
+            return (
+                _dim_ok(self.dim) & _p_ok(self.p) & _gamma_ok(self.p, self.gamma) & _q_ok(self.q)
+            )
 
 
 class Branch(Enum):
@@ -145,8 +202,11 @@ class Regime:
 class ExponentReport:
     """Holder exponent, energy exponent and threshold for one parameter tuple.
 
-    alpha is None when gamma <= p (no interior Holder estimate in that range);
-    s and gamma_star are defined whenever the parameter tuple itself is valid.
+    alpha is None when gamma <= p or q <= dim/gamma (no interior Holder
+    estimate there) and gamma_star is None unless 1 < p < dim; s is defined
+    whenever the parameter tuple itself is valid. The report of a ParamGrid
+    holds arrays: NaN for None and for every number of an invalid point,
+    and the Branch values as strings, '' where the number is NaN.
     """
 
     alpha: float | None
@@ -176,14 +236,39 @@ def _growth_gap(dim, p, gamma):
     return (dim - 1) * (gamma - _critical_gamma(dim, p)) / (gamma - (p - 1))
 
 
+def _has_holder(p, gamma, dim_over_q):
+    """The range of the Holder exponent: gamma > p and q > dim/gamma."""
+    return (gamma > p) & (dim_over_q < gamma)
+
+
+def _has_threshold(dim, p):
+    """The range of gamma_star: 1 < p < dim."""
+    return (1 < p) & (p < dim)
+
+
+def _integrability_wins(integrability_arm, gradient_arm, pick_min: bool):
+    """Whether the min (pick_min) or max is the integrability arm; it wins
+    a tie, as min and max do."""
+    if pick_min:
+        return integrability_arm <= gradient_arm
+    return gradient_arm <= integrability_arm
+
+
 def _select(integrability_arm, gradient_arm, pick_min: bool):
-    """The smaller (pick_min) or larger arm, with the Branch that gave it;
-    a tie returns the integrability arm, as min and max do."""
+    """The smaller (pick_min) or larger arm, with the Branch that gave it."""
     if integrability_arm == gradient_arm:
         return integrability_arm, Branch.BOTH
-    if (integrability_arm < gradient_arm) == pick_min:
+    if _integrability_wins(integrability_arm, gradient_arm, pick_min):
         return integrability_arm, Branch.INTEGRABILITY
     return gradient_arm, Branch.GRADIENT
+
+
+def _select_each(integrability_arm, gradient_arm, pick_min: bool):
+    """``_select`` on arrays of arms: the values, and the Branch values."""
+    wins = _integrability_wins(integrability_arm, gradient_arm, pick_min)
+    branch = np.where(wins, Branch.INTEGRABILITY.value, Branch.GRADIENT.value)
+    branch[integrability_arm == gradient_arm] = Branch.BOTH.value
+    return np.where(wins, integrability_arm, gradient_arm), branch
 
 
 def _holder(params: ProblemParams):
@@ -237,14 +322,17 @@ def liouville_threshold(dim, p):
     return _critical_gamma(dim, p)
 
 
-def exponent_report(params: ProblemParams) -> ExponentReport:
-    """Bundle the three exponents with branch tags for one parameter tuple."""
+def exponent_report(params: ProblemParams | ParamGrid) -> ExponentReport:
+    """Bundle the three exponents with branch tags for one parameter tuple,
+    or for every point of a ParamGrid."""
+    if isinstance(params, ParamGrid):
+        return _grid_report(params)
     s, s_branch = _caccioppoli(params)
     alpha = alpha_branch = None
-    if params.gamma > params.p and params.dim_over_q < params.gamma:
+    if _has_holder(params.p, params.gamma, params.dim_over_q):
         alpha, alpha_branch = _holder(params)
     gamma_star = None
-    if 1 < params.p < params.dim:
+    if _has_threshold(params.dim, params.p):
         gamma_star = liouville_threshold(params.dim, params.p)
     return ExponentReport(
         alpha=alpha,
@@ -255,12 +343,38 @@ def exponent_report(params: ProblemParams) -> ExponentReport:
     )
 
 
-def classify_regime(params: ProblemParams) -> Regime:
+def _grid_report(grid: ParamGrid) -> ExponentReport:
+    p, gamma = grid.p, grid.gamma
+    # An invalid point may divide by zero or overflow; its numbers are dropped.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dim_over_q = grid.dim / grid.q  # exactly 0 at q = INFINITY
+        alpha, alpha_branch = _select_each(
+            1 - dim_over_q / gamma, _gradient_arm(p, gamma), pick_min=True
+        )
+        s, s_branch = _select_each(dim_over_q, _energy_arm(p, gamma), pick_min=False)
+        gamma_star = _critical_gamma(grid.dim, p)
+    has_alpha = grid.valid & _has_holder(p, gamma, dim_over_q)
+    for branch, defined in ((alpha_branch, has_alpha), (s_branch, grid.valid)):
+        branch[~defined] = ""
+    return ExponentReport(
+        alpha=np.where(has_alpha, alpha, np.nan),
+        s=np.where(grid.valid, s, np.nan),
+        gamma_star=np.where(grid.valid & _has_threshold(grid.dim, p), gamma_star, np.nan),
+        alpha_branch=alpha_branch,
+        s_branch=s_branch,
+    )
+
+
+def classify_regime(params: ProblemParams | ParamGrid) -> Regime:
     """Place (p, gamma) on both regime axes.
 
     The growth axis splits at gamma = p; the Liouville axis splits at
-    gamma_star and requires 1 < p < dim.
+    gamma_star and requires 1 < p < dim. For a ParamGrid both fields are
+    arrays of the regimes' values, '' at the points where a ProblemParams
+    would raise: the invalid points and those with no gamma_star.
     """
+    if isinstance(params, ParamGrid):
+        return _grid_regime(params)
     growth = (
         GrowthRegime.SUPERNATURAL
         if params.gamma > params.p
@@ -273,4 +387,22 @@ def classify_regime(params: ProblemParams) -> Regime:
         liouville = LiouvilleRegime.CRITICAL
     else:
         liouville = LiouvilleRegime.SUPERCRITICAL
+    return Regime(growth=growth, liouville=liouville)
+
+
+def _grid_regime(grid: ParamGrid) -> Regime:
+    p, gamma = grid.p, grid.gamma
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma_star = _critical_gamma(grid.dim, p)
+    growth = np.where(gamma > p, GrowthRegime.SUPERNATURAL.value, GrowthRegime.SUBNATURAL.value)
+    liouville = np.where(
+        gamma < gamma_star,
+        LiouvilleRegime.SUBCRITICAL.value,
+        np.where(
+            gamma == gamma_star, LiouvilleRegime.CRITICAL.value, LiouvilleRegime.SUPERCRITICAL.value
+        ),
+    )
+    undefined = ~(grid.valid & _has_threshold(grid.dim, p))
+    growth[undefined] = ""
+    liouville[undefined] = ""
     return Regime(growth=growth, liouville=liouville)

@@ -6,10 +6,10 @@ Solves the two-point boundary problem
 
 on an interval [r_in, r_out], with a Dirichlet value at r_out and either
 a Dirichlet value or a zero-flux condition at r_in. The flux a_eps is the
-operator kind's regularized flux. The kinds whose flux derivative stays
-positive at zero slope (the p-Laplacian with p <= 2, mean curvature,
-gmc with k = 2) are solved at eps = 1e-10 directly; the degenerate kinds
-are continued through the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8,
+operator kind's regularized flux. The Laplacian and the mean-curvature
+flux (plain, or gmc with k = 2, the same flux) are solved at eps = 1e-10
+directly; the other kinds, the singular p < 2 p-Laplacian included, are
+continued through the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8,
 1e-10, each stage warm-starting the next.
 
 Each Newton step starts with the one convergence test: the max residual
@@ -148,13 +148,16 @@ _LINE_SEARCH_HALVINGS = 30
 
 
 def _schedule(kind: OperatorKind) -> tuple:
-    # A kind whose regularized flux derivative stays positive at zero slope
-    # (the p-Laplacian with p <= 2, mean curvature, gmc with k = 2) is not
-    # degenerate there; a single stage at the final eps suffices.
-    nondegenerate = isinstance(kind, MeanCurvature) or (
-        isinstance(kind, PLaplacian) and kind.p <= 2.0
+    # The Laplacian and the mean-curvature fluxes (plain, and gmc with k = 2,
+    # which is the same flux) are uniformly smooth; a single stage at the
+    # final eps suffices. The p < 2 p-Laplacian is singular at zero slope,
+    # where its regularized derivative is eps^(p-2), and keeps the schedule:
+    # started at the final eps, Newton passes the roundoff floor this
+    # inflates at iterates far from the solution.
+    smooth = isinstance(kind, MeanCurvature) or (
+        isinstance(kind, PLaplacian) and kind.p == 2.0
     ) or (isinstance(kind, GeneralizedMeanCurvature) and kind.k == 2.0)
-    return _CONTINUATION[-1:] if nondegenerate else _CONTINUATION
+    return _CONTINUATION[-1:] if smooth else _CONTINUATION
 
 
 @dataclass(eq=False)

@@ -14,7 +14,7 @@ PUBLIC = {
     "IllPosedBoundary", "DomainExceeded", "InsufficientScales", "NonIntegrable",
     "NoAdmissibleScale",
     # params
-    "INFINITY", "ProblemParams", "Branch", "GrowthRegime", "LiouvilleRegime", "Regime",
+    "INFINITY", "ProblemParams", "ParamGrid", "Branch", "GrowthRegime", "LiouvilleRegime", "Regime",
     "ExponentReport", "holder_exponent", "caccioppoli_exponent", "unit_ball_volume",
     "liouville_threshold", "exponent_report", "classify_regime",
     # radial
@@ -38,7 +38,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned_and_listed_once():
-    assert len(PUBLIC) == 69
+    assert len(PUBLIC) == 70
     assert sorted(pdi_lab.__all__) == sorted(PUBLIC)
 
 

@@ -1,9 +1,11 @@
 """Closed-form exponent formulas: spot values, guards, and the identity
 alpha = 1 - s/gamma that ties the Holder and energy exponents together."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from pdi_lab.params import (
     Branch,
     GrowthRegime,
     LiouvilleRegime,
+    ParamGrid,
     ProblemParams,
     caccioppoli_exponent,
     classify_regime,
@@ -185,3 +188,49 @@ def test_alpha_equals_one_minus_s_over_gamma(dim, p, dgamma, q_inf, q_raw):
     s = caccioppoli_exponent(params)
     assert 0 < alpha < 1
     assert abs(alpha - (1 - s / gamma)) <= 1e-12
+
+
+def _scalar_fields(point):
+    """One point's report and regime fields, '' or nan where undefined."""
+    try:
+        params = ProblemParams(*point[:3], q=point[3])
+    except PreconditionViolation:
+        return (math.nan, math.nan, math.nan, "", "", "", "")
+    rep = exponent_report(params)
+    try:
+        regime = classify_regime(params)
+        regimes = (regime.growth.value, regime.liouville.value)
+    except PreconditionViolation:
+        regimes = ("", "")
+    return (
+        math.nan if rep.alpha is None else rep.alpha,
+        rep.s,
+        math.nan if rep.gamma_star is None else rep.gamma_star,
+        rep.alpha_branch.value if rep.alpha_branch else "",
+        rep.s_branch.value,
+    ) + regimes
+
+
+def test_grid_reports_match_the_scalar_reports():
+    """A ParamGrid is valid where ProblemParams accepts the point, and its
+    report and regime hold the scalar ones, branches included."""
+    inf, nan = math.inf, math.nan
+    points = list(itertools.product(
+        (1, 2, 2.5, 3, 5, inf, nan),
+        (-inf, 1.0, 1.5, 2.0, 3.0, 7.0, inf, nan),
+        (0.2, 0.5, 1.2, 1.5, 2.0, 3.0, 4.0, 9.0, inf, nan),
+        (0.5, 1.0, 2.0, 2.25, inf, nan),  # q = 9/4 ties both arms at (3, 2, 4)
+    ))
+    grid = ParamGrid(*np.array(points).T)
+    rep, regime = exponent_report(grid), classify_regime(grid)
+    columns = (rep.alpha, rep.s, rep.gamma_star, rep.alpha_branch, rep.s_branch,
+               regime.growth, regime.liouville)
+    got = list(zip(*(column.tolist() for column in columns)))
+    want = [_scalar_fields(point) for point in points]
+    assert [
+        tuple("nan" if x != x else x for x in row) for row in got
+    ] == [tuple("nan" if x != x else x for x in row) for row in want]
+    assert grid.valid.tolist() == [not math.isnan(row[1]) for row in want]
+    assert {row[3] for row in got} == {"", "both", "gradient", "integrability"}
+    assert {row[4] for row in got} == {"", "both", "gradient", "integrability"}
+    assert {row[6] for row in got} == {"", "subcritical", "critical", "supercritical"}

@@ -206,10 +206,11 @@ def test_config_validation():
 def test_continuation_schedule_shape():
     final = solver._schedule(PLaplacian(2.0))
     assert len(final) == 1 and 0 < final[0] <= 1e-8
-    # Every kind whose flux derivative stays positive at zero slope
-    for kind in (MeanCurvature(), PLaplacian(1.5), GeneralizedMeanCurvature(2.0)):
+    # The uniformly smooth fluxes: gmc with k = 2 is the mean-curvature flux
+    for kind in (MeanCurvature(), GeneralizedMeanCurvature(2.0)):
         assert solver._schedule(kind) == final
-    for kind in (PLaplacian(3.0), GeneralizedMeanCurvature(4.0)):
+    # Degenerate (p > 2) and singular (p < 2) kinds are continued
+    for kind in (PLaplacian(1.2), PLaplacian(1.5), PLaplacian(3.0), GeneralizedMeanCurvature(4.0)):
         staged = solver._schedule(kind)
         assert staged[-1] == final[0]
         assert len(staged) > 1
@@ -242,6 +243,31 @@ def test_p15_ball_converges_second_order():
         h = sol.grid[1] - sol.grid[0]
         errs[n] = float(np.max(np.abs(sol.values - (1.0 - sol.grid**3))))
         assert errs[n] <= h**2
+    assert math.log(errs[256] / errs[1024], 4.0) >= 1.9
+    assert math.log(errs[1024] / errs[4096], 4.0) >= 1.9
+
+
+def test_p12_ball_converges_second_order():
+    """V = 1 - r^6 for p = 1.2, whose flux -6^0.2 r is smooth through the
+    axis. Started at the final eps, where the flux derivative is
+    eps^(p-2) = 1e8 at zero slope, the solve passes its inflated roundoff
+    floor far from the solution (error 2e-3 at n = 1024); the continuation
+    reaches the discretization error."""
+    params = ProblemParams(dim=3, p=1.2, gamma=1.2)
+
+    def source(r):
+        r = np.asarray(r, dtype=float)
+        return 3.0 * 6.0**0.2 + (6.0 * r**5) ** 1.2
+
+    errs = {}
+    for n in (256, 1024, 4096):
+        sol = solve_radial_dirichlet(
+            PLaplacian(1.2), params, source, (0.0, 1.0), bc_left=None, bc_right=0.0,
+            config=SolverConfig(n_nodes=n),
+        )
+        h = sol.grid[1] - sol.grid[0]
+        errs[n] = float(np.max(np.abs(sol.values - (1.0 - sol.grid**6))))
+        assert errs[n] <= 5.0 * h**2
     assert math.log(errs[256] / errs[1024], 4.0) >= 1.9
     assert math.log(errs[1024] / errs[4096], 4.0) >= 1.9
 

@@ -10,10 +10,15 @@ Three measurements, one per estimate being checked:
 * ``morrey_norm``: sup over sampled centers and radii of
   r^((theta-dim)/s) ||h||_{L^s(B_r(z) cap Omega)} on a ball Omega.
 
-Energies on gridded solutions are trapezoid sums on the solution's own
-grid, so values at grid radii telescope exactly over disjoint shells;
-no second interpolation error enters. Closed-form profiles integrate on
-a fresh uniform partition instead.
+Every energy of an audit comes from one ball-integral pass over all its
+radii. Gridded solutions integrate by the trapezoid rule on their own
+grid: one cumulative sum over the panels, closed at each radius by a
+linearly interpolated partial panel, so values at grid radii telescope
+exactly over disjoint shells and no second interpolation error enters.
+Closed-form profiles integrate on dyadic panels graded toward the axis,
+where power-type integrands are singular (Davis & Rabinowitz, *Methods
+of Numerical Integration*, ch. 2), with the innermost piece closed by
+its power tail.
 
 The Morrey supremum over centers is approximated by sampling (the origin
 plus van der Corput offsets); the reported value is a lower bound of the
@@ -55,8 +60,6 @@ __all__ = [
     "morrey_norm",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 # Gauss-Legendre nodes per cap integral (and per ball of a source that is
 # neither a power nor sampled data), in the angle of ``_arc_integral``.
 _CAP_NODES = 48
@@ -64,8 +67,10 @@ _CAP_NODES = 48
 # pairs, so a scan over many centers keeps its (pairs x nodes)
 # temporaries to a few megabytes.
 _CENTERS_PER_PASS = 64
-# Uniform panels of [0, t] for the energies of a closed-form profile.
-_N_PANELS = 2048
+# Dyadic panels [t 2^-(k+1), t 2^-k], k < _DYADIC_PANELS, of [0, t] for the
+# energies of a closed-form profile, and Gauss-Legendre nodes per panel.
+_DYADIC_PANELS = 40
+_DYADIC_NODES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -82,59 +87,109 @@ def _shell_weight(r: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _gridded_ball_integral(grid, nodal, t, dim):
-    """Trapezoid of nodal data against the shell measure, from grid[0] to t.
+    """Trapezoid of nodal data against the shell measure, from grid[0] to
+    each radius of the array t.
 
     Cutting at a grid node makes values telescope exactly over shells; a
     partial last panel is interpolated linearly so the result is continuous
     and nondecreasing in t.
     """
-    if t > grid[-1] * (1.0 + 1e-9):
-        raise DomainExceeded(f"t={t} is beyond the solution grid (max {grid[-1]})")
-    t = min(t, grid[-1])
-    if t <= grid[0]:
-        return 0.0
-    integrand = nodal * _shell_weight(grid, dim)
-    k = int(np.searchsorted(grid, t, side="right"))
-    total = float(_trapz(integrand[:k], grid[:k])) if k >= 2 else 0.0
-    if k <= grid.size - 1 and t > grid[k - 1]:
-        frac = (t - grid[k - 1]) / (grid[k] - grid[k - 1])
-        end_val = integrand[k - 1] + frac * (integrand[k] - integrand[k - 1])
-        total += 0.5 * (integrand[k - 1] + end_val) * (t - grid[k - 1])
-    return total
+    if np.any(t > grid[-1] * (1.0 + 1e-9)):
+        raise DomainExceeded(f"t={t.max()} is beyond the solution grid (max {grid[-1]})")
+    t = np.minimum(t, grid[-1])
+    f = nodal * _shell_weight(grid, dim)
+    h = grid[1:] - grid[:-1]
+    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * h)))
+    # Panel k holds t: grid[k] <= t < grid[k + 1] inside the grid, k = 0
+    # below it and k = n - 2 at its last node, where the partial panel is
+    # the whole one.
+    k = np.searchsorted(grid[1:-1], t, side="right")
+    g_k, f_k = grid[k], f[k]
+    width = t - g_k
+    end_val = f_k + width / h[k] * (f[k + 1] - f_k)
+    total = cumulative[k] + 0.5 * (f_k + end_val) * width
+    return np.where(t > grid[0], total, 0.0)
 
 
-def _ball_integral(u, nodal, t: float, dim: int, slope: bool) -> float:
-    """int_{B_t} nodal(w) dx for a radial u, with w = u' if slope else u.
+def _power_tail(f0, f_half, r0):
+    """int_0^r0 f for f(r) = f0 (r/r0)^beta, each entry of the arrays, with
+    the local exponent beta = log2(f0/f_half) read from f_half = f(r0/2).
+
+    Raises NonIntegrable where beta <= -1 and f0 > 0; the tail of f0 = 0
+    is 0.
+    """
+    live = f0 > 0
+    # f_half = 0 reads beta = inf (tail 0), and f0 = f_half = 0 reads NaN,
+    # which ``live`` masks.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.log2(f0 / f_half)
+        bad = live & ~(beta > -1.0)
+        if np.any(bad):
+            raise NonIntegrable(
+                f"the integrand grows like r^{beta[bad][0]:.6g} at the axis, "
+                "which is not integrable"
+            )
+        return np.where(live, f0 * r0 / (beta + 1.0), 0.0)
+
+
+def _ball_integral(u, nodal, t, dim: int, slope: bool) -> np.ndarray:
+    """int_{B_t} nodal(w) dx for a radial u and each radius of the array t,
+    with w = u' if slope else u.
 
     Gridded inputs (solver output, sampled profile) are integrated on
-    their own grid starting at its first node, w' by ``np.gradient``;
-    closed-form profiles on a uniform partition of [0, t] into
-    ``_N_PANELS`` panels with the r = 0 node dropped from the integrand
-    (power-type gradients are singular there but integrably so).
+    their own grid starting at its first node, w' by ``np.gradient``, by
+    one cumulative trapezoid closed at each t with a linear partial panel.
+    Closed-form profiles are integrated over [t 2^-40, t] on the 40 dyadic
+    panels [t 2^-(k+1), t 2^-k] at 16 Gauss-Legendre nodes each, all
+    radii in one rule call; the grading keeps the rule accurate for the
+    power-type singularities at r = 0. The innermost piece [0, r0], r0 =
+    t 2^-40, is the power tail f(r0) r0 / (beta + 1) of the integrand f,
+    with beta = log2(f(r0)/f(r0/2)). u is evaluated once, on the rule's
+    nodes and the two tail points together.
     """
     if _is_gridded(u):
         grid = np.asarray(u.grid, dtype=float)
         w = np.asarray(u.values, dtype=float)
         return _gridded_ball_integral(grid, nodal(np.gradient(w, grid) if slope else w), t, dim)
-    r = np.linspace(0.0, t, _N_PANELS + 1)
-    w = np.asarray((u.derivative if slope else u.value)(r[1:]), dtype=float)
-    integrand = np.zeros(r.size)
-    integrand[1:] = nodal(w) * _shell_weight(r[1:], dim)
-    return float(_trapz(integrand, r))
+    fn = u.derivative if slope else u.value
+    r0 = t * 2.0**-_DYADIC_PANELS
+    ends = np.stack((r0, 0.5 * r0), axis=-1)
+    at_ends = []
+
+    def integrand(r):
+        # The tail points ride along with the nodes, so u is evaluated once.
+        flat = np.concatenate((r.reshape(t.size, -1), ends), axis=-1)
+        f = nodal(np.asarray(fn(flat), dtype=float)) * _shell_weight(flat, dim)
+        at_ends.append(f[:, -2:])
+        return f[:, :-2].reshape(r.shape)
+
+    k = np.arange(_DYADIC_PANELS, dtype=float)
+    hi = t[:, None] * 2.0**-k
+    panels = quad(integrand, 0.5 * hi, hi, _DYADIC_NODES)
+    (f_ends,) = at_ends
+    return panels.sum(axis=-1) + _power_tail(f_ends[:, 0], f_ends[:, 1], r0)
 
 
 def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
-    """sigma(t) = int_{B_t} |Du|^gamma dx for a radial u."""
+    """sigma(t) = int_{B_t} |Du|^gamma dx for a radial u.
+
+    Raises NonIntegrable when the integrand of a closed-form profile is
+    not integrable at the axis.
+    """
     if not gamma > 0:
         raise PreconditionViolation(f"gamma must be positive, got {gamma}")
-    if t < 0:
-        raise DomainExceeded(f"negative radius t={t}")
+    if not t >= 0:
+        raise DomainExceeded(f"radius must be >= 0, got t={t}")
     if t == 0:
         return 0.0
+    return float(_energies(u, gamma, np.array([t], dtype=float), dim)[0])
+
+
+def _energies(u, gamma, t, dim):
     return _ball_integral(u, lambda w: np.abs(w) ** gamma, t, dim, slope=True)
 
 
-def _negative_part_integral(u, t: float, dim: int) -> float:
+def _negative_part_integral(u, t, dim):
     return _ball_integral(u, lambda w: np.maximum(-w, 0.0), t, dim, slope=False)
 
 
@@ -175,19 +230,16 @@ def caccioppoli_audit(
     if not (math.isfinite(R) and R > 0):
         raise PreconditionViolation(f"R must be finite and positive, got {R}")
     t_arr = np.asarray(t_list, dtype=float)
-    if t_arr.size < 2 or np.any(t_arr <= 0) or np.any(t_arr >= R):
+    if t_arr.size < 2 or not np.all((t_arr > 0) & (t_arr < R)):
         raise PreconditionViolation("t_list must contain at least two radii in (0, R)")
     t_arr = np.sort(t_arr)
     s = caccioppoli_exponent(params)
 
-    energies = np.empty(t_arr.size)
-    for i, t in enumerate(t_arr):
-        e = gradient_energy(u, params.gamma, t, params.dim)
-        if lambda_part is not None:
-            e += lambda_part(t)
-        elif params.lam > 0:
-            e += params.lam * _negative_part_integral(u, t, params.dim)
-        energies[i] = e
+    energies = _energies(u, params.gamma, t_arr, params.dim)
+    if lambda_part is not None:
+        energies += np.array([lambda_part(t) for t in t_arr], dtype=float)
+    elif params.lam > 0:
+        energies += params.lam * _negative_part_integral(u, t_arr, params.dim)
 
     k_values = energies * (R - t_arr) ** s / R**params.dim
     fitted_K = float(np.max(k_values))

@@ -162,7 +162,12 @@ def _schedule(kind: OperatorKind) -> tuple:
 
 @dataclass(eq=False)
 class DiscreteRadialSolution:
-    """Nodal values on a uniform radial grid, with solve metadata."""
+    """Nodal values on a uniform radial grid, with solve metadata.
+
+    ``value`` is the piecewise-linear interpolant, bit for bit the result
+    of ``np.interp`` on (grid, values); the grid and values are fixed once
+    the solution is built.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -170,8 +175,30 @@ class DiscreteRadialSolution:
     kind: OperatorKind
     meta: dict
 
+    def __post_init__(self):
+        self._slope = np.diff(self.values) / np.diff(self.grid)
+        self._spacing = (self.grid[-1] - self.grid[0]) / (self.grid.size - 1)
+
     def value(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
+        """The interpolant at r. The grid is uniform, so the panel index is
+        computed, not searched: the guess floor((r - r_0)/h) is at most one
+        panel off, and one comparison with each end of its panel fixes it.
+        The value then follows ``np.interp``'s own rules: values[0] at or
+        below the grid, values[-1] at or above it, values[j] at a node
+        grid[j] and slope_j (r - grid[j]) + values[j] inside panel j; a NaN
+        radius gives NaN."""
+        r = np.asarray(r, dtype=float)
+        g, v, last = self.grid, self.values, self.grid.size - 2
+        # fmin/fmax map a NaN guess to a valid index; the NaN propagates below.
+        guess = np.fmax(np.fmin(np.floor((r - g[0]) / self._spacing), last), 0.0)
+        j = guess.astype(np.intp)
+        j -= r < g[j]
+        j += r >= g[j + 1]
+        j = np.clip(j, 0, last)
+        left = g[j]
+        out = np.where(r == left, v[j], self._slope[j] * (r - left) + v[j])
+        out = np.where(r <= g[0], v[0], np.where(r >= g[-1], v[-1], out))
+        return out[()]
 
 
 # ---------------------------------------------------------------------------

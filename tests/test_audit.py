@@ -60,6 +60,80 @@ def test_energy_closed_form_sharpness():
     assert got == pytest.approx(target, rel=1e-5)
 
 
+_SHARP_TABLE = [
+    (d, p, gamma)
+    for d in (2, 3, 5)
+    for p in (1.5, 2.0, 3.0)
+    for gamma in (p + 0.1, p + 0.5, p + 2.0)
+    if gamma > d * (p - 1.0) / (d - 1.0)
+]
+
+
+def test_sharp_table_is_the_admissible_grid():
+    # d = 2, p = 3 leaves out gamma = 3.1 and 3.5, at or below gamma* = 4
+    assert len(_SHARP_TABLE) == 25
+
+
+@pytest.mark.parametrize("d, p, gamma", _SHARP_TABLE)
+def test_energy_of_sharp_profiles_matches_closed_form(d, p, gamma):
+    # |V'|^gamma r^(d-1) = |c a|^gamma r^(m-1), m = (a-1) gamma + d, so
+    # sigma(1) = d omega_d |c a|^gamma / m; the integrand is close to
+    # r^-1 where m is small (d = 2, p = 2, gamma = 2.1 has m = 0.09)
+    prof = sharpness_profile(d, p, gamma)
+    m = (prof.a - 1.0) * gamma + d
+    want = d * unit_ball_volume(d) * abs(prof.c * prof.a) ** gamma / m
+    assert gradient_energy(prof, gamma, 1.0, d) == pytest.approx(want, rel=1e-12)
+
+
+def test_energy_of_bump_profile_matches_adaptive_quadrature():
+    from scipy.integrate import quad
+
+    from pdi_lab.radial import BumpProfile
+
+    prof = BumpProfile(c=1.5, delta=0.7)
+    gamma, t, dim = 2.5, 1.7, 3
+
+    def density(r):
+        return abs(float(prof.derivative(r))) ** gamma * 4.0 * math.pi * r * r
+
+    want = quad(density, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert gradient_energy(prof, gamma, t, dim) == pytest.approx(want, rel=1e-12)
+
+
+def test_energy_not_integrable_at_the_axis_raises():
+    # |V'|^4 r^2 = 0.2^4 r^-1.2 for V = r^0.2 in d = 3: the ball integral
+    # is infinite, and no finite energy may come back
+    prof = PowerProfile(1.0, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonIntegrable):
+            gradient_energy(prof, 4.0, 1.0, 3)
+        with pytest.raises(NonIntegrable):
+            caccioppoli_audit(prof, ProblemParams(dim=3, p=2.0, gamma=4.0), 1.0, [0.2, 0.5])
+        # gamma = 3 makes it r^-0.4, which is integrable
+        assert math.isfinite(gradient_energy(prof, 3.0, 1.0, 3))
+
+
+class _FlatCore:
+    """V' = 0 on [0, 1/2), V' = 1 beyond: the integrand vanishes at the axis."""
+
+    def value(self, r):
+        return np.maximum(np.asarray(r, dtype=float) - 0.5, 0.0)
+
+    def derivative(self, r):
+        return np.where(np.asarray(r, dtype=float) < 0.5, 0.0, 1.0)
+
+
+def test_energy_with_a_vanishing_axis_integrand_has_a_zero_tail():
+    # f(r0) = f(r0/2) = 0 reads a 0/0 local exponent; the tail is 0 and no
+    # warning escapes. 1/2 is a panel edge at t = 1, where the integrand
+    # 4 pi r^2 of [1/2, 1] integrates exactly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gradient_energy(_FlatCore(), 2.0, 1.0, 3)
+    assert got == pytest.approx(4.0 / 3.0 * math.pi * (1.0 - 0.125), rel=1e-14)
+
+
 def test_energy_monotone_and_shell_consistent_on_grid():
     g = np.linspace(1e-6, 1.0, 2001)
     prof = SampledProfile(g, g.copy())
@@ -91,6 +165,9 @@ def test_energy_domain_guard():
     prof = SampledProfile(g, g**2)
     with pytest.raises(DomainExceeded):
         gradient_energy(prof, 2.0, 1.5, 3)
+    for t in (-0.5, math.nan):
+        with pytest.raises(DomainExceeded):
+            gradient_energy(prof, 2.0, t, 3)
 
 
 def test_caccioppoli_sharpness_growth_and_stability():
@@ -147,13 +224,15 @@ def test_caccioppoli_t_list_guard():
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     with pytest.raises(PreconditionViolation):
         caccioppoli_audit(prof, params, R=1.0, t_list=[0.5, 1.5])
+    with pytest.raises(PreconditionViolation):
+        caccioppoli_audit(prof, params, R=1.0, t_list=[0.5, math.nan])
 
 
 def test_caccioppoli_integrability_branch_saturating_profile():
     """With q small enough the exponent comes from the integrability arm,
     s = dim/q, and u = r^(1 - s/gamma) saturates it: the energy integrand
     collapses to a constant, E(t) = (4 pi / 27) t, so the fitted growth
-    must be dim - s exactly (up to the half-panel at r = 0)."""
+    must be dim - s exactly."""
     params = ProblemParams(dim=3, p=2.0, gamma=3.0, q=1.5)
     assert params.dim / params.q > params.gamma / (params.gamma - 1.0)
     prof = PowerProfile(c=1.0, a=1.0 / 3.0)
@@ -162,7 +241,7 @@ def test_caccioppoli_integrability_branch_saturating_profile():
     assert rep.predicted_s == pytest.approx(2.0)
     assert rep.fitted_growth == pytest.approx(1.0, abs=0.02)
     want = 4.0 * math.pi / 27.0 * t_list
-    assert np.max(np.abs(rep.energies - want) / want) < 1e-3
+    assert np.max(np.abs(rep.energies - want) / want) < 1e-13
     assert rep.k_stable
     assert rep.passed
 
@@ -170,17 +249,76 @@ def test_caccioppoli_integrability_branch_saturating_profile():
 def test_caccioppoli_bound_holds_on_solver_output():
     # singular source, q-branch active; the audit only promises the
     # two-ball bound with a stable constant, not a clean power law
-    params = ProblemParams(dim=3, p=2.0, gamma=3.0, q=1.5)
-    sol = solve_radial_dirichlet(
-        PLaplacian(2.0), params, RadialPowerSource(1.0, 2.0), (0.005, 1.0),
-        bc_left=0.0, bc_right=0.0, config=SolverConfig(n_nodes=1024),
-    )
+    params, sol = _solver_output()
     rep = caccioppoli_audit(sol, params, R=1.0,
                             t_list=np.geomspace(0.02, 0.95, 20))
     assert rep.predicted_s == pytest.approx(2.0)
     assert rep.passed
     assert rep.k_stable
     assert np.all(np.diff(rep.energies) >= 0)
+
+
+def _solver_output():
+    params = ProblemParams(dim=3, p=2.0, gamma=3.0, q=1.5)
+    return params, solve_radial_dirichlet(
+        PLaplacian(2.0), params, RadialPowerSource(1.0, 2.0), (0.005, 1.0),
+        bc_left=0.0, bc_right=0.0, config=SolverConfig(n_nodes=1024),
+    )
+
+
+@pytest.mark.parametrize("which", ["closed-form", "solver-output"])
+def test_caccioppoli_energies_are_gradient_energies(which):
+    # One ball-integral pass over all radii gives each radius the bits of
+    # its own gradient_energy call.
+    if which == "closed-form":
+        params = ProblemParams(dim=3, p=2.0, gamma=4.0)
+        u = sharpness_profile(3, 2.0, 4.0)
+    else:
+        params, u = _solver_output()
+    t_list = np.geomspace(0.02, 0.95, 24)
+    rep = caccioppoli_audit(u, params, R=1.0, t_list=t_list)
+    single = np.array([gradient_energy(u, params.gamma, float(t), params.dim) for t in t_list])
+    assert rep.energies.tobytes() == single.tobytes()
+
+
+class _CountingProfile:
+    def __init__(self, inner):
+        self.inner = inner
+        self.derivative_calls = 0
+
+    def value(self, r):
+        return self.inner.value(r)
+
+    def derivative(self, r):
+        self.derivative_calls += 1
+        return self.inner.derivative(r)
+
+
+def test_caccioppoli_audit_evaluates_the_derivative_once():
+    params = ProblemParams(dim=3, p=2.0, gamma=4.0, lam=1.0)
+    u = _CountingProfile(sharpness_profile(3, 2.0, 4.0))
+    rep = caccioppoli_audit(u, params, R=1.0, t_list=np.geomspace(0.02, 0.95, 24))
+    assert u.derivative_calls == 1
+    assert rep.passed
+
+
+class _InterpSolution:
+    """A solver output whose lookup is np.interp, the reference route."""
+
+    def __init__(self, sol):
+        self.grid, self.values = sol.grid, sol.values
+
+    def value(self, r):
+        return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
+
+
+def test_holder_fit_on_solver_output_matches_the_np_interp_route():
+    _, sol = _solver_output()
+    got = holder_fit(sol, 20000, (1e-3, 0.25), seed=4)
+    want = holder_fit(_InterpSolution(sol), 20000, (1e-3, 0.25), seed=4)
+    assert got.scales.tobytes() == want.scales.tobytes()
+    assert got.max_increments.tobytes() == want.max_increments.tobytes()
+    assert got.fitted_alpha == want.fitted_alpha
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])

@@ -409,3 +409,46 @@ def test_solution_value_interpolates_between_nodes():
     mid = 0.5 * (sol.grid[10] + sol.grid[11])
     lo, hi = sorted((sol.values[10], sol.values[11]))
     assert lo <= sol.value(mid) <= hi
+
+
+def _lookup_cases():
+    # Rough random values on uniform grids, where an index off by one
+    # panel changes the bits, and one real solver output.
+    rng = np.random.default_rng(7)
+    for lo, hi, n in ((0.0, 1.0, 64), (0.005, 1.0, 1024), (0.3, 2.7, 333),
+                      (0.1, 0.7, 1000), (1e-3, 3.3, 4097)):
+        g = np.linspace(lo, hi, n)
+        yield solver.DiscreteRadialSolution(g, rng.standard_normal(n), PARAMS_22, PLaplacian(2.0), {})
+    yield solve_radial_dirichlet(
+        PLaplacian(2.0), PARAMS_22, quadratic_source, (0.005, 1.0),
+        bc_left=1.0 - 0.005**2, bc_right=0.0, config=SolverConfig(n_nodes=1024),
+    )
+
+
+@pytest.mark.parametrize("sol", _lookup_cases(), ids=lambda sol: f"n{sol.grid.size}-{sol.grid[0]:g}")
+def test_solution_value_is_bit_identical_to_np_interp(sol):
+    # The panel index is computed from the uniform spacing, not searched;
+    # the result must still be np.interp's, bit for bit, inside, at every
+    # node and its float neighbours, at both ends and outside the grid.
+    g, v = sol.grid, sol.values
+    rng = np.random.default_rng(g.size)
+    width = g[-1] - g[0]
+    r = np.concatenate((
+        rng.uniform(g[0] - 0.1 * width, g[-1] + 0.1 * width, 20000),
+        g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+        [-np.inf, -1.0, 0.0, np.inf, 1e300, np.nan],
+    ))
+    assert sol.value(r).tobytes() == np.interp(r, g, v).tobytes()
+    for x in (g[0], 0.5 * (g[0] + g[-1]), g[-1], float(g[5]), 1e9, np.asarray(g[-2] + 1e-12)):
+        got, want = sol.value(x), np.interp(x, g, v)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_solution_value_returns_node_values_themselves():
+    # At a node np.interp returns the stored value, so a -0.0 keeps its
+    # sign; slope * 0 + values[j] would turn it into +0.0.
+    g = np.linspace(0.0, 1.0, 9)
+    v = np.array([1.0, 0.5, -0.0, -0.5, 0.0, 2.0, -0.0, 1.0, 0.0])
+    sol = solver.DiscreteRadialSolution(g, v, PARAMS_22, PLaplacian(2.0), {})
+    assert sol.value(g).tobytes() == np.interp(g, g, v).tobytes()

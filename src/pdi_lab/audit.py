@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -214,7 +214,6 @@ def caccioppoli_audit(
     params: ProblemParams,
     R: float,
     t_list,
-    lambda_part: Optional[Callable] = None,
 ) -> CaccioppoliReport:
     """Check E(t) = sigma(t) + lam*int u^- against K R^dim / (R-t)^s.
 
@@ -222,10 +221,8 @@ def caccioppoli_audit(
     ``passed`` only reports that it is finite. The sharp content is in the
     two derived numbers: ``fitted_growth``, the log-log slope of E over the
     small-t half of t_list (compare with dim - s), and ``k_stable``, which
-    flags blow-up of E(t)(R-t)^s/R^dim as t -> R. An unstable K means the
-    energy grows faster than the predicted exponent allows.
-
-    ``lambda_part`` optionally overrides the lam-term as a callable of t.
+    flags blow-up of K(t) = E(t)(R-t)^s/R^dim as t -> R. An unstable K means
+    the energy grows faster than the predicted exponent allows.
     """
     if not (math.isfinite(R) and R > 0):
         raise PreconditionViolation(f"R must be finite and positive, got {R}")
@@ -236,9 +233,7 @@ def caccioppoli_audit(
     s = caccioppoli_exponent(params)
 
     energies = _energies(u, params.gamma, t_arr, params.dim)
-    if lambda_part is not None:
-        energies += np.array([lambda_part(t) for t in t_arr], dtype=float)
-    elif params.lam > 0:
+    if params.lam > 0:
         energies += params.lam * _negative_part_integral(u, t_arr, params.dim)
 
     k_values = energies * (R - t_arr) ** s / R**params.dim
@@ -256,12 +251,14 @@ def caccioppoli_audit(
         fitted_growth = math.nan
 
     # The bound is slack for small t (K -> 0 there), so instability is
-    # judged at the boundary end only: the largest radii must not need a
-    # constant more than twice what the rest of the list already fixed.
+    # judged at the boundary end only: K must still be rising at the
+    # largest radius, and need more than twice the constant the list
+    # before its last fifth already fixed. A bounded K(t) = C t^(dim-s)
+    # (R-t)^s/R^dim peaks at t = (dim-s)R/dim, which may lie in that
+    # last fifth, and is stable.
     tail = max(1, t_arr.size // 5)
-    k_near = float(np.max(k_values[-tail:]))
-    k_rest = float(np.max(k_values[:-tail]))
-    k_stable = bool(k_near <= 2.0 * k_rest) if k_rest > 0 else bool(k_near == 0.0)
+    rising = int(np.argmax(k_values)) == t_arr.size - 1
+    k_stable = not (rising and fitted_K > 2.0 * float(np.max(k_values[:-tail])))
 
     return CaccioppoliReport(
         radii_t=t_arr,

@@ -273,7 +273,7 @@ def _cmd_exponents(args):
         "alpha_branch": rep.alpha_branch.value if rep.alpha_branch else None,
         "s_branch": rep.s_branch.value,
     }
-    if 1 < params.p < params.dim:
+    if rep.gamma_star is not None:
         regime = classify_regime(params)
         results["growth_regime"] = regime.growth.value
         results["liouville_regime"] = regime.liouville.value

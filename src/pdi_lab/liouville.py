@@ -48,6 +48,7 @@ from .params import (
     _critical_gamma,
     _energy_arm,
     _gradient_arm,
+    _has_threshold,
     liouville_threshold,
     unit_ball_volume,
 )
@@ -57,6 +58,7 @@ from .radial import (
     BumpProfile,
     PLaplacian,
     RadialProfile,
+    _certify_bump,
     _checked_samples,
     bump_profile_scale,
     nonconstant_entire_profile,
@@ -513,15 +515,15 @@ def liouville_classify_manifold(
     Euclidean profile where the explicit witnesses settle the question.
     """
     test = area_condition_test(profile, p, gamma, t_start=t_start, mode=mode)
-    euclidean = isinstance(profile, EuclideanArea)
-    dim = profile.dim if euclidean else None
-    gamma_star = liouville_threshold(dim, p) if euclidean and 1 < p < dim else None
+    dim = profile.dim if isinstance(profile, EuclideanArea) else None
+    has_threshold = dim is not None and _has_threshold(dim, p)
+    gamma_star = liouville_threshold(dim, p) if has_threshold else None
     verdict = functools.partial(LiouvilleVerdict, dim=dim, p=p, gamma=gamma, gamma_star=gamma_star)
     if test is IntegralVerdict.DIVERGENT:
         return verdict(Verdict.LIOUVILLE, Mechanism.AREA_INTEGRAL_DIVERGES)
     if test is IntegralVerdict.CONVERGENT:
-        if euclidean and 1 < p < profile.dim:
-            return liouville_classify_euclidean(profile.dim, p, gamma)
+        if has_threshold:
+            return liouville_classify_euclidean(dim, p, gamma)
         return verdict(Verdict.INCONCLUSIVE, Mechanism.AREA_INTEGRAL_CONVERGES)
     return verdict(Verdict.INCONCLUSIVE, None)
 
@@ -532,27 +534,25 @@ def verify_euclidean_witness(
 ) -> tuple:
     """Residual-check a NO_LIOUVILLE witness. Returns (report, ok).
 
-    Bump witnesses are strict supersolutions: one-sided scan, tol 0.
-    Entire power witnesses solve the equation with the gradient term on
-    the other side of the equality; the divergence part is odd under
-    negation, so the scan runs on the negated profile and ok requires
-    two-sided cancellation below 1e-8.
+    Bump witnesses are strict supersolutions, certified by the unit-scale
+    scan ``bump_profile_scale`` returns, so building a witness and verifying
+    it apply one rule. Entire power witnesses solve the equation with the
+    gradient term on the other side of the equality; the divergence part is
+    odd under negation, so the scan runs on the negated profile and ok
+    requires two-sided cancellation below 1e-8.
     """
     if verdict.witness is None:
         raise PreconditionViolation("verdict carries no witness profile")
-    kind = PLaplacian(verdict.p)
-    scan_params = ProblemParams(
-        dim=verdict.dim, p=verdict.p, gamma=verdict.gamma, lam=0.0, c_h=verdict.c_h
-    )
+    dim, p, gamma, c_h = verdict.dim, verdict.p, verdict.gamma, verdict.c_h
     if isinstance(verdict.witness, BumpProfile):
         if grid is None:
             grid = np.linspace(*_DEFAULT_BUMP_GRID)
-        report = residual_scan(kind, verdict.witness, scan_params, None, grid, tol=0.0)
+        report = _certify_bump(dim, p, gamma, c_h, verdict.witness.c, grid)
         return report, bool(report.passed)
     if grid is None:
         grid = np.linspace(*_DEFAULT_ENTIRE_GRID)
-    report = residual_scan(
-        kind, verdict.witness.negated(), scan_params, None, grid, tol=1e-8
-    )
+    scan_params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h)
+    negated = verdict.witness.negated()
+    report = residual_scan(PLaplacian(p), negated, scan_params, None, grid, tol=1e-8)
     ok = bool(report.passed and report.max_abs_residual <= 1e-8)
     return report, ok

@@ -35,7 +35,6 @@ its negation, since the divergence term is odd under V -> -V.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,11 +358,6 @@ def radial_operator(kind: OperatorKind, profile: RadialProfile, r, dim: int):
 # ---------------------------------------------------------------------------
 
 
-# Scans allowed to absorb rounding below the closed-form bump scale; the
-# step down doubles from one ulp, so the last one is 2^39 ulp ~ 1e-4 c.
-_CERTIFY_STEPS = 40
-
-
 def sharpness_profile(dim: int, p: float, gamma: float) -> PowerProfile:
     """Explicit solution of -Delta_p u = |Du|^gamma on the unit ball.
 
@@ -433,11 +427,9 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
         c = (delta^(p-1-gamma) g / c_h)^(1/(gamma-p+1)),
 
     and none exists unless gamma > gamma* = _critical_gamma(dim, p) (at or
-    below it A < 0 for r^2 > (dim+p-2)/(-g)). ``grid`` only certifies c by
-    a strict residual scan; while rounding fails the scan, c steps down by
-    1, 2, 4, ... ulp, and a scale that would step down to 0 (near gamma*,
-    where c underflows) raises NoAdmissibleScale. Returns
-    (c, ResidualReport).
+    below it A < 0 for r^2 > (dim+p-2)/(-g)). Where c underflows to 0, just
+    above gamma*, NoAdmissibleScale is raised. Returns (c, ResidualReport),
+    the report being the unit-scale certificate of c on ``grid``.
     """
     if not gamma < p:
         raise PreconditionViolation(
@@ -449,9 +441,6 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
         )
     if not c_h > 0:
         raise PreconditionViolation(f"c_h must be positive, got {c_h}")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0 or not np.all(grid > 0):
-        raise PreconditionViolation("scan grid must contain radii > 0 only")
     gamma_star = _critical_gamma(dim, p)
     if not gamma > gamma_star:
         raise NoAdmissibleScale(
@@ -461,23 +450,30 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
     delta = -_gradient_arm(p, gamma)
     base = delta ** (p - 1 - gamma) * _growth_gap(dim, p, gamma) / c_h
     c = base ** (1.0 / (gamma - (p - 1)))
-    kind = PLaplacian(p)
-    scan_params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h)
-    for k in range(_CERTIFY_STEPS):
-        if not c > 0:
-            raise NoAdmissibleScale(
-                f"bump scale for gamma={gamma} underflows: no positive scale "
-                f"passed its residual scan"
-            )
-        report = residual_scan(
-            kind, BumpProfile(c=c, delta=delta), scan_params, None, grid, tol=0.0
-        )
-        if report.passed:
-            return c, report
-        c -= 2.0**k * math.ulp(c)
-    raise NoAdmissibleScale(
-        f"scale {c:.17g} still fails its residual scan for gamma={gamma}"
-    )
+    if not c > 0:
+        raise NoAdmissibleScale(f"bump scale for gamma={gamma} underflows: it rounds to 0")
+    return c, _certify_bump(dim, p, gamma, c_h, c, grid)
+
+
+def _certify_bump(dim: int, p: float, gamma: float, c_h: float, c: float, grid):
+    """Strict residual scan certifying c (1+r^2)^(-delta/2) at unit scale.
+
+    The residual of c w is c^(p-1) (A - c_h c^(gamma-p+1) B) for the unit
+    bump w, so scanning w with gradient constant c_h c^(gamma-p+1) decides
+    the same inequality, in normal-range arithmetic even where c is
+    subnormal. Only radii where w' is a normal float are scanned: past
+    them (delta in the hundreds, p near 1) the residual has no significant
+    digit, and for p < 2 the weight |w'|^(p-2) overflows.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0 or not np.all(grid > 0):
+        raise PreconditionViolation("scan grid must contain radii > 0 only")
+    unit = BumpProfile(c=1.0, delta=-_gradient_arm(p, gamma))
+    grid = grid[np.abs(unit.derivative(grid)) >= np.finfo(float).tiny]
+    if grid.size == 0:
+        raise NoAdmissibleScale(f"bump slope for gamma={gamma} underflows on the whole scan grid")
+    params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h * c ** (gamma - (p - 1)))
+    return residual_scan(PLaplacian(p), unit, params, None, grid, tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -203,20 +203,40 @@ def test_caccioppoli_flags_faster_growth():
 
 
 def test_caccioppoli_lambda_part_override():
-    g = np.arange(1, 65) / 64.0
-    neg = SampledProfile(g, -g.copy())
+    # u = -r < 0 everywhere, so with lam > 0 the audit adds the lam-term
+    # lam int_{B_t} u^- = lam 4 pi t^4 / 4 on top of the gradient energy
+    neg = PowerProfile(c=-1.0, a=1.0)
     params = ProblemParams(dim=3, p=2.0, gamma=2.0, lam=2.0)
     t_list = np.linspace(0.1, 0.9, 9)
-    plain = caccioppoli_audit(neg, params, R=1.0, t_list=t_list,
-                              lambda_part=lambda t: 0.0)
     auto = caccioppoli_audit(neg, params, R=1.0, t_list=t_list)
-    offset = caccioppoli_audit(neg, params, R=1.0, t_list=t_list,
-                               lambda_part=lambda t: 7.0)
-    # u < 0 everywhere, so the automatic lam-term integrates |u| and adds mass
-    assert np.all(auto.energies > plain.energies)
     pure = np.array([gradient_energy(neg, 2.0, float(t), 3) for t in t_list])
-    assert np.array_equal(plain.energies, pure)
-    assert np.allclose(offset.energies - plain.energies, 7.0, rtol=0, atol=1e-12)
+    assert np.all(auto.energies > pure)
+    want = pure + 2.0 * math.pi * t_list**4
+    assert np.max(np.abs(auto.energies - want) / want) < 1e-13
+
+
+# The CLI's t_list for radius 1.
+_CLI_T_LIST = np.geomspace(0.02, 0.95, 24)
+
+
+@pytest.mark.parametrize(
+    "witness,dim,p,gamma",
+    [("sharpness", *point) for point in (
+        (5, 1.5, 3.5), (7, 1.5, 1.6), (7, 1.5, 2.0), (7, 1.5, 3.5),
+        (7, 2.0, 2.1), (7, 2.0, 2.5), (7, 2.0, 4.0), (7, 3.0, 5.0),
+    )]
+    + [("linear", 5, p, p + gap) for p in (1.5, 2.0, 3.0) for gap in (0.1, 0.5, 1.0, 2.0)],
+)
+def test_caccioppoli_bounded_k_peaking_near_the_boundary_is_stable(witness, dim, p, gamma):
+    """K(t) = E(t)(R-t)^s/R^dim is bounded for these profiles, but for
+    dim - s large against s it peaks at t = (dim-s)R/dim, inside the last
+    fifth of the list; it falls again before the largest radius."""
+    params = ProblemParams(dim=dim, p=p, gamma=gamma)
+    u = sharpness_profile(dim, p, gamma) if witness == "sharpness" else PowerProfile(c=1.0, a=1.0)
+    rep = caccioppoli_audit(u, params, R=1.0, t_list=_CLI_T_LIST)
+    k_values = rep.energies * (1.0 - rep.radii_t) ** rep.predicted_s
+    assert np.argmax(k_values) < k_values.size - 1
+    assert rep.k_stable and rep.passed
 
 
 def test_caccioppoli_t_list_guard():

@@ -259,6 +259,19 @@ def test_liouville_witness_side(capsys):
     assert report["results"]["witness_ok"] is True
 
 
+def test_liouville_bump_witness_near_threshold(capsys):
+    # gamma* = 0.23749999999999993: the bump scale is about 1e-303, where
+    # a scan of c w itself runs in subnormal arithmetic; the unit-scale
+    # certificate passes
+    rc, report, _ = run_cli(
+        capsys, "liouville", "--dim", "5", "--p", "1.19", "--gamma", "0.2375"
+    )
+    assert rc == 0
+    assert report["results"]["witness"]["family"] == "BumpProfile"
+    assert 0 < report["results"]["witness"]["c"] < 1e-300
+    assert report["results"]["witness_ok"] is True
+
+
 def test_liouville_gamma_equals_p(capsys):
     rc, report, _ = run_cli(
         capsys, "liouville", "--dim", "3", "--p", "2", "--gamma", "2"

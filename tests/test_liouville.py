@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdi_lab import liouville, params
+from pdi_lab import liouville, params, radial
 from pdi_lab.cli import _sweep_rows
 from pdi_lab.errors import DomainExceeded, NoAdmissibleScale, PreconditionViolation
 from pdi_lab.liouville import (
@@ -438,6 +438,47 @@ def test_classify_euclidean_every_no_liouville_has_witness_or_note():
             assert v.witness is not None
             kind = BumpProfile if gamma < 2.0 else PowerProfile
             assert isinstance(v.witness, kind)
+
+
+def _near_threshold_points():
+    """d = 3..8, p = k/100 < min(4, d), gamma = gamma* rounded to 10
+    digits and kept above gamma*: 1,694 bump points."""
+    for d in range(3, 9):
+        for k in range(101, min(4, d) * 100):
+            p = k / 100
+            gamma_star = params._critical_gamma(d, p)
+            gamma = round(gamma_star, 10)
+            if not gamma > gamma_star:
+                gamma = round(gamma + 1e-10, 10)
+            yield d, p, gamma
+
+
+def test_near_threshold_bump_witnesses_are_certified_in_one_scan(monkeypatch):
+    scans, scan = [], radial.residual_scan
+    monkeypatch.setattr(radial, "residual_scan", lambda *a, **k: scans.append(1) or scan(*a, **k))
+    grid = np.linspace(0.05, 10.0, 300)
+    certified = underflowed = 0
+    for d, p, gamma in _near_threshold_points():
+        # log c of the closed-form scale, kept in logs so it cannot underflow
+        delta = (p - gamma) / (gamma - (p - 1))
+        g = (d - 1) * (gamma - params._critical_gamma(d, p)) / (gamma - (p - 1))
+        log_c = ((p - 1 - gamma) * math.log(delta) + math.log(g)) / (gamma - (p - 1))
+        scans.clear()
+        try:
+            c, report = radial.bump_profile_scale(d, p, gamma, 1.0, grid)
+        except NoAdmissibleScale as exc:
+            assert "underflows" in str(exc) and scans == []
+            assert log_c < -744.0, (d, p, gamma)  # below half the least subnormal
+            underflowed += 1
+            continue
+        assert c > 0 and report.passed and len(scans) == 1, (d, p, gamma)
+        assert log_c > -746.0, (d, p, gamma)
+        verdict = liouville_classify_euclidean(d, p, gamma)
+        assert verdict.witness.c == c
+        witness_report, ok = verify_euclidean_witness(verdict)
+        assert ok and witness_report.min_residual == report.min_residual
+        certified += 1
+    assert (certified, underflowed) == (1611, 83)
 
 
 def test_classify_euclidean_guards():

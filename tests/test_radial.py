@@ -213,9 +213,9 @@ def test_bump_scale_exists_above_threshold():
     assert report.min_residual >= 0
 
 
-def _bump_scan(dim, p, gamma, scale, grid):
+def _bump_scan(dim, p, gamma, scale, grid, c_h=1.0):
     delta = (p - gamma) / (gamma - (p - 1))
-    params = ProblemParams(dim=dim, p=p, gamma=gamma)
+    params = ProblemParams(dim=dim, p=p, gamma=gamma, c_h=c_h)
     return residual_scan(PLaplacian(p), BumpProfile(scale, delta), params, None, grid, tol=0.0)
 
 
@@ -234,9 +234,12 @@ def test_bump_scale_is_the_largest_passing_scale(monkeypatch, dim, p, gamma):
     )
     c, report = bump_profile_scale(dim, p, gamma, 1.0, FAR_GRID)
     monkeypatch.undo()
-    assert len(scans) <= 5  # closed form plus rounding steps, not a search
-    assert report.passed and _bump_scan(dim, p, gamma, c, FAR_GRID).passed
-    assert report.min_residual == _bump_scan(dim, p, gamma, c, FAR_GRID).min_residual
+    assert len(scans) == 1  # one certificate of the closed form, not a search
+    # the certificate is the unit bump's scan with gradient constant c^(gamma-p+1)
+    unit = _bump_scan(dim, p, gamma, 1.0, FAR_GRID, c_h=c ** (gamma - (p - 1)))
+    assert report.passed and report.min_residual == unit.min_residual
+    # scanned directly at scale c, the witness passes, and 1e-9 more fails
+    assert _bump_scan(dim, p, gamma, c, FAR_GRID).passed
     assert not _bump_scan(dim, p, gamma, c * (1.0 + 1e-9), FAR_GRID).passed
 
 
@@ -265,9 +268,6 @@ def test_bump_scale_absent_below_threshold():
 
 
 def test_bump_scale_stops_before_the_scale_underflows(monkeypatch):
-    # gamma = 0.225 lies a few ulp above gamma* = 0.22499999999999992: the
-    # closed-form scale is about 4.6e-316, and stepping it down by 1, 2,
-    # 4, ... ulp while rounding fails the scan would carry it through 0.
     scanned = []
 
     def recording_scan(kind, profile, *args, **kwargs):
@@ -275,9 +275,36 @@ def test_bump_scale_stops_before_the_scale_underflows(monkeypatch):
         return residual_scan(kind, profile, *args, **kwargs)
 
     monkeypatch.setattr(radial, "residual_scan", recording_scan)
+    grid = np.linspace(0.05, 10, 300)
+    # gamma = 0.225 lies a few ulp above gamma* = 0.22499999999999992: the
+    # closed-form scale is subnormal, about 4.55e-316, and one scan of the
+    # unit bump certifies it.
+    c, report = bump_profile_scale(5, 1.18, 0.225, 1.0, grid)
+    assert 0 < c < 1e-315 and c == pytest.approx(4.55e-316, rel=1e-2)
+    assert report.passed
+    assert scanned == [1.0]
+    # gamma = 0.0125000001 is 1e-10 above gamma* at (5, 1.01): the scale
+    # rounds to 0, and there is nothing to scan.
+    scanned.clear()
     with pytest.raises(NoAdmissibleScale, match="underflows"):
-        bump_profile_scale(5, 1.18, 0.225, 1.0, np.linspace(0.05, 10, 300))
-    assert scanned and min(scanned) > 0
+        bump_profile_scale(5, 1.01, 0.0125000001, 1.0, grid)
+    assert scanned == []
+
+
+def test_bump_certificate_stops_where_the_unit_slope_underflows():
+    # delta is about 399 at (7, 1.01, 0.0125000001): the unit bump's slope
+    # leaves the normal floats near r = 5.6, and |w'|^(p-2) would overflow
+    # past it; the scale itself is about 6.5e117.
+    dim, p, gamma = 7, 1.01, 0.0125000001
+    grid = np.linspace(0.05, 10.0, 300)
+    c, report = bump_profile_scale(dim, p, gamma, 1.0, grid)
+    assert c > 1e100 and report.passed
+    kept = report.grid.size
+    assert 0 < kept < grid.size and np.array_equal(report.grid, grid[:kept])
+    slope = np.abs(BumpProfile(1.0, (p - gamma) / (gamma - (p - 1))).derivative(grid))
+    assert slope[kept - 1] >= np.finfo(float).tiny > slope[kept]
+    with pytest.raises(NoAdmissibleScale, match="whole scan grid"):
+        bump_profile_scale(dim, p, gamma, 1.0, np.linspace(20.0, 30.0, 5))
 
 
 def test_bump_scale_guards():

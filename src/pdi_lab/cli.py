@@ -21,7 +21,9 @@ output; floats are serialized with shortest round-trip precision (up to
 
 ``sweep`` writes CSV (stdout or --out) over a parameter grid, its rows
 sorted by parameters and computed in one array pass over the grid (one
-``ParamGrid`` report); a NaN in any of its lists exits 2.
+``ParamGrid`` report); each distinct number is formatted once and the CSV
+is joined directly, since no cell needs quoting. A NaN in any of its
+lists exits 2.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import sys
@@ -499,32 +500,30 @@ _SWEEP_HEADER = (
 
 
 def _sweep_rows(points):
-    """Each (dim, p, gamma, q) point with integer dim, followed by its
-    (alpha, s, gamma_star, growth_regime, liouville_regime, verdict) cells:
-    the ``exponent_report`` and ``classify_regime`` of ``ProblemParams(dim,
-    p, gamma, q=q)``, taken for all points at once through one ParamGrid. A
+    """The text cells of each (dim, p, gamma, q) point: its coordinates, then
+    (alpha, s, gamma_star, growth_regime, liouville_regime, verdict), the
+    ``exponent_report`` and ``classify_regime`` of ``ProblemParams(dim, p,
+    gamma, q=q)``, taken for all points at once through one ParamGrid. A
     point with no gamma_star, admissible or not, is INVALID."""
-    d, p, gamma, q = np.array(points, dtype=float).reshape(-1, 4).T
+    d, p, gamma, q = np.asarray(points, dtype=float).reshape(-1, 4).T
     grid = ParamGrid(d, p, gamma, q=q)
     rep, regime = exponent_report(grid), classify_regime(grid)
     verdict = np.where(
         regime.liouville == LiouvilleRegime.SUPERCRITICAL.value, "NO_LIOUVILLE", "LIOUVILLE"
     )
     verdict[regime.liouville == ""] = "INVALID"
-    cells = zip(
-        map(_cell, rep.alpha.tolist()),
-        map(_cell, rep.s.tolist()),
-        map(_cell, rep.gamma_star.tolist()),
-        regime.growth.tolist(),
-        regime.liouville.tolist(),
-        verdict.tolist(),
-    )
-    return list(map(tuple.__add__, points, cells))
+    numbers = _text(np.stack([p, gamma, q, rep.alpha, rep.s, rep.gamma_star]), repr)
+    dims = _text(d, lambda x: str(int(x)))
+    return list(zip(dims, *numbers, regime.growth.tolist(), regime.liouville.tolist(),
+                    verdict.tolist()))
 
 
-def _cell(value: float) -> str:
-    """A sweep number as its repr, or empty where the report has none."""
-    return "" if math.isnan(value) else repr(value)
+def _text(values: np.ndarray, fmt) -> list:
+    """``values`` as (nested) lists of ``fmt`` text, "" for NaN, formatting
+    each distinct float64 bit pattern once (so -0.0 stays -0.0)."""
+    keys, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    cells = np.array(["" if math.isnan(x) else fmt(x) for x in keys.view(float).tolist()], object)
+    return cells[inverse.reshape(values.shape)].tolist()
 
 
 def _cmd_sweep(args):
@@ -534,16 +533,12 @@ def _cmd_sweep(args):
     ps = _parse_value_list(args.p)
     gammas = _parse_value_list(args.gamma)
     qs = _parse_value_list(args.q) if args.q else [INFINITY]
-    points = sorted(
-        (int(d), p, g, q) for d in dims for p in ps for g in gammas for q in qs
-    )
-    rows = _sweep_rows(points)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADER)
-    writer.writerows(rows)
-    text = buf.getvalue()
+    # The product in loop order, sorted stably by (dim, p, gamma, q): the
+    # order of sorted() over the point tuples, ties included.
+    axes = np.meshgrid(dims, ps, gammas, qs, indexing="ij")
+    points = np.stack([a.ravel() for a in axes], axis=1)
+    rows = _sweep_rows(points[np.lexsort(points.T[::-1])])
+    text = "\n".join(map(",".join, [_SWEEP_HEADER, *rows])) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)

@@ -427,9 +427,10 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
         c = (delta^(p-1-gamma) g / c_h)^(1/(gamma-p+1)),
 
     and none exists unless gamma > gamma* = _critical_gamma(dim, p) (at or
-    below it A < 0 for r^2 > (dim+p-2)/(-g)). Where c underflows to 0, just
-    above gamma*, NoAdmissibleScale is raised. Returns (c, ResidualReport),
-    the report being the unit-scale certificate of c on ``grid``.
+    below it A < 0 for r^2 > (dim+p-2)/(-g)). NoAdmissibleScale is raised
+    where c underflows to 0 (just above gamma*) or overflows (c_h near 0).
+    Returns (c, ResidualReport), the report being the unit-scale
+    certificate of c on ``grid``.
     """
     if not gamma < p:
         raise PreconditionViolation(
@@ -449,7 +450,12 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
         )
     delta = -_gradient_arm(p, gamma)
     base = delta ** (p - 1 - gamma) * _growth_gap(dim, p, gamma) / c_h
-    c = base ** (1.0 / (gamma - (p - 1)))
+    try:
+        c = base ** (1.0 / (gamma - (p - 1)))
+    except OverflowError:
+        c = np.inf
+    if not c < np.inf:
+        raise NoAdmissibleScale(f"bump scale for gamma={gamma} overflows: it exceeds the float range")
     if not c > 0:
         raise NoAdmissibleScale(f"bump scale for gamma={gamma} underflows: it rounds to 0")
     return c, _certify_bump(dim, p, gamma, c_h, c, grid)

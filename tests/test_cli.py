@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pdi_lab
+from pdi_lab import cli
 from pdi_lab.cli import COMMANDS, REQUIRED, RunReport, _sweep_rows, main, run
 from pdi_lab.errors import PreconditionViolation
 from pdi_lab.params import LiouvilleRegime, ProblemParams, classify_regime, exponent_report
@@ -272,6 +273,21 @@ def test_liouville_bump_witness_near_threshold(capsys):
     assert report["results"]["witness_ok"] is True
 
 
+@pytest.mark.parametrize("command", ["verify-bump", "liouville"])
+@pytest.mark.parametrize("c_h", ["1e-300", "5e-324"])
+def test_bump_scale_overflow_is_a_report(capsys, command, c_h):
+    # The closed-form bump scale exceeds the float range: a one-line
+    # reason in an exit-1 report, not a traceback or a usage error.
+    rc, report, cap = run_cli(
+        capsys, command, "--dim", "3", "--p", "2", "--gamma", "1.8", "--c-h", c_h
+    )
+    assert rc == 1
+    assert report["results"] == {
+        "error": "bump scale for gamma=1.8 overflows: it exceeds the float range"
+    }
+    assert "Traceback" not in cap.err and cap.err.count("\n") == 1
+
+
 def test_liouville_gamma_equals_p(capsys):
     rc, report, _ = run_cli(
         capsys, "liouville", "--dim", "3", "--p", "2", "--gamma", "2"
@@ -387,19 +403,20 @@ def test_sweep_range_syntax_and_outfile(capsys, tmp_path):
 
 
 def _reference_sweep_row(point):
-    """The cells of one sweep point from its own reports, point by point."""
+    """The text cells of one sweep point from its own reports, point by point."""
     dim, p, gamma, q = point
+    cells = (str(int(dim)), repr(float(p)), repr(float(gamma)), repr(float(q)))
     try:
         params = ProblemParams(dim=dim, p=p, gamma=gamma, q=q)
     except PreconditionViolation:
-        return point + ("", "", "", "", "", "INVALID")
+        return cells + ("", "", "", "", "", "INVALID")
     rep = exponent_report(params)
     alpha = "" if rep.alpha is None else repr(rep.alpha)
     if rep.gamma_star is None:
-        return point + (alpha, repr(rep.s), "", "", "", "INVALID")
+        return cells + (alpha, repr(rep.s), "", "", "", "INVALID")
     regime = classify_regime(params)
     verdict = "NO_LIOUVILLE" if regime.liouville is LiouvilleRegime.SUPERCRITICAL else "LIOUVILLE"
-    return point + (
+    return cells + (
         alpha, repr(rep.s), repr(rep.gamma_star), regime.growth.value, regime.liouville.value,
         verdict,
     )
@@ -429,6 +446,60 @@ def test_sweep_rows_match_the_per_point_reports():
     assert sum(row[8] == "critical" for row in rows) >= 4_000
     assert sum(row[9] == "INVALID" for row in rows) >= 20_000
     assert sum(row[4] != "" for row in rows) >= 4_000
+
+
+# Signed zeros, ties between them, duplicates, infinities, huge and
+# subnormal values, and dims 0, 1, 9 and -0.0.
+_EDGE_AXES = {
+    "dim": [0, 1, 9, -0.0, 3, 0],
+    "p": [-0.0, 0.0, 2.0, 2.0, 1e300, -1e-320, 1e-320, math.inf, -math.inf, 1.5],
+    "gamma": [0.0, -0.0, 1.0, math.inf, -math.inf, 1e300, 1.2, 1e-320, -1e-320, 1.2],
+    "q": [math.inf, -0.0, 0.0, 4.0, -math.inf, 1e300, 2.25],
+}
+
+
+def test_sweep_csv_is_the_sorted_per_point_table(capsys, tmp_path):
+    # The reference is a csv.writer table of the per-point rows in sorted()
+    # order; stdout and --out must both match it byte for byte.
+    points = sorted(
+        (int(d), p, g, q)
+        for d in _EDGE_AXES["dim"] for p in _EDGE_AXES["p"]
+        for g in _EDGE_AXES["gamma"] for q in _EDGE_AXES["q"]
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dim", "p", "gamma", "q", "alpha", "s", "gamma_star",
+                     "growth_regime", "liouville_regime", "verdict"])
+    writer.writerows(map(_reference_sweep_row, points))
+    # --flag=value, so that argparse reads a leading '-' as a value
+    argv = ["sweep"] + [f"--{k}={','.join(map(repr, v))}" for k, v in _EDGE_AXES.items()]
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout.encode() == out.read_bytes() == buf.getvalue().encode()
+    assert len(points) == 4_200 and "\n0,-0.0,0.0," in stdout and "\n0,0.0,-0.0," in stdout
+
+
+def test_sweep_reports_once_per_invocation(capsys, monkeypatch, tmp_path):
+    # One ParamGrid report per sweep, through the cli bindings a tracer wraps.
+    calls = {"exponent_report": 0, "classify_regime": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    argv = ["sweep", "--dim", "3,4", "--p", "1.5:3:0.5", "--gamma", "0.6:6:0.1", "--q", "inf,4"]
+    assert run(argv) == 0
+    assert calls == {"exponent_report": 1, "classify_regime": 1}
+    assert run(argv + ["--out", str(tmp_path / "table.csv")]) == 0
+    assert calls == {"exponent_report": 2, "classify_regime": 2}
+    capsys.readouterr()
 
 
 SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]

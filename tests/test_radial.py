@@ -291,6 +291,21 @@ def test_bump_scale_stops_before_the_scale_underflows(monkeypatch):
     assert scanned == []
 
 
+@pytest.mark.parametrize("c_h", [1e-300, 5e-324])
+def test_bump_scale_stops_where_the_scale_overflows(monkeypatch, c_h):
+    # At (3, 2, 1.8) c = (delta^(p-1-gamma) g / c_h)^5: past the float range
+    # for c_h = 1e-300 (where float ** raises) and for c_h = 5e-324 (where
+    # the base itself is inf); there is nothing to scan.
+    grid = np.linspace(0.05, 10.0, 300)
+    c, report = bump_profile_scale(3, 2.0, 1.8, 1e-200, grid)
+    assert 1e250 < c < math.inf and report.passed
+    scanned = []
+    monkeypatch.setattr(radial, "residual_scan", lambda *a, **k: scanned.append(a))
+    with pytest.raises(NoAdmissibleScale, match="bump scale for gamma=1.8 overflows"):
+        bump_profile_scale(3, 2.0, 1.8, c_h, grid)
+    assert scanned == []
+
+
 def test_bump_certificate_stops_where_the_unit_slope_underflows():
     # delta is about 399 at (7, 1.01, 0.0125000001): the unit bump's slope
     # leaves the normal floats near r = 5.6, and |w'|^(p-2) would overflow

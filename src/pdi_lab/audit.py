@@ -7,8 +7,8 @@ Three measurements, one per estimate being checked:
   K R^dim / (R - t)^s.
 * ``holder_fit``: an empirical Holder exponent from sup-increments over
   dyadic distance bins, matching the seminorm definition (sup, not mean).
-* ``morrey_norm``: sup over sampled centers and radii of
-  r^((theta-dim)/s) ||h||_{L^s(B_r(z) cap Omega)} on a ball Omega.
+* ``morrey_norm``: sup over r of r^((theta-dim)/s) ||h||_{L^s(B_r(0) cap
+  Omega)} on a ball Omega = B_omega(0).
 
 Every energy of an audit comes from one ball-integral pass over all its
 radii. Gridded solutions integrate by the trapezoid rule on their own
@@ -20,20 +20,14 @@ where power-type integrands are singular (Davis & Rabinowitz, *Methods
 of Numerical Integration*, ch. 2), with the innermost piece closed by
 its power tail.
 
-The Morrey supremum over centers is approximated by sampling (the origin
-plus van der Corput offsets); the reported value is a lower bound of the
-true supremum. For radial nonincreasing |f| the centered ball is the
-analytic extremal, so the off-center samples only guard that claim.
-
-All (center, radius) pairs of a scan are integrated together, by one
-fixed Gauss-Legendre rule (``quadrature.gauss_legendre``, bound here as
-``quad``). The full shells inside a ball are closed-form for a power
-source; for sampled data they integrate on panels that break at the
-sample nodes, 8 nodes per panel, which is exact for the interpolant
-when s = 1. A shell the ball meets in a spherical cap carries the cap's
-area fraction, closed-form for integer dim, and the cap range takes a
-48-node rule in the angle phi of rho = mid - half cos(phi), which
-smooths the square-root behaviour at both ends of the range.
+A Morrey norm is taken over centred balls, one mass per radius. For a
+power source the mass and the whole norm are closed-form, and exact for
+beta >= 0, where |f| is radial and nonincreasing and no ball off the
+centre holds more of it. Sampled data integrate through the fixed
+Gauss-Legendre rule (``quadrature.gauss_legendre``, bound here as
+``quad``) on panels that break at the sample nodes, 8 nodes per panel,
+which is exact for the interpolant when s = 1; all radii of a scan take
+two rule calls.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from .errors import DomainExceeded, InsufficientScales, NonIntegrable, Precondit
 from .params import ProblemParams, _check_dim, caccioppoli_exponent, unit_ball_volume
 from .quadrature import SAMPLE_PANEL_NODES, sample_panels
 from .quadrature import gauss_legendre as quad
-from .solver import RadialPowerSource, SampledSource
+from .solver import RadialPowerSource, SampledSource, ZeroSource
 
 __all__ = [
     "gradient_energy",
@@ -60,13 +54,6 @@ __all__ = [
     "morrey_norm",
 ]
 
-# Gauss-Legendre nodes per cap integral (and per ball of a source that is
-# neither a power nor sampled data), in the angle of ``_arc_integral``.
-_CAP_NODES = 48
-# Centers per vectorized pass of a Morrey scan: at most 64 x (n_radii + 2)
-# pairs, so a scan over many centers keeps its (pairs x nodes)
-# temporaries to a few megabytes.
-_CENTERS_PER_PASS = 64
 # Dyadic panels [t 2^-(k+1), t 2^-k], k < _DYADIC_PANELS, of [0, t] for the
 # energies of a closed-form profile, and Gauss-Legendre nodes per panel.
 _DYADIC_PANELS = 40
@@ -232,11 +219,16 @@ def caccioppoli_audit(
     t_arr = np.sort(t_arr)
     s = caccioppoli_exponent(params)
 
-    energies = _energies(u, params.gamma, t_arr, params.dim)
-    if params.lam > 0:
-        energies += params.lam * _negative_part_integral(u, t_arr, params.dim)
-
-    k_values = energies * (R - t_arr) ** s / R**params.dim
+    with np.errstate(all="ignore"):
+        energies = _energies(u, params.gamma, t_arr, params.dim)
+        if params.lam > 0:
+            energies += params.lam * _negative_part_integral(u, t_arr, params.dim)
+        # A numpy R^dim beyond the float range is inf, not an OverflowError.
+        k_values = energies * (R - t_arr) ** s / np.float64(R) ** params.dim
+    if not np.all(np.isfinite(k_values)):
+        raise PreconditionViolation(
+            f"R={R} leaves the float range: the energies or R^dim are not finite"
+        )
     fitted_K = float(np.max(k_values))
 
     positive = energies > 0
@@ -307,6 +299,8 @@ def holder_fit(
         raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
     if not seed >= 0:
         raise PreconditionViolation(f"seed must be >= 0, got {seed}")
+    if not tolerance >= 0:
+        raise PreconditionViolation(f"tolerance must be >= 0, got {tolerance}")
     h_min, h_max = float(scale_range[0]), float(scale_range[1])
     if not 0 < h_min < h_max:
         raise PreconditionViolation("scale_range must satisfy 0 < h_min < h_max")
@@ -379,98 +373,27 @@ class MorreyNorm:
     value: float
     divergent: bool
     argmax_radius: float
+    exact: bool
 
 
-def _cap_fraction(cos_theta, dim: int):
-    """Area fraction of the spherical cap {angle <= theta} on S^(dim-1).
-
-    The fraction is J_(dim-2)(theta) / J_(dim-2)(pi) with J_n(theta) =
-    int_0^theta sin^n, from the elementary recurrence J_n = -sin^(n-1)
-    cos / n + (n-1)/n J_(n-2), J_0 = theta, J_1 = 1 - cos. For dim = 3 it
-    is (1 - cos(theta)) / 2.
-    """
-    c = np.clip(cos_theta, -1.0, 1.0)
-    sin = np.sqrt((1.0 - c) * (1.0 + c))
-    top = int(dim) - 2
-    part, full = (np.arccos(c), math.pi) if top % 2 == 0 else (1.0 - c, 2.0)
-    for n in range(top % 2 + 2, top + 1, 2):
-        part = -(sin ** (n - 1)) * c / n + (n - 1) / n * part
-        full = (n - 1) / n * full
-    return part / full
-
-
-def _arc_integral(g, lo, hi):
-    """int_lo^hi g(rho) drho on each interval of the arrays lo, hi.
-
-    The rule runs in the angle phi of rho = mid - half cos(phi), which
-    turns the square-root ends of a cap integrand into smooth ones.
-    """
-    mid = (0.5 * (hi + lo))[:, None]
-    half = (0.5 * (hi - lo))[:, None]
-
-    def in_phi(phi):
-        return g(mid - half * np.cos(phi)) * half * np.sin(phi)
-
-    return quad(in_phi, 0.0, math.pi, _CAP_NODES)
-
-
-def _ball_mass(f, s_index, dim, rho_hi, density):
-    """int over B_rho_hi(0) of |f|^s for each radius of the array rho_hi."""
+def _ball_mass(f, s_index, dim, rho):
+    """int over B_rho(0) of |f|^s for each radius of the array rho; a
+    power source is taken with amplitude 1."""
     if isinstance(f, RadialPowerSource):
-        # int_0^rho_hi |A|^s rho^(-s*beta) * d*omega*rho^(d-1) drho, closed form.
+        # int_0^rho r^(-s*beta) * d*omega*r^(d-1) dr, closed form.
         ex = dim - s_index * f.beta
-        return abs(f.amplitude) ** s_index * dim * unit_ball_volume(dim) * rho_hi**ex / ex
-    if isinstance(f, SampledSource):
-        # Panels break at the sample nodes, where the interpolant kinks;
-        # between them |f|^s rho^(dim-1) is smooth (a polynomial for s = 1).
-        edges = sample_panels(f.grid, 0.0, float(np.max(rho_hi, initial=0.0)))
-        panels = quad(density, edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
-        cumulative = np.concatenate(([0.0], np.cumsum(panels)))
-        k = np.clip(np.searchsorted(edges, rho_hi, side="right") - 1, 0, edges.size - 2)
-        return cumulative[k] + quad(density, edges[k], rho_hi, SAMPLE_PANEL_NODES)
-    return _arc_integral(density, np.zeros_like(rho_hi), rho_hi)
+        return dim * unit_ball_volume(dim) * rho**ex / ex
 
+    def density(r):
+        return np.abs(f(r)) ** s_index * _shell_weight(r, dim)
 
-def _mass_on_intersection(f, s_index, dim, center_dist, r, omega_radius):
-    """int over B_r(z) cap B_omega(0) of |f|^s, for radial f, |z| = center_dist.
-
-    Vectorized over the broadcast arrays ``center_dist`` and ``r``. The
-    shells rho < r - |z| lie inside B_r(z) whole; a shell with |r - |z||
-    < rho < r + |z| meets it in a spherical cap.
-    """
-    d, r = np.broadcast_arrays(np.asarray(center_dist, dtype=float), np.asarray(r, dtype=float))
-    shape = d.shape
-    d, r = d.ravel(), r.ravel()
-
-    def density(rho):
-        return np.abs(f(rho)) ** s_index * _shell_weight(rho, dim)
-
-    mass = _ball_mass(f, s_index, dim, np.minimum(np.maximum(r - d, 0.0), omega_radius), density)
-    lo = np.abs(r - d)
-    hi = np.minimum(r + d, omega_radius)
-    cap = hi > lo
-    if np.any(cap):
-        dc, rc = d[cap, None], r[cap, None]
-
-        def in_cap(rho):
-            cos_t = (rho * rho + dc * dc - rc * rc) / (2.0 * rho * dc)
-            return density(rho) * _cap_fraction(cos_t, dim)
-
-        mass[cap] += _arc_integral(in_cap, lo[cap], hi[cap])
-    return mass.reshape(shape)
-
-
-def _van_der_corput(n: int):
-    # Base-2 radical inverse, the classic low-discrepancy sequence.
-    out = np.empty(n)
-    for i in range(n):
-        k, denom, x = i + 1, 2.0, 0.0
-        while k:
-            x += (k & 1) / denom
-            k >>= 1
-            denom *= 2.0
-        out[i] = x
-    return out
+    # Panels break at the sample nodes, where the interpolant kinks;
+    # between them |f|^s r^(dim-1) is smooth (a polynomial for s = 1).
+    edges = sample_panels(f.grid, 0.0, float(np.max(rho, initial=0.0)))
+    panels = quad(density, edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
+    cumulative = np.concatenate(([0.0], np.cumsum(panels)))
+    k = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, edges.size - 2)
+    return cumulative[k] + quad(density, edges[k], rho, SAMPLE_PANEL_NODES)
 
 
 def morrey_norm(
@@ -482,13 +405,23 @@ def morrey_norm(
     dim: int = 3,
     n_radii: int = 48,
 ) -> MorreyNorm:
-    """sup_z,r of r^((theta-dim)/s) ||f||_{L^s(B_r(z) cap Omega)} on Omega = B_omega(0).
+    """sup_r of r^((theta-dim)/s) ||f||_{L^s(B_r(0) cap Omega)} on Omega = B_omega(0).
 
-    The sup is scanned over a log-spaced radius grid up to diam(Omega) and
-    over ``center_samples`` centers (origin first, then van der Corput
-    offsets along a ray); the result is a lower bound of the true sup.
-    A norm that keeps growing through the two finest radius decades with
-    its maximum at the smallest sampled radius is flagged divergent.
+    f is a ``RadialPowerSource``, a ``ZeroSource`` (amplitude 0) or a
+    ``SampledSource``; any other callable raises PreconditionViolation.
+    For a power A r^-beta the centred norm is closed-form: it is (|A|^s d
+    omega_d / (d - s beta))^(1/s) r^((theta - s beta)/s) for r <= omega
+    and falls beyond omega, so the sup is attained at r = omega when
+    theta >= s beta and is divergent (inf, approached as r -> 0) when
+    theta < s beta. A sampled source takes the largest value over
+    ``n_radii`` log-spaced radii in [diam 1e-4, diam] and omega.
+
+    ``exact`` is true when no ball off the centre can do better, which
+    holds for |f| radial and nonincreasing (a power with beta >= 0, or
+    zero) by the rearrangement inequality (Lieb & Loss, *Analysis*, Thm
+    3.4); otherwise the value is a lower bound of the sup over all balls
+    centred in Omega. ``center_samples`` must be >= 1 and no longer
+    changes the result.
     """
     _check_dim(dim)
     if not s_index >= 1:
@@ -499,41 +432,38 @@ def morrey_norm(
         raise PreconditionViolation(f"omega_radius must be finite and positive, got {omega_radius}")
     if not center_samples >= 1:
         raise PreconditionViolation(f"center_samples must be >= 1, got {center_samples}")
-    if isinstance(f, RadialPowerSource) and s_index * f.beta >= dim:
-        raise NonIntegrable(
-            f"|x|^(-{f.beta}) is not locally L^{s_index} in dimension {dim}"
+    if isinstance(f, ZeroSource):
+        f = RadialPowerSource(0.0, 0.0)
+    if isinstance(f, RadialPowerSource):
+        if s_index * f.beta >= dim:
+            raise NonIntegrable(
+                f"|x|^(-{f.beta}) is not locally L^{s_index} in dimension {dim}"
+            )
+        # The norm is homogeneous in A, and |A| scales the value last, so
+        # a large amplitude cannot overflow |A|^s.
+        scale = abs(f.amplitude)
+        radii = np.array([omega_radius])
+        exact = f.beta >= 0 or scale == 0
+        divergent = scale > 0 and theta < s_index * f.beta
+    elif isinstance(f, SampledSource):
+        scale = 1.0
+        diam = 2.0 * omega_radius
+        radii = np.geomspace(diam * 1e-4, diam, n_radii)
+        radii = np.unique(np.concatenate((radii, [omega_radius, diam])))
+        exact = divergent = False
+    else:
+        raise PreconditionViolation(
+            f"morrey_norm takes a power, zero or sampled source, got {type(f).__name__}"
         )
 
-    diam = 2.0 * omega_radius
-    radii = np.geomspace(diam * 1e-4, diam, n_radii)
-    radii = np.unique(np.concatenate((radii, [omega_radius, diam])))
-    offsets = np.concatenate(([0.0], _van_der_corput(center_samples - 1) * omega_radius))
-
-    masses = np.concatenate([
-        _mass_on_intersection(f, s_index, dim, *np.meshgrid(block, radii, indexing="ij"), omega_radius)
-        for block in np.array_split(offsets, -(-offsets.size // _CENTERS_PER_PASS))
-    ])
-    values = radii ** ((theta - dim) / s_index) * masses ** (1.0 / s_index)
-    centered = values[0]
-    best = -math.inf
-    best_r = radii[0]
-    for val, r in zip(values.ravel().tolist(), np.tile(radii, offsets.size).tolist()):
-        if val > best * (1.0 + 1e-12):
-            best = val
-            best_r = r
-        elif val == best and r < best_r:
-            best_r = r
-
-    fine = radii <= diam * 1e-2
-    divergent = False
-    if np.count_nonzero(fine) >= 3 and best > 0:
-        v = centered[fine]
-        growing = bool(np.all(v[:-1] > v[1:] * (1.0 + 1e-9)))
-        divergent = growing and centered[0] >= best * (1.0 - 1e-12)
+    mass = _ball_mass(f, s_index, dim, np.minimum(radii, omega_radius))
+    values = radii ** ((theta - dim) / s_index) * mass ** (1.0 / s_index)
+    i = int(np.argmax(values))
     return MorreyNorm(
         s_index=s_index,
         theta=theta,
-        value=math.inf if divergent else float(best),
+        value=math.inf if divergent else scale * float(values[i]),
         divergent=divergent,
-        argmax_radius=float(radii[0]) if divergent else float(best_r),
+        argmax_radius=0.0 if divergent else float(radii[i]),
+        exact=exact,
     )

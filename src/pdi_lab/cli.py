@@ -411,13 +411,13 @@ def _cmd_morrey(args):
         s_index=args.s_index,
         theta=args.theta,
         omega_radius=args.omega_radius,
-        center_samples=args.centers,
         dim=args.dim,
     )
     results = {
         "value": "DIVERGENT" if norm.divergent else norm.value,
         "divergent": norm.divergent,
         "argmax_radius": norm.argmax_radius,
+        "exact": norm.exact,
     }
     return results, True
 
@@ -590,7 +590,7 @@ COMMANDS = (
     ("morrey", "Morrey norm of a source term on a ball", (
         ("--source", str, REQUIRED), ("--s-index", float, 1.0),
         ("--theta", float, REQUIRED), ("--omega-radius", float, 1.0),
-        ("--dim", int, 3), ("--centers", int, 8),
+        ("--dim", int, 3),
     ), _cmd_morrey),
     ("liouville", "Euclidean classification with witnesses",
      _PROBLEM[:3] + _PROBLEM[4:5], _cmd_liouville),  # --dim --p --gamma --c-h

@@ -286,14 +286,15 @@ def area_condition_test(
     Analytic mode is exact for the closed-form families and refuses to
     guess for sampled data. Numeric mode integrates each doubling segment
     [T, 2T] by the fixed 16-node Gauss-Legendre rule, all segments in one
-    call (a sampled area only up to the end of its grid), then reads the
-    increments in order: three consecutive increments below 1e-12 of the
-    running total mean convergence, increment ratios pinned at 1
-    (>= 0.999) mean divergence, anything else is inconclusive.
+    call (only while 2T is finite, and for a sampled area only up to the
+    end of its grid), then reads the increments in order: three
+    consecutive increments below 1e-12 of the running total mean
+    convergence, increment ratios pinned at 1 (>= 0.999) mean divergence,
+    anything else is inconclusive.
     """
     e = _comparison_exponent(p, gamma)
-    if not t_start > 0:
-        raise PreconditionViolation("t_start must be positive")
+    if not 0 < t_start < math.inf:
+        raise PreconditionViolation(f"t_start must be finite and positive, got {t_start}")
     if mode == "analytic":
         if isinstance(profile, _PowerLawArea):
             beta = profile.shape_power
@@ -312,11 +313,12 @@ def area_condition_test(
     if mode != "numeric":
         raise PreconditionViolation(f"mode must be 'analytic' or 'numeric', got {mode!r}")
 
-    lower = t_start * 2.0 ** np.arange(_AREA_DOUBLINGS)
-    if isinstance(profile, SampledArea):
-        # Only the doublings that end inside the grid can be integrated.
-        lower = lower[2.0 * lower <= profile.grid[-1]]
+    # Only the doublings that end at a finite T, and inside the grid of a
+    # sampled area, can be integrated.
+    end = profile.grid[-1] if isinstance(profile, SampledArea) else np.finfo(float).max
     with np.errstate(over="ignore", divide="ignore"):
+        lower = t_start * 2.0 ** np.arange(_AREA_DOUBLINGS)
+        lower = lower[2.0 * lower <= end]
         # Late doublings reach T ~ 1e77, where the area may overflow to
         # inf (t^beta past ~1e308, exp past kappa t ~ 709) and the
         # integrand area^(-e) is then exactly 0, the limit it tends to; a

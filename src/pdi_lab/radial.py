@@ -517,6 +517,8 @@ def residual_scan(
     witnesses and scan the negated profile to certify equality-form
     solutions with a two-sided bound on ``max_abs_residual``.
     """
+    if not tol >= 0:
+        raise PreconditionViolation(f"tol must be >= 0, got {tol}")
     grid = np.asarray(grid, dtype=float)
     op = radial_operator(kind, profile, grid, params.dim)
     v1 = np.asarray(profile.derivative(grid), dtype=float)

@@ -387,9 +387,10 @@ def test_holder_fit_determinism_and_scale_guards():
 def test_morrey_centered_power_oracle():
     norm = morrey_norm(RadialPowerSource(1.0, 1.0), s_index=1.0, theta=1.5,
                        omega_radius=1.0)
-    assert norm.value == pytest.approx(2.0 * math.pi, rel=1e-9)
-    assert norm.argmax_radius == pytest.approx(1.0)
+    assert norm.value == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert norm.argmax_radius == 1.0
     assert not norm.divergent
+    assert norm.exact
 
 
 def test_morrey_divergence_flag():
@@ -397,12 +398,29 @@ def test_morrey_divergence_flag():
                        omega_radius=1.0)
     assert norm.divergent
     assert norm.value == math.inf
+    assert norm.argmax_radius == 0.0
 
 
 def test_morrey_zero_source():
-    norm = morrey_norm(ZeroSource(), s_index=1.0, theta=1.5, omega_radius=1.0)
-    assert norm.value == 0.0
-    assert not norm.divergent
+    # A zero amplitude is never divergent, whatever its beta.
+    for f in (ZeroSource(), RadialPowerSource(0.0, 2.0)):
+        norm = morrey_norm(f, s_index=1.0, theta=1.5, omega_radius=1.0)
+        assert norm.value == 0.0
+        assert not norm.divergent
+        assert norm.exact
+
+
+def test_morrey_power_closed_form_and_exactness():
+    # (|A|^s d omega_d / (d - s beta))^(1/s) omega^((theta - s beta)/s),
+    # exact only where |f| is nonincreasing (beta >= 0).
+    for amplitude, beta, want_exact in ((-3.0, 0.5, True), (2.0, -1.0, False)):
+        norm = morrey_norm(RadialPowerSource(amplitude, beta), 2.0, 2.0, 0.5, dim=4)
+        want = math.sqrt(amplitude**2 * 4.0 * unit_ball_volume(4) / (4.0 - 2.0 * beta))
+        assert norm.value == pytest.approx(want * 0.5 ** ((2.0 - 2.0 * beta) / 2.0), rel=1e-14)
+        assert norm.exact is want_exact
+    # The amplitude scales the value last, so |A|^s never overflows.
+    big = morrey_norm(RadialPowerSource(1e300, 1.0), 2.0, 2.5, 1.0)
+    assert big.value == pytest.approx(1e300 * math.sqrt(4.0 * math.pi), rel=1e-14)
 
 
 def test_morrey_theta_equal_dim_is_lebesgue_norm():
@@ -410,8 +428,8 @@ def test_morrey_theta_equal_dim_is_lebesgue_norm():
     norm = morrey_norm(RadialPowerSource(1.0, 1.0), s_index=2.0, theta=3.0,
                        omega_radius=1.0)
     want = math.sqrt(4.0 * math.pi)  # (int_{B_1} |x|^{-2})^{1/2}
-    assert norm.value == pytest.approx(want, rel=1e-9)
-    assert norm.argmax_radius == pytest.approx(1.0)
+    assert norm.value == pytest.approx(want, rel=1e-14)
+    assert norm.argmax_radius == 1.0
 
 
 def test_morrey_guards():
@@ -422,14 +440,21 @@ def test_morrey_guards():
         morrey_norm(ZeroSource(), s_index=0.5, theta=1.5, omega_radius=1.0)
     with pytest.raises(PreconditionViolation):
         morrey_norm(ZeroSource(), s_index=1.0, theta=4.0, omega_radius=1.0)
-    # the closed-form cap fraction needs an integer dimension >= 2
+    # center_samples no longer changes the result, but must still be >= 1.
+    with pytest.raises(PreconditionViolation):
+        morrey_norm(ZeroSource(), s_index=1.0, theta=1.5, omega_radius=1.0, center_samples=0)
+    # Only power, zero and sampled sources have a centred norm here.
+    with pytest.raises(PreconditionViolation):
+        morrey_norm(lambda r: np.ones_like(r), s_index=1.0, theta=1.5, omega_radius=1.0)
+    # the unit-ball volume needs an integer dimension >= 2
     for dim in (2.5, 1, 0, math.nan):
         with pytest.raises(PreconditionViolation):
             morrey_norm(RadialPowerSource(1.0, 1.0), 1.0, 1.5, 1.0, dim=dim)
 
 
 # ---------------------------------------------------------------------------
-# The off-centre cap path, which the centred oracles above never reach
+# Off-centre balls: the lens volumes are an independent reference, and no
+# weighted lens of f = 1 may exceed its centred norm
 # ---------------------------------------------------------------------------
 
 
@@ -483,31 +508,23 @@ _FINE = np.linspace(0.0, 1.0, 257)
     ],
 )
 def test_mass_on_intersection_of_one_is_the_lens(one, dim, lens, d, r):
-    mass = audit._mass_on_intersection(one, 1.0, dim, d, r, 1.0)
-    assert float(mass) == pytest.approx(lens(d, r, 1.0), rel=1e-12)
-
-
-def test_mass_on_intersection_is_vectorized():
-    d, r = np.meshgrid([0.3, 0.8], [0.2, 0.5, 0.9, 1.5], indexing="ij")
-    masses = audit._mass_on_intersection(RadialPowerSource(1.0, 0.0), 1.0, 3, d, r, 1.0)
-    assert masses.shape == d.shape
-    for i, j in np.ndindex(d.shape):
-        assert masses[i, j] == pytest.approx(_lens_volume(d[i, j], r[i, j], 1.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("dim", range(2, 9))
-def test_cap_fraction_matches_incomplete_beta(dim):
-    from scipy.special import betainc
-
-    c = np.linspace(-1.0, 1.0, 401)
-    half = 0.5 * betainc((dim - 1) / 2.0, 0.5, 1.0 - c * c)
-    want = np.where(c >= 0.0, half, 1.0 - half)
-    assert np.max(np.abs(audit._cap_fraction(c, dim) - want)) <= 1e-13
+    # The mass of f = 1 on B_r(z) cap B_1(0), |z| = d, is the lens; weighted
+    # by r^(theta-dim) it stays at or below the centred norm, which is
+    # exact for a power source. A bare callable has no centred norm here.
+    theta = 1.5
+    if not isinstance(one, (RadialPowerSource, SampledSource)):
+        with pytest.raises(PreconditionViolation):
+            morrey_norm(one, 1.0, theta, 1.0, dim=dim)
+        return
+    norm = morrey_norm(one, 1.0, theta, 1.0, dim=dim)
+    assert norm.exact is isinstance(one, RadialPowerSource)
+    assert r ** (theta - dim) * lens(d, r, 1.0) <= norm.value * (1.0 + 1e-14)
 
 
 def test_sampled_ball_mass_is_exact_for_the_interpolant():
     # s = 1 in d = 3: on each panel the interpolant times 4 pi rho^2 is a
-    # cubic, which Simpson's rule integrates exactly.
+    # cubic, which Simpson's rule integrates exactly. With theta = dim the
+    # weight is 1, so the norm is the mass of the whole ball.
     g = np.linspace(0.0, 1.0, 17)
     f = SampledSource(g, 1.0 + g**2)
     a, b = g[:-1], g[1:]
@@ -517,8 +534,10 @@ def test_sampled_ball_mass_is_exact_for_the_interpolant():
         return f(rho) * 4.0 * math.pi * rho**2
 
     want = float(np.sum((b - a) / 6.0 * (w(a) + 4.0 * w(m) + w(b))))
-    mass = audit._mass_on_intersection(f, 1.0, 3, 0.0, 1.0, 1.0)
-    assert float(mass) == pytest.approx(want, rel=1e-14)
+    norm = morrey_norm(f, 1.0, 3.0, 1.0, dim=3)
+    assert norm.value == pytest.approx(want, rel=1e-14)
+    assert norm.argmax_radius == 1.0
+    assert not norm.exact
 
 
 def test_morrey_d2_default_settings_is_two_pi():
@@ -530,17 +549,17 @@ def test_morrey_d2_default_settings_is_two_pi():
 
 @pytest.mark.parametrize(
     "f, dim, centers, calls_wanted",
-    [(RadialPowerSource(1.0, 1.0), dim, 8, 1) for dim in (2, 3, 4, 5)]
+    [(RadialPowerSource(1.0, 1.0), dim, 8, 0) for dim in (2, 3, 4, 5)]
     + [
-        (SampledSource(_FINE, 1.0 + _FINE**2), 3, 8, 3),
-        (RadialPowerSource(1.0, 1.0), 3, 130, 3),
+        (SampledSource(_FINE, 1.0 + _FINE**2), 3, 8, 2),
+        (RadialPowerSource(1.0, 1.0), 3, 130, 0),
     ],
     ids=["power-d2", "power-d3", "power-d4", "power-d5", "sampled-d3", "power-130-centers"],
 )
 def test_morrey_scan_is_a_few_vectorized_rule_calls(monkeypatch, f, dim, centers, calls_wanted):
-    # Every integral goes through the module's ``quad`` binding, one call
-    # per kind of integral for a pass over up to 64 centers: the caps, and
-    # for sampled data the whole panels and the partial last panels.
+    # Every integral goes through the module's ``quad`` binding. A power
+    # source is closed-form; sampled data take one call for the whole
+    # panels and one for the partial last panels of all radii.
     calls = []
     rule = audit.quad
 

@@ -219,9 +219,10 @@ def test_morrey_centered_value(capsys):
         capsys, "morrey", "--source", "power:1,1", "--theta", "1.5", "--s-index", "1"
     )
     assert rc == 0
-    assert report["results"]["value"] == pytest.approx(2.0 * math.pi, rel=1e-9)
-    assert report["results"]["argmax_radius"] == pytest.approx(1.0)
+    assert report["results"]["value"] == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert report["results"]["argmax_radius"] == 1.0
     assert report["results"]["divergent"] is False
+    assert report["results"]["exact"] is True
 
 
 def test_morrey_divergent_weight(capsys):
@@ -231,6 +232,17 @@ def test_morrey_divergent_weight(capsys):
     assert rc == 0
     assert report["results"]["divergent"] is True
     assert report["results"]["value"] == "DIVERGENT"
+    assert report["results"]["exact"] is True
+
+
+def test_morrey_has_no_centers_flag(capsys):
+    # Centred balls are the whole scan, so the flag that set the number of
+    # off-centre samples is gone and argparse refuses it.
+    rc, _, cap = run_cli(
+        capsys, "morrey", "--source", "power:1,1", "--theta", "1.5", "--centers", "8"
+    )
+    assert rc == 2
+    assert "unrecognized arguments: --centers" in cap.err
 
 
 def test_morrey_nonintegrable_is_usage_error(capsys):
@@ -533,13 +545,21 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "nan"],
         ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "0"],
         ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "inf"],
+        # R^dim and the energies leave the float range, silently.
+        ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "1e300"],
+        ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "1e-300"],
+        ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--tol", "nan"],
+        ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--tol=-1"],
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--tol", "nan"],
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--tol=-1"],
+        ["manifold", "--profile", "power:1,2", "--p", "2", "--gamma", "1.4", "--t-start", "inf"],
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--omega-radius", "inf"],
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--c-h", "inf"],
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--nu", "inf"],
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lambda", "inf"],
         ["manifold", "--profile", "exp:1,nan", "--p", "2", "--gamma", "1.4"],
         ["manifold", "--profile", "power:1,nan", "--p", "2", "--gamma", "1.4"],
-        ["morrey", "--source", "power:1,1", "--theta", "1.5", "--centers", "0"],
+        ["morrey", "--source", "power:1,1", "--theta", "1.5", "--dim", "2", "--s-index", "2"],
         ["morrey", "--source", "power:1,nan", "--theta", "1.5"],
         SOLVE + ["--bc-right", "0", "--tol", "nan"],
         ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "0"],
@@ -585,13 +605,13 @@ _SPECS = (
 )
 _LISTS = ("3", "2,3", "nan", "inf", "1e400", "2.5", "-1", "1:2:0.5", "0:inf:1", "1:3:inf", "1:2", "x", "")
 _POOLS = {
-    "--nodes": _COUNTS, "--pairs": _COUNTS, "--centers": _COUNTS, "--seed": _COUNTS,
+    "--nodes": _COUNTS, "--pairs": _COUNTS, "--seed": _COUNTS,
     "--operator": _SPECS, "--source": _SPECS, "--witness": _SPECS, "--profile": _SPECS,
     "--mode": ("analytic", "numeric", "x"), "--weight": ("none", "exp", "x"),
     "--bc-left": _NUMBERS + ("none",),
 }
 # Kept present, so the work stays small whatever else is drawn.
-_SIZE_FLAGS = ("--nodes", "--pairs", "--centers")
+_SIZE_FLAGS = ("--nodes", "--pairs")
 # The flags a valid, small invocation of each subcommand sets; every
 # other flag of its COMMANDS row keeps the table's default.
 _SET = {
@@ -602,7 +622,7 @@ _SET = {
     "--bc-right 0 --nodes 17",
     "audit-caccioppoli": "--dim 3 --p 2 --gamma 4",
     "audit-holder": "--dim 3 --p 2 --gamma 4 --pairs 17",
-    "morrey": "--source power:1,1 --theta 1.5 --centers 2",
+    "morrey": "--source power:1,1 --theta 1.5",
     "liouville": "--dim 3 --p 2 --gamma 1.4",
     "manifold": "--profile power:1,2 --p 2 --gamma 1.4 --mode numeric",
     "sigma-bound": "--dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10",

@@ -81,6 +81,17 @@ def test_numeric_power_area_past_overflow_is_silent(profile):
     assert verdict is IntegralVerdict.INCONCLUSIVE
 
 
+def test_numeric_area_test_drops_doublings_past_the_float_range():
+    # From T = 1e300 only the doublings whose end 2T is finite are
+    # integrated, silently: the pytest RuntimeWarning gate fails the test
+    # on any warning. An infinite start is refused.
+    profile = PowerArea(1.0, 2.0)
+    verdict = area_condition_test(profile, 2.0, 1.4, t_start=1e300, mode="numeric")
+    assert verdict is IntegralVerdict.INCONCLUSIVE
+    with pytest.raises(PreconditionViolation):
+        area_condition_test(profile, 2.0, 1.4, t_start=math.inf, mode="numeric")
+
+
 @pytest.mark.parametrize(
     "profile, p, gamma",
     [

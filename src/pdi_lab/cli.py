@@ -59,12 +59,14 @@ from .params import (
     holder_exponent,
 )
 from .radial import (
+    BumpProfile,
     GeneralizedMeanCurvature,
     MeanCurvature,
     PLaplacian,
     PowerProfile,
     SampledProfile,
     _checked_samples,
+    _witness_scale,
     bump_profile_scale,
     residual_scan,
     sharpness_profile,
@@ -311,6 +313,7 @@ def _cmd_verify_bump(args):
     c, report = bump_profile_scale(args.dim, args.p, args.gamma, args.c_h, grid)
     results = {
         "c": c,
+        "log10_c": _witness_scale(args.dim, args.p, args.gamma, args.c_h, bounded=True)[1],
         "delta": -_gradient_arm(args.p, args.gamma),
         "min_residual": report.min_residual,
         "grid_max": args.grid_max,
@@ -428,13 +431,14 @@ def _cmd_liouville(args):
     consistent = (verdict.verdict is Verdict.LIOUVILLE) == (
         area is IntegralVerdict.DIVERGENT
     )
-    witness_ok = None
-    witness_info = None
+    witness_ok = witness_info = None
     if verdict.witness is not None:
         _, witness_ok = verify_euclidean_witness(verdict)
+        bounded = isinstance(verdict.witness, BumpProfile)
         witness_info = {
             "family": type(verdict.witness).__name__,
             "c": verdict.witness.c,
+            "log10_c": _witness_scale(args.dim, args.p, args.gamma, args.c_h, bounded)[1],
             "exponent": getattr(verdict.witness, "a", None),
             "delta": getattr(verdict.witness, "delta", None),
         }
@@ -611,11 +615,16 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # for run's one error: line, not a usage block
+        raise PreconditionViolation(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of ``COMMANDS``, built once per process (argparse keeps
     no state between parses); callers must not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdi-lab",
         description="Desk-scale verification of exponent formulas, explicit "
         "solutions, energy bounds and Liouville criteria for quasilinear "
@@ -636,13 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Execute one invocation given its argument tokens and return the
     exit code. The report goes to stdout, the one-line summary to stderr."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     note = ""
     try:
+        args = build_parser().parse_args(argv)
         results, passed = args.func(args)
+    except SystemExit:  # --help, the one way left for the parser to exit
+        return 0
     except (NoAdmissibleScale, NoConvergence, InsufficientScales) as exc:
         # stopped on the science, not the input: a report, exit 1
         results, passed, note = {"error": str(exc)}, False, f" ({exc})"

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import DomainExceeded, PreconditionViolation
 from .params import (
     ProblemParams,
+    _check_c_h,
     _check_dim,
     _check_exponents,
     _critical_gamma,
@@ -56,13 +57,11 @@ from .quadrature import SAMPLE_PANEL_NODES, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import (
     BumpProfile,
-    PLaplacian,
     RadialProfile,
-    _certify_bump,
+    _certify_witness,
     _checked_samples,
     bump_profile_scale,
     nonconstant_entire_profile,
-    residual_scan,
 )
 
 __all__ = [
@@ -463,8 +462,8 @@ def find_contradiction_radius(
 # Classification
 # ---------------------------------------------------------------------------
 
-_DEFAULT_BUMP_GRID = (0.05, 10.0, 300)
-_DEFAULT_ENTIRE_GRID = (0.1, 5.0, 200)
+_DEFAULT_BUMP_GRID = np.linspace(0.05, 10.0, 300)
+_DEFAULT_ENTIRE_GRID = np.linspace(0.1, 5.0, 200)
 
 
 def liouville_classify_euclidean(
@@ -482,8 +481,7 @@ def liouville_classify_euclidean(
     """
     gamma_star = liouville_threshold(dim, p)
     _check_exponents(p, gamma)
-    if not c_h > 0:
-        raise PreconditionViolation(f"c_h must be positive, got {c_h}")
+    _check_c_h(c_h)
     verdict = functools.partial(
         LiouvilleVerdict, dim=dim, p=p, gamma=gamma, gamma_star=gamma_star, c_h=c_h
     )
@@ -498,7 +496,7 @@ def liouville_classify_euclidean(
     if gamma > p:
         witness: RadialProfile = nonconstant_entire_profile(dim, p, gamma, c_h)
     else:
-        c, _ = bump_profile_scale(dim, p, gamma, c_h, np.linspace(*_DEFAULT_BUMP_GRID))
+        c, _ = bump_profile_scale(dim, p, gamma, c_h, _DEFAULT_BUMP_GRID)
         witness = BumpProfile(c=c, delta=-_gradient_arm(p, gamma))
     return verdict(Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS, witness=witness)
 
@@ -536,25 +534,14 @@ def verify_euclidean_witness(
 ) -> tuple:
     """Residual-check a NO_LIOUVILLE witness. Returns (report, ok).
 
-    Bump witnesses are strict supersolutions, certified by the unit-scale
-    scan ``bump_profile_scale`` returns, so building a witness and verifying
-    it apply one rule. Entire power witnesses solve the equation with the
-    gradient term on the other side of the equality; the divergence part is
-    odd under negation, so the scan runs on the negated profile and ok
-    requires two-sided cancellation below 1e-8.
+    Both families go through ``_certify_witness``, the unit-scale scan
+    ``bump_profile_scale`` also returns, so building a witness and
+    verifying it apply one rule. It reads neither the witness's scale c
+    nor c_h, which only multiply the unit profile and its gradient term.
     """
     if verdict.witness is None:
         raise PreconditionViolation("verdict carries no witness profile")
-    dim, p, gamma, c_h = verdict.dim, verdict.p, verdict.gamma, verdict.c_h
-    if isinstance(verdict.witness, BumpProfile):
-        if grid is None:
-            grid = np.linspace(*_DEFAULT_BUMP_GRID)
-        report = _certify_bump(dim, p, gamma, c_h, verdict.witness.c, grid)
-        return report, bool(report.passed)
+    bounded = isinstance(verdict.witness, BumpProfile)
     if grid is None:
-        grid = np.linspace(*_DEFAULT_ENTIRE_GRID)
-    scan_params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h)
-    negated = verdict.witness.negated()
-    report = residual_scan(PLaplacian(p), negated, scan_params, None, grid, tol=1e-8)
-    ok = bool(report.passed and report.max_abs_residual <= 1e-8)
-    return report, ok
+        grid = _DEFAULT_BUMP_GRID if bounded else _DEFAULT_ENTIRE_GRID
+    return _certify_witness(verdict.dim, verdict.p, verdict.gamma, bounded, grid)

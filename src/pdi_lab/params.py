@@ -92,6 +92,11 @@ def _check_dim(dim) -> None:
         raise PreconditionViolation(f"dim must be an integer >= 2, got {dim}")
 
 
+def _check_c_h(c_h) -> None:
+    if not (math.isfinite(c_h) and c_h > 0):
+        raise PreconditionViolation(f"c_h must be finite and positive, got {c_h}")
+
+
 def _check_exponents(p, gamma) -> None:
     """Finite growth orders with p > 1 and gamma > p - 1."""
     if not _p_ok(p):
@@ -128,8 +133,7 @@ class ProblemParams:
         _check_exponents(self.p, self.gamma)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise PreconditionViolation(f"lam must be finite and >= 0, got {self.lam}")
-        if not (math.isfinite(self.c_h) and self.c_h > 0):
-            raise PreconditionViolation(f"c_h must be finite and positive, got {self.c_h}")
+        _check_c_h(self.c_h)
         if not (math.isfinite(self.nu) and self.nu > 0):
             raise PreconditionViolation(f"nu must be finite and positive, got {self.nu}")
         if not _q_ok(self.q):

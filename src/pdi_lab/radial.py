@@ -21,8 +21,9 @@ throughout the package:
   all of R^dim. These exist exactly for gamma above the critical exponent.
 * ``bump_profile_scale``: V(r) = c (1 + r^2)^(-delta/2) with
   delta = (p-gamma)/(gamma-(p-1)), a bounded positive supersolution of
-  -Delta_p u >= c_h |Du|^gamma for every c > 0 up to a closed-form largest
-  scale, again only above the critical exponent.
+  -Delta_p u >= c_h |Du|^gamma for every c > 0 up to a largest scale, again
+  only above the critical exponent. One log-space closed form gives both
+  witness scales, and one unit-scale scan certifies both families.
 
 Residual sign convention: a scan reports
 
@@ -35,6 +36,7 @@ its negation, since the divergence term is odd under V -> -V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,8 @@ from .errors import (
 )
 from .params import (
     ProblemParams,
+    _check_c_h,
+    _check_exponents,
     _critical_gamma,
     _gradient_arm,
     _growth_gap,
@@ -388,26 +392,18 @@ def nonconstant_entire_profile(dim: int, p: float, gamma: float, c_h: float = 1.
 
     Returns V(r) = c r^a with a = (gamma-p)/(gamma-(p-1)); the exponent is
     positive for gamma > p and negative for gamma < p, and the coefficient
-    c (positive resp. negative) is balanced so the equation holds exactly
-    on R^dim minus the origin. Exists precisely for gamma above the
-    critical exponent and gamma != p; at gamma = p the family degenerates
-    to a logarithm and no power profile is returned.
+    c (positive resp. negative, ``_witness_scale``) is balanced so the
+    equation holds exactly on R^dim minus the origin. Exists precisely for
+    gamma above the critical exponent and gamma != p; at gamma = p the
+    family degenerates to a logarithm and no power profile is returned.
     """
-    if not c_h > 0:
-        raise PreconditionViolation(f"c_h must be positive, got {c_h}")
     gamma_star = liouville_threshold(dim, p)
     if not gamma > gamma_star:
-        raise PreconditionViolation(
-            f"entire profile needs gamma > {gamma_star}, got gamma={gamma}"
-        )
+        raise PreconditionViolation(f"entire profile needs gamma > {gamma_star}, got gamma={gamma}")
     if gamma == p:
-        raise PreconditionViolation(
-            "gamma = p is the logarithmic case, no power profile exists"
-        )
-    a = _gradient_arm(p, gamma)
-    magnitude = (_growth_gap(dim, p, gamma) / c_h) ** (1.0 / (gamma - (p - 1)))
-    c = magnitude / a
-    return PowerProfile(c=c, a=a)
+        raise PreconditionViolation("gamma = p is the logarithmic case, no power profile exists")
+    c, _ = _witness_scale(dim, p, gamma, c_h, bounded=False)
+    return PowerProfile(c=c, a=_gradient_arm(p, gamma))
 
 
 def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
@@ -421,65 +417,70 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
         A / B = delta^(p-1-gamma) (1 + 1/r^2)^((gamma-p)/2) (g + (dim+p-2)/r^2),
 
     with g = _growth_gap(dim, p, gamma), a multiple of gamma - gamma*. It
-    falls strictly in r towards delta^(p-1-gamma) g, so the largest scale
-    valid for every radius is
-
-        c = (delta^(p-1-gamma) g / c_h)^(1/(gamma-p+1)),
-
-    and none exists unless gamma > gamma* = _critical_gamma(dim, p) (at or
-    below it A < 0 for r^2 > (dim+p-2)/(-g)). NoAdmissibleScale is raised
-    where c underflows to 0 (just above gamma*) or overflows (c_h near 0).
-    Returns (c, ResidualReport), the report being the unit-scale
-    certificate of c on ``grid``.
+    falls strictly in r towards K = delta^(p-1-gamma) g, so the largest
+    scale valid for every radius is c = (K / c_h)^(1/(gamma-p+1)), and
+    none exists unless gamma > gamma* = _critical_gamma(dim, p) (at or
+    below it A < 0 for r^2 > (dim+p-2)/(-g)). Returns c (``_witness_scale``)
+    and the unit-scale certificate ``_certify_witness`` on ``grid``.
     """
+    _check_exponents(p, gamma)
     if not gamma < p:
-        raise PreconditionViolation(
-            f"bump witness needs gamma < p, got gamma={gamma}, p={p}"
-        )
-    if not gamma > p - 1:
-        raise PreconditionViolation(
-            f"bump witness needs gamma > p - 1, got gamma={gamma}, p={p}"
-        )
-    if not c_h > 0:
-        raise PreconditionViolation(f"c_h must be positive, got {c_h}")
+        raise PreconditionViolation(f"bump witness needs gamma < p, got gamma={gamma}, p={p}")
     gamma_star = _critical_gamma(dim, p)
     if not gamma > gamma_star:
         raise NoAdmissibleScale(
             f"no bump supersolution on R^{dim} for gamma={gamma}: "
             f"gamma is not above the critical exponent {gamma_star!r}"
         )
-    delta = -_gradient_arm(p, gamma)
-    base = delta ** (p - 1 - gamma) * _growth_gap(dim, p, gamma) / c_h
+    c, _ = _witness_scale(dim, p, gamma, c_h, bounded=True)
+    return c, _certify_witness(dim, p, gamma, True, grid)[0]
+
+
+def _witness_constants(dim: int, p: float, gamma: float, bounded: bool):
+    """(a, K), a = _gradient_arm: with gradient constant K the unit bump
+    (1+r^2)^(a/2) is a strict supersolution, K = (-a)^(p-1-gamma) g, and the
+    unit entire power r^a / a is a solution, K = g = _growth_gap."""
+    a, g = _gradient_arm(p, gamma), _growth_gap(dim, p, gamma)
+    return a, ((-a) ** (p - 1 - gamma) * g if bounded else g)
+
+
+def _witness_scale(dim: int, p: float, gamma: float, c_h: float, bounded: bool):
+    """(c, log10 |c|) of a witness's coefficient c = c1 (K/c_h)^(1/(gamma-p+1)),
+    c1 = 1 for the bump and 1/a for the entire power, computed in logs: c
+    is 0.0 or +-inf where it leaves the float range, log10 |c| is finite."""
+    _check_c_h(c_h)
+    a, K = _witness_constants(dim, p, gamma, bounded)
+    c1 = 1.0 if bounded else 1.0 / a
+    log_c = (math.log(K) - math.log(c_h)) / (gamma - (p - 1)) + math.log(abs(c1))
     try:
-        c = base ** (1.0 / (gamma - (p - 1)))
+        c = math.exp(log_c)
     except OverflowError:
-        c = np.inf
-    if not c < np.inf:
-        raise NoAdmissibleScale(f"bump scale for gamma={gamma} overflows: it exceeds the float range")
-    if not c > 0:
-        raise NoAdmissibleScale(f"bump scale for gamma={gamma} underflows: it rounds to 0")
-    return c, _certify_bump(dim, p, gamma, c_h, c, grid)
+        c = math.inf
+    return math.copysign(c, c1), log_c / math.log(10.0)
 
 
-def _certify_bump(dim: int, p: float, gamma: float, c_h: float, c: float, grid):
-    """Strict residual scan certifying c (1+r^2)^(-delta/2) at unit scale.
-
-    The residual of c w is c^(p-1) (A - c_h c^(gamma-p+1) B) for the unit
-    bump w, so scanning w with gradient constant c_h c^(gamma-p+1) decides
-    the same inequality, in normal-range arithmetic even where c is
-    subnormal. Only radii where w' is a normal float are scanned: past
-    them (delta in the hundreds, p near 1) the residual has no significant
-    digit, and for p < 2 the weight |w'|^(p-2) overflows.
-    """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0 or not np.all(grid > 0):
+def _certify_witness(dim: int, p: float, gamma: float, bounded: bool, grid):
+    """(ResidualReport, ok) of the one witness certificate: a scan of the
+    unit profile w with gradient constant K (``_witness_constants``),
+    reading neither c nor c_h. The bump must be a strict supersolution
+    where w' is normal (past that, delta in the hundreds and p near 1, the
+    residual keeps no digit and |w'|^(p-2) can overflow). The entire power
+    is a solution: -w is scanned, each residual within 1e-8 of K |w'|^gamma."""
+    grid = np.array(grid, dtype=float, ndmin=1)  # a copy: no report holds the caller's array
+    if not (grid.size and (grid > 0).all()):
         raise PreconditionViolation("scan grid must contain radii > 0 only")
-    unit = BumpProfile(c=1.0, delta=-_gradient_arm(p, gamma))
-    grid = grid[np.abs(unit.derivative(grid)) >= np.finfo(float).tiny]
-    if grid.size == 0:
-        raise NoAdmissibleScale(f"bump slope for gamma={gamma} underflows on the whole scan grid")
-    params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=c_h * c ** (gamma - (p - 1)))
-    return residual_scan(PLaplacian(p), unit, params, None, grid, tol=0.0)
+    a, K = _witness_constants(dim, p, gamma, bounded)
+    unit = BumpProfile(1.0, -a) if bounded else PowerProfile(-1.0 / a, a)
+    if bounded:
+        grid = grid[np.abs(unit.derivative(grid)) >= np.finfo(float).tiny]
+        if grid.size == 0:
+            raise NoAdmissibleScale(f"bump slope for gamma={gamma} underflows on the whole scan grid")
+    params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=K)
+    report = residual_scan(PLaplacian(p), unit, params, None, grid, tol=0.0)
+    if bounded:
+        return report, report.passed
+    gradient_term = K * grid ** ((a - 1.0) * gamma)
+    return report, bool((np.abs(report.residuals) <= 1e-8 * gradient_term).all())
 
 
 # ---------------------------------------------------------------------------

@@ -287,17 +287,40 @@ def test_liouville_bump_witness_near_threshold(capsys):
 
 @pytest.mark.parametrize("command", ["verify-bump", "liouville"])
 @pytest.mark.parametrize("c_h", ["1e-300", "5e-324"])
-def test_bump_scale_overflow_is_a_report(capsys, command, c_h):
-    # The closed-form bump scale exceeds the float range: a one-line
-    # reason in an exit-1 report, not a traceback or a usage error.
+def test_bump_scale_past_the_float_range_is_a_witness(capsys, command, c_h):
+    # The closed-form bump scale exceeds the float range: the report gives
+    # c = inf next to its finite log10, and the unit-scale certificate,
+    # which reads neither c nor c_h, passes.
     rc, report, cap = run_cli(
         capsys, command, "--dim", "3", "--p", "2", "--gamma", "1.8", "--c-h", c_h
     )
-    assert rc == 1
-    assert report["results"] == {
-        "error": "bump scale for gamma=1.8 overflows: it exceeds the float range"
-    }
+    assert rc == 0 and report["passed"] is True
+    results = report["results"]
+    witness = results["witness"] if command == "liouville" else results
+    assert witness["c"] == "inf"
+    # c = 2.7918145773062997 at c_h = 1, and c_h enters as c_h^(-1/0.8)
+    want = math.log10(2.7918145773062997) - math.log10(float(c_h)) / 0.8
+    assert witness["log10_c"] == pytest.approx(want, rel=1e-12)
     assert "Traceback" not in cap.err and cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "liouville --dim 5 --p 1.01 --gamma 0.0125000001",  # c rounds to 0
+        "verify-bump --dim 3 --p 2 --gamma 1.8 --c-h 1e-300",  # c exceeds the float range
+        "liouville --dim 4 --p 3 --gamma 3.5 --c-h 1e-8",
+        "liouville --dim 10 --p 8 --gamma 8.1",  # an entire power of residual ~1e-8
+        "liouville --dim 3 --p 2 --gamma 3 --c-h 1e-200",
+    ],
+)
+def test_witnesses_at_any_scale_pass(capsys, argv):
+    rc, report, _ = run_cli(capsys, *argv.split())
+    results = report["results"]
+    witness = results.get("witness", results)
+    assert rc == 0 and report["passed"] is True
+    assert isinstance(witness["log10_c"], float) and math.isfinite(witness["log10_c"])
+    assert results.get("witness_ok", True) is True
 
 
 def test_liouville_gamma_equals_p(capsys):
@@ -579,6 +602,19 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "3", "--q", "inf,nan"],
         ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--seed=-1"],
         ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8", "--grid-max=-inf"],
+        # c_h is finite and positive for both witness families.
+        ["liouville", "--dim", "3", "--p", "2", "--gamma", "1.8", "--c-h", "inf"],
+        ["liouville", "--dim", "3", "--p", "2", "--gamma", "1.8", "--c-h", "nan"],
+        ["liouville", "--dim", "3", "--p", "2", "--gamma", "3", "--c-h", "inf"],
+        ["liouville", "--dim", "3", "--p", "2", "--gamma", "3", "--c-h", "nan"],
+        ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8", "--c-h", "inf"],
+        ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8", "--c-h", "nan"],
+        # Parser errors are one line too, not argparse's usage block.
+        ["morrey", "--source", "power:1,1", "--theta", "1.5", "--centers", "8"],
+        SOLVE + ["--bc-right", "0", "--nodes", "x"],
+        ["morrey", "--theta", "1.5"],
+        ["no-such-command"],
+        [],
         SOLVE + ["--bc-right", "0", "--source", "file:{typo_csv}"],
     ],
     ids=" ".join,
@@ -676,8 +712,9 @@ def test_any_argv_exits_cleanly(argv):
         rc = run(argv)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if rc in (0, 1):
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
     text = out.getvalue()
     if rc == 2:
         assert text == ""

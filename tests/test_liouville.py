@@ -1,5 +1,6 @@
 """Area integral test, sigma comparison chain, and the constancy verdicts."""
 
+import itertools
 import math
 import warnings
 
@@ -475,21 +476,81 @@ def test_near_threshold_bump_witnesses_are_certified_in_one_scan(monkeypatch):
         g = (d - 1) * (gamma - params._critical_gamma(d, p)) / (gamma - (p - 1))
         log_c = ((p - 1 - gamma) * math.log(delta) + math.log(g)) / (gamma - (p - 1))
         scans.clear()
-        try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             c, report = radial.bump_profile_scale(d, p, gamma, 1.0, grid)
-        except NoAdmissibleScale as exc:
-            assert "underflows" in str(exc) and scans == []
-            assert log_c < -744.0, (d, p, gamma)  # below half the least subnormal
+            assert report.passed and len(scans) == 1, (d, p, gamma)
+            verdict = liouville_classify_euclidean(d, p, gamma)
+            witness_report, ok = verify_euclidean_witness(verdict)
+        # c rounds to 0 only below half the least subnormal; its log10 is
+        # reported all the same
+        if c == 0.0:
+            assert log_c < -744.0, (d, p, gamma)
             underflowed += 1
-            continue
-        assert c > 0 and report.passed and len(scans) == 1, (d, p, gamma)
-        assert log_c > -746.0, (d, p, gamma)
-        verdict = liouville_classify_euclidean(d, p, gamma)
+        else:
+            assert c > 0 and log_c > -746.0, (d, p, gamma)
+        log10_c = radial._witness_scale(d, p, gamma, 1.0, bounded=True)[1]
+        assert log10_c * math.log(10.0) == pytest.approx(log_c, rel=1e-12), (d, p, gamma)
         assert verdict.witness.c == c
-        witness_report, ok = verify_euclidean_witness(verdict)
         assert ok and witness_report.min_residual == report.min_residual
         certified += 1
-    assert (certified, underflowed) == (1611, 83)
+    assert (certified, underflowed) == (1694, 83)
+
+
+_C_H_SWEEP = (5e-324, 1e-310, 1e-200, 1e-100, 1e-8, 1e8, 1e100, 1e200, 1e300)
+
+
+@pytest.mark.parametrize(
+    "dim, p, gamma",
+    [(3, 2.0, 1.8), (3, 2.0, 1.6), (4, 3.0, 2.8), (5, 1.5, 0.9), (3, 2.0, 3.0),
+     (3, 2.0, 4.0), (4, 3.0, 3.5), (5, 2.5, 4.0), (6, 3.0, 3.3)],
+)
+def test_witness_scale_follows_c_h_and_its_certificate_does_not(dim, p, gamma):
+    bounded = gamma < p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        base_report, _ = verify_euclidean_witness(liouville_classify_euclidean(dim, p, gamma))
+        base = radial._witness_scale(dim, p, gamma, 1.0, bounded)[1]
+        for c_h in _C_H_SWEEP:
+            verdict = liouville_classify_euclidean(dim, p, gamma, c_h=c_h)
+            report, ok = verify_euclidean_witness(verdict)
+            assert ok and report.min_residual == base_report.min_residual, c_h
+            log10_c = radial._witness_scale(dim, p, gamma, c_h, bounded)[1]
+            want = base - math.log10(c_h) / (gamma - (p - 1))
+            assert log10_c == pytest.approx(want, rel=1e-12, abs=1e-12), c_h
+            # c leaves the float range, to 0.0 or inf, exactly where its log does
+            c = abs(verdict.witness.c)
+            if c == 0.0 or c == math.inf:
+                assert log10_c < -323.3 if c == 0.0 else log10_c > 308.25, c_h
+            elif c >= np.finfo(float).tiny:
+                assert math.log10(c) == pytest.approx(log10_c, abs=1e-12 * max(1.0, abs(log10_c)))
+    for c_h in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(PreconditionViolation, match="c_h must be finite and positive"):
+            liouville_classify_euclidean(dim, p, gamma, c_h=c_h)
+
+
+def test_high_p_witnesses_are_certified_relative_to_their_gradient_term():
+    # d in {8, 10}, p in {6, 8} below d: at (10, 8, 8.05) the entire
+    # power's two terms are about 1e8 at r = 0.1, so its residual, roundoff
+    # of order 1e-8, fails an absolute 1e-8 bound even at unit scale; the
+    # bound is relative to the gradient term K |w'|^gamma.
+    certified = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for dim, p, k in itertools.product((8, 10), (6.0, 8.0), range(1, 81)):
+            gamma = round(p - 1 + 0.05 * k, 10)
+            if p >= dim or gamma <= params._critical_gamma(dim, p) or gamma == p:
+                continue
+            verdict = liouville_classify_euclidean(dim, p, gamma)
+            _, ok = verify_euclidean_witness(verdict)
+            assert ok, (dim, p, gamma)
+            if gamma > p:  # the coefficient of r^a against its closed form
+                a = (gamma - p) / (gamma - (p - 1))
+                g = params._growth_gap(dim, p, gamma)
+                c = g ** (1.0 / (gamma - (p - 1))) / a
+                assert verdict.witness.c == pytest.approx(c, rel=1e-12), (dim, p, gamma)
+            certified += 1
+    assert certified == 197
 
 
 def test_classify_euclidean_guards():

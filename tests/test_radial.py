@@ -267,7 +267,16 @@ def test_bump_scale_absent_below_threshold():
         bump_profile_scale(3, 2.0, 1.4, 1.0, grid)
 
 
-def test_bump_scale_stops_before_the_scale_underflows(monkeypatch):
+def _log10_bump_scale(dim, p, gamma, c_h):
+    """log10 of the closed-form bump scale, in logs so it cannot leave the
+    float range."""
+    delta = (p - gamma) / (gamma - (p - 1))
+    g = (dim - 1) * (gamma - dim * (p - 1) / (dim - 1)) / (gamma - (p - 1))
+    log_k = (p - 1 - gamma) * math.log(delta) + math.log(g) - math.log(c_h)
+    return log_k / (gamma - (p - 1)) / math.log(10.0)
+
+
+def test_bump_scale_below_the_float_range_is_certified_at_unit_scale(monkeypatch):
     scanned = []
 
     def recording_scan(kind, profile, *args, **kwargs):
@@ -283,27 +292,36 @@ def test_bump_scale_stops_before_the_scale_underflows(monkeypatch):
     assert 0 < c < 1e-315 and c == pytest.approx(4.55e-316, rel=1e-2)
     assert report.passed
     assert scanned == [1.0]
-    # gamma = 0.0125000001 is 1e-10 above gamma* at (5, 1.01): the scale
-    # rounds to 0, and there is nothing to scan.
+    # gamma = 0.0125000001 is 1e-10 above gamma* at (5, 1.01): the scale,
+    # about 10^-2721, rounds to 0, its log10 stays finite, and the same one
+    # scan of the unit bump certifies it.
     scanned.clear()
-    with pytest.raises(NoAdmissibleScale, match="underflows"):
-        bump_profile_scale(5, 1.01, 0.0125000001, 1.0, grid)
-    assert scanned == []
+    c, report = bump_profile_scale(5, 1.01, 0.0125000001, 1.0, grid)
+    assert c == 0.0 and report.passed and scanned == [1.0]
+    log10_c = radial._witness_scale(5, 1.01, 0.0125000001, 1.0, bounded=True)[1]
+    assert log10_c == pytest.approx(_log10_bump_scale(5, 1.01, 0.0125000001, 1.0), rel=1e-12)
+    assert -2722 < log10_c < -2720
 
 
 @pytest.mark.parametrize("c_h", [1e-300, 5e-324])
-def test_bump_scale_stops_where_the_scale_overflows(monkeypatch, c_h):
-    # At (3, 2, 1.8) c = (delta^(p-1-gamma) g / c_h)^5: past the float range
-    # for c_h = 1e-300 (where float ** raises) and for c_h = 5e-324 (where
-    # the base itself is inf); there is nothing to scan.
+def test_bump_scale_above_the_float_range_is_certified_at_unit_scale(monkeypatch, c_h):
+    # At (3, 2, 1.8) c = (delta^(p-1-gamma) g / c_h)^5 exceeds the float
+    # range for c_h = 1e-300 and for c_h = 5e-324 (where K / c_h itself is
+    # inf): c is inf, its log10 is finite, and the certificate, which reads
+    # neither c nor c_h, is the one of c_h = 1.
     grid = np.linspace(0.05, 10.0, 300)
     c, report = bump_profile_scale(3, 2.0, 1.8, 1e-200, grid)
     assert 1e250 < c < math.inf and report.passed
+    _, unit = bump_profile_scale(3, 2.0, 1.8, 1.0, grid)
     scanned = []
-    monkeypatch.setattr(radial, "residual_scan", lambda *a, **k: scanned.append(a))
-    with pytest.raises(NoAdmissibleScale, match="bump scale for gamma=1.8 overflows"):
-        bump_profile_scale(3, 2.0, 1.8, c_h, grid)
-    assert scanned == []
+    monkeypatch.setattr(
+        radial, "residual_scan", lambda *a, **k: scanned.append(a) or residual_scan(*a, **k)
+    )
+    c, report = bump_profile_scale(3, 2.0, 1.8, c_h, grid)
+    assert c == math.inf and len(scanned) == 1
+    assert report.passed and report.min_residual == unit.min_residual
+    log10_c = radial._witness_scale(3, 2.0, 1.8, c_h, bounded=True)[1]
+    assert log10_c == pytest.approx(_log10_bump_scale(3, 2.0, 1.8, c_h), rel=1e-12)
 
 
 def test_bump_certificate_stops_where_the_unit_slope_underflows():

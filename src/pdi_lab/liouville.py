@@ -58,6 +58,7 @@ from .quadrature import gauss_legendre as quad
 from .radial import (
     BumpProfile,
     RadialProfile,
+    ResidualReport,
     _certify_witness,
     _checked_samples,
     bump_profile_scale,
@@ -222,6 +223,9 @@ class Mechanism(Enum):
 
 @dataclass(eq=False)
 class LiouvilleVerdict:
+    """A classification. ``witness_report`` is a bump witness's unit-scale
+    certificate, scanned once with its scale."""
+
     verdict: Verdict
     mechanism: Optional[Mechanism]
     dim: Optional[int]
@@ -231,6 +235,7 @@ class LiouvilleVerdict:
     c_h: float = 1.0
     witness: Optional[RadialProfile] = None
     witness_note: Optional[str] = None
+    witness_report: Optional[ResidualReport] = None
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +498,16 @@ def liouville_classify_euclidean(
             Mechanism.COUNTEREXAMPLE_WITNESS,
             witness_note="WITNESS_UNAVAILABLE",
         )
+    report = None
     if gamma > p:
         witness: RadialProfile = nonconstant_entire_profile(dim, p, gamma, c_h)
     else:
-        c, _ = bump_profile_scale(dim, p, gamma, c_h, _DEFAULT_BUMP_GRID)
+        c, report = bump_profile_scale(dim, p, gamma, c_h, _DEFAULT_BUMP_GRID)
         witness = BumpProfile(c=c, delta=-_gradient_arm(p, gamma))
-    return verdict(Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS, witness=witness)
+    return verdict(
+        Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS,
+        witness=witness, witness_report=report,
+    )
 
 
 def liouville_classify_manifold(
@@ -538,9 +547,13 @@ def verify_euclidean_witness(
     ``bump_profile_scale`` also returns, so building a witness and
     verifying it apply one rule. It reads neither the witness's scale c
     nor c_h, which only multiply the unit profile and its gradient term.
+    On the default grid a verdict that carries that scan's report
+    (``witness_report``) is answered from it, without scanning again.
     """
     if verdict.witness is None:
         raise PreconditionViolation("verdict carries no witness profile")
+    if grid is None and verdict.witness_report is not None:
+        return verdict.witness_report, verdict.witness_report.passed
     bounded = isinstance(verdict.witness, BumpProfile)
     if grid is None:
         grid = _DEFAULT_BUMP_GRID if bounded else _DEFAULT_ENTIRE_GRID

@@ -176,6 +176,29 @@ def test_solve_singular_source_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ("--p", "1.5", "--gamma", "1.2", "--bc-left", "1e200"),
+        ("--p", "3", "--gamma", "3.5", "--bc-left", "1e160"),
+        ("--operator", "gmc:4", "--p", "2", "--gamma", "2.5", "--bc-left", "1e200"),
+    ],
+    ids=["p1.5", "p3", "gmc4"],
+)
+def test_solve_leaving_the_float_range_is_a_fail_report(capsys, flags):
+    # The first Newton iterate overflows, so the banded solve refuses it;
+    # the solve stops with NoConvergence naming the eps stage.
+    rc, report, cap = run_cli(
+        capsys, "solve", "--dim", "3", *flags,
+        "--r-in", "0.5", "--bc-right", "0", "--nodes", "64",
+    )
+    assert rc == 1
+    assert report["passed"] is False
+    assert report["results"]["error"].startswith("Newton step failed at eps=1.0e-02: ")
+    assert cap.err.startswith("solve: FAIL (Newton step failed at eps=1.0e-02: ")
+    assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize(
     "content", [b"0.0\n0.5\n1.0\n", b"0,1\n\xd5\xff,2\n"], ids=["one-column", "not-utf8"]
 )
 def test_unreadable_csv_is_usage_error(capsys, tmp_path, content):

@@ -1,5 +1,6 @@
 """Area integral test, sigma comparison chain, and the constancy verdicts."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -9,7 +10,7 @@ import pytest
 
 from pdi_lab import liouville, params, radial
 from pdi_lab.cli import _sweep_rows
-from pdi_lab.errors import DomainExceeded, NoAdmissibleScale, PreconditionViolation
+from pdi_lab.errors import DomainExceeded, PreconditionViolation
 from pdi_lab.liouville import (
     EuclideanArea,
     ExponentialArea,
@@ -206,10 +207,7 @@ def test_power_area_divergence_predicate():
     disagree = []
     for (dim, p, gamma, star), row in zip(grid, rows):
         constant = gamma <= star
-        try:
-            classified = liouville_classify_euclidean(dim, p, gamma).verdict is Verdict.LIOUVILLE
-        except NoAdmissibleScale:  # no representable bump scale, only above gamma_star
-            classified = False
+        classified = liouville_classify_euclidean(dim, p, gamma).verdict is Verdict.LIOUVILLE
         regime = classify_regime(ProblemParams(dim=dim, p=p, gamma=gamma)).liouville
         agree = (
             classified == constant
@@ -420,6 +418,26 @@ def test_classify_euclidean_bump_witness_below_p():
     # a witness on R^dim, not only on the grid its scale was certified on
     assert verify_euclidean_witness(v, grid=np.linspace(0.05, 40.0, 800))[1]
     assert verify_euclidean_witness(v, grid=np.geomspace(0.05, 1e6, 400))[1]
+
+
+def test_verify_answers_from_the_classification_certificate(monkeypatch):
+    scans, scan = [], radial.residual_scan
+    monkeypatch.setattr(radial, "residual_scan", lambda *a, **k: scans.append(1) or scan(*a, **k))
+    v = liouville_classify_euclidean(3, 2.0, 1.8)
+    assert len(scans) == 1
+    report, ok = verify_euclidean_witness(v)
+    assert len(scans) == 1 and ok and report is v.witness_report
+    # a verdict built by hand, or an explicit grid, runs the scan
+    by_hand = dataclasses.replace(v, witness_report=None)
+    again, ok = verify_euclidean_witness(by_hand)
+    assert len(scans) == 2 and ok
+    assert np.array_equal(again.residuals, report.residuals) and again.min_residual == report.min_residual
+    assert verify_euclidean_witness(v, grid=np.linspace(0.05, 40.0, 800))[1]
+    assert len(scans) == 3
+    # the entire power carries no certificate: verifying it scans
+    entire = liouville_classify_euclidean(3, 2.0, 4.0)
+    assert entire.witness_report is None and len(scans) == 3
+    assert verify_euclidean_witness(entire)[1] and len(scans) == 4
 
 
 def test_classify_euclidean_entire_witness_above_p():

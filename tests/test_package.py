@@ -55,11 +55,12 @@ def _fresh_modules(code: str) -> set:
     interpreter that imports this checkout's ``pdi_lab``."""
     src = os.path.dirname(os.path.dirname(pdi_lab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    return set(out.split())
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 def test_import_and_exponents_do_not_load_scipy():
@@ -74,9 +75,49 @@ def test_import_and_exponents_do_not_load_scipy():
 
 
 def test_a_solve_loads_only_the_banded_solver_from_scipy():
+    # gtsv comes from scipy's compiled _flapack module, loaded from its file,
+    # so neither scipy's nor scipy.linalg's package initialiser runs.
     loaded = _fresh_modules(
         "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, solve_radial_dirichlet\n"
         "solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)"
     )
+    assert {m for m in loaded if m == "scipy" or m.startswith("scipy.")} == {"scipy.linalg._flapack"}
+
+
+# A tridiagonal system whose diagonal is small against its sub-diagonal,
+# so gtsv interchanges rows (its fill-in du2 is nonzero), and a system
+# from a Newton solve; each solved by solve_banded and by the dgtsv that
+# scipy.linalg.lapack exports, compared bit for bit.
+_GTSV_CHECK = """
+import sys
+import numpy as np
+from pdi_lab import solver
+rng = np.random.default_rng(20)
+n = 64
+pivoting = (rng.uniform(1.0, 2.0, n - 1), rng.uniform(-1e-3, 1e-3, n), rng.uniform(1.0, 2.0, n - 1), rng.standard_normal(n))
+newton = None
+def capture(sub, dia, sup, rhs):
+    global newton
+    newton = newton or (sub.copy(), dia.copy(), sup.copy(), rhs.copy())
+    return banded(sub, dia, sup, rhs)
+banded, solver.solve_banded = solver.solve_banded, capture
+solver.solve_radial_dirichlet(solver.PLaplacian(1.5), solver.ProblemParams(dim=3, p=1.5, gamma=1.2), solver.RadialPowerSource(2.0, 0.0), (0.25, 1.0), 0.9, 0.0)
+ours = [banded(*system) for system in (pivoting, newton)]
+"""
+_GTSV_COMPARE = """
+from scipy.linalg import lapack
+du2, _, _, x, info = lapack.dgtsv(*pivoting)
+assert info == 0 and np.any(du2 != 0.0)
+for system, mine in zip((pivoting, newton), ours):
+    assert mine.tobytes() == lapack.dgtsv(*system)[3].tobytes()
+assert solver._dgtsv() is lapack.dgtsv
+"""
+
+
+def test_gtsv_is_scipys_when_scipy_linalg_is_imported_after_the_first_solve():
+    loaded = _fresh_modules(_GTSV_CHECK + "assert 'scipy.linalg' not in sys.modules\n" + _GTSV_COMPARE)
     assert "scipy.linalg" in loaded
-    assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
+
+
+def test_gtsv_is_scipys_when_scipy_linalg_is_imported_before_the_first_solve():
+    _fresh_modules("import scipy.linalg\n" + _GTSV_CHECK + _GTSV_COMPARE)

@@ -194,6 +194,23 @@ def test_no_convergence_is_reported():
         )
 
 
+def test_a_failed_banded_solve_is_no_convergence(monkeypatch):
+    params = ProblemParams(dim=3, p=1.5, gamma=1.2)
+    # an iterate past the float range: gtsv's finite-input guard refuses it
+    with pytest.raises(NoConvergence, match=r"eps=1\.0e-02: array must not contain infs or NaNs"):
+        solve_radial_dirichlet(
+            PLaplacian(1.5), params, ZeroSource(), (0.5, 1.0),
+            bc_left=1e200, bc_right=0.0, config=SolverConfig(n_nodes=64),
+        )
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(solver, "solve_banded", singular)
+    with pytest.raises(NoConvergence, match=r"eps=1\.0e-10: singular matrix"):
+        solve_quadratic(64)
+
+
 def test_config_validation():
     with pytest.raises(PreconditionViolation):
         SolverConfig(n_nodes=4)

@@ -11,14 +11,15 @@ Three measurements, one per estimate being checked:
   Omega)} on a ball Omega = B_omega(0).
 
 Every energy of an audit comes from one ball-integral pass over all its
-radii. Gridded solutions integrate by the trapezoid rule on their own
-grid: one cumulative sum over the panels, closed at each radius by a
-linearly interpolated partial panel, so values at grid radii telescope
-exactly over disjoint shells and no second interpolation error enters.
-Closed-form profiles integrate on dyadic panels graded toward the axis,
-where power-type integrands are singular (Davis & Rabinowitz, *Methods
-of Numerical Integration*, ch. 2), with the innermost piece closed by
-its power tail.
+radii. A power profile V = c (r^a - shift), the form of the sharp
+solutions, is closed-form: sigma(t) = d omega_d |c a|^gamma t^e / e with
+e = (a - 1) gamma + d (not integrable at the axis when e <= 0), and
+int_{B_t} V^- is the primitive of -V r^(d-1) split at r = shift^(1/a),
+where V changes sign. Gridded solutions integrate by the trapezoid rule
+on their own grid: one cumulative sum over the panels, closed at each
+radius by a linearly interpolated partial panel, so values at grid radii
+telescope exactly over disjoint shells and no second interpolation error
+enters. Energies of any other input are refused.
 
 A Morrey norm is taken over centred balls, one mass per radius. For a
 power source the mass and the whole norm are closed-form, and exact for
@@ -42,6 +43,7 @@ from .errors import DomainExceeded, InsufficientScales, NonIntegrable, Precondit
 from .params import ProblemParams, _check_dim, caccioppoli_exponent, unit_ball_volume
 from .quadrature import SAMPLE_PANEL_NODES, sample_panels
 from .quadrature import gauss_legendre as quad
+from .radial import PowerProfile
 from .solver import RadialPowerSource, SampledSource, ZeroSource
 
 __all__ = [
@@ -53,12 +55,6 @@ __all__ = [
     "MorreyNorm",
     "morrey_norm",
 ]
-
-# Dyadic panels [t 2^-(k+1), t 2^-k], k < _DYADIC_PANELS, of [0, t] for the
-# energies of a closed-form profile, and Gauss-Legendre nodes per panel.
-_DYADIC_PANELS = 40
-_DYADIC_NODES = 16
-
 
 # ---------------------------------------------------------------------------
 # Gradient energy sigma(t)
@@ -98,86 +94,82 @@ def _gridded_ball_integral(grid, nodal, t, dim):
     return np.where(t > grid[0], total, 0.0)
 
 
-def _power_tail(f0, f_half, r0):
-    """int_0^r0 f for f(r) = f0 (r/r0)^beta, each entry of the arrays, with
-    the local exponent beta = log2(f0/f_half) read from f_half = f(r0/2).
+def _power_energies(u, gamma, t, dim):
+    """sigma(t) = d omega_d |c a|^gamma t^e / e, e = (a - 1) gamma + d, of
+    V = c (r^a - shift): |V'|^gamma r^(d-1) is |c a|^gamma r^(e-1)."""
+    if u.c == 0:
+        return np.zeros_like(t)
+    e = (u.a - 1.0) * gamma + dim
+    if not e > 0:
+        raise NonIntegrable(
+            f"the integrand grows like r^{e - 1.0:.6g} at the axis, which is not integrable"
+        )
+    # In logs, so that |c a|^gamma and t^e cannot meet as inf * 0.
+    log_scale = gamma * (math.log(abs(u.c)) + math.log(abs(u.a)))
+    with np.errstate(over="ignore"):
+        return dim * unit_ball_volume(dim) / e * np.exp(log_scale + e * np.log(t))
 
-    Raises NonIntegrable where beta <= -1 and f0 > 0; the tail of f0 = 0
-    is 0.
-    """
-    live = f0 > 0
-    # f_half = 0 reads beta = inf (tail 0), and f0 = f_half = 0 reads NaN,
-    # which ``live`` masks.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.log2(f0 / f_half)
-        bad = live & ~(beta > -1.0)
-        if np.any(bad):
+
+def _power_negative_part(u, t, dim):
+    """int_{B_t} V^- dx of V = c (r^a - shift): d omega_d times the
+    primitive c (shift r^d/d - r^(a+d)/(a+d)) of -V r^(d-1), taken between
+    the radii of [0, t] where V < 0."""
+    c, a, shift, k = u.c, u.a, u.shift, u.a + dim
+    if c == 0:
+        return np.zeros_like(t)
+    # r^a - shift changes sign at rho = shift^(1/a) when shift > 0 and
+    # is positive for every r > 0 otherwise; below rho its sign is -sign(a).
+    with np.errstate(over="ignore"):
+        rho = np.float64(shift) ** (1.0 / a) if shift > 0 else (0.0 if a > 0 else math.inf)
+    if (c > 0) == (a > 0):  # V < 0 on (0, rho)
+        if not k > 0:
             raise NonIntegrable(
-                f"the integrand grows like r^{beta[bad][0]:.6g} at the axis, "
-                "which is not integrable"
+                f"the negative part grows like r^{k - 1.0:.6g} at the axis, which is not integrable"
             )
-        return np.where(live, f0 * r0 / (beta + 1.0), 0.0)
+        lo, hi = 0.0, np.minimum(t, rho)
+    else:
+        lo, hi = np.minimum(t, rho), t
+    tail = np.log(hi / lo) if k == 0 else (hi**k - lo**k) / k
+    return dim * unit_ball_volume(dim) * c * (shift * (hi**dim - lo**dim) / dim - tail)
 
 
-def _ball_integral(u, nodal, t, dim: int, slope: bool) -> np.ndarray:
-    """int_{B_t} nodal(w) dx for a radial u and each radius of the array t,
-    with w = u' if slope else u.
+def _ball_integral(u, t, dim: int, gamma: Optional[float] = None) -> np.ndarray:
+    """int_{B_t} |u'|^gamma dx, or int_{B_t} u^- dx when gamma is None, for
+    a radial u and each radius of the array t.
 
-    Gridded inputs (solver output, sampled profile) are integrated on
-    their own grid starting at its first node, w' by ``np.gradient``, by
-    one cumulative trapezoid closed at each t with a linear partial panel.
-    Closed-form profiles are integrated over [t 2^-40, t] on the 40 dyadic
-    panels [t 2^-(k+1), t 2^-k] at 16 Gauss-Legendre nodes each, all
-    radii in one rule call; the grading keeps the rule accurate for the
-    power-type singularities at r = 0. The innermost piece [0, r0], r0 =
-    t 2^-40, is the power tail f(r0) r0 / (beta + 1) of the integrand f,
-    with beta = log2(f(r0)/f(r0/2)). u is evaluated once, on the rule's
-    nodes and the two tail points together.
+    A ``PowerProfile`` takes its closed forms. Gridded inputs (solver
+    output, sampled profile) are integrated on their own grid starting at
+    its first node, u' by ``np.gradient``, by one cumulative trapezoid
+    closed at each t with a linear partial panel. Any other input raises
+    PreconditionViolation.
     """
-    if _is_gridded(u):
-        grid = np.asarray(u.grid, dtype=float)
-        w = np.asarray(u.values, dtype=float)
-        return _gridded_ball_integral(grid, nodal(np.gradient(w, grid) if slope else w), t, dim)
-    fn = u.derivative if slope else u.value
-    r0 = t * 2.0**-_DYADIC_PANELS
-    ends = np.stack((r0, 0.5 * r0), axis=-1)
-    at_ends = []
-
-    def integrand(r):
-        # The tail points ride along with the nodes, so u is evaluated once.
-        flat = np.concatenate((r.reshape(t.size, -1), ends), axis=-1)
-        f = nodal(np.asarray(fn(flat), dtype=float)) * _shell_weight(flat, dim)
-        at_ends.append(f[:, -2:])
-        return f[:, :-2].reshape(r.shape)
-
-    k = np.arange(_DYADIC_PANELS, dtype=float)
-    hi = t[:, None] * 2.0**-k
-    panels = quad(integrand, 0.5 * hi, hi, _DYADIC_NODES)
-    (f_ends,) = at_ends
-    return panels.sum(axis=-1) + _power_tail(f_ends[:, 0], f_ends[:, 1], r0)
+    if isinstance(u, PowerProfile):
+        return _power_negative_part(u, t, dim) if gamma is None else _power_energies(u, gamma, t, dim)
+    if not _is_gridded(u):
+        raise PreconditionViolation(
+            "energies take a PowerProfile or gridded data (grid and values), "
+            f"got {type(u).__name__}"
+        )
+    grid = np.asarray(u.grid, dtype=float)
+    w = np.asarray(u.values, dtype=float)
+    nodal = np.maximum(-w, 0.0) if gamma is None else np.abs(np.gradient(w, grid)) ** gamma
+    return _gridded_ball_integral(grid, nodal, t, dim)
 
 
 def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
-    """sigma(t) = int_{B_t} |Du|^gamma dx for a radial u.
+    """sigma(t) = int_{B_t} |Du|^gamma dx for a radial u: a ``PowerProfile``
+    or gridded data.
 
-    Raises NonIntegrable when the integrand of a closed-form profile is
-    not integrable at the axis.
+    Raises NonIntegrable when the integrand of a power profile is not
+    integrable at the axis.
     """
-    if not gamma > 0:
-        raise PreconditionViolation(f"gamma must be positive, got {gamma}")
-    if not t >= 0:
-        raise DomainExceeded(f"radius must be >= 0, got t={t}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise PreconditionViolation(f"gamma must be finite and positive, got {gamma}")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainExceeded(f"radius must be finite and >= 0, got t={t}")
     if t == 0:
         return 0.0
-    return float(_energies(u, gamma, np.array([t], dtype=float), dim)[0])
-
-
-def _energies(u, gamma, t, dim):
-    return _ball_integral(u, lambda w: np.abs(w) ** gamma, t, dim, slope=True)
-
-
-def _negative_part_integral(u, t, dim):
-    return _ball_integral(u, lambda w: np.maximum(-w, 0.0), t, dim, slope=False)
+    return float(_ball_integral(u, np.array([t], dtype=float), dim, gamma)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +212,9 @@ def caccioppoli_audit(
     s = caccioppoli_exponent(params)
 
     with np.errstate(all="ignore"):
-        energies = _energies(u, params.gamma, t_arr, params.dim)
+        energies = _ball_integral(u, t_arr, params.dim, params.gamma)
         if params.lam > 0:
-            energies += params.lam * _negative_part_integral(u, t_arr, params.dim)
+            energies += params.lam * _ball_integral(u, t_arr, params.dim)
         # A numpy R^dim beyond the float range is inf, not an OverflowError.
         k_values = energies * (R - t_arr) ** s / np.float64(R) ** params.dim
     if not np.all(np.isfinite(k_values)):

@@ -21,7 +21,7 @@ from pdi_lab.errors import (
     PreconditionViolation,
 )
 from pdi_lab.params import ProblemParams
-from pdi_lab.radial import PowerProfile, SampledProfile, sharpness_profile
+from pdi_lab.radial import BumpProfile, PowerProfile, SampledProfile, sharpness_profile
 from pdi_lab.solver import (
     RadialPowerSource,
     SampledSource,
@@ -60,6 +60,10 @@ def test_energy_closed_form_sharpness():
     assert got == pytest.approx(target, rel=1e-5)
 
 
+# The CLI's t_list for radius 1.
+_CLI_T_LIST = np.geomspace(0.02, 0.95, 24)
+
+
 _SHARP_TABLE = [
     (d, p, gamma)
     for d in (2, 3, 5)
@@ -85,19 +89,62 @@ def test_energy_of_sharp_profiles_matches_closed_form(d, p, gamma):
     assert gradient_energy(prof, gamma, 1.0, d) == pytest.approx(want, rel=1e-12)
 
 
-def test_energy_of_bump_profile_matches_adaptive_quadrature():
-    from scipy.integrate import quad
+class _FlatCore:
+    """V' = 0 on [0, 1/2), V' = 1 beyond: closed-form, but not a power."""
 
-    from pdi_lab.radial import BumpProfile
+    def value(self, r):
+        return np.maximum(np.asarray(r, dtype=float) - 0.5, 0.0)
 
-    prof = BumpProfile(c=1.5, delta=0.7)
-    gamma, t, dim = 2.5, 1.7, 3
+    def derivative(self, r):
+        return np.where(np.asarray(r, dtype=float) < 0.5, 0.0, 1.0)
 
-    def density(r):
-        return abs(float(prof.derivative(r))) ** gamma * 4.0 * math.pi * r * r
 
-    want = quad(density, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    assert gradient_energy(prof, gamma, t, dim) == pytest.approx(want, rel=1e-12)
+class _CountingProfile:
+    def __init__(self, inner):
+        self.inner = inner
+        self.derivative_calls = 0
+
+    def value(self, r):
+        return self.inner.value(r)
+
+    def derivative(self, r):
+        self.derivative_calls += 1
+        return self.inner.derivative(r)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [BumpProfile(c=1.5, delta=0.7), _FlatCore(), _CountingProfile(sharpness_profile(3, 2.0, 4.0))],
+    ids=["bump", "flat-core", "wrapped-power"],
+)
+def test_energy_of_a_profile_that_is_neither_power_nor_gridded_is_refused(profile):
+    # Only a PowerProfile has closed-form energies here; any other
+    # closed-form profile is refused, and the message names what is taken.
+    params = ProblemParams(dim=3, p=2.0, gamma=2.5, lam=1.0)
+    with pytest.raises(PreconditionViolation, match="PowerProfile or gridded data"):
+        gradient_energy(profile, 2.5, 1.7, 3)
+    with pytest.raises(PreconditionViolation, match="PowerProfile or gridded data"):
+        caccioppoli_audit(profile, params, R=2.0, t_list=[0.5, 1.7])
+    assert getattr(profile, "derivative_calls", 0) == 0
+
+
+def test_sampled_sharp_profile_trapezoid_meets_the_closed_form():
+    # Criterion 4 reads the closed form; the gridded trapezoid on samples of
+    # the same profile is held to it here. On 4001 log-spaced nodes from
+    # 1e-6 to 1 the trapezoid is within 3.4e-6 at each radius of the CLI
+    # list and 1e-5 at t = 1 (np.gradient is one-sided at the last node);
+    # the bounds below leave a factor of about 5.
+    prof = sharpness_profile(3, 2.0, 4.0)
+    params = ProblemParams(dim=3, p=2.0, gamma=4.0)
+    closed = 4.0 * math.pi * (45.0 / 8.0) ** (4.0 / 3.0) * (16.0 / 81.0) * (3.0 / 5.0)
+    g = np.geomspace(1e-6, 1.0, 4001)
+    sampled = SampledProfile(g, prof.value(g))
+    assert gradient_energy(sampled, 4.0, 1.0, 3) == pytest.approx(closed, rel=5e-5)
+    want = caccioppoli_audit(prof, params, R=1.0, t_list=_CLI_T_LIST)
+    got = caccioppoli_audit(sampled, params, R=1.0, t_list=_CLI_T_LIST)
+    assert np.max(np.abs(got.energies / want.energies - 1.0)) <= 2e-5
+    assert got.fitted_growth == pytest.approx(5.0 / 3.0, abs=1e-6)
+    assert got.k_stable and got.passed
 
 
 def test_energy_not_integrable_at_the_axis_raises():
@@ -114,24 +161,107 @@ def test_energy_not_integrable_at_the_axis_raises():
         assert math.isfinite(gradient_energy(prof, 3.0, 1.0, 3))
 
 
-class _FlatCore:
-    """V' = 0 on [0, 1/2), V' = 1 beyond: the integrand vanishes at the axis."""
-
-    def value(self, r):
-        return np.maximum(np.asarray(r, dtype=float) - 0.5, 0.0)
-
-    def derivative(self, r):
-        return np.where(np.asarray(r, dtype=float) < 0.5, 0.0, 1.0)
-
-
-def test_energy_with_a_vanishing_axis_integrand_has_a_zero_tail():
-    # f(r0) = f(r0/2) = 0 reads a 0/0 local exponent; the tail is 0 and no
-    # warning escapes. 1/2 is a panel edge at t = 1, where the integrand
-    # 4 pi r^2 of [1/2, 1] integrates exactly.
+def test_energy_at_any_finite_radius_is_a_number():
+    # From the smallest subnormal to the largest float, a power profile's
+    # energy is 0, finite or inf (past the float range), never NaN, and
+    # raises no floating-point warning.
+    prof = sharpness_profile(3, 2.0, 4.0)
+    radii = [5e-324, 1e-320, 1e-300, 1e-10, 1.0, 1e10, 1e300, 1.7976931348623157e308]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = gradient_energy(_FlatCore(), 2.0, 1.0, 3)
-    assert got == pytest.approx(4.0 / 3.0 * math.pi * (1.0 - 0.125), rel=1e-14)
+        values = [gradient_energy(prof, 4.0, t, 3) for t in radii]
+        # |c a|^gamma past the float range meets t^e below it
+        huge = gradient_energy(PowerProfile(1e300, 1.0), 4.0, 1e-300, 3)
+    assert not any(math.isnan(v) for v in values)
+    assert values[-1] == math.inf and values[0] == 0.0
+    assert values == sorted(values)
+    assert huge == pytest.approx(4.0 * math.pi / 3.0 * 1e300, rel=1e-12)
+
+
+# Power profiles V = c (r^a - shift) for the closed forms against adaptive
+# quadrature: both signs of c and of a, shift below, at and above 0, c = 0,
+# a = -1, where (a - 1) gamma + d is exactly 0 for d = 3, gamma = 1.5, and
+# a = -3, where a + d is negative, 0 (a logarithmic primitive) and
+# positive for d = 2, 3, 5.
+_POWERS = [
+    (c, a, shift)
+    for c in (-2.0, 0.0, 1.5)
+    for a in (-3.0, -1.0, -0.5, 0.4, 1.0, 2.5)
+    for shift in (-1.0, 0.0, 0.7, 2.5)
+]
+
+
+def _reference(density, t, breaks=()):
+    from scipy.integrate import quad
+
+    points = [b for b in breaks if 0.0 < b < t] or None
+    return quad(density, 0.0, t, points=points, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+
+
+def _sign_change(c, a, shift):
+    """The radius where V = c (r^a - shift) changes sign, or 0 if it does not."""
+    return shift ** (1.0 / a) if shift > 0 and c != 0 else 0.0
+
+
+def _radii(rho):
+    """t around 1, and just below, at and just above rho."""
+    radii = [0.3, 1.0, 2.0]
+    if 0.0 < rho < 10.0:
+        radii += [rho * (1.0 - 1e-3), rho, rho * (1.0 + 1e-3), rho * 1.5]
+    return np.unique(radii)
+
+
+@pytest.mark.parametrize("c, a, shift", _POWERS)
+def test_power_energy_matches_adaptive_quadrature(c, a, shift):
+    prof = PowerProfile(c, a, shift)
+    for dim in (2, 3, 5):
+        for gamma in (1.5, 3.0):
+            # |V'|^gamma r^(d-1) ~ r^((a-1) gamma + d - 1) at the axis
+            integrable = c == 0 or (a - 1.0) * gamma + dim > 0
+
+            def density(r):
+                return abs(float(prof.derivative(r))) ** gamma * dim * unit_ball_volume(dim) * r ** (dim - 1)
+
+            for t in _radii(_sign_change(c, a, shift)):
+                if integrable:
+                    want = _reference(density, t)
+                    assert gradient_energy(prof, gamma, t, dim) == pytest.approx(want, rel=1e-9)
+                else:
+                    with pytest.raises(NonIntegrable):
+                        gradient_energy(prof, gamma, t, dim)
+
+
+@pytest.mark.parametrize("c, a, shift", _POWERS)
+def test_power_negative_part_matches_adaptive_quadrature(c, a, shift):
+    # Through the lam term of caccioppoli_audit. gamma = 0.3 keeps
+    # |V'|^gamma integrable for every profile here, so only the negative
+    # part can fail to be.
+    prof = PowerProfile(c, a, shift)
+    rho = _sign_change(c, a, shift)
+    t_list = _radii(rho)
+    lam, gamma, R = 0.5, 0.3, 2.0 * t_list.max()
+    for dim in (2, 3, 5):
+        params = ProblemParams(dim=dim, p=1.1, gamma=gamma, lam=lam)
+        # V ~ c r^a (a < 0 or shift = 0) or -c shift (a > 0) next to the
+        # axis; where that is negative, V^- r^(d-1) ~ r^(a+d-1) there must
+        # be integrable, which a > 0 always is.
+        near_axis = c * (1.0 if a < 0 or shift == 0 else -shift)
+        if near_axis < 0 and not a + dim > 0:
+            with pytest.raises(NonIntegrable):
+                caccioppoli_audit(prof, params, R=R, t_list=t_list)
+            continue
+        shell = dim * unit_ball_volume(dim)
+
+        def density(r):
+            return max(-float(prof.value(r)), 0.0) * shell * r ** (dim - 1)
+
+        rep = caccioppoli_audit(prof, params, R=R, t_list=t_list)
+        sigma = np.array([gradient_energy(prof, gamma, t, dim) for t in t_list])
+        want = sigma + lam * np.array([_reference(density, t, (rho,)) for t in t_list])
+        # Next to rho the negative part is a difference of two nearly equal
+        # primitives, so it is held to an absolute floor there.
+        floor = 1e-12 * shell * abs(c) * (abs(shift) + 1.0) * R ** (dim + max(a, 0.0))
+        assert np.all(np.abs(rep.energies - want) <= 1e-9 * want + floor)
 
 
 def test_energy_monotone_and_shell_consistent_on_grid():
@@ -165,9 +295,13 @@ def test_energy_domain_guard():
     prof = SampledProfile(g, g**2)
     with pytest.raises(DomainExceeded):
         gradient_energy(prof, 2.0, 1.5, 3)
-    for t in (-0.5, math.nan):
-        with pytest.raises(DomainExceeded):
-            gradient_energy(prof, 2.0, t, 3)
+    for u in (prof, sharpness_profile(3, 2.0, 4.0)):
+        for t in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainExceeded):
+                gradient_energy(u, 2.0, t, 3)
+        for gamma in (0.0, math.nan, math.inf):
+            with pytest.raises(PreconditionViolation):
+                gradient_energy(u, gamma, 0.5, 3)
 
 
 def test_caccioppoli_sharpness_growth_and_stability():
@@ -213,10 +347,6 @@ def test_caccioppoli_lambda_part_override():
     assert np.all(auto.energies > pure)
     want = pure + 2.0 * math.pi * t_list**4
     assert np.max(np.abs(auto.energies - want) / want) < 1e-13
-
-
-# The CLI's t_list for radius 1.
-_CLI_T_LIST = np.geomspace(0.02, 0.95, 24)
 
 
 @pytest.mark.parametrize(
@@ -301,24 +431,17 @@ def test_caccioppoli_energies_are_gradient_energies(which):
     assert rep.energies.tobytes() == single.tobytes()
 
 
-class _CountingProfile:
-    def __init__(self, inner):
-        self.inner = inner
-        self.derivative_calls = 0
+def test_caccioppoli_audit_of_a_power_profile_never_evaluates_it(monkeypatch):
+    # The closed forms read c, a and shift only: no value or derivative
+    # of the profile is sampled.
+    def refuse(self, r):
+        raise AssertionError("a closed-form energy sampled the profile")
 
-    def value(self, r):
-        return self.inner.value(r)
-
-    def derivative(self, r):
-        self.derivative_calls += 1
-        return self.inner.derivative(r)
-
-
-def test_caccioppoli_audit_evaluates_the_derivative_once():
+    monkeypatch.setattr(PowerProfile, "value", refuse)
+    monkeypatch.setattr(PowerProfile, "derivative", refuse)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0, lam=1.0)
-    u = _CountingProfile(sharpness_profile(3, 2.0, 4.0))
-    rep = caccioppoli_audit(u, params, R=1.0, t_list=np.geomspace(0.02, 0.95, 24))
-    assert u.derivative_calls == 1
+    rep = caccioppoli_audit(sharpness_profile(3, 2.0, 4.0), params, R=1.0,
+                            t_list=np.geomspace(0.02, 0.95, 24))
     assert rep.passed
 
 
@@ -361,8 +484,6 @@ def test_holder_fit_sharpness_and_linear():
 
 
 def test_holder_fit_smooth_bump_is_lipschitz_at_small_scales():
-    from pdi_lab.radial import BumpProfile
-
     # smooth with bounded slope: sup-increments scale linearly in distance
     prof = BumpProfile(c=1.0, delta=(2.0 - 1.8) / (1.8 - 1.0))
     rep = holder_fit(prof, pair_budget=20000, scale_range=(1e-4, 0.1),

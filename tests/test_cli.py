@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from pdi_lab import cli
 from pdi_lab.cli import COMMANDS, REQUIRED, RunReport, _sweep_rows, main, run
 from pdi_lab.errors import PreconditionViolation
 from pdi_lab.params import LiouvilleRegime, ProblemParams, classify_regime, exponent_report
+from pdi_lab.radial import sharpness_profile
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +224,71 @@ def test_audit_caccioppoli_e2e(capsys):
     assert report["results"]["predicted_s"] == 1.3333333333333333
     assert report["results"]["k_stable"] is True
     assert report["results"]["fitted_growth"] == pytest.approx(5.0 / 3.0, abs=0.05)
+
+
+def _write_samples(path, grid, values):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["r", "value"])
+        w.writerows(zip(grid.tolist(), values.tolist()))
+    return f"file:{path}"
+
+
+_PROBLEM_ARGS = ("--dim", "3", "--p", "2", "--gamma", "4")
+
+
+@pytest.fixture
+def sharp_samples(tmp_path):
+    """The sharp profile for d = 3, p = 2, gamma = 4 on 4001 log-spaced
+    radii from 1e-6 to 1, as a ``file:`` witness."""
+    grid = np.geomspace(1e-6, 1.0, 4001)
+    return _write_samples(tmp_path / "w.csv", grid, sharpness_profile(3, 2.0, 4.0).value(grid))
+
+
+def test_audit_caccioppoli_file_witness_meets_the_sharp_witness(capsys, sharp_samples):
+    # The gridded trapezoid on the samples against the closed form.
+    rc, sampled, _ = run_cli(capsys, "audit-caccioppoli", *_PROBLEM_ARGS, "--witness", sharp_samples)
+    rc_sharp, sharp, _ = run_cli(capsys, "audit-caccioppoli", *_PROBLEM_ARGS)
+    assert rc == rc_sharp == 0
+    got, want = sampled["results"], sharp["results"]
+    assert got["predicted_s"] == want["predicted_s"]
+    assert got["growth_target"] == want["growth_target"]
+    assert got["fitted_growth"] == pytest.approx(want["fitted_growth"], abs=1e-6)
+    assert got["fitted_K"] == pytest.approx(want["fitted_K"], rel=2e-5)
+    assert got["k_stable"] is True
+
+
+def test_audit_holder_file_witness(capsys, sharp_samples):
+    # A file witness has no predicted exponent; the fit on the samples
+    # still finds the sharp profile's 2/3.
+    args = ("audit-holder", *_PROBLEM_ARGS, "--witness", sharp_samples, "--seed", "7")
+    rc, report, cap = run_cli(capsys, *args)
+    assert rc == 0
+    assert run_cli(capsys, *args)[2].out == cap.out
+    results = report["results"]
+    assert results["predicted_alpha"] is None
+    assert results["fitted_alpha"] == pytest.approx(2.0 / 3.0, abs=5e-3)
+    assert results["r_squared"] >= 0.999
+    assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "gamma, verdict, mechanism",
+    [("1.4", "LIOUVILLE", "AREA_INTEGRAL_DIVERGES"), ("1.6", "INCONCLUSIVE", None)],
+)
+def test_manifold_file_profile(capsys, tmp_path, gamma, verdict, mechanism):
+    # The area 4 pi t^2 of R^3, tabulated on [1, 1e6]: the numeric test
+    # finds the divergent area integral below gamma* = 3/2, as it does for
+    # ``--profile euclidean``, and tabulated data get no analytic decision.
+    t = np.geomspace(1.0, 1e6, 400)
+    profile = _write_samples(tmp_path / "area.csv", t, 4.0 * math.pi * t**2)
+    base = ("manifold", "--profile", profile, "--dim", "3", "--p", "2", "--gamma", gamma)
+    rc, numeric, _ = run_cli(capsys, *base, "--mode", "numeric")
+    assert rc == 0
+    assert numeric["results"] == {"verdict": verdict, "mechanism": mechanism, "gamma_star": None}
+    rc, analytic, _ = run_cli(capsys, *base)
+    assert rc == 0
+    assert analytic["results"] == {"verdict": "INCONCLUSIVE", "mechanism": None, "gamma_star": None}
 
 
 def test_audit_holder_deterministic(capsys):

@@ -7,6 +7,9 @@ Three measurements, one per estimate being checked:
   K R^dim / (R - t)^s.
 * ``holder_fit``: an empirical Holder exponent from sup-increments over
   dyadic distance bins, matching the seminorm definition (sup, not mean).
+  A power profile's increments are monotone in the radius and increase
+  with the distance, so each bin's sup is its widest pair at one domain
+  edge, in closed form; gridded data take a seeded search of radius pairs.
 * ``morrey_norm``: sup over r of r^((theta-dim)/s) ||h||_{L^s(B_r(0) cap
   Omega)} on a ball Omega = B_omega(0).
 
@@ -177,6 +180,15 @@ def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope and intercept of the line y = slope x + intercept,
+    from the centred sums."""
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, float(y_mean - slope * x_mean)
+
+
 @dataclass(eq=False)
 class CaccioppoliReport:
     radii_t: np.ndarray
@@ -228,9 +240,7 @@ def caccioppoli_audit(
     if np.count_nonzero(positive[:half]) >= 2:
         lo = positive.copy()
         lo[half:] = False
-        fitted_growth = float(
-            np.polyfit(np.log(t_arr[lo]), np.log(energies[lo]), 1)[0]
-        )
+        fitted_growth = _line_fit(np.log(t_arr[lo]), np.log(energies[lo]))[0]
     else:
         fitted_growth = math.nan
 
@@ -281,11 +291,19 @@ def holder_fit(
 ) -> HolderFitReport:
     """Fit sup |u(x)-u(y)| ~ |x-y|^alpha over dyadic distance bins.
 
-    Pairs are radius pairs (u is radial). Each bin gets one deterministic
-    pair anchored at the inner domain edge, where power-type increments
-    are largest, plus seeded random pairs biased toward that edge. The
-    regression uses each bin's sup increment against the distance that
-    attained it, which keeps pure powers exactly on a line.
+    Pairs are radius pairs (u is radial); bin j holds the distances in
+    [max(d_j/2, h_min), d_j] with d_j = h_max 2^-j. The regression uses each
+    bin's sup increment against the distance that attained it, which keeps
+    pure powers exactly on a line; bins whose sup is 0 are dropped.
+
+    A ``PowerProfile`` takes the closed form, and its fit reads neither
+    ``seed`` nor ``pair_budget`` (both are still validated):
+    |u(r + delta) - u(r)| increases with delta and is monotone in r, so
+    each bin's sup is its widest pair, anchored at the inner domain edge
+    when a <= 1 and at the outer edge when a > 1. Any other input (gridded
+    solver output, sampled data) keeps the seeded search: per bin, one
+    deterministic widest pair at the inner edge plus
+    pair_budget // n_bins - 1 random pairs biased toward that edge.
     """
     if not pair_budget >= 1:
         raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
@@ -306,35 +324,42 @@ def holder_fit(
     if not h_max <= r_hi - r_lo:
         raise PreconditionViolation("h_max exceeds the domain extent")
 
-    n_bins = max(int(math.floor(math.log2(h_max / h_min))) + 1, 1)
-    rng = np.random.default_rng(seed)
-    per_bin = max(pair_budget // n_bins, 1)
+    # log2(h_max / h_min) with the binary exponents taken apart, since the
+    # ratio itself may overflow; the mantissa ratio lies in (1/2, 2).
+    (m_hi, e_hi), (m_lo, e_lo) = math.frexp(h_max), math.frexp(h_min)
+    n_bins = max(int(math.floor(math.log2(m_hi / m_lo) + (e_hi - e_lo))) + 1, 1)
+    d_hi = h_max * np.ldexp(1.0, -np.arange(n_bins))
 
-    def values_at(r):
-        return np.asarray(u.value(r), dtype=float)
-
-    sup_inc = []
-    sup_dist = []
-    for j in range(n_bins):
-        d_hi = h_max * 2.0**-j
-        d_lo = max(d_hi / 2.0, h_min)
+    if isinstance(u, PowerProfile):
+        r1 = r_hi - d_hi if u.a > 1 else np.full(n_bins, r_lo)
+        inc = np.abs(u.value(r1 + d_hi) - u.value(r1))
+        nonzero = inc > 0
+        sup_inc, sup_dist = inc[nonzero], d_hi[nonzero]
+    else:
+        rng = np.random.default_rng(seed)
+        per_bin = max(pair_budget // n_bins, 1)
         m = per_bin - 1
-        d = d_lo * (d_hi / d_lo) ** rng.random(m) if m > 0 else np.empty(0)
-        d = np.concatenate(([d_hi], d))
-        r1 = r_lo + (r_hi - d - r_lo) * np.concatenate(([0.0], rng.random(m) ** 2))
-        inc = np.abs(values_at(r1 + d) - values_at(r1))
-        i = int(np.argmax(inc))
-        if inc[i] > 0:
-            sup_inc.append(float(inc[i]))
-            sup_dist.append(float(d[i]))
-    if len(sup_inc) < 3:
+        sup_inc, sup_dist = [], []
+        for hi in d_hi:
+            lo = max(hi / 2.0, h_min)
+            draws = rng.random(2 * m)  # the m distance draws, then the m anchors
+            d = np.concatenate(([hi], lo * (hi / lo) ** draws[:m]))
+            r1 = r_lo + (r_hi - d - r_lo) * np.concatenate(([0.0], draws[m:] ** 2))
+            v = np.asarray(u.value(np.concatenate((r1 + d, r1))), dtype=float)
+            inc = np.abs(v[:per_bin] - v[per_bin:])
+            i = int(np.argmax(inc))
+            if inc[i] > 0:
+                sup_inc.append(inc[i])
+                sup_dist.append(d[i])
+        sup_inc, sup_dist = np.asarray(sup_inc), np.asarray(sup_dist)
+    if sup_inc.size < 3:
         raise InsufficientScales(
-            f"only {len(sup_inc)} nonempty distance bins, need at least 3"
+            f"only {sup_inc.size} nonempty distance bins, need at least 3"
         )
 
-    x = np.log(np.asarray(sup_dist))
-    y = np.log(np.asarray(sup_inc))
-    slope, intercept = np.polyfit(x, y, 1)
+    x = np.log(sup_dist)
+    y = np.log(sup_inc)
+    slope, intercept = _line_fit(x, y)
     fit = slope * x + intercept
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -344,9 +369,9 @@ def holder_fit(
     if predicted_alpha is not None:
         passed = bool(abs(slope - predicted_alpha) <= tolerance)
     return HolderFitReport(
-        scales=np.asarray(sup_dist),
-        max_increments=np.asarray(sup_inc),
-        fitted_alpha=float(slope),
+        scales=sup_dist,
+        max_increments=sup_inc,
+        fitted_alpha=slope,
         r_squared=r_squared,
         predicted_alpha=predicted_alpha,
         passed=passed,

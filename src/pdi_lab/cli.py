@@ -654,7 +654,7 @@ def run(argv) -> int:
     except (NoAdmissibleScale, NoConvergence, InsufficientScales) as exc:
         # stopped on the science, not the input: a report, exit 1
         results, passed, note = {"error": str(exc)}, False, f" ({exc})"
-    except (PdiLabError, OSError, UnicodeDecodeError) as exc:
+    except (PdiLabError, OSError, UnicodeDecodeError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if results is None:  # sweep wrote its CSV itself

@@ -464,6 +464,122 @@ def test_holder_fit_on_solver_output_matches_the_np_interp_route():
     assert got.fitted_alpha == want.fitted_alpha
 
 
+def _reference_holder_bins(u, pair_budget, scale_range, domain, seed):
+    """(scales, max_increments) of the seeded pair search every input took
+    before power profiles got their closed form: per bin one widest pair at
+    the inner edge plus random pairs, with two draws and two lookups."""
+    h_min, h_max = scale_range
+    r_lo, r_hi = domain
+    n_bins = max(int(math.floor(math.log2(h_max / h_min))) + 1, 1)
+    rng = np.random.default_rng(seed)
+    per_bin = max(pair_budget // n_bins, 1)
+    sup_inc, sup_dist = [], []
+    for j in range(n_bins):
+        d_hi = h_max * 2.0**-j
+        d_lo = max(d_hi / 2.0, h_min)
+        m = per_bin - 1
+        d = d_lo * (d_hi / d_lo) ** rng.random(m) if m > 0 else np.empty(0)
+        d = np.concatenate(([d_hi], d))
+        r1 = r_lo + (r_hi - d - r_lo) * np.concatenate(([0.0], rng.random(m) ** 2))
+        inc = np.abs(np.asarray(u.value(r1 + d)) - np.asarray(u.value(r1)))
+        i = int(np.argmax(inc))
+        if inc[i] > 0:
+            sup_inc.append(float(inc[i]))
+            sup_dist.append(float(d[i]))
+    return np.asarray(sup_dist), np.asarray(sup_inc)
+
+
+_POWER_WITNESSES = [
+    sharpness_profile(3, 2.0, 4.0),
+    sharpness_profile(2, 1.5, 2.2),
+    sharpness_profile(5, 3.0, 12.0),
+    sharpness_profile(7, 1.2, 3.5),
+    PowerProfile(1.0, 1.0),
+    PowerProfile(-2.0, 0.5, 0.3),
+    PowerProfile(3.0, 0.9, -1.0),
+    PowerProfile(0.5, 0.2, 1.0),
+]
+
+
+@pytest.mark.parametrize("scale_range", [(1e-4, 0.5), (1e-3, 0.25)])
+@pytest.mark.parametrize("pairs, seed", [(5000, 3), (20000, 0)])
+def test_power_holder_fit_equals_the_pair_search_for_a_at_most_one(scale_range, pairs, seed):
+    # For a <= 1 the widest pair at the inner edge wins every bin of the
+    # seeded search, so the closed form gives its bits.
+    for u in _POWER_WITNESSES:
+        got = holder_fit(u, pairs, scale_range, seed=seed)
+        scales, increments = _reference_holder_bins(u, pairs, scale_range, (0.0, 1.0), seed)
+        assert got.scales.tobytes() == scales.tobytes()
+        assert got.max_increments.tobytes() == increments.tobytes()
+
+
+@pytest.mark.parametrize("u", [PowerProfile(1.0, 2.5), PowerProfile(-2.0, 1.7, 0.3)])
+def test_power_holder_fit_above_a_one_takes_the_outer_edge(u):
+    # Increments of a convex power grow with r, so each bin's sup is the
+    # widest pair at the outer edge, which no random pair exceeds.
+    got = holder_fit(u, 20000, (1e-3, 0.25), seed=5)
+    _, increments = _reference_holder_bins(u, 20000, (1e-3, 0.25), (0.0, 1.0), 5)
+    assert got.scales.tolist() == [0.25 * 2.0**-j for j in range(8)]
+    assert np.all(got.max_increments >= increments)
+    assert got.fitted_alpha == pytest.approx(1.0, abs=0.05)
+
+
+def test_power_holder_fit_evaluates_two_radii_per_bin_and_draws_nothing(monkeypatch):
+    radii = []
+    value = PowerProfile.value
+
+    def counted(self, r):
+        radii.append(np.size(r))
+        return value(self, r)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed-form Holder fit drew random numbers")
+
+    monkeypatch.setattr(PowerProfile, "value", counted)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rep = holder_fit(sharpness_profile(3, 2.0, 4.0), 10**14, (1e-4, 0.5), seed=9)
+    n_bins = 13  # floor(log2(0.5 / 1e-4)) + 1
+    assert rep.scales.size == n_bins
+    assert radii == [n_bins, n_bins]
+
+
+@pytest.mark.parametrize("scale_range", [(0.075, 0.3), (0.04375, 0.7), (0.05625, 0.45), (1e-3, 0.25)])
+def test_holder_fit_bin_count_matches_the_scale_ratio(scale_range):
+    # Exact power-of-two ratios of non-dyadic ends keep floor(log2(ratio)) + 1
+    # bins, where a difference of the two logs would round below it.
+    h_min, h_max = scale_range
+    want = int(math.floor(math.log2(h_max / h_min))) + 1
+    rep = holder_fit(PowerProfile(1.0, 0.5), 1, scale_range, domain=(0.0, 1.0))
+    assert rep.scales.size == want
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_holder_fit_on_sampled_data_keeps_the_pair_search(seed):
+    # Gridded data keep the seeded search: one draw and one lookup per bin
+    # give the bits of two draws and two lookups. The tanh front is
+    # steepest inside the domain, so random pairs win its bins.
+    grid = np.geomspace(1e-3, 1.0, 4001)
+    for values in (sharpness_profile(3, 2.0, 4.0).value(grid), np.tanh(20.0 * (grid - 0.6))):
+        u = SampledProfile(grid, values)
+        for pairs, scale_range in ((20000, (1e-3, 0.25)), (777, (2e-3, 0.3))):
+            got = holder_fit(u, pairs, scale_range, seed=seed)
+            scales, increments = _reference_holder_bins(u, pairs, scale_range, (1e-3, 1.0), seed)
+            assert got.scales.tobytes() == scales.tobytes()
+            assert got.max_increments.tobytes() == increments.tobytes()
+
+
+def test_line_fit_meets_polyfit():
+    rng = np.random.default_rng(2)
+    for n in (2, 3, 12, 40):
+        for _ in range(50):
+            x = np.log(np.sort(rng.uniform(1e-4, 1.0, n)))
+            y = rng.normal() * x + rng.normal(size=n) * 0.1 + rng.normal()
+            slope, intercept = audit._line_fit(x, y)
+            want_slope, want_intercept = np.polyfit(x, y, 1)
+            assert slope == pytest.approx(want_slope, rel=1e-12, abs=1e-12)
+            assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
 def test_holder_fit_recovers_power_exponent(a):
     prof = PowerProfile(c=1.0, a=a)

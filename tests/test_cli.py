@@ -291,6 +291,37 @@ def test_manifold_file_profile(capsys, tmp_path, gamma, verdict, mechanism):
     assert analytic["results"] == {"verdict": "INCONCLUSIVE", "mechanism": None, "gamma_star": None}
 
 
+def test_audit_holder_subnormal_scale_min(capsys):
+    # h_max / h_min overflows at the smallest subnormal; the fit still runs.
+    base = ("audit-holder", *_PROBLEM_ARGS)
+    rc, report, cap = run_cli(capsys, *base, "--scale-min", "5e-324")
+    assert rc == 0 and "Traceback" not in cap.err
+    rc_ref, ref, _ = run_cli(capsys, *base, "--scale-min", "1e-300")
+    assert rc_ref == 0
+    assert report["results"] == ref["results"]
+
+
+# 10^14 pairs: the first bin's draws of a gridded witness ask for about
+# 180 TiB and fail at once, and a power witness never allocates per pair.
+_HUGE_PAIRS = ("--pairs", "100000000000000")
+
+
+def test_audit_holder_power_witness_ignores_the_pair_budget(capsys):
+    base = ("audit-holder", *_PROBLEM_ARGS)
+    rc, report, _ = run_cli(capsys, *base, *_HUGE_PAIRS)
+    rc_ref, ref, _ = run_cli(capsys, *base)
+    assert rc == rc_ref == 0
+    assert report["results"] == ref["results"]
+
+
+def test_audit_holder_unallocatable_budget_exits_2(capsys, sharp_samples):
+    rc, _, cap = run_cli(capsys, "audit-holder", *_PROBLEM_ARGS, "--witness", sharp_samples,
+                         *_HUGE_PAIRS)
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
 def test_audit_holder_deterministic(capsys):
     args = (
         "audit-holder", "--dim", "3", "--p", "2", "--gamma", "4",

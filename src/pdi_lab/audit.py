@@ -300,7 +300,11 @@ def holder_fit(
     ``seed`` nor ``pair_budget`` (both are still validated):
     |u(r + delta) - u(r)| increases with delta and is monotone in r, so
     each bin's sup is its widest pair, anchored at the inner domain edge
-    when a <= 1 and at the outer edge when a > 1. Any other input (gridded
+    when a <= 1 and at the outer edge when a > 1. The increment is taken
+    as |c ((r + delta)^a - r^a)|, which the shift does not enter, so no
+    bin is lost to the roundoff of c (r^a - shift). A power unbounded on
+    the domain (a < 0 and c != 0 with the domain starting at 0) is
+    refused. Any other input (gridded
     solver output, sampled data) keeps the seeded search: per bin, one
     deterministic widest pair at the inner edge plus
     pair_budget // n_bins - 1 random pairs biased toward that edge.
@@ -331,8 +335,10 @@ def holder_fit(
     d_hi = h_max * np.ldexp(1.0, -np.arange(n_bins))
 
     if isinstance(u, PowerProfile):
+        if u.a < 0 and u.c != 0 and r_lo == 0:
+            raise PreconditionViolation(f"power profile with a = {u.a} < 0 is unbounded at r = 0")
         r1 = r_hi - d_hi if u.a > 1 else np.full(n_bins, r_lo)
-        inc = np.abs(u.value(r1 + d_hi) - u.value(r1))
+        inc = np.abs(u.c * ((r1 + d_hi) ** u.a - r1**u.a))
         nonzero = inc > 0
         sup_inc, sup_dist = inc[nonzero], d_hi[nonzero]
     else:

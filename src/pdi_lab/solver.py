@@ -18,10 +18,15 @@ over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
 of flux differences and the eps^(p-2) of a p < 2 flux derivative, so a
 solve that has reached roundoff ends there; ``meta["roundoff_floor"]``
 keeps the roundoff term of the passing test. The test and the step read
-one Jacobian, formed at the current iterate. The line search halves the
-step until the residual falls and evaluates only the residual of each
-trial; the accepted trial's residual serves the next step. So each trial
-costs one residual and each Newton test one Jacobian, and a rejected
+one Jacobian, formed at the current iterate from the face and centred
+slopes its residual evaluation returned. An intermediate eps stage whose
+residual is already within newton_tol ends without a Jacobian, since a
+floor >= 0 cannot change that test; the final stage always forms the
+floor it reports. The line search halves the step until the residual
+falls and evaluates only the residual of each trial; the accepted
+trial's residual and slopes serve the next step. So each trial costs one
+residual, each Newton step one Jacobian, and each test that ends the
+final stage, or a stage still above newton_tol, one more; a rejected
 trial never builds a Jacobian. The grid data no iterate changes (shell
 volumes, face areas, source values) are computed once per solve.
 
@@ -227,7 +232,8 @@ class _Discretization:
         d = params.dim
         faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
         self.h = float(grid[1] - grid[0])
-        self.vols = (faces[1:] ** d - faces[:-1] ** d) / d
+        powers = faces**d
+        self.vols = (powers[1:] - powers[:-1]) / d
         self.area = faces[1:-1] ** (d - 1)
         self.f_vals = np.asarray(f(grid), dtype=float)
         self.kind, self.lam, self.gamma, self.c_h = kind, params.lam, params.gamma, params.c_h
@@ -286,10 +292,12 @@ def _roundoff_floor(sub, dia, sup, values, rows: slice) -> float:
 # be noise on stderr.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _residual(values: np.ndarray, disc: _Discretization, eps: float):
-    """Residual vector and its max over the non-Dirichlet rows; one flux
-    evaluation."""
+    """Residual vector, its max over the non-Dirichlet rows, and the slopes
+    (face slopes, centred interior slopes) that ``_jacobian`` reads; one
+    flux evaluation."""
     h = disc.h
-    flux = disc.area * np.asarray(disc.kind.flux((values[1:] - values[:-1]) / h, eps), dtype=float)
+    slope = (values[1:] - values[:-1]) / h
+    flux = disc.area * np.asarray(disc.kind.flux(slope, eps), dtype=float)
     # Centered slope at the interior nodes, the only rows with a gradient term.
     dv = (values[2:] - values[:-2]) / (2.0 * h)
     vols, f_vals = disc.vols, disc.f_vals
@@ -307,29 +315,23 @@ def _residual(values: np.ndarray, disc: _Discretization, eps: float):
     else:
         R[0] = values[0] - disc.bc_left
     R[-1] = values[-1] - disc.bc_right
-    return R, float(np.abs(R[disc.rows]).max())
+    return R, float(np.abs(R[disc.rows]).max()), (slope, dv)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _jacobian(values: np.ndarray, disc: _Discretization, eps: float):
+def _jacobian(slopes, disc: _Discretization, eps: float):
     """Tridiagonal Jacobian as (sub, dia, sup), the layout of
-    ``solve_banded``; one flux-derivative evaluation."""
-    h, gamma, c_h = disc.h, disc.gamma, disc.c_h
-    dflux = disc.area * np.asarray(
-        disc.kind.flux_derivative((values[1:] - values[:-1]) / h, eps), dtype=float
-    ) / h
-    dv = (values[2:] - values[:-2]) / (2.0 * h)
-    flat = dv == 0.0
-    safe_dv = np.where(flat, 1.0, dv)
-    dham = np.where(
-        flat,
-        0.0,
-        c_h * gamma * np.abs(safe_dv) ** (gamma - 1.0) * np.sign(safe_dv),
-    )
+    ``solve_banded``, from the slopes ``_residual`` returned for the
+    iterate; one flux-derivative evaluation."""
+    slope, dv = slopes
+    h, gamma = disc.h, disc.gamma
+    dflux = disc.area * np.asarray(disc.kind.flux_derivative(slope, eps), dtype=float) / h
+    dham = disc.c_h * gamma * np.abs(dv) ** (gamma - 1.0) * np.sign(dv)
+    dham[dv == 0.0] = 0.0
     vols = disc.vols
 
     # A Dirichlet row keeps its zero off-diagonal entries.
-    n = values.size
+    n = slope.size + 1
     sub = np.zeros(n - 1)
     dia = np.empty(n)
     sup = np.zeros(n - 1)
@@ -391,13 +393,19 @@ def solve_radial_dirichlet(
         values = np.full(grid.size, float(bc_right))
 
     iterations = 0
-    for eps in _schedule(kind):
+    schedule = _schedule(kind)
+    for eps in schedule:
         # Intermediate stages only warm-start the next one; failure to
-        # fully converge there is harmless.
-        R, norm = _residual(values, disc, eps)
+        # fully converge there is harmless, and one within the tolerance
+        # needs no floor (module docstring).
+        final = eps == schedule[-1]
+        R, norm, slopes = _residual(values, disc, eps)
         converged = False
         for _ in range(config.max_iter):
-            sub, dia, sup = _jacobian(values, disc, eps)
+            if not final and norm <= config.newton_tol:
+                converged = True
+                break
+            sub, dia, sup = _jacobian(slopes, disc, eps)
             floor = _roundoff_floor(sub, dia, sup, values, disc.rows)
             if norm <= config.newton_tol + floor:
                 converged = True
@@ -409,16 +417,17 @@ def solve_radial_dirichlet(
                 raise NoConvergence(f"Newton step failed at eps={eps:.1e}: {exc}") from None
             iterations += 1
             scale = 1.0
+            trial = values + step
             for _ in range(_LINE_SEARCH_HALVINGS):
-                trial = values + scale * step
-                trial_R, trial_norm = _residual(trial, disc, eps)
+                trial_R, trial_norm, trial_slopes = _residual(trial, disc, eps)
                 if trial_norm < norm:
                     break
                 scale *= 0.5
+                trial = values + scale * step
             else:
                 break
-            # The accepted trial's residual serves the next step.
-            values, R, norm = trial, trial_R, trial_norm
+            # The accepted trial's residual and slopes serve the next step.
+            values, R, norm, slopes = trial, trial_R, trial_norm, trial_slopes
     if not converged:
         raise NoConvergence(
             f"Newton stalled at residual {norm:.3e} "

@@ -467,7 +467,9 @@ def test_holder_fit_on_solver_output_matches_the_np_interp_route():
 def _reference_holder_bins(u, pair_budget, scale_range, domain, seed):
     """(scales, max_increments) of the seeded pair search every input took
     before power profiles got their closed form: per bin one widest pair at
-    the inner edge plus random pairs, with two draws and two lookups."""
+    the inner edge plus random pairs, with two draws and two lookups. A
+    power's increment is c ((r + d)^a - r^a), which its shift does not
+    enter."""
     h_min, h_max = scale_range
     r_lo, r_hi = domain
     n_bins = max(int(math.floor(math.log2(h_max / h_min))) + 1, 1)
@@ -481,7 +483,10 @@ def _reference_holder_bins(u, pair_budget, scale_range, domain, seed):
         d = d_lo * (d_hi / d_lo) ** rng.random(m) if m > 0 else np.empty(0)
         d = np.concatenate(([d_hi], d))
         r1 = r_lo + (r_hi - d - r_lo) * np.concatenate(([0.0], rng.random(m) ** 2))
-        inc = np.abs(np.asarray(u.value(r1 + d)) - np.asarray(u.value(r1)))
+        if isinstance(u, PowerProfile):
+            inc = np.abs(u.c * ((r1 + d) ** u.a - r1**u.a))
+        else:
+            inc = np.abs(np.asarray(u.value(r1 + d)) - np.asarray(u.value(r1)))
         i = int(np.argmax(inc))
         if inc[i] > 0:
             sup_inc.append(float(inc[i]))
@@ -525,22 +530,39 @@ def test_power_holder_fit_above_a_one_takes_the_outer_edge(u):
 
 
 def test_power_holder_fit_evaluates_two_radii_per_bin_and_draws_nothing(monkeypatch):
-    radii = []
-    value = PowerProfile.value
-
-    def counted(self, r):
-        radii.append(np.size(r))
-        return value(self, r)
-
     def refuse(*args, **kwargs):
-        raise AssertionError("a closed-form Holder fit drew random numbers")
+        raise AssertionError("a closed-form Holder fit drew random numbers or read value()")
 
-    monkeypatch.setattr(PowerProfile, "value", counted)
+    # The increment is formed from the two radii of each bin's widest pair,
+    # without value(), whose shift would only add roundoff.
+    monkeypatch.setattr(PowerProfile, "value", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    rep = holder_fit(sharpness_profile(3, 2.0, 4.0), 10**14, (1e-4, 0.5), seed=9)
+    u = sharpness_profile(3, 2.0, 4.0)
+    rep = holder_fit(u, 10**14, (1e-4, 0.5), seed=9)
     n_bins = 13  # floor(log2(0.5 / 1e-4)) + 1
-    assert rep.scales.size == n_bins
-    assert radii == [n_bins, n_bins]
+    d = 0.5 * 2.0 ** -np.arange(n_bins)
+    assert rep.scales.tobytes() == d.tobytes()
+    assert rep.max_increments.tobytes() == np.abs(u.c * d**u.a).tobytes()
+
+
+@pytest.mark.parametrize("scale_min", [1e-16, 1e-30, 1e-300])
+def test_shifted_power_holder_fit_keeps_every_bin(scale_min):
+    # c (r^a - 1) loses r^a below eps_mach; the increment c ((r + d)^a - r^a)
+    # does not, so every bin is kept and lies on r^alpha.
+    rep = holder_fit(sharpness_profile(3, 2.0, 4.0), 20000, (scale_min, 0.25))
+    assert rep.scales.size == int(math.floor(math.log2(0.25 / scale_min))) + 1
+    assert np.all(rep.max_increments > 0)
+    assert rep.fitted_alpha == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("domain", [None, (0.0, 2.0)])
+def test_power_holder_fit_refuses_a_power_unbounded_on_its_domain(domain):
+    # u(0) = inf for a < 0: every increment would be inf and the fit NaN.
+    with pytest.raises(PreconditionViolation, match="unbounded at r = 0"):
+        holder_fit(PowerProfile(1.0, -0.5), 20000, (1e-3, 0.25), domain=domain)
+    # away from the axis the same power is bounded, and its fit runs
+    rep = holder_fit(PowerProfile(1.0, -0.5), 20000, (1e-3, 0.25), domain=(0.5, 2.0))
+    assert math.isfinite(rep.fitted_alpha) and math.isfinite(rep.r_squared)
 
 
 @pytest.mark.parametrize("scale_range", [(0.075, 0.3), (0.04375, 0.7), (0.05625, 0.45), (1e-3, 0.25)])

@@ -291,14 +291,18 @@ def test_manifold_file_profile(capsys, tmp_path, gamma, verdict, mechanism):
     assert analytic["results"] == {"verdict": "INCONCLUSIVE", "mechanism": None, "gamma_star": None}
 
 
-def test_audit_holder_subnormal_scale_min(capsys):
+@pytest.mark.parametrize("scale_min, bins", [
+    ("1e-16", 52), ("1e-30", 98), ("1e-300", 995), ("5e-324", 1073),
+])
+def test_audit_holder_subnormal_scale_min(capsys, scale_min, bins):
     # h_max / h_min overflows at the smallest subnormal; the fit still runs.
-    base = ("audit-holder", *_PROBLEM_ARGS)
-    rc, report, cap = run_cli(capsys, *base, "--scale-min", "5e-324")
+    # Every bin, floor(log2(0.25 / scale_min)) + 1 of them, keeps its
+    # increment and lies on r^alpha.
+    rc, report, cap = run_cli(capsys, "audit-holder", *_PROBLEM_ARGS, "--scale-min", scale_min)
     assert rc == 0 and "Traceback" not in cap.err
-    rc_ref, ref, _ = run_cli(capsys, *base, "--scale-min", "1e-300")
-    assert rc_ref == 0
-    assert report["results"] == ref["results"]
+    results = report["results"]
+    assert results["bins"] == bins
+    assert abs(results["fitted_alpha"] - results["predicted_alpha"]) <= 1e-12 * results["predicted_alpha"]
 
 
 # 10^14 pairs: the first bin's draws of a gridded witness ask for about

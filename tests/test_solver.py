@@ -297,32 +297,59 @@ def test_zero_tolerance_ends_at_roundoff():
     assert np.max(np.abs(sol.values - (1.0 - sol.grid**3))) <= 1e-3
 
 
-def test_each_iterate_is_assembled_once(monkeypatch):
-    """One residual per eps stage plus one per line-search trial, and one
-    Jacobian per Newton test, formed at the current iterate: a rejected
-    trial never builds a Jacobian."""
-    events = []  # ("R" | "J" | "step", eps, iterate)
+def _record_evaluations(monkeypatch):
+    """Wrap the residual, the Jacobian and the banded solve; returns the
+    list they append to: ("R", eps, iterate, norm), ("J", eps, slopes)
+    and ("step",)."""
+    events = []
     residual, jacobian, banded = solver._residual, solver._jacobian, solver.solve_banded
 
     def counting_residual(values, disc, eps):
-        events.append(("R", eps, values.copy()))
-        return residual(values, disc, eps)
+        out = residual(values, disc, eps)
+        events.append(("R", eps, values.copy(), out[1]))
+        return out
 
-    def counting_jacobian(values, disc, eps):
-        events.append(("J", eps, values.copy()))
-        return jacobian(values, disc, eps)
+    def counting_jacobian(slopes, disc, eps):
+        events.append(("J", eps, tuple(s.copy() for s in slopes)))
+        return jacobian(slopes, disc, eps)
 
     def counting_banded(*args):
-        events.append(("step", None, None))
+        events.append(("step",))
         return banded(*args)
 
     monkeypatch.setattr(solver, "_residual", counting_residual)
     monkeypatch.setattr(solver, "_jacobian", counting_jacobian)
     monkeypatch.setattr(solver, "solve_banded", counting_banded)
+    return events
+
+
+def _slopes(values, h):
+    return (values[1:] - values[:-1]) / h, (values[2:] - values[:-2]) / (2.0 * h)
+
+
+def _stage_ends(events, schedule):
+    """Per eps stage: (final, the norm of its last residual, whether a
+    Jacobian followed that residual)."""
+    ends = []
+    for eps in schedule:
+        stage = [e for e in events if e[0] != "step" and e[1] == eps]
+        last_r = max(i for i, e in enumerate(stage) if e[0] == "R")
+        ends.append((eps == schedule[-1], stage[last_r][3], last_r + 1 < len(stage)))
+    return ends
+
+
+def test_each_iterate_is_assembled_once(monkeypatch):
+    """One residual per eps stage start and per line-search trial; one
+    Jacobian per Newton step, plus one at each test that ends the final
+    stage or a stage still above newton_tol. Every Jacobian is formed at
+    the current iterate, from the slopes its residual returned: a rejected
+    trial never builds one."""
+    events = _record_evaluations(monkeypatch)
     prof = sharpness_profile(3, 2.0, 4.0)
     runs = [
         lambda: solve_quadratic(128),
         lambda: solve_p15_ball(256),
+        lambda: solve_p3_ball(128),
         lambda: solve_radial_dirichlet(
             PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=4.0), ZeroSource(),
             (0.25, 1.0), bc_left=-prof.value(0.25), bc_right=0.0,
@@ -331,28 +358,123 @@ def test_each_iterate_is_assembled_once(monkeypatch):
     for run in runs:
         events.clear()
         sol = run()
-        stages = len(solver._schedule(sol.kind))
-        residuals = [(eps, v) for tag, eps, v in events if tag == "R"]
+        schedule = solver._schedule(sol.kind)
+        h = sol.grid[1] - sol.grid[0]
+        residuals = [(e[1], e[2]) for e in events if e[0] == "R"]
         # a trial is a point after its stage's first residual that differs
         # from the point evaluated just before it
         trials = sum(
             1 for (eps0, v0), (eps, v) in zip(residuals, residuals[1:])
             if eps == eps0 and not np.array_equal(v, v0)
         )
-        assert len(residuals) == stages + trials
-        jacobians = [i for i, (tag, _, _) in enumerate(events) if tag == "J"]
-        steps = [tag for tag, _, _ in events].count("step")
+        assert len(residuals) == len(schedule) + trials
+        jacobians = [i for i, e in enumerate(events) if e[0] == "J"]
+        steps = [e[0] for e in events].count("step")
         assert trials >= steps == sol.meta["iterations"] > 0
         # A test that passes ends its stage without a step; every stage of
-        # these runs ends that way.
+        # these runs ends that way, with a Jacobian only where the floor
+        # can decide it.
+        ends = _stage_ends(events, schedule)
+        assert all(norm <= 1e-10 + (sol.meta["roundoff_floor"] if final else math.inf)
+                   for final, norm, _ in ends)
+        assert all(with_j == (final or norm > 1e-10) for final, norm, with_j in ends)
         passed = sum(1 for i in jacobians if i + 1 == len(events) or events[i + 1][0] != "step")
-        assert passed == stages
+        assert passed == sum(with_j for _, _, with_j in ends)
         assert len(jacobians) == sol.meta["iterations"] + passed
         for i in jacobians:
             # at the point of the residual just before it: the stage's
             # start or an accepted trial
-            tag, eps, v = events[i - 1]
-            assert tag == "R" and eps == events[i][1] and np.array_equal(v, events[i][2])
+            tag, eps, v, _ = events[i - 1]
+            assert tag == "R" and eps == events[i][1]
+            assert all(np.array_equal(a, b) for a, b in zip(events[i][2], _slopes(v, h)))
+
+
+P3_PARAMS = ProblemParams(dim=3, p=3.0, gamma=3.5)
+
+
+def p3_source(r):
+    # forcing for V = 1 - r^2 in -Delta_3 V + |V'|^3.5 = f, dim 3
+    r = np.asarray(r, dtype=float)
+    return 16.0 * r + (2.0 * r) ** 3.5
+
+
+def solve_p3_ball(n):
+    return solve_radial_dirichlet(
+        PLaplacian(3.0), P3_PARAMS, p3_source, (0.0, 1.0), bc_left=None, bc_right=0.0,
+        config=SolverConfig(n_nodes=n),
+    )
+
+
+def test_a_stage_within_tolerance_forms_no_jacobian(monkeypatch):
+    events = _record_evaluations(monkeypatch)
+    sol = solve_p3_ball(128)
+    schedule = solver._schedule(sol.kind)
+    ends = _stage_ends(events, schedule)
+    # some intermediate stage already ends within the tolerance, with no
+    # Jacobian and no floor after its last residual
+    assert any(not final and norm <= 1e-10 and not with_j for final, norm, with_j in ends)
+    # the final stage still forms the floor it reports: the floor of the
+    # Jacobian at the solution
+    assert ends[-1][2]
+    monkeypatch.undo()
+    disc = solver._Discretization(sol.grid, sol.kind, sol.params, p3_source, None, 0.0)
+    _, norm, slopes = solver._residual(sol.values, disc, schedule[-1])
+    floor = solver._roundoff_floor(*solver._jacobian(slopes, disc, schedule[-1]), sol.values, disc.rows)
+    assert norm == sol.meta["final_residual"]
+    assert 0.0 < floor == sol.meta["roundoff_floor"]
+
+
+@pytest.mark.parametrize("kind,gamma", [
+    (PLaplacian(1.5), 1.2), (PLaplacian(2.0), 4.0), (PLaplacian(3.0), 3.5),
+    (MeanCurvature(), 1.5), (GeneralizedMeanCurvature(4.0), 2.5),
+])
+@pytest.mark.parametrize("domain,bc_left", [((0.0, 1.0), None), ((0.25, 1.0), 0.5)])
+def test_carried_slopes_are_the_iterates_own(monkeypatch, kind, gamma, domain, bc_left):
+    # Every Jacobian reads slopes carried over from a residual; they must
+    # equal, bit for bit, the slopes of the iterate the test is at, the
+    # point of the residual just before it.
+    current = []
+    residual, jacobian = solver._residual, solver._jacobian
+
+    def tracking_residual(values, disc, eps):
+        current[:] = [values.copy(), disc.h]
+        return residual(values, disc, eps)
+
+    def checked_jacobian(slopes, disc, eps):
+        values, h = current
+        want = _slopes(values, h)
+        assert len(slopes) == 2 and all(np.array_equal(a, b) for a, b in zip(slopes, want))
+        checked.append(eps)
+        return jacobian(slopes, disc, eps)
+
+    checked = []
+    monkeypatch.setattr(solver, "_residual", tracking_residual)
+    monkeypatch.setattr(solver, "_jacobian", checked_jacobian)
+    sol = solve_radial_dirichlet(
+        kind, ProblemParams(dim=3, p=kind.p, gamma=gamma), RadialPowerSource(1.0, 0.0),
+        domain, bc_left, 0.0, config=SolverConfig(n_nodes=128),
+    )
+    assert len(checked) > sol.meta["iterations"] > 0
+
+
+@pytest.mark.parametrize("gamma", [0.6, 1.0, 1.5, 4.0])
+def test_hamiltonian_derivative_vanishes_at_zero_slope(gamma):
+    # At a flat node the gradient term's derivative is 0 for every gamma,
+    # also for gamma < 1, where |dv|^(gamma - 1) is infinite there.
+    params = ProblemParams(dim=3, p=1.5, gamma=gamma)
+    grid = np.linspace(0.0, 1.0, 32)
+    disc = solver._Discretization(grid, PLaplacian(1.5), params, ZeroSource(), None, 0.0)
+    values = np.where(grid < 0.5, 1.0, 1.0 - (grid - 0.5) ** 2)
+    _, _, slopes = solver._residual(values, disc, 1e-2)
+    sub, dia, sup = solver._jacobian(slopes, disc, 1e-2)
+    assert all(np.all(np.isfinite(a)) for a in (sub, dia, sup))
+    flat = np.flatnonzero(slopes[1] == 0.0) + 1  # interior rows with dv = 0
+    assert flat.size > 0
+    # there the rows are the flux part alone: symmetric off-diagonals
+    # without the +-dham/(2h) coupling
+    dflux = disc.area * PLaplacian(1.5).flux_derivative(slopes[0], 1e-2) / disc.h
+    assert np.array_equal(sub[flat - 1], -dflux[flat - 1] / disc.vols[flat])
+    assert np.array_equal(sup[flat], -dflux[flat] / disc.vols[flat])
 
 
 def _jacobian_cases():
@@ -370,8 +492,8 @@ def _jacobian_cases():
                 grid, kind, params, RadialPowerSource(2.0, 0.0), bc_left, 0.0
             )
             values = 1.0 - grid**2 + 0.01 * np.sin(7.0 * grid)
-            R, _ = solver._residual(values, disc, 1e-4)
-            yield (*solver._jacobian(values, disc, 1e-4), -R)
+            R, _, slopes = solver._residual(values, disc, 1e-4)
+            yield (*solver._jacobian(slopes, disc, 1e-4), -R)
 
 
 def test_solve_banded_is_bit_identical_to_scipy():

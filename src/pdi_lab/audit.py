@@ -307,7 +307,9 @@ def holder_fit(
     refused. Any other input (gridded
     solver output, sampled data) keeps the seeded search: per bin, one
     deterministic widest pair at the inner edge plus
-    pair_budget // n_bins - 1 random pairs biased toward that edge.
+    pair_budget // n_bins - 1 random pairs biased toward that edge. Each
+    bin makes one draw and one ``u.value`` call on both radii of every
+    pair, and fills buffers allocated once per fit.
     """
     if not pair_budget >= 1:
         raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
@@ -345,14 +347,27 @@ def holder_fit(
         rng = np.random.default_rng(seed)
         per_bin = max(pair_budget // n_bins, 1)
         m = per_bin - 1
+        # Buffers filled in place per bin: the distances d, the radii
+        # (r1 + d, then r1) handed to value, and the increments.
+        d, radii, inc = np.empty(per_bin), np.empty(2 * per_bin), np.empty(per_bin)
+        outer, r1 = radii[:per_bin], radii[per_bin:]
         sup_inc, sup_dist = [], []
         for hi in d_hi:
             lo = max(hi / 2.0, h_min)
             draws = rng.random(2 * m)  # the m distance draws, then the m anchors
-            d = np.concatenate(([hi], lo * (hi / lo) ** draws[:m]))
-            r1 = r_lo + (r_hi - d - r_lo) * np.concatenate(([0.0], draws[m:] ** 2))
-            v = np.asarray(u.value(np.concatenate((r1 + d, r1))), dtype=float)
-            inc = np.abs(v[:per_bin] - v[per_bin:])
+            d[0] = hi
+            np.power(hi / lo, draws[:m], out=d[1:])
+            d[1:] *= lo  # lo (hi/lo)^draw
+            r1[0] = 0.0
+            np.square(draws[m:], out=r1[1:])
+            np.subtract(r_hi, d, out=outer)
+            outer -= r_lo
+            r1 *= outer
+            r1 += r_lo  # r_lo + (r_hi - d - r_lo) draw^2
+            np.add(r1, d, out=outer)
+            v = np.asarray(u.value(radii), dtype=float)
+            np.subtract(v[:per_bin], v[per_bin:], out=inc)
+            np.abs(inc, out=inc)
             i = int(np.argmax(inc))
             if inc[i] > 0:
                 sup_inc.append(inc[i])

@@ -201,19 +201,32 @@ class DiscreteRadialSolution:
         The value then follows ``np.interp``'s own rules: values[0] at or
         below the grid, values[-1] at or above it, values[j] at a node
         grid[j] and slope_j (r - grid[j]) + values[j] inside panel j; a NaN
-        radius gives NaN."""
+        radius gives NaN. The result has the shape of r, which is never
+        written to."""
         r = np.asarray(r, dtype=float)
+        shape = r.shape
+        r = r.reshape(-1)  # a ufunc's out= needs an array, not a 0-d scalar
         g, v, last = self.grid, self.values, self.grid.size - 2
         # fmin/fmax map a NaN guess to a valid index; the NaN propagates below.
-        guess = np.fmax(np.fmin(np.floor((r - g[0]) / self._spacing), last), 0.0)
+        guess = np.subtract(r, g[0])
+        guess /= self._spacing
+        np.floor(guess, out=guess)
+        np.fmin(guess, last, out=guess)
+        np.fmax(guess, 0.0, out=guess)
         j = guess.astype(np.intp)
-        j -= r < g[j]
-        j += r >= g[j + 1]
-        j = np.clip(j, 0, last)
-        left = g[j]
-        out = np.where(r == left, v[j], self._slope[j] * (r - left) + v[j])
-        out = np.where(r <= g[0], v[0], np.where(r >= g[-1], v[-1], out))
-        return out[()]
+        j -= r < g.take(j)
+        j += r >= g.take(j + 1)
+        # j is now -1 below the grid and last + 1 at or above its end; "clip"
+        # maps both to a valid index, and those radii take an end value below.
+        left = g.take(j, mode="clip")
+        vj = v.take(j, mode="clip")
+        out = np.subtract(r, left)
+        np.multiply(self._slope.take(j, mode="clip"), out, out=out)
+        out += vj
+        np.copyto(out, vj, where=r == left)
+        np.copyto(out, v[-1], where=r >= g[-1])
+        np.copyto(out, v[0], where=r <= g[0])  # last, so it takes priority
+        return out.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +281,15 @@ def solve_banded(sub, dia, sup, rhs):
     J[i, i] = dia[i], J[i, i+1] = sup[i], with LAPACK ``gtsv``: the routine
     and the inputs of ``scipy.linalg.solve_banded((1, 1), ...)``, so the
     same bits, without its validation layers. ``_dgtsv`` loads the routine
-    on the first call without importing ``scipy.linalg``."""
-    for a in (sub, dia, sup, rhs):
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+    on the first call without importing ``scipy.linalg``. One exact test
+    refuses non-finite input: a finite entry times 0 is 0, and an inf or a
+    NaN times 0 is NaN, so the sum of the arrays dotted with zeros is
+    finite exactly when every entry is."""
+    zeros = np.zeros(dia.size)
+    with np.errstate(invalid="ignore"):
+        probe = sub.dot(zeros[1:]) + dia.dot(zeros) + sup.dot(zeros[1:]) + rhs.dot(zeros)
+    if not math.isfinite(probe):
+        raise ValueError("array must not contain infs or NaNs")
     x, info = _dgtsv()(sub, dia, sup, rhs)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

@@ -1,5 +1,6 @@
 """Energy quadrature, Caccioppoli growth audit, Holder fits, Morrey norms."""
 
+import functools
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from pdi_lab.errors import (
 from pdi_lab.params import ProblemParams
 from pdi_lab.radial import BumpProfile, PowerProfile, SampledProfile, sharpness_profile
 from pdi_lab.solver import (
+    DiscreteRadialSolution,
     RadialPowerSource,
     SampledSource,
     SolverConfig,
@@ -492,6 +494,42 @@ def _reference_holder_bins(u, pair_budget, scale_range, domain, seed):
             sup_inc.append(float(inc[i]))
             sup_dist.append(float(d[i]))
     return np.asarray(sup_dist), np.asarray(sup_inc)
+
+
+@functools.cache
+def _gridded_holder_inputs():
+    """The benchmark's two 1,024-node solver outputs (Cole-Hopf on the
+    ball, the sharp profile on the annulus) and rough random values on a
+    uniform grid, where every bin's sup is a random pair."""
+    sharp = sharpness_profile(3, 2.0, 4.0)
+    cole_hopf = solve_radial_dirichlet(
+        PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0),
+        (0.0, 1.0), bc_left=None, bc_right=0.0, config=SolverConfig(n_nodes=1024),
+    )
+    annulus = solve_radial_dirichlet(
+        PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=4.0), ZeroSource(), (0.25, 1.0),
+        bc_left=float(-sharp.value(0.25)), bc_right=0.0, config=SolverConfig(n_nodes=1024),
+    )
+    g = np.linspace(0.1, 2.3, 777)
+    rough = DiscreteRadialSolution(g, np.random.default_rng(3).standard_normal(g.size),
+                                   ProblemParams(dim=3, p=2.0, gamma=2.0), PLaplacian(2.0), {})
+    return cole_hopf, annulus, rough
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("which", range(3), ids=["cole-hopf", "sharp-annulus", "rough"])
+def test_holder_fit_on_gridded_data_equals_the_pair_search(which, seed):
+    # The seeded search fills reused buffers with one draw and one lookup
+    # per bin; its bins must be the bits of two draws and two lookups. A
+    # budget of 7 is below the bin count: one widest pair per bin.
+    u = _gridded_holder_inputs()[which]
+    domain = (float(u.grid[0]), float(u.grid[-1]))
+    for scale_range in ((1e-3, 0.25), (2e-3, 0.3)):
+        for pairs in (20000, 777, 7):
+            got = holder_fit(u, pairs, scale_range, seed=seed)
+            scales, increments = _reference_holder_bins(u, pairs, scale_range, domain, seed)
+            assert got.scales.tobytes() == scales.tobytes()
+            assert got.max_increments.tobytes() == increments.tobytes()
 
 
 _POWER_WITNESSES = [

@@ -584,6 +584,24 @@ def test_solution_value_is_bit_identical_to_np_interp(sol):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def test_solution_value_keeps_the_shape_and_leaves_its_argument_alone():
+    # The lookup works in place on flat buffers; a 0-d, 1-D or 2-D radius
+    # array keeps its shape, a read-only one is only read, and the bits
+    # are np.interp's for node values with -0.0 and radii at +-0, +-inf and NaN.
+    g = np.linspace(0.0, 1.0, 9)
+    v = np.array([-0.0, 0.5, -0.0, -0.5, 0.0, 2.0, -0.0, 1.0, -0.0])
+    sol = solver.DiscreteRadialSolution(g, v, PARAMS_22, PLaplacian(2.0), {})
+    flat = np.concatenate((np.linspace(-0.5, 1.5, 31), g, [-0.0, 0.0, np.inf, -np.inf, np.nan]))
+    for r in (np.asarray(0.3), np.asarray(-0.0), np.asarray(np.nan), flat, flat[5:].reshape(4, 10)):
+        r.setflags(write=False)
+        before = r.tobytes()
+        got = sol.value(r)
+        want = np.interp(r, g, v)
+        assert np.shape(got) == r.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert r.tobytes() == before
+
+
 def test_solution_value_returns_node_values_themselves():
     # At a node np.interp returns the stored value, so a -0.0 keeps its
     # sign; slope * 0 + values[j] would turn it into +0.0.

@@ -46,7 +46,7 @@ from .errors import DomainExceeded, InsufficientScales, NonIntegrable, Precondit
 from .params import ProblemParams, _check_dim, caccioppoli_exponent, unit_ball_volume
 from .quadrature import SAMPLE_PANEL_NODES, sample_panels
 from .quadrature import gauss_legendre as quad
-from .radial import PowerProfile
+from .radial import Gridded, PowerProfile
 from .solver import RadialPowerSource, SampledSource, ZeroSource
 
 __all__ = [
@@ -64,24 +64,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _is_gridded(u) -> bool:
-    return hasattr(u, "grid") and hasattr(u, "values")
-
-
 def _shell_weight(r: np.ndarray, dim: int) -> np.ndarray:
     return dim * unit_ball_volume(dim) * r ** (dim - 1)
 
 
-def _gridded_ball_integral(grid, nodal, t, dim):
-    """Trapezoid of nodal data against the shell measure, from grid[0] to
-    each radius of the array t.
+def _gridded_ball_integral(u, nodal, t, dim):
+    """Trapezoid of nodal data on the grid of the ``Gridded`` u against the
+    shell measure, from grid[0] to each radius of the array t.
 
     Cutting at a grid node makes values telescope exactly over shells; a
     partial last panel is interpolated linearly so the result is continuous
     and nondecreasing in t.
     """
+    grid = u.grid
     if np.any(t > grid[-1] * (1.0 + 1e-9)):
-        raise DomainExceeded(f"t={t.max()} is beyond the solution grid (max {grid[-1]})")
+        raise DomainExceeded(f"t={t.max()} is beyond the {u.what} grid (max {grid[-1]})")
     t = np.minimum(t, grid[-1])
     f = nodal * _shell_weight(grid, dim)
     h = grid[1:] - grid[:-1]
@@ -148,15 +145,14 @@ def _ball_integral(u, t, dim: int, gamma: Optional[float] = None) -> np.ndarray:
     """
     if isinstance(u, PowerProfile):
         return _power_negative_part(u, t, dim) if gamma is None else _power_energies(u, gamma, t, dim)
-    if not _is_gridded(u):
+    if not isinstance(u, Gridded):
         raise PreconditionViolation(
-            "energies take a PowerProfile or gridded data (grid and values), "
+            "energies take a PowerProfile or gridded data (a sampled profile or a solution), "
             f"got {type(u).__name__}"
         )
-    grid = np.asarray(u.grid, dtype=float)
-    w = np.asarray(u.values, dtype=float)
-    nodal = np.maximum(-w, 0.0) if gamma is None else np.abs(np.gradient(w, grid)) ** gamma
-    return _gridded_ball_integral(grid, nodal, t, dim)
+    w = u.values
+    nodal = np.maximum(-w, 0.0) if gamma is None else np.abs(np.gradient(w, u.grid)) ** gamma
+    return _gridded_ball_integral(u, nodal, t, dim)
 
 
 def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
@@ -321,9 +317,8 @@ def holder_fit(
     if not 0 < h_min < h_max:
         raise PreconditionViolation("scale_range must satisfy 0 < h_min < h_max")
     if domain is None:
-        if _is_gridded(u):
-            g = np.asarray(u.grid, dtype=float)
-            domain = (float(g[0]), float(g[-1]))
+        if isinstance(u, Gridded):
+            domain = (float(u.grid[0]), float(u.grid[-1]))
         else:
             domain = (0.0, 1.0)
     r_lo, r_hi = float(domain[0]), float(domain[1])

@@ -35,7 +35,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -94,23 +93,7 @@ from .liouville import (
     verify_euclidean_witness,
 )
 
-__all__ = ["COMMANDS", "REQUIRED", "RunReport", "main", "run"]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One invocation's machine-readable record: what ran, with which
-    parameters, what came out, and whether it passed. Everything in it is
-    already JSON-safe, so ``as_dict`` round-trips losslessly."""
-
-    command: str
-    params: dict
-    results: dict
-    provenance: dict
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+__all__ = ["COMMANDS", "REQUIRED", "main", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +131,7 @@ def _read_two_column_csv(path: str):
                         f"{path}: line {reader.line_num}: not a number pair: {row!r}"
                     ) from None
             first = False
-    return _checked_samples([r for r, _ in rows], [v for _, v in rows], path, 2)
+    return _checked_samples([r for r, _ in rows], [v for _, v in rows], path)
 
 
 def _parse_spec(text: str, what: str, families: dict, sampled=None):
@@ -239,18 +222,18 @@ def _emit(args, results: dict, passed: bool, note: str = "") -> int:
     params = {dest: getattr(args, dest) for dest in args.dests}
     params_clean = _jsonable(params)
     blob = json.dumps(params_clean, sort_keys=True).encode()
-    report = RunReport(
-        command=args.command,
-        params=params_clean,
-        results=_jsonable(results),
-        provenance={
+    report = {
+        "command": args.command,
+        "params": params_clean,
+        "results": _jsonable(results),
+        "provenance": {
             "version": __version__,
             "seed": getattr(args, "seed", 0),
             "config_hash": hashlib.sha256(blob).hexdigest()[:12],
         },
-        passed=bool(passed),
-    )
-    sys.stdout.write(json.dumps(report.as_dict(), allow_nan=False) + "\n")
+        "passed": bool(passed),
+    }
+    sys.stdout.write(json.dumps(report, allow_nan=False) + "\n")
     status = "PASS" if passed else "FAIL"
     sys.stderr.write(f"{args.command}: {status}{note}\n")
     return 0 if passed else 1

@@ -57,10 +57,10 @@ from .quadrature import SAMPLE_PANEL_NODES, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import (
     BumpProfile,
+    Gridded,
     RadialProfile,
     ResidualReport,
     _certify_witness,
-    _checked_samples,
     bump_profile_scale,
     nonconstant_entire_profile,
 )
@@ -174,15 +174,13 @@ class ExponentialArea(AreaProfile):
         return self.amplitude * np.exp(self.kappa * np.asarray(t, dtype=float))
 
 
-@dataclass(eq=False)
-class SampledArea(AreaProfile):
+class SampledArea(Gridded, AreaProfile):
     """Tabulated area data; decisions from it are heuristic at best."""
 
-    grid: np.ndarray
-    values: np.ndarray
+    what = "sampled area"
 
     def __post_init__(self):
-        self.grid, self.values = _checked_samples(self.grid, self.values, "sampled area", 2)
+        super().__post_init__()
         if not np.all(self.values > 0):
             raise PreconditionViolation("area values must be strictly positive")
 
@@ -194,7 +192,7 @@ class SampledArea(AreaProfile):
         t = np.asarray(t, dtype=float)
         if np.any(t > self.grid[-1] * (1.0 + 1e-12)) or np.any(t < self.grid[0]):
             raise DomainExceeded("sampled area queried outside its grid")
-        return np.interp(t, self.grid, self.values)
+        return self.value(t)
 
 
 # ---------------------------------------------------------------------------

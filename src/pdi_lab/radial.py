@@ -37,13 +37,13 @@ its negation, since the divergence term is odd under V -> -V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import (
     DegeneratePoint,
-    DomainExceeded,
     NoAdmissibleScale,
     PreconditionViolation,
 )
@@ -92,9 +92,6 @@ class RadialProfile:
     def second_derivative(self, r):
         raise NotImplementedError
 
-    def negated(self) -> "RadialProfile":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PowerProfile(RadialProfile):
@@ -118,9 +115,6 @@ class PowerProfile(RadialProfile):
     def second_derivative(self, r):
         r = np.asarray(r, dtype=float)
         return self.c * self.a * (self.a - 1.0) * r ** (self.a - 2.0)
-
-    def negated(self):
-        return PowerProfile(-self.c, self.a, self.shift)
 
 
 @dataclass(frozen=True)
@@ -149,80 +143,48 @@ class BumpProfile(RadialProfile):
             w - (self.delta + 2.0) * r * r
         )
 
-    def negated(self):
-        return BumpProfile(-self.c, self.delta)
 
-
-def _checked_samples(grid, values, what: str, min_nodes: int):
-    """(grid, values) as float arrays after the checks every sampled input
-    shares: 1-D, equal lengths, finite, strictly increasing radii and at
-    least ``min_nodes`` nodes."""
+def _checked_samples(grid, values, what: str):
+    """(grid, values) as float arrays after the one rule every sampled
+    input shares: 1-D, at least 2 nodes, equal lengths, finite, and a
+    strictly increasing grid of radii >= 0."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size < min_nodes:
-        raise PreconditionViolation(f"{what} needs at least {min_nodes} nodes")
+    if grid.ndim != 1 or grid.size < 2:
+        raise PreconditionViolation(f"{what} needs at least 2 nodes")
     if values.shape != grid.shape:
         raise PreconditionViolation(f"{what}: grid and values must have equal length")
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
         raise PreconditionViolation(f"{what}: grid and values must be finite")
     if not np.all(np.diff(grid) > 0):
         raise PreconditionViolation(f"{what}: grid must be strictly increasing")
+    if not grid[0] >= 0:
+        raise PreconditionViolation(f"{what}: radii must be >= 0, got {grid[0]}")
     return grid, values
 
 
 @dataclass(eq=False)
-class SampledProfile(RadialProfile):
-    """V given by samples on a strictly increasing grid of radii > 0.
-
-    Derivatives use the second-order three-point stencils for non-uniform
-    grids. The second derivative is defined at interior nodes only, and
-    evaluation requires the query radius to coincide with a grid node.
-    """
+class Gridded:
+    """Data on a grid of radii, read as its piecewise-linear interpolant
+    (``np.interp``): the one type of sampled profiles, sources and areas
+    and of solver output. Construction applies ``_checked_samples``;
+    ``what`` names the data in its error messages."""
 
     grid: np.ndarray
     values: np.ndarray
-    _d1: np.ndarray = field(init=False, repr=False)
-    _d2: np.ndarray = field(init=False, repr=False)
+    what: ClassVar[str] = "gridded data"
 
     def __post_init__(self):
-        self.grid, self.values = _checked_samples(self.grid, self.values, "sampled profile", 4)
-        if not self.grid[0] > 0:
-            raise PreconditionViolation("sampled grid must start at a radius > 0")
-        self._d1 = np.gradient(self.values, self.grid)
-        g, v = self.grid, self.values
-        h1 = g[1:-1] - g[:-2]
-        h2 = g[2:] - g[1:-1]
-        d2 = np.full_like(v, np.nan)
-        d2[1:-1] = 2.0 * (h1 * v[2:] - (h1 + h2) * v[1:-1] + h2 * v[:-2]) / (
-            h1 * h2 * (h1 + h2)
-        )
-        self._d2 = d2
-
-    def _indices(self, r, interior: bool):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.searchsorted(self.grid, r)
-        idx = np.clip(idx, 0, self.grid.size - 1)
-        left = np.clip(idx - 1, 0, self.grid.size - 1)
-        use_left = np.abs(self.grid[left] - r) < np.abs(self.grid[idx] - r)
-        idx = np.where(use_left, left, idx)
-        tol = 1e-9 * np.maximum(1.0, np.abs(r))
-        if np.any(np.abs(self.grid[idx] - r) > tol):
-            raise DomainExceeded("query radius is not a node of the sampled grid")
-        if interior and (np.any(idx < 1) or np.any(idx > self.grid.size - 2)):
-            raise DomainExceeded("second derivative is defined at interior nodes only")
-        return idx
+        self.grid, self.values = _checked_samples(self.grid, self.values, self.what)
 
     def value(self, r):
         return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
 
-    def derivative(self, r):
-        return self._d1[self._indices(r, interior=False)]
 
-    def second_derivative(self, r):
-        return self._d2[self._indices(r, interior=True)]
+class SampledProfile(Gridded):
+    """A profile V given by samples, read through its grid and values."""
 
-    def negated(self):
-        return SampledProfile(self.grid.copy(), -self.values)
+    what = "sampled profile"
 
 
 # ---------------------------------------------------------------------------

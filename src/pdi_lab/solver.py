@@ -64,10 +64,10 @@ from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
 from .params import ProblemParams
 from .radial import (
     GeneralizedMeanCurvature,
+    Gridded,
     MeanCurvature,
     OperatorKind,
     PLaplacian,
-    _checked_samples,
 )
 
 __all__ = [
@@ -119,18 +119,11 @@ class RadialPowerSource(SourceTerm):
             return self.amplitude * r ** (-self.beta)
 
 
-@dataclass(eq=False)
-class SampledSource(SourceTerm):
+class SampledSource(Gridded, SourceTerm):
     """Piecewise-linear interpolant of sampled source values."""
 
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.grid, self.values = _checked_samples(self.grid, self.values, "sampled source", 2)
-
-    def __call__(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
+    what = "sampled source"
+    __call__ = Gridded.value
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +169,16 @@ def _schedule(kind: OperatorKind) -> tuple:
 
 
 @dataclass(eq=False)
-class DiscreteRadialSolution:
+class DiscreteRadialSolution(Gridded):
     """Nodal values on a uniform radial grid, with solve metadata.
 
     ``value`` is the piecewise-linear interpolant, bit for bit the result
     of ``np.interp`` on (grid, values); the grid and values are fixed once
-    the solution is built.
+    the solution is built. The solver's grid is a ``linspace`` and its
+    iterate converged and finite, so the sampled-data checks are not run.
     """
 
-    grid: np.ndarray
-    values: np.ndarray
+    what = "solution"
     params: ProblemParams
     kind: OperatorKind
     meta: dict

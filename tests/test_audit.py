@@ -22,7 +22,7 @@ from pdi_lab.errors import (
     PreconditionViolation,
 )
 from pdi_lab.params import ProblemParams
-from pdi_lab.radial import BumpProfile, PowerProfile, SampledProfile, sharpness_profile
+from pdi_lab.radial import BumpProfile, Gridded, PowerProfile, SampledProfile, sharpness_profile
 from pdi_lab.solver import (
     DiscreteRadialSolution,
     RadialPowerSource,
@@ -114,17 +114,27 @@ class _CountingProfile:
         return self.inner.derivative(r)
 
 
+class _Lookalike:
+    """Carries grid and values, but is not gridded data."""
+
+    grid = np.linspace(0.0, 2.0, 8)
+    values = grid**2
+
+
 @pytest.mark.parametrize(
     "profile",
-    [BumpProfile(c=1.5, delta=0.7), _FlatCore(), _CountingProfile(sharpness_profile(3, 2.0, 4.0))],
-    ids=["bump", "flat-core", "wrapped-power"],
+    [BumpProfile(c=1.5, delta=0.7), _FlatCore(), _CountingProfile(sharpness_profile(3, 2.0, 4.0)),
+     _Lookalike()],
+    ids=["bump", "flat-core", "wrapped-power", "grid-and-values-lookalike"],
 )
 def test_energy_of_a_profile_that_is_neither_power_nor_gridded_is_refused(profile):
     # Only a PowerProfile has closed-form energies here; any other
-    # closed-form profile is refused, and the message names what is taken.
+    # closed-form profile, or any object that is not of the gridded type,
+    # is refused in one line that names what is taken.
     params = ProblemParams(dim=3, p=2.0, gamma=2.5, lam=1.0)
-    with pytest.raises(PreconditionViolation, match="PowerProfile or gridded data"):
+    with pytest.raises(PreconditionViolation, match="PowerProfile or gridded data") as err:
         gradient_energy(profile, 2.5, 1.7, 3)
+    assert "\n" not in str(err.value)
     with pytest.raises(PreconditionViolation, match="PowerProfile or gridded data"):
         caccioppoli_audit(profile, params, R=2.0, t_list=[0.5, 1.7])
     assert getattr(profile, "derivative_calls", 0) == 0
@@ -447,20 +457,11 @@ def test_caccioppoli_audit_of_a_power_profile_never_evaluates_it(monkeypatch):
     assert rep.passed
 
 
-class _InterpSolution:
-    """A solver output whose lookup is np.interp, the reference route."""
-
-    def __init__(self, sol):
-        self.grid, self.values = sol.grid, sol.values
-
-    def value(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
-
-
 def test_holder_fit_on_solver_output_matches_the_np_interp_route():
     _, sol = _solver_output()
     got = holder_fit(sol, 20000, (1e-3, 0.25), seed=4)
-    want = holder_fit(_InterpSolution(sol), 20000, (1e-3, 0.25), seed=4)
+    # Gridded's lookup is np.interp, the reference route.
+    want = holder_fit(Gridded(sol.grid, sol.values), 20000, (1e-3, 0.25), seed=4)
     assert got.scales.tobytes() == want.scales.tobytes()
     assert got.max_increments.tobytes() == want.max_increments.tobytes()
     assert got.fitted_alpha == want.fitted_alpha

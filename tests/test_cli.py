@@ -15,10 +15,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pdi_lab
 from pdi_lab import cli
-from pdi_lab.cli import COMMANDS, REQUIRED, RunReport, _sweep_rows, main, run
+from pdi_lab.audit import caccioppoli_audit, holder_fit
+from pdi_lab.cli import COMMANDS, REQUIRED, _sweep_rows, main, run
 from pdi_lab.errors import PreconditionViolation
 from pdi_lab.params import LiouvilleRegime, ProblemParams, classify_regime, exponent_report
-from pdi_lab.radial import sharpness_profile
+from pdi_lab.radial import PLaplacian, sharpness_profile
+from pdi_lab.solver import RadialPowerSource, SolverConfig, solve_radial_dirichlet
 
 
 def run_cli(capsys, *argv):
@@ -70,18 +72,6 @@ def test_run_accepts_token_sequence(capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert report["results"]["alpha"] == 2.0 / 3.0
-
-
-def test_report_round_trips_losslessly():
-    rep = RunReport(
-        command="exponents",
-        params={"dim": 3, "p": 2.0},
-        results={"alpha": 2.0 / 3.0},
-        provenance={"version": "0", "seed": 0, "config_hash": "aa"},
-        passed=True,
-    )
-    again = RunReport(**json.loads(json.dumps(rep.as_dict())))
-    assert again == rep
 
 
 def test_verify_sharpness_e2e(capsys):
@@ -270,6 +260,43 @@ def test_audit_holder_file_witness(capsys, sharp_samples):
     assert results["fitted_alpha"] == pytest.approx(2.0 / 3.0, abs=5e-3)
     assert results["r_squared"] >= 0.999
     assert report["passed"] is True
+
+
+def test_audit_past_a_file_witness_grid_names_the_sampled_grid(capsys, sharp_samples):
+    rc, _, cap = run_cli(capsys, "audit-caccioppoli", *_PROBLEM_ARGS, "--witness", sharp_samples,
+                         "--radius", "5")
+    assert rc == 2
+    assert cap.err == "error: t=4.75 is beyond the sampled profile grid (max 1.0)\n"
+
+
+def test_ball_solve_round_trips_through_a_file_witness(capsys, tmp_path):
+    # A ball solve's grid starts at r = 0, and its --out file is a witness
+    # both audits read to the bits of the in-memory solution: repr floats
+    # round-trip, and np.interp is the solution's lookup bit for bit.
+    out = tmp_path / "u.csv"
+    problem = ("--dim", "3", "--p", "2", "--gamma", "2")
+    rc, _, _ = run_cli(capsys, "solve", *problem, "--source", "power:1,0", "--bc-right", "0",
+                       "--nodes", "129", "--out", str(out))
+    assert rc == 0
+    params = ProblemParams(dim=3, p=2.0, gamma=2.0)
+    sol = solve_radial_dirichlet(PLaplacian(2.0), params, RadialPowerSource(1.0, 0.0), (0.0, 1.0),
+                                 None, 0.0, SolverConfig(n_nodes=129))
+    witness = ("--witness", f"file:{out}")
+
+    rc, report, _ = run_cli(capsys, "audit-holder", *problem, *witness)
+    assert rc == 0
+    fit = holder_fit(sol, 20000, (1e-3, 0.25), seed=0)
+    want = {"fitted_alpha": fit.fitted_alpha, "r_squared": fit.r_squared,
+            "predicted_alpha": None, "bins": int(fit.scales.size)}
+    assert json.dumps(report["results"]) == json.dumps(want)
+
+    rc, report, _ = run_cli(capsys, "audit-caccioppoli", *problem, *witness)
+    assert rc == 0
+    audit = caccioppoli_audit(sol, params, 1.0, np.geomspace(0.02, 0.95, 24))
+    want = {"predicted_s": audit.predicted_s, "growth_target": 3 - audit.predicted_s,
+            "fitted_growth": audit.fitted_growth, "fitted_K": audit.fitted_K,
+            "k_stable": audit.k_stable}
+    assert json.dumps(report["results"]) == json.dumps(want)
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,10 @@ import pytest
 from pdi_lab import radial
 from pdi_lab.errors import (
     DegeneratePoint,
-    DomainExceeded,
     NoAdmissibleScale,
     PreconditionViolation,
 )
+from pdi_lab.liouville import SampledArea
 from pdi_lab.params import ProblemParams
 from pdi_lab.radial import (
     BumpProfile,
@@ -27,6 +27,7 @@ from pdi_lab.radial import (
     residual_scan,
     sharpness_profile,
 )
+from pdi_lab.solver import SampledSource
 
 ALL_KINDS = [PLaplacian(2.0), PLaplacian(3.0), MeanCurvature(), GeneralizedMeanCurvature(4.0)]
 
@@ -79,10 +80,21 @@ def test_flux_bound_with_nu_one(kind):
     np.testing.assert_allclose(kind.flux(-s), -kind.flux(s), rtol=1e-15)
 
 
+class _Hump(radial.RadialProfile):
+    """V = 1 - (r - 1/2)^2: V' = -2 (r - 1/2) vanishes at r = 1/2, V'' = -2."""
+
+    def value(self, r):
+        return 1.0 - (np.asarray(r, dtype=float) - 0.5) ** 2
+
+    def derivative(self, r):
+        return -2.0 * (np.asarray(r, dtype=float) - 0.5)
+
+    def second_derivative(self, r):
+        return np.full_like(np.asarray(r, dtype=float), -2.0)
+
+
 def test_degenerate_and_zero_slope_semantics():
-    # symmetric hump: slope vanishes exactly at the middle node
-    g = np.linspace(0.1, 0.9, 41)
-    hump = SampledProfile(g, 1.0 - (g - 0.5) ** 2)
+    hump = _Hump()
     with pytest.raises(DegeneratePoint):
         radial_operator(PLaplacian(1.5), hump, 0.5, dim=3)
     # p = 2: the weight |V'|^{p-2} is identically 1, so the value is -V''
@@ -92,38 +104,40 @@ def test_degenerate_and_zero_slope_semantics():
 
 
 def test_sampled_profile_guards():
-    with pytest.raises(PreconditionViolation):
-        SampledProfile(np.array([0.1, 0.2, 0.3]), np.zeros(3))  # too short
-    with pytest.raises(PreconditionViolation):
-        SampledProfile(np.array([0.1, 0.3, 0.2, 0.4]), np.zeros(4))
-    with pytest.raises(PreconditionViolation):
-        SampledProfile(np.array([0.0, 0.1, 0.2, 0.3]), np.zeros(4))  # r = 0 node
+    # Two nodes and a first node at r = 0 (a ball solve's grid) are data.
+    assert SampledProfile([0.0, 1.0], [1.0, 3.0]).value(0.25) == 1.5
     prof = SampledProfile(np.linspace(0.1, 1.0, 10), np.linspace(0.1, 1.0, 10))
-    with pytest.raises(DomainExceeded):
-        prof.derivative(0.55)  # derivatives live on nodes only
-    with pytest.raises(DomainExceeded):
-        prof.second_derivative(0.1)  # endpoint has no centered difference
     # values interpolate between nodes (consumers integrate off-node)
     assert prof.value(0.55) == pytest.approx(0.55)
 
 
-def test_sampled_operator_converges_at_second_order():
-    """Finite-difference re-evaluation of a closed-form profile tends to the
-    closed-form operator value at O(h^2)."""
-    prof = sharpness_profile(3, 2.0, 4.0)
-    kind = PLaplacian(2.0)
-    # eighths of [0.3, 0.9] are exact nodes of every grid size used below
-    window = 0.3 + 0.6 * np.arange(1, 8) / 8.0
-    exact = radial_operator(kind, prof, window, dim=3)
-    errs = []
-    sizes = (201, 401, 801)
-    for n in sizes:
-        g = np.linspace(0.3, 0.9, n)
-        sampled = SampledProfile(g, prof.value(g))
-        got = np.array([radial_operator(kind, sampled, float(r), dim=3) for r in window])
-        errs.append(np.max(np.abs(got - exact)))
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    assert min(orders) >= 1.9
+_BAD_SAMPLES = [
+    ([0.5], [1.0], "at least 2 nodes"),
+    ([[0.1, 0.2]], [[1.0, 1.0]], "at least 2 nodes"),
+    ([0.1, 0.2, 0.3], [1.0, 1.0], "equal length"),
+    ([0.1, 0.2], [1.0, math.nan], "finite"),
+    ([0.1, math.inf], [1.0, 1.0], "finite"),
+    ([0.2, 0.1], [1.0, 1.0], "strictly increasing"),
+    ([0.1, 0.1, 0.3], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([-0.1, 0.2], [1.0, 1.0], r"radii must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("grid, values, message", _BAD_SAMPLES,
+                         ids=["one-node", "2-d", "lengths", "nan", "inf", "decreasing",
+                              "repeated", "negative-radius"])
+@pytest.mark.parametrize("build", [SampledProfile, SampledSource, SampledArea],
+                         ids=lambda b: b.__name__)
+def test_every_sampled_input_shares_one_rule(build, grid, values, message):
+    with pytest.raises(PreconditionViolation, match=f"{build.what}.*{message}"):
+        build(grid, values)
+    build([0.0, 1.0], [1.0, 2.0])  # the smallest admissible data, from r = 0
+
+
+@pytest.mark.parametrize("values", [[1.0, 0.0], [1.0, -1.0]])
+def test_sampled_area_values_must_be_positive(values):
+    with pytest.raises(PreconditionViolation, match="strictly positive"):
+        SampledArea([1.0, 2.0], values)
 
 
 def test_sharpness_profile_334():
@@ -180,7 +194,7 @@ def test_entire_profile_supernatural_range():
     assert prof.a == pytest.approx(sharp.a, abs=1e-15)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     grid = np.geomspace(0.1, 50.0, 400)
-    report = residual_scan(PLaplacian(2.0), prof.negated(), params, None, grid)
+    report = residual_scan(PLaplacian(2.0), PowerProfile(-prof.c, prof.a), params, None, grid)
     assert report.passed
     assert report.max_abs_residual < 1e-8
 
@@ -193,7 +207,7 @@ def test_entire_profile_between_threshold_and_p():
     assert prof.a == pytest.approx(-0.25, abs=1e-12)
     params = ProblemParams(dim=3, p=2.0, gamma=1.8)
     grid = np.geomspace(0.2, 30.0, 300)
-    report = residual_scan(PLaplacian(2.0), prof.negated(), params, None, grid)
+    report = residual_scan(PLaplacian(2.0), PowerProfile(-prof.c, prof.a), params, None, grid)
     assert report.passed
     assert report.max_abs_residual < 1e-8
 
@@ -356,11 +370,3 @@ def test_bump_profile_shape():
     h = 1e-4
     fd = (prof.value(0.7 + h) - 2 * prof.value(0.7) + prof.value(0.7 - h)) / h**2
     assert prof.second_derivative(0.7) == pytest.approx(fd, rel=1e-6)
-
-
-def test_negation_flips_sign_everywhere():
-    prof = sharpness_profile(3, 2.0, 4.0)
-    neg = prof.negated()
-    rs = np.linspace(0.2, 0.9, 5)
-    np.testing.assert_allclose(neg.value(rs), -prof.value(rs), rtol=1e-15)
-    np.testing.assert_allclose(neg.derivative(rs), -prof.derivative(rs), rtol=1e-15)

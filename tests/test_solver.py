@@ -539,8 +539,6 @@ def test_sampled_source_interpolates():
         config=SolverConfig(n_nodes=64),
     )
     assert np.all(np.isfinite(sol_a.values))
-    with pytest.raises(PreconditionViolation):
-        SampledSource(np.array([0.2, 0.1]), np.zeros(2))
 
 
 def test_solution_value_interpolates_between_nodes():

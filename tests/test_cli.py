@@ -819,6 +819,34 @@ _SET = {
 _ROWS = {name: flags for name, _, flags, _ in COMMANDS}
 
 
+# The keys of each report's results, in the order they print: JSON key
+# order is part of the output.
+_RESULT_KEYS = {
+    "exponents": "alpha s gamma_star alpha_branch s_branch growth_regime liouville_regime",
+    "verify-sharpness": "c a nodes min_residual max_abs_residual",
+    "verify-bump": "c log10_c delta min_residual grid_max",
+    "solve": "nodes iterations final_residual roundoff_floor recomputed_residual "
+    "u_left u_mid u_right u_min u_max",
+    "audit-caccioppoli": "predicted_s growth_target fitted_growth fitted_K k_stable",
+    "audit-holder": "fitted_alpha r_squared predicted_alpha bins",
+    "morrey": "value divergent argmax_radius exact",
+    "liouville": "verdict mechanism gamma_star area_test witness witness_note witness_ok",
+    "manifold": "verdict mechanism gamma_star",
+    "sigma-bound": "lhs rhs constant_C comparison_integral area_integral contradiction weight",
+}
+
+
+def test_results_keys_keep_their_order(capsys):
+    assert sorted(_RESULT_KEYS) == sorted(set(_SET) - {"sweep"})
+    for command, keys in _RESULT_KEYS.items():
+        rc, report, _ = run_cli(capsys, command, *_SET[command].split())
+        assert rc == 0
+        assert list(report["results"]) == keys.split(), command
+    # A witness side of liouville, for the keys of its nested witness.
+    _, report, _ = run_cli(capsys, "liouville", *_PROBLEM_ARGS)
+    assert list(report["results"]["witness"]) == ["family", "c", "log10_c", "exponent", "delta"]
+
+
 def _valid_flags(command) -> dict:
     """flag -> value of one valid, small invocation: the table's defaults,
     then ``_SET``."""

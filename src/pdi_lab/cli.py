@@ -2,7 +2,8 @@
 
 Each subcommand is declared once, as a row of ``COMMANDS``: its name,
 help, flags and handler. The parser, the report's ``params`` and the
-tests all read that table.
+tests all read that table. A handler's ``results`` project its library
+report by field name (``_fields``). Flags take their full spelling only.
 
 Every subcommand prints one JSON report on stdout and a one-line human
 summary on stderr. ``params`` holds every flag of the subcommand, parsed
@@ -35,6 +36,7 @@ import hashlib
 import json
 import math
 import sys
+from decimal import Decimal
 from enum import Enum
 
 import numpy as np
@@ -64,7 +66,6 @@ from .radial import (
     PLaplacian,
     PowerProfile,
     SampledProfile,
-    _checked_samples,
     _witness_scale,
     bump_profile_scale,
     residual_scan,
@@ -112,8 +113,8 @@ def _parse_floats(text: str, what: str, count: int):
 
 
 def _read_two_column_csv(path: str):
-    """Sample pairs from a CSV file; only the first row that is not blank
-    or a ``#`` comment may be a non-numeric header."""
+    """The r and value columns of a CSV file, as floats; only the first row
+    that is not blank or a ``#`` comment may be a non-numeric header."""
     rows = []
     first = True
     with open(path, newline="") as fh:
@@ -122,27 +123,30 @@ def _read_two_column_csv(path: str):
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) < 2:
-                raise PreconditionViolation(f"{path}: need two columns r,value, got {row!r}")
+                raise PreconditionViolation(f"need two columns r,value, got {row!r}")
             try:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:
                 if not first:
                     raise PreconditionViolation(
-                        f"{path}: line {reader.line_num}: not a number pair: {row!r}"
+                        f"line {reader.line_num}: not a number pair: {row!r}"
                     ) from None
             first = False
-    return _checked_samples([r for r, _ in rows], [v for _, v in rows], path)
+    return [r for r, _ in rows], [v for _, v in rows]
 
 
 def _parse_spec(text: str, what: str, families: dict, sampled=None):
     """The one spec grammar: ``name`` or ``name:x[,y]`` for a family in
     ``families`` (name -> (number count, constructor)), or ``file:path``
-    for tabulated data when ``sampled`` builds it from (grid, values).
-    Names are case-insensitive."""
+    for tabulated data when ``sampled`` builds it from (grid, values);
+    their errors name the path. Names are case-insensitive."""
     name, colon, rest = text.strip().partition(":")
     name = name.lower()
     if sampled is not None and name == "file" and colon:
-        return sampled(*_read_two_column_csv(rest))
+        try:
+            return sampled(*_read_two_column_csv(rest))
+        except (PreconditionViolation, UnicodeDecodeError) as exc:
+            raise PreconditionViolation(f"{rest}: {exc}") from None
     count, build = families.get(name, (None, None))
     if count == 0 and not colon:
         return build()
@@ -174,11 +178,13 @@ def _witness(args):
 
 
 def _parse_value_list(text: str):
-    """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive).
-    NaN has no place in the sorted grid and is rejected; inf is allowed."""
+    """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive)
+    of exact decimal steps from the typed start, each rounded once to a
+    float. NaN has no place in the sorted grid and is rejected; inf is allowed."""
     is_range = ":" in text
+    parts = text.split(":" if is_range else ",")
     try:
-        values = [float(x) for x in text.split(":" if is_range else ",")]
+        values = [float(x) for x in parts]
     except ValueError:
         raise PreconditionViolation(f"malformed value list {text!r}") from None
     if not is_range:
@@ -193,7 +199,9 @@ def _parse_value_list(text: str):
     if step <= 0:
         raise PreconditionViolation("range step must be positive")
     n = int(math.floor((stop - start) / step + 0.5)) + 1
-    return [round(start + k * step, 10) for k in range(n) if start + k * step <= stop + step / 2]
+    exact_start, exact_step = Decimal(parts[0]), Decimal(parts[2])
+    return [float(exact_start + k * exact_step) for k in range(n)
+            if start + k * step <= stop + step / 2]
 
 
 def _jsonable(obj):
@@ -201,10 +209,6 @@ def _jsonable(obj):
         return obj.value
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, float):
@@ -249,20 +253,20 @@ def _problem_params(args) -> ProblemParams:
 # ---------------------------------------------------------------------------
 
 
+def _fields(report, names: str, **derived) -> dict:
+    """The results of a report: each of the space-separated ``names`` in
+    order, read off ``report`` unless ``derived`` gives its value."""
+    return {name: derived[name] if name in derived else getattr(report, name)
+            for name in names.split()}
+
+
 def _cmd_exponents(args):
     params = _problem_params(args)
     rep = exponent_report(params)
-    results = {
-        "alpha": rep.alpha,
-        "s": rep.s,
-        "gamma_star": rep.gamma_star,
-        "alpha_branch": rep.alpha_branch.value if rep.alpha_branch else None,
-        "s_branch": rep.s_branch.value,
-    }
+    results = _fields(rep, "alpha s gamma_star alpha_branch s_branch")
     if rep.gamma_star is not None:
         regime = classify_regime(params)
-        results["growth_regime"] = regime.growth.value
-        results["liouville_regime"] = regime.liouville.value
+        results.update(growth_regime=regime.growth, liouville_regime=regime.liouville)
     return results, True
 
 
@@ -277,13 +281,8 @@ def _cmd_verify_sharpness(args):
     _check_nodes(args.nodes)
     grid = np.linspace(0.05, 0.95, args.nodes)
     report = residual_scan(PLaplacian(args.p), profile, params, None, grid, tol=args.tol)
-    results = {
-        "c": profile.c,
-        "a": profile.a,
-        "nodes": args.nodes,
-        "min_residual": report.min_residual,
-        "max_abs_residual": report.max_abs_residual,
-    }
+    results = _fields(profile, "c a nodes", nodes=args.nodes)
+    results.update(_fields(report, "min_residual max_abs_residual"))
     return results, report.max_abs_residual <= args.tol
 
 
@@ -294,13 +293,11 @@ def _cmd_verify_bump(args):
         raise PreconditionViolation(f"--grid-max must be finite and exceed 0.05, got {args.grid_max}")
     grid = np.linspace(0.05, args.grid_max, args.nodes)
     c, report = bump_profile_scale(args.dim, args.p, args.gamma, args.c_h, grid)
-    results = {
-        "c": c,
-        "log10_c": _witness_scale(args.dim, args.p, args.gamma, args.c_h, bounded=True)[1],
-        "delta": -_gradient_arm(args.p, args.gamma),
-        "min_residual": report.min_residual,
-        "grid_max": args.grid_max,
-    }
+    results = _fields(
+        report, "c log10_c delta min_residual grid_max", c=c,
+        log10_c=_witness_scale(args.dim, args.p, args.gamma, args.c_h, bounded=True)[1],
+        delta=-_gradient_arm(args.p, args.gamma), grid_max=args.grid_max,
+    )
     return results, report.passed
 
 
@@ -325,21 +322,15 @@ def _cmd_solve(args):
         with open(args.out, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["r", "value"])
-            for r, v in zip(sol.grid, sol.values):
-                writer.writerow([repr(float(r)), repr(float(v))])
-    mid = sol.grid.size // 2
-    results = {
-        "nodes": args.nodes,
-        "iterations": sol.meta["iterations"],
-        "final_residual": sol.meta["final_residual"],
-        "roundoff_floor": sol.meta["roundoff_floor"],
-        "recomputed_residual": recomputed,
-        "u_left": float(sol.values[0]),
-        "u_mid": float(sol.values[mid]),
-        "u_right": float(sol.values[-1]),
-        "u_min": float(np.min(sol.values)),
-        "u_max": float(np.max(sol.values)),
-    }
+            # csv writes a float as its str, which is its round-trip repr
+            writer.writerows(zip(sol.grid.tolist(), sol.values.tolist()))
+    u = sol.values
+    results = _fields(
+        sol, "nodes iterations final_residual roundoff_floor recomputed_residual "
+        "u_left u_mid u_right u_min u_max", **sol.meta, nodes=args.nodes,
+        recomputed_residual=recomputed, u_left=u[0], u_mid=u[u.size // 2], u_right=u[-1],
+        u_min=u.min(), u_max=u.max(),
+    )
     # A returned solve converged by the solver's own rule; NoConvergence
     # is reported by run().
     return results, True
@@ -353,13 +344,8 @@ def _cmd_audit_caccioppoli(args):
         raise PreconditionViolation(f"--radius must be finite and positive, got {radius}")
     t_list = np.geomspace(0.02 * radius, 0.95 * radius, 24)
     report = caccioppoli_audit(u, params, radius, t_list)
-    results = {
-        "predicted_s": report.predicted_s,
-        "growth_target": params.dim - report.predicted_s,
-        "fitted_growth": report.fitted_growth,
-        "fitted_K": report.fitted_K,
-        "k_stable": report.k_stable,
-    }
+    results = _fields(report, "predicted_s growth_target fitted_growth fitted_K k_stable",
+                      growth_target=params.dim - report.predicted_s)
     return results, report.passed and report.k_stable
 
 
@@ -380,12 +366,8 @@ def _cmd_audit_holder(args):
         predicted_alpha=predicted,
         tolerance=args.tol,
     )
-    results = {
-        "fitted_alpha": report.fitted_alpha,
-        "r_squared": report.r_squared,
-        "predicted_alpha": report.predicted_alpha,
-        "bins": int(report.scales.size),
-    }
+    results = _fields(report, "fitted_alpha r_squared predicted_alpha bins",
+                      bins=report.scales.size)
     passed = report.passed if report.passed is not None else 0 < report.fitted_alpha <= 1 + args.tol
     return results, passed
 
@@ -399,12 +381,8 @@ def _cmd_morrey(args):
         omega_radius=args.omega_radius,
         dim=args.dim,
     )
-    results = {
-        "value": "DIVERGENT" if norm.divergent else norm.value,
-        "divergent": norm.divergent,
-        "argmax_radius": norm.argmax_radius,
-        "exact": norm.exact,
-    }
+    results = _fields(norm, "value divergent argmax_radius exact",
+                      value="DIVERGENT" if norm.divergent else norm.value)
     return results, True
 
 
@@ -425,15 +403,10 @@ def _cmd_liouville(args):
             "exponent": getattr(verdict.witness, "a", None),
             "delta": getattr(verdict.witness, "delta", None),
         }
-    results = {
-        "verdict": verdict.verdict,
-        "mechanism": verdict.mechanism,
-        "gamma_star": verdict.gamma_star,
-        "area_test": area,
-        "witness": witness_info,
-        "witness_note": verdict.witness_note,
-        "witness_ok": witness_ok,
-    }
+    results = _fields(
+        verdict, "verdict mechanism gamma_star area_test witness witness_note witness_ok",
+        area_test=area, witness=witness_info, witness_ok=witness_ok,
+    )
     return results, consistent and witness_ok is not False
 
 
@@ -442,12 +415,7 @@ def _cmd_manifold(args):
     verdict = liouville_classify_manifold(
         profile, args.p, args.gamma, t_start=args.t_start, mode=args.mode
     )
-    results = {
-        "verdict": verdict.verdict,
-        "mechanism": verdict.mechanism,
-        "gamma_star": verdict.gamma_star,
-    }
-    return results, True
+    return _fields(verdict, "verdict mechanism gamma_star"), True
 
 
 def _cmd_sigma_bound(args):
@@ -456,16 +424,8 @@ def _cmd_sigma_bound(args):
     report = sigma_lower_bound(
         args.sigma_r, params, profile, args.radius_inner, args.radius_outer, weight=args.weight
     )
-    results = {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "constant_C": report.constant_C,
-        "comparison_integral": report.comparison_integral,
-        "area_integral": report.area_integral,
-        "contradiction": report.contradiction,
-        "weight": report.weight,
-    }
-    return results, True
+    names = "lhs rhs constant_C comparison_integral area_integral contradiction weight"
+    return _fields(report, names), True
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, flags, handler in COMMANDS:
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         dests = []
         for flag, kind, default in flags:
             spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
@@ -637,7 +597,7 @@ def run(argv) -> int:
     except (NoAdmissibleScale, NoConvergence, InsufficientScales) as exc:
         # stopped on the science, not the input: a report, exit 1
         results, passed, note = {"error": str(exc)}, False, f" ({exc})"
-    except (PdiLabError, OSError, UnicodeDecodeError, MemoryError) as exc:
+    except (PdiLabError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if results is None:  # sweep wrote its CSV itself

@@ -206,6 +206,28 @@ def test_unreadable_csv_is_usage_error(capsys, tmp_path, content):
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["morrey", "--theta", "1.5", "--source"], b"r,value\n0.5,1\n",
+         "sampled source needs at least 2 nodes"),
+        (["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--witness"],
+         b"r,value\n0,1\n0,2\n", "sampled profile: grid must be strictly increasing"),
+        (["manifold", "--p", "2", "--gamma", "1.4", "--profile"], b"r,value\n1,1\n2,0\n",
+         "area values must be strictly positive"),
+        (["morrey", "--theta", "1.5", "--source"], b"0,1\n\xd5\xff,2\n",
+         "'utf-8' codec can't decode byte 0xd5 in position 4: invalid continuation byte"),
+    ],
+    ids=["source", "witness", "area", "not-utf8"],
+)
+def test_file_error_names_the_file(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    rc, _, cap = run_cli(capsys, *argv, f"file:{path}")
+    assert rc == 2
+    assert cap.err == f"error: {path}: {message}\n"
+
+
 def test_audit_caccioppoli_e2e(capsys):
     rc, report, _ = run_cli(
         capsys, "audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4"
@@ -589,6 +611,21 @@ def test_sweep_range_syntax_and_outfile(capsys, tmp_path):
     assert [r["gamma"] for r in rows] == ["1.2", "1.4", "1.6", "1.8", "2.0"]
 
 
+@pytest.mark.parametrize("axis, text, want", [
+    ("--gamma", "0.6:1.2:0.2", ["0.6", "0.8", "1.0", "1.2"]),
+    ("--p", "1.00000000001:1.00000000003:0.00000000001",
+     ["1.00000000001", "1.00000000002", "1.00000000003"]),
+    ("--gamma", "1e-11:3e-11:1e-11", ["1e-11", "2e-11", "3e-11"]),
+])
+def test_sweep_range_values_are_exact_decimal_steps(capsys, axis, text, want):
+    # Each value is start + k step in decimal, rounded once to a float, so
+    # steps below 1e-10 keep their values.
+    flags = {"--dim": "3", "--p": "2", "--gamma": "2", axis: text}
+    assert main(["sweep", *(token for item in flags.items() for token in item)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row[axis[2:]] for row in rows] == want
+
+
 def _reference_sweep_row(point):
     """The text cells of one sweep point from its own reports, point by point."""
     dim, p, gamma, q = point
@@ -732,6 +769,8 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--c-h", "inf"],
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--nu", "inf"],
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lambda", "inf"],
+        # A flag takes its full spelling only; argparse's prefixes are off.
+        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lam", "1"],
         ["manifold", "--profile", "exp:1,nan", "--p", "2", "--gamma", "1.4"],
         ["manifold", "--profile", "power:1,nan", "--p", "2", "--gamma", "1.4"],
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--dim", "2", "--s-index", "2"],

@@ -66,6 +66,7 @@ from .radial import (
     PLaplacian,
     PowerProfile,
     SampledProfile,
+    _certify_witness,
     _witness_scale,
     bump_profile_scale,
     residual_scan,
@@ -292,7 +293,8 @@ def _cmd_verify_bump(args):
     if not 0.05 < args.grid_max < math.inf:
         raise PreconditionViolation(f"--grid-max must be finite and exceed 0.05, got {args.grid_max}")
     grid = np.linspace(0.05, args.grid_max, args.nodes)
-    c, report = bump_profile_scale(args.dim, args.p, args.gamma, args.c_h, grid)
+    c = bump_profile_scale(args.dim, args.p, args.gamma, args.c_h)
+    report, _ = _certify_witness(args.dim, args.p, args.gamma, True, grid)
     results = _fields(
         report, "c log10_c delta min_residual grid_max", c=c,
         log10_c=_witness_scale(args.dim, args.p, args.gamma, args.c_h, bounded=True)[1],

@@ -59,7 +59,6 @@ from .radial import (
     BumpProfile,
     Gridded,
     RadialProfile,
-    ResidualReport,
     _certify_witness,
     bump_profile_scale,
     nonconstant_entire_profile,
@@ -221,8 +220,7 @@ class Mechanism(Enum):
 
 @dataclass(eq=False)
 class LiouvilleVerdict:
-    """A classification. ``witness_report`` is a bump witness's unit-scale
-    certificate, scanned once with its scale."""
+    """A classification, with its witness where one is built."""
 
     verdict: Verdict
     mechanism: Optional[Mechanism]
@@ -233,7 +231,6 @@ class LiouvilleVerdict:
     c_h: float = 1.0
     witness: Optional[RadialProfile] = None
     witness_note: Optional[str] = None
-    witness_report: Optional[ResidualReport] = None
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +434,26 @@ def sigma_lower_bound(
     )
 
 
-# Doublings of r that find_contradiction_radius tries, r = 2R to 2^200 R.
-_CONTRADICTION_DOUBLINGS = 200
-
-
 def find_contradiction_radius(
     sigma_R: float,
     params: ProblemParams,
     profile: AreaProfile,
     R: float,
 ) -> Optional[SigmaBoundReport]:
-    """Double r from 2R until rhs overtakes lhs; None if it never does.
+    """Double r from 2R, while 2r is finite, until rhs overtakes lhs; None
+    if it never does.
 
-    A None return on a divergent-area profile just means the doubling
-    budget ran out; on a convergent one it is the expected outcome.
+    A None return on a divergent-area profile means the crossing lies past
+    the float range; on a convergent one it is the expected outcome.
     """
     r = 2.0 * R
-    for _ in range(_CONTRADICTION_DOUBLINGS):
-        report = sigma_lower_bound(sigma_R, params, profile, R, r)
-        if report.contradiction:
-            return report
+    report = sigma_lower_bound(sigma_R, params, profile, R, r)
+    while not report.contradiction:
+        if not 2.0 * r < math.inf:
+            return None
         r *= 2.0
-    return None
+        report = sigma_lower_bound(sigma_R, params, profile, R, r)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +491,12 @@ def liouville_classify_euclidean(
             Mechanism.COUNTEREXAMPLE_WITNESS,
             witness_note="WITNESS_UNAVAILABLE",
         )
-    report = None
     if gamma > p:
         witness: RadialProfile = nonconstant_entire_profile(dim, p, gamma, c_h)
     else:
-        c, report = bump_profile_scale(dim, p, gamma, c_h, _DEFAULT_BUMP_GRID)
+        c = bump_profile_scale(dim, p, gamma, c_h)
         witness = BumpProfile(c=c, delta=-_gradient_arm(p, gamma))
-    return verdict(
-        Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS,
-        witness=witness, witness_report=report,
-    )
+    return verdict(Verdict.NO_LIOUVILLE, Mechanism.COUNTEREXAMPLE_WITNESS, witness=witness)
 
 
 def liouville_classify_manifold(
@@ -541,17 +532,13 @@ def verify_euclidean_witness(
 ) -> tuple:
     """Residual-check a NO_LIOUVILLE witness. Returns (report, ok).
 
-    Both families go through ``_certify_witness``, the unit-scale scan
-    ``bump_profile_scale`` also returns, so building a witness and
-    verifying it apply one rule. It reads neither the witness's scale c
-    nor c_h, which only multiply the unit profile and its gradient term.
-    On the default grid a verdict that carries that scan's report
-    (``witness_report``) is answered from it, without scanning again.
+    Both families go through ``_certify_witness``, one unit-scale scan that
+    cross-checks the closed-form certificate the witness was built by. It
+    reads neither the witness's scale c nor c_h, which only multiply the
+    unit profile and its gradient term.
     """
     if verdict.witness is None:
         raise PreconditionViolation("verdict carries no witness profile")
-    if grid is None and verdict.witness_report is not None:
-        return verdict.witness_report, verdict.witness_report.passed
     bounded = isinstance(verdict.witness, BumpProfile)
     if grid is None:
         grid = _DEFAULT_BUMP_GRID if bounded else _DEFAULT_ENTIRE_GRID

@@ -23,7 +23,8 @@ throughout the package:
   delta = (p-gamma)/(gamma-(p-1)), a bounded positive supersolution of
   -Delta_p u >= c_h |Du|^gamma for every c > 0 up to a largest scale, again
   only above the critical exponent. One log-space closed form gives both
-  witness scales, and one unit-scale scan certifies both families.
+  witness scales, the closed form certifies both families, and one
+  unit-scale scan (``_certify_witness``) cross-checks them.
 
 Residual sign convention: a scan reports
 
@@ -368,22 +369,25 @@ def nonconstant_entire_profile(dim: int, p: float, gamma: float, c_h: float = 1.
     return PowerProfile(c=c, a=_gradient_arm(p, gamma))
 
 
-def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
+def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float):
     """Largest scale c > 0 making c(1+r^2)^(-delta/2) a supersolution on R^dim.
 
     For the unit bump w, with A = -Delta_p w and B = |w'|^gamma, the
     (p-1)-homogeneity of the p-Laplacian turns the inequality
     -Delta_p (c w) >= c_h |D(c w)|^gamma into c^(gamma-p+1) <= A / (c_h B).
-    In closed form
+    In closed form, with x = 1/r^2,
 
-        A / B = delta^(p-1-gamma) (1 + 1/r^2)^((gamma-p)/2) (g + (dim+p-2)/r^2),
+        A / B = K (1 + mu(x)),   mu(x) = (1+x)^(-m) (1 + c_b x) - 1,
 
-    with g = _growth_gap(dim, p, gamma), a multiple of gamma - gamma*. It
-    falls strictly in r towards K = delta^(p-1-gamma) g, so the largest
-    scale valid for every radius is c = (K / c_h)^(1/(gamma-p+1)), and
-    none exists unless gamma > gamma* = _critical_gamma(dim, p) (at or
-    below it A < 0 for r^2 > (dim+p-2)/(-g)). Returns c (``_witness_scale``)
-    and the unit-scale certificate ``_certify_witness`` on ``grid``.
+    K = delta^(p-1-gamma) g, m = (p-gamma)/2, c_b = (dim+p-2)/g and
+    g = _growth_gap(dim, p, gamma), a multiple of gamma - gamma*. This
+    closed form is the certificate: mu(0) = 0 and d/dx log(1+mu) =
+    c_b/(1+c_b x) - m/(1+x) > 0 when c_b > 1 > m, which gamma* < gamma < p
+    gives (m < 1/2 as gamma > p-1, and g < dim-1), so the unit bump's
+    residual with gradient constant K, K B mu(x), is positive at every
+    r > 0 and c = (K / c_h)^(1/(gamma-p+1)) (``_witness_scale``) is the
+    largest scale valid for every radius. At or below gamma* =
+    _critical_gamma(dim, p), g <= 0 and no scale exists.
     """
     _check_exponents(p, gamma)
     if not gamma < p:
@@ -394,8 +398,7 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float, grid):
             f"no bump supersolution on R^{dim} for gamma={gamma}: "
             f"gamma is not above the critical exponent {gamma_star!r}"
         )
-    c, _ = _witness_scale(dim, p, gamma, c_h, bounded=True)
-    return c, _certify_witness(dim, p, gamma, True, grid)[0]
+    return _witness_scale(dim, p, gamma, c_h, bounded=True)[0]
 
 
 def _witness_constants(dim: int, p: float, gamma: float, bounded: bool):
@@ -422,12 +425,13 @@ def _witness_scale(dim: int, p: float, gamma: float, c_h: float, bounded: bool):
 
 
 def _certify_witness(dim: int, p: float, gamma: float, bounded: bool, grid):
-    """(ResidualReport, ok) of the one witness certificate: a scan of the
-    unit profile w with gradient constant K (``_witness_constants``),
-    reading neither c nor c_h. The bump must be a strict supersolution
-    where w' is normal (past that, delta in the hundreds and p near 1, the
-    residual keeps no digit and |w'|^(p-2) can overflow). The entire power
-    is a solution: -w is scanned, each residual within 1e-8 of K |w'|^gamma."""
+    """(ResidualReport, ok) of the one witness scan, the numerical check of
+    the closed-form certificate: the unit profile w with gradient constant
+    K (``_witness_constants``), reading neither c nor c_h. The bump must be
+    a strict supersolution where w' is normal (past that, delta in the
+    hundreds and p near 1, the residual keeps no digit and |w'|^(p-2) can
+    overflow). The entire power is a solution: -w is scanned, each residual
+    within 1e-8 of K |w'|^gamma."""
     grid = np.array(grid, dtype=float, ndmin=1)  # a copy: no report holds the caller's array
     if not (grid.size and (grid > 0).all()):
         raise PreconditionViolation("scan grid must contain radii > 0 only")

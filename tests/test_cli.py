@@ -626,6 +626,18 @@ def test_sweep_range_values_are_exact_decimal_steps(capsys, axis, text, want):
     assert [row[axis[2:]] for row in rows] == want
 
 
+@pytest.mark.parametrize("text, want", [("-1:1:1", ["-1.0", "0.0", "1.0"]), ("-1,1", ["-1.0", "1.0"])])
+def test_sweep_negative_start_is_written_with_equals(capsys, text, want):
+    # argparse reads "-1:1:1" in its own token as a flag, so a list or range
+    # that starts negative is given as --gamma=-1:1:1, as README says.
+    assert main(["sweep", "--dim", "3", "--p", "2", f"--gamma={text}"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["gamma"] for row in rows] == want
+    rc, _, cap = run_cli(capsys, "sweep", "--dim", "3", "--p", "2", "--gamma", text)
+    assert rc == 2 and cap.out == ""
+    assert cap.err == "error: argument --gamma: expected one argument\n"
+
+
 def _reference_sweep_row(point):
     """The text cells of one sweep point from its own reports, point by point."""
     dim, p, gamma, q = point

@@ -1,6 +1,5 @@
 """Area integral test, sigma comparison chain, and the constancy verdicts."""
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -383,6 +382,17 @@ def test_contradiction_radius_critical_is_far():
     assert rep.r == 2097152.0
 
 
+def test_contradiction_radius_doubles_to_the_float_range():
+    # sigma(R) = 1e-3 at gamma* puts lhs at 2 (1e-3)^(-1/2) ~ 63.2, and the
+    # log case rhs 0.5 (4 pi)^(-1/2) ln r crosses it near e^448: past
+    # 2^200, before the float range ends.
+    params = ProblemParams(dim=3, p=2, gamma=1.5)
+    rep = find_contradiction_radius(1e-3, params, EuclideanArea(3), 1.0)
+    assert rep is not None and rep.contradiction
+    assert rep.r == 2.0**647
+    assert not sigma_lower_bound(1e-3, params, EuclideanArea(3), 1.0, rep.r / 2).contradiction
+
+
 def test_contradiction_radius_supercritical_none():
     rep = find_contradiction_radius(1.0, _params(2.0), EuclideanArea(3), 1.0)
     assert rep is None
@@ -416,24 +426,20 @@ def test_classify_euclidean_bump_witness_below_p():
     assert verify_euclidean_witness(v, grid=np.geomspace(0.05, 1e6, 400))[1]
 
 
-def test_verify_answers_from_the_classification_certificate(monkeypatch):
+def test_classification_builds_by_closed_form_and_each_verify_scans_once(monkeypatch):
     scans, scan = [], radial.residual_scan
     monkeypatch.setattr(radial, "residual_scan", lambda *a, **k: scans.append(1) or scan(*a, **k))
-    v = liouville_classify_euclidean(3, 2.0, 1.8)
-    assert len(scans) == 1
-    report, ok = verify_euclidean_witness(v)
-    assert len(scans) == 1 and ok and report is v.witness_report
-    # a verdict built by hand, or an explicit grid, runs the scan
-    by_hand = dataclasses.replace(v, witness_report=None)
-    again, ok = verify_euclidean_witness(by_hand)
-    assert len(scans) == 2 and ok
-    assert np.array_equal(again.residuals, report.residuals) and again.min_residual == report.min_residual
-    assert verify_euclidean_witness(v, grid=np.linspace(0.05, 40.0, 800))[1]
-    assert len(scans) == 3
-    # the entire power carries no certificate: verifying it scans
-    entire = liouville_classify_euclidean(3, 2.0, 4.0)
-    assert entire.witness_report is None and len(scans) == 3
-    assert verify_euclidean_witness(entire)[1] and len(scans) == 4
+    for gamma in (1.8, 4.0):  # the bump and the entire power
+        scans.clear()
+        v = liouville_classify_euclidean(3, 2.0, gamma)
+        assert v.witness is not None and len(scans) == 0
+        report, ok = verify_euclidean_witness(v)
+        assert ok and len(scans) == 1
+        again, ok = verify_euclidean_witness(v)
+        assert ok and len(scans) == 2
+        assert np.array_equal(again.residuals, report.residuals)
+        assert verify_euclidean_witness(v, grid=np.linspace(0.05, 40.0, 800))[1]
+        assert len(scans) == 3
 
 
 def test_classify_euclidean_entire_witness_above_p():
@@ -492,10 +498,12 @@ def test_near_threshold_bump_witnesses_are_certified_in_one_scan(monkeypatch):
         scans.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            c, report = radial.bump_profile_scale(d, p, gamma, 1.0, grid)
-            assert report.passed and len(scans) == 1, (d, p, gamma)
+            c = radial.bump_profile_scale(d, p, gamma, 1.0)
             verdict = liouville_classify_euclidean(d, p, gamma)
+            assert not scans, (d, p, gamma)
             witness_report, ok = verify_euclidean_witness(verdict)
+            assert len(scans) == 1, (d, p, gamma)
+            report, _ = radial._certify_witness(d, p, gamma, True, grid)
         # c rounds to 0 only below half the least subnormal; its log10 is
         # reported all the same
         if c == 0.0:
@@ -506,7 +514,7 @@ def test_near_threshold_bump_witnesses_are_certified_in_one_scan(monkeypatch):
         log10_c = radial._witness_scale(d, p, gamma, 1.0, bounded=True)[1]
         assert log10_c * math.log(10.0) == pytest.approx(log_c, rel=1e-12), (d, p, gamma)
         assert verdict.witness.c == c
-        assert ok and witness_report.min_residual == report.min_residual
+        assert ok and report.passed and witness_report.min_residual == report.min_residual
         certified += 1
     assert (certified, underflowed) == (1694, 83)
 

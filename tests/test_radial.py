@@ -12,8 +12,8 @@ from pdi_lab.errors import (
     NoAdmissibleScale,
     PreconditionViolation,
 )
-from pdi_lab.liouville import SampledArea
-from pdi_lab.params import ProblemParams
+from pdi_lab.liouville import SampledArea, liouville_classify_euclidean, verify_euclidean_witness
+from pdi_lab.params import ProblemParams, _critical_gamma, _growth_gap
 from pdi_lab.radial import (
     BumpProfile,
     GeneralizedMeanCurvature,
@@ -221,9 +221,10 @@ def test_entire_profile_guards():
 
 def test_bump_scale_exists_above_threshold():
     grid = np.linspace(0.05, 10.0, 300)
-    c, report = bump_profile_scale(3, 2.0, 1.8, 1.0, grid)
+    c = bump_profile_scale(3, 2.0, 1.8, 1.0)
+    report, ok = radial._certify_witness(3, 2.0, 1.8, True, grid)
     assert c > 0
-    assert report.passed
+    assert ok and report.passed
     assert report.min_residual >= 0
 
 
@@ -246,9 +247,11 @@ def test_bump_scale_is_the_largest_passing_scale(monkeypatch, dim, p, gamma):
     monkeypatch.setattr(
         radial, "residual_scan", lambda *a, **k: scans.append(1) or residual_scan(*a, **k)
     )
-    c, report = bump_profile_scale(dim, p, gamma, 1.0, FAR_GRID)
+    c = bump_profile_scale(dim, p, gamma, 1.0)
+    assert not scans  # the closed form builds the scale, no scan, no search
+    report, _ = radial._certify_witness(dim, p, gamma, True, FAR_GRID)
     monkeypatch.undo()
-    assert len(scans) == 1  # one certificate of the closed form, not a search
+    assert len(scans) == 1
     # the certificate is the unit bump's scan with gradient constant c^(gamma-p+1)
     unit = _bump_scan(dim, p, gamma, 1.0, FAR_GRID, c_h=c ** (gamma - (p - 1)))
     assert report.passed and report.min_residual == unit.min_residual
@@ -261,24 +264,23 @@ def test_bump_scale_is_the_largest_passing_scale(monkeypatch, dim, p, gamma):
     "dim,p,gamma", [(3, 2.0, 1.6), (3, 2.0, 1.8), (3, 2.0, 1.95), (4, 3.0, 2.8)]
 )
 def test_bump_scale_holds_beyond_its_build_grid(dim, p, gamma):
-    c, _ = bump_profile_scale(dim, p, gamma, 1.0, np.linspace(0.05, 10.0, 300))
-    assert c == bump_profile_scale(dim, p, gamma, 1.0, FAR_GRID)[0]
+    c = bump_profile_scale(dim, p, gamma, 1.0)
+    assert _bump_scan(dim, p, gamma, c, np.linspace(0.05, 10.0, 300)).passed
     assert _bump_scan(dim, p, gamma, c, FAR_GRID).passed
 
 
 def test_grid_limited_bump_scale_fails_beyond_the_grid():
     # 0.27658346079093826 is the largest scale passing on [0.05, 10] at
     # (3, 2, 1.6), what a bisection over that grid converged to.
-    c, _ = bump_profile_scale(3, 2.0, 1.6, 1.0, np.linspace(0.05, 10.0, 300))
+    c = bump_profile_scale(3, 2.0, 1.6, 1.0)
     assert c < 0.27658346079093826
     assert _bump_scan(3, 2.0, 1.6, 0.27658346079093826, np.linspace(0.05, 10.0, 300)).passed
     assert not _bump_scan(3, 2.0, 1.6, 0.27658346079093826, FAR_GRID).passed
 
 
 def test_bump_scale_absent_below_threshold():
-    grid = np.linspace(0.05, 10.0, 300)
     with pytest.raises(NoAdmissibleScale):
-        bump_profile_scale(3, 2.0, 1.4, 1.0, grid)
+        bump_profile_scale(3, 2.0, 1.4, 1.0)
 
 
 def _log10_bump_scale(dim, p, gamma, c_h):
@@ -301,17 +303,18 @@ def test_bump_scale_below_the_float_range_is_certified_at_unit_scale(monkeypatch
     grid = np.linspace(0.05, 10, 300)
     # gamma = 0.225 lies a few ulp above gamma* = 0.22499999999999992: the
     # closed-form scale is subnormal, about 4.55e-316, and one scan of the
-    # unit bump certifies it.
-    c, report = bump_profile_scale(5, 1.18, 0.225, 1.0, grid)
+    # unit bump checks it.
+    c = bump_profile_scale(5, 1.18, 0.225, 1.0)
     assert 0 < c < 1e-315 and c == pytest.approx(4.55e-316, rel=1e-2)
-    assert report.passed
+    assert radial._certify_witness(5, 1.18, 0.225, True, grid)[1]
     assert scanned == [1.0]
     # gamma = 0.0125000001 is 1e-10 above gamma* at (5, 1.01): the scale,
     # about 10^-2721, rounds to 0, its log10 stays finite, and the same one
-    # scan of the unit bump certifies it.
+    # scan of the unit bump checks it.
     scanned.clear()
-    c, report = bump_profile_scale(5, 1.01, 0.0125000001, 1.0, grid)
-    assert c == 0.0 and report.passed and scanned == [1.0]
+    c = bump_profile_scale(5, 1.01, 0.0125000001, 1.0)
+    assert c == 0.0 and scanned == []
+    assert radial._certify_witness(5, 1.01, 0.0125000001, True, grid)[1] and scanned == [1.0]
     log10_c = radial._witness_scale(5, 1.01, 0.0125000001, 1.0, bounded=True)[1]
     assert log10_c == pytest.approx(_log10_bump_scale(5, 1.01, 0.0125000001, 1.0), rel=1e-12)
     assert -2722 < log10_c < -2720
@@ -324,16 +327,19 @@ def test_bump_scale_above_the_float_range_is_certified_at_unit_scale(monkeypatch
     # inf): c is inf, its log10 is finite, and the certificate, which reads
     # neither c nor c_h, is the one of c_h = 1.
     grid = np.linspace(0.05, 10.0, 300)
-    c, report = bump_profile_scale(3, 2.0, 1.8, 1e-200, grid)
-    assert 1e250 < c < math.inf and report.passed
-    _, unit = bump_profile_scale(3, 2.0, 1.8, 1.0, grid)
+    assert 1e250 < bump_profile_scale(3, 2.0, 1.8, 1e-200) < math.inf
+    unit, ok = radial._certify_witness(3, 2.0, 1.8, True, grid)
+    assert ok
     scanned = []
     monkeypatch.setattr(
         radial, "residual_scan", lambda *a, **k: scanned.append(a) or residual_scan(*a, **k)
     )
-    c, report = bump_profile_scale(3, 2.0, 1.8, c_h, grid)
-    assert c == math.inf and len(scanned) == 1
-    assert report.passed and report.min_residual == unit.min_residual
+    c = bump_profile_scale(3, 2.0, 1.8, c_h)
+    assert c == math.inf and scanned == []
+    verdict = liouville_classify_euclidean(3, 2.0, 1.8, c_h=c_h)
+    report, ok = verify_euclidean_witness(verdict)
+    assert verdict.witness.c == c and len(scanned) == 1
+    assert ok and report.min_residual == unit.min_residual
     log10_c = radial._witness_scale(3, 2.0, 1.8, c_h, bounded=True)[1]
     assert log10_c == pytest.approx(_log10_bump_scale(3, 2.0, 1.8, c_h), rel=1e-12)
 
@@ -344,22 +350,48 @@ def test_bump_certificate_stops_where_the_unit_slope_underflows():
     # past it; the scale itself is about 6.5e117.
     dim, p, gamma = 7, 1.01, 0.0125000001
     grid = np.linspace(0.05, 10.0, 300)
-    c, report = bump_profile_scale(dim, p, gamma, 1.0, grid)
-    assert c > 1e100 and report.passed
+    assert bump_profile_scale(dim, p, gamma, 1.0) > 1e100
+    report, ok = radial._certify_witness(dim, p, gamma, True, grid)
+    assert ok and report.passed
     kept = report.grid.size
     assert 0 < kept < grid.size and np.array_equal(report.grid, grid[:kept])
     slope = np.abs(BumpProfile(1.0, (p - gamma) / (gamma - (p - 1))).derivative(grid))
     assert slope[kept - 1] >= np.finfo(float).tiny > slope[kept]
     with pytest.raises(NoAdmissibleScale, match="whole scan grid"):
-        bump_profile_scale(dim, p, gamma, 1.0, np.linspace(20.0, 30.0, 5))
+        radial._certify_witness(dim, p, gamma, True, np.linspace(20.0, 30.0, 5))
 
 
 def test_bump_scale_guards():
+    with pytest.raises(PreconditionViolation):
+        bump_profile_scale(3, 2.0, 2.0, 1.0)  # gamma = p degenerates
+    with pytest.raises(PreconditionViolation):
+        bump_profile_scale(3, 2.0, 2.5, 1.0)  # gamma > p unbounded profile
+
+
+def test_bump_residual_is_the_closed_form_certificate():
+    # With x = 1/r^2, m = (p-gamma)/2 and c_b = (dim+p-2)/g, the unit bump's
+    # residual is K |w'|^gamma mu(x), mu(x) = (1+x)^(-m) (1+c_b x) - 1,
+    # positive for every x > 0 once c_b > 1 > m.
+    rng = np.random.default_rng(28)
     grid = np.linspace(0.05, 10.0, 300)
-    with pytest.raises(PreconditionViolation):
-        bump_profile_scale(3, 2.0, 2.0, 1.0, grid)  # gamma = p degenerates
-    with pytest.raises(PreconditionViolation):
-        bump_profile_scale(3, 2.0, 2.5, 1.0, grid)  # gamma > p unbounded profile
+    points = 0
+    while points < 2000:
+        dim, p = int(rng.integers(3, 11)), float(rng.uniform(1.05, 6.0))
+        gamma_star = _critical_gamma(dim, p)
+        gamma = float(rng.uniform(gamma_star, p)) if gamma_star < p else p
+        if not gamma_star < gamma < p:
+            continue
+        m, c_b = (p - gamma) / 2, (dim + p - 2) / _growth_gap(dim, p, gamma)
+        assert c_b > 1 > m, (dim, p, gamma)
+        a, K = radial._witness_constants(dim, p, gamma, True)
+        report, ok = radial._certify_witness(dim, p, gamma, True, grid)
+        r = report.grid
+        x = 1.0 / r**2
+        mu = np.expm1(np.log1p(c_b * x) - m * np.log1p(x))
+        want = K * np.abs(BumpProfile(1.0, -a).derivative(r)) ** gamma * mu
+        assert ok and np.all(mu > 0), (dim, p, gamma)
+        np.testing.assert_allclose(report.residuals, want, rtol=1e-12, atol=0)
+        points += 1
 
 
 def test_bump_profile_shape():

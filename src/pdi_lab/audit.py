@@ -7,9 +7,11 @@ Three measurements, one per estimate being checked:
   K R^dim / (R - t)^s.
 * ``holder_fit``: an empirical Holder exponent from sup-increments over
   dyadic distance bins, matching the seminorm definition (sup, not mean).
-  A power profile's increments are monotone in the radius and increase
-  with the distance, so each bin's sup is its widest pair at one domain
-  edge, in closed form; gridded data take a seeded search of radius pairs.
+  Every bin's sup is exact. A power profile's increments are monotone in
+  the radius and increase with the distance, so each bin's sup is its
+  widest pair at one domain edge, in closed form. Gridded data take the
+  sup of their interpolant at the vertices where it is attained, the node
+  pairs read from one sparse table of window extrema.
 * ``morrey_norm``: sup over r of r^((theta-dim)/s) ||h||_{L^s(B_r(0) cap
   Omega)} on a ball Omega = B_omega(0).
 
@@ -266,6 +268,101 @@ def caccioppoli_audit(
 # ---------------------------------------------------------------------------
 
 
+def _window_extrema(w, longest):
+    """A sparse table of window maxima, with their rightmost arguments, of
+    each column of the (m, 2) array w, for windows of up to ``longest``
+    rows (Bender & Farach-Colton, *The LCA problem revisited*, LATIN 2000).
+
+    Returns ``(val, arg, at_start, at_end)``: row k m + i of ``val`` holds
+    the max over the window [i, i + 2^k) and ``arg`` where it is attained,
+    the rightmost on a tie. A window [a, b) of length L reads its two
+    overlapping rows at ``at_start[L] + a`` and ``at_end[L] + b``.
+    """
+    m = w.shape[0]
+    lg = np.zeros(longest + 1, dtype=np.intp)
+    lg[1:] = np.frexp(np.arange(1, longest + 1))[1] - 1  # floor(log2 L)
+    rows = int(lg[-1]) + 1
+    val, arg = np.empty((rows, m, 2)), np.empty((rows, m, 2), dtype=np.intp)
+    val[0], arg[0] = w, np.arange(m)[:, None]
+    for k in range(1, rows):
+        h = 1 << (k - 1)
+        n = m - 2 * h + 1  # the windows of row k that fit
+        right = val[k - 1, h : h + n] >= val[k - 1, :n]
+        val[k, :n] = np.where(right, val[k - 1, h : h + n], val[k - 1, :n])
+        arg[k, :n] = np.where(right, arg[k - 1, h : h + n], arg[k - 1, :n])
+    at_start = m * lg
+    return val.reshape(-1, 2), arg.reshape(-1, 2), at_start, at_start - (1 << lg)
+
+
+def _gridded_bin_sups(u, d_hi, h_min, r_lo, r_hi):
+    """Per bin [lo, hi], the exact sup of |u(r + delta) - u(r)| over
+    r_lo <= r < r + delta <= r_hi with delta in the bin, for the
+    piecewise-linear u of gridded data, and the widest distance attaining
+    it.
+
+    The nodes are the domain's ends and the grid radii between them, and
+    the vertices are those of ``holder_fit``'s docstring. Node i's
+    partners in a bin form a window [A(lo), B(hi)) of nodes, A(d)
+    and B(d) being the first node at float gap >= d and > d from it;
+    ``np.searchsorted`` on the rounded sums x + d is at most one step off
+    A(d), and one step back or ahead mends it. lo of a bin is hi of the
+    next, so each distance is taken once, and only its own arrays live.
+    """
+    grid = u.grid
+    x = np.concatenate(([r_lo], grid[(grid > r_lo) & (grid < r_hi)], [r_hi]))
+    v, at = u.value(x), np.arange(x.size)
+    # Node j - 1 and node j read at index j, past either end as -inf, inf.
+    before, after = np.concatenate(([-np.inf], x)), np.append(x, np.inf)
+
+    def distance(d):
+        """A(d), B(d) and the largest increment from a node to the point at
+        distance d ahead of or behind it, within the domain."""
+        reach, back = x + d, x - d
+        j = np.searchsorted(x, reach)
+        a = j - (before.take(j) - x >= d) + (after.take(j) - x < d)
+        b = a
+        while (tie := after.take(b) - x == d).any():
+            b = b + tie
+        k_reach, k_back = np.searchsorted(reach, r_hi, side="right"), np.searchsorted(back, r_lo)
+        ends = np.concatenate((reach[:k_reach], back[k_back:]))
+        inc = np.abs(u.value(ends) - np.concatenate((v[:k_reach], v[k_back:])))
+        return a, b, inc.max(initial=0.0)
+
+    # Increments up and down at once, as window maxima of v and of -v. No
+    # window holds more than the partners of its node within h_max.
+    last = {d_hi[0]: distance(d_hi[0])}  # the last distance taken: hi of the next bin
+    partners = last[d_hi[0]][1] - at - 1
+    w = np.stack((v, -v), axis=1)
+    val, arg, at_start, at_end = _window_extrema(w, max(int(partners.max()), 1))
+
+    # Each bin's sup and its distance, as the largest (increment, distance)
+    # pair: ties go to the widest distance, so a node pair, never wider
+    # than hi nor narrower than lo, is located only when it can win.
+    sup_inc, sup_dist = [], []
+    for hi in d_hi:
+        lo = max(hi / 2.0, h_min)
+        _, b, interp_hi = last.get(hi) or distance(hi)
+        last = {lo: distance(lo)}
+        a, _, interp_lo = last[lo]
+        # Node i's window; an empty one reads node i alone, whose increment
+        # 0 no bin keeps.
+        empty = b <= a
+        a, b = np.where(empty, at, a), np.where(empty, at + 1, b)
+        fa, fb = at_start.take(b - a) + a, at_end.take(b - a) + b
+        va, vb = val.take(fa, axis=0), val.take(fb, axis=0)
+        inc = np.maximum(va, vb) - w
+        best = max((interp_lo, lo), (interp_hi, hi))
+        top = inc.max()
+        if top >= best[0]:
+            i, half = (inc == top).nonzero()
+            j = np.where(vb[i, half] >= va[i, half], arg[fb[i], half], arg[fa[i], half])
+            best = max(best, (top, (x.take(j) - x.take(i)).max()))
+        if best[0] > 0:
+            sup_inc.append(best[0])
+            sup_dist.append(best[1])
+    return np.asarray(sup_inc, dtype=float), np.asarray(sup_dist, dtype=float)
+
+
 @dataclass(eq=False)
 class HolderFitReport:
     scales: np.ndarray
@@ -290,22 +387,28 @@ def holder_fit(
     Pairs are radius pairs (u is radial); bin j holds the distances in
     [max(d_j/2, h_min), d_j] with d_j = h_max 2^-j. The regression uses each
     bin's sup increment against the distance that attained it, which keeps
-    pure powers exactly on a line; bins whose sup is 0 are dropped.
+    pure powers exactly on a line; bins whose sup is 0 are dropped. Where
+    several distances attain a bin's sup, the widest is taken.
 
-    A ``PowerProfile`` takes the closed form, and its fit reads neither
-    ``seed`` nor ``pair_budget`` (both are still validated):
-    |u(r + delta) - u(r)| increases with delta and is monotone in r, so
-    each bin's sup is its widest pair, anchored at the inner domain edge
-    when a <= 1 and at the outer edge when a > 1. The increment is taken
-    as |c ((r + delta)^a - r^a)|, which the shift does not enter, so no
-    bin is lost to the roundoff of c (r^a - shift). A power unbounded on
-    the domain (a < 0 and c != 0 with the domain starting at 0) is
-    refused. Any other input (gridded
-    solver output, sampled data) keeps the seeded search: per bin, one
-    deterministic widest pair at the inner edge plus
-    pair_budget // n_bins - 1 random pairs biased toward that edge. Each
-    bin makes one draw and one ``u.value`` call on both radii of every
-    pair, and fills buffers allocated once per fit.
+    u is a ``PowerProfile`` or gridded data (a sampled profile or a
+    solution); any other input raises PreconditionViolation. Both sups are
+    exact, so no pairs are drawn: ``seed`` and ``pair_budget`` change
+    nothing and are only validated.
+
+    A power takes the closed form: |u(r + delta) - u(r)| increases with
+    delta and is monotone in r, so each bin's sup is its widest pair,
+    anchored at the inner domain edge when a <= 1 and at the outer edge
+    when a > 1. The increment is taken as |c ((r + delta)^a - r^a)|, which
+    the shift does not enter, so no bin is lost to the roundoff of
+    c (r^a - shift). A power unbounded on the domain (a < 0 and c != 0
+    with the domain starting at 0) is refused.
+
+    Gridded data take the sup of their piecewise-linear interpolant. On
+    each cell of the arrangement of the lines r = node, r + delta = node,
+    delta = lo and delta = hi the increment is linear, so the sup is
+    attained at a vertex: a node pair whose gap lies in the bin, or a node
+    against the point at distance lo or hi on either side of it, the
+    domain's ends counting as nodes.
     """
     if not pair_budget >= 1:
         raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
@@ -313,14 +416,16 @@ def holder_fit(
         raise PreconditionViolation(f"seed must be >= 0, got {seed}")
     if not tolerance >= 0:
         raise PreconditionViolation(f"tolerance must be >= 0, got {tolerance}")
+    if not isinstance(u, (PowerProfile, Gridded)):
+        raise PreconditionViolation(
+            "Holder fits take a PowerProfile or gridded data (a sampled profile or a solution), "
+            f"got {type(u).__name__}"
+        )
     h_min, h_max = float(scale_range[0]), float(scale_range[1])
     if not 0 < h_min < h_max:
         raise PreconditionViolation("scale_range must satisfy 0 < h_min < h_max")
     if domain is None:
-        if isinstance(u, Gridded):
-            domain = (float(u.grid[0]), float(u.grid[-1]))
-        else:
-            domain = (0.0, 1.0)
+        domain = (float(u.grid[0]), float(u.grid[-1])) if isinstance(u, Gridded) else (0.0, 1.0)
     r_lo, r_hi = float(domain[0]), float(domain[1])
     if not h_max <= r_hi - r_lo:
         raise PreconditionViolation("h_max exceeds the domain extent")
@@ -339,35 +444,7 @@ def holder_fit(
         nonzero = inc > 0
         sup_inc, sup_dist = inc[nonzero], d_hi[nonzero]
     else:
-        rng = np.random.default_rng(seed)
-        per_bin = max(pair_budget // n_bins, 1)
-        m = per_bin - 1
-        # Buffers filled in place per bin: the distances d, the radii
-        # (r1 + d, then r1) handed to value, and the increments.
-        d, radii, inc = np.empty(per_bin), np.empty(2 * per_bin), np.empty(per_bin)
-        outer, r1 = radii[:per_bin], radii[per_bin:]
-        sup_inc, sup_dist = [], []
-        for hi in d_hi:
-            lo = max(hi / 2.0, h_min)
-            draws = rng.random(2 * m)  # the m distance draws, then the m anchors
-            d[0] = hi
-            np.power(hi / lo, draws[:m], out=d[1:])
-            d[1:] *= lo  # lo (hi/lo)^draw
-            r1[0] = 0.0
-            np.square(draws[m:], out=r1[1:])
-            np.subtract(r_hi, d, out=outer)
-            outer -= r_lo
-            r1 *= outer
-            r1 += r_lo  # r_lo + (r_hi - d - r_lo) draw^2
-            np.add(r1, d, out=outer)
-            v = np.asarray(u.value(radii), dtype=float)
-            np.subtract(v[:per_bin], v[per_bin:], out=inc)
-            np.abs(inc, out=inc)
-            i = int(np.argmax(inc))
-            if inc[i] > 0:
-                sup_inc.append(inc[i])
-                sup_dist.append(d[i])
-        sup_inc, sup_dist = np.asarray(sup_inc), np.asarray(sup_dist)
+        sup_inc, sup_dist = _gridded_bin_sups(u, d_hi, h_min, r_lo, r_hi)
     if sup_inc.size < 3:
         raise InsufficientScales(
             f"only {sup_inc.size} nonempty distance bins, need at least 3"

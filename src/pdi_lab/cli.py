@@ -15,8 +15,8 @@ science (residual too large, witness missing, mismatched verdicts, no
 solver convergence), 2 for usage, precondition and file errors, which
 print one ``error:`` line and no report. An exit-1 run that could not
 finish (no admissible scale, no convergence, too few scales) reports
-``results = {"error": message}``. Reports carry no timestamps and all
-randomness is seeded, so identical invocations produce byte-identical
+``results = {"error": message}``. Reports carry no timestamps and no
+number is drawn at random, so identical invocations produce byte-identical
 output; floats are serialized with shortest round-trip precision (up to
 17 significant digits).
 
@@ -515,6 +515,13 @@ _PROBLEM = (
     ("--q", float, INFINITY),
 )
 
+# Help for the flags that take it: audit-holder keeps --pairs and --seed
+# for compatibility, but both of its fits are exact and draw nothing.
+_FLAG_HELP = {
+    "--pairs": "accepted and validated; the fit is exact, so it does not change the result",
+    "--seed": "accepted and validated; the fit draws nothing, so it does not change the result",
+}
+
 # One row per subcommand: (name, help, flags, handler).
 COMMANDS = (
     ("exponents", "closed-form exponent calculus", _PROBLEM, _cmd_exponents),
@@ -582,6 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kind, default in flags:
             spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             spec.update({"required": True} if default is REQUIRED else {"default": default})
+            spec["help"] = _FLAG_HELP.get(flag)
             dests.append(sp.add_argument(flag, **spec).dest)
         sp.set_defaults(func=handler, dests=tuple(dests))
     return parser

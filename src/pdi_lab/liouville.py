@@ -390,7 +390,8 @@ def sigma_lower_bound(
     ``weight`` tags the exponentially weighted variant of the energy (the
     e^(-u) multiplier trick for nonnegative supersolutions); the weighted
     chain produces the identical comparison integral, so the numbers here
-    do not change, only the report's provenance field.
+    do not change, only the report's provenance field. A comparison
+    integral past the float range raises PreconditionViolation.
     """
     if not sigma_R > 0:
         raise PreconditionViolation("sigma_R must be positive (nonconstant hypothesis)")
@@ -401,20 +402,25 @@ def sigma_lower_bound(
     e = _comparison_exponent(params.p, params.gamma)
     lhs = sigma_R**-e / e
 
-    if isinstance(profile, _PowerLawArea):
-        comparison = _power_integral(profile.shape_power * e, R, r)
-    elif isinstance(profile, ExponentialArea):
-        ke = profile.kappa * e
-        if ke == 0.0:
-            comparison = r - R
-        else:
-            comparison = (math.exp(-ke * R) - math.exp(-ke * r)) / ke
-    else:
+    if isinstance(profile, SampledArea):
         if r > profile.grid[-1] * (1.0 + 1e-12):
             raise DomainExceeded("comparison integral extends beyond the sampled area")
         edges = sample_panels(profile.grid, R, r)
         panels = quad(lambda t: profile.area(t) ** (-e), edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
         comparison = float(np.sum(panels))
+    else:
+        try:  # math.expm1, math.exp and ** raise past the float range
+            if isinstance(profile, _PowerLawArea):
+                comparison = _power_integral(profile.shape_power * e, R, r)
+            else:
+                ke = profile.kappa * e
+                comparison = r - R if ke == 0.0 else (math.exp(-ke * R) - math.exp(-ke * r)) / ke
+        except OverflowError:
+            comparison = math.inf
+    # An infinite integral times a tiny C would claim a contradiction that
+    # no finite radius shows, so it is refused, not reported.
+    if not math.isfinite(comparison):
+        raise PreconditionViolation(f"the comparison integral up to r={r} leaves the float range")
 
     c_h, nu = params.c_h, params.nu
     constant_C = (c_h / nu) ** _energy_arm(params.p, params.gamma) * e
@@ -440,8 +446,8 @@ def find_contradiction_radius(
     profile: AreaProfile,
     R: float,
 ) -> Optional[SigmaBoundReport]:
-    """Double r from 2R, while 2r is finite, until rhs overtakes lhs; None
-    if it never does.
+    """Double r from 2R, while 2r and the comparison integral up to it are
+    finite, until rhs overtakes lhs; None if it never does.
 
     A None return on a divergent-area profile means the crossing lies past
     the float range; on a convergent one it is the expected outcome.
@@ -452,7 +458,12 @@ def find_contradiction_radius(
         if not 2.0 * r < math.inf:
             return None
         r *= 2.0
-        report = sigma_lower_bound(sigma_R, params, profile, R, r)
+        try:
+            report = sigma_lower_bound(sigma_R, params, profile, R, r)
+        except PreconditionViolation:
+            # The first call accepted every input but r, so this is the
+            # comparison integral leaving the float range.
+            return None
     return report
 
 

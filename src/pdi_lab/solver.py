@@ -170,12 +170,11 @@ def _schedule(kind: OperatorKind) -> tuple:
 
 @dataclass(eq=False)
 class DiscreteRadialSolution(Gridded):
-    """Nodal values on a uniform radial grid, with solve metadata.
+    """Nodal values on a uniform radial grid, with solve metadata, read as
+    their piecewise-linear interpolant like all gridded data.
 
-    ``value`` is the piecewise-linear interpolant, bit for bit the result
-    of ``np.interp`` on (grid, values); the grid and values are fixed once
-    the solution is built. The solver's grid is a ``linspace`` and its
-    iterate converged and finite, so the sampled-data checks are not run.
+    The solver's grid is a ``linspace`` and its iterate converged and
+    finite, so the sampled-data checks are not run.
     """
 
     what = "solution"
@@ -184,42 +183,7 @@ class DiscreteRadialSolution(Gridded):
     meta: dict
 
     def __post_init__(self):
-        self._slope = np.diff(self.values) / np.diff(self.grid)
-        self._spacing = (self.grid[-1] - self.grid[0]) / (self.grid.size - 1)
-
-    def value(self, r):
-        """The interpolant at r. The grid is uniform, so the panel index is
-        computed, not searched: the guess floor((r - r_0)/h) is at most one
-        panel off, and one comparison with each end of its panel fixes it.
-        The value then follows ``np.interp``'s own rules: values[0] at or
-        below the grid, values[-1] at or above it, values[j] at a node
-        grid[j] and slope_j (r - grid[j]) + values[j] inside panel j; a NaN
-        radius gives NaN. The result has the shape of r, which is never
-        written to."""
-        r = np.asarray(r, dtype=float)
-        shape = r.shape
-        r = r.reshape(-1)  # a ufunc's out= needs an array, not a 0-d scalar
-        g, v, last = self.grid, self.values, self.grid.size - 2
-        # fmin/fmax map a NaN guess to a valid index; the NaN propagates below.
-        guess = np.subtract(r, g[0])
-        guess /= self._spacing
-        np.floor(guess, out=guess)
-        np.fmin(guess, last, out=guess)
-        np.fmax(guess, 0.0, out=guess)
-        j = guess.astype(np.intp)
-        j -= r < g.take(j)
-        j += r >= g.take(j + 1)
-        # j is now -1 below the grid and last + 1 at or above its end; "clip"
-        # maps both to a valid index, and those radii take an end value below.
-        left = g.take(j, mode="clip")
-        vj = v.take(j, mode="clip")
-        out = np.subtract(r, left)
-        np.multiply(self._slope.take(j, mode="clip"), out, out=out)
-        out += vj
-        np.copyto(out, vj, where=r == left)
-        np.copyto(out, v[-1], where=r >= g[-1])
-        np.copyto(out, v[0], where=r <= g[0])  # last, so it takes priority
-        return out.reshape(shape)[()]
+        """Skips the sample checks of ``Gridded``, as the class docstring says."""
 
 
 # ---------------------------------------------------------------------------

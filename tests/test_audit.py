@@ -497,11 +497,51 @@ def _reference_holder_bins(u, pair_budget, scale_range, domain, seed):
     return np.asarray(sup_dist), np.asarray(sup_inc)
 
 
+def _vertex_sups(u, scale_range, domain=None):
+    """(scales, max_increments) of a gridded Holder fit by brute force: per
+    bin [lo, hi], every node pair (i, i + k) whose float gap lies in the
+    bin, and every node against the points at distance lo and hi ahead of
+    and behind it that stay in the domain, whose ends count as nodes; the
+    largest increment wins, and of those the widest distance."""
+    h_min, h_max = scale_range
+    r_lo, r_hi = domain or (float(u.grid[0]), float(u.grid[-1]))
+    g = u.grid
+    x = np.concatenate(([r_lo], g[(g > r_lo) & (g < r_hi)], [r_hi]))
+    v = u.value(x)
+    n_bins = int(math.floor(math.log2(h_max / h_min))) + 1
+    bins = [(max(h_max * 2.0**-j / 2.0, h_min), h_max * 2.0**-j) for j in range(n_bins)]
+    best = [(0.0, 0.0)] * n_bins
+    for k in range(1, x.size):
+        gap, inc = x[k:] - x[:-k], np.abs(v[k:] - v[:-k])
+        if gap.min() > h_max:
+            break
+        for j, (lo, hi) in enumerate(bins):
+            inside = (gap >= lo) & (gap <= hi)
+            if inside.any():
+                top = inc[inside].max()
+                best[j] = max(best[j], (top, gap[inside][inc[inside] == top].max()))
+    for j, (lo, hi) in enumerate(bins):
+        for d in (lo, hi):
+            ahead, behind = x + d <= r_hi, x - d >= r_lo
+            top = max(np.abs(u.value(x[ahead] + d) - v[ahead]).max(initial=0.0),
+                      np.abs(v[behind] - u.value(x[behind] - d)).max(initial=0.0))
+            best[j] = max(best[j], (top, d))
+    kept = [(inc, d) for inc, d in best if inc > 0]
+    return np.array([d for _, d in kept]), np.array([inc for inc, _ in kept])
+
+
+def _rough_walk(seed, n=777, lo=0.1, hi=2.3):
+    """A random walk on a sorted random (non-uniform) grid."""
+    rng = np.random.default_rng(seed)
+    grid = np.sort(rng.uniform(lo, hi, n))
+    return SampledProfile(grid, np.cumsum(rng.standard_normal(n)))
+
+
 @functools.cache
 def _gridded_holder_inputs():
     """The benchmark's two 1,024-node solver outputs (Cole-Hopf on the
     ball, the sharp profile on the annulus) and rough random values on a
-    uniform grid, where every bin's sup is a random pair."""
+    uniform grid."""
     sharp = sharpness_profile(3, 2.0, 4.0)
     cole_hopf = solve_radial_dirichlet(
         PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0),
@@ -517,20 +557,86 @@ def _gridded_holder_inputs():
     return cole_hopf, annulus, rough
 
 
+@functools.cache
+def _vertex_oracle_cases():
+    """(u, scale_range, domain) of each case the vertex enumeration checks."""
+    cole_hopf, annulus, rough = _gridded_holder_inputs()
+    # A dyadic grid, where gaps equal lo and hi exactly: membership is
+    # decided on the float gap, and a ramp's equal increments tie across
+    # distances.
+    dyadic = np.arange(257) / 256.0
+    # 0.1 + 0.25 rounds down to 0.35, at float gap 0.24999999999999997, and
+    # the next float is at gap 0.25 exactly: it is one step past the
+    # rounded sum, in the bins [0.125, 0.25] and [0.25, 0.5].
+    rounded_down = SampledProfile([0.1, 0.35, np.nextafter(0.35, 1.0), 1.0], [0.0, 1.0, 2.0, 0.0])
+    # 3 2^-55 + 0.375 rounds up, and the float below the sum is at gap
+    # 0.375 exactly, the lo of the first bin: one step back.
+    x = 3.0 * 2.0**-55
+    y = np.nextafter(x + 0.375, 0.0)
+    rounded_up = SampledProfile([0.0, x, y, y + 1e-9, 0.5, 0.8, 0.9, 1.0],
+                                [5.0, 0.0, 10.0, 0.0, 5.0, 5.0, 5.0, 5.0])
+    # Runs of three consecutive floats with repeating values: equal
+    # increments at distances a float apart, of which the widest wins.
+    runs = np.concatenate([[t, np.nextafter(t, 2.0), np.nextafter(np.nextafter(t, 2.0), 2.0)]
+                           for t in (0.1, 0.3, 0.45, 0.7, 0.95, 1.2)])
+    return {
+        "cole-hopf": (cole_hopf, (1e-3, 0.25), None),
+        "cole-hopf-wide": (cole_hopf, (1e-4, 0.5), None),
+        "sharp-annulus": (annulus, (1e-3, 0.25), None),
+        "sharp-annulus-2e-3": (annulus, (2e-3, 0.3), None),
+        "rough-uniform": (rough, (1e-3, 0.25), None),
+        "walk-0": (_rough_walk(0), (1e-3, 0.25), None),
+        "walk-1": (_rough_walk(1), (2e-3, 0.3), None),
+        "walk-2": (_rough_walk(2), (1e-4, 0.5), None),
+        # scales below the spacing: bins with no node pair
+        "below-spacing": (_rough_walk(3, n=60), (1e-5, 0.1), None),
+        # domains narrower and wider than the grid, their ends off the nodes
+        "narrow-domain": (_rough_walk(4), (1e-3, 0.25), (0.31, 1.777)),
+        "wide-domain": (_rough_walk(5), (1e-3, 0.5), (0.05, 2.5)),
+        "ramp-narrow": (SampledProfile(0.01 * np.arange(25), -0.01 * np.arange(25)), (0.02, 0.08),
+                        (0.1049, 0.1949)),
+        "dyadic-rough": (SampledProfile(dyadic, np.random.default_rng(6).standard_normal(dyadic.size)),
+                         (1 / 128, 0.25), None),
+        "dyadic-ramp": (SampledProfile(dyadic, dyadic), (1 / 128, 0.25), None),
+        "dyadic-ramp-narrow": (SampledProfile(dyadic, dyadic), (1 / 128, 0.25), (0.125, 0.875)),
+        "rounded-down": (rounded_down, (0.0625, 0.5), None),
+        "rounded-up": (rounded_up, (0.09375, 0.75), None),
+        "float-runs": (SampledProfile(runs, np.arange(runs.size) // 2 % 3), (0.05, 0.8), None),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "cole-hopf", "cole-hopf-wide", "sharp-annulus", "sharp-annulus-2e-3", "rough-uniform", "walk-0",
+    "walk-1", "walk-2", "below-spacing", "narrow-domain", "wide-domain", "ramp-narrow",
+    "dyadic-rough", "dyadic-ramp", "dyadic-ramp-narrow", "rounded-down", "rounded-up", "float-runs",
+])
+def test_gridded_holder_fit_is_the_vertex_enumeration(case):
+    # The sparse-table fit against a loop over every vertex, bins and
+    # distances alike, to the bit.
+    u, scale_range, domain = _vertex_oracle_cases()[case]
+    got = holder_fit(u, 20000, scale_range, domain=domain)
+    scales, increments = _vertex_sups(u, scale_range, domain)
+    assert got.scales.tobytes() == scales.tobytes()
+    assert got.max_increments.tobytes() == increments.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("which", range(3), ids=["cole-hopf", "sharp-annulus", "rough"])
-def test_holder_fit_on_gridded_data_equals_the_pair_search(which, seed):
-    # The seeded search fills reused buffers with one draw and one lookup
-    # per bin; its bins must be the bits of two draws and two lookups. A
-    # budget of 7 is below the bin count: one widest pair per bin.
+def test_holder_fit_on_gridded_data_bounds_the_pair_search(which, seed):
+    # The seeded search of earlier versions drew pairs inside each bin, so
+    # it bounds the exact sup from below in every bin; neither the seed
+    # nor the budget changes the fit.
     u = _gridded_holder_inputs()[which]
     domain = (float(u.grid[0]), float(u.grid[-1]))
     for scale_range in ((1e-3, 0.25), (2e-3, 0.3)):
+        got = holder_fit(u, 20000, scale_range, seed=seed)
         for pairs in (20000, 777, 7):
-            got = holder_fit(u, pairs, scale_range, seed=seed)
-            scales, increments = _reference_holder_bins(u, pairs, scale_range, domain, seed)
-            assert got.scales.tobytes() == scales.tobytes()
-            assert got.max_increments.tobytes() == increments.tobytes()
+            again = holder_fit(u, pairs, scale_range, seed=pairs + seed)
+            assert again.scales.tobytes() == got.scales.tobytes()
+            assert again.max_increments.tobytes() == got.max_increments.tobytes()
+            _, increments = _reference_holder_bins(u, pairs, scale_range, domain, seed)
+            assert got.max_increments.size == increments.size
+            assert np.all(got.max_increments >= increments)
 
 
 _POWER_WITNESSES = [
@@ -615,18 +721,18 @@ def test_holder_fit_bin_count_matches_the_scale_ratio(scale_range):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_holder_fit_on_sampled_data_keeps_the_pair_search(seed):
-    # Gridded data keep the seeded search: one draw and one lookup per bin
-    # give the bits of two draws and two lookups. The tanh front is
-    # steepest inside the domain, so random pairs win its bins.
+def test_holder_fit_on_sampled_data_bounds_the_pair_search(seed):
+    # The tanh front is steepest inside the domain, where the seeded search
+    # of earlier versions found its bins' sups; the exact sup is never
+    # below them.
     grid = np.geomspace(1e-3, 1.0, 4001)
     for values in (sharpness_profile(3, 2.0, 4.0).value(grid), np.tanh(20.0 * (grid - 0.6))):
         u = SampledProfile(grid, values)
         for pairs, scale_range in ((20000, (1e-3, 0.25)), (777, (2e-3, 0.3))):
             got = holder_fit(u, pairs, scale_range, seed=seed)
-            scales, increments = _reference_holder_bins(u, pairs, scale_range, (1e-3, 1.0), seed)
-            assert got.scales.tobytes() == scales.tobytes()
-            assert got.max_increments.tobytes() == increments.tobytes()
+            _, increments = _reference_holder_bins(u, pairs, scale_range, (1e-3, 1.0), seed)
+            assert got.max_increments.size == increments.size
+            assert np.all(got.max_increments >= increments)
 
 
 def test_line_fit_meets_polyfit():
@@ -661,11 +767,24 @@ def test_holder_fit_sharpness_and_linear():
 
 
 def test_holder_fit_smooth_bump_is_lipschitz_at_small_scales():
-    # smooth with bounded slope: sup-increments scale linearly in distance
-    prof = BumpProfile(c=1.0, delta=(2.0 - 1.8) / (1.8 - 1.0))
-    rep = holder_fit(prof, pair_budget=20000, scale_range=(1e-4, 0.1),
-                     domain=(0.0, 5.0), predicted_alpha=1.0)
+    # smooth with bounded slope: sup-increments scale linearly in distance,
+    # on the sampled bump as on its interpolant below the spacing
+    bump = BumpProfile(c=1.0, delta=(2.0 - 1.8) / (1.8 - 1.0))
+    grid = np.linspace(0.0, 5.0, 2001)
+    rep = holder_fit(SampledProfile(grid, bump.value(grid)), pair_budget=20000,
+                     scale_range=(1e-4, 0.1), predicted_alpha=1.0)
     assert abs(rep.fitted_alpha - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [BumpProfile(c=1.5, delta=0.7), _FlatCore(), _CountingProfile(sharpness_profile(3, 2.0, 4.0)),
+     _Lookalike()],
+    ids=["bump", "flat-core", "wrapped-power", "grid-and-values-lookalike"],
+)
+def test_holder_fit_of_a_profile_that_is_neither_power_nor_gridded_is_refused(profile):
+    with pytest.raises(PreconditionViolation, match="take a PowerProfile or gridded data"):
+        holder_fit(profile, 20000, (1e-3, 0.25))
 
 
 def test_holder_fit_determinism_and_scale_guards():

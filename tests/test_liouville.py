@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -391,6 +392,24 @@ def test_contradiction_radius_doubles_to_the_float_range():
     assert rep is not None and rep.contradiction
     assert rep.r == 2.0**647
     assert not sigma_lower_bound(1e-3, params, EuclideanArea(3), 1.0, rep.r / 2).contradiction
+
+
+@pytest.mark.parametrize("profile, r", [(PowerArea(1.0, -1.0), 1e300), (ExponentialArea(1.0, -1.0), 1e4)])
+def test_sigma_bound_refuses_a_comparison_integral_past_the_float_range(profile, r):
+    # Areas t^-1 and e^-t make the integrands t^0.5 and e^(0.5 t), whose
+    # integrals leave the float range there: math.expm1 and math.exp
+    # overflow, and an infinite integral is not reported.
+    params = ProblemParams(dim=3, p=2, gamma=1.5)
+    with pytest.raises(PreconditionViolation, match=re.escape(f"up to r={r!r} leaves the float range")):
+        sigma_lower_bound(1.0, params, profile, 1.0, r)
+
+
+@pytest.mark.parametrize("profile", [PowerArea(1.0, -1.0), ExponentialArea(1.0, -1.0)])
+def test_contradiction_radius_ends_where_the_comparison_integral_leaves_the_float_range(profile):
+    # c_h = 1e-300 makes C so small that rhs stays below lhs until the
+    # integral itself is past the float range: no crossing is found.
+    params = ProblemParams(dim=3, p=2, gamma=1.5, c_h=1e-300)
+    assert find_contradiction_radius(1.0, params, profile, 1.0) is None
 
 
 def test_contradiction_radius_supercritical_none():

@@ -121,3 +121,18 @@ def test_gtsv_is_scipys_when_scipy_linalg_is_imported_after_the_first_solve():
 
 def test_gtsv_is_scipys_when_scipy_linalg_is_imported_before_the_first_solve():
     _fresh_modules("import scipy.linalg\n" + _GTSV_CHECK + _GTSV_COMPARE)
+
+
+def test_holder_fits_of_gridded_data_do_not_load_numpy_random():
+    # The exact bin sups draw nothing, so numpy.random, about 5 MB of
+    # resident memory, stays unloaded through a solve and both fits.
+    loaded = _fresh_modules(
+        "import numpy as np\n"
+        "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, SampledProfile, holder_fit, solve_radial_dirichlet\n"
+        "sol = solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)\n"
+        "grid = np.linspace(0.0, 1.0, 500)\n"
+        "for u in (sol, SampledProfile(grid, np.sin(40.0 * grid))):\n"
+        "    holder_fit(u, 20000, (1e-3, 0.25), seed=3)\n"
+    )
+    assert "pdi_lab.audit" in loaded
+    assert "numpy.random" not in loaded

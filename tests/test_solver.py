@@ -564,9 +564,8 @@ def _lookup_cases():
 
 @pytest.mark.parametrize("sol", _lookup_cases(), ids=lambda sol: f"n{sol.grid.size}-{sol.grid[0]:g}")
 def test_solution_value_is_bit_identical_to_np_interp(sol):
-    # The panel index is computed from the uniform spacing, not searched;
-    # the result must still be np.interp's, bit for bit, inside, at every
-    # node and its float neighbours, at both ends and outside the grid.
+    # A solution reads like all gridded data: np.interp's bits, inside, at
+    # every node and its float neighbours, at both ends and outside the grid.
     g, v = sol.grid, sol.values
     rng = np.random.default_rng(g.size)
     width = g[-1] - g[0]
@@ -583,9 +582,9 @@ def test_solution_value_is_bit_identical_to_np_interp(sol):
 
 
 def test_solution_value_keeps_the_shape_and_leaves_its_argument_alone():
-    # The lookup works in place on flat buffers; a 0-d, 1-D or 2-D radius
-    # array keeps its shape, a read-only one is only read, and the bits
-    # are np.interp's for node values with -0.0 and radii at +-0, +-inf and NaN.
+    # A 0-d, 1-D or 2-D radius array keeps its shape, a read-only one is
+    # only read, and the bits are np.interp's for node values with -0.0 and
+    # radii at +-0, +-inf and NaN.
     g = np.linspace(0.0, 1.0, 9)
     v = np.array([-0.0, 0.5, -0.0, -0.5, 0.0, 2.0, -0.0, 1.0, -0.0])
     sol = solver.DiscreteRadialSolution(g, v, PARAMS_22, PLaplacian(2.0), {})

@@ -374,7 +374,10 @@ def _power_integral(x: float, R: float, r: float) -> float:
     log_ratio = math.log(r / R)
     if one_minus == 0.0:
         return log_ratio
-    return R**one_minus * math.expm1(one_minus * log_ratio) / one_minus
+    try:
+        return R**one_minus * math.expm1(one_minus * log_ratio) / one_minus
+    except OverflowError:  # for R < 1 the expm1 can overflow before the integral
+        return r**one_minus * -math.expm1(-one_minus * log_ratio) / one_minus
 
 
 def sigma_lower_bound(

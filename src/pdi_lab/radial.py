@@ -198,7 +198,8 @@ class OperatorKind:
 
     Every kind satisfies the growth bound |a(s)| <= |s|^(p-1) with its own
     growth order p, which is the structural condition the estimates need
-    with nu = 1.
+    with nu = 1. ``flux`` and ``flux_derivative`` return a new float array,
+    which the solver overwrites in place.
     """
 
     p: float

@@ -28,7 +28,10 @@ trial's residual and slopes serve the next step. So each trial costs one
 residual, each Newton step one Jacobian, and each test that ends the
 final stage, or a stage still above newton_tol, one more; a rejected
 trial never builds a Jacobian. The grid data no iterate changes (shell
-volumes, face areas, source values) are computed once per solve.
+volumes, face areas, source values) are computed once per solve. A
+non-finite residual max or floor (finite only if every J_ij and V_j is)
+is NoConvergence before the test, so ``gtsv`` never sees an inf or a NaN;
+one ``np.errstate`` around the Newton loop silences a stiff trial.
 
 Discretization is conservative: fluxes live on face radii, and each cell
 is weighted by its exact shell volume (r_{i+1/2}^d - r_{i-1/2}^d)/d
@@ -202,10 +205,12 @@ class _Discretization:
         d = params.dim
         faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
         self.h = float(grid[1] - grid[0])
+        self.inv_2h = 1.0 / (2.0 * self.h)
         powers = faces**d
         self.vols = (powers[1:] - powers[:-1]) / d
         self.area = faces[1:-1] ** (d - 1)
         self.f_vals = np.asarray(f(grid), dtype=float)
+        self.vols_in, self.f_in = self.vols[1:-1], self.f_vals[1:-1]
         self.kind, self.lam, self.gamma, self.c_h = kind, params.lam, params.gamma, params.c_h
         self.bc_left, self.bc_right = bc_left, bc_right
         self.rows = slice(0 if bc_left is None else 1, grid.size - 1)
@@ -238,15 +243,8 @@ def solve_banded(sub, dia, sup, rhs):
     J[i, i] = dia[i], J[i, i+1] = sup[i], with LAPACK ``gtsv``: the routine
     and the inputs of ``scipy.linalg.solve_banded((1, 1), ...)``, so the
     same bits, without its validation layers. ``_dgtsv`` loads the routine
-    on the first call without importing ``scipy.linalg``. One exact test
-    refuses non-finite input: a finite entry times 0 is 0, and an inf or a
-    NaN times 0 is NaN, so the sum of the arrays dotted with zeros is
-    finite exactly when every entry is."""
-    zeros = np.zeros(dia.size)
-    with np.errstate(invalid="ignore"):
-        probe = sub.dot(zeros[1:]) + dia.dot(zeros) + sup.dot(zeros[1:]) + rhs.dot(zeros)
-    if not math.isfinite(probe):
-        raise ValueError("array must not contain infs or NaNs")
+    on the first call without importing ``scipy.linalg``. The Newton
+    loop has refused a non-finite system before it calls this."""
     x, info = _dgtsv()(sub, dia, sup, rhs)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -262,61 +260,65 @@ def _roundoff_floor(sub, dia, sup, values, rows: slice) -> float:
     return _EPS_MACH * float(sums[rows].max())
 
 
-# A stiff iterate may overflow to inf or nan here and in the Jacobian; a
-# trial's residual then fails the line search, so the warnings would only
-# be noise on stderr.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _residual(values: np.ndarray, disc: _Discretization, eps: float):
     """Residual vector, its max over the non-Dirichlet rows, and the slopes
     (face slopes, centred interior slopes) that ``_jacobian`` reads; one
     flux evaluation."""
-    h = disc.h
-    slope = (values[1:] - values[:-1]) / h
-    flux = disc.area * np.asarray(disc.kind.flux(slope, eps), dtype=float)
+    slope = values[1:] - values[:-1]
+    slope /= disc.h
+    flux = disc.kind.flux(slope, eps)
+    flux *= disc.area
     # Centered slope at the interior nodes, the only rows with a gradient term.
-    dv = (values[2:] - values[:-2]) / (2.0 * h)
-    vols, f_vals = disc.vols, disc.f_vals
+    dv = values[2:] - values[:-2]
+    dv /= 2.0 * disc.h
 
     R = np.empty(values.size)
     # Interior balance: flux divergence plus reaction, Hamiltonian, source.
-    R[1:-1] = (
-        -(flux[1:] - flux[:-1]) / vols[1:-1] + disc.lam * values[1:-1]
-        + disc.c_h * np.abs(dv) ** disc.gamma - f_vals[1:-1]
-    )
+    inner = np.subtract(flux[:-1], flux[1:], out=R[1:-1])
+    inner /= disc.vols_in
+    inner += disc.lam * values[1:-1]
+    inner += disc.c_h * np.abs(dv) ** disc.gamma
+    inner -= disc.f_in
     if disc.bc_left is None:
         # Zero flux through the left face; at r = 0 this is the symmetry
         # condition and the Hamiltonian vanishes with the gradient.
-        R[0] = -flux[0] / vols[0] + disc.lam * values[0] - f_vals[0]
+        R[0] = -flux[0] / disc.vols[0] + disc.lam * values[0] - disc.f_vals[0]
     else:
         R[0] = values[0] - disc.bc_left
     R[-1] = values[-1] - disc.bc_right
     return R, float(np.abs(R[disc.rows]).max()), (slope, dv)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _jacobian(slopes, disc: _Discretization, eps: float):
     """Tridiagonal Jacobian as (sub, dia, sup), the layout of
     ``solve_banded``, from the slopes ``_residual`` returned for the
     iterate; one flux-derivative evaluation."""
     slope, dv = slopes
-    h, gamma = disc.h, disc.gamma
-    dflux = disc.area * np.asarray(disc.kind.flux_derivative(slope, eps), dtype=float) / h
-    dham = disc.c_h * gamma * np.abs(dv) ** (gamma - 1.0) * np.sign(dv)
+    # Minus the face coefficients area a'(slope) / h, so that each
+    # off-diagonal entry is one division and one addition.
+    minus_dflux = disc.kind.flux_derivative(slope, eps)
+    minus_dflux *= disc.area
+    minus_dflux /= -disc.h
+    dham = disc.c_h * disc.gamma * np.abs(dv) ** (disc.gamma - 1.0) * np.sign(dv)
     dham[dv == 0.0] = 0.0
-    vols = disc.vols
+    dham *= disc.inv_2h
 
     # A Dirichlet row keeps its zero off-diagonal entries.
     n = slope.size + 1
     sub = np.zeros(n - 1)
     dia = np.empty(n)
     sup = np.zeros(n - 1)
-    dia[1:-1] = (dflux[1:] + dflux[:-1]) / vols[1:-1] + disc.lam
+    inner = np.add(minus_dflux[1:], minus_dflux[:-1], out=dia[1:-1])
+    inner /= disc.vols_in
+    np.subtract(disc.lam, inner, out=inner)
     # Centered Hamiltonian couples to both neighbors.
-    sub[:-1] = -dflux[:-1] / vols[1:-1] + dham * (-1.0 / (2.0 * h))
-    sup[1:] = -dflux[1:] / vols[1:-1] + dham * (+1.0 / (2.0 * h))
+    np.divide(minus_dflux[:-1], disc.vols_in, out=sub[:-1])
+    sub[:-1] -= dham
+    np.divide(minus_dflux[1:], disc.vols_in, out=sup[1:])
+    sup[1:] += dham
     if disc.bc_left is None:
-        dia[0] = dflux[0] / vols[0] + disc.lam
-        sup[0] = -dflux[0] / vols[0]
+        sup[0] = minus_dflux[0] / disc.vols[0]
+        dia[0] = disc.lam - sup[0]
     else:
         dia[0] = 1.0
     dia[-1] = 1.0
@@ -369,40 +371,45 @@ def solve_radial_dirichlet(
 
     iterations = 0
     schedule = _schedule(kind)
-    for eps in schedule:
-        # Intermediate stages only warm-start the next one; failure to
-        # fully converge there is harmless, and one within the tolerance
-        # needs no floor (module docstring).
-        final = eps == schedule[-1]
-        R, norm, slopes = _residual(values, disc, eps)
-        converged = False
-        for _ in range(config.max_iter):
-            if not final and norm <= config.newton_tol:
-                converged = True
-                break
-            sub, dia, sup = _jacobian(slopes, disc, eps)
-            floor = _roundoff_floor(sub, dia, sup, values, disc.rows)
-            if norm <= config.newton_tol + floor:
-                converged = True
-                break
-            try:
-                step = solve_banded(sub, dia, sup, -R)
-            except ValueError as exc:  # numpy's LinAlgError is a ValueError
-                # An iterate that left the float range, or a singular Jacobian.
-                raise NoConvergence(f"Newton step failed at eps={eps:.1e}: {exc}") from None
-            iterations += 1
-            scale = 1.0
-            trial = values + step
-            for _ in range(_LINE_SEARCH_HALVINGS):
-                trial_R, trial_norm, trial_slopes = _residual(trial, disc, eps)
-                if trial_norm < norm:
+    # A stiff trial may overflow and fail the line search: no warning due.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for eps in schedule:
+            # Intermediate stages only warm-start the next one; failure to
+            # fully converge there is harmless, and one within the tolerance
+            # needs no floor (module docstring).
+            final = eps == schedule[-1]
+            R, norm, slopes = _residual(values, disc, eps)
+            converged = False
+            for _ in range(config.max_iter):
+                if not final and norm <= config.newton_tol:
+                    converged = True
                     break
-                scale *= 0.5
-                trial = values + scale * step
-            else:
-                break
-            # The accepted trial's residual and slopes serve the next step.
-            values, R, norm, slopes = trial, trial_R, trial_norm, trial_slopes
+                sub, dia, sup = _jacobian(slopes, disc, eps)
+                floor = _roundoff_floor(sub, dia, sup, values, disc.rows)
+                if not (math.isfinite(norm) and math.isfinite(floor)):
+                    raise NoConvergence(
+                        f"Newton step failed at eps={eps:.1e}: array must not contain infs or NaNs"
+                    )
+                if norm <= config.newton_tol + floor:
+                    converged = True
+                    break
+                try:
+                    step = solve_banded(sub, dia, sup, -R)
+                except np.linalg.LinAlgError as exc:
+                    raise NoConvergence(f"Newton step failed at eps={eps:.1e}: {exc}") from None
+                iterations += 1
+                scale = 1.0
+                trial = values + step
+                for _ in range(_LINE_SEARCH_HALVINGS):
+                    trial_R, trial_norm, trial_slopes = _residual(trial, disc, eps)
+                    if trial_norm < norm:
+                        break
+                    scale *= 0.5
+                    trial = values + scale * step
+                else:
+                    break
+                # The accepted trial's residual and slopes serve the next step.
+                values, R, norm, slopes = trial, trial_R, trial_norm, trial_slopes
     if not converged:
         raise NoConvergence(
             f"Newton stalled at residual {norm:.3e} "
@@ -426,4 +433,5 @@ def solution_residual(sol: DiscreteRadialSolution, f: Callable) -> float:
     """Max discrete residual of a solution, excluding Dirichlet rows."""
     meta = sol.meta
     disc = _Discretization(sol.grid, sol.kind, sol.params, f, meta["bc_left"], meta["bc_right"])
-    return _residual(sol.values, disc, meta["eps_final"])[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _residual(sol.values, disc, meta["eps_final"])[1]

@@ -404,6 +404,45 @@ def test_sigma_bound_refuses_a_comparison_integral_past_the_float_range(profile,
         sigma_lower_bound(1.0, params, profile, 1.0, r)
 
 
+def test_sigma_bound_below_unit_inner_radius_reaches_the_float_range():
+    # Area t^-1 makes the integrand t^0.5; from R = 1e-200 the factor
+    # expm1(1.5 log(r/R)) overflows although the integral (r^1.5 -
+    # R^1.5)/1.5 is about 6.7e149, which is reported. The R = 1 value,
+    # 6.666666666666967e+149, carries the rounding of its expm1 argument
+    # 345.4, about 4.5e-14 relative.
+    params = ProblemParams(dim=3, p=2, gamma=1.5)
+    tiny = sigma_lower_bound(1.0, params, PowerArea(1.0, -1.0), 1e-200, 1e100)
+    assert tiny.comparison_integral == pytest.approx(1e150 / 1.5, rel=1e-15)
+    at_one = sigma_lower_bound(1.0, params, PowerArea(1.0, -1.0), 1.0, 1e100).comparison_integral
+    assert at_one == 6.666666666666967e+149
+    assert tiny.comparison_integral == pytest.approx(at_one, rel=1e-13)
+
+
+def _expm1_power_integral(x, R, r):
+    # The expm1 form alone: the reference wherever it does not overflow.
+    if r == R:
+        return 0.0
+    one_minus = 1.0 - x
+    log_ratio = math.log(r / R)
+    if one_minus == 0.0:
+        return log_ratio
+    return R**one_minus * math.expm1(one_minus * log_ratio) / one_minus
+
+
+def test_power_integral_keeps_its_bits_where_the_expm1_form_stays_finite():
+    radii = (1e-300, 1e-200, 1e-20, 0.5, 1.0, 3.0, 1e20, 1e200)
+    overflows = 0
+    for x in (-3.0, -1.0, 0.0, 0.25, 0.999, 1.0, 1.001, 2.0, 5.0):
+        for R, r in itertools.combinations_with_replacement(radii, 2):
+            try:
+                want = _expm1_power_integral(x, R, r)
+            except OverflowError:
+                overflows += 1
+                continue
+            assert liouville._power_integral(x, R, r).hex() == want.hex(), (x, R, r)
+    assert overflows > 0
+
+
 @pytest.mark.parametrize("profile", [PowerArea(1.0, -1.0), ExponentialArea(1.0, -1.0)])
 def test_contradiction_radius_ends_where_the_comparison_integral_leaves_the_float_range(profile):
     # c_h = 1e-300 makes C so small that rhs stays below lhs until the

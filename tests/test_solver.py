@@ -2,6 +2,7 @@
 boundary-condition handling, and the a-posteriori residual check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,26 @@ def quadratic_source(r):
 
 
 PARAMS_22 = ProblemParams(dim=3, p=2.0, gamma=2.0)
+
+
+@pytest.fixture(autouse=True)
+def finite_gtsv_input(monkeypatch):
+    """Every test here runs with a gtsv that asserts finite input: the
+    Newton loop refuses a non-finite system at its roundoff floor, so no
+    solve may hand one to ``solve_banded``."""
+    gtsv = solver._dgtsv()
+
+    def checked(*args):
+        assert all(np.all(np.isfinite(a)) for a in args[:4])
+        return gtsv(*args)
+
+    monkeypatch.setattr(solver, "_dgtsv", lambda: checked)
+
+
+def kernel_errstate():
+    """The errstate a solve enters around its kernels, for a test that
+    calls them directly."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def solve_quadratic(n):
@@ -196,7 +217,7 @@ def test_no_convergence_is_reported():
 
 def test_a_failed_banded_solve_is_no_convergence(monkeypatch):
     params = ProblemParams(dim=3, p=1.5, gamma=1.2)
-    # an iterate past the float range: gtsv's finite-input guard refuses it
+    # an iterate past the float range: the finiteness test at the floor refuses it
     with pytest.raises(NoConvergence, match=r"eps=1\.0e-02: array must not contain infs or NaNs"):
         solve_radial_dirichlet(
             PLaplacian(1.5), params, ZeroSource(), (0.5, 1.0),
@@ -418,8 +439,11 @@ def test_a_stage_within_tolerance_forms_no_jacobian(monkeypatch):
     assert ends[-1][2]
     monkeypatch.undo()
     disc = solver._Discretization(sol.grid, sol.kind, sol.params, p3_source, None, 0.0)
-    _, norm, slopes = solver._residual(sol.values, disc, schedule[-1])
-    floor = solver._roundoff_floor(*solver._jacobian(slopes, disc, schedule[-1]), sol.values, disc.rows)
+    with kernel_errstate():
+        _, norm, slopes = solver._residual(sol.values, disc, schedule[-1])
+        floor = solver._roundoff_floor(
+            *solver._jacobian(slopes, disc, schedule[-1]), sol.values, disc.rows
+        )
     assert norm == sol.meta["final_residual"]
     assert 0.0 < floor == sol.meta["roundoff_floor"]
 
@@ -465,8 +489,10 @@ def test_hamiltonian_derivative_vanishes_at_zero_slope(gamma):
     grid = np.linspace(0.0, 1.0, 32)
     disc = solver._Discretization(grid, PLaplacian(1.5), params, ZeroSource(), None, 0.0)
     values = np.where(grid < 0.5, 1.0, 1.0 - (grid - 0.5) ** 2)
-    _, _, slopes = solver._residual(values, disc, 1e-2)
-    sub, dia, sup = solver._jacobian(slopes, disc, 1e-2)
+    # |0|^(gamma - 1) divides by zero for gamma < 1, as it may in a solve
+    with kernel_errstate():
+        _, _, slopes = solver._residual(values, disc, 1e-2)
+        sub, dia, sup = solver._jacobian(slopes, disc, 1e-2)
     assert all(np.all(np.isfinite(a)) for a in (sub, dia, sup))
     flat = np.flatnonzero(slopes[1] == 0.0) + 1  # interior rows with dv = 0
     assert flat.size > 0
@@ -475,6 +501,98 @@ def test_hamiltonian_derivative_vanishes_at_zero_slope(gamma):
     dflux = disc.area * PLaplacian(1.5).flux_derivative(slopes[0], 1e-2) / disc.h
     assert np.array_equal(sub[flat - 1], -dflux[flat - 1] / disc.vols[flat])
     assert np.array_equal(sup[flat], -dflux[flat] / disc.vols[flat])
+
+
+# The kernels in plain expression form: the reference that the solver's
+# in-place kernels must match bit for bit.
+def _reference_residual(values, disc, eps):
+    h = disc.h
+    slope = (values[1:] - values[:-1]) / h
+    flux = disc.area * np.asarray(disc.kind.flux(slope, eps), dtype=float)
+    dv = (values[2:] - values[:-2]) / (2.0 * h)
+    vols, f_vals = disc.vols, disc.f_vals
+    R = np.empty(values.size)
+    R[1:-1] = (
+        -(flux[1:] - flux[:-1]) / vols[1:-1] + disc.lam * values[1:-1]
+        + disc.c_h * np.abs(dv) ** disc.gamma - f_vals[1:-1]
+    )
+    if disc.bc_left is None:
+        R[0] = -flux[0] / vols[0] + disc.lam * values[0] - f_vals[0]
+    else:
+        R[0] = values[0] - disc.bc_left
+    R[-1] = values[-1] - disc.bc_right
+    return R, float(np.abs(R[disc.rows]).max()), (slope, dv)
+
+
+def _reference_jacobian(slopes, disc, eps):
+    slope, dv = slopes
+    h, gamma = disc.h, disc.gamma
+    dflux = disc.area * np.asarray(disc.kind.flux_derivative(slope, eps), dtype=float) / h
+    dham = disc.c_h * gamma * np.abs(dv) ** (gamma - 1.0) * np.sign(dv)
+    dham[dv == 0.0] = 0.0
+    vols = disc.vols
+    n = slope.size + 1
+    sub = np.zeros(n - 1)
+    dia = np.empty(n)
+    sup = np.zeros(n - 1)
+    dia[1:-1] = (dflux[1:] + dflux[:-1]) / vols[1:-1] + disc.lam
+    sub[:-1] = -dflux[:-1] / vols[1:-1] + dham * (-1.0 / (2.0 * h))
+    sup[1:] = -dflux[1:] / vols[1:-1] + dham * (+1.0 / (2.0 * h))
+    if disc.bc_left is None:
+        dia[0] = dflux[0] / vols[0] + disc.lam
+        sup[0] = -dflux[0] / vols[0]
+    else:
+        dia[0] = 1.0
+    dia[-1] = 1.0
+    return sub, dia, sup
+
+
+def _reference_floor(sub, dia, sup, values, rows):
+    v = np.abs(values)
+    sums = np.abs(dia) * v
+    sums[1:] += np.abs(sub) * v[:-1]
+    sums[:-1] += np.abs(sup) * v[1:]
+    return solver._EPS_MACH * float(sums[rows].max())
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("kind", [
+    PLaplacian(1.5), PLaplacian(2.0), PLaplacian(3.0), MeanCurvature(),
+    GeneralizedMeanCurvature(2.0), GeneralizedMeanCurvature(4.0),
+], ids=repr)
+@pytest.mark.parametrize("domain,bc_left", [((0.0, 1.0), None), ((0.25, 1.0), 0.5)])
+def test_kernels_keep_the_bits_of_their_expression_forms(kind, domain, bc_left):
+    # Random iterates with runs of equal values, so some face slopes and
+    # some centred slopes are exactly 0, at every eps of the continuation.
+    # The kernels read dim, lam, gamma and c_h of the parameters, and p =
+    # 1.5 admits every gamma here.
+    rng = np.random.default_rng(30)
+    grid = np.linspace(domain[0], domain[1], 48)
+    source = RadialPowerSource(2.0, 0.0)
+    for gamma in (0.6, 1.0, 1.5, 4.0):
+        for lam in (0.0, 1.0):
+            for c_h in (1.0, 2.5):
+                params = ProblemParams(dim=3, p=1.5, gamma=gamma, lam=lam, c_h=c_h)
+                disc = solver._Discretization(grid, kind, params, source, bc_left, 0.0)
+                for eps in solver._CONTINUATION:
+                    values = rng.standard_normal(grid.size)
+                    values[10:16] = values[10]    # zero face and centred slopes
+                    values[30] = values[32]        # a zero centred slope alone
+                    values[40:] *= -1.0
+                    with kernel_errstate():
+                        R, norm, slopes = solver._residual(values, disc, eps)
+                        want_R, want_norm, want_slopes = _reference_residual(values, disc, eps)
+                        jac = solver._jacobian(slopes, disc, eps)
+                        want_jac = _reference_jacobian(want_slopes, disc, eps)
+                        floor = solver._roundoff_floor(*jac, values, disc.rows)
+                        want_floor = _reference_floor(*want_jac, values, disc.rows)
+                    assert np.any(slopes[0] == 0.0) and np.any(slopes[1] == 0.0)
+                    assert _bits(R, *slopes) == _bits(want_R, *want_slopes)
+                    assert _bits(*jac) == _bits(*want_jac)
+                    assert _bits(norm, floor) == _bits(want_norm, want_floor)
 
 
 def _jacobian_cases():
@@ -492,8 +610,9 @@ def _jacobian_cases():
                 grid, kind, params, RadialPowerSource(2.0, 0.0), bc_left, 0.0
             )
             values = 1.0 - grid**2 + 0.01 * np.sin(7.0 * grid)
-            R, _, slopes = solver._residual(values, disc, 1e-4)
-            yield (*solver._jacobian(slopes, disc, 1e-4), -R)
+            with kernel_errstate():
+                R, _, slopes = solver._residual(values, disc, 1e-4)
+                yield (*solver._jacobian(slopes, disc, 1e-4), -R)
 
 
 def test_solve_banded_is_bit_identical_to_scipy():
@@ -507,14 +626,86 @@ def test_solve_banded_is_bit_identical_to_scipy():
 
 def test_solve_banded_keeps_scipys_guards():
     sub, dia, sup, rhs = next(_jacobian_cases())
-    for k in range(4):
-        for bad in (math.inf, math.nan):
-            args = [a.copy() for a in (sub, dia, sup, rhs)]
-            args[k][3] = bad
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                solver.solve_banded(*args)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solver.solve_banded(np.zeros_like(sub), np.zeros_like(dia), sup, rhs)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("where", ["flux_derivative", "residual"])
+@pytest.mark.parametrize("domain,bc_left", [((0.0, 1.0), None), ((0.5, 1.0), 1.0)])
+def test_a_non_finite_system_is_no_convergence(monkeypatch, bad, where, domain, bc_left):
+    # One non-finite interior entry of the Jacobian's face coefficients or
+    # of the residual fails the finiteness test at the roundoff floor, with
+    # the message gtsv's own guard gave, before any banded solve.
+    if where == "flux_derivative":
+        derivative = PLaplacian.flux_derivative
+
+        def injected(self, s, eps=0.0):
+            out = derivative(self, s, eps)
+            out[5] = bad
+            return out
+
+        monkeypatch.setattr(PLaplacian, "flux_derivative", injected)
+    else:
+        residual = solver._residual
+
+        def injected(values, disc, eps):
+            R, _, slopes = residual(values, disc, eps)
+            R[5] = bad
+            return R, float(np.abs(R[disc.rows]).max()), slopes
+
+        monkeypatch.setattr(solver, "_residual", injected)
+    with pytest.raises(NoConvergence, match=r"^Newton step failed at eps=1\.0e-02: "
+                       r"array must not contain infs or NaNs$"):
+        solve_radial_dirichlet(
+            PLaplacian(1.5), P15_PARAMS, RadialPowerSource(1.0, 0.0), domain, bc_left, 0.0,
+            config=SolverConfig(n_nodes=64),
+        )
+
+
+def test_an_infinite_floor_is_no_convergence(monkeypatch):
+    # The constant iterate of bc 1/1 has residual 1 in every interior row
+    # with f = 1. An inf at one face of the flux derivative makes the floor
+    # inf, which once passed norm <= tol + floor: the solve was reported
+    # converged after 0 steps, with final_residual 1.0 and roundoff_floor inf.
+    derivative = PLaplacian.flux_derivative
+
+    def injected(self, s, eps=0.0):
+        out = derivative(self, s, eps)
+        out[5] = math.inf
+        return out
+
+    monkeypatch.setattr(PLaplacian, "flux_derivative", injected)
+    with pytest.raises(NoConvergence, match=r"eps=1\.0e-10: array must not contain infs or NaNs"):
+        solve_radial_dirichlet(
+            PLaplacian(2.0), PARAMS_22, RadialPowerSource(1.0, 0.0), (0.5, 1.0), 1.0, 1.0,
+            config=SolverConfig(n_nodes=64),
+        )
+
+
+def test_a_solve_through_overflowing_trials_emits_no_warning(monkeypatch):
+    # With gamma = 80, |dv|^gamma overflows at some full Newton steps; the
+    # line search halves them, and the one errstate the solve enters keeps
+    # the overflow off stderr and leaves the caller's settings as they were.
+    norms = []
+    residual = solver._residual
+
+    def recording(values, disc, eps):
+        out = residual(values, disc, eps)
+        norms.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_residual", recording)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_radial_dirichlet(
+            GeneralizedMeanCurvature(4.0), ProblemParams(dim=3, p=2.0, gamma=80.0),
+            RadialPowerSource(10.0, 0.0), (0.0, 1.0), None, 0.0, config=SolverConfig(n_nodes=64),
+        )
+    assert not all(map(math.isfinite, norms))
+    assert math.isfinite(sol.meta["final_residual"]) and np.all(np.isfinite(sol.values))
+    assert np.geterr() == before
 
 
 @pytest.mark.parametrize("kind,gamma", [

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Each subcommand is declared once, as a row of ``COMMANDS``: its name,
-help, flags and handler. The parser, the report's ``params`` and the
-tests all read that table. A handler's ``results`` project its library
-report by field name (``_fields``). Flags take their full spelling only.
+help, flags (those its computation reads) and handler. The parser, the
+report's ``params`` and the tests all read that table. A handler's
+``results`` project its library report by field name (``_fields``).
+Flags take their full spelling only.
 
 Every subcommand prints one JSON report on stdout and a one-line human
 summary on stderr. ``params`` holds every flag of the subcommand, parsed
@@ -77,7 +78,6 @@ from .solver import (
     SampledSource,
     SolverConfig,
     ZeroSource,
-    solution_residual,
     solve_radial_dirichlet,
 )
 from .audit import caccioppoli_audit, holder_fit, morrey_norm
@@ -245,8 +245,11 @@ def _emit(args, results: dict, passed: bool, note: str = "") -> int:
 
 
 def _problem_params(args) -> ProblemParams:
-    lam = getattr(args, "lambda")  # a keyword, so never args.lambda
-    return ProblemParams(args.dim, args.p, args.gamma, lam, args.c_h, args.nu, args.q)
+    """The ProblemParams of the problem flags the subcommand has, --lambda
+    as lam; the dataclass defaults stand for the rest."""
+    given = {"lam" if dest == "lambda" else dest: value for dest, value in vars(args).items()}
+    fields = ("dim", "p", "gamma", "lam", "c_h", "nu", "q")
+    return ProblemParams(**{name: given[name] for name in fields if name in given})
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +280,11 @@ def _check_nodes(nodes: int) -> None:
 
 
 def _cmd_verify_sharpness(args):
-    profile = sharpness_profile(args.dim, args.p, args.gamma)
     params = _problem_params(args)
     _check_nodes(args.nodes)
+    profile = sharpness_profile(args.dim, args.p, args.gamma, args.c_h)
     grid = np.linspace(0.05, 0.95, args.nodes)
-    report = residual_scan(PLaplacian(args.p), profile, params, None, grid, tol=args.tol)
+    report = residual_scan(profile, params, grid, tol=args.tol)
     results = _fields(profile, "c a nodes", nodes=args.nodes)
     results.update(_fields(report, "min_residual max_abs_residual"))
     return results, report.max_abs_residual <= args.tol
@@ -319,7 +322,6 @@ def _cmd_solve(args):
     sol = solve_radial_dirichlet(
         kind, params, f, (args.r_in, args.r_out), bc_left, args.bc_right, config
     )
-    recomputed = solution_residual(sol, f)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -328,9 +330,8 @@ def _cmd_solve(args):
             writer.writerows(zip(sol.grid.tolist(), sol.values.tolist()))
     u = sol.values
     results = _fields(
-        sol, "nodes iterations final_residual roundoff_floor recomputed_residual "
-        "u_left u_mid u_right u_min u_max", **sol.meta, nodes=args.nodes,
-        recomputed_residual=recomputed, u_left=u[0], u_mid=u[u.size // 2], u_right=u[-1],
+        sol, "nodes iterations final_residual roundoff_floor u_left u_mid u_right u_min u_max",
+        **sol.meta, nodes=args.nodes, u_left=u[0], u_mid=u[u.size // 2], u_right=u[-1],
         u_min=u.min(), u_max=u.max(),
     )
     # A returned solve converged by the solver's own rule; NoConvergence
@@ -342,8 +343,8 @@ def _cmd_audit_caccioppoli(args):
     params = _problem_params(args)
     u = _witness(args)
     radius = args.radius
-    if not (math.isfinite(radius) and radius > 0):
-        raise PreconditionViolation(f"--radius must be finite and positive, got {radius}")
+    if not (math.isfinite(radius) and 0.02 * radius > 0):  # 0.02 R is the smallest t
+        raise PreconditionViolation(f"--radius must be finite with 0.02 * radius > 0, got {radius}")
     t_list = np.geomspace(0.02 * radius, 0.95 * radius, 24)
     report = caccioppoli_audit(u, params, radius, t_list)
     results = _fields(report, "predicted_s growth_target fitted_growth fitted_K k_stable",
@@ -503,17 +504,15 @@ def _cmd_sweep(args):
 
 REQUIRED = object()  # the default slot of a flag that must be given
 
-# A flag is (flag, type or choices, default or REQUIRED). The seven
-# problem flags shared by most subcommands:
-_PROBLEM = (
-    ("--dim", int, REQUIRED),
-    ("--p", float, REQUIRED),
-    ("--gamma", float, REQUIRED),
-    ("--lambda", float, 0.0),
-    ("--c-h", float, 1.0),
-    ("--nu", float, 1.0),
-    ("--q", float, INFINITY),
-)
+# A flag is (flag, type or choices, default or REQUIRED). The problem
+# flags, each on the subcommands whose computation reads it:
+_DIM = ("--dim", int, REQUIRED)
+_P = ("--p", float, REQUIRED)
+_GAMMA = ("--gamma", float, REQUIRED)
+_LAMBDA = ("--lambda", float, 0.0)
+_C_H = ("--c-h", float, 1.0)
+_NU = ("--nu", float, 1.0)
+_Q = ("--q", float, INFINITY)
 
 # Help for the flags that take it: audit-holder keeps --pairs and --seed
 # for compatibility, but both of its fits are exact and draw nothing.
@@ -524,21 +523,25 @@ _FLAG_HELP = {
 
 # One row per subcommand: (name, help, flags, handler).
 COMMANDS = (
-    ("exponents", "closed-form exponent calculus", _PROBLEM, _cmd_exponents),
+    ("exponents", "closed-form exponent calculus", (_DIM, _P, _GAMMA, _Q), _cmd_exponents),
     ("verify-sharpness", "residual-check the explicit sharp solution",
-     _PROBLEM + (("--nodes", int, 512), ("--tol", float, 1e-8)), _cmd_verify_sharpness),
+     (_DIM, _P, _GAMMA, _C_H, ("--nodes", int, 512), ("--tol", float, 1e-8)),
+     _cmd_verify_sharpness),
     ("verify-bump", "largest bounded supersolution witness scale",
-     _PROBLEM + (("--nodes", int, 300), ("--grid-max", float, 10.0)), _cmd_verify_bump),
-    ("solve", "radial Dirichlet solve of the model equation", _PROBLEM + (
+     (_DIM, _P, _GAMMA, _C_H, ("--nodes", int, 300), ("--grid-max", float, 10.0)),
+     _cmd_verify_bump),
+    ("solve", "radial Dirichlet solve of the model equation", (
+        _DIM, _P, _GAMMA, _LAMBDA, _C_H,
         ("--operator", str, "p-laplacian"), ("--source", str, "zero"),
         ("--r-in", float, 0.0), ("--r-out", float, 1.0),
         ("--bc-left", str, "none"), ("--bc-right", float, REQUIRED),
         ("--nodes", int, 256), ("--tol", float, 1e-10), ("--out", str, None),
     ), _cmd_solve),
     ("audit-caccioppoli", "energy growth vs the two-ball bound",
-     _PROBLEM + (("--witness", str, "sharpness"), ("--radius", float, 1.0)),
+     (_DIM, _P, _GAMMA, _LAMBDA, _Q, ("--witness", str, "sharpness"), ("--radius", float, 1.0)),
      _cmd_audit_caccioppoli),
-    ("audit-holder", "empirical Holder exponent fit", _PROBLEM + (
+    ("audit-holder", "empirical Holder exponent fit", (
+        _DIM, _P, _GAMMA, _Q,
         ("--witness", str, "sharpness"), ("--pairs", int, 20000),
         ("--scale-min", float, 1e-3), ("--scale-max", float, 0.25),
         ("--seed", int, 0), ("--tol", float, 0.05),
@@ -548,14 +551,15 @@ COMMANDS = (
         ("--theta", float, REQUIRED), ("--omega-radius", float, 1.0),
         ("--dim", int, 3),
     ), _cmd_morrey),
-    ("liouville", "Euclidean classification with witnesses",
-     _PROBLEM[:3] + _PROBLEM[4:5], _cmd_liouville),  # --dim --p --gamma --c-h
+    ("liouville", "Euclidean classification with witnesses", (_DIM, _P, _GAMMA, _C_H),
+     _cmd_liouville),
     ("manifold", "area-growth Liouville test", (
         ("--profile", str, REQUIRED), ("--dim", int, 3),
         ("--p", float, REQUIRED), ("--gamma", float, REQUIRED),
         ("--t-start", float, 1.0), ("--mode", ("analytic", "numeric"), "analytic"),
     ), _cmd_manifold),
-    ("sigma-bound", "both sides of the energy comparison", _PROBLEM + (
+    ("sigma-bound", "both sides of the energy comparison", (
+        _DIM, _P, _GAMMA, _C_H, _NU,
         ("--profile", str, "euclidean"), ("--sigma-r", float, REQUIRED),
         ("--radius-inner", float, REQUIRED), ("--radius-outer", float, REQUIRED),
         ("--weight", ("none", "exp"), "none"),

@@ -50,6 +50,7 @@ from .params import (
     _energy_arm,
     _gradient_arm,
     _has_threshold,
+    _in_range,
     liouville_threshold,
     unit_ball_volume,
 )
@@ -371,13 +372,27 @@ def _power_integral(x: float, R: float, r: float) -> float:
     if r == R:
         return 0.0
     one_minus = 1.0 - x
-    log_ratio = math.log(r / R)
+    log_ratio = math.log(r / R) if r / R < math.inf else math.log(r) - math.log(R)
     if one_minus == 0.0:
         return log_ratio
     try:
         return R**one_minus * math.expm1(one_minus * log_ratio) / one_minus
     except OverflowError:  # for R < 1 the expm1 can overflow before the integral
         return r**one_minus * -math.expm1(-one_minus * log_ratio) / one_minus
+
+
+def _comparison_integral(profile: AreaProfile, e: float, R: float, r: float) -> float:
+    """int_R^r (area(t) / coefficient)^(-e) dt."""
+    if isinstance(profile, SampledArea):
+        if r > profile.grid[-1] * (1.0 + 1e-12):
+            raise DomainExceeded("comparison integral extends beyond the sampled area")
+        edges = sample_panels(profile.grid, R, r)
+        panels = quad(lambda t: profile.area(t) ** (-e), edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
+        return float(np.sum(panels))
+    if isinstance(profile, _PowerLawArea):
+        return _power_integral(profile.shape_power * e, R, r)
+    ke = profile.kappa * e
+    return r - R if ke == 0.0 else (math.exp(-ke * R) - math.exp(-ke * r)) / ke
 
 
 def sigma_lower_bound(
@@ -393,8 +408,9 @@ def sigma_lower_bound(
     ``weight`` tags the exponentially weighted variant of the energy (the
     e^(-u) multiplier trick for nonnegative supersolutions); the weighted
     chain produces the identical comparison integral, so the numbers here
-    do not change, only the report's provenance field. A comparison
-    integral past the float range raises PreconditionViolation.
+    do not change, only the report's provenance field. An lhs, a constant
+    C or a comparison integral past the float range raises
+    PreconditionViolation, the r-independent lhs and C first.
     """
     if not sigma_R > 0:
         raise PreconditionViolation("sigma_R must be positive (nonconstant hypothesis)")
@@ -403,30 +419,13 @@ def sigma_lower_bound(
     if weight not in ("none", "exp"):
         raise PreconditionViolation(f"weight must be 'none' or 'exp', got {weight!r}")
     e = _comparison_exponent(params.p, params.gamma)
-    lhs = sigma_R**-e / e
-
-    if isinstance(profile, SampledArea):
-        if r > profile.grid[-1] * (1.0 + 1e-12):
-            raise DomainExceeded("comparison integral extends beyond the sampled area")
-        edges = sample_panels(profile.grid, R, r)
-        panels = quad(lambda t: profile.area(t) ** (-e), edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
-        comparison = float(np.sum(panels))
-    else:
-        try:  # math.expm1, math.exp and ** raise past the float range
-            if isinstance(profile, _PowerLawArea):
-                comparison = _power_integral(profile.shape_power * e, R, r)
-            else:
-                ke = profile.kappa * e
-                comparison = r - R if ke == 0.0 else (math.exp(-ke * R) - math.exp(-ke * r)) / ke
-        except OverflowError:
-            comparison = math.inf
+    lhs = _in_range("lhs", lambda: sigma_R**-e / e)
+    arm = _energy_arm(params.p, params.gamma)
+    constant_C = _in_range("constant_C", lambda: (params.c_h / params.nu) ** arm * e)
     # An infinite integral times a tiny C would claim a contradiction that
     # no finite radius shows, so it is refused, not reported.
-    if not math.isfinite(comparison):
-        raise PreconditionViolation(f"the comparison integral up to r={r} leaves the float range")
-
-    c_h, nu = params.c_h, params.nu
-    constant_C = (c_h / nu) ** _energy_arm(params.p, params.gamma) * e
+    comparison = _in_range(f"the comparison integral up to r={r}",
+                           lambda: _comparison_integral(profile, e, R, r))
     rhs = constant_C * profile.coefficient**-e * comparison
     return SigmaBoundReport(
         R=R,

@@ -97,6 +97,18 @@ def _check_c_h(c_h) -> None:
         raise PreconditionViolation(f"c_h must be finite and positive, got {c_h}")
 
 
+def _in_range(name: str, compute) -> float:
+    """compute(), or PreconditionViolation naming ``name`` where it leaves
+    the float range: inf, NaN or an OverflowError (from ``**``, math.exp)."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise PreconditionViolation(f"{name} leaves the float range")
+    return value
+
+
 def _check_exponents(p, gamma) -> None:
     """Finite growth orders with p > 1 and gamma > p - 1."""
     if not _p_ok(p):
@@ -311,8 +323,16 @@ def caccioppoli_exponent(params: ProblemParams):
 
 
 def unit_ball_volume(dim: int) -> float:
-    """Volume of the unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    """Volume of the unit ball, pi^(d/2) / Gamma(d/2 + 1), taken in logs
+    where Gamma overflows (d >= 342); PreconditionViolation from d = 436 on,
+    where the volume is below the normal floats (0 from d = 453)."""
+    try:
+        return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    except OverflowError:
+        volume = math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0))
+    if volume < np.finfo(float).tiny:
+        raise PreconditionViolation(f"the unit ball volume for dim={dim} is below the normal floats")
+    return volume
 
 
 def liouville_threshold(dim, p):

@@ -1,19 +1,17 @@
 """Radial profiles, divergence-form operators and residual scans.
 
-For a radial function u(x) = V(|x|) and a scalar flux a(s), the operator
+For a radial function u(x) = V(|x|), ``radial_operator`` evaluates
 
-    -div(a(|Du|) Du/|Du|)   becomes   -[ a'(V') V'' + (dim - 1) a(V') / r ]
+    -Delta_p u = -|V'|^(p-2) [ (p - 1) V'' + (dim - 1) V' / r ]
 
-at radii where the expression makes sense. For the p-Laplacian flux
-a(s) = |s|^(p-2) s this is the familiar
-
-    -|V'|^(p-2) [ (p - 1) V'' + (dim - 1) V' / r ].
+at radii where the expression makes sense. The operator kinds (scalar
+fluxes a(s)) are those of the solver.
 
 The closed-form profile families below are the explicit objects used
 throughout the package:
 
 * ``sharpness_profile``: V(r) = c (r^a - 1) with a = (gamma-p)/(gamma-(p-1))
-  and c < 0 chosen so that -Delta_p u = |Du|^gamma exactly. Its Holder
+  and c < 0 chosen so that -Delta_p u = c_h |Du|^gamma exactly. Its Holder
   regularity is exactly a, which shows the interior exponent estimate is
   attained.
 * ``nonconstant_entire_profile``: V(r) = c r^a, same a (negative when
@@ -28,10 +26,10 @@ throughout the package:
 
 Residual sign convention: a scan reports
 
-    residual(r) = -div(a(V')) - c_h |V'|^gamma + lam V + f(r),
+    residual(r) = -Delta_p V - c_h |V'|^gamma + lam V,
 
 so ``passed`` (min residual >= -tol) certifies a supersolution. A solution
-of the equation -div(a(V')) + c_h |V'|^gamma = 0 is certified by scanning
+of the equation -Delta_p V + c_h |V'|^gamma = 0 is certified by scanning
 its negation, since the divergence term is odd under V -> -V.
 """
 
@@ -55,6 +53,7 @@ from .params import (
     _critical_gamma,
     _gradient_arm,
     _growth_gap,
+    _in_range,
     liouville_threshold,
 )
 
@@ -288,13 +287,12 @@ class GeneralizedMeanCurvature(OperatorKind):
 # ---------------------------------------------------------------------------
 
 
-def radial_operator(kind: OperatorKind, profile: RadialProfile, r, dim: int):
-    """Evaluate -div(a(V')) at radius r (scalar or array), r > 0.
+def radial_operator(p: float, profile: RadialProfile, r, dim: int):
+    """-Delta_p V = -div(|V'|^(p-2) V') at radius r > 0 (scalar or array).
 
-    At a critical point V'(r) = 0 the p-Laplacian value is 0 for p > 2, the
-    plain Laplacian value -V'' for p = 2, and undefined for p < 2 unless
-    the profile is flat there (V'' = 0 as well, in which case the limit 0
-    is returned). The bounded-flux kinds are smooth at V' = 0.
+    At a critical point V'(r) = 0 the value is 0 for p > 2, the plain
+    Laplacian value -V'' for p = 2, and undefined for p < 2 unless the
+    profile is flat there (V'' = 0 as well), where the limit 0 is returned.
     """
     scalar = np.ndim(r) == 0
     rr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -302,22 +300,14 @@ def radial_operator(kind: OperatorKind, profile: RadialProfile, r, dim: int):
         raise PreconditionViolation("radial operator is evaluated at radii r > 0")
     v1 = np.atleast_1d(np.asarray(profile.derivative(rr), dtype=float))
     v2 = np.atleast_1d(np.asarray(profile.second_derivative(rr), dtype=float))
-    if isinstance(kind, PLaplacian):
-        p = kind.p
-        zero = v1 == 0.0
-        if p < 2 and np.any(zero & (v2 != 0.0)):
-            raise DegeneratePoint(
-                "p-Laplacian with p < 2 is singular at a nonflat critical point"
-            )
-        safe_v1 = np.where(zero, 1.0, v1)
-        out = -np.abs(safe_v1) ** (p - 2.0) * ((p - 1.0) * v2 + (dim - 1) * v1 / rr)
-        # p = 2 is the Laplacian, smooth through critical points; otherwise
-        # the weight |V'|^(p-2) sends the value to 0 there.
-        out = np.where(zero, -v2 if p == 2 else 0.0, out)
-    else:
-        out = -(
-            kind.flux_derivative(v1) * v2 + (dim - 1) * kind.flux(v1) / rr
-        )
+    zero = v1 == 0.0
+    if p < 2 and np.any(zero & (v2 != 0.0)):
+        raise DegeneratePoint("p-Laplacian with p < 2 is singular at a nonflat critical point")
+    safe_v1 = np.where(zero, 1.0, v1)
+    out = -np.abs(safe_v1) ** (p - 2.0) * ((p - 1.0) * v2 + (dim - 1) * v1 / rr)
+    # p = 2 is the Laplacian, smooth through critical points; otherwise
+    # the weight |V'|^(p-2) sends the value to 0 there.
+    out = np.where(zero, -v2 if p == 2 else 0.0, out)
     return float(out[0]) if scalar else out
 
 
@@ -326,28 +316,29 @@ def radial_operator(kind: OperatorKind, profile: RadialProfile, r, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def sharpness_profile(dim: int, p: float, gamma: float) -> PowerProfile:
-    """Explicit solution of -Delta_p u = |Du|^gamma on the unit ball.
+def sharpness_profile(dim: int, p: float, gamma: float, c_h: float = 1.0) -> PowerProfile:
+    """Explicit solution of -Delta_p u = c_h |Du|^gamma on the unit ball.
 
     Returns V(r) = c (r^a - 1) with a = (gamma-p)/(gamma-(p-1)) in (0, 1) and
 
-        c = -((gamma-(p-1))/(gamma-p)) * g^(1/(gamma-(p-1))),
+        c = -((gamma-(p-1))/(gamma-p)) * (g / c_h)^(1/(gamma-(p-1))),
 
-    g = _growth_gap(dim, p, gamma) = (dim-1)(gamma-gamma*)/(gamma-(p-1)).
-    Requires gamma > p and gamma > gamma* = _critical_gamma(dim, p). The
-    profile's modulus of continuity at the origin is exactly r^a, which
-    matches the gradient arm of the Holder exponent formula.
+    g = _growth_gap(dim, p, gamma) = (dim-1)(gamma-gamma*)/(gamma-(p-1)): the
+    c_h = 1 solution times c_h^(-1/(gamma-(p-1))), exactly 1.0 at c_h = 1.
+    Requires gamma > p, gamma > gamma* = _critical_gamma(dim, p) and a finite
+    c. The profile's modulus of continuity at the origin is exactly r^a,
+    which matches the gradient arm of the Holder exponent formula.
     """
     if not gamma > p:
-        raise PreconditionViolation(
-            f"sharpness profile needs gamma > p, got gamma={gamma}, p={p}"
-        )
+        raise PreconditionViolation(f"sharpness profile needs gamma > p, got gamma={gamma}, p={p}")
     if not gamma > _critical_gamma(dim, p):
         raise PreconditionViolation(
             f"sharpness profile needs (dim-1)*gamma > dim*(p-1), got dim={dim}, p={p}, gamma={gamma}"
         )
-    a = _gradient_arm(p, gamma)
-    c = -(_growth_gap(dim, p, gamma) ** (1.0 / (gamma - (p - 1)))) / a
+    _check_c_h(c_h)
+    a, e = _gradient_arm(p, gamma), 1.0 / (gamma - (p - 1))
+    c = _in_range(f"the sharpness profile's c at c_h={c_h}",
+                  lambda: -(_growth_gap(dim, p, gamma) ** e) / a * c_h**-e)
     return PowerProfile(c=c, a=a, shift=1.0)
 
 
@@ -443,7 +434,7 @@ def _certify_witness(dim: int, p: float, gamma: float, bounded: bool, grid):
         if grid.size == 0:
             raise NoAdmissibleScale(f"bump slope for gamma={gamma} underflows on the whole scan grid")
     params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=K)
-    report = residual_scan(PLaplacian(p), unit, params, None, grid, tol=0.0)
+    report = residual_scan(unit, params, grid, tol=0.0)
     if bounded:
         return report, report.passed
     gradient_term = K * grid ** ((a - 1.0) * gamma)
@@ -463,43 +454,26 @@ class ResidualReport:
     residuals: np.ndarray
     min_residual: float
     passed: bool
-    tol: float
 
     @property
     def max_abs_residual(self) -> float:
         return float(np.max(np.abs(self.residuals)))
 
 
-def residual_scan(
-    kind: OperatorKind,
-    profile: RadialProfile,
-    params: ProblemParams,
-    f,
-    grid,
-    tol: float = 1e-8,
-) -> ResidualReport:
-    """Evaluate -div(a(V')) - c_h |V'|^gamma + lam V + f on a grid of radii.
+def residual_scan(profile: RadialProfile, params: ProblemParams, grid,
+                  tol: float = 1e-8) -> ResidualReport:
+    """Evaluate -Delta_p V - c_h |V'|^gamma + lam V on a grid of radii, with
+    p, c_h, gamma and lam read off ``params``.
 
-    ``f`` is any callable of r (or None for zero source). The report passes
-    when the minimum residual is >= -tol; use tol = 0 for strict inequality
-    witnesses and scan the negated profile to certify equality-form
-    solutions with a two-sided bound on ``max_abs_residual``.
+    The report passes when the minimum residual is >= -tol; use tol = 0 for
+    strict inequality witnesses and scan the negated profile to certify
+    equality-form solutions with a two-sided bound on ``max_abs_residual``.
     """
     if not tol >= 0:
         raise PreconditionViolation(f"tol must be >= 0, got {tol}")
     grid = np.asarray(grid, dtype=float)
-    op = radial_operator(kind, profile, grid, params.dim)
+    op = radial_operator(params.p, profile, grid, params.dim)
     v1 = np.asarray(profile.derivative(grid), dtype=float)
-    res = op - params.c_h * np.abs(v1) ** params.gamma + params.lam * np.asarray(
-        profile.value(grid), dtype=float
-    )
-    if f is not None:
-        res = res + np.asarray(f(grid), dtype=float)
+    res = op - params.c_h * np.abs(v1) ** params.gamma + params.lam * profile.value(grid)
     min_res = float(np.min(res))
-    return ResidualReport(
-        grid=grid,
-        residuals=res,
-        min_residual=min_res,
-        passed=bool(min_res >= -tol),
-        tol=tol,
-    )
+    return ResidualReport(grid, res, min_res, bool(min_res >= -tol))

@@ -65,7 +65,7 @@ def test_criterion_2_sharpness_witness(capsys):
     profile = sharpness_profile(3, 2.0, 4.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     grid = np.linspace(0.05, 0.95, 512)
-    report = residual_scan(PLaplacian(2.0), profile, params, None, grid, tol=1e-8)
+    report = residual_scan(profile, params, grid, tol=1e-8)
     cube_err = abs(abs(profile.c) ** 3 - 45.0 / 8.0)
     elapsed = time.perf_counter() - t0
     ok = report.max_abs_residual < 1e-8 and cube_err <= 1e-12 and elapsed < 1.0

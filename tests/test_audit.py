@@ -40,6 +40,20 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0)
 
 
+def test_unit_ball_volume_past_the_gamma_overflow():
+    # math.gamma(d/2 + 1) overflows from d = 342 on; omega_d = (2 pi / d)
+    # omega_(d-2), stepped up from d = 340 and 341, where it does not.
+    omega = {d: unit_ball_volume(d) for d in (340, 341)}
+    for d in range(342, 436):
+        omega[d] = 2.0 * math.pi / d * omega[d - 2]
+    for d in (342, 400, 435):
+        assert unit_ball_volume(d) == pytest.approx(omega[d], rel=1e-13)
+    # below the normal floats from d = 436, and 0.0 from d = 453
+    for d in (436, 453, 1000):
+        with pytest.raises(PreconditionViolation, match=f"dim={d} is below the normal floats"):
+            unit_ball_volume(d)
+
+
 def test_energy_of_unit_slope_is_ball_volume():
     lin = PowerProfile(c=1.0, a=1.0)
     for t in (0.25, 0.5, 1.0):

@@ -39,6 +39,7 @@ def test_exponents_e2e(capsys):
     assert report["results"]["alpha"] == 0.6666666666666666
     assert report["results"]["s"] == 1.3333333333333333
     assert report["results"]["gamma_star"] == 1.5
+    assert report["params"]["q"] == "inf"
     assert "exponents: PASS" in cap.err
 
 
@@ -64,7 +65,7 @@ def test_report_shape_and_provenance(capsys, argv):
     _, report, _ = run_cli(capsys, *argv)
     assert set(report) == {"command", "params", "results", "provenance", "passed"}
     assert set(report["provenance"]) == {"version", "seed", "config_hash"}
-    assert report["params"]["q"] == "inf"
+    assert list(report["params"]) == [flag[2:].replace("-", "_") for flag, _, _ in _ROWS[argv[0]]]
 
 
 def test_run_accepts_token_sequence(capsys):
@@ -82,6 +83,12 @@ def test_verify_sharpness_e2e(capsys):
     assert report["passed"] is True
     assert report["results"]["max_abs_residual"] < 1e-8
     assert abs(report["results"]["c"] ** 3) == pytest.approx(45.0 / 8.0, rel=1e-12)
+    # --c-h scales the explicit solution, which still passes
+    rc, report, _ = run_cli(
+        capsys, "verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--c-h", "2"
+    )
+    assert rc == 0 and report["results"]["max_abs_residual"] < 1e-8
+    assert abs(report["results"]["c"] ** 3) == pytest.approx(45.0 / 16.0, rel=1e-12)
 
 
 def test_verify_bump_witness_found(capsys):
@@ -114,7 +121,6 @@ def test_solve_e2e_with_csv_output(capsys, tmp_path):
     )
     assert rc == 0
     assert report["results"]["final_residual"] <= 1e-10
-    assert report["results"]["recomputed_residual"] <= 1e-10
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["r", "value"]
@@ -399,6 +405,16 @@ def test_morrey_centered_value(capsys):
     assert report["results"]["exact"] is True
 
 
+def test_morrey_past_the_gamma_overflow_of_the_ball_volume(capsys):
+    # the mass of |x|^-1 on the unit ball, d omega_d / (d - 1), where
+    # math.gamma(d/2 + 1) overflows
+    rc, report, _ = run_cli(capsys, "morrey", "--source", "power:1,1", "--theta", "2", "--dim", "342")
+    assert rc == 0
+    want = 342 / 341 * pdi_lab.params.unit_ball_volume(342)
+    assert report["results"]["value"] == pytest.approx(want, rel=1e-14)
+    assert 8.3e-225 < want < 8.4e-225
+
+
 def test_morrey_divergent_weight(capsys):
     rc, report, _ = run_cli(
         capsys, "morrey", "--source", "power:1,2", "--theta", "1.5", "--s-index", "1"
@@ -552,6 +568,16 @@ def test_sigma_bound_e2e(capsys):
     assert report["results"]["lhs"] == 2.5
     assert report["results"]["rhs"] > 0
     assert report["results"]["contradiction"] is False
+
+
+def test_sigma_bound_whose_radius_ratio_overflows(capsys):
+    # r / R = 1e320 is past the float range, the integral (r^4 - R^4) / 4 is not
+    rc, report, _ = run_cli(
+        capsys, "sigma-bound", "--dim", "3", "--p", "2", "--gamma", "1.5", "--profile", "power:1,-6",
+        "--sigma-r", "1", "--radius-inner", "1e-300", "--radius-outer", "1e20",
+    )
+    assert rc == 0
+    assert report["results"]["comparison_integral"] == pytest.approx(2.5e79, rel=1e-14)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -761,7 +787,7 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--q", "inf", "--lambda", "nan"],
+        ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--lambda", "nan"],
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--s-index", "nan"],
         SOLVE + ["--bc-right", "nan"],
         SOLVE + ["--bc-right", "0", "--bc-left", "x"],
@@ -783,11 +809,27 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--tol=-1"],
         ["manifold", "--profile", "power:1,2", "--p", "2", "--gamma", "1.4", "--t-start", "inf"],
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--omega-radius", "inf"],
-        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--c-h", "inf"],
-        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--nu", "inf"],
-        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lambda", "inf"],
+        ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--c-h", "inf"],
+        ["sigma-bound", "--dim", "3", "--p", "2", "--gamma", "1.4", "--sigma-r", "1",
+         "--radius-inner", "1", "--radius-outer", "10", "--nu", "inf"],
+        SOLVE + ["--bc-right", "0", "--lambda", "inf"],
         # A flag takes its full spelling only; argparse's prefixes are off.
-        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lam", "1"],
+        ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--lam", "1"],
+        # A subcommand has only the flags its computation reads.
+        ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lambda", "1"],
+        SOLVE + ["--bc-right", "0", "--nu", "2"],
+        # dim is checked before the sharp profile divides by dim - 1.
+        ["verify-sharpness", "--dim", "1", "--p", "2", "--gamma", "4"],
+        # 0.02 R, the smallest audit radius, rounds to 0.
+        ["audit-caccioppoli", "--dim", "3", "--p", "2", "--gamma", "4", "--radius", "5e-324"],
+        # lhs = sigma_R^(-e)/e with e = 4999, and C = (c_h/nu)^(gamma/(gamma-p+1)) e,
+        # past the float range.
+        ["sigma-bound", "--dim", "3", "--p", "1.001", "--gamma", "5", "--sigma-r", "1e-3",
+         "--radius-inner", "1", "--radius-outer", "2"],
+        ["sigma-bound", "--dim", "3", "--p", "2", "--gamma", "2", "--c-h", "1e300", "--nu", "1e-300",
+         "--sigma-r", "1", "--radius-inner", "1", "--radius-outer", "2"],
+        # The unit ball volume is below the normal floats.
+        ["morrey", "--source", "power:1,1", "--theta", "2", "--dim", "436"],
         ["manifold", "--profile", "exp:1,nan", "--p", "2", "--gamma", "1.4"],
         ["manifold", "--profile", "power:1,nan", "--p", "2", "--gamma", "1.4"],
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--dim", "2", "--s-index", "2"],
@@ -881,8 +923,7 @@ _RESULT_KEYS = {
     "exponents": "alpha s gamma_star alpha_branch s_branch growth_regime liouville_regime",
     "verify-sharpness": "c a nodes min_residual max_abs_residual",
     "verify-bump": "c log10_c delta min_residual grid_max",
-    "solve": "nodes iterations final_residual roundoff_floor recomputed_residual "
-    "u_left u_mid u_right u_min u_max",
+    "solve": "nodes iterations final_residual roundoff_floor u_left u_mid u_right u_min u_max",
     "audit-caccioppoli": "predicted_s growth_target fitted_growth fitted_K k_stable",
     "audit-holder": "fitted_alpha r_squared predicted_alpha bins",
     "morrey": "value divergent argmax_radius exact",
@@ -1000,9 +1041,120 @@ def test_each_flag_moves_params_and_config_hash(capsys, tmp_path, command, flag)
     assert report["provenance"]["config_hash"] != base["provenance"]["config_hash"]
 
 
+# One invocation per (command, flag), and a second value of that flag: the
+# two runs must differ in results or passed. Many flags matter only in some
+# configurations, so each flag gets its own: verify-bump --nodes only where
+# the bump's slope underflows, liouville --c-h only above gamma*, manifold
+# --dim only with --profile euclidean, audit-caccioppoli --lambda only for
+# a witness that is negative somewhere ({negative}, a file: witness).
+_SHARP = "--dim 3 --p 2 --gamma 4"
+_SOLVE = "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 --bc-right 0 --nodes 17"
+_SIGMA = "--dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10"
+_MOVES = {
+    ("exponents", "--dim"): (_SHARP, "4"),
+    ("exponents", "--p"): (_SHARP, "2.5"),
+    ("exponents", "--gamma"): (_SHARP, "5"),
+    ("exponents", "--q"): (_SHARP, "2"),
+    ("verify-sharpness", "--dim"): (_SHARP + " --nodes 17", "4"),
+    ("verify-sharpness", "--p"): (_SHARP + " --nodes 17", "2.5"),
+    ("verify-sharpness", "--gamma"): (_SHARP + " --nodes 17", "5"),
+    ("verify-sharpness", "--c-h"): (_SHARP + " --nodes 17", "2"),
+    ("verify-sharpness", "--nodes"): (_SHARP + " --nodes 17", "18"),
+    ("verify-sharpness", "--tol"): (_SHARP, "1e-20"),
+    ("verify-bump", "--dim"): ("--dim 3 --p 2 --gamma 1.8", "4"),
+    ("verify-bump", "--p"): ("--dim 3 --p 2 --gamma 1.8", "2.2"),
+    ("verify-bump", "--gamma"): ("--dim 3 --p 2 --gamma 1.8", "1.9"),
+    ("verify-bump", "--c-h"): ("--dim 3 --p 2 --gamma 1.8", "2"),
+    ("verify-bump", "--nodes"): ("--dim 5 --p 1.01 --gamma 0.0125000001 --nodes 3", "300"),
+    ("verify-bump", "--grid-max"): ("--dim 3 --p 2 --gamma 1.8", "20"),
+    ("solve", "--dim"): (_SOLVE, "4"),
+    ("solve", "--p"): (_SOLVE, "2.5"),
+    ("solve", "--gamma"): (_SOLVE, "2.5"),
+    ("solve", "--lambda"): (_SOLVE, "1"),
+    ("solve", "--c-h"): (_SOLVE, "2"),
+    ("solve", "--operator"): (_SOLVE, "gmc:4"),
+    ("solve", "--source"): (_SOLVE, "power:2,0"),
+    ("solve", "--r-in"): (_SOLVE, "0.25"),
+    ("solve", "--r-out"): (_SOLVE, "1.5"),
+    ("solve", "--bc-left"): (_SOLVE, "1.5"),
+    ("solve", "--bc-right"): (_SOLVE, "0.5"),
+    ("solve", "--nodes"): (_SOLVE, "18"),
+    ("solve", "--tol"): (_SOLVE, "1e-3"),
+    ("audit-caccioppoli", "--dim"): (_SHARP, "4"),
+    ("audit-caccioppoli", "--p"): (_SHARP, "2.5"),
+    ("audit-caccioppoli", "--gamma"): (_SHARP, "5"),
+    ("audit-caccioppoli", "--lambda"): (_SHARP + " --witness {negative}", "1"),
+    ("audit-caccioppoli", "--q"): (_SHARP, "1"),
+    ("audit-caccioppoli", "--witness"): (_SHARP, "linear"),
+    ("audit-caccioppoli", "--radius"): (_SHARP, "0.5"),
+    ("audit-holder", "--dim"): (_SHARP + " --q 2", "4"),
+    ("audit-holder", "--p"): (_SHARP, "2.5"),
+    ("audit-holder", "--gamma"): (_SHARP, "5"),
+    ("audit-holder", "--q"): (_SHARP, "2"),
+    ("audit-holder", "--witness"): (_SHARP, "linear"),
+    ("audit-holder", "--scale-min"): (_SHARP, "1e-4"),
+    ("audit-holder", "--scale-max"): (_SHARP, "0.5"),
+    ("audit-holder", "--tol"): (_SHARP + " --q 2", "0.01"),
+    ("morrey", "--source"): ("--source power:1,1 --theta 1.5", "power:2,1"),
+    ("morrey", "--s-index"): ("--source power:1,1 --theta 1.5", "1.25"),
+    ("morrey", "--theta"): ("--source power:1,1 --theta 1.5 --omega-radius 0.5", "2"),
+    ("morrey", "--omega-radius"): ("--source power:1,1 --theta 1.5", "0.5"),
+    ("morrey", "--dim"): ("--source power:1,1 --theta 1.5", "4"),
+    ("liouville", "--dim"): (_SHARP, "4"),
+    ("liouville", "--p"): (_SHARP, "2.5"),
+    ("liouville", "--gamma"): (_SHARP, "5"),
+    ("liouville", "--c-h"): (_SHARP, "2"),
+    ("manifold", "--profile"): ("--profile power:1,2 --p 2 --gamma 1.4", "power:1,3"),
+    ("manifold", "--dim"): ("--profile euclidean --dim 3 --p 2 --gamma 1.4", "4"),
+    ("manifold", "--p"): ("--profile power:1,2 --p 2 --gamma 1.4", "1.8"),
+    ("manifold", "--gamma"): ("--profile power:1,2 --p 2 --gamma 1.6", "1.4"),
+    ("manifold", "--t-start"): ("--profile power:1,2 --p 2 --gamma 1.4 --mode numeric", "1e300"),
+    # just above gamma* = 1.5 the doubling increments shrink by 2^-0.0002 only
+    ("manifold", "--mode"): ("--profile power:1,2 --p 2 --gamma 1.5001", "numeric"),
+    ("sigma-bound", "--dim"): (_SIGMA, "4"),
+    ("sigma-bound", "--p"): (_SIGMA, "1.8"),
+    ("sigma-bound", "--gamma"): (_SIGMA, "1.6"),
+    ("sigma-bound", "--c-h"): (_SIGMA, "2"),
+    ("sigma-bound", "--nu"): (_SIGMA, "2"),
+    ("sigma-bound", "--profile"): (_SIGMA, "power:1,3"),
+    ("sigma-bound", "--sigma-r"): (_SIGMA, "2"),
+    ("sigma-bound", "--radius-inner"): (_SIGMA, "2"),
+    ("sigma-bound", "--radius-outer"): (_SIGMA, "20"),
+}
+# --pairs and --seed, which criterion 9's battery passes, leave the exact
+# fits unchanged; --weight only tags the report (criterion 8 checks that the
+# weighted variant is bit-equal); --out writes a file.
+_UNMOVED = {"--pairs", "--seed", "--weight", "--out"}
+
+
+def test_every_flag_has_an_invocation_it_moves():
+    assert set(_MOVES) == {(name, flag) for name, flags in _ROWS.items() if name != "sweep"
+                           for flag, _, _ in flags if flag not in _UNMOVED}
+
+
+@pytest.mark.parametrize("command, flag", list(_MOVES))
+def test_each_flag_moves_results_or_passed(capsys, tmp_path, command, flag):
+    invocation, other = _MOVES[command, flag]
+    grid = np.linspace(0.0, 1.0, 201)
+    negative = _write_samples(tmp_path / "negative.csv", grid, np.cos(6.0 * grid))
+    tokens = invocation.format(negative=negative).split()
+    flags = dict(zip(tokens[::2], tokens[1::2]))
+    rc, base, _ = run_cli(capsys, *_argv_of(command, flags))
+    assert rc in (0, 1)
+    flags[flag] = other
+    rc, report, _ = run_cli(capsys, *_argv_of(command, flags))
+    assert rc in (0, 1)
+    assert (report["results"], report["passed"]) != (base["results"], base["passed"])
+
+
 def test_readme_lists_the_table():
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme) as fh:
-        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+        cli_section = fh.read().split("## CLI", 1)[1]
+    block = cli_section.split("```")[1]
     listed = [tuple(line.split(None, 2)[1:]) for line in block.strip().splitlines()]
     assert listed == [(name, help_text) for name, help_text, _, _ in COMMANDS]
+    # the flag list of each subcommand, in its row's order
+    block = cli_section.split("takes only the flags its computation reads", 1)[1].split("```")[1]
+    listed = [line.split() for line in block.strip().splitlines()]
+    assert listed == [[name, *(flag for flag, _, _ in flags)] for name, _, flags, _ in COMMANDS]

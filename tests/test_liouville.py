@@ -434,6 +434,8 @@ def test_power_integral_keeps_its_bits_where_the_expm1_form_stays_finite():
     overflows = 0
     for x in (-3.0, -1.0, 0.0, 0.25, 0.999, 1.0, 1.001, 2.0, 5.0):
         for R, r in itertools.combinations_with_replacement(radii, 2):
+            if r / R == math.inf:  # log(r / R) is inf: see the next test
+                continue
             try:
                 want = _expm1_power_integral(x, R, r)
             except OverflowError:
@@ -441,6 +443,33 @@ def test_power_integral_keeps_its_bits_where_the_expm1_form_stays_finite():
                 continue
             assert liouville._power_integral(x, R, r).hex() == want.hex(), (x, R, r)
     assert overflows > 0
+
+
+@pytest.mark.parametrize("x, R, r, want", [
+    (-3.0, 1e-300, 1e20, 2.5e79),  # (r^4 - R^4) / 4
+    (1.0, 1e-300, 1e20, 320 * math.log(10.0)),  # log(1e320)
+    (0.5, 1e-300, 1e20, 2e10),  # 2 (sqrt(r) - sqrt(R))
+    (1.001, 1e-300, 1e20, (1e-300 ** (1.0 - 1.001) - 1e20 ** (1.0 - 1.001)) / (1.001 - 1.0)),
+])
+def test_power_integral_where_r_over_R_overflows(x, R, r, want):
+    # r / R = 1e320 is inf, but log(r) - log(R) is not; the expm1 form of
+    # log(r / R) gave NaN for x < 1 and 1995.26 for x = 1.001.
+    assert liouville._power_integral(x, R, r) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("sigma_R, params, field", [
+    # e = 4999: 1e-3^-4999 is past the float range
+    (1e-3, ProblemParams(dim=3, p=1.001, gamma=5), "lhs"),
+    # (c_h / nu)^(gamma/(gamma-p+1)): ** overflows, or c_h / nu is inf
+    (1.0, ProblemParams(dim=3, p=1.5, gamma=2, c_h=1e300), "constant_C"),
+    (1.0, ProblemParams(dim=3, p=2, gamma=2, c_h=1e300, nu=1e-300), "constant_C"),
+])
+def test_sigma_bound_refuses_an_lhs_or_constant_past_the_float_range(sigma_R, params, field):
+    with pytest.raises(PreconditionViolation, match=f"^{field} leaves the float range$"):
+        sigma_lower_bound(sigma_R, params, EuclideanArea(3), 1.0, 2.0)
+    # both are fixed before the doubling, so find_contradiction_radius refuses them too
+    with pytest.raises(PreconditionViolation, match=f"^{field} leaves"):
+        find_contradiction_radius(sigma_R, params, EuclideanArea(3), 1.0)
 
 
 @pytest.mark.parametrize("profile", [PowerArea(1.0, -1.0), ExponentialArea(1.0, -1.0)])

@@ -32,16 +32,16 @@ from pdi_lab.solver import SampledSource
 ALL_KINDS = [PLaplacian(2.0), PLaplacian(3.0), MeanCurvature(), GeneralizedMeanCurvature(4.0)]
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__ + str(k.p))
-def test_constant_profile_maps_to_zero(kind):
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_constant_profile_maps_to_zero(p):
     flat = PowerProfile(c=0.0, a=0.5, shift=1.0)
     for r in (0.2, 1.0, 7.5):
-        assert radial_operator(kind, flat, r, dim=3) == 0.0
+        assert radial_operator(p, flat, r, dim=3) == 0.0
 
 
 def test_laplacian_of_r_squared():
     prof = PowerProfile(c=1.0, a=2.0)
-    assert radial_operator(PLaplacian(2.0), prof, 1.0, dim=3) == pytest.approx(-6.0, abs=1e-14)
+    assert radial_operator(2.0, prof, 1.0, dim=3) == pytest.approx(-6.0, abs=1e-14)
 
 
 def test_shifted_family_closed_form_value():
@@ -49,7 +49,7 @@ def test_shifted_family_closed_form_value():
     c = prof.c
     # -(V'' + 2V'/r) for V = c(r^{2/3} - 1) collapses to -(10/9) c r^{-4/3}.
     want = -(10.0 / 9.0) * c * 0.5 ** (-4.0 / 3.0)
-    got = radial_operator(PLaplacian(2.0), prof, 0.5, dim=3)
+    got = radial_operator(2.0, prof, 0.5, dim=3)
     assert got == pytest.approx(want, rel=1e-14)
     assert got > 0
 
@@ -58,7 +58,7 @@ def test_p2_matches_unweighted_second_order_form():
     prof = PowerProfile(c=-0.7, a=1.7)
     for r in np.geomspace(0.05, 20.0, 9):
         direct = -(prof.second_derivative(r) + 2.0 * prof.derivative(r) / r)
-        assert radial_operator(PLaplacian(2.0), prof, r, dim=3) == pytest.approx(
+        assert radial_operator(2.0, prof, r, dim=3) == pytest.approx(
             direct, rel=1e-13
         )
 
@@ -66,8 +66,8 @@ def test_p2_matches_unweighted_second_order_form():
 def test_vectorized_evaluation_matches_scalar():
     prof = sharpness_profile(4, 2.0, 3.0)
     rs = np.linspace(0.2, 0.9, 11)
-    vec = radial_operator(PLaplacian(2.0), prof, rs, dim=4)
-    scal = [radial_operator(PLaplacian(2.0), prof, float(r), dim=4) for r in rs]
+    vec = radial_operator(2.0, prof, rs, dim=4)
+    scal = [radial_operator(2.0, prof, float(r), dim=4) for r in rs]
     np.testing.assert_allclose(vec, scal, rtol=1e-15)
 
 
@@ -96,11 +96,11 @@ class _Hump(radial.RadialProfile):
 def test_degenerate_and_zero_slope_semantics():
     hump = _Hump()
     with pytest.raises(DegeneratePoint):
-        radial_operator(PLaplacian(1.5), hump, 0.5, dim=3)
+        radial_operator(1.5, hump, 0.5, dim=3)
     # p = 2: the weight |V'|^{p-2} is identically 1, so the value is -V''
-    assert radial_operator(PLaplacian(2.0), hump, 0.5, dim=3) == pytest.approx(2.0, rel=1e-6)
+    assert radial_operator(2.0, hump, 0.5, dim=3) == pytest.approx(2.0, rel=1e-6)
     # p > 2: the weight vanishes with the slope
-    assert radial_operator(PLaplacian(3.0), hump, 0.5, dim=3) == 0.0
+    assert radial_operator(3.0, hump, 0.5, dim=3) == 0.0
 
 
 def test_sampled_profile_guards():
@@ -160,11 +160,34 @@ def test_sharpness_profile_guards():
         sharpness_profile(3, 3.5, 3.6)  # (dim-1)*gamma - dim*(p-1) < 0
 
 
+@pytest.mark.parametrize(
+    "dim, p, gamma, c_h", [(3, 2.0, 4.0, 2.0), (3, 2.0, 4.0, 1e-3), (5, 3.0, 5.0, 7.0), (4, 1.5, 3.0, 0.5)]
+)
+def test_sharpness_profile_solves_the_equation_with_its_c_h(dim, p, gamma, c_h):
+    # k u solves -Delta_p v = c_h |Dv|^gamma for k = c_h^(-1/(gamma-p+1)),
+    # and c_h = 1 keeps the default's bits.
+    prof = sharpness_profile(dim, p, gamma, c_h)
+    unit = sharpness_profile(dim, p, gamma)
+    assert sharpness_profile(dim, p, gamma, 1.0) == unit
+    assert prof.a == unit.a
+    assert prof.c == pytest.approx(unit.c * c_h ** (-1.0 / (gamma - (p - 1))), rel=1e-15)
+    params = ProblemParams(dim=dim, p=p, gamma=gamma, c_h=c_h)
+    report = residual_scan(prof, params, np.linspace(0.05, 0.95, 512))
+    assert report.max_abs_residual <= 3.5e-13
+
+
+@pytest.mark.parametrize("c_h", [0.0, -1.0, math.nan, math.inf, 5e-324])
+def test_sharpness_profile_refuses_its_c_h(c_h):
+    # 5e-324^(-1/1.001) is past the float range
+    with pytest.raises(PreconditionViolation):
+        sharpness_profile(3, 2.0, 2.001, c_h)
+
+
 def test_sharpness_residual_scan_is_equality():
     prof = sharpness_profile(3, 2.0, 4.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     grid = np.linspace(0.05, 0.95, 512)
-    report = residual_scan(PLaplacian(2.0), prof, params, None, grid)
+    report = residual_scan(prof, params, grid)
     assert report.passed
     assert report.max_abs_residual < 1e-8
     assert report.grid.size == 512
@@ -174,7 +197,7 @@ def test_zero_function_also_solves_the_zero_data_problem():
     # non-uniqueness: the trivial profile passes the same scan
     flat = PowerProfile(c=0.0, a=0.5, shift=1.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
-    report = residual_scan(PLaplacian(2.0), flat, params, None, np.linspace(0.05, 0.95, 64))
+    report = residual_scan(flat, params, np.linspace(0.05, 0.95, 64))
     assert report.passed
     assert report.max_abs_residual == 0.0
 
@@ -183,7 +206,7 @@ def test_residual_scan_flags_violations():
     # overscaled constant: the gradient term outgrows the diffusion term
     bad = PowerProfile(c=-10.0, a=2.0 / 3.0, shift=1.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
-    report = residual_scan(PLaplacian(2.0), bad, params, None, np.linspace(0.1, 0.9, 64), tol=0.0)
+    report = residual_scan(bad, params, np.linspace(0.1, 0.9, 64), tol=0.0)
     assert not report.passed
     assert report.min_residual < 0
 
@@ -194,7 +217,7 @@ def test_entire_profile_supernatural_range():
     assert prof.a == pytest.approx(sharp.a, abs=1e-15)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     grid = np.geomspace(0.1, 50.0, 400)
-    report = residual_scan(PLaplacian(2.0), PowerProfile(-prof.c, prof.a), params, None, grid)
+    report = residual_scan(PowerProfile(-prof.c, prof.a), params, grid)
     assert report.passed
     assert report.max_abs_residual < 1e-8
 
@@ -207,7 +230,7 @@ def test_entire_profile_between_threshold_and_p():
     assert prof.a == pytest.approx(-0.25, abs=1e-12)
     params = ProblemParams(dim=3, p=2.0, gamma=1.8)
     grid = np.geomspace(0.2, 30.0, 300)
-    report = residual_scan(PLaplacian(2.0), PowerProfile(-prof.c, prof.a), params, None, grid)
+    report = residual_scan(PowerProfile(-prof.c, prof.a), params, grid)
     assert report.passed
     assert report.max_abs_residual < 1e-8
 
@@ -231,7 +254,7 @@ def test_bump_scale_exists_above_threshold():
 def _bump_scan(dim, p, gamma, scale, grid, c_h=1.0):
     delta = (p - gamma) / (gamma - (p - 1))
     params = ProblemParams(dim=dim, p=p, gamma=gamma, c_h=c_h)
-    return residual_scan(PLaplacian(p), BumpProfile(scale, delta), params, None, grid, tol=0.0)
+    return residual_scan(BumpProfile(scale, delta), params, grid, tol=0.0)
 
 
 # A/(c_h B) falls towards its limit like 1/r^2, so a scale 1e-9 too large
@@ -295,9 +318,9 @@ def _log10_bump_scale(dim, p, gamma, c_h):
 def test_bump_scale_below_the_float_range_is_certified_at_unit_scale(monkeypatch):
     scanned = []
 
-    def recording_scan(kind, profile, *args, **kwargs):
+    def recording_scan(profile, *args, **kwargs):
         scanned.append(profile.c)
-        return residual_scan(kind, profile, *args, **kwargs)
+        return residual_scan(profile, *args, **kwargs)
 
     monkeypatch.setattr(radial, "residual_scan", recording_scan)
     grid = np.linspace(0.05, 10, 300)

@@ -49,7 +49,7 @@ from .params import ProblemParams, _check_dim, caccioppoli_exponent, unit_ball_v
 from .quadrature import SAMPLE_PANEL_NODES, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import Gridded, PowerProfile
-from .solver import RadialPowerSource, SampledSource, ZeroSource
+from .solver import RadialPowerSource, SampledSource
 
 __all__ = [
     "gradient_energy",
@@ -517,7 +517,7 @@ def morrey_norm(
 ) -> MorreyNorm:
     """sup_r of r^((theta-dim)/s) ||f||_{L^s(B_r(0) cap Omega)} on Omega = B_omega(0).
 
-    f is a ``RadialPowerSource``, a ``ZeroSource`` (amplitude 0) or a
+    f is a ``RadialPowerSource`` (zero is the one of amplitude 0) or a
     ``SampledSource``; any other callable raises PreconditionViolation.
     For a power A r^-beta the centred norm is closed-form: it is (|A|^s d
     omega_d / (d - s beta))^(1/s) r^((theta - s beta)/s) for r <= omega
@@ -542,8 +542,6 @@ def morrey_norm(
         raise PreconditionViolation(f"omega_radius must be finite and positive, got {omega_radius}")
     if not center_samples >= 1:
         raise PreconditionViolation(f"center_samples must be >= 1, got {center_samples}")
-    if isinstance(f, ZeroSource):
-        f = RadialPowerSource(0.0, 0.0)
     if isinstance(f, RadialPowerSource):
         if s_index * f.beta >= dim:
             raise NonIntegrable(
@@ -563,7 +561,7 @@ def morrey_norm(
         exact = divergent = False
     else:
         raise PreconditionViolation(
-            f"morrey_norm takes a power, zero or sampled source, got {type(f).__name__}"
+            f"morrey_norm takes a power or sampled source, got {type(f).__name__}"
         )
 
     mass = _ball_mass(f, s_index, dim, np.minimum(radii, omega_radius))

@@ -280,12 +280,14 @@ def _check_nodes(nodes: int) -> None:
 
 
 def _cmd_verify_sharpness(args):
-    params = _problem_params(args)
+    params = ProblemParams(dim=args.dim, p=args.p, gamma=args.gamma)
     _check_nodes(args.nodes)
-    profile = sharpness_profile(args.dim, args.p, args.gamma, args.c_h)
+    c = sharpness_profile(args.dim, args.p, args.gamma, args.c_h).c
+    # The c_h profile is k u, k = c_h^(-1/(gamma-p+1)), its residual k^(p-1) times u's.
+    u = sharpness_profile(args.dim, args.p, args.gamma)  # c_h = 1, as in params
     grid = np.linspace(0.05, 0.95, args.nodes)
-    report = residual_scan(profile, params, grid, tol=args.tol)
-    results = _fields(profile, "c a nodes", nodes=args.nodes)
+    report = residual_scan(u, params, grid, tol=args.tol)
+    results = _fields(u, "c a nodes", c=c, nodes=args.nodes)
     results.update(_fields(report, "min_residual max_abs_residual"))
     return results, report.max_abs_residual <= args.tol
 

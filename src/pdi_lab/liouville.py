@@ -54,7 +54,7 @@ from .params import (
     liouville_threshold,
     unit_ball_volume,
 )
-from .quadrature import SAMPLE_PANEL_NODES, sample_panels
+from .quadrature import sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import (
     BumpProfile,
@@ -356,15 +356,11 @@ class SigmaBoundReport:
     rhs: float
     constant_C: float
     comparison_integral: float
+    area_integral: float  # int_R^r area(dB_t)^(-e) dt: coefficient^-e times the above
     coefficient: float
     exponent_e: float
     weight: str
     contradiction: bool
-
-    @property
-    def area_integral(self) -> float:
-        """int_R^r area(dB_t)^(-e) dt, constants included, C excluded."""
-        return self.coefficient**-self.exponent_e * self.comparison_integral
 
 
 def _power_integral(x: float, R: float, r: float) -> float:
@@ -372,7 +368,10 @@ def _power_integral(x: float, R: float, r: float) -> float:
     if r == R:
         return 0.0
     one_minus = 1.0 - x
-    log_ratio = math.log(r / R) if r / R < math.inf else math.log(r) - math.log(R)
+    if 0.5 < r / R < 2.0:  # r - R is exact, and log(r / R) would lose digits near 1
+        log_ratio = math.log1p((r - R) / R)
+    else:
+        log_ratio = math.log(r / R) if r / R < math.inf else math.log(r) - math.log(R)
     if one_minus == 0.0:
         return log_ratio
     try:
@@ -382,13 +381,14 @@ def _power_integral(x: float, R: float, r: float) -> float:
 
 
 def _comparison_integral(profile: AreaProfile, e: float, R: float, r: float) -> float:
-    """int_R^r (area(t) / coefficient)^(-e) dt."""
+    """int_R^r (area(t) / coefficient)^(-e) dt in closed form. A sampled area
+    is linear on each panel [a, b] between its nodes, so a panel is exact:
+    (b - a) / (v_b - v_a) int_{v_a}^{v_b} v^(-e) dv, or (b - a) v_a^(-e)."""
     if isinstance(profile, SampledArea):
-        if r > profile.grid[-1] * (1.0 + 1e-12):
-            raise DomainExceeded("comparison integral extends beyond the sampled area")
-        edges = sample_panels(profile.grid, R, r)
-        panels = quad(lambda t: profile.area(t) ** (-e), edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
-        return float(np.sum(panels))
+        edges = sample_panels(profile.grid, R, r).tolist()
+        v = profile.area(edges).tolist()  # DomainExceeded past the grid
+        return sum((b - a) * (va**-e if va == vb else _power_integral(e, va, vb) / (vb - va))
+                   for a, b, va, vb in zip(edges, edges[1:], v, v[1:]))
     if isinstance(profile, _PowerLawArea):
         return _power_integral(profile.shape_power * e, R, r)
     ke = profile.kappa * e
@@ -408,9 +408,10 @@ def sigma_lower_bound(
     ``weight`` tags the exponentially weighted variant of the energy (the
     e^(-u) multiplier trick for nonnegative supersolutions); the weighted
     chain produces the identical comparison integral, so the numbers here
-    do not change, only the report's provenance field. An lhs, a constant
-    C or a comparison integral past the float range raises
-    PreconditionViolation, the r-independent lhs and C first.
+    do not change, only the report's provenance field. A sampled area's
+    integral is exact per panel. An lhs, a constant C, an area factor
+    coefficient^-e or a comparison integral past the float range raises
+    PreconditionViolation, the r-independent ones first.
     """
     if not sigma_R > 0:
         raise PreconditionViolation("sigma_R must be positive (nonconstant hypothesis)")
@@ -422,11 +423,12 @@ def sigma_lower_bound(
     lhs = _in_range("lhs", lambda: sigma_R**-e / e)
     arm = _energy_arm(params.p, params.gamma)
     constant_C = _in_range("constant_C", lambda: (params.c_h / params.nu) ** arm * e)
+    area_factor = _in_range("coefficient^-e", lambda: profile.coefficient**-e)
     # An infinite integral times a tiny C would claim a contradiction that
     # no finite radius shows, so it is refused, not reported.
     comparison = _in_range(f"the comparison integral up to r={r}",
                            lambda: _comparison_integral(profile, e, R, r))
-    rhs = constant_C * profile.coefficient**-e * comparison
+    rhs = constant_C * area_factor * comparison
     return SigmaBoundReport(
         R=R,
         r=r,
@@ -435,6 +437,7 @@ def sigma_lower_bound(
         rhs=rhs,
         constant_C=constant_C,
         comparison_integral=comparison,
+        area_integral=area_factor * comparison,
         coefficient=profile.coefficient,
         exponent_e=e,
         weight=weight,

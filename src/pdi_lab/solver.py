@@ -7,10 +7,10 @@ Solves the two-point boundary problem
 on an interval [r_in, r_out], with a Dirichlet value at r_out and either
 a Dirichlet value or a zero-flux condition at r_in. The flux a_eps is the
 operator kind's regularized flux. The Laplacian and the mean-curvature
-flux (plain, or gmc with k = 2, the same flux) are solved at eps = 1e-10
-directly; the other kinds, the singular p < 2 p-Laplacian included, are
-continued through the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8,
-1e-10, each stage warm-starting the next.
+flux (gmc with k = 2) are solved at eps = 1e-10 directly; the other
+kinds, the singular p < 2 p-Laplacian included, are continued through
+the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, each stage
+warm-starting the next.
 
 Each Newton step starts with the one convergence test: the max residual
 over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
@@ -58,7 +58,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,7 +68,6 @@ from .params import ProblemParams
 from .radial import (
     GeneralizedMeanCurvature,
     Gridded,
-    MeanCurvature,
     OperatorKind,
     PLaplacian,
 )
@@ -96,12 +95,6 @@ class SourceTerm:
 
 
 @dataclass(frozen=True)
-class ZeroSource(SourceTerm):
-    def __call__(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-
-@dataclass(frozen=True)
 class RadialPowerSource(SourceTerm):
     """f(r) = amplitude * r^(-beta); singular at the axis when beta > 0."""
 
@@ -120,6 +113,14 @@ class RadialPowerSource(SourceTerm):
         # cannot digest a singular node check finiteness themselves.
         with np.errstate(divide="ignore"):
             return self.amplitude * r ** (-self.beta)
+
+
+@dataclass(frozen=True)
+class ZeroSource(RadialPowerSource):
+    """f = 0, the power source of amplitude 0 and exponent 0."""
+
+    amplitude: float = field(default=0.0, init=False)
+    beta: float = field(default=0.0, init=False)
 
 
 class SampledSource(Gridded, SourceTerm):
@@ -159,15 +160,14 @@ _LINE_SEARCH_HALVINGS = 30
 
 
 def _schedule(kind: OperatorKind) -> tuple:
-    # The Laplacian and the mean-curvature fluxes (plain, and gmc with k = 2,
-    # which is the same flux) are uniformly smooth; a single stage at the
-    # final eps suffices. The p < 2 p-Laplacian is singular at zero slope,
-    # where its regularized derivative is eps^(p-2), and keeps the schedule:
-    # started at the final eps, Newton passes the roundoff floor this
-    # inflates at iterates far from the solution.
-    smooth = isinstance(kind, MeanCurvature) or (
-        isinstance(kind, PLaplacian) and kind.p == 2.0
-    ) or (isinstance(kind, GeneralizedMeanCurvature) and kind.k == 2.0)
+    # The Laplacian and the mean-curvature flux (gmc with k = 2) are
+    # uniformly smooth; a single stage at the final eps suffices. The p < 2
+    # p-Laplacian is singular at zero slope, where its regularized
+    # derivative is eps^(p-2), and keeps the schedule: started at the final
+    # eps, Newton passes the roundoff floor this inflates at iterates far
+    # from the solution.
+    smooth = (isinstance(kind, PLaplacian) and kind.p == 2.0
+              or isinstance(kind, GeneralizedMeanCurvature) and kind.k == 2.0)
     return _CONTINUATION[-1:] if smooth else _CONTINUATION
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_verify_sharpness_e2e(capsys):
     )
     assert rc == 0 and report["results"]["max_abs_residual"] < 1e-8
     assert abs(report["results"]["c"] ** 3) == pytest.approx(45.0 / 16.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("c_h", ["1e-30", "1e-300"])
+def test_verify_sharpness_scans_the_c_h_one_profile(capsys, c_h):
+    # The c_h profile is k u for the c_h = 1 profile u, k = c_h^(-1/3) here,
+    # and its residual k^(p-1) times that of u; an absolute tolerance on the
+    # scaled residual failed --c-h 1e-30 (0.0039) and overflowed at 1e-300.
+    sharp = ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, report, _ = run_cli(capsys, *sharp, "--c-h", c_h)
+    _, unit, _ = run_cli(capsys, *sharp)
+    assert rc == 0 and report["passed"] is True
+    scaled = report["results"].pop("c")
+    assert scaled == pytest.approx(unit["results"].pop("c") * float(c_h) ** (-1.0 / 3.0), rel=1e-14)
+    assert report["results"] == unit["results"]
 
 
 def test_verify_bump_witness_found(capsys):
@@ -827,6 +844,9 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["sigma-bound", "--dim", "3", "--p", "1.001", "--gamma", "5", "--sigma-r", "1e-3",
          "--radius-inner", "1", "--radius-outer", "2"],
         ["sigma-bound", "--dim", "3", "--p", "2", "--gamma", "2", "--c-h", "1e300", "--nu", "1e-300",
+         "--sigma-r", "1", "--radius-inner", "1", "--radius-outer", "2"],
+        # The area factor coefficient^-e, e = 499, is past the float range too.
+        ["sigma-bound", "--dim", "3", "--p", "1.01", "--gamma", "5", "--profile", "power:1e-10,1",
          "--sigma-r", "1", "--radius-inner", "1", "--radius-outer", "2"],
         # The unit ball volume is below the normal floats.
         ["morrey", "--source", "power:1,1", "--theta", "2", "--dim", "436"],

@@ -1,9 +1,11 @@
 """Area integral test, sigma comparison chain, and the constancy verdicts."""
 
+import decimal
 import itertools
 import math
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -296,7 +298,7 @@ def test_sigma_bound_rhs_scales_with_hamiltonian_constant():
 def test_sigma_bound_exponential_area_closed_form():
     rep = sigma_lower_bound(1.0, _params(2.0), ExponentialArea(1.0, 1.0), 1.0, 2.0)
     want = math.exp(-1.0) - math.exp(-2.0)
-    assert rep.comparison_integral == pytest.approx(want, rel=1e-14)
+    assert rep.comparison_integral == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_sigma_bound_sampled_area_matches_power_closed_form():
@@ -310,21 +312,59 @@ def test_sigma_bound_sampled_area_matches_power_closed_form():
         sigma_lower_bound(1.0, _params(1.4), area, 1.0, 32.0)
 
 
-def test_sigma_bound_sampled_area_is_one_rule_call_over_sample_panels(monkeypatch):
+def test_sigma_bound_sampled_area_is_exact_per_panel_without_a_rule_call(monkeypatch):
     # e = 1 and an area linear on each panel: int 1/(a + b t) is a log per
-    # panel, which the panel rule approximates closely even on a coarse table.
+    # panel, which the closed form takes exactly, with no quadrature call.
     grid = np.array([1.0, 1.5, 3.0, 4.0, 8.0])
     values = np.array([2.0, 2.5, 7.0, 7.5, 10.0])
     area = SampledArea(grid, values)
     calls = _count_rule_calls(monkeypatch)
     rep = sigma_lower_bound(1.0, ProblemParams(dim=3, p=2.0, gamma=2.0), area, 1.25, 6.0)
-    assert len(calls) == 1
+    assert calls == []
     edges = [1.25, 1.5, 3.0, 4.0, 6.0]
     want = 0.0
     for a, b in zip(edges, edges[1:]):
         va, vb = np.interp([a, b], grid, values)
         want += (b - a) / (vb - va) * math.log(vb / va)
-    assert rep.comparison_integral == pytest.approx(want, rel=1e-9)
+    assert rep.comparison_integral == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+_GEOMETRIC_9, _GEOMETRIC_33 = np.geomspace(1.0, 100.0, 9), np.geomspace(1.0, 100.0, 33)
+
+
+@pytest.mark.parametrize("grid, values, e", [
+    # The five tables of the exact-integral item, where the 8-node rule
+    # read 2.7e-3 to 100% low (e = 9 is p = 1.2 with gamma = 2) ...
+    ([1.0, 10.0], [1.0, 100.0], 0.4),
+    ([1.0, 10.0], [1.0, 100.0], 9.0),
+    ([1.0, 10.0, 100.0], [1.0, 100.0, 1e4], 19.0),
+    (_GEOMETRIC_9, _GEOMETRIC_9**2, 19.0),
+    (_GEOMETRIC_33, _GEOMETRIC_33**2, 59.0),
+    # ... and a near-flat panel, where log(v_b / v_a) would lose digits,
+    # beside a flat one.
+    ([1.0, 2.0, 3.0], [7.3, 7.3 + 7.3e-12, 7.3 + 7.3e-12], 9.0),
+], ids=["1-100-e0.4", "1-100-e9", "1-100-1e4-e19", "t2-9-nodes-e19", "t2-33-nodes-e59", "near-flat"])
+def test_sampled_comparison_integral_matches_adaptive_quadrature(grid, values, e):
+    from scipy.integrate import quad as adaptive_quad
+
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    got = liouville._comparison_integral(SampledArea(grid, values), e, 1.0, grid[-1])
+    want = sum(
+        adaptive_quad(lambda t: np.interp(t, grid, values) ** -e, a, b, epsabs=0.0, epsrel=1e-13,
+                      limit=200)[0]
+        for a, b in zip(grid, grid[1:])
+    )
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("R, r", [(7.3, 7.3 + 7.3e-12), (1.1, 1.1 + 1e-13), (7.3 + 7.3e-12, 7.3)])
+def test_power_integral_keeps_its_digits_on_a_near_flat_interval(R, r):
+    # int_R^r t^-9 dt = (R^-8 - r^-8) / 8 for r/R within 1e-12 of 1, where
+    # log(r / R) carried up to 2.2e-4 of rounding.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = float((Decimal(R) ** -8 - Decimal(r) ** -8) / 8)
+    assert liouville._power_integral(9.0, R, r) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_sigma_bound_guards():
@@ -430,6 +470,8 @@ def _expm1_power_integral(x, R, r):
 
 
 def test_power_integral_keeps_its_bits_where_the_expm1_form_stays_finite():
+    # No two distinct radii lie within a factor 2 of each other, where
+    # log1p replaces log(r / R) (see the near-flat test above).
     radii = (1e-300, 1e-200, 1e-20, 0.5, 1.0, 3.0, 1e20, 1e200)
     overflows = 0
     for x in (-3.0, -1.0, 0.0, 0.25, 0.999, 1.0, 1.001, 2.0, 5.0):

@@ -1,7 +1,10 @@
 """Radial operator closed forms, the explicit solution families, and the
 pointwise residual scanner."""
 
+import decimal
 import math
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -78,6 +81,55 @@ def test_flux_bound_with_nu_one(kind):
     assert np.all(a <= s ** (kind.p - 1) * (1.0 + 1e-12))
     # odd symmetry
     np.testing.assert_allclose(kind.flux(-s), -kind.flux(s), rtol=1e-15)
+
+
+def _gmc_derivative_reference(k: float, s: float, eps: float) -> float:
+    """q^(k-4) (1+q^k)^(-3/2) [eps^2 + (k-1) s^2 + q^k (eps^2 + (k/2-1) s^2)],
+    q^2 = s^2 + eps^2, in 40-digit decimal arithmetic from the exact floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        k, s2, e2 = Decimal(k), Decimal(s) ** 2, Decimal(eps) ** 2
+        q2 = s2 + e2
+        qk = q2 ** (k / 2)
+        bracket = e2 + (k - 1) * s2 + qk * (e2 + (k / 2 - 1) * s2)
+        return float(q2 ** (k / 2 - 2) * (1 + qk) ** Decimal("-1.5") * bracket)
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, 4.0, 8.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-10])
+def test_gmc_flux_derivative_matches_a_40_digit_evaluation(k, eps):
+    # The form has no cancelling terms, so it keeps every digit from slope
+    # 1e-8 to 1e8; the earlier g + (s^2/q) g' form lost all of them at 1e8.
+    s = np.geomspace(1e-8, 1e8, 161)
+    s = np.concatenate((-s, s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = GeneralizedMeanCurvature(k).flux_derivative(s, eps)
+    assert np.all(np.isfinite(got))
+    want = np.array([_gmc_derivative_reference(k, x, eps) for x in s.tolist()])
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, 4.0, 8.0])
+def test_gmc_flux_derivative_at_zero_slope(k):
+    # q = 0 only without regularization: the limit is 1 for k = 2, else 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = GeneralizedMeanCurvature(k).flux_derivative(np.array([0.0, -0.0]))
+    assert got.tolist() == 2 * [1.0 if k == 2.0 else 0.0]
+
+
+def test_mean_curvature_is_gmc_two():
+    # One flux: the class keeps p = 2 and binds the gmc kernels, which
+    # read k = 2.
+    mc = MeanCurvature()
+    assert isinstance(mc, GeneralizedMeanCurvature) and mc.k == 2.0 and mc.p == 2.0
+    assert MeanCurvature.flux is GeneralizedMeanCurvature.flux
+    assert MeanCurvature.flux_derivative is GeneralizedMeanCurvature.flux_derivative
+    s = np.geomspace(1e-6, 1e6, 61)
+    for eps in (0.0, 1e-10):
+        assert mc.flux(s, eps).tobytes() == (s / np.sqrt(1.0 + s * s)).tobytes()
+        assert mc.flux_derivative(s, eps).tobytes() == ((1.0 + s * s) ** -1.5).tobytes()
 
 
 class _Hump(radial.RadialProfile):

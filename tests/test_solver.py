@@ -143,6 +143,20 @@ def test_mean_curvature_constant_and_smooth_solve():
     assert sol.values[0] > 0  # positive source lifts the center
 
 
+@pytest.mark.parametrize("domain,bc_left", [((0.0, 1.0), None), ((0.25, 1.0), 0.5)])
+def test_mean_curvature_and_gmc_two_solve_to_the_same_bits(domain, bc_left):
+    # One flux: MeanCurvature is gmc with k = 2, solved by the same kernels
+    # and schedule; only its growth order p = 2 differs, which they do not read.
+    params = ProblemParams(dim=3, p=2.0, gamma=1.5)
+    sols = [
+        solve_radial_dirichlet(kind, params, RadialPowerSource(2.0, 0.0), domain,
+                               bc_left=bc_left, bc_right=0.0, config=SolverConfig(n_nodes=128))
+        for kind in (MeanCurvature(), GeneralizedMeanCurvature(2.0))
+    ]
+    assert sols[0].values.tobytes() == sols[1].values.tobytes()
+    assert sols[0].meta == sols[1].meta
+
+
 def test_solution_residual_matches_meta():
     sol = solve_quadratic(128)
     assert solution_residual(sol, quadratic_source) == sol.meta["final_residual"]

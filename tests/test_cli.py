@@ -346,12 +346,13 @@ def test_ball_solve_round_trips_through_a_file_witness(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "gamma, verdict, mechanism",
-    [("1.4", "LIOUVILLE", "AREA_INTEGRAL_DIVERGES"), ("1.6", "INCONCLUSIVE", None)],
+    [("1.4", "LIOUVILLE", "AREA_INTEGRAL_DIVERGES"), ("1.6", "INCONCLUSIVE", "AREA_INTEGRAL_CONVERGES")],
 )
 def test_manifold_file_profile(capsys, tmp_path, gamma, verdict, mechanism):
     # The area 4 pi t^2 of R^3, tabulated on [1, 1e6]: the numeric test
-    # finds the divergent area integral below gamma* = 3/2, as it does for
-    # ``--profile euclidean``, and tabulated data get no analytic decision.
+    # finds the area integral divergent below gamma* = 3/2 and convergent
+    # above it, as it does for ``--profile euclidean``; tabulated data get
+    # no analytic decision, and no witness settles the convergent case.
     t = np.geomspace(1.0, 1e6, 400)
     profile = _write_samples(tmp_path / "area.csv", t, 4.0 * math.pi * t**2)
     base = ("manifold", "--profile", profile, "--dim", "3", "--p", "2", "--gamma", gamma)
@@ -573,6 +574,28 @@ def test_manifold_numeric_mode(capsys):
     )
     assert rc == 0
     assert report["results"]["verdict"] == "LIOUVILLE"
+
+
+@pytest.mark.parametrize("argv", [
+    "--profile exp:1,0.5 --p 3 --gamma 2.5",
+    "--profile exp:1,0.05 --p 2 --gamma 1.4",
+    "--profile euclidean --dim 5 --p 3 --gamma 2.55",
+    "--profile power:1,2 --p 2 --gamma 1.4 --t-start 5e-324",
+    "--profile exp:1,-50 --p 2 --gamma 2.5 --t-start 1e300",
+    "--profile power:1e-300,-3 --p 1.01 --gamma 5",
+])
+def test_manifold_numeric_mode_reads_the_analytic_verdict(capsys, argv):
+    # Slowly growing exponential areas, a power area just past gamma*, a
+    # subnormal start, an integrand past the float range from the start and
+    # a coefficient of 1e-300: each reads its analytic verdict, with the one
+    # stderr line of the report and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, numeric, cap = run_cli(capsys, "manifold", *argv.split(), "--mode", "numeric")
+    assert rc == 0
+    assert cap.err.count("\n") == 1
+    rc, analytic, _ = run_cli(capsys, "manifold", *argv.split())
+    assert numeric["results"] == analytic["results"]
 
 
 def test_sigma_bound_e2e(capsys):
@@ -1066,7 +1089,8 @@ def test_each_flag_moves_params_and_config_hash(capsys, tmp_path, command, flag)
 # configurations, so each flag gets its own: verify-bump --nodes only where
 # the bump's slope underflows, liouville --c-h only above gamma*, manifold
 # --dim only with --profile euclidean, audit-caccioppoli --lambda only for
-# a witness that is negative somewhere ({negative}, a file: witness).
+# a witness that is negative somewhere ({negative}, a file: witness), and
+# manifold --t-start only on tabulated data ({area}, t^2 on [1, 1e6]).
 _SHARP = "--dim 3 --p 2 --gamma 4"
 _SOLVE = "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 --bc-right 0 --nodes 17"
 _SIGMA = "--dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10"
@@ -1128,7 +1152,8 @@ _MOVES = {
     ("manifold", "--dim"): ("--profile euclidean --dim 3 --p 2 --gamma 1.4", "4"),
     ("manifold", "--p"): ("--profile power:1,2 --p 2 --gamma 1.4", "1.8"),
     ("manifold", "--gamma"): ("--profile power:1,2 --p 2 --gamma 1.6", "1.4"),
-    ("manifold", "--t-start"): ("--profile power:1,2 --p 2 --gamma 1.4 --mode numeric", "1e300"),
+    # a closed-form area's verdict does not depend on where the walk starts
+    ("manifold", "--t-start"): ("--profile {area} --p 2 --gamma 1.4 --mode numeric", "2e6"),
     # just above gamma* = 1.5 the doubling increments shrink by 2^-0.0002 only
     ("manifold", "--mode"): ("--profile power:1,2 --p 2 --gamma 1.5001", "numeric"),
     ("sigma-bound", "--dim"): (_SIGMA, "4"),
@@ -1157,7 +1182,9 @@ def test_each_flag_moves_results_or_passed(capsys, tmp_path, command, flag):
     invocation, other = _MOVES[command, flag]
     grid = np.linspace(0.0, 1.0, 201)
     negative = _write_samples(tmp_path / "negative.csv", grid, np.cos(6.0 * grid))
-    tokens = invocation.format(negative=negative).split()
+    t = np.geomspace(1.0, 1e6, 40)
+    area = _write_samples(tmp_path / "area.csv", t, t**2)
+    tokens = invocation.format(negative=negative, area=area).split()
     flags = dict(zip(tokens[::2], tokens[1::2]))
     rc, base, _ = run_cli(capsys, *_argv_of(command, flags))
     assert rc in (0, 1)

@@ -79,18 +79,23 @@ def test_numeric_exponential_area_past_overflow_is_silent():
 
 @pytest.mark.parametrize("profile", [EuclideanArea(5), PowerArea(2.0, 4.0)], ids=repr)
 def test_numeric_power_area_past_overflow_is_silent(profile):
-    # Late doublings reach t ~ 1e77, where t^4 overflows to an infinite
-    # area; the pytest RuntimeWarning gate fails the test on any warning.
+    # beta e = 4 * 0.275 = 1.1: the increments of t^-1.1 have slopes
+    # a_k = -0.1, a convergent verdict, silently: the pytest RuntimeWarning
+    # gate fails the test on any warning.
     verdict = area_condition_test(profile, 3.0, 2.55, mode="numeric")
-    assert verdict is IntegralVerdict.INCONCLUSIVE
+    assert verdict is IntegralVerdict.CONVERGENT
 
 
 def test_numeric_area_test_drops_doublings_past_the_float_range():
-    # From T = 1e300 only the doublings whose end 2T is finite are
-    # integrated, silently: the pytest RuntimeWarning gate fails the test
-    # on any warning. An infinite start is refused.
+    # From T = 1e300 the walk has 27 doublings before 2T leaves the float
+    # range, and the slopes a_k = 1 - 0.8 decide within four. At
+    # beta e = 1.00175 (a_k = -0.00175) neither slope rule holds, so the
+    # walk runs from T = 1 to the end of the float range, 1024 doublings,
+    # silently. An infinite start is refused.
     profile = PowerArea(1.0, 2.0)
     verdict = area_condition_test(profile, 2.0, 1.4, t_start=1e300, mode="numeric")
+    assert verdict is IntegralVerdict.DIVERGENT
+    verdict = area_condition_test(PowerArea(1.0, 1.0), 2.0, 2.00175, mode="numeric")
     assert verdict is IntegralVerdict.INCONCLUSIVE
     with pytest.raises(PreconditionViolation):
         area_condition_test(profile, 2.0, 1.4, t_start=math.inf, mode="numeric")
@@ -137,10 +142,11 @@ def _count_rule_calls(monkeypatch):
     ],
     ids=["euclidean", "exp", "sampled"],
 )
-def test_numeric_area_test_integrates_all_doublings_in_one_rule_call(monkeypatch, profile):
+def test_numeric_area_test_makes_no_rule_call(monkeypatch, profile):
+    # Every increment is the closed-form comparison integral.
     calls = _count_rule_calls(monkeypatch)
     area_condition_test(profile, 2.0, 1.6, mode="numeric")
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_area_test_analytic_refuses_sampled_data():
@@ -153,7 +159,7 @@ def test_area_test_analytic_refuses_sampled_data():
     [
         (1.2, 2.2, IntegralVerdict.CONVERGENT),  # beta * e = 1.44
         (1.0, 2.0, IntegralVerdict.DIVERGENT),  # beta * e = 1, log case
-        (1.005, 2.005, IntegralVerdict.INCONCLUSIVE),  # decays too slowly to call
+        (1.005, 2.005, IntegralVerdict.CONVERGENT),  # beta * e = 1.010
     ],
 )
 def test_area_test_numeric_probe(beta, gamma, want):
@@ -167,6 +173,88 @@ def test_area_test_numeric_agrees_with_analytic(gamma):
     assert area_condition_test(area, 2.0, gamma, mode="numeric") is (
         area_condition_test(area, 2.0, gamma)
     )
+
+
+_GRID_AREAS = (
+    [PowerArea(1.0, beta) for beta in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)]
+    + [EuclideanArea(dim) for dim in (2, 3, 4, 5, 8)]
+    + [ExponentialArea(1.0, kappa) for kappa in (-1.0, -0.1, 0.0, 0.05, 0.1, 0.5, 1.0, 2.0)]
+)
+
+
+def test_numeric_area_test_matches_analytic_on_a_grid():
+    # 19 areas x 6 p x 8 e = 912 points, with e = gamma/(p-1) - 1 = g.
+    # The smallest kappa e is 0.005, past the 2e-4 limit of the slope rule.
+    mismatches = []
+    for area, p, g in itertools.product(
+        _GRID_AREAS, (1.2, 1.5, 2.0, 2.5, 3.0, 4.0), (0.1, 0.3, 0.6, 0.9, 1.1, 1.5, 2.5, 4.0)
+    ):
+        gamma = (p - 1) * (1 + g)
+        got = area_condition_test(area, p, gamma, mode="numeric")
+        if got is not area_condition_test(area, p, gamma):
+            mismatches.append((area, p, g, got))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "grid, shape, closed_form",
+    [
+        (np.geomspace(1.0, 1e6, 40), lambda t: t**2, PowerArea(1.0, 2.0)),
+        (np.linspace(1.0, 1e4, 2000), lambda t: t**2, PowerArea(1.0, 2.0)),
+        (np.geomspace(1.0, 1e6, 60), lambda t: t**2.6, PowerArea(1.0, 2.6)),
+        (np.linspace(1.0, 200.0, 200), lambda t: np.exp(0.5 * t), ExponentialArea(1.0, 0.5)),
+    ],
+    ids=["t2-geom40", "t2-lin2000", "t2.6-geom60", "exp0.5-lin200"],
+)
+def test_numeric_sampled_area_reads_its_closed_form_verdict(grid, shape, closed_form):
+    # The walk ends at the first doubling past the last node.
+    area = SampledArea(grid, shape(grid))
+    for p, g in itertools.product((1.5, 2.0, 3.0), (0.2, 0.5, 0.9, 1.2, 2.0, 4.0)):
+        gamma = (p - 1) * (1 + g)
+        got = area_condition_test(area, p, gamma, t_start=grid[0], mode="numeric")
+        assert got is area_condition_test(closed_form, p, gamma), (p, g)
+
+
+def test_numeric_area_test_sampled_start_outside_the_grid():
+    # A start below the first node is refused; one past the last node has
+    # no doubling to read.
+    grid = np.geomspace(1.0, 1e6, 40)
+    area = SampledArea(grid, grid**2)
+    with pytest.raises(DomainExceeded):
+        area_condition_test(area, 2.0, 1.4, t_start=0.5, mode="numeric")
+    verdict = area_condition_test(area, 2.0, 1.4, t_start=2e6, mode="numeric")
+    assert verdict is IntegralVerdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "profile, p, gamma, t_start",
+    [
+        (ExponentialArea(1.0, -1e308), 2.0, 3.5, 1.0),  # kappa e = -inf: every increment is nan
+        (PowerArea(1.0, -3.0), 1.01, 5.0, 0.01),  # t^1497 underflows to zero increments first
+        (EuclideanArea(8), 2.0, 5.0, 1e-20),  # t^-28 overflows on the first doublings
+        (EuclideanArea(8), 2.0, 5.0, 5e-324),
+    ],
+    ids=["nan", "zero-first", "overflow-first", "overflow-first-subnormal"],
+)
+def test_numeric_area_test_reads_the_tail_past_nan_zero_and_overflowing_increments(
+    profile, p, gamma, t_start
+):
+    # Zero or overflowing increments at the start prove nothing, so the walk
+    # goes on to the tail; a walk with no finite increment reads divergent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = area_condition_test(profile, p, gamma, t_start=t_start, mode="numeric")
+    assert verdict is area_condition_test(profile, p, gamma)
+
+
+def test_numeric_area_test_known_limits():
+    # The slope tolerances read a convergent integral as divergent where
+    # its slopes sit within 1.5e-3 of 0: kappa e t_start below about 2e-4,
+    # or 1 < beta e <= 1.0015. Just past each limit the verdict is right.
+    for kappa, want in [(1e-4, IntegralVerdict.DIVERGENT), (3e-4, IntegralVerdict.CONVERGENT)]:
+        assert area_condition_test(ExponentialArea(1.0, kappa), 2.0, 2.0, mode="numeric") is want
+    for x, want in [(1.0015, IntegralVerdict.DIVERGENT), (1.0021, IntegralVerdict.CONVERGENT)]:
+        assert area_condition_test(PowerArea(1.0, 1.0), 2.0, 1.0 + x, mode="numeric") is want
 
 
 def test_area_test_guards():
@@ -520,6 +608,19 @@ def test_contradiction_radius_ends_where_the_comparison_integral_leaves_the_floa
     # integral itself is past the float range: no crossing is found.
     params = ProblemParams(dim=3, p=2, gamma=1.5, c_h=1e-300)
     assert find_contradiction_radius(1.0, params, profile, 1.0) is None
+
+
+def test_contradiction_radius_ends_at_a_sampled_area_last_node():
+    # The t^2 area of R^3 on [1, 10] has no crossing up to r = 8; r = 16
+    # is past its last node, as 2R is from R = 6. An R outside the grid is
+    # still refused.
+    grid = np.linspace(1.0, 10.0, 10)
+    area = SampledArea(grid, 4.0 * math.pi * grid**2)
+    params = ProblemParams(dim=3, p=2, gamma=1.6)
+    assert find_contradiction_radius(1.0, params, area, 1.0) is None
+    assert find_contradiction_radius(1.0, params, area, 6.0) is None
+    with pytest.raises(DomainExceeded):
+        find_contradiction_radius(1.0, params, area, 0.5)
 
 
 def test_contradiction_radius_supercritical_none():

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainExceeded, InsufficientScales, NonIntegrable, PreconditionViolation
-from .params import ProblemParams, _check_dim, caccioppoli_exponent, unit_ball_volume
+from .params import ProblemParams, _check_dim, _in_range, caccioppoli_exponent, unit_ball_volume
 from .quadrature import SAMPLE_PANEL_NODES, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import Gridded, PowerProfile
@@ -486,13 +486,25 @@ class MorreyNorm:
     exact: bool
 
 
+def _power_morrey_value(beta, s_index, theta, dim, rho):
+    """rho^((theta-dim)/s) ||r^-beta||_{L^s(B_rho)}, the mass int_0^rho
+    r^(-s beta) d omega_d r^(d-1) dr = d omega_d rho^ex / ex in closed form,
+    ex = dim - s beta. Where rho^ex is not a normal float, the powers of rho
+    are combined first, rho^((theta - s beta)/s), so the value is lost only
+    where it leaves the float range itself (OverflowError)."""
+    ex = dim - s_index * beta
+    radii = np.array([rho])
+    with np.errstate(over="ignore", under="ignore"):
+        power = radii**ex
+    if not np.finfo(float).tiny <= power[0] < math.inf:
+        coefficient = (dim * unit_ball_volume(dim) / ex) ** (1.0 / s_index)
+        return coefficient * rho ** ((theta - s_index * beta) / s_index)
+    mass = dim * unit_ball_volume(dim) * power / ex
+    return float((radii ** ((theta - dim) / s_index) * mass ** (1.0 / s_index))[0])
+
+
 def _ball_mass(f, s_index, dim, rho):
-    """int over B_rho(0) of |f|^s for each radius of the array rho; a
-    power source is taken with amplitude 1."""
-    if isinstance(f, RadialPowerSource):
-        # int_0^rho r^(-s*beta) * d*omega*r^(d-1) dr, closed form.
-        ex = dim - s_index * f.beta
-        return dim * unit_ball_volume(dim) * rho**ex / ex
+    """int over B_rho(0) of |f|^s for each radius of the array rho."""
 
     def density(r):
         return np.abs(f(r)) ** s_index * _shell_weight(r, dim)
@@ -531,7 +543,8 @@ def morrey_norm(
     zero) by the rearrangement inequality (Lieb & Loss, *Analysis*, Thm
     3.4); otherwise the value is a lower bound of the sup over all balls
     centred in Omega. ``center_samples`` must be >= 1 and no longer
-    changes the result.
+    changes the result. A value past the float range raises
+    PreconditionViolation, as the sigma bound's numbers do.
     """
     _check_dim(dim)
     if not s_index >= 1:
@@ -550,28 +563,32 @@ def morrey_norm(
         # The norm is homogeneous in A, and |A| scales the value last, so
         # a large amplitude cannot overflow |A|^s.
         scale = abs(f.amplitude)
-        radii = np.array([omega_radius])
         exact = f.beta >= 0 or scale == 0
         divergent = scale > 0 and theta < s_index * f.beta
-    elif isinstance(f, SampledSource):
-        scale = 1.0
-        diam = 2.0 * omega_radius
-        radii = np.geomspace(diam * 1e-4, diam, n_radii)
-        radii = np.unique(np.concatenate((radii, [omega_radius, diam])))
-        exact = divergent = False
-    else:
+        if divergent:
+            value = math.inf
+        elif scale == 0:
+            value = 0.0
+        else:
+            value = _in_range("the Morrey value", lambda: scale * _power_morrey_value(
+                f.beta, s_index, theta, dim, omega_radius))
+        return MorreyNorm(s_index=s_index, theta=theta, value=value, divergent=divergent,
+                          argmax_radius=0.0 if divergent else omega_radius, exact=exact)
+    if not isinstance(f, SampledSource):
         raise PreconditionViolation(
             f"morrey_norm takes a power or sampled source, got {type(f).__name__}"
         )
-
+    diam = 2.0 * omega_radius
+    radii = np.geomspace(diam * 1e-4, diam, n_radii)
+    radii = np.unique(np.concatenate((radii, [omega_radius, diam])))
     mass = _ball_mass(f, s_index, dim, np.minimum(radii, omega_radius))
     values = radii ** ((theta - dim) / s_index) * mass ** (1.0 / s_index)
     i = int(np.argmax(values))
     return MorreyNorm(
         s_index=s_index,
         theta=theta,
-        value=math.inf if divergent else scale * float(values[i]),
-        divergent=divergent,
-        argmax_radius=0.0 if divergent else float(radii[i]),
-        exact=exact,
+        value=_in_range("the Morrey value", lambda: float(values[i])),
+        divergent=False,
+        argmax_radius=float(radii[i]),
+        exact=False,
     )

@@ -244,10 +244,11 @@ def _emit(args, results: dict, passed: bool, note: str = "") -> int:
     return 0 if passed else 1
 
 
-def _problem_params(args) -> ProblemParams:
+def _problem_params(args, **fixed) -> ProblemParams:
     """The ProblemParams of the problem flags the subcommand has, --lambda
-    as lam; the dataclass defaults stand for the rest."""
+    as lam, and of ``fixed``; the dataclass defaults stand for the rest."""
     given = {"lam" if dest == "lambda" else dest: value for dest, value in vars(args).items()}
+    given.update(fixed)
     fields = ("dim", "p", "gamma", "lam", "c_h", "nu", "q")
     return ProblemParams(**{name: given[name] for name in fields if name in given})
 
@@ -309,13 +310,13 @@ def _cmd_verify_bump(args):
 
 
 def _cmd_solve(args):
-    params = _problem_params(args)
     operators = {
         "p-laplacian": (0, lambda: PLaplacian(args.p)),
         "mean-curvature": (0, MeanCurvature),
         "gmc": (1, GeneralizedMeanCurvature),
     }
     kind = _parse_spec(args.operator, "operator", operators)
+    params = _problem_params(args, p=kind.p)  # gamma > p - 1 for the operator's own order
     f = _source(args)
     bc_left = None
     if args.bc_left.strip().lower() != "none":

@@ -268,6 +268,14 @@ def power_area_diverges(beta: float, p: float, gamma: float) -> bool:
     return gamma <= threshold
 
 
+def _grows(profile: AreaProfile) -> bool:
+    """False for a closed-form area that does not grow, whose integrand
+    area^(-e) does not decrease; a sampled area may grow anywhere."""
+    if isinstance(profile, _PowerLawArea):
+        return profile.shape_power > 0
+    return not isinstance(profile, ExponentialArea) or profile.kappa > 0
+
+
 def area_condition_test(
     profile: AreaProfile,
     p: float,
@@ -284,9 +292,10 @@ def area_condition_test(
     (a_k = log2(I_{k+1}/I_k)). Convergent: three increments <= 1e-12 of the
     total, or a last a_k < -2e-3 with the last three within 1e-3 or
     decreasing. Divergent: the last three a_k within 1e-3 and the last
-    >= -1.5e-3, an increment past the float range after a finite one, or no
-    finite one. Else inconclusive. Exponential areas with kappa e t_start
-    below about 2e-4 and power areas with 1 < beta e <= 1.0015 read divergent.
+    >= -1.5e-3, an increment past the float range after a finite one or on
+    an area that does not grow, or no finite one. Else inconclusive.
+    Exponential areas with kappa e t_start below about 2e-4 and power areas
+    with 1 < beta e <= 1.0015 read divergent.
     """
     e = _comparison_exponent(p, gamma)
     if not 0 < t_start < math.inf:
@@ -323,7 +332,7 @@ def area_condition_test(
         total += increment
         increments.append(increment)
         if not total < math.inf:  # inf, or nan where kappa e = -inf
-            if len(increments) > 1:  # finite increments that grew past the float range
+            if len(increments) > 1 or not _grows(profile):  # no later increment is smaller
                 return IntegralVerdict.DIVERGENT
             total, increments, overflowed = 0.0, [], True  # past it from the start: read on
             continue
@@ -444,28 +453,99 @@ def sigma_lower_bound(
     )
 
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _softplus(u: float) -> float:
+    """log(1 + e^u), without overflow for large u."""
+    return u + math.log1p(math.exp(-u)) if u > 0 else math.log1p(math.exp(u))
+
+
+def _crossing_log_ratio(profile: AreaProfile, e: float, R: float, log_goal: float) -> float:
+    """log(r/R) at which the closed-form comparison integral from R reaches
+    e^log_goal, solved in logs; inf where it never does."""
+    if isinstance(profile, _PowerLawArea):
+        x = profile.shape_power * e
+        if x == 1.0:
+            return math.exp(log_goal)
+        # (1-x) R^(x-1) I = (r/R)^(1-x) - 1, so L = log1p(target (1-x) R^(x-1)) / (1-x)
+        u = log_goal + math.log(abs(1.0 - x)) + (x - 1.0) * math.log(R)
+        if x < 1.0:
+            return _softplus(u) / (1.0 - x)
+        return -math.log(-math.expm1(u)) / (x - 1.0) if u < 0 else math.inf
+    ke = profile.kappa * e
+    if ke == 0.0:  # I = r - R
+        r = R + math.exp(log_goal)
+    elif ke > 0:  # e^(-ke r) = e^(-ke R) - ke target, below 0 where the integral stays short
+        w = math.log(ke) + log_goal + ke * R
+        if not w < 0:
+            return math.inf
+        r = R - math.log(-math.expm1(w)) / ke
+    else:  # e^(|ke| r) = e^(|ke| R) + |ke| target
+        r = R + _softplus(math.log(-ke) + log_goal + ke * R) / -ke
+    return math.log(r) - math.log(R)
+
+
 def find_contradiction_radius(
     sigma_R: float,
     params: ProblemParams,
     profile: AreaProfile,
     R: float,
 ) -> Optional[SigmaBoundReport]:
-    """Double r from 2R, while the comparison integral up to r exists and is
-    finite, until rhs overtakes lhs; None if it never does.
+    """The report at the first doubling r = 2^k R, k >= 1, where rhs
+    overtakes lhs; None where no doubling does before 2^k R leaves the
+    float range, the comparison integral does (PreconditionViolation), or
+    r passes a sampled area's last node (DomainExceeded).
+
+    The result is that of doubling r from 2R, but the walk starts where the
+    closed form puts the crossing: for power-law and exponential areas the
+    comparison integral I(r) is inverted in logs for I = min(lhs / (C
+    coefficient^-e), float max), the second being where the integral is
+    refused; a sampled area starts at k = 1. From the start k the loop steps
+    down while doubling k - 1 already stops the walk (crosses or is
+    refused), then up while doubling k does not. This reaches the walk's
+    doubling from any start: r/R = 2^k is exact, the comparison integral is
+    built from log, expm1 and exp, all monotone in r, and the fixed positive
+    factor C coefficient^-e keeps rhs monotone in floating point, so
+    "crosses" and "refused" each hold from some k on, and the first k where
+    either holds is the walk's. So every field keeps the walk's bits, at
+    three sigma bound calls when the closed form is right.
 
     A None return on a divergent-area profile means the crossing lies past
     the float range; on a convergent one it is the expected outcome.
     """
-    r = R  # the report at r = R refuses every bad input but r, and has rhs = 0
-    report = sigma_lower_bound(sigma_R, params, profile, R, r)
-    while not report.contradiction:
-        if not 2.0 * r < math.inf:
+    report = sigma_lower_bound(sigma_R, params, profile, R, R)  # refuses every bad input but r
+    last = 1024 - math.frexp(R)[1]  # the last k with 2^k R finite
+
+    def at(k):  # the report at 2^k R, or None where the walk would stop without one
+        if k > last:
             return None
-        r *= 2.0
         try:
-            report = sigma_lower_bound(sigma_R, params, profile, R, r)
+            return sigma_lower_bound(sigma_R, params, profile, R, math.ldexp(R, k))
         except (PreconditionViolation, DomainExceeded):
-            return None  # the comparison integral past the float range, or r past the grid
+            return None
+
+    k = 1
+    if not isinstance(profile, SampledArea):
+        scale = report.constant_C * profile.coefficient ** -report.exponent_e  # rhs / I, as built
+        if scale == 0.0:  # rhs stays 0: the walk ends where the integral is refused
+            log_target = math.inf
+        elif scale == math.inf or report.lhs == 0.0:
+            log_target = -math.inf
+        else:
+            log_target = math.log(report.lhs) - math.log(scale)
+        log_ratio = _crossing_log_ratio(profile, report.exponent_e, R, min(log_target, _LOG_MAX))
+        doublings = log_ratio / math.log(2.0)
+        k = max(1, min(math.ceil(doublings), last) if doublings < math.inf else last)
+    report = at(k)
+    while k > 1 and (report is None or report.contradiction):
+        below = at(k - 1)
+        if below is not None and not below.contradiction:
+            break
+        k, report = k - 1, below
+    while report is not None and not report.contradiction:
+        k += 1
+        report = at(k)
     return report
 
 

@@ -54,6 +54,7 @@ from .params import (
     _gradient_arm,
     _growth_gap,
     _in_range,
+    _p_ok,
     liouville_threshold,
 )
 
@@ -217,8 +218,8 @@ class PLaplacian(OperatorKind):
     p: float
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise PreconditionViolation(f"p-Laplacian needs p > 1, got {self.p}")
+        if not _p_ok(self.p):  # the rule and message of ProblemParams
+            raise PreconditionViolation(f"p must be finite and exceed 1, got {self.p}")
 
     def flux(self, s, eps: float = 0.0):
         s = np.asarray(s, dtype=float)
@@ -242,7 +243,9 @@ class GeneralizedMeanCurvature(OperatorKind):
 
     @property
     def p(self) -> float:
-        return self.k / 2.0
+        """k/2, the order at infinity; at k = 2 that is 1, no growth order
+        p > 1, and gmc:2 is mean curvature, of order 2 (|a(s)| <= |s|)."""
+        return self.k / 2.0 if self.k > 2.0 else 2.0
 
     def flux(self, s, eps: float = 0.0):
         s = np.asarray(s, dtype=float)
@@ -268,11 +271,10 @@ class GeneralizedMeanCurvature(OperatorKind):
 
 @dataclass(frozen=True)
 class MeanCurvature(GeneralizedMeanCurvature):
-    """a(s) = s / sqrt(1 + s^2), gmc with k = 2 but growth order p = 2: |a(s)| <= |s|
+    """a(s) = s / sqrt(1 + s^2), gmc with k = 2 and growth order p = 2: |a(s)| <= |s|
     is the structure condition with p = 2; k/2 = 1 is only a's sharp order at infinity."""
 
     k: float = field(default=2.0, init=False)
-    p = 2.0  # which also keeps ProblemParams(p=kind.p) of perfbench/cases.py valid
     # perfbench/tracer.py wraps the flux methods in each class's own dict.
     flux = GeneralizedMeanCurvature.flux
     flux_derivative = GeneralizedMeanCurvature.flux_derivative
@@ -290,7 +292,13 @@ def radial_operator(p: float, profile: RadialProfile, r, dim: int):
     Laplacian value -V'' for p = 2, and undefined for p < 2 unless the
     profile is flat there (V'' = 0 as well), where the limit 0 is returned.
     """
-    scalar = np.ndim(r) == 0
+    out, _ = _operator_and_slope(p, profile, r, dim)
+    return float(out[0]) if np.ndim(r) == 0 else out
+
+
+def _operator_and_slope(p: float, profile: RadialProfile, r, dim: int):
+    """(-Delta_p V, V') at the radii r as 1-d arrays, each derivative of V
+    evaluated once."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0):
         raise PreconditionViolation("radial operator is evaluated at radii r > 0")
@@ -303,8 +311,7 @@ def radial_operator(p: float, profile: RadialProfile, r, dim: int):
     out = -np.abs(safe_v1) ** (p - 2.0) * ((p - 1.0) * v2 + (dim - 1) * v1 / rr)
     # p = 2 is the Laplacian, smooth through critical points; otherwise
     # the weight |V'|^(p-2) sends the value to 0 there.
-    out = np.where(zero, -v2 if p == 2 else 0.0, out)
-    return float(out[0]) if scalar else out
+    return np.where(zero, -v2 if p == 2 else 0.0, out), v1
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +475,7 @@ def residual_scan(profile: RadialProfile, params: ProblemParams, grid,
     if not tol >= 0:
         raise PreconditionViolation(f"tol must be >= 0, got {tol}")
     grid = np.asarray(grid, dtype=float)
-    op = radial_operator(params.p, profile, grid, params.dim)
-    v1 = np.asarray(profile.derivative(grid), dtype=float)
+    op, v1 = _operator_and_slope(params.p, profile, grid, params.dim)
     res = op - params.c_h * np.abs(v1) ** params.gamma + params.lam * profile.value(grid)
     min_res = float(np.min(res))
     return ResidualReport(grid, res, min_res, bool(min_res >= -tol))

@@ -180,6 +180,31 @@ def test_solve_file_source_matches_power_source(capsys, tmp_path):
         assert rep1["results"][key] == rep2["results"][key]
 
 
+@pytest.mark.parametrize("operator, p, gamma, unread_p", [
+    ("mean-curvature", "2", "2.5", "4"),
+    ("gmc:2", "2", "2.5", "4"),
+    ("gmc:4", "2", "1.5", "8"),
+    ("gmc:3", "1.5", "0.8", "3"),
+])
+def test_solve_checks_gamma_against_the_operator_growth_order(capsys, operator, p, gamma, unread_p):
+    # Mean curvature and gmc:k have their own growth order (2 and k/2,
+    # gmc:2 being mean curvature) and never read --p: gamma must exceed
+    # that order minus 1, whatever --p says.
+    argv = ("solve", "--dim", "3", "--gamma", gamma, "--operator", operator,
+            "--source", "power:1,0", "--bc-right", "0", "--nodes", "64")
+    rc, report, _ = run_cli(capsys, *argv, "--p", p)
+    rc_unread, report_unread, _ = run_cli(capsys, *argv, "--p", unread_p)
+    assert rc == rc_unread == 0
+    assert report_unread["results"] == report["results"]
+
+
+def test_solve_refuses_gamma_below_the_operator_growth_order(capsys):
+    # --p 1.5 would admit gamma = 0.9; mean curvature's order 2 does not.
+    rc, _, cap = run_cli(capsys, "solve", "--dim", "3", "--p", "1.5", "--gamma", "0.9",
+                         "--operator", "mean-curvature", "--source", "power:1,0", "--bc-right", "0")
+    assert rc == 2 and cap.err == "error: gamma must be finite and exceed p - 1 = 1.0, got 0.9\n"
+
+
 def test_solve_singular_source_is_usage_error(capsys):
     rc, _, cap = run_cli(
         capsys,
@@ -421,6 +446,21 @@ def test_morrey_centered_value(capsys):
     assert report["results"]["argmax_radius"] == 1.0
     assert report["results"]["divergent"] is False
     assert report["results"]["exact"] is True
+
+
+def test_morrey_values_across_the_float_range(capsys):
+    # 2 pi rho is reported although the mass 2 pi rho^2 underflows; a value
+    # past the float range exits 2 with one line, as sigma-bound does.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, report, _ = run_cli(capsys, "morrey", "--source", "power:1,1", "--theta", "2",
+                                "--omega-radius", "1e-200")
+        assert rc == 0 and report["results"]["exact"] is True
+        assert abs(report["results"]["value"] - 6.283185307179586e-200) <= math.ulp(6.283185307179586e-200)
+        rc, report, cap = run_cli(capsys, "morrey", "--source", "power:1,0", "--theta", "3",
+                                  "--omega-radius", "1e200")
+    assert rc == 2 and report is None
+    assert cap.err == "error: the Morrey value leaves the float range\n"
 
 
 def test_morrey_past_the_gamma_overflow_of_the_ball_volume(capsys):

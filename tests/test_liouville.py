@@ -101,6 +101,18 @@ def test_numeric_area_test_drops_doublings_past_the_float_range():
         area_condition_test(profile, 2.0, 1.4, t_start=math.inf, mode="numeric")
 
 
+@pytest.mark.parametrize("profile", [PowerArea(1e-300, -3.0), ExponentialArea(1.0, -1e300)], ids=repr)
+def test_numeric_area_test_past_the_float_range_from_the_start_decides_at_once(monkeypatch, profile):
+    # e = 499: the integrands t^1497 and e^(499e300 t) are past the float
+    # range from the first doubling, and an area that does not grow never
+    # brings them back, so the walk of 1,023 overflowing doublings is not
+    # taken.
+    calls, integral = [], liouville._comparison_integral
+    monkeypatch.setattr(liouville, "_comparison_integral", lambda *a: calls.append(a) or integral(*a))
+    assert area_condition_test(profile, 1.01, 5.0, mode="numeric") is IntegralVerdict.DIVERGENT
+    assert len(calls) <= 3
+
+
 @pytest.mark.parametrize(
     "profile, p, gamma",
     [
@@ -626,6 +638,105 @@ def test_contradiction_radius_ends_at_a_sampled_area_last_node():
 def test_contradiction_radius_supercritical_none():
     rep = find_contradiction_radius(1.0, _params(2.0), EuclideanArea(3), 1.0)
     assert rep is None
+
+
+def _doubling_walk(sigma_R, params, profile, R):
+    # The reference: double r from 2R until rhs overtakes lhs, None where
+    # 2r leaves the float range or the sigma bound refuses r.
+    r = R
+    report = sigma_lower_bound(sigma_R, params, profile, R, r)
+    while not report.contradiction:
+        if not 2.0 * r < math.inf:
+            return None
+        r *= 2.0
+        try:
+            report = sigma_lower_bound(sigma_R, params, profile, R, r)
+        except (PreconditionViolation, DomainExceeded):
+            return None
+    return report
+
+
+def _outcome(search, *args):
+    # Every report field by its bits, None, or the exception and its message.
+    try:
+        report = search(*args)
+    except (PreconditionViolation, DomainExceeded) as exc:
+        return type(exc), str(exc)
+    return None if report is None else {k: v.hex() if isinstance(v, float) else v
+                                        for k, v in vars(report).items()}
+
+
+def _counted(monkeypatch):
+    calls, bound = [], liouville.sigma_lower_bound
+    monkeypatch.setattr(liouville, "sigma_lower_bound", lambda *a, **k: calls.append(a) or bound(*a, **k))
+    return calls
+
+
+_SAMPLED_T2 = np.geomspace(1.0, 1e4, 30)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_contradiction_radius_equals_the_doubling_walk(monkeypatch, d):
+    # gamma just above p - 1, at gamma*, just above it and above p. The
+    # non-Euclidean areas do not read dim and run at d = 3 only. The walk
+    # to the end of the float range (c_h = 1e-300 underflows C to 0) takes
+    # about a thousand calls, so those cases run at sigma_R = R = 1 only.
+    areas = [EuclideanArea(d)]
+    if d == 3:
+        areas += [PowerArea(1.0, -1.0), PowerArea(1.0, 0.5),
+                  ExponentialArea(1.0, -1.0), ExponentialArea(1.0, 0.0), ExponentialArea(1.0, 1.0),
+                  SampledArea(_SAMPLED_T2, 4.0 * math.pi * _SAMPLED_T2**2)]
+    calls = _counted(monkeypatch)
+    crossings = nones = 0
+    for p in (1.5, 2.0, 3.0):
+        gamma_star = params._critical_gamma(d, p)
+        for gamma in (p - 1 + 1e-3 * (gamma_star - p + 1), gamma_star, gamma_star * (1 + 1e-9), p + 1.0):
+            for sigma_R, R, c_h in itertools.product((1e-3, 1.0, 1e3), (1e-3, 1.0, 1e3), (1.0, 1e-300)):
+                if c_h < 1 and (sigma_R, R) != (1.0, 1.0):
+                    continue
+                problem = ProblemParams(dim=d, p=p, gamma=gamma, c_h=c_h)
+                for area in areas:
+                    want = _outcome(_doubling_walk, sigma_R, problem, area, R)
+                    calls.clear()
+                    got = _outcome(find_contradiction_radius, sigma_R, problem, area, R)
+                    assert got == want, (p, gamma, sigma_R, R, c_h, area)
+                    if not isinstance(area, SampledArea):
+                        assert len(calls) <= 4, (p, gamma, sigma_R, R, c_h, area)
+                    crossings += isinstance(got, dict)
+                    nones += got is None
+    assert crossings and nones
+
+
+@pytest.mark.parametrize("log_ratio", [0.0, 20.0, 700.0, math.inf, math.nan])
+def test_contradiction_radius_from_any_start_equals_the_doubling_walk(monkeypatch, log_ratio):
+    # A closed form that misplaces the crossing, above or below it, or has
+    # none, costs calls but not the walk's result: the loop steps down
+    # past doublings that cross or are refused and up past those that do not.
+    monkeypatch.setattr(liouville, "_crossing_log_ratio", lambda *args: log_ratio)
+    for sigma_R, gamma, c_h, area in [
+        (1.0, 1.4, 1.0, EuclideanArea(3)), (1e-3, 1.5, 1.0, EuclideanArea(3)),
+        (1.0, 2.0, 1.0, EuclideanArea(3)), (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0)),
+        (1.0, 1.5, 1e-300, ExponentialArea(1.0, -1.0)), (1e3, 1.2, 1.0, ExponentialArea(1.0, 0.0)),
+    ]:
+        problem = _params(gamma, c_h)
+        want = _outcome(_doubling_walk, sigma_R, problem, area, 1.0)
+        assert _outcome(find_contradiction_radius, sigma_R, problem, area, 1.0) == want
+
+
+@pytest.mark.parametrize("sigma_R, gamma, c_h, area, r", [
+    (1.0, 1.4, 1.0, EuclideanArea(3), 2.0**11),
+    (1.0, 1.5, 1.0, EuclideanArea(3), 2.0**21),
+    (1e-3, 1.5, 1.0, EuclideanArea(3), 2.0**647),
+    (1.0, 2.0, 1.0, EuclideanArea(3), None),
+    (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0), None),
+    (1.0, 1.5, 1e-300, ExponentialArea(1.0, -1.0), None),
+])
+def test_contradiction_radius_takes_at_most_four_sigma_bounds(monkeypatch, sigma_R, gamma, c_h, area, r):
+    # The walk takes 12, 22, 648, 1,024, 684 and 12 calls here.
+    calls = _counted(monkeypatch)
+    report = find_contradiction_radius(sigma_R, _params(gamma, c_h), area, 1.0)
+    assert (report and report.r) == r
+    assert len(calls) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,42 @@ def test_zero_function_also_solves_the_zero_data_problem():
     assert report.max_abs_residual == 0.0
 
 
+class _CountingDerivatives:
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def value(self, r):
+        return self.inner.value(r)
+
+    def derivative(self, r):
+        self.calls.append("V'")
+        return self.inner.derivative(r)
+
+    def second_derivative(self, r):
+        self.calls.append("V''")
+        return self.inner.second_derivative(r)
+
+
+@pytest.mark.parametrize("profile, dim, p, gamma, lam", [
+    (BumpProfile(1.0, 0.25), 3, 2.0, 1.8, 0.0),
+    (BumpProfile(0.3, 2.0), 4, 1.5, 1.0, 1.0),
+    (PowerProfile(-4.0, -0.25), 3, 2.0, 1.8, 0.0),
+    (sharpness_profile(5, 3.0, 5.0), 5, 3.0, 5.0, 0.5),
+    (PowerProfile(0.0, 0.5, shift=1.0), 3, 2.0, 4.0, 0.0),
+], ids=["bump", "bump-p1.5-lam", "entire", "sharp-p3", "flat"])
+def test_residual_scan_evaluates_each_derivative_once(profile, dim, p, gamma, lam):
+    # The residual -Delta_p V - c_h |V'|^gamma + lam V keeps the bits of its
+    # evaluation through radial_operator, which takes V' and V'' itself.
+    params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=lam, c_h=2.5)
+    grid = np.geomspace(0.05, 20.0, 257)
+    counted = _CountingDerivatives(profile)
+    report = residual_scan(counted, params, grid)
+    assert sorted(counted.calls) == ["V'", "V''"]
+    want = (radial_operator(p, profile, grid, dim) - 2.5 * np.abs(profile.derivative(grid)) ** gamma
+            + lam * profile.value(grid))
+    assert np.array_equal(report.residuals, want)
+
+
 def test_residual_scan_flags_violations():
     # overscaled constant: the gradient term outgrows the diffusion term
     bad = PowerProfile(c=-10.0, a=2.0 / 3.0, shift=1.0)

@@ -486,23 +486,6 @@ class MorreyNorm:
     exact: bool
 
 
-def _power_morrey_value(beta, s_index, theta, dim, rho):
-    """rho^((theta-dim)/s) ||r^-beta||_{L^s(B_rho)}, the mass int_0^rho
-    r^(-s beta) d omega_d r^(d-1) dr = d omega_d rho^ex / ex in closed form,
-    ex = dim - s beta. Where rho^ex is not a normal float, the powers of rho
-    are combined first, rho^((theta - s beta)/s), so the value is lost only
-    where it leaves the float range itself (OverflowError)."""
-    ex = dim - s_index * beta
-    radii = np.array([rho])
-    with np.errstate(over="ignore", under="ignore"):
-        power = radii**ex
-    if not np.finfo(float).tiny <= power[0] < math.inf:
-        coefficient = (dim * unit_ball_volume(dim) / ex) ** (1.0 / s_index)
-        return coefficient * rho ** ((theta - s_index * beta) / s_index)
-    mass = dim * unit_ball_volume(dim) * power / ex
-    return float((radii ** ((theta - dim) / s_index) * mass ** (1.0 / s_index))[0])
-
-
 def _ball_mass(f, s_index, dim, rho):
     """int over B_rho(0) of |f|^s for each radius of the array rho."""
 
@@ -570,8 +553,12 @@ def morrey_norm(
         elif scale == 0:
             value = 0.0
         else:
-            value = _in_range("the Morrey value", lambda: scale * _power_morrey_value(
-                f.beta, s_index, theta, dim, omega_radius))
+            # rho^((theta-d)/s) (d omega_d rho^ex / ex)^(1/s), ex = d - s beta, with
+            # the powers of rho combined, so only a value past the float range is lost.
+            ex = dim - s_index * f.beta
+            value = _in_range("the Morrey value", lambda: scale * (
+                (dim * unit_ball_volume(dim) / ex) ** (1.0 / s_index)
+                * omega_radius ** ((theta - s_index * f.beta) / s_index)))
         return MorreyNorm(s_index=s_index, theta=theta, value=value, divergent=divergent,
                           argmax_radius=0.0 if divergent else omega_radius, exact=exact)
     if not isinstance(f, SampledSource):

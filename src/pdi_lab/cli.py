@@ -316,7 +316,7 @@ def _cmd_solve(args):
         "gmc": (1, GeneralizedMeanCurvature),
     }
     kind = _parse_spec(args.operator, "operator", operators)
-    params = _problem_params(args, p=kind.p)  # gamma > p - 1 for the operator's own order
+    params = _problem_params(args, p=kind.order_for(args.gamma))  # gmc:k's own, not --p
     f = _source(args)
     bc_left = None
     if args.bc_left.strip().lower() != "none":

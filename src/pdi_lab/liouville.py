@@ -501,15 +501,18 @@ def find_contradiction_radius(
     closed form puts the crossing: for power-law and exponential areas the
     comparison integral I(r) is inverted in logs for I = min(lhs / (C
     coefficient^-e), float max), the second being where the integral is
-    refused; a sampled area starts at k = 1. From the start k the loop steps
-    down while doubling k - 1 already stops the walk (crosses or is
-    refused), then up while doubling k does not. This reaches the walk's
+    refused. From that start the search probes doublings 1, 2, 4, ... away,
+    up while no probe stops the walk (crosses or is refused), down while
+    every one does, then bisects the bracket. This reaches the walk's
     doubling from any start: r/R = 2^k is exact, the comparison integral is
     built from log, expm1 and exp, all monotone in r, and the fixed positive
     factor C coefficient^-e keeps rhs monotone in floating point, so
     "crosses" and "refused" each hold from some k on, and the first k where
     either holds is the walk's. So every field keeps the walk's bits, at
-    three sigma bound calls when the closed form is right.
+    three sigma bound calls when the closed form is right and about
+    2 log2 of its error in doublings otherwise. A sampled area's integral
+    is a sum over panels, for which no such argument is made: it walks up
+    one doubling at a time from k = 1, as far as its last node.
 
     A None return on a divergent-area profile means the crossing lies past
     the float range; on a convergent one it is the expected outcome.
@@ -525,8 +528,8 @@ def find_contradiction_radius(
         except (PreconditionViolation, DomainExceeded):
             return None
 
-    k = 1
-    if not isinstance(profile, SampledArea):
+    start, sampled = 1, isinstance(profile, SampledArea)
+    if not sampled:
         scale = report.constant_C * profile.coefficient ** -report.exponent_e  # rhs / I, as built
         if scale == 0.0:  # rhs stays 0: the walk ends where the integral is refused
             log_target = math.inf
@@ -536,17 +539,23 @@ def find_contradiction_radius(
             log_target = math.log(report.lhs) - math.log(scale)
         log_ratio = _crossing_log_ratio(profile, report.exponent_e, R, min(log_target, _LOG_MAX))
         doublings = log_ratio / math.log(2.0)
-        k = max(1, min(math.ceil(doublings), last) if doublings < math.inf else last)
-    report = at(k)
-    while k > 1 and (report is None or report.contradiction):
-        below = at(k - 1)
-        if below is not None and not below.contradiction:
-            break
-        k, report = k - 1, below
-    while report is not None and not report.contradiction:
-        k += 1
+        start = max(1, min(math.ceil(doublings), last) if doublings < math.inf else last)
+    lo, hi, found = 0, last + 1, None  # doubling lo does not stop the walk, hi does, with found
+    k = start
+    while hi - lo > 1:
         report = at(k)
-    return report
+        if report is None or report.contradiction:
+            hi, found = k, report
+        else:
+            lo = k
+        if hi > last:  # no probe stopped the walk: up, twice as far from the start each time
+            k = lo + (1 if sampled else max(1, lo - start))
+        elif lo == 0:  # every probe did: down likewise
+            k = hi - max(1, start - hi)
+        else:
+            k = (lo + hi) // 2
+        k = min(max(k, lo + 1), hi - 1)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,10 @@ class OperatorKind:
 
     p: float
 
+    def order_for(self, gamma: float) -> float:
+        """The growth order a problem with this gamma takes, gamma > p - 1."""
+        return self.p
+
     def flux(self, s, eps: float = 0.0):
         raise NotImplementedError
 
@@ -244,8 +248,20 @@ class GeneralizedMeanCurvature(OperatorKind):
     @property
     def p(self) -> float:
         """k/2, the order at infinity; at k = 2 that is 1, no growth order
-        p > 1, and gmc:2 is mean curvature, of order 2 (|a(s)| <= |s|)."""
+        p > 1, and gmc:2 is mean curvature, taken at order 2 (|a(s)| <= |s|),
+        the largest of its orders (``order_for``)."""
         return self.k / 2.0 if self.k > 2.0 else 2.0
+
+    def order_for(self, gamma: float) -> float:
+        """p, except that mean curvature is bounded by |s|^(p-1) for every p
+        in (1, 2] (s / sqrt(1 + s^2) is below |s| for |s| <= 1 and below 1
+        above), so it admits every gamma > 0, the k -> 2 limit of the rule
+        gamma > k/2 - 1, with p = 1 + gamma/2 where gamma <= 1."""
+        if self.k > 2.0 or not gamma <= 1.0:
+            return self.p
+        if not gamma > 0:
+            raise PreconditionViolation(f"gamma must exceed 0 for mean curvature, got {gamma}")
+        return 1.0 + gamma / 2.0
 
     def flux(self, s, eps: float = 0.0):
         s = np.asarray(s, dtype=float)

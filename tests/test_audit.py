@@ -1,7 +1,6 @@
 """Energy quadrature, Caccioppoli growth audit, Holder fits, Morrey norms."""
 
 import functools
-import itertools
 import math
 import warnings
 
@@ -855,13 +854,6 @@ def test_morrey_power_closed_form_and_exactness():
     assert big.value == pytest.approx(1e300 * math.sqrt(4.0 * math.pi), rel=1e-14)
 
 
-def _array_morrey_value(beta, s, theta, dim, rho):
-    # The closed form as the power branch evaluates it where rho^ex is normal.
-    radii = np.array([rho])
-    mass = dim * unit_ball_volume(dim) * radii ** (dim - s * beta) / (dim - s * beta)
-    return float((radii ** ((theta - dim) / s) * mass ** (1.0 / s))[0])
-
-
 def test_morrey_power_value_across_the_float_range():
     # The mass 2 pi rho^2 underflows at rho = 1e-200, but the value 2 pi rho
     # does not; 4 pi rho^3 / 3 overflows at rho = 1e200, and so does the
@@ -872,19 +864,6 @@ def test_morrey_power_value_across_the_float_range():
     with pytest.raises(PreconditionViolation, match="^the Morrey value leaves the float range$"):
         morrey_norm(RadialPowerSource(1.0, 0.0), 1.0, 3.0, 1e200)
     assert morrey_norm(ZeroSource(), 1.0, 3.0, 1e200).value == 0.0
-    # Where rho^ex is a normal float the value keeps its bits.
-    kept = 0
-    for beta, s, theta, dim, rho in itertools.product(
-        (-2.0, 0.0, 0.5, 1.0, 1.4), (1.0, 1.5, 3.0), (0.5, 2.0, 3.0), (3, 4, 10), (1e-50, 0.5, 7.0, 1e50)
-    ):
-        ex = dim - s * beta
-        if theta < s * beta or ex <= 0 or not -307 < ex * math.log10(rho) < 308:
-            continue
-        want = _array_morrey_value(beta, s, theta, dim, rho)
-        if math.isfinite(want):
-            assert morrey_norm(RadialPowerSource(1.0, beta), s, theta, rho, dim=dim).value == want
-            kept += 1
-    assert kept > 300
 
 
 def test_morrey_theta_equal_dim_is_lebesgue_norm():

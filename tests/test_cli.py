@@ -187,9 +187,9 @@ def test_solve_file_source_matches_power_source(capsys, tmp_path):
     ("gmc:3", "1.5", "0.8", "3"),
 ])
 def test_solve_checks_gamma_against_the_operator_growth_order(capsys, operator, p, gamma, unread_p):
-    # Mean curvature and gmc:k have their own growth order (2 and k/2,
-    # gmc:2 being mean curvature) and never read --p: gamma must exceed
-    # that order minus 1, whatever --p says.
+    # Mean curvature and gmc:k have their own growth order (k/2 for k > 2,
+    # any p in (1, 2] at k = 2) and never read --p: gamma must exceed that
+    # order minus 1, whatever --p says.
     argv = ("solve", "--dim", "3", "--gamma", gamma, "--operator", operator,
             "--source", "power:1,0", "--bc-right", "0", "--nodes", "64")
     rc, report, _ = run_cli(capsys, *argv, "--p", p)
@@ -199,10 +199,22 @@ def test_solve_checks_gamma_against_the_operator_growth_order(capsys, operator, 
 
 
 def test_solve_refuses_gamma_below_the_operator_growth_order(capsys):
-    # --p 1.5 would admit gamma = 0.9; mean curvature's order 2 does not.
+    # --p 1.5 would admit gamma = 0.9; gmc:4's order 2 does not.
     rc, _, cap = run_cli(capsys, "solve", "--dim", "3", "--p", "1.5", "--gamma", "0.9",
-                         "--operator", "mean-curvature", "--source", "power:1,0", "--bc-right", "0")
+                         "--operator", "gmc:4", "--source", "power:1,0", "--bc-right", "0")
     assert rc == 2 and cap.err == "error: gamma must be finite and exceed p - 1 = 1.0, got 0.9\n"
+
+
+@pytest.mark.parametrize("operator", ["mean-curvature", "gmc:2", "gmc:2.000001"])
+def test_solve_gamma_floor_is_continuous_at_mean_curvature(capsys, operator):
+    # gmc:k admits gamma > k/2 - 1; mean curvature, bounded by |s|^(p-1)
+    # for every p in (1, 2], admits every gamma > 0, the k -> 2 limit.
+    argv = ("solve", "--dim", "3", "--p", "1.5", "--operator", operator,
+            "--source", "power:1,0", "--bc-right", "0", "--nodes", "64")
+    for gamma in ("0.9", "0.5", "1e-3"):
+        assert run_cli(capsys, *argv, "--gamma", gamma)[0] == 0
+    rc, _, cap = run_cli(capsys, *argv, "--gamma", "0")
+    assert rc == 2 and cap.err.startswith("error: gamma must") and cap.err.endswith("got 0.0\n")
 
 
 def test_solve_singular_source_is_usage_error(capsys):

@@ -710,9 +710,11 @@ def test_contradiction_radius_equals_the_doubling_walk(monkeypatch, d):
 @pytest.mark.parametrize("log_ratio", [0.0, 20.0, 700.0, math.inf, math.nan])
 def test_contradiction_radius_from_any_start_equals_the_doubling_walk(monkeypatch, log_ratio):
     # A closed form that misplaces the crossing, above or below it, or has
-    # none, costs calls but not the walk's result: the loop steps down
-    # past doublings that cross or are refused and up past those that do not.
+    # none, costs calls but not the walk's result: the search gallops from
+    # the start to bracket the first doubling that crosses or is refused,
+    # then bisects, some 2 log2(1,024) calls at most.
     monkeypatch.setattr(liouville, "_crossing_log_ratio", lambda *args: log_ratio)
+    calls = _counted(monkeypatch)
     for sigma_R, gamma, c_h, area in [
         (1.0, 1.4, 1.0, EuclideanArea(3)), (1e-3, 1.5, 1.0, EuclideanArea(3)),
         (1.0, 2.0, 1.0, EuclideanArea(3)), (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0)),
@@ -720,7 +722,21 @@ def test_contradiction_radius_from_any_start_equals_the_doubling_walk(monkeypatc
     ]:
         problem = _params(gamma, c_h)
         want = _outcome(_doubling_walk, sigma_R, problem, area, 1.0)
+        calls.clear()
         assert _outcome(find_contradiction_radius, sigma_R, problem, area, 1.0) == want
+        assert len(calls) <= 22
+
+
+def test_contradiction_radius_near_a_convergent_limit_is_a_short_search(monkeypatch):
+    # lhs / (C coefficient^-e) lies within rounding of the limit of a
+    # convergent integral: the closed form crosses at 2^38, the float
+    # integral never does, and the walk ends past the float range. The
+    # search gallops there from 2^38 instead of stepping 986 doublings.
+    problem, area = _params(2.000000000002, 1.0), PowerArea(1.0, 2.0)
+    calls = _counted(monkeypatch)
+    assert find_contradiction_radius(1.0, problem, area, 1.0) is None
+    assert 5 <= len(calls) <= 16
+    assert _doubling_walk(1.0, problem, area, 1.0) is None
 
 
 @pytest.mark.parametrize("sigma_R, gamma, c_h, area, r", [

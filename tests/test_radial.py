@@ -83,6 +83,23 @@ def test_flux_bound_with_nu_one(kind):
     np.testing.assert_allclose(kind.flux(-s), -kind.flux(s), rtol=1e-15)
 
 
+@pytest.mark.parametrize("k", [2.0, 2.0 + 1e-12, 2.0001, 3.0])
+def test_gmc_gamma_floor_is_continuous_in_k(k):
+    # gmc:k admits gamma > k/2 - 1, mean curvature (k = 2) every gamma > 0,
+    # each through an order p with |a(s)| <= |s|^(p-1) and gamma > p - 1.
+    kind = GeneralizedMeanCurvature(k)
+    s = np.geomspace(1e-6, 1e6, 121)
+    for gamma in (-0.5, 0.0, 1e-9, 1e-3, 0.5, 0.9, 1.0, 1.5, 3.0):
+        if gamma > k / 2.0 - 1.0:
+            p = kind.order_for(gamma)
+            ProblemParams(dim=3, p=p, gamma=gamma)
+            assert np.all(np.abs(kind.flux(s)) <= s ** (p - 1.0) * (1.0 + 1e-12))
+        else:
+            with pytest.raises(PreconditionViolation, match="^gamma must"):
+                ProblemParams(dim=3, p=kind.order_for(gamma), gamma=gamma)
+    assert MeanCurvature().order_for(0.5) == GeneralizedMeanCurvature(2.0).order_for(0.5)
+
+
 def _gmc_derivative_reference(k: float, s: float, eps: float) -> float:
     """q^(k-4) (1+q^k)^(-3/2) [eps^2 + (k-1) s^2 + q^k (eps^2 + (k/2-1) s^2)],
     q^2 = s^2 + eps^2, in 40-digit decimal arithmetic from the exact floats."""

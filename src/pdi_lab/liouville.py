@@ -290,10 +290,11 @@ def area_condition_test(
     sigma bound's closed form over the doublings [T, 2T] from t_start, until
     2T leaves the float range or a sampled grid, by Cauchy condensation
     (a_k = log2(I_{k+1}/I_k)). Convergent: three increments <= 1e-12 of the
-    total, or a last a_k < -2e-3 with the last three within 1e-3 or
-    decreasing. Divergent: the last three a_k within 1e-3 and the last
-    >= -1.5e-3, an increment past the float range after a finite one or on
-    an area that does not grow, or no finite one. Else inconclusive.
+    total, or three zero ones on a closed-form area that grows, or a last
+    a_k < -2e-3 with the last three within 1e-3 or decreasing. Divergent:
+    the last three a_k within 1e-3 and the last >= -1.5e-3, an increment
+    past the float range after a finite one or on an area that does not
+    grow, or no finite one. Else inconclusive.
     Exponential areas with kappa e t_start below about 2e-4 and power areas
     with 1 < beta e <= 1.0015 read divergent.
     """
@@ -318,6 +319,8 @@ def area_condition_test(
     if mode != "numeric":
         raise PreconditionViolation(f"mode must be 'analytic' or 'numeric', got {mode!r}")
 
+    # Only a convergent integral of a growing closed-form area has zero increments.
+    settles = _grows(profile) and not isinstance(profile, SampledArea)
     T, total, increments, overflowed = t_start, 0.0, [], False
     while 2.0 * T < math.inf:
         try:
@@ -336,7 +339,7 @@ def area_condition_test(
                 return IntegralVerdict.DIVERGENT
             total, increments, overflowed = 0.0, [], True  # past it from the start: read on
             continue
-        if 0 < total and max(increments[-3:]) <= 1e-12 * total:  # holds from three increments on
+        if (0 < total or settles and len(increments) >= 3) and max(increments[-3:]) <= 1e-12 * total:
             return IntegralVerdict.CONVERGENT
         if len(increments) >= 4 and min(increments[-4:]) > 0:
             a = [math.log2(y) - math.log2(x) for x, y in zip(increments[-4:], increments[-3:])]
@@ -379,7 +382,7 @@ def _power_integral(x: float, R: float, r: float) -> float:
     if 0.5 < r / R < 2.0:  # r - R is exact, and log(r / R) would lose digits near 1
         log_ratio = math.log1p((r - R) / R)
     else:
-        log_ratio = math.log(r / R) if r / R < math.inf else math.log(r) - math.log(R)
+        log_ratio = math.log(r / R) if 0 < r / R < math.inf else math.log(r) - math.log(R)
     if one_minus == 0.0:
         return log_ratio
     try:
@@ -453,39 +456,6 @@ def sigma_lower_bound(
     )
 
 
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
-def _softplus(u: float) -> float:
-    """log(1 + e^u), without overflow for large u."""
-    return u + math.log1p(math.exp(-u)) if u > 0 else math.log1p(math.exp(u))
-
-
-def _crossing_log_ratio(profile: AreaProfile, e: float, R: float, log_goal: float) -> float:
-    """log(r/R) at which the closed-form comparison integral from R reaches
-    e^log_goal, solved in logs; inf where it never does."""
-    if isinstance(profile, _PowerLawArea):
-        x = profile.shape_power * e
-        if x == 1.0:
-            return math.exp(log_goal)
-        # (1-x) R^(x-1) I = (r/R)^(1-x) - 1, so L = log1p(target (1-x) R^(x-1)) / (1-x)
-        u = log_goal + math.log(abs(1.0 - x)) + (x - 1.0) * math.log(R)
-        if x < 1.0:
-            return _softplus(u) / (1.0 - x)
-        return -math.log(-math.expm1(u)) / (x - 1.0) if u < 0 else math.inf
-    ke = profile.kappa * e
-    if ke == 0.0:  # I = r - R
-        r = R + math.exp(log_goal)
-    elif ke > 0:  # e^(-ke r) = e^(-ke R) - ke target, below 0 where the integral stays short
-        w = math.log(ke) + log_goal + ke * R
-        if not w < 0:
-            return math.inf
-        r = R - math.log(-math.expm1(w)) / ke
-    else:  # e^(|ke| r) = e^(|ke| R) + |ke| target
-        r = R + _softplus(math.log(-ke) + log_goal + ke * R) / -ke
-    return math.log(r) - math.log(R)
-
-
 def find_contradiction_radius(
     sigma_R: float,
     params: ProblemParams,
@@ -497,65 +467,47 @@ def find_contradiction_radius(
     float range, the comparison integral does (PreconditionViolation), or
     r passes a sampled area's last node (DomainExceeded).
 
-    The result is that of doubling r from 2R, but the walk starts where the
-    closed form puts the crossing: for power-law and exponential areas the
-    comparison integral I(r) is inverted in logs for I = min(lhs / (C
-    coefficient^-e), float max), the second being where the integral is
-    refused. From that start the search probes doublings 1, 2, 4, ... away,
-    up while no probe stops the walk (crosses or is refused), down while
-    every one does, then bisects the bracket. This reaches the walk's
-    doubling from any start: r/R = 2^k is exact, the comparison integral is
-    built from log, expm1 and exp, all monotone in r, and the fixed positive
-    factor C coefficient^-e keeps rhs monotone in floating point, so
-    "crosses" and "refused" each hold from some k on, and the first k where
-    either holds is the walk's. So every field keeps the walk's bits, at
-    three sigma bound calls when the closed form is right and about
-    2 log2 of its error in doublings otherwise. A sampled area's integral
-    is a sum over panels, for which no such argument is made: it walks up
-    one doubling at a time from k = 1, as far as its last node.
+    The result is that of doubling r from 2R, found by bisection over k in
+    [0, last + 1], last the last k with 2^k R finite. The walk stops at
+    2^k R where the comparison integral I is refused or rhs =
+    C coefficient^-e I, built as the sigma bound builds it, exceeds lhs.
+    Each of the two holds from some k on, so the first k where either holds
+    is the walk's: r/R = 2^k is exact; a closed-form I is built from log,
+    expm1 and exp, all monotone in r, and stays refused once it overflows;
+    the fixed positive factor C coefficient^-e keeps rhs monotone in
+    floating point. A sampled area's I sums nonnegative panel terms left
+    to right; doubling r keeps the panels below the last node under r,
+    lengthens the one r cuts and appends the rest, and every r past the
+    last node is refused. That sum grows with r only up to the rounding of
+    the lengthened panel, whose term can come out an ulp short where the
+    integrand falls steeply across it: with lhs inside that ulp of rhs,
+    the bisection can report another doubling than the walk. The sigma
+    bound runs twice: at r = R, which refuses every bad input but r, and
+    at the k found, for the report.
 
     A None return on a divergent-area profile means the crossing lies past
     the float range; on a convergent one it is the expected outcome.
     """
-    report = sigma_lower_bound(sigma_R, params, profile, R, R)  # refuses every bad input but r
-    last = 1024 - math.frexp(R)[1]  # the last k with 2^k R finite
+    first = sigma_lower_bound(sigma_R, params, profile, R, R)  # rhs = 0, so k = 0 goes on
+    scale = first.constant_C * profile.coefficient**-first.exponent_e  # rhs / I, as built
 
-    def at(k):  # the report at 2^k R, or None where the walk would stop without one
-        if k > last:
-            return None
+    def stops(k):
         try:
-            return sigma_lower_bound(sigma_R, params, profile, R, math.ldexp(R, k))
-        except (PreconditionViolation, DomainExceeded):
-            return None
+            integral = _comparison_integral(profile, first.exponent_e, R, math.ldexp(R, k))
+        except (OverflowError, DomainExceeded):
+            return True
+        return not math.isfinite(integral) or scale * integral > first.lhs
 
-    start, sampled = 1, isinstance(profile, SampledArea)
-    if not sampled:
-        scale = report.constant_C * profile.coefficient ** -report.exponent_e  # rhs / I, as built
-        if scale == 0.0:  # rhs stays 0: the walk ends where the integral is refused
-            log_target = math.inf
-        elif scale == math.inf or report.lhs == 0.0:
-            log_target = -math.inf
-        else:
-            log_target = math.log(report.lhs) - math.log(scale)
-        log_ratio = _crossing_log_ratio(profile, report.exponent_e, R, min(log_target, _LOG_MAX))
-        doublings = log_ratio / math.log(2.0)
-        start = max(1, min(math.ceil(doublings), last) if doublings < math.inf else last)
-    lo, hi, found = 0, last + 1, None  # doubling lo does not stop the walk, hi does, with found
-    k = start
+    last = 1024 - math.frexp(R)[1]  # the last k with 2^k R finite
+    lo, hi = 0, last + 1  # the walk goes on at 2^lo R and has stopped by 2^hi R
     while hi - lo > 1:
-        report = at(k)
-        if report is None or report.contradiction:
-            hi, found = k, report
-        else:
-            lo = k
-        if hi > last:  # no probe stopped the walk: up, twice as far from the start each time
-            k = lo + (1 if sampled else max(1, lo - start))
-        elif lo == 0:  # every probe did: down likewise
-            k = hi - max(1, start - hi)
-        else:
-            k = (lo + hi) // 2
-        k = min(max(k, lo + 1), hi - 1)
-    return found
+        k = (lo + hi) // 2
+        lo, hi = (lo, k) if stops(k) else (k, hi)
+    try:
+        report = sigma_lower_bound(sigma_R, params, profile, R, math.ldexp(R, min(hi, last)))
+    except (PreconditionViolation, DomainExceeded):
+        return None
+    return report if report.contradiction else None
 
 
 # ---------------------------------------------------------------------------

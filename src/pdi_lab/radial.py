@@ -449,7 +449,8 @@ def _certify_witness(dim: int, p: float, gamma: float, bounded: bool, grid):
     a, K = _witness_constants(dim, p, gamma, bounded)
     unit = BumpProfile(1.0, -a) if bounded else PowerProfile(-1.0 / a, a)
     if bounded:
-        grid = grid[np.abs(unit.derivative(grid)) >= np.finfo(float).tiny]
+        with np.errstate(over="ignore", invalid="ignore"):  # r * r overflows on radii it drops
+            grid = grid[np.abs(unit.derivative(grid)) >= np.finfo(float).tiny]
         if grid.size == 0:
             raise NoAdmissibleScale(f"bump slope for gamma={gamma} underflows on the whole scan grid")
     params = ProblemParams(dim=dim, p=p, gamma=gamma, lam=0.0, c_h=K)

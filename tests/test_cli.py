@@ -977,7 +977,10 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
 # Arbitrary argv: every outcome is an exit code and clean output
 # ---------------------------------------------------------------------------
 
-_NUMBERS = ("2", "3", "4", "1.5", "2.5", "0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "x")
+_NUMBERS = (
+    "2", "3", "4", "1.5", "2.5", "0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "x",
+    "1e-300", "1e300", "5e-324", "1.7976931348623157e308", "344", "1000",
+)
 _COUNTS = ("0", "1", "2", "3", "-1", "x", "1e400")
 _SPECS = (
     "zero", "power:1,0", "power:1,1", "power:1", "power:x,1", "power:nan,inf", "exp:1,1",
@@ -1078,6 +1081,8 @@ def _argv(draw):
           "--nodes=64"])
 @example(["solve", "--dim=3", "--p=8", "--gamma=7.5", "--operator=gmc:8",
           "--source=power:1e9,0", "--bc-right=0", "--nodes=64"])
+# A scan grid out to the float max, where the bump slope's r * r overflows.
+@example(["verify-bump", "--dim=3", "--p=2", "--gamma=1.8", "--grid-max=1.7976931348623157e308"])
 def test_any_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

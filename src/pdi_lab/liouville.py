@@ -483,7 +483,7 @@ def find_contradiction_radius(
     integrand falls steeply across it: with lhs inside that ulp of rhs,
     the bisection can report another doubling than the walk. The sigma
     bound runs twice: at r = R, which refuses every bad input but r, and
-    at the k found, for the report.
+    at the k found (the last one where none stops), for the report.
 
     A None return on a divergent-area profile means the crossing lies past
     the float range; on a convergent one it is the expected outcome.

@@ -761,6 +761,90 @@ def test_line_fit_meets_polyfit():
             assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=1e-12)
 
 
+def _reference_line_fit(x, y):
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, float(y_mean - slope * x_mean)
+
+
+def _reference_r_squared(x, y, slope, intercept):
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+def _reference_caccioppoli(u, params, R, t_list):
+    """caccioppoli_audit's numbers through np.sort, np.max, np.argmax and
+    np.mean, from the same energies."""
+    t_arr = np.sort(np.asarray(t_list, dtype=float))
+    s = audit.caccioppoli_exponent(params)
+    with np.errstate(all="ignore"):
+        energies = audit._ball_integral(u, t_arr, params.dim, params.gamma)
+        if params.lam > 0:
+            energies += params.lam * audit._ball_integral(u, t_arr, params.dim)
+        k_values = energies * (R - t_arr) ** s / np.float64(R) ** params.dim
+    fitted_K = float(np.max(k_values))
+    positive = energies > 0
+    half = t_arr.size // 2
+    growth = math.nan
+    if np.count_nonzero(positive[:half]) >= 2:
+        lo = positive.copy()
+        lo[half:] = False
+        growth = _reference_line_fit(np.log(t_arr[lo]), np.log(energies[lo]))[0]
+    tail = max(1, t_arr.size // 5)
+    rising = int(np.argmax(k_values)) == t_arr.size - 1
+    stable = not (rising and fitted_K > 2.0 * float(np.max(k_values[:-tail])))
+    return t_arr, energies, growth, fitted_K, stable
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_closed_form_fits_equal_the_np_mean_and_np_sum_reference_to_the_bit():
+    # The fits take their means and sums from np.add.reduce and their other
+    # reductions from array methods; np.mean, np.sum, np.max, np.argmax and
+    # np.sort give the same bits.
+    rng = np.random.default_rng(36)
+    for n in range(2, 65):
+        for _ in range(8):
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            y = rng.normal() * x + rng.normal(size=n) * 10.0 ** rng.uniform(-12, 0)
+            slope, intercept = audit._line_fit(x, y)
+            assert _same_bits([slope, intercept], _reference_line_fit(x, y))
+            assert _same_bits(audit._r_squared(x, y, slope, intercept),
+                              _reference_r_squared(x, y, slope, intercept))
+            u = PowerProfile(rng.uniform(-3, 3), rng.uniform(0.7, 3), rng.choice([0.0, 1.0]))
+            params = ProblemParams(dim=int(rng.integers(2, 7)), p=rng.uniform(1.2, 3),
+                                   gamma=rng.uniform(3.5, 5), lam=rng.choice([0.0, 0.7]))
+            t_list = rng.uniform(0.01, 0.99, n)
+            rep = caccioppoli_audit(u, params, 1.0, t_list)
+            t_arr, energies, growth, fitted_K, stable = _reference_caccioppoli(u, params, 1.0, t_list)
+            assert _same_bits(rep.radii_t, t_arr) and _same_bits(rep.energies, energies)
+            assert _same_bits([rep.fitted_growth, rep.fitted_K], [growth, fitted_K])
+            assert rep.k_stable is stable
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_holder_fit_anchor_equals_the_array_anchor_to_the_bit(seed):
+    # A domain starting off the axis: the anchor's power r_lo^a comes from
+    # the same pow as an array of it, which a scalar ** need not match.
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        u = PowerProfile(rng.uniform(-3, 3), rng.uniform(0.05, 1.0), 1.0)
+        r_lo = rng.uniform(0.01, 2.0)
+        h_min, h_max = 10.0 ** rng.uniform(-8, -3), rng.uniform(0.1, 1.0)
+        rep = holder_fit(u, 1, (h_min, h_max), domain=(r_lo, r_lo + 1.0))
+        inc = np.abs(u.c * ((np.full(rep.scales.size, r_lo) + rep.scales) ** u.a
+                            - np.full(rep.scales.size, r_lo) ** u.a))
+        assert _same_bits(rep.max_increments, inc)
+        x, y = np.log(rep.scales), np.log(inc)
+        slope, intercept = _reference_line_fit(x, y)
+        assert _same_bits([rep.fitted_alpha, rep.r_squared],
+                          [slope, _reference_r_squared(x, y, slope, intercept)])
+
+
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
 def test_holder_fit_recovers_power_exponent(a):
     prof = PowerProfile(c=1.0, a=a)

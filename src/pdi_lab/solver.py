@@ -64,7 +64,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
-from .params import ProblemParams
+from .params import ProblemParams, _in_range
 from .radial import (
     GeneralizedMeanCurvature,
     Gridded,
@@ -203,12 +203,20 @@ class _Discretization:
 
     def __init__(self, grid, kind, params, f, bc_left, bc_right):
         d = params.dim
-        faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
         self.h = float(grid[1] - grid[0])
-        self.inv_2h = 1.0 / (2.0 * self.h)
-        powers = faces**d
-        self.vols = (powers[1:] - powers[:-1]) / d
-        self.area = faces[1:-1] ** (d - 1)
+        # A grid out near the float max, or r^d at a high dim, overflows
+        # here; it is refused once, before any Newton step.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
+            self.inv_2h = float(np.float64(1.0) / (2.0 * self.h))
+            powers = faces**d
+            self.vols = (powers[1:] - powers[:-1]) / d
+            self.area = faces[1:-1] ** (d - 1)
+        _in_range(
+            f"the grid on [{grid[0]:g}, {grid[-1]:g}] at dim={d} (its spacing, shell volumes "
+            "or face areas)",
+            lambda: np.max([self.inv_2h, self.vols.max(), self.area.max()]),
+        )
         self.f_vals = np.asarray(f(grid), dtype=float)
         self.vols_in, self.f_in = self.vols[1:-1], self.f_vals[1:-1]
         self.kind, self.lam, self.gamma, self.c_h = kind, params.lam, params.gamma, params.c_h
@@ -357,7 +365,8 @@ def solve_radial_dirichlet(
             f"boundary values must be finite, got bc_left={bc_left}, bc_right={bc_right}"
         )
 
-    grid = np.linspace(r_in, r_out, config.n_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # nodes past the float max are refused
+        grid = np.linspace(r_in, r_out, config.n_nodes)
     disc = _Discretization(grid, kind, params, f, bc_left, bc_right)
     if not np.all(np.isfinite(disc.f_vals)):
         raise PreconditionViolation(

@@ -1084,9 +1084,18 @@ def _argv(draw):
 # A scan grid out to the float max, where the bump slope's r * r overflows.
 @example(["verify-bump", "--dim=3", "--p=2", "--gamma=1.8", "--grid-max=1.7976931348623157e308"])
 def test_any_argv_exits_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+def _assert_exits_cleanly(argv):
+    """One exit code of 0, 1 or 2, one stderr line, no warning, and a
+    report, a CSV or nothing on stdout, as the exit code says."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = run(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+    assert [str(w.message) for w in caught] == [], argv
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
@@ -1102,6 +1111,48 @@ def test_any_argv_exits_cleanly(argv):
     else:
         assert text.count("\n") == 1
         json.loads(text)
+
+
+# Growth orders near and far from their floors, and the dims past which
+# omega_d and r^d leave the float range.
+_EXTREME_SPECIALS = (5e-324, 1e-320, 1e-300, -1e-300, -1e300, 1.7976931348623157e308)
+_EXTREME_DIMS = (2, 3, 5, 10, 344, 1000)
+
+
+def _extreme_argv(rng) -> list:
+    """A valid invocation with 1 to 3 of its numeric flags replaced by a
+    power 10^k with k in [-300, 300], a value in [0.01, 10], a float-range
+    special, or, for --p, --gamma and --dim, a growth order or dim; gamma
+    is p - 1 + 10^u of the invocation's p. solve runs on 64 nodes."""
+    command = str(rng.choice(sorted(name for name in _ROWS if name != "sweep")))
+    flags = _valid_flags(command)
+    if command == "solve":
+        flags["--nodes"] = "64"
+    numeric = sorted(flag for flag, kind, _ in _ROWS[command] if kind is float or flag == "--dim")
+    drawn = rng.choice(numeric, size=min(len(numeric), rng.integers(1, 4)), replace=False)
+    for flag in sorted(drawn, key=lambda flag: flag == "--gamma"):  # gamma reads the new p
+        tiny = 10.0 ** rng.uniform(-12, 1)
+        if flag == "--dim":
+            value = rng.choice(_EXTREME_DIMS)
+        elif flag == "--p" and rng.random() < 0.5:
+            value = rng.choice([1.001, 1.5, 2.0, 3.0, 8.0, 1.0 + tiny])
+        elif flag == "--gamma" and rng.random() < 0.5:
+            value = float(flags.get("--p", 2.0)) - 1.0 + tiny
+        else:
+            value = rng.choice([10.0 ** rng.uniform(-300, 300), rng.uniform(0.01, 10.0),
+                                rng.choice(_EXTREME_SPECIALS)])
+        flags[flag] = repr(value.item() if hasattr(value, "item") else value)
+    return _argv_of(command, flags)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extreme_numbers_exit_cleanly(seed):
+    # Values at and past the float range's edges: each invocation runs or
+    # is refused in one line, with no traceback and no warning. About 1.5 ms
+    # a draw.
+    rng = np.random.default_rng(seed)
+    for _ in range(700):
+        _assert_exits_cleanly(_extreme_argv(rng))
 
 
 # A different valid value for each spec flag; numbers move by one step.

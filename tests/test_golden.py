@@ -189,7 +189,7 @@ BATTERY = [
     "morrey --source power:1,1 --theta 2 --omega-radius 1e-200",
     "liouville --dim 10 --p 8 --gamma 8.1",
     f"solve {_SOLVE} --nu 2",
-    # The open faults of ROADMAP items 2, 3, 10, 13 and 17, as they read now.
+    # The faults of ROADMAP items 2, 3, 10, 13 and 17.
     "solve --dim 3 --p 1.2 --gamma 2 --source power:1e8,0 --bc-right 0 --nodes 64",
     "solve --dim 3 --p 1.2 --gamma 2 --source power:1e8,0 --bc-right 0 --nodes 256",
     "solve --dim 3 --p 1.2 --gamma 2 --source power:1e8,0 --bc-right 0 --nodes 1024",
@@ -201,6 +201,7 @@ BATTERY = [
     "solve --dim 344 --p 2 --gamma 2 --source power:1,0 --r-in 1.5 --r-out 344 --bc-left 1 "
     "--bc-right 0 --nodes 17",
     f"solve {_SOLVE} --r-out 1.7976931348623157e308",
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 5e-324 --bc-right 0 --nodes 17",
     "manifold --profile power:1,1.001 --p 2 --gamma 2",
     "manifold --profile power:1,1.001 --p 2 --gamma 2 --mode numeric",
     "manifold --profile exp:1,1e-4 --p 2 --gamma 2",

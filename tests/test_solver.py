@@ -722,6 +722,26 @@ def test_a_solve_through_overflowing_trials_emits_no_warning(monkeypatch):
     assert np.geterr() == before
 
 
+@pytest.mark.parametrize("dim, domain, bc_left", [
+    (344, (1.5, 344.0), 1.0),  # r^344 past the float max
+    (3, (0.5, 1.7976931348623157e308), 1.0),  # the nodes' midpoints overflow
+    (3, (0.0, 5e-324), None),  # every spacing rounds to 0
+    (3, (0.0, 1e-320), None),  # 1 / (2h) overflows
+])
+def test_a_grid_past_the_float_range_is_refused_before_any_newton_step(monkeypatch, dim, domain,
+                                                                       bc_left):
+    calls = []
+    monkeypatch.setattr(solver, "_residual", lambda *args: calls.append(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolation, match="leaves the float range"):
+            solve_radial_dirichlet(
+                PLaplacian(2.0), ProblemParams(dim=dim, p=2.0, gamma=2.0),
+                RadialPowerSource(1.0, 0.0), domain, bc_left, 0.0, config=SolverConfig(n_nodes=17),
+            )
+    assert calls == []
+
+
 @pytest.mark.parametrize("kind,gamma", [
     (PLaplacian(1.5), 1.2), (PLaplacian(3.0), 2.5), (GeneralizedMeanCurvature(4.0), 1.5),
 ])

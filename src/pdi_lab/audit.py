@@ -37,9 +37,12 @@ power source the mass and the whole norm are closed-form, and exact for
 beta >= 0, where |f| is radial and nonincreasing and no ball off the
 centre holds more of it. Sampled data integrate through the fixed
 Gauss-Legendre rule (``quadrature.gauss_legendre``, bound here as
-``quad``) on panels that break at the sample nodes, 8 nodes per panel,
-which is exact for the interpolant when s = 1; all radii of a scan take
-two rule calls.
+``quad``) on panels that break at the sample nodes and at the
+interpolant's zero crossings, 8 nodes per panel, which is exact for the
+interpolant when s is an integer with s + dim <= 16; all radii of a scan
+take two rule calls. A panel on which the interpolant vanishes at one end
+takes the 8-node Gauss-Jacobi rule of |r - end|^s instead, exact for any
+s when dim <= 16.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 
 from .errors import DomainExceeded, InsufficientScales, NonIntegrable, PreconditionViolation
 from .params import ProblemParams, _check_dim, _in_range, caccioppoli_exponent, unit_ball_volume
-from .quadrature import SAMPLE_PANEL_NODES, sample_panels
+from .quadrature import SAMPLE_PANEL_NODES, gauss_jacobi, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import Gridded, PowerProfile
 from .solver import RadialPowerSource, SampledSource
@@ -504,19 +507,53 @@ class MorreyNorm:
     exact: bool
 
 
+def _zero_crossings(grid, values):
+    """The radii strictly inside a panel where the piecewise-linear
+    interpolant of (grid, values) changes sign. Both values are scaled by
+    the larger one, so no sum or difference of them can overflow."""
+    lo, hi = values[:-1], values[1:]
+    at = np.flatnonzero(((lo < 0) & (hi > 0)) | ((lo > 0) & (hi < 0)))
+    a, b = np.abs(lo[at]), np.abs(hi[at])
+    top = np.maximum(a, b)
+    a, b = a / top, b / top
+    return grid[at] + a / (a + b) * (grid[at + 1] - grid[at])
+
+
 def _ball_mass(f, s_index, dim, rho):
     """int over B_rho(0) of |f|^s for each radius of the array rho."""
 
     def density(r):
         return np.abs(f(r)) ** s_index * _shell_weight(r, dim)
 
-    # Panels break at the sample nodes, where the interpolant kinks;
-    # between them |f|^s r^(dim-1) is smooth (a polynomial for s = 1).
-    edges = sample_panels(f.grid, 0.0, float(np.max(rho, initial=0.0)))
-    panels = quad(density, edges[:-1], edges[1:], SAMPLE_PANEL_NODES)
+    def shell(r):
+        return _shell_weight(r, dim)
+
+    def masses(a, b, fa, fb):
+        """The integral over each panel [a, b], f being fa and fb at its
+        ends. Where f vanishes at one end only, |f|^s is |f at the other
+        end|^s times the weight ((r - zero) / (other - zero))^s of the
+        Gauss-Jacobi rule, exact for any s."""
+        out = quad(density, a, b, SAMPLE_PANEL_NODES)
+        one_end = (fa == 0) != (fb == 0)
+        if one_end.any():
+            left = fa[one_end] == 0
+            a, b, fa, fb = a[one_end], b[one_end], fa[one_end], fb[one_end]
+            out[one_end] = np.abs(np.where(left, fb, fa)) ** s_index * gauss_jacobi(
+                shell, np.where(left, a, b), np.where(left, b, a), SAMPLE_PANEL_NODES, s_index)
+        return out
+
+    # Panels break at the sample nodes, where the interpolant kinks, and at
+    # its zero crossings, where |f|^s does; between them |f|^s r^(dim-1) is
+    # smooth (a polynomial for an integer s).
+    crossings = _zero_crossings(f.grid, f.values)
+    edges = sample_panels(np.sort(np.concatenate((f.grid, crossings))), 0.0,
+                          float(np.max(rho, initial=0.0)))
+    ends = f(edges)
+    ends[np.isin(edges, crossings)] = 0.0
+    panels = masses(edges[:-1], edges[1:], ends[:-1], ends[1:])
     cumulative = np.concatenate(([0.0], np.cumsum(panels)))
     k = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, edges.size - 2)
-    return cumulative[k] + quad(density, edges[k], rho, SAMPLE_PANEL_NODES)
+    return cumulative[k] + masses(edges[k], rho, ends[k], f(rho))
 
 
 def morrey_norm(

@@ -7,7 +7,9 @@ whose last axis runs over the nodes; its other axes may broadcast
 further, as when a and b are scalars and f closes over per-interval
 arrays. The rule is exact for polynomials of degree 2n - 1 on each
 interval, so piecewise-polynomial data integrate exactly on panels that
-break at the sample nodes (``sample_panels``). Node counts are module
+break at the sample nodes (``sample_panels``). ``gauss_jacobi`` is the
+rule of the weight |r - z|^beta at one end z of each interval, for the
+power of a piecewise-linear interpolant that vanishes there. Node counts are module
 constants; nothing adapts, so a result is a fixed function of its
 inputs.
 """
@@ -41,6 +43,34 @@ def gauss_legendre(f, a, b, n: int):
     b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     return (f(a + half * (x + 1.0)) @ w) * half[..., 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_rule(n: int, beta: float):
+    """Nodes and weights of the n-point Gauss rule of the weight
+    (1 + x)^beta on [-1, 1], beta > 0, read-only: the eigenvalues and first
+    eigenvector components of the Jacobi matrix of the monic Jacobi
+    polynomials (Golub & Welsch, *Calculation of Gauss quadrature rules*,
+    Math. Comp. 23, 1969)."""
+    c = 2.0 * np.arange(n) + beta  # 2k + beta
+    k, ck = np.arange(1.0, n), c[1:]
+    off = np.sqrt(4.0 * k**2 * (k + beta) ** 2 / (ck**2 * (ck + 1.0) * (ck - 1.0)))
+    x, v = np.linalg.eigh(np.diag(beta**2 / (c * (c + 2.0))) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_jacobi(f, z, e, n: int, beta: float):
+    """int of ((r - z) / (e - z))^beta f(r) over the interval between z and
+    e, for every pair of the broadcast arrays z, e (either may be the
+    larger): exact for polynomials f of degree 2n - 1, whatever beta > 0."""
+    x, w = _jacobi_rule(n, beta)
+    z = np.asarray(z, dtype=float)[..., None]
+    e = np.asarray(e, dtype=float)[..., None]
+    half = 0.5 * (e - z)
+    return (f(z + half * (x + 1.0)) @ w) * (np.abs(half[..., 0]) * 0.5**beta)
 
 
 def sample_panels(grid: np.ndarray, a: float, b: float) -> np.ndarray:

@@ -1067,6 +1067,49 @@ def test_sampled_ball_mass_is_exact_for_the_interpolant():
     assert not norm.exact
 
 
+@pytest.mark.parametrize("grid, values, s_index", [
+    ([0.0, 1.0], [1.0, -1.0], 1.0),
+    ([0.0, 0.5, 1.0], [1.0, -3.0, 2.0], 1.0),
+    ([0.0, 1.0], [1.0, -1.0], 1.5),
+])
+def test_sampled_ball_mass_of_a_sign_changing_interpolant_meets_quad(grid, values, s_index):
+    # |f|^s kinks where the interpolant crosses zero; the panels break
+    # there too, so s = 1 is exact and s = 1.5 within the rule's error.
+    from scipy.integrate import quad as adaptive
+
+    g, v = np.array(grid), np.array(values)
+    crossings = [a + x / (x - y) * (b - a) for a, b, x, y in zip(g, g[1:], v, v[1:]) if x * y < 0]
+    rho = np.array([0.2, 0.5, 0.7, 1.0])
+    got = audit._ball_mass(SampledSource(g, v), s_index, 3, rho)
+    for radius, mass in zip(rho, got):
+        want, _ = adaptive(
+            lambda r: abs(np.interp(r, g, v)) ** s_index * 4.0 * math.pi * r**2, 0.0, radius,
+            points=[x for x in [*g, *crossings] if 0 < x < radius] or None,
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert mass == pytest.approx(want, rel=1e-12)
+    if values == [1.0, -1.0] and s_index == 1.0:
+        assert got[-1] == pytest.approx(3.0 * math.pi / 4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.7])
+def test_gauss_jacobi_rule_is_scipys_and_exact_for_degree_15(beta):
+    from scipy.special import roots_jacobi
+
+    from pdi_lab import quadrature
+
+    x, w = quadrature._jacobi_rule(8, beta)
+    want_x, want_w = roots_jacobi(8, 0.0, beta)
+    assert np.allclose(x, want_x, rtol=0, atol=1e-14) and np.allclose(w, want_w, rtol=1e-13)
+    # int_0^1 (r / 1)^beta r^k dr = 1 / (beta + k + 1), from either end.
+    for k in range(16):
+        want = 1.0 / (beta + k + 1.0)
+        assert quadrature.gauss_jacobi(lambda r: r**k, 0.0, 1.0, 8, beta) == pytest.approx(want, rel=1e-13)
+        # the zero at the right end: (1 - r)^beta r^k integrates to B(k + 1, beta + 1)
+        beta_fn = math.exp(math.lgamma(k + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(k + beta + 2.0))
+        assert quadrature.gauss_jacobi(lambda r: r**k, 1.0, 0.0, 8, beta) == pytest.approx(beta_fn, rel=1e-13)
+
+
 def test_morrey_d2_default_settings_is_two_pi():
     norm = morrey_norm(RadialPowerSource(1.0, 1.0), s_index=1.0, theta=1.5,
                        omega_radius=1.0, dim=2)

@@ -205,18 +205,16 @@ class _Discretization:
         d = params.dim
         self.h = float(grid[1] - grid[0])
         # A grid out near the float max, or r^d at a high dim, overflows
-        # here; it is refused once, before any Newton step.
+        # here; it is refused once, before any Newton step. The faces
+        # increase, so the last power and face area bound all the others.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
             self.inv_2h = float(np.float64(1.0) / (2.0 * self.h))
             powers = faces**d
-            self.vols = (powers[1:] - powers[:-1]) / d
             self.area = faces[1:-1] ** (d - 1)
-        _in_range(
-            f"the grid on [{grid[0]:g}, {grid[-1]:g}] at dim={d} (its spacing, shell volumes "
-            "or face areas)",
-            lambda: np.max([self.inv_2h, self.vols.max(), self.area.max()]),
-        )
+        _in_range(f"the grid at dim={d}, in its spacing, shell volumes or face areas,",
+                  lambda: max(self.inv_2h, powers[-1], self.area[-1]))
+        self.vols = (powers[1:] - powers[:-1]) / d
         self.f_vals = np.asarray(f(grid), dtype=float)
         self.vols_in, self.f_in = self.vols[1:-1], self.f_vals[1:-1]
         self.kind, self.lam, self.gamma, self.c_h = kind, params.lam, params.gamma, params.c_h

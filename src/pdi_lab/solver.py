@@ -203,18 +203,12 @@ class _Discretization:
 
     def __init__(self, grid, kind, params, f, bc_left, bc_right):
         d = params.dim
+        faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
         self.h = float(grid[1] - grid[0])
-        # A grid out near the float max, or r^d at a high dim, overflows
-        # here; it is refused once, before any Newton step. The faces
-        # increase, so the last power and face area bound all the others.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
-            self.inv_2h = float(np.float64(1.0) / (2.0 * self.h))
-            powers = faces**d
-            self.area = faces[1:-1] ** (d - 1)
-        _in_range(f"the grid at dim={d}, in its spacing, shell volumes or face areas,",
-                  lambda: max(self.inv_2h, powers[-1], self.area[-1]))
+        self.inv_2h = 1.0 / (2.0 * self.h)
+        powers = faces**d
         self.vols = (powers[1:] - powers[:-1]) / d
+        self.area = faces[1:-1] ** (d - 1)
         self.f_vals = np.asarray(f(grid), dtype=float)
         self.vols_in, self.f_in = self.vols[1:-1], self.f_vals[1:-1]
         self.kind, self.lam, self.gamma, self.c_h = kind, params.lam, params.gamma, params.c_h
@@ -363,8 +357,13 @@ def solve_radial_dirichlet(
             f"boundary values must be finite, got bc_left={bc_left}, bc_right={bc_right}"
         )
 
-    with np.errstate(over="ignore", invalid="ignore"):  # nodes past the float max are refused
-        grid = np.linspace(r_in, r_out, config.n_nodes)
+    # r_out^d bounds every power r^d and face area r^(d-1) of the grid, and
+    # once it is finite no step of linspace nears the float max.
+    what = f"the grid at dim={params.dim}, in its spacing, shell volumes or face areas,"
+    _in_range(what, lambda: r_out**params.dim)
+    grid = np.linspace(r_in, r_out, config.n_nodes)
+    h = float(grid[1] - grid[0])
+    _in_range(what, lambda: 0.5 / h if h > 0 else math.inf)
     disc = _Discretization(grid, kind, params, f, bc_left, bc_right)
     if not np.all(np.isfinite(disc.f_vals)):
         raise PreconditionViolation(

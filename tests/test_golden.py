@@ -202,6 +202,8 @@ BATTERY = [
     "--bc-right 0 --nodes 17",
     f"solve {_SOLVE} --r-out 1.7976931348623157e308",
     "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 5e-324 --bc-right 0 --nodes 17",
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 1 --r-out 1.000000000000001 "
+    "--bc-left 1 --bc-right 0 --nodes 4096",
     "manifold --profile power:1,1.001 --p 2 --gamma 2",
     "manifold --profile power:1,1.001 --p 2 --gamma 2 --mode numeric",
     "manifold --profile exp:1,1e-4 --p 2 --gamma 2",

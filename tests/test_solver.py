@@ -724,8 +724,9 @@ def test_a_solve_through_overflowing_trials_emits_no_warning(monkeypatch):
 
 @pytest.mark.parametrize("dim, domain, bc_left", [
     (344, (1.5, 344.0), 1.0),  # r^344 past the float max
-    (3, (0.5, 1.7976931348623157e308), 1.0),  # the nodes' midpoints overflow
+    (3, (0.5, 1.7976931348623157e308), 1.0),  # so are r^3 and linspace's last step
     (3, (0.0, 5e-324), None),  # every spacing rounds to 0
+    (3, (1.0, 1.000000000000001), 1.0),  # the first node rounds back to r_in
     (3, (0.0, 1e-320), None),  # 1 / (2h) overflows
 ])
 def test_a_grid_past_the_float_range_is_refused_before_any_newton_step(monkeypatch, dim, domain,

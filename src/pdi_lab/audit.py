@@ -522,11 +522,11 @@ def _zero_crossings(grid, values):
 def _ball_mass(f, s_index, dim, rho):
     """int over B_rho(0) of |f|^s for each radius of the array rho."""
 
-    def density(r):
-        return np.abs(f(r)) ** s_index * _shell_weight(r, dim)
-
     def shell(r):
         return _shell_weight(r, dim)
+
+    def density(r):
+        return np.abs(f(r)) ** s_index * shell(r)
 
     def masses(a, b, fa, fb):
         """The integral over each panel [a, b], f being fa and fb at its

@@ -9,9 +9,9 @@ arrays. The rule is exact for polynomials of degree 2n - 1 on each
 interval, so piecewise-polynomial data integrate exactly on panels that
 break at the sample nodes (``sample_panels``). ``gauss_jacobi`` is the
 rule of the weight |r - z|^beta at one end z of each interval, for the
-power of a piecewise-linear interpolant that vanishes there. Node counts are module
-constants; nothing adapts, so a result is a fixed function of its
-inputs.
+power of a piecewise-linear interpolant that vanishes there. Node counts
+are module constants; nothing adapts, so a result is a fixed function of
+its inputs.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ operator kind's regularized flux. The Laplacian and the mean-curvature
 flux (gmc with k = 2) are solved at eps = 1e-10 directly; the other
 kinds, the singular p < 2 p-Laplacian included, are continued through
 the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, each stage
-warm-starting the next.
+warm-starting the next. An intermediate stage is solved only to its
+stage tolerance max(newton_tol, eps * R0), R0 the max residual of the
+solve's initial iterate (0 when that is not finite, so a non-finite start
+fails at its own stage): it ends at its first residual within it.
 
 Each Newton step starts with the one convergence test: the max residual
 over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
@@ -19,19 +22,21 @@ of flux differences and the eps^(p-2) of a p < 2 flux derivative, so a
 solve that has reached roundoff ends there; ``meta["roundoff_floor"]``
 keeps the roundoff term of the passing test. The test and the step read
 one Jacobian, formed at the current iterate from the face and centred
-slopes its residual evaluation returned. An intermediate eps stage whose
-residual is already within newton_tol ends without a Jacobian, since a
-floor >= 0 cannot change that test; the final stage always forms the
-floor it reports. The line search halves the step until the residual
-falls and evaluates only the residual of each trial; the accepted
-trial's residual and slopes serve the next step. So each trial costs one
-residual, each Newton step one Jacobian, and each test that ends the
-final stage, or a stage still above newton_tol, one more; a rejected
-trial never builds a Jacobian. The grid data no iterate changes (shell
-volumes, face areas, source values) are computed once per solve. A
-non-finite residual max or floor (finite only if every J_ij and V_j is)
-is NoConvergence before the test, so ``gtsv`` never sees an inf or a NaN;
-one ``np.errstate`` around the Newton loop silences a stiff trial.
+slopes its residual evaluation returned. An intermediate stage whose
+residual is within its stage tolerance ends without a Jacobian or a
+floor; the final stage always forms the floor it reports. The line
+search halves the step until the residual falls and evaluates only the
+residual of each trial; the accepted trial's residual and slopes serve
+the next step. So each trial costs one residual, each Newton step one
+Jacobian, and each test that ends the final stage, or a stage still
+above its stage tolerance, one more; a rejected trial never builds a
+Jacobian. The grid data no iterate changes (shell volumes, face areas,
+source values) are computed once per solve, and a grid where one of
+them leaves the float range, or a volume or area underflows to 0, is
+refused before any residual. A non-finite residual max or floor (finite
+only if every J_ij and V_j is) is NoConvergence before the test, so
+``gtsv`` never sees an inf or a NaN; one ``np.errstate`` around the
+Newton loop silences a stiff trial.
 
 Discretization is conservative: fluxes live on face radii, and each cell
 is weighted by its exact shell volume (r_{i+1/2}^d - r_{i-1/2}^d)/d
@@ -211,7 +216,13 @@ class _Discretization:
         self.area = faces[1:-1] ** (d - 1)
         self.f_vals = np.asarray(f(grid), dtype=float)
         self.vols_in, self.f_in = self.vols[1:-1], self.f_vals[1:-1]
+        # The axis row's scalars, read as Python floats.
+        self.vol_0, self.f_0 = float(self.vols[0]), float(self.f_vals[0])
         self.kind, self.lam, self.gamma, self.c_h = kind, params.lam, params.gamma, params.c_h
+        # At a flat centred slope the Hamiltonian derivative c_h gamma
+        # |0|^(gamma-1) sign(0) is 0 unless |0|^(gamma-1) (gamma < 1) or
+        # c_h gamma is infinite; only then does the Jacobian reset it.
+        self.reset_flat = self.gamma < 1.0 or not math.isfinite(self.c_h * self.gamma)
         self.bc_left, self.bc_right = bc_left, bc_right
         self.rows = slice(0 if bc_left is None else 1, grid.size - 1)
 
@@ -276,13 +287,14 @@ def _residual(values: np.ndarray, disc: _Discretization, eps: float):
     # Interior balance: flux divergence plus reaction, Hamiltonian, source.
     inner = np.subtract(flux[:-1], flux[1:], out=R[1:-1])
     inner /= disc.vols_in
-    inner += disc.lam * values[1:-1]
+    if disc.lam > 0.0:
+        inner += disc.lam * values[1:-1]
     inner += disc.c_h * np.abs(dv) ** disc.gamma
     inner -= disc.f_in
     if disc.bc_left is None:
         # Zero flux through the left face; at r = 0 this is the symmetry
         # condition and the Hamiltonian vanishes with the gradient.
-        R[0] = -flux[0] / disc.vols[0] + disc.lam * values[0] - disc.f_vals[0]
+        R[0] = -flux[0] / disc.vol_0 + disc.lam * values[0] - disc.f_0
     else:
         R[0] = values[0] - disc.bc_left
     R[-1] = values[-1] - disc.bc_right
@@ -300,7 +312,8 @@ def _jacobian(slopes, disc: _Discretization, eps: float):
     minus_dflux *= disc.area
     minus_dflux /= -disc.h
     dham = disc.c_h * disc.gamma * np.abs(dv) ** (disc.gamma - 1.0) * np.sign(dv)
-    dham[dv == 0.0] = 0.0
+    if disc.reset_flat:
+        dham[dv == 0.0] = 0.0
     dham *= disc.inv_2h
 
     # A Dirichlet row keeps its zero off-diagonal entries.
@@ -317,7 +330,7 @@ def _jacobian(slopes, disc: _Discretization, eps: float):
     np.divide(minus_dflux[1:], disc.vols_in, out=sup[1:])
     sup[1:] += dham
     if disc.bc_left is None:
-        sup[0] = minus_dflux[0] / disc.vols[0]
+        sup[0] = minus_dflux[0] / disc.vol_0
         dia[0] = disc.lam - sup[0]
     else:
         dia[0] = 1.0
@@ -365,6 +378,10 @@ def solve_radial_dirichlet(
     h = float(grid[1] - grid[0])
     _in_range(what, lambda: 0.5 / h if h > 0 else math.inf)
     disc = _Discretization(grid, kind, params, f, bc_left, bc_right)
+    # Every residual divides by the shell volumes and weights the fluxes by
+    # the interior face areas; neither may underflow to 0.
+    if not (disc.vols.min() > 0.0 and disc.area.min() > 0.0):
+        raise PreconditionViolation(f"{what} leaves the float range")
     if not np.all(np.isfinite(disc.f_vals)):
         raise PreconditionViolation(
             "source term is not finite on the grid; singular sources need r_in > 0"
@@ -377,17 +394,22 @@ def solve_radial_dirichlet(
 
     iterations = 0
     schedule = _schedule(kind)
+    initial_norm = None
     # A stiff trial may overflow and fail the line search: no warning due.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for eps in schedule:
             # Intermediate stages only warm-start the next one; failure to
-            # fully converge there is harmless, and one within the tolerance
-            # needs no floor (module docstring).
+            # fully converge there is harmless, and one within its stage
+            # tolerance ends there without a floor (module docstring).
             final = eps == schedule[-1]
             R, norm, slopes = _residual(values, disc, eps)
+            if initial_norm is None:
+                # A non-finite start keeps newton_tol, and fails at its floor.
+                initial_norm = norm if math.isfinite(norm) else 0.0
+            stage_tol = max(config.newton_tol, eps * initial_norm)
             converged = False
             for _ in range(config.max_iter):
-                if not final and norm <= config.newton_tol:
+                if not final and norm <= stage_tol:
                     converged = True
                     break
                 sub, dia, sup = _jacobian(slopes, disc, eps)

@@ -174,6 +174,10 @@ BATTERY = [
     "sigma-bound --dim 3 --p 1.01 --gamma 5 --profile power:1e-10,1 --sigma-r 1 "
     "--radius-inner 1 --radius-outer 2",
     "manifold --profile power:1e-300,-3 --p 1.01 --gamma 5 --mode numeric",
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 1e-120 --bc-right 0 --nodes 17",
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 1e-107 --bc-right 0 --nodes 17",
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 1e-105 --bc-right 0 --nodes 17",
+    "solve --dim 344 --p 2 --gamma 2 --source power:1,0 --r-out 0.5 --bc-right 0 --nodes 17",
     # The invocations CI checks after installing the console script.
     f"audit-holder {_SHARP} --scale-min 5e-324",
     "sigma-bound --dim 3 --p 2 --gamma 1.5 --profile power:1,-1 --sigma-r 1 "

@@ -362,23 +362,33 @@ def _slopes(values, h):
     return (values[1:] - values[:-1]) / h, (values[2:] - values[:-2]) / (2.0 * h)
 
 
+def _stage_tols(events, schedule, newton_tol=1e-10):
+    """Per eps stage, the tolerance its test reads: max(newton_tol, eps R0)
+    for an intermediate stage, R0 the norm of the solve's first residual,
+    and newton_tol for the final stage."""
+    r0 = events[0][3]
+    return {eps: newton_tol if eps == schedule[-1] else max(newton_tol, eps * r0)
+            for eps in schedule}
+
+
 def _stage_ends(events, schedule):
-    """Per eps stage: (final, the norm of its last residual, whether a
-    Jacobian followed that residual)."""
+    """Per eps stage: (final, its tolerance, the norm of its last residual,
+    whether a Jacobian followed that residual)."""
     ends = []
+    tols = _stage_tols(events, schedule)
     for eps in schedule:
         stage = [e for e in events if e[0] != "step" and e[1] == eps]
         last_r = max(i for i, e in enumerate(stage) if e[0] == "R")
-        ends.append((eps == schedule[-1], stage[last_r][3], last_r + 1 < len(stage)))
+        ends.append((eps == schedule[-1], tols[eps], stage[last_r][3], last_r + 1 < len(stage)))
     return ends
 
 
 def test_each_iterate_is_assembled_once(monkeypatch):
     """One residual per eps stage start and per line-search trial; one
     Jacobian per Newton step, plus one at each test that ends the final
-    stage or a stage still above newton_tol. Every Jacobian is formed at
-    the current iterate, from the slopes its residual returned: a rejected
-    trial never builds one."""
+    stage or a stage still above its stage tolerance. Every Jacobian is
+    formed at the current iterate, from the slopes its residual returned:
+    a rejected trial never builds one."""
     events = _record_evaluations(monkeypatch)
     prof = sharpness_profile(3, 2.0, 4.0)
     runs = [
@@ -406,21 +416,25 @@ def test_each_iterate_is_assembled_once(monkeypatch):
         jacobians = [i for i, e in enumerate(events) if e[0] == "J"]
         steps = [e[0] for e in events].count("step")
         assert trials >= steps == sol.meta["iterations"] > 0
-        # A test that passes ends its stage without a step; every stage of
-        # these runs ends that way, with a Jacobian only where the floor
-        # can decide it.
+        # A test that passes ends its stage without a step. An intermediate
+        # stage ends at its first residual within its stage tolerance, with
+        # no Jacobian; a Jacobian follows only a residual of the final stage
+        # or one still above its stage's tolerance, where the floor can
+        # decide the test.
         ends = _stage_ends(events, schedule)
-        assert all(norm <= 1e-10 + (sol.meta["roundoff_floor"] if final else math.inf)
-                   for final, norm, _ in ends)
-        assert all(with_j == (final or norm > 1e-10) for final, norm, with_j in ends)
+        tols = _stage_tols(events, schedule)
+        assert all(norm <= tol + (sol.meta["roundoff_floor"] if final else math.inf)
+                   for final, tol, norm, _ in ends)
+        assert all(with_j == (final or norm > tol) for final, tol, norm, with_j in ends)
         passed = sum(1 for i in jacobians if i + 1 == len(events) or events[i + 1][0] != "step")
-        assert passed == sum(with_j for _, _, with_j in ends)
+        assert passed == sum(with_j for _, _, _, with_j in ends)
         assert len(jacobians) == sol.meta["iterations"] + passed
         for i in jacobians:
             # at the point of the residual just before it: the stage's
             # start or an accepted trial
-            tag, eps, v, _ = events[i - 1]
+            tag, eps, v, norm = events[i - 1]
             assert tag == "R" and eps == events[i][1]
+            assert eps == schedule[-1] or norm > tols[eps]
             assert all(np.array_equal(a, b) for a, b in zip(events[i][2], _slopes(v, h)))
 
 
@@ -445,12 +459,13 @@ def test_a_stage_within_tolerance_forms_no_jacobian(monkeypatch):
     sol = solve_p3_ball(128)
     schedule = solver._schedule(sol.kind)
     ends = _stage_ends(events, schedule)
-    # some intermediate stage already ends within the tolerance, with no
-    # Jacobian and no floor after its last residual
-    assert any(not final and norm <= 1e-10 and not with_j for final, norm, with_j in ends)
+    # some intermediate stage ends at its stage tolerance, still above
+    # newton_tol, with no Jacobian and no floor after its last residual
+    assert any(not final and 1e-10 < norm <= tol and not with_j
+               for final, tol, norm, with_j in ends)
     # the final stage still forms the floor it reports: the floor of the
     # Jacobian at the solution
-    assert ends[-1][2]
+    assert ends[-1][3]
     monkeypatch.undo()
     disc = solver._Discretization(sol.grid, sol.kind, sol.params, p3_source, None, 0.0)
     with kernel_errstate():
@@ -460,6 +475,18 @@ def test_a_stage_within_tolerance_forms_no_jacobian(monkeypatch):
         )
     assert norm == sol.meta["final_residual"]
     assert 0.0 < floor == sol.meta["roundoff_floor"]
+
+
+def test_continued_solves_take_their_pinned_step_counts():
+    # 8, 16 and 4 Newton steps, with intermediate stages ending at their
+    # stage tolerance max(newton_tol, eps R0); polished to newton_tol
+    # instead, these solves took 13, 20 and 7.
+    gmc4 = solve_radial_dirichlet(
+        GeneralizedMeanCurvature(4.0), ProblemParams(dim=3, p=2.0, gamma=2.5),
+        RadialPowerSource(1.0, 0.0), (0.25, 1.0), 0.5, 0.0, config=SolverConfig(n_nodes=128),
+    )
+    counts = [sol.meta["iterations"] for sol in (solve_p3_ball(128), solve_p15_ball(256), gmc4)]
+    assert counts == [8, 16, 4]
 
 
 @pytest.mark.parametrize("kind,gamma", [
@@ -582,13 +609,14 @@ def test_kernels_keep_the_bits_of_their_expression_forms(kind, domain, bc_left):
     # Random iterates with runs of equal values, so some face slopes and
     # some centred slopes are exactly 0, at every eps of the continuation.
     # The kernels read dim, lam, gamma and c_h of the parameters, and p =
-    # 1.5 admits every gamma here.
+    # 1.5 admits every gamma here. With c_h = 1e308, c_h gamma overflows
+    # for gamma > 1, and a flat centred slope gives inf * 0 = NaN there.
     rng = np.random.default_rng(30)
     grid = np.linspace(domain[0], domain[1], 48)
     source = RadialPowerSource(2.0, 0.0)
     for gamma in (0.6, 1.0, 1.5, 4.0):
         for lam in (0.0, 1.0):
-            for c_h in (1.0, 2.5):
+            for c_h in (1.0, 2.5, 1e308):
                 params = ProblemParams(dim=3, p=1.5, gamma=gamma, lam=lam, c_h=c_h)
                 disc = solver._Discretization(grid, kind, params, source, bc_left, 0.0)
                 for eps in solver._CONTINUATION:
@@ -728,6 +756,9 @@ def test_a_solve_through_overflowing_trials_emits_no_warning(monkeypatch):
     (3, (0.0, 5e-324), None),  # every spacing rounds to 0
     (3, (1.0, 1.000000000000001), 1.0),  # the first node rounds back to r_in
     (3, (0.0, 1e-320), None),  # 1 / (2h) overflows
+    (3, (0.0, 1e-107), None),  # the first shell volumes, (h/2)^3/3 on, underflow to 0
+    (3, (0.0, 1e-120), None),  # every shell volume underflows to 0
+    (344, (0.0, 0.5), None),  # (h/2)^344/344 and the first face area (h/2)^343 underflow
 ])
 def test_a_grid_past_the_float_range_is_refused_before_any_newton_step(monkeypatch, dim, domain,
                                                                        bc_left):

@@ -635,11 +635,14 @@ def test_manifold_numeric_mode(capsys):
     "--profile power:1,2 --p 2 --gamma 1.4 --t-start 5e-324",
     "--profile exp:1,-50 --p 2 --gamma 2.5 --t-start 1e300",
     "--profile power:1e-300,-3 --p 1.01 --gamma 5",
+    "--profile power:1,1.001 --p 2 --gamma 2",
+    "--profile exp:1,1e-4 --p 2 --gamma 2",
 ])
 def test_manifold_numeric_mode_reads_the_analytic_verdict(capsys, argv):
     # Slowly growing exponential areas, a power area just past gamma*, a
-    # subnormal start, an integrand past the float range from the start and
-    # a coefficient of 1e-300: each reads its analytic verdict, with the one
+    # subnormal start, an integrand past the float range from the start, a
+    # coefficient of 1e-300 and convergent integrals whose doubling slopes
+    # sit within 1e-3 of 0: each reads its analytic verdict, with the one
     # stderr line of the report and no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1198,7 +1201,8 @@ def test_each_flag_moves_params_and_config_hash(capsys, tmp_path, command, flag)
 # the bump's slope underflows, liouville --c-h only above gamma*, manifold
 # --dim only with --profile euclidean, audit-caccioppoli --lambda only for
 # a witness that is negative somewhere ({negative}, a file: witness), and
-# manifold --t-start only on tabulated data ({area}, t^2 on [1, 1e6]).
+# manifold --t-start and --mode only on tabulated data ({area}, t^2 on
+# [1, 1e6]).
 _SHARP = "--dim 3 --p 2 --gamma 4"
 _SOLVE = "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 --bc-right 0 --nodes 17"
 _SIGMA = "--dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10"
@@ -1262,8 +1266,8 @@ _MOVES = {
     ("manifold", "--gamma"): ("--profile power:1,2 --p 2 --gamma 1.6", "1.4"),
     # a closed-form area's verdict does not depend on where the walk starts
     ("manifold", "--t-start"): ("--profile {area} --p 2 --gamma 1.4 --mode numeric", "2e6"),
-    # just above gamma* = 1.5 the doubling increments shrink by 2^-0.0002 only
-    ("manifold", "--mode"): ("--profile power:1,2 --p 2 --gamma 1.5001", "numeric"),
+    # only tabulated data get no analytic verdict
+    ("manifold", "--mode"): ("--profile {area} --p 2 --gamma 1.4", "numeric"),
     ("sigma-bound", "--dim"): (_SIGMA, "4"),
     ("sigma-bound", "--p"): (_SIGMA, "1.8"),
     ("sigma-bound", "--gamma"): (_SIGMA, "1.6"),

@@ -127,7 +127,7 @@ BATTERY = [
     "manifold --profile power:1,2 --p 1.8 --gamma 1.4",
     "manifold --profile power:1,2 --p 2 --gamma 1.6",
     "manifold --profile power:1,2 --p 2 --gamma 1.5001",
-    "manifold --profile power:1,2 --p 2 --gamma 1.5001 --mode numeric",
+    "manifold --profile power:1,2 --p 2 --gamma 1.5001 --mode numeric",  # both modes agree
     f"sigma-bound {_SIGMA} --dim 4",
     f"sigma-bound {_SIGMA} --p 1.8",
     f"sigma-bound {_SIGMA} --gamma 1.6",

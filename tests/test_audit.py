@@ -322,6 +322,7 @@ def test_energy_domain_guard():
     with pytest.raises(DomainExceeded):
         gradient_energy(prof, 2.0, 1.5, 3)
     for u in (prof, sharpness_profile(3, 2.0, 4.0)):
+        assert gradient_energy(u, 2.0, 0.0, 3) == 0.0
         for t in (-0.5, math.nan, math.inf):
             with pytest.raises(DomainExceeded):
                 gradient_energy(u, 2.0, t, 3)
@@ -402,6 +403,10 @@ def test_caccioppoli_t_list_guard():
         caccioppoli_audit(prof, params, R=1.0, t_list=[0.5, 1.5])
     with pytest.raises(PreconditionViolation):
         caccioppoli_audit(prof, params, R=1.0, t_list=[0.5, math.nan])
+    # The CLI refuses these radii itself, before the audit sees them.
+    for R in (math.inf, math.nan, 0.0):
+        with pytest.raises(PreconditionViolation, match="^R must be finite and positive"):
+            caccioppoli_audit(prof, params, R=R, t_list=[0.25, 0.5])
 
 
 def test_caccioppoli_integrability_branch_saturating_profile():
@@ -704,7 +709,7 @@ def test_power_holder_fit_evaluates_two_radii_per_bin_and_draws_nothing(monkeypa
     assert rep.max_increments.tobytes() == np.abs(u.c * d**u.a).tobytes()
 
 
-@pytest.mark.parametrize("scale_min", [1e-16, 1e-30, 1e-300])
+@pytest.mark.parametrize("scale_min", [1e-3, 1e-16, 1e-30, 1e-300])  # 1e-3: the CLI's default
 def test_shifted_power_holder_fit_keeps_every_bin(scale_min):
     # c (r^a - 1) loses r^a below eps_mach; the increment c ((r + d)^a - r^a)
     # does not, so every bin is kept and lies on r^alpha.

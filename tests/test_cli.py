@@ -166,9 +166,13 @@ def test_solve_file_source_matches_power_source(capsys, tmp_path):
     src = tmp_path / "f.csv"
     with open(src, "w", newline="") as fh:
         w = csv.writer(fh)
+        # Comment rows are skipped, before the header and between samples.
+        w.writerow(["# a constant source of 4"])
         w.writerow(["r", "value"])
         for k in range(33):
             w.writerow([k / 32.0, 4.0])
+            if k == 16:
+                w.writerow(["# the midpoint", "x"])
     base = [
         "solve", "--dim", "3", "--p", "2", "--gamma", "4",
         "--r-out", "1", "--bc-right", "0",
@@ -296,6 +300,10 @@ def test_audit_caccioppoli_e2e(capsys):
     assert report["results"]["predicted_s"] == 1.3333333333333333
     assert report["results"]["k_stable"] is True
     assert report["results"]["fitted_growth"] == pytest.approx(5.0 / 3.0, abs=0.05)
+    # The sharp profile's energy is a pure power of t, so the fit meets
+    # its growth target, dim - s, to rounding.
+    target = report["results"]["growth_target"]
+    assert abs(report["results"]["fitted_growth"] - target) <= 1e-12 * target
 
 
 def _write_samples(path, grid, values):
@@ -572,6 +580,7 @@ def test_bump_scale_past_the_float_range_is_a_witness(capsys, command, c_h):
         "liouville --dim 4 --p 3 --gamma 3.5 --c-h 1e-8",
         "liouville --dim 10 --p 8 --gamma 8.1",  # an entire power of residual ~1e-8
         "liouville --dim 3 --p 2 --gamma 3 --c-h 1e-200",
+        "verify-bump --dim 3 --p 2 --gamma 1.8 --grid-max 1.7976931348623157e308",  # r * r overflows
     ],
 )
 def test_witnesses_at_any_scale_pass(capsys, argv):
@@ -633,6 +642,7 @@ def test_manifold_numeric_mode(capsys):
     "--profile exp:1,0.05 --p 2 --gamma 1.4",
     "--profile euclidean --dim 5 --p 3 --gamma 2.55",
     "--profile power:1,2 --p 2 --gamma 1.4 --t-start 5e-324",
+    "--profile euclidean --dim 5 --p 2 --gamma 5 --t-start 1e100",
     "--profile exp:1,-50 --p 2 --gamma 2.5 --t-start 1e300",
     "--profile power:1e-300,-3 --p 1.01 --gamma 5",
     "--profile power:1,1.001 --p 2 --gamma 2",
@@ -640,10 +650,11 @@ def test_manifold_numeric_mode(capsys):
 ])
 def test_manifold_numeric_mode_reads_the_analytic_verdict(capsys, argv):
     # Slowly growing exponential areas, a power area just past gamma*, a
-    # subnormal start, an integrand past the float range from the start, a
-    # coefficient of 1e-300 and convergent integrals whose doubling slopes
-    # sit within 1e-3 of 0: each reads its analytic verdict, with the one
-    # stderr line of the report and no warning.
+    # subnormal start, a start whose increments all underflow to zero, an
+    # integrand past the float range from the start, a coefficient of
+    # 1e-300 and convergent integrals whose doubling slopes sit within 1e-3
+    # of 0: each reads its analytic verdict, with the one stderr line of
+    # the report and no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, numeric, cap = run_cli(capsys, "manifold", *argv.split(), "--mode", "numeric")
@@ -682,6 +693,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["solve", "--dim", "3", "--p", "2", "--gamma", "4"]) == 2
     capsys.readouterr()
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pdi-lab")
 
 
 def test_module_entry_point():
@@ -943,6 +959,9 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["sweep", "--dim", "2.5", "--p", "2", "--gamma", "3"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "0:inf:1"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "1:3:inf"],
+        # A range step must be positive.
+        ["sweep", "--dim", "3", "--p", "1:2:0", "--gamma", "3"],
+        ["sweep", "--dim", "3", "--p", "2:1:-0.5", "--gamma", "3"],
         # Sorting has no order for NaN, so a NaN in any list is refused.
         ["sweep", "--dim", "3,nan", "--p", "2", "--gamma", "3"],
         ["sweep", "--dim", "3", "--p", "nan,2", "--gamma", "3,nan,1.5"],

@@ -212,6 +212,20 @@ BATTERY = [
     "manifold --profile power:1,1.001 --p 2 --gamma 2 --mode numeric",
     "manifold --profile exp:1,1e-4 --p 2 --gamma 2",
     "manifold --profile exp:1,1e-4 --p 2 --gamma 2 --mode numeric",
+    # The rest of the invocations CI once checked by hand after installing
+    # the console script.
+    f"verify-bump {_BUMP}",
+    f"audit-holder {_SHARP}",
+    f"verify-sharpness {_SHARP} --c-h 2",
+    "solve --dim 3 --p 2 --gamma 1.5 --operator mean-curvature --source power:2,0 --bc-right 0",
+    "solve --dim 3 --p 2 --gamma 2.5 --operator mean-curvature --source power:1,0 --bc-right 0",
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --bc-right 0 --nu 2",
+    # A continued annulus solve that passes only after 294 Newton steps at
+    # 256 nodes and stalls at 512.
+    "solve --dim 3 --p 3 --gamma 2.25 --source power:10,0 --r-in 0.25 --r-out 1 --bc-left 0.5 "
+    "--bc-right 0 --nodes 256",
+    "solve --dim 3 --p 3 --gamma 2.25 --source power:10,0 --r-in 0.25 --r-out 1 --bc-left 0.5 "
+    "--bc-right 0 --nodes 512",
 ]
 
 

@@ -239,17 +239,24 @@ def test_numeric_area_test_sampled_start_outside_the_grid():
 _GRID_1E6 = np.geomspace(1.0, 1e6, 40)
 
 
-@pytest.mark.parametrize("values, p, gamma", [
+@pytest.mark.parametrize("grid, values, p, gamma", [
     # e = 499 puts every increment of a constant area of 1e-300 past the
     # float range, up to the last node: no increment is finite.
-    (np.full(40, 1e-300), 1.01, 5.0),
+    (_GRID_1E6, np.full(40, 1e-300), 1.01, 5.0),
     # e = 4: the increments underflow to zero until the area falls from
     # 1e300 to 1 near t = 1e3, and grow from there; on sampled data three
     # zero increments settle nothing.
-    (np.where(_GRID_1E6 < 1e3, 1e300, 1.0), 2.0, 5.0),
-], ids=["no-finite-increment", "zero-then-growing"])
-def test_numeric_area_test_reads_a_sampled_area_divergent(values, p, gamma):
-    area = SampledArea(_GRID_1E6, values)
+    (_GRID_1E6, np.where(_GRID_1E6 < 1e3, 1e300, 1.0), 2.0, 5.0),
+    # e = 499: the first increment, over [1, 2] where the area is 1, is
+    # finite; the second, over [2, 4], reaches the area 1e-300 and passes
+    # the float range, which settles divergence. Past it an area of t^2
+    # would read convergent, so there the verdict rests on that rule alone.
+    ([1.0, 2.5, 3.0, 1e6], [1.0, 1.0, 1e-300, 1e-300], 1.01, 5.0),
+    ([1.0, 2.5, 3.0, *_GRID_1E6[5:]], [1.0, 1.0, 1e-300, *_GRID_1E6[5:] ** 2], 1.01, 5.0),
+], ids=["no-finite-increment", "zero-then-growing", "finite-then-overflowing",
+        "finite-then-overflowing-then-t2"])
+def test_numeric_area_test_reads_a_sampled_area_divergent(grid, values, p, gamma):
+    area = SampledArea(grid, values)
     assert area_condition_test(area, p, gamma, mode="numeric") is IntegralVerdict.DIVERGENT
 
 
@@ -347,6 +354,12 @@ def test_euclidean_area_values():
     assert area.area(1.0) == pytest.approx(4.0 * math.pi)
     assert area.area(2.0) == pytest.approx(16.0 * math.pi)
     assert EuclideanArea(2).area(1.0) == pytest.approx(2.0 * math.pi)
+
+
+def test_exponential_area_values():
+    area = ExponentialArea(2.0, 0.5)
+    assert area.area(0.0) == 2.0
+    np.testing.assert_allclose(area.area([1.0, 4.0]), 2.0 * np.exp([0.5, 2.0]), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

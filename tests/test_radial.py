@@ -180,6 +180,19 @@ def test_sampled_profile_guards():
     assert prof.value(0.55) == pytest.approx(0.55)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PowerProfile(c=1.0, a=0.0), "needs a != 0"),
+    (lambda: BumpProfile(1.0, 0.0), "needs delta > 0"),
+    (lambda: GeneralizedMeanCurvature(1.5), "needs k >= 2"),
+    (lambda: radial_operator(2.0, PowerProfile(1.0, 2.0), 0.0, 3), "radii r > 0"),
+    (lambda: verify_euclidean_witness(liouville_classify_euclidean(3, 2.0, 1.8), grid=[0.0, 1.0]),
+     "radii > 0 only"),
+], ids=["power-a0", "bump-delta0", "gmc-k1.5", "operator-at-0", "witness-grid-at-0"])
+def test_profiles_operators_and_scans_refuse_what_they_cannot_evaluate(call, message):
+    with pytest.raises(PreconditionViolation, match=message):
+        call()
+
+
 _BAD_SAMPLES = [
     ([0.5], [1.0], "at least 2 nodes"),
     ([[0.1, 0.2]], [[1.0, 1.0]], "at least 2 nodes"),

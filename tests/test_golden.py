@@ -19,6 +19,7 @@ recorded stack (numpy 2.4.6, scipy 1.17.1), which CI pins.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import platform
 import shlex
@@ -30,7 +31,8 @@ import scipy
 
 from pdi_lab import cli
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.jsonl"
+HERE = pathlib.Path(__file__).parent
+GOLDEN = HERE / "golden" / "cli.jsonl"
 
 _SHARP = "--dim 3 --p 2 --gamma 4"
 _SOLVE = "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 --bc-right 0 --nodes 17"
@@ -226,6 +228,21 @@ BATTERY = [
     "--bc-right 0 --nodes 256",
     "solve --dim 3 --p 3 --gamma 2.25 --source power:10,0 --r-in 0.25 --r-out 1 --bc-left 0.5 "
     "--bc-right 0 --nodes 512",
+    # The committed file: inputs. ball_solve.csv is the --out file of
+    # "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --bc-right 0
+    # --nodes 65"; cos6r.csv is cos(6 r) on 201 equispaced radii of [0, 1],
+    # which changes sign twice; area_t2.csv is t^2 on 40 log-spaced radii
+    # of [1, 1e6] (the {negative} and {area} inputs of test_cli.py's _MOVES).
+    "audit-holder --dim 3 --p 2 --gamma 2 --witness file:{golden}/ball_solve.csv",
+    "audit-caccioppoli --dim 3 --p 2 --gamma 2 --witness file:{golden}/ball_solve.csv",
+    f"audit-holder {_SHARP} --witness file:{{golden}}/cos6r.csv",
+    f"audit-holder {_SHARP} --witness file:{{golden}}/cos6r.csv --scale-max 0.5",
+    f"audit-caccioppoli {_SHARP} --witness file:{{golden}}/cos6r.csv --lambda 1",
+    "morrey --source file:{golden}/cos6r.csv --theta 1.5",
+    "morrey --source file:{golden}/cos6r.csv --theta 2 --s-index 2 --omega-radius 0.5",
+    "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.4 --mode numeric",
+    "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.6 --mode numeric",
+    "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.4 --t-start 2e6 --mode numeric",
 ]
 
 
@@ -234,13 +251,19 @@ def versions() -> dict:
 
 
 def record(invocation: str) -> dict:
-    """Run one invocation in process and return what it printed."""
+    """Run one invocation in process, from this file's directory, and
+    return what it printed."""
     argv = shlex.split(invocation)
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run([token.replace("{golden}", "golden") for token in argv])
+    finally:
+        os.chdir(cwd)
     return {
         "argv": argv,
         "exit": code,

@@ -9,7 +9,7 @@ Three measurements, one per estimate being checked:
   dyadic distance bins, matching the seminorm definition (sup, not mean).
   Every bin's sup is exact. A power profile's increments are monotone in
   the radius and increase with the distance, so each bin's sup is its
-  widest pair at one domain edge, in closed form. Gridded data take the
+  widest pair at one end of [0, 1], in closed form. Gridded data take the
   sup of their interpolant at the vertices where it is attained, the node
   pairs read from one sparse table of window extrema.
 * ``morrey_norm``: sup over r of r^((theta-dim)/s) ||h||_{L^s(B_r(0) cap
@@ -316,36 +316,35 @@ def _window_extrema(w, longest):
     return val.reshape(-1, 2), arg.reshape(-1, 2), at_start, at_start - (1 << lg)
 
 
-def _gridded_bin_sups(u, d_hi, h_min, r_lo, r_hi):
+def _gridded_bin_sups(u, d_hi, h_min):
     """Per bin [lo, hi], the exact sup of |u(r + delta) - u(r)| over
-    r_lo <= r < r + delta <= r_hi with delta in the bin, for the
+    r < r + delta on the grid's span with delta in the bin, for the
     piecewise-linear u of gridded data, and the widest distance attaining
     it.
 
-    The nodes are the domain's ends and the grid radii between them, and
-    the vertices are those of ``holder_fit``'s docstring. Node i's
-    partners in a bin form a window [A(lo), B(hi)) of nodes, A(d)
-    and B(d) being the first node at float gap >= d and > d from it;
-    ``np.searchsorted`` on the rounded sums x + d is at most one step off
-    A(d), and one step back or ahead mends it. lo of a bin is hi of the
-    next, so each distance is taken once, and only its own arrays live.
+    The nodes are the grid radii, and the vertices are those of
+    ``holder_fit``'s docstring. Node i's partners in a bin form a window
+    [A(lo), B(hi)) of nodes, A(d) and B(d) being the first node at float
+    gap >= d and > d from it; ``np.searchsorted`` on the rounded sums
+    x + d is at most one step off A(d), and one step back or ahead mends
+    it. lo of a bin is hi of the next, so each distance is taken once, and
+    only its own arrays live.
     """
-    grid = u.grid
-    x = np.concatenate(([r_lo], grid[(grid > r_lo) & (grid < r_hi)], [r_hi]))
-    v, at = u.value(x), np.arange(x.size)
+    x, v = u.grid, u.values
+    at = np.arange(x.size)
     # Node j - 1 and node j read at index j, past either end as -inf, inf.
     before, after = np.concatenate(([-np.inf], x)), np.append(x, np.inf)
 
     def distance(d):
         """A(d), B(d) and the largest increment from a node to the point at
-        distance d ahead of or behind it, within the domain."""
+        distance d ahead of or behind it, within the grid's span."""
         reach, back = x + d, x - d
         j = np.searchsorted(x, reach)
         a = j - (before.take(j) - x >= d) + (after.take(j) - x < d)
         b = a
         while (tie := after.take(b) - x == d).any():
             b = b + tie
-        k_reach, k_back = np.searchsorted(reach, r_hi, side="right"), np.searchsorted(back, r_lo)
+        k_reach, k_back = np.searchsorted(reach, x[-1], side="right"), np.searchsorted(back, x[0])
         ends = np.concatenate((reach[:k_reach], back[k_back:]))
         inc = np.abs(u.value(ends) - np.concatenate((v[:k_reach], v[k_back:])))
         return a, b, inc.max(initial=0.0)
@@ -399,7 +398,6 @@ def holder_fit(
     u,
     pair_budget: int,
     scale_range,
-    domain=None,
     seed: int = 0,
     predicted_alpha: Optional[float] = None,
     tolerance: float = 0.05,
@@ -412,25 +410,25 @@ def holder_fit(
     pure powers exactly on a line; bins whose sup is 0 are dropped. Where
     several distances attain a bin's sup, the widest is taken.
 
-    u is a ``PowerProfile`` or gridded data (a sampled profile or a
-    solution); any other input raises PreconditionViolation. Both sups are
-    exact, so no pairs are drawn: ``seed`` and ``pair_budget`` change
-    nothing and are only validated.
+    u is a ``PowerProfile``, fitted on [0, 1], or gridded data (a sampled
+    profile or a solution), fitted on its grid's span; any other input
+    raises PreconditionViolation. Both sups are exact, so no pairs are
+    drawn: ``seed`` and ``pair_budget`` change nothing, are only
+    validated, and remain only for the benchmark's calls
+    (``perfbench/cases.py``).
 
     A power takes the closed form: |u(r + delta) - u(r)| increases with
     delta and is monotone in r, so each bin's sup is its widest pair,
-    anchored at the inner domain edge when a <= 1 and at the outer edge
-    when a > 1. The increment is taken as |c ((r + delta)^a - r^a)|, which
-    the shift does not enter, so no bin is lost to the roundoff of
-    c (r^a - shift). A power unbounded on the domain (a < 0 and c != 0
-    with the domain starting at 0) is refused.
+    anchored at r = 0 when a <= 1 and at r = 1 - delta when a > 1. The
+    increment is taken as |c ((r + delta)^a - r^a)|, which the shift does
+    not enter, so no bin is lost to the roundoff of c (r^a - shift). A
+    power unbounded at the axis (a < 0 and c != 0) is refused.
 
     Gridded data take the sup of their piecewise-linear interpolant. On
     each cell of the arrangement of the lines r = node, r + delta = node,
     delta = lo and delta = hi the increment is linear, so the sup is
     attained at a vertex: a node pair whose gap lies in the bin, or a node
-    against the point at distance lo or hi on either side of it, the
-    domain's ends counting as nodes.
+    against the point at distance lo or hi on either side of it.
     """
     if not pair_budget >= 1:
         raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
@@ -446,10 +444,8 @@ def holder_fit(
     h_min, h_max = float(scale_range[0]), float(scale_range[1])
     if not 0 < h_min < h_max:
         raise PreconditionViolation("scale_range must satisfy 0 < h_min < h_max")
-    if domain is None:
-        domain = (float(u.grid[0]), float(u.grid[-1])) if isinstance(u, Gridded) else (0.0, 1.0)
-    r_lo, r_hi = float(domain[0]), float(domain[1])
-    if not h_max <= r_hi - r_lo:
+    extent = float(u.grid[-1] - u.grid[0]) if isinstance(u, Gridded) else 1.0
+    if not h_max <= extent:
         raise PreconditionViolation("h_max exceeds the domain extent")
 
     # log2(h_max / h_min) with the binary exponents taken apart, since the
@@ -459,16 +455,14 @@ def holder_fit(
     d_hi = h_max * np.ldexp(1.0, -np.arange(n_bins))
 
     if isinstance(u, PowerProfile):
-        if u.a < 0 and u.c != 0 and r_lo == 0:
+        if u.a < 0 and u.c != 0:
             raise PreconditionViolation(f"power profile with a = {u.a} < 0 is unbounded at r = 0")
-        # np.power of the anchor takes the array loop's pow, which may
-        # differ from the scalar one in the last bit.
-        r1 = r_hi - d_hi if u.a > 1 else r_lo
+        r1 = 1.0 - d_hi if u.a > 1 else 0.0
         inc = np.abs(u.c * ((r1 + d_hi) ** u.a - np.power(r1, u.a)))
         nonzero = inc > 0
         sup_inc, sup_dist = inc[nonzero], d_hi[nonzero]
     else:
-        sup_inc, sup_dist = _gridded_bin_sups(u, d_hi, h_min, r_lo, r_hi)
+        sup_inc, sup_dist = _gridded_bin_sups(u, d_hi, h_min)
     if sup_inc.size < 3:
         raise InsufficientScales(
             f"only {sup_inc.size} nonempty distance bins, need at least 3"

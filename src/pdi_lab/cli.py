@@ -233,7 +233,6 @@ def _emit(args, results: dict, passed: bool, note: str = "") -> int:
         "results": _jsonable(results),
         "provenance": {
             "version": __version__,
-            "seed": getattr(args, "seed", 0),
             "config_hash": hashlib.sha256(blob).hexdigest()[:12],
         },
         "passed": bool(passed),
@@ -364,11 +363,12 @@ def _cmd_audit_holder(args):
         predicted = holder_exponent(params)
     elif name == "linear":
         predicted = 1.0
+    # Both fits are exact; pair_budget is validated only, and stays in the
+    # library for the benchmark's calls (ROADMAP item 19).
     report = holder_fit(
         u,
-        pair_budget=args.pairs,
+        pair_budget=1,
         scale_range=(args.scale_min, args.scale_max),
-        seed=args.seed,
         predicted_alpha=predicted,
         tolerance=args.tol,
     )
@@ -427,10 +427,8 @@ def _cmd_manifold(args):
 def _cmd_sigma_bound(args):
     params = _problem_params(args)
     profile = _area_profile(args)
-    report = sigma_lower_bound(
-        args.sigma_r, params, profile, args.radius_inner, args.radius_outer, weight=args.weight
-    )
-    names = "lhs rhs constant_C comparison_integral area_integral contradiction weight"
+    report = sigma_lower_bound(args.sigma_r, params, profile, args.radius_inner, args.radius_outer)
+    names = "lhs rhs constant_C comparison_integral area_integral contradiction"
     return _fields(report, names), True
 
 
@@ -517,13 +515,6 @@ _C_H = ("--c-h", float, 1.0)
 _NU = ("--nu", float, 1.0)
 _Q = ("--q", float, INFINITY)
 
-# Help for the flags that take it: audit-holder keeps --pairs and --seed
-# for compatibility, but both of its fits are exact and draw nothing.
-_FLAG_HELP = {
-    "--pairs": "accepted and validated; the fit is exact, so it does not change the result",
-    "--seed": "accepted and validated; the fit draws nothing, so it does not change the result",
-}
-
 # One row per subcommand: (name, help, flags, handler).
 COMMANDS = (
     ("exponents", "closed-form exponent calculus", (_DIM, _P, _GAMMA, _Q), _cmd_exponents),
@@ -545,9 +536,8 @@ COMMANDS = (
      _cmd_audit_caccioppoli),
     ("audit-holder", "empirical Holder exponent fit", (
         _DIM, _P, _GAMMA, _Q,
-        ("--witness", str, "sharpness"), ("--pairs", int, 20000),
-        ("--scale-min", float, 1e-3), ("--scale-max", float, 0.25),
-        ("--seed", int, 0), ("--tol", float, 0.05),
+        ("--witness", str, "sharpness"),
+        ("--scale-min", float, 1e-3), ("--scale-max", float, 0.25), ("--tol", float, 0.05),
     ), _cmd_audit_holder),
     ("morrey", "Morrey norm of a source term on a ball", (
         ("--source", str, REQUIRED), ("--s-index", float, 1.0),
@@ -565,7 +555,6 @@ COMMANDS = (
         _DIM, _P, _GAMMA, _C_H, _NU,
         ("--profile", str, "euclidean"), ("--sigma-r", float, REQUIRED),
         ("--radius-inner", float, REQUIRED), ("--radius-outer", float, REQUIRED),
-        ("--weight", ("none", "exp"), "none"),
     ), _cmd_sigma_bound),
     ("sweep", "CSV exponent/verdict table over a parameter grid", (
         ("--dim", str, REQUIRED), ("--p", str, REQUIRED), ("--gamma", str, REQUIRED),
@@ -596,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kind, default in flags:
             spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             spec.update({"required": True} if default is REQUIRED else {"default": default})
-            spec["help"] = _FLAG_HELP.get(flag)
             dests.append(sp.add_argument(flag, **spec).dest)
         sp.set_defaults(func=handler, dests=tuple(dests))
     return parser

@@ -100,17 +100,11 @@ class AreaProfile:
 
     coefficient: float
 
-    def area(self, t):
-        raise NotImplementedError
-
 
 class _PowerLawArea(AreaProfile):
     """area(dB_t) = coefficient * t^shape_power."""
 
     shape_power: float
-
-    def area(self, t):
-        return self.coefficient * np.asarray(t, dtype=float) ** self.shape_power
 
 
 @dataclass(frozen=True)
@@ -169,9 +163,6 @@ class ExponentialArea(AreaProfile):
     @property
     def coefficient(self) -> float:
         return self.amplitude
-
-    def area(self, t):
-        return self.amplitude * np.exp(self.kappa * np.asarray(t, dtype=float))
 
 
 class SampledArea(Gridded, AreaProfile):
@@ -356,7 +347,6 @@ class SigmaBoundReport:
     area_integral: float  # int_R^r area(dB_t)^(-e) dt: coefficient^-e times the above
     coefficient: float
     exponent_e: float
-    weight: str
     contradiction: bool
 
 
@@ -398,24 +388,20 @@ def sigma_lower_bound(
     profile: AreaProfile,
     R: float,
     r: float,
-    weight: str = "none",
 ) -> SigmaBoundReport:
     """Both sides of the comparison sigma(R)^(-e)/e >= C int_R^r area^(-e).
 
-    ``weight`` tags the exponentially weighted variant of the energy (the
-    e^(-u) multiplier trick for nonnegative supersolutions); the weighted
-    chain produces the identical comparison integral, so the numbers here
-    do not change, only the report's provenance field. A sampled area's
-    integral is exact per panel. An lhs, a constant C, an area factor
-    coefficient^-e or a comparison integral past the float range raises
-    PreconditionViolation, the r-independent ones first.
+    The exponentially weighted energy of a nonnegative supersolution (the
+    e^(-u) multiplier) gives the identical comparison integral, so it
+    needs no code path here. A sampled area's integral is exact per panel.
+    An lhs, a constant C, an area factor coefficient^-e or a comparison
+    integral past the float range raises PreconditionViolation, the
+    r-independent ones first.
     """
     if not sigma_R > 0:
         raise PreconditionViolation("sigma_R must be positive (nonconstant hypothesis)")
     if not 0 < R <= r:
         raise PreconditionViolation(f"need 0 < R <= r, got R={R}, r={r}")
-    if weight not in ("none", "exp"):
-        raise PreconditionViolation(f"weight must be 'none' or 'exp', got {weight!r}")
     e = _comparison_exponent(params.p, params.gamma)
     lhs = _in_range("lhs", lambda: sigma_R**-e / e)
     arm = _energy_arm(params.p, params.gamma)
@@ -437,7 +423,6 @@ def sigma_lower_bound(
         area_integral=area_factor * comparison,
         coefficient=profile.coefficient,
         exponent_e=e,
-        weight=weight,
         contradiction=bool(rhs > lhs),
     )
 
@@ -500,8 +485,9 @@ def find_contradiction_radius(
 # Classification
 # ---------------------------------------------------------------------------
 
-_DEFAULT_BUMP_GRID = np.linspace(0.05, 10.0, 300)
-_DEFAULT_ENTIRE_GRID = np.linspace(0.1, 5.0, 200)
+# The scan grids of the two witness families.
+_BUMP_GRID = np.linspace(0.05, 10.0, 300)
+_ENTIRE_GRID = np.linspace(0.1, 5.0, 200)
 
 
 def liouville_classify_euclidean(
@@ -566,20 +552,17 @@ def liouville_classify_manifold(
     return verdict(Verdict.INCONCLUSIVE, None)
 
 
-def verify_euclidean_witness(
-    verdict: LiouvilleVerdict,
-    grid=None,
-) -> tuple:
+def verify_euclidean_witness(verdict: LiouvilleVerdict) -> tuple:
     """Residual-check a NO_LIOUVILLE witness. Returns (report, ok).
 
-    Both families go through ``_certify_witness``, one unit-scale scan that
-    cross-checks the closed-form certificate the witness was built by. It
-    reads neither the witness's scale c nor c_h, which only multiply the
-    unit profile and its gradient term.
+    Both families go through ``_certify_witness``, one unit-scale scan of
+    the family's grid (radii 0.05 to 10 for a bump, 0.1 to 5 for an entire
+    power) that cross-checks the closed-form certificate the witness was
+    built by. It reads neither the witness's scale c nor c_h, which only
+    multiply the unit profile and its gradient term.
     """
     if verdict.witness is None:
         raise PreconditionViolation("verdict carries no witness profile")
     bounded = isinstance(verdict.witness, BumpProfile)
-    if grid is None:
-        grid = _DEFAULT_BUMP_GRID if bounded else _DEFAULT_ENTIRE_GRID
+    grid = _BUMP_GRID if bounded else _ENTIRE_GRID
     return _certify_witness(verdict.dim, verdict.p, verdict.gamma, bounded, grid)

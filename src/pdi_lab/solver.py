@@ -142,24 +142,23 @@ class SampledSource(Gridded, SourceTerm):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid size, Newton tolerance and Newton step budget per eps stage."""
+    """Grid size and Newton tolerance."""
 
     n_nodes: int = 256
     newton_tol: float = 1e-10
-    max_iter: int = 60
 
     def __post_init__(self):
         if self.n_nodes < 8:
             raise PreconditionViolation("need at least 8 nodes")
         if not self.newton_tol >= 0:
             raise PreconditionViolation(f"Newton tolerance must be >= 0, got {self.newton_tol}")
-        if not self.max_iter >= 1:
-            raise PreconditionViolation(f"need at least one Newton step, got {self.max_iter}")
 
 
 # Regularizations of the degenerate kinds, each stage warm-starting the
 # next; the last is the final eps of every solve.
 _CONTINUATION = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+# The Newton step budget of each eps stage.
+_MAX_STEPS = 60
 # A line search tries the full Newton step, then halves it up to this often.
 _LINE_SEARCH_HALVINGS = 30
 
@@ -353,7 +352,7 @@ def solve_radial_dirichlet(
     r_in = 0, where a Dirichlet pin would overdetermine the symmetric
     problem). ``bc_right`` is always a Dirichlet value. Raises
     NoConvergence if the final continuation stage fails the convergence
-    test (module docstring) within ``max_iter`` Newton steps.
+    test (module docstring) within ``_MAX_STEPS`` Newton steps.
     """
     r_in, r_out = float(domain[0]), float(domain[1])
     if not math.inf > r_out > r_in >= 0:
@@ -408,7 +407,7 @@ def solve_radial_dirichlet(
                 initial_norm = norm if math.isfinite(norm) else 0.0
             stage_tol = max(config.newton_tol, eps * initial_norm)
             converged = False
-            for _ in range(config.max_iter):
+            for _ in range(_MAX_STEPS):
                 if not final and norm <= stage_tol:
                     converged = True
                     break

@@ -213,14 +213,9 @@ def test_criterion_8_sigma_bound_closed_forms(capsys):
     )
     want_crit = math.log(10.0)
     rel_crit = abs(crit.comparison_integral - want_crit) / want_crit
-    weighted = sigma_lower_bound(
-        1.0, ProblemParams(dim=3, p=2.0, gamma=1.4), area, 1.0, 10.0, weight="exp"
-    )
-    bitwise = weighted.comparison_integral == sub.comparison_integral
-    ok = rel_sub <= 1e-10 and rel_crit <= 1e-10 and bitwise
+    ok = rel_sub <= 1e-10 and rel_crit <= 1e-10
     announce(capsys, 8, "sigma comparison integrals", ok,
-             f"power rel {rel_sub:.2e}, log rel {rel_crit:.2e}, "
-             f"weighted bitwise-equal {bitwise}")
+             f"power rel {rel_sub:.2e}, log rel {rel_crit:.2e}")
     assert ok
 
 
@@ -228,8 +223,7 @@ def test_criterion_9_determinism(capsys):
     battery = [
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4"],
         ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4"],
-        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4",
-         "--pairs", "5000", "--seed", "3"],
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4"],
         ["solve", "--dim", "3", "--p", "2", "--gamma", "4",
          "--source", "power:1,0", "--r-out", "1", "--bc-right", "0"],
         ["sigma-bound", "--dim", "3", "--p", "2", "--gamma", "1.4",
@@ -240,13 +234,14 @@ def test_criterion_9_determinism(capsys):
     def run_all():
         chunks = []
         for argv in battery:
-            main(list(argv))
-            chunks.append(capsys.readouterr().out)
+            chunks.append((main(list(argv)), capsys.readouterr().out))
         return chunks
 
     first = run_all()
     second = run_all()
-    identical = first == second
+    # A run that exits 2 prints no report, so two of them would match.
+    exits = [code for code, _ in first + second]
+    identical = first == second and exits == [0] * len(exits)
     prof = ProblemParams(dim=3, p=2.0, gamma=2.0)
     s1 = solve_radial_dirichlet(
         PLaplacian(2.0), prof, RadialPowerSource(1.0, 0.0), (0.0, 1.0),
@@ -258,7 +253,7 @@ def test_criterion_9_determinism(capsys):
     )
     solver_same = np.array_equal(s1.values, s2.values) and s1.meta == s2.meta
     ok = identical and solver_same
-    announce(capsys, 9, "seeded runs are bit-identical", ok,
-             f"{len(battery)} CLI reports identical {identical}, "
+    announce(capsys, 9, "repeated runs are bit-identical", ok,
+             f"{len(battery)} CLI reports identical, each exit 0, {identical}, "
              f"solver bitwise {solver_same}")
     assert ok

@@ -516,16 +516,15 @@ def _reference_holder_bins(u, pair_budget, scale_range, domain, seed):
     return np.asarray(sup_dist), np.asarray(sup_inc)
 
 
-def _vertex_sups(u, scale_range, domain=None):
+def _vertex_sups(u, scale_range):
     """(scales, max_increments) of a gridded Holder fit by brute force: per
     bin [lo, hi], every node pair (i, i + k) whose float gap lies in the
     bin, and every node against the points at distance lo and hi ahead of
-    and behind it that stay in the domain, whose ends count as nodes; the
-    largest increment wins, and of those the widest distance."""
+    and behind it that stay on the grid's span; the largest increment wins,
+    and of those the widest distance."""
     h_min, h_max = scale_range
-    r_lo, r_hi = domain or (float(u.grid[0]), float(u.grid[-1]))
-    g = u.grid
-    x = np.concatenate(([r_lo], g[(g > r_lo) & (g < r_hi)], [r_hi]))
+    x = u.grid
+    r_lo, r_hi = x[0], x[-1]
     v = u.value(x)
     n_bins = int(math.floor(math.log2(h_max / h_min))) + 1
     bins = [(max(h_max * 2.0**-j / 2.0, h_min), h_max * 2.0**-j) for j in range(n_bins)]
@@ -578,7 +577,7 @@ def _gridded_holder_inputs():
 
 @functools.cache
 def _vertex_oracle_cases():
-    """(u, scale_range, domain) of each case the vertex enumeration checks."""
+    """(u, scale_range) of each case the vertex enumeration checks."""
     cole_hopf, annulus, rough = _gridded_holder_inputs()
     # A dyadic grid, where gaps equal lo and hi exactly: membership is
     # decided on the float gap, and a ramp's equal increments tie across
@@ -599,42 +598,36 @@ def _vertex_oracle_cases():
     runs = np.concatenate([[t, np.nextafter(t, 2.0), np.nextafter(np.nextafter(t, 2.0), 2.0)]
                            for t in (0.1, 0.3, 0.45, 0.7, 0.95, 1.2)])
     return {
-        "cole-hopf": (cole_hopf, (1e-3, 0.25), None),
-        "cole-hopf-wide": (cole_hopf, (1e-4, 0.5), None),
-        "sharp-annulus": (annulus, (1e-3, 0.25), None),
-        "sharp-annulus-2e-3": (annulus, (2e-3, 0.3), None),
-        "rough-uniform": (rough, (1e-3, 0.25), None),
-        "walk-0": (_rough_walk(0), (1e-3, 0.25), None),
-        "walk-1": (_rough_walk(1), (2e-3, 0.3), None),
-        "walk-2": (_rough_walk(2), (1e-4, 0.5), None),
+        "cole-hopf": (cole_hopf, (1e-3, 0.25)),
+        "cole-hopf-wide": (cole_hopf, (1e-4, 0.5)),
+        "sharp-annulus": (annulus, (1e-3, 0.25)),
+        "sharp-annulus-2e-3": (annulus, (2e-3, 0.3)),
+        "rough-uniform": (rough, (1e-3, 0.25)),
+        "walk-0": (_rough_walk(0), (1e-3, 0.25)),
+        "walk-1": (_rough_walk(1), (2e-3, 0.3)),
+        "walk-2": (_rough_walk(2), (1e-4, 0.5)),
         # scales below the spacing: bins with no node pair
-        "below-spacing": (_rough_walk(3, n=60), (1e-5, 0.1), None),
-        # domains narrower and wider than the grid, their ends off the nodes
-        "narrow-domain": (_rough_walk(4), (1e-3, 0.25), (0.31, 1.777)),
-        "wide-domain": (_rough_walk(5), (1e-3, 0.5), (0.05, 2.5)),
-        "ramp-narrow": (SampledProfile(0.01 * np.arange(25), -0.01 * np.arange(25)), (0.02, 0.08),
-                        (0.1049, 0.1949)),
+        "below-spacing": (_rough_walk(3, n=60), (1e-5, 0.1)),
         "dyadic-rough": (SampledProfile(dyadic, np.random.default_rng(6).standard_normal(dyadic.size)),
-                         (1 / 128, 0.25), None),
-        "dyadic-ramp": (SampledProfile(dyadic, dyadic), (1 / 128, 0.25), None),
-        "dyadic-ramp-narrow": (SampledProfile(dyadic, dyadic), (1 / 128, 0.25), (0.125, 0.875)),
-        "rounded-down": (rounded_down, (0.0625, 0.5), None),
-        "rounded-up": (rounded_up, (0.09375, 0.75), None),
-        "float-runs": (SampledProfile(runs, np.arange(runs.size) // 2 % 3), (0.05, 0.8), None),
+                         (1 / 128, 0.25)),
+        "dyadic-ramp": (SampledProfile(dyadic, dyadic), (1 / 128, 0.25)),
+        "rounded-down": (rounded_down, (0.0625, 0.5)),
+        "rounded-up": (rounded_up, (0.09375, 0.75)),
+        "float-runs": (SampledProfile(runs, np.arange(runs.size) // 2 % 3), (0.05, 0.8)),
     }
 
 
 @pytest.mark.parametrize("case", [
     "cole-hopf", "cole-hopf-wide", "sharp-annulus", "sharp-annulus-2e-3", "rough-uniform", "walk-0",
-    "walk-1", "walk-2", "below-spacing", "narrow-domain", "wide-domain", "ramp-narrow",
-    "dyadic-rough", "dyadic-ramp", "dyadic-ramp-narrow", "rounded-down", "rounded-up", "float-runs",
+    "walk-1", "walk-2", "below-spacing", "dyadic-rough", "dyadic-ramp", "rounded-down",
+    "rounded-up", "float-runs",
 ])
 def test_gridded_holder_fit_is_the_vertex_enumeration(case):
     # The sparse-table fit against a loop over every vertex, bins and
     # distances alike, to the bit.
-    u, scale_range, domain = _vertex_oracle_cases()[case]
-    got = holder_fit(u, 20000, scale_range, domain=domain)
-    scales, increments = _vertex_sups(u, scale_range, domain)
+    u, scale_range = _vertex_oracle_cases()[case]
+    got = holder_fit(u, 20000, scale_range)
+    scales, increments = _vertex_sups(u, scale_range)
     assert got.scales.tobytes() == scales.tobytes()
     assert got.max_increments.tobytes() == increments.tobytes()
 
@@ -719,14 +712,10 @@ def test_shifted_power_holder_fit_keeps_every_bin(scale_min):
     assert rep.fitted_alpha == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("domain", [None, (0.0, 2.0)])
-def test_power_holder_fit_refuses_a_power_unbounded_on_its_domain(domain):
+def test_power_holder_fit_refuses_a_power_unbounded_at_the_axis():
     # u(0) = inf for a < 0: every increment would be inf and the fit NaN.
     with pytest.raises(PreconditionViolation, match="unbounded at r = 0"):
-        holder_fit(PowerProfile(1.0, -0.5), 20000, (1e-3, 0.25), domain=domain)
-    # away from the axis the same power is bounded, and its fit runs
-    rep = holder_fit(PowerProfile(1.0, -0.5), 20000, (1e-3, 0.25), domain=(0.5, 2.0))
-    assert math.isfinite(rep.fitted_alpha) and math.isfinite(rep.r_squared)
+        holder_fit(PowerProfile(1.0, -0.5), 20000, (1e-3, 0.25))
 
 
 @pytest.mark.parametrize("scale_range", [(0.075, 0.3), (0.04375, 0.7), (0.05625, 0.45), (1e-3, 0.25)])
@@ -735,7 +724,7 @@ def test_holder_fit_bin_count_matches_the_scale_ratio(scale_range):
     # bins, where a difference of the two logs would round below it.
     h_min, h_max = scale_range
     want = int(math.floor(math.log2(h_max / h_min))) + 1
-    rep = holder_fit(PowerProfile(1.0, 0.5), 1, scale_range, domain=(0.0, 1.0))
+    rep = holder_fit(PowerProfile(1.0, 0.5), 1, scale_range)
     assert rep.scales.size == want
 
 
@@ -832,17 +821,16 @@ def test_closed_form_fits_equal_the_np_mean_and_np_sum_reference_to_the_bit():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_power_holder_fit_anchor_equals_the_array_anchor_to_the_bit(seed):
-    # A domain starting off the axis: the anchor's power r_lo^a comes from
-    # the same pow as an array of it, which a scalar ** need not match.
+def test_power_holder_fit_equals_the_array_reference_to_the_bit(seed):
+    # Each bin's widest pair, anchored at r = 0 for a <= 1 and at
+    # r = 1 - d for a > 1, through array powers of both radii.
     rng = np.random.default_rng(seed)
     for _ in range(50):
-        u = PowerProfile(rng.uniform(-3, 3), rng.uniform(0.05, 1.0), 1.0)
-        r_lo = rng.uniform(0.01, 2.0)
+        u = PowerProfile(rng.uniform(-3, 3), rng.uniform(0.05, 3.0), 1.0)
         h_min, h_max = 10.0 ** rng.uniform(-8, -3), rng.uniform(0.1, 1.0)
-        rep = holder_fit(u, 1, (h_min, h_max), domain=(r_lo, r_lo + 1.0))
-        inc = np.abs(u.c * ((np.full(rep.scales.size, r_lo) + rep.scales) ** u.a
-                            - np.full(rep.scales.size, r_lo) ** u.a))
+        rep = holder_fit(u, 1, (h_min, h_max))
+        anchor = 1.0 - rep.scales if u.a > 1 else np.zeros(rep.scales.size)
+        inc = np.abs(u.c * ((anchor + rep.scales) ** u.a - anchor**u.a))
         assert _same_bits(rep.max_increments, inc)
         x, y = np.log(rep.scales), np.log(inc)
         slope, intercept = _reference_line_fit(x, y)

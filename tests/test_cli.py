@@ -65,7 +65,7 @@ def test_exponents_finite_q(capsys):
 def test_report_shape_and_provenance(capsys, argv):
     _, report, _ = run_cli(capsys, *argv)
     assert set(report) == {"command", "params", "results", "provenance", "passed"}
-    assert set(report["provenance"]) == {"version", "seed", "config_hash"}
+    assert set(report["provenance"]) == {"version", "config_hash"}
     assert list(report["params"]) == [flag[2:].replace("-", "_") for flag, _, _ in _ROWS[argv[0]]]
 
 
@@ -341,7 +341,7 @@ def test_audit_caccioppoli_file_witness_meets_the_sharp_witness(capsys, sharp_sa
 def test_audit_holder_file_witness(capsys, sharp_samples):
     # A file witness has no predicted exponent; the fit on the samples
     # still finds the sharp profile's 2/3.
-    args = ("audit-holder", *_PROBLEM_ARGS, "--witness", sharp_samples, "--seed", "7")
+    args = ("audit-holder", *_PROBLEM_ARGS, "--witness", sharp_samples)
     rc, report, cap = run_cli(capsys, *args)
     assert rc == 0
     assert run_cli(capsys, *args)[2].out == cap.out
@@ -423,32 +423,8 @@ def test_audit_holder_subnormal_scale_min(capsys, scale_min, bins):
     assert abs(results["fitted_alpha"] - results["predicted_alpha"]) <= 1e-12 * results["predicted_alpha"]
 
 
-# 10^14 pairs, far more than could be held: no fit draws pairs, so the
-# budget allocates nothing and changes nothing.
-_HUGE_PAIRS = ("--pairs", "100000000000000")
-
-
-def test_audit_holder_power_witness_ignores_the_pair_budget(capsys):
-    base = ("audit-holder", *_PROBLEM_ARGS)
-    rc, report, _ = run_cli(capsys, *base, *_HUGE_PAIRS)
-    rc_ref, ref, _ = run_cli(capsys, *base)
-    assert rc == rc_ref == 0
-    assert report["results"] == ref["results"]
-
-
-def test_audit_holder_file_witness_ignores_the_pair_budget_and_seed(capsys, sharp_samples):
-    base = ("audit-holder", *_PROBLEM_ARGS, "--witness", sharp_samples)
-    rc, report, _ = run_cli(capsys, *base, *_HUGE_PAIRS, "--seed", "9")
-    rc_ref, ref, _ = run_cli(capsys, *base)
-    assert rc == rc_ref == 0
-    assert report["results"] == ref["results"]
-
-
 def test_audit_holder_deterministic(capsys):
-    args = (
-        "audit-holder", "--dim", "3", "--p", "2", "--gamma", "4",
-        "--pairs", "5000", "--seed", "7",
-    )
+    args = ("audit-holder", "--dim", "3", "--p", "2", "--gamma", "4")
     rc1, _, cap1 = run_cli(capsys, *args)
     rc2, _, cap2 = run_cli(capsys, *args)
     assert rc1 == rc2 == 0
@@ -916,8 +892,8 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
          "--sigma-r", "1", "--radius-inner", "1", "--radius-outer", "1e4"],
         ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--tol", "nan"],
         ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--tol=-1"],
-        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--tol", "nan"],
-        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--tol=-1"],
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--tol", "nan"],
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--tol=-1"],
         ["manifold", "--profile", "power:1,2", "--p", "2", "--gamma", "1.4", "--t-start", "inf"],
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--omega-radius", "inf"],
         ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--c-h", "inf"],
@@ -929,6 +905,12 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         # A subcommand has only the flags its computation reads.
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4", "--lambda", "1"],
         SOLVE + ["--bc-right", "0", "--nu", "2"],
+        # Both Holder fits are exact and draw nothing, and the weighted
+        # energy has the same comparison integral: no such flags.
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "5"],
+        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--seed", "1"],
+        ["sigma-bound", "--dim", "3", "--p", "2", "--gamma", "1.4", "--sigma-r", "1",
+         "--radius-inner", "1", "--radius-outer", "10", "--weight", "exp"],
         # dim is checked before the sharp profile divides by dim - 1.
         ["verify-sharpness", "--dim", "1", "--p", "2", "--gamma", "4"],
         # 0.02 R, the smallest audit radius, rounds to 0.
@@ -949,7 +931,6 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["morrey", "--source", "power:1,1", "--theta", "1.5", "--dim", "2", "--s-index", "2"],
         ["morrey", "--source", "power:1,nan", "--theta", "1.5"],
         SOLVE + ["--bc-right", "0", "--tol", "nan"],
-        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "0"],
         ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4", "--nodes", "1"],
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "inf"],
         SOLVE[:-2] + ["--r-out", "inf", "--bc-right", "0"],
@@ -967,7 +948,6 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["sweep", "--dim", "3", "--p", "nan,2", "--gamma", "3,nan,1.5"],
         ["sweep", "--dim", "3", "--p", "2,nan", "--gamma", "1.5,nan,3"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "3", "--q", "inf,nan"],
-        ["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--pairs", "50", "--seed=-1"],
         ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8", "--grid-max=-inf"],
         # c_h is finite and positive for both witness families.
         ["liouville", "--dim", "3", "--p", "2", "--gamma", "1.8", "--c-h", "inf"],
@@ -1011,13 +991,13 @@ _SPECS = (
 )
 _LISTS = ("3", "2,3", "nan", "inf", "1e400", "2.5", "-1", "1:2:0.5", "0:inf:1", "1:3:inf", "1:2", "x", "")
 _POOLS = {
-    "--nodes": _COUNTS, "--pairs": _COUNTS, "--seed": _COUNTS,
+    "--nodes": _COUNTS,
     "--operator": _SPECS, "--source": _SPECS, "--witness": _SPECS, "--profile": _SPECS,
-    "--mode": ("analytic", "numeric", "x"), "--weight": ("none", "exp", "x"),
+    "--mode": ("analytic", "numeric", "x"),
     "--bc-left": _NUMBERS + ("none",),
 }
 # Kept present, so the work stays small whatever else is drawn.
-_SIZE_FLAGS = ("--nodes", "--pairs")
+_SIZE_FLAGS = ("--nodes",)
 # The flags a valid, small invocation of each subcommand sets; every
 # other flag of its COMMANDS row keeps the table's default.
 _SET = {
@@ -1027,7 +1007,7 @@ _SET = {
     "solve": "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 "
     "--bc-right 0 --nodes 17",
     "audit-caccioppoli": "--dim 3 --p 2 --gamma 4",
-    "audit-holder": "--dim 3 --p 2 --gamma 4 --pairs 17",
+    "audit-holder": "--dim 3 --p 2 --gamma 4",
     "morrey": "--source power:1,1 --theta 1.5",
     "liouville": "--dim 3 --p 2 --gamma 1.4",
     "manifold": "--profile power:1,2 --p 2 --gamma 1.4 --mode numeric",
@@ -1049,7 +1029,7 @@ _RESULT_KEYS = {
     "morrey": "value divergent argmax_radius exact",
     "liouville": "verdict mechanism gamma_star area_test witness witness_note witness_ok",
     "manifold": "verdict mechanism gamma_star",
-    "sigma-bound": "lhs rhs constant_C comparison_integral area_integral contradiction weight",
+    "sigma-bound": "lhs rhs constant_C comparison_integral area_integral contradiction",
 }
 
 
@@ -1297,10 +1277,8 @@ _MOVES = {
     ("sigma-bound", "--radius-inner"): (_SIGMA, "2"),
     ("sigma-bound", "--radius-outer"): (_SIGMA, "20"),
 }
-# --pairs and --seed, which criterion 9's battery passes, leave the exact
-# fits unchanged; --weight only tags the report (criterion 8 checks that the
-# weighted variant is bit-equal); --out writes a file.
-_UNMOVED = {"--pairs", "--seed", "--weight", "--out"}
+# --out writes a file.
+_UNMOVED = {"--out"}
 
 
 def test_every_flag_has_an_invocation_it_moves():

@@ -49,7 +49,7 @@ BATTERY = [
     f"verify-bump {_BUMP} --nodes 17",
     f"solve {_SOLVE}",
     f"audit-caccioppoli {_SHARP}",
-    f"audit-holder {_SHARP} --pairs 17",
+    f"audit-holder {_SHARP}",
     f"morrey {_MORREY}",
     "liouville --dim 3 --p 2 --gamma 1.4",
     "manifold --profile power:1,2 --p 2 --gamma 1.4 --mode numeric",
@@ -57,7 +57,6 @@ BATTERY = [
     "sweep --dim 3,4 --p 2 --gamma 1:2:0.5 --q inf",
     # Criterion 9's battery, where it differs from the lines above.
     f"verify-sharpness {_SHARP}",
-    f"audit-holder {_SHARP} --pairs 5000 --seed 3",
     "solve --dim 3 --p 2 --gamma 4 --source power:1,0 --r-out 1 --bc-right 0",
     "sweep --dim 3,4 --p 2 --gamma 1.4,2.5,4",
     # The closed-form audits of the four sharp profiles, both witnesses.
@@ -217,7 +216,6 @@ BATTERY = [
     # The rest of the invocations CI once checked by hand after installing
     # the console script.
     f"verify-bump {_BUMP}",
-    f"audit-holder {_SHARP}",
     f"verify-sharpness {_SHARP} --c-h 2",
     "solve --dim 3 --p 2 --gamma 1.5 --operator mean-curvature --source power:2,0 --bc-right 0",
     "solve --dim 3 --p 2 --gamma 2.5 --operator mean-curvature --source power:1,0 --bc-right 0",

@@ -350,16 +350,12 @@ def test_area_profile_guards():
 
 
 def test_euclidean_area_values():
+    # area(dB_t) = coefficient t^shape_power: 4 pi t^2 in R^3, 2 pi t in R^2
     area = EuclideanArea(3)
-    assert area.area(1.0) == pytest.approx(4.0 * math.pi)
-    assert area.area(2.0) == pytest.approx(16.0 * math.pi)
-    assert EuclideanArea(2).area(1.0) == pytest.approx(2.0 * math.pi)
-
-
-def test_exponential_area_values():
-    area = ExponentialArea(2.0, 0.5)
-    assert area.area(0.0) == 2.0
-    np.testing.assert_allclose(area.area([1.0, 4.0]), 2.0 * np.exp([0.5, 2.0]), rtol=1e-15)
+    assert area.coefficient == pytest.approx(4.0 * math.pi)
+    assert area.shape_power == 2.0
+    assert EuclideanArea(2).coefficient == pytest.approx(2.0 * math.pi)
+    assert EuclideanArea(2).shape_power == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +488,6 @@ def test_sigma_bound_guards():
         sigma_lower_bound(0.0, _params(1.4), EuclideanArea(3), 1.0, 2.0)
     with pytest.raises(PreconditionViolation):
         sigma_lower_bound(1.0, _params(1.4), EuclideanArea(3), 2.0, 1.0)
-    with pytest.raises(PreconditionViolation):
-        sigma_lower_bound(1.0, _params(1.4), EuclideanArea(3), 1.0, 2.0, weight="bad")
-
-
-def test_sigma_bound_weighted_variant_is_numerically_identical():
-    plain = sigma_lower_bound(1.0, _params(1.4), EuclideanArea(3), 1.0, 10.0)
-    weighted = sigma_lower_bound(
-        1.0, _params(1.4), EuclideanArea(3), 1.0, 10.0, weight="exp"
-    )
-    assert weighted.weight == "exp"
-    for field in ("lhs", "rhs", "constant_C", "comparison_integral", "area_integral"):
-        assert getattr(weighted, field) == getattr(plain, field)
 
 
 def test_area_integral_monotone_in_gamma():
@@ -788,8 +772,8 @@ def test_classify_euclidean_bump_witness_below_p():
     assert ok
     assert report.passed
     # a witness on R^dim, not only on the grid its scale was certified on
-    assert verify_euclidean_witness(v, grid=np.linspace(0.05, 40.0, 800))[1]
-    assert verify_euclidean_witness(v, grid=np.geomspace(0.05, 1e6, 400))[1]
+    assert radial._certify_witness(3, 2.0, 1.8, True, np.linspace(0.05, 40.0, 800))[1]
+    assert radial._certify_witness(3, 2.0, 1.8, True, np.geomspace(0.05, 1e6, 400))[1]
 
 
 def test_classification_builds_by_closed_form_and_each_verify_scans_once(monkeypatch):
@@ -804,7 +788,8 @@ def test_classification_builds_by_closed_form_and_each_verify_scans_once(monkeyp
         again, ok = verify_euclidean_witness(v)
         assert ok and len(scans) == 2
         assert np.array_equal(again.residuals, report.residuals)
-        assert verify_euclidean_witness(v, grid=np.linspace(0.05, 40.0, 800))[1]
+        bounded = isinstance(v.witness, BumpProfile)
+        assert radial._certify_witness(3, 2.0, gamma, bounded, np.linspace(0.05, 40.0, 800))[1]
         assert len(scans) == 3
 
 

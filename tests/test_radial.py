@@ -185,8 +185,7 @@ def test_sampled_profile_guards():
     (lambda: BumpProfile(1.0, 0.0), "needs delta > 0"),
     (lambda: GeneralizedMeanCurvature(1.5), "needs k >= 2"),
     (lambda: radial_operator(2.0, PowerProfile(1.0, 2.0), 0.0, 3), "radii r > 0"),
-    (lambda: verify_euclidean_witness(liouville_classify_euclidean(3, 2.0, 1.8), grid=[0.0, 1.0]),
-     "radii > 0 only"),
+    (lambda: radial._certify_witness(3, 2.0, 1.8, True, [0.0, 1.0]), "radii > 0 only"),
 ], ids=["power-a0", "bump-delta0", "gmc-k1.5", "operator-at-0", "witness-grid-at-0"])
 def test_profiles_operators_and_scans_refuse_what_they_cannot_evaluate(call, message):
     with pytest.raises(PreconditionViolation, match=message):

@@ -240,8 +240,7 @@ def test_criterion_9_determinism(capsys):
     first = run_all()
     second = run_all()
     # A run that exits 2 prints no report, so two of them would match.
-    exits = [code for code, _ in first + second]
-    identical = first == second and exits == [0] * len(exits)
+    identical = first == second and all(code == 0 for code, _ in first)
     prof = ProblemParams(dim=3, p=2.0, gamma=2.0)
     s1 = solve_radial_dirichlet(
         PLaplacian(2.0), prof, RadialPowerSource(1.0, 0.0), (0.0, 1.0),

@@ -218,7 +218,7 @@ def test_singular_source_needs_positive_inner_radius():
 
 def test_no_convergence_is_reported():
     # A mean-curvature Dirichlet jump of 0.5 across the annulus [0.25, 1]
-    # has no classical solution, and at 256 nodes its line search stalls.
+    # has no classical solution, and at 256 nodes its Newton iteration stalls.
     # The message names the residual of the iterate the solve stopped at.
     params = ProblemParams(dim=3, p=2.0, gamma=1.5)
     with pytest.raises(NoConvergence, match=r"stalled at residual 3\.398e\+00 "):

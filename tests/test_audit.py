@@ -597,6 +597,13 @@ def _vertex_oracle_cases():
     # increments at distances a float apart, of which the widest wins.
     runs = np.concatenate([[t, np.nextafter(t, 2.0), np.nextafter(np.nextafter(t, 2.0), 2.0)]
                            for t in (0.1, 0.3, 0.45, 0.7, 0.95, 1.2)])
+    # Grids on narrower and wider spans, their first node off the axis:
+    # the nodes of a walk in [0.31, 1.777], a walk on [0.05, 2.5], a ramp's
+    # nodes 0.11 .. 0.19 (0.01 k, so its gaps round apart) and the dyadic
+    # ramp's nodes in [1/8, 7/8].
+    walk = _rough_walk(4)
+    inside = (walk.grid >= 0.31) & (walk.grid <= 1.777)
+    ramp = 0.01 * np.arange(11, 20)
     return {
         "cole-hopf": (cole_hopf, (1e-3, 0.25)),
         "cole-hopf-wide": (cole_hopf, (1e-4, 0.5)),
@@ -608,9 +615,13 @@ def _vertex_oracle_cases():
         "walk-2": (_rough_walk(2), (1e-4, 0.5)),
         # scales below the spacing: bins with no node pair
         "below-spacing": (_rough_walk(3, n=60), (1e-5, 0.1)),
+        "narrow-domain": (SampledProfile(walk.grid[inside], walk.values[inside]), (1e-3, 0.25)),
+        "wide-domain": (_rough_walk(5, lo=0.05, hi=2.5), (1e-3, 0.5)),
+        "ramp-narrow": (SampledProfile(ramp, -ramp), (0.02, 0.08)),
         "dyadic-rough": (SampledProfile(dyadic, np.random.default_rng(6).standard_normal(dyadic.size)),
                          (1 / 128, 0.25)),
         "dyadic-ramp": (SampledProfile(dyadic, dyadic), (1 / 128, 0.25)),
+        "dyadic-ramp-narrow": (SampledProfile(dyadic[32:225], dyadic[32:225]), (1 / 128, 0.25)),
         "rounded-down": (rounded_down, (0.0625, 0.5)),
         "rounded-up": (rounded_up, (0.09375, 0.75)),
         "float-runs": (SampledProfile(runs, np.arange(runs.size) // 2 % 3), (0.05, 0.8)),
@@ -619,8 +630,8 @@ def _vertex_oracle_cases():
 
 @pytest.mark.parametrize("case", [
     "cole-hopf", "cole-hopf-wide", "sharp-annulus", "sharp-annulus-2e-3", "rough-uniform", "walk-0",
-    "walk-1", "walk-2", "below-spacing", "dyadic-rough", "dyadic-ramp", "rounded-down",
-    "rounded-up", "float-runs",
+    "walk-1", "walk-2", "below-spacing", "narrow-domain", "wide-domain", "ramp-narrow",
+    "dyadic-rough", "dyadic-ramp", "dyadic-ramp-narrow", "rounded-down", "rounded-up", "float-runs",
 ])
 def test_gridded_holder_fit_is_the_vertex_enumeration(case):
     # The sparse-table fit against a loop over every vertex, bins and
@@ -716,6 +727,16 @@ def test_power_holder_fit_refuses_a_power_unbounded_at_the_axis():
     # u(0) = inf for a < 0: every increment would be inf and the fit NaN.
     with pytest.raises(PreconditionViolation, match="unbounded at r = 0"):
         holder_fit(PowerProfile(1.0, -0.5), 20000, (1e-3, 0.25))
+
+
+def test_holder_fit_of_a_negative_power_sampled_off_the_axis_is_finite():
+    # Away from the axis the same power is bounded: sampled on [0.5, 2] it
+    # is smooth, and its fit runs: Lipschitz at small scales, and the
+    # convex power's widest increments at the inner end bend the fit below 1.
+    g = np.linspace(0.5, 2.0, 1501)
+    rep = holder_fit(SampledProfile(g, g**-0.5), 20000, (1e-3, 0.25))
+    assert math.isfinite(rep.fitted_alpha) and math.isfinite(rep.r_squared)
+    assert 0.9 < rep.fitted_alpha < 1.0 and rep.r_squared > 0.99
 
 
 @pytest.mark.parametrize("scale_range", [(0.075, 0.3), (0.04375, 0.7), (0.05625, 0.45), (1e-3, 0.25)])

@@ -20,7 +20,7 @@ from pdi_lab.audit import caccioppoli_audit, holder_fit
 from pdi_lab.cli import COMMANDS, REQUIRED, _sweep_rows, main, run
 from pdi_lab.errors import PreconditionViolation
 from pdi_lab.params import LiouvilleRegime, ProblemParams, classify_regime, exponent_report
-from pdi_lab.radial import PLaplacian, sharpness_profile
+from pdi_lab.radial import PLaplacian, SampledProfile, sharpness_profile
 from pdi_lab.solver import RadialPowerSource, SolverConfig, solve_radial_dirichlet
 
 
@@ -350,6 +350,35 @@ def test_audit_holder_file_witness(capsys, sharp_samples):
     assert results["fitted_alpha"] == pytest.approx(2.0 / 3.0, abs=5e-3)
     assert results["r_squared"] >= 0.999
     assert report["passed"] is True
+
+
+def test_audit_holder_file_witness_is_the_library_fit(capsys, sharp_samples):
+    # The report holds the exact gridded fit of the file's samples, at the
+    # default scale range.
+    rc, report, _ = run_cli(capsys, "audit-holder", *_PROBLEM_ARGS, "--witness", sharp_samples)
+    assert rc == 0
+    grid = np.geomspace(1e-6, 1.0, 4001)
+    fit = holder_fit(SampledProfile(grid, sharpness_profile(3, 2.0, 4.0).value(grid)), 1,
+                     (1e-3, 0.25))
+    results = report["results"]
+    assert results["fitted_alpha"] == fit.fitted_alpha
+    assert results["r_squared"] == fit.r_squared
+    assert results["bins"] == fit.scales.size
+
+
+def test_audit_holder_sharp_witness_is_the_library_fit(capsys):
+    # The closed-form fit of the sharp profile, judged against 2/3 at the
+    # default tolerance.
+    rc, report, _ = run_cli(capsys, "audit-holder", *_PROBLEM_ARGS)
+    assert rc == 0
+    fit = holder_fit(sharpness_profile(3, 2.0, 4.0), 1, (1e-3, 0.25),
+                     predicted_alpha=2.0 / 3.0, tolerance=0.05)
+    results = report["results"]
+    assert results["fitted_alpha"] == fit.fitted_alpha
+    assert results["r_squared"] == fit.r_squared
+    assert results["predicted_alpha"] == fit.predicted_alpha
+    assert results["bins"] == fit.scales.size
+    assert report["passed"] is fit.passed is True
 
 
 def test_audit_past_a_file_witness_grid_names_the_sampled_grid(capsys, sharp_samples):

@@ -228,6 +228,19 @@ def test_no_convergence_is_reported():
         )
 
 
+def test_the_step_budget_ends_a_stage(monkeypatch):
+    # A budget of one Newton step stops the sharp annulus solve after its
+    # single accepted step, whose residual the message names.
+    monkeypatch.setattr(solver, "_MAX_STEPS", 1)
+    prof = sharpness_profile(3, 2.0, 4.0)
+    params = ProblemParams(dim=3, p=2.0, gamma=4.0)
+    with pytest.raises(NoConvergence, match=r"stalled at residual 5\.725e\+00 "):
+        solve_radial_dirichlet(
+            PLaplacian(2.0), params, ZeroSource(), (0.25, 1.0),
+            bc_left=-prof.value(0.25), bc_right=0.0, config=SolverConfig(n_nodes=128),
+        )
+
+
 def test_a_failed_banded_solve_is_no_convergence(monkeypatch):
     params = ProblemParams(dim=3, p=1.5, gamma=1.2)
     # an iterate past the float range: the finiteness test at the floor refuses it

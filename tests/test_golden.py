@@ -72,6 +72,13 @@ BATTERY = [
     f"exponents {_SHARP} --p 2.5",
     f"exponents {_SHARP} --gamma 5",
     f"exponents {_SHARP} --q 2",
+    # The exponents branches and regimes the moves above miss: a tie, the
+    # integrability arm, critical with no alpha, subcritical, no gamma_star.
+    f"exponents {_SHARP} --q 2.25",
+    f"exponents {_SHARP} --q 1",
+    f"exponents {_SHARP} --gamma 1.5",
+    f"exponents {_SHARP} --gamma 1.2",
+    "exponents --dim 2 --p 3 --gamma 4",
     f"verify-sharpness {_SHARP} --nodes 17 --dim 4",
     f"verify-sharpness {_SHARP} --nodes 17 --p 2.5",
     f"verify-sharpness {_SHARP} --nodes 17 --gamma 5",

@@ -17,18 +17,22 @@ The three closed-form quantities computed here are
   valid for 1 < p < dim, separating the constancy range from the range
   where explicit nonconstant solutions exist.
 
-All operations are pure arithmetic in the caller's numeric type: float
-inputs give float results, fractions.Fraction inputs give exact rational
-results. The integrability index q may be INFINITY (math.inf), in which
-case dim/q is exactly 0 and no rounding enters the branch selection.
+The formula functions (``holder_exponent``, ``caccioppoli_exponent``,
+``liouville_threshold`` and the private arms) are pure arithmetic in the
+caller's numeric type: float inputs give float results, fractions.Fraction
+inputs give exact rational results. The integrability index q may be
+INFINITY (math.inf), in which case dim/q is exactly 0 and no rounding
+enters the branch selection.
 
 Each formula is written once, here, and read by every other module: every
 decision whether gamma lies above gamma_star compares gamma with the one
 float ``_critical_gamma`` returns. The formulas, the admissibility tests
 and the tie rule of the min and max are plain arithmetic and comparisons,
-so they also apply elementwise to arrays: ``exponent_report`` and
-``classify_regime`` take a ``ParamGrid`` of many points as well as one
-``ProblemParams``, and answer with arrays of the same fields.
+so they also apply elementwise to arrays. ``exponent_report`` and
+``classify_regime`` have one body, over a ``ParamGrid`` of many points,
+and answer with arrays of the same fields; a ``ProblemParams`` goes in as
+a one-point grid and comes back as Python floats, None and enum members.
+Both bundles are float64 whatever the input type.
 
 The dimension field doubles as a homogeneous dimension: substituting the
 homogeneous dimension of a stratified group for ``dim`` evaluates the
@@ -262,33 +266,20 @@ def _has_threshold(dim, p):
     return (1 < p) & (p < dim)
 
 
-def _integrability_wins(integrability_arm, gradient_arm, pick_min: bool):
-    """Whether the min (pick_min) or max is the integrability arm; it wins
-    a tie, as min and max do."""
-    if pick_min:
-        return integrability_arm <= gradient_arm
-    return gradient_arm <= integrability_arm
-
-
-def _select(integrability_arm, gradient_arm, pick_min: bool):
-    """The smaller (pick_min) or larger arm, with the Branch that gave it."""
-    if integrability_arm == gradient_arm:
-        return integrability_arm, Branch.BOTH
-    if _integrability_wins(integrability_arm, gradient_arm, pick_min):
-        return integrability_arm, Branch.INTEGRABILITY
-    return gradient_arm, Branch.GRADIENT
-
-
 def _select_each(integrability_arm, gradient_arm, pick_min: bool):
-    """``_select`` on arrays of arms: the values, and the Branch values."""
-    wins = _integrability_wins(integrability_arm, gradient_arm, pick_min)
+    """The smaller (pick_min) or larger arm at each point, and the Branch
+    values that gave it; the integrability arm wins a tie, as min and max do."""
+    wins = integrability_arm <= gradient_arm if pick_min else gradient_arm <= integrability_arm
     branch = np.where(wins, Branch.INTEGRABILITY.value, Branch.GRADIENT.value)
     branch[integrability_arm == gradient_arm] = Branch.BOTH.value
     return np.where(wins, integrability_arm, gradient_arm), branch
 
 
-def _holder(params: ProblemParams):
-    """(alpha, branch) after the Holder exponent's preconditions."""
+def holder_exponent(params: ProblemParams):
+    """Interior Holder exponent min(1 - dim/(q*gamma), (gamma-p)/(gamma-(p-1))).
+
+    Requires gamma > p and q > dim/gamma; the result lies in (0, 1).
+    """
     if not params.gamma > params.p:
         raise PreconditionViolation(
             f"holder exponent needs gamma > p, got gamma={params.gamma}, p={params.p}"
@@ -297,29 +288,12 @@ def _holder(params: ProblemParams):
         raise PreconditionViolation(
             f"holder exponent needs q > dim/gamma, got q={params.q}"
         )
-    return _select(
-        1 - params.dim_over_q / params.gamma,
-        _gradient_arm(params.p, params.gamma),
-        pick_min=True,
-    )
-
-
-def _caccioppoli(params: ProblemParams):
-    """(s, branch) of the energy-growth exponent."""
-    return _select(params.dim_over_q, _energy_arm(params.p, params.gamma), pick_min=False)
-
-
-def holder_exponent(params: ProblemParams):
-    """Interior Holder exponent min(1 - dim/(q*gamma), (gamma-p)/(gamma-(p-1))).
-
-    Requires gamma > p and q > dim/gamma; the result lies in (0, 1).
-    """
-    return _holder(params)[0]
+    return min(1 - params.dim_over_q / params.gamma, _gradient_arm(params.p, params.gamma))
 
 
 def caccioppoli_exponent(params: ProblemParams):
     """Energy-growth exponent s = max(dim/q, gamma/(gamma - (p - 1)))."""
-    return _caccioppoli(params)[0]
+    return max(params.dim_over_q, _energy_arm(params.p, params.gamma))
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -346,28 +320,23 @@ def liouville_threshold(dim, p):
     return _critical_gamma(dim, p)
 
 
+def _as_grid(params: ProblemParams | ParamGrid) -> ParamGrid:
+    """A ParamGrid as it is; a ProblemParams as its one-point ParamGrid."""
+    if isinstance(params, ParamGrid):
+        return params
+    return ParamGrid(params.dim, params.p, params.gamma, q=params.q)
+
+
+def _number(value) -> float | None:
+    """A one-point array as a Python float, None where it is NaN."""
+    value = float(value)
+    return None if math.isnan(value) else value
+
+
 def exponent_report(params: ProblemParams | ParamGrid) -> ExponentReport:
     """Bundle the three exponents with branch tags for one parameter tuple,
-    or for every point of a ParamGrid."""
-    if isinstance(params, ParamGrid):
-        return _grid_report(params)
-    s, s_branch = _caccioppoli(params)
-    alpha = alpha_branch = None
-    if _has_holder(params.p, params.gamma, params.dim_over_q):
-        alpha, alpha_branch = _holder(params)
-    gamma_star = None
-    if _has_threshold(params.dim, params.p):
-        gamma_star = liouville_threshold(params.dim, params.p)
-    return ExponentReport(
-        alpha=alpha,
-        s=s,
-        gamma_star=gamma_star,
-        alpha_branch=alpha_branch,
-        s_branch=s_branch,
-    )
-
-
-def _grid_report(grid: ParamGrid) -> ExponentReport:
+    or for every point of a ParamGrid, in float64 either way."""
+    grid = _as_grid(params)
     p, gamma = grid.p, grid.gamma
     # An invalid point may divide by zero or overflow; its numbers are dropped.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -380,12 +349,21 @@ def _grid_report(grid: ParamGrid) -> ExponentReport:
     has_alpha = grid.valid & _has_holder(p, gamma, dim_over_q)
     for branch, defined in ((alpha_branch, has_alpha), (s_branch, grid.valid)):
         branch[~defined] = ""
-    return ExponentReport(
+    report = ExponentReport(
         alpha=np.where(has_alpha, alpha, np.nan),
         s=np.where(grid.valid, s, np.nan),
         gamma_star=np.where(grid.valid & _has_threshold(grid.dim, p), gamma_star, np.nan),
         alpha_branch=alpha_branch,
         s_branch=s_branch,
+    )
+    if grid is params:
+        return report
+    return ExponentReport(
+        alpha=_number(report.alpha),
+        s=float(report.s),
+        gamma_star=_number(report.gamma_star),
+        alpha_branch=Branch(alpha_branch.item()) if has_alpha else None,
+        s_branch=Branch(s_branch.item()),
     )
 
 
@@ -393,28 +371,14 @@ def classify_regime(params: ProblemParams | ParamGrid) -> Regime:
     """Place (p, gamma) on both regime axes.
 
     The growth axis splits at gamma = p; the Liouville axis splits at
-    gamma_star and requires 1 < p < dim. For a ParamGrid both fields are
-    arrays of the regimes' values, '' at the points where a ProblemParams
-    would raise: the invalid points and those with no gamma_star.
+    gamma_star and requires 1 < p < dim, so a ProblemParams outside that
+    range raises. For a ParamGrid both fields are arrays of the regimes'
+    values, '' at the points where a ProblemParams would raise: the invalid
+    points and those with no gamma_star.
     """
-    if isinstance(params, ParamGrid):
-        return _grid_regime(params)
-    growth = (
-        GrowthRegime.SUPERNATURAL
-        if params.gamma > params.p
-        else GrowthRegime.SUBNATURAL
-    )
-    gamma_star = liouville_threshold(params.dim, params.p)
-    if params.gamma < gamma_star:
-        liouville = LiouvilleRegime.SUBCRITICAL
-    elif params.gamma == gamma_star:
-        liouville = LiouvilleRegime.CRITICAL
-    else:
-        liouville = LiouvilleRegime.SUPERCRITICAL
-    return Regime(growth=growth, liouville=liouville)
-
-
-def _grid_regime(grid: ParamGrid) -> Regime:
+    if not isinstance(params, ParamGrid):
+        liouville_threshold(params.dim, params.p)
+    grid = _as_grid(params)
     p, gamma = grid.p, grid.gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma_star = _critical_gamma(grid.dim, p)
@@ -429,4 +393,6 @@ def _grid_regime(grid: ParamGrid) -> Regime:
     undefined = ~(grid.valid & _has_threshold(grid.dim, p))
     growth[undefined] = ""
     liouville[undefined] = ""
-    return Regime(growth=growth, liouville=liouville)
+    if grid is params:
+        return Regime(growth=growth, liouville=liouville)
+    return Regime(growth=GrowthRegime(growth.item()), liouville=LiouvilleRegime(liouville.item()))

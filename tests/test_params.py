@@ -17,6 +17,8 @@ from pdi_lab.params import (
     LiouvilleRegime,
     ParamGrid,
     ProblemParams,
+    _energy_arm,
+    _gradient_arm,
     caccioppoli_exponent,
     classify_regime,
     exponent_report,
@@ -190,8 +192,9 @@ def test_alpha_equals_one_minus_s_over_gamma(dim, p, dgamma, q_inf, q_raw):
     assert abs(alpha - (1 - s / gamma)) <= 1e-12
 
 
-def _scalar_fields(point):
-    """One point's report and regime fields, '' or nan where undefined."""
+def _point_fields(point):
+    """One point's report and regime fields through ProblemParams, '' or nan
+    where undefined."""
     try:
         params = ProblemParams(*point[:3], q=point[3])
     except PreconditionViolation:
@@ -211,9 +214,46 @@ def _scalar_fields(point):
     ) + regimes
 
 
-def test_grid_reports_match_the_scalar_reports():
+def _branch(integrability_arm, gradient_arm, value) -> str:
+    if integrability_arm == gradient_arm:
+        return "both"
+    return "integrability" if value == integrability_arm else "gradient"
+
+
+def _reference_fields(point):
+    """The fields of ``_point_fields`` from the formula functions, each
+    branch read off the two arms and each regime off gamma_star."""
+    try:
+        params = ProblemParams(*point[:3], q=point[3])
+    except PreconditionViolation:
+        return (math.nan, math.nan, math.nan, "", "", "", "")
+    dim, p, gamma, dim_over_q = params.dim, params.p, params.gamma, params.dim_over_q
+    s = caccioppoli_exponent(params)
+    s_branch = _branch(dim_over_q, _energy_arm(p, gamma), s)
+    try:
+        alpha = holder_exponent(params)
+        alpha_branch = _branch(1 - dim_over_q / gamma, _gradient_arm(p, gamma), alpha)
+    except PreconditionViolation:
+        alpha, alpha_branch = math.nan, ""
+    try:
+        star = liouville_threshold(dim, p)
+    except PreconditionViolation:
+        return (alpha, s, math.nan, alpha_branch, s_branch, "", "")
+    growth = "supernatural" if gamma > p else "subnatural"
+    liouville = (
+        "subcritical" if gamma < star else "critical" if gamma == star else "supercritical"
+    )
+    return (alpha, s, star, alpha_branch, s_branch, growth, liouville)
+
+
+def _rows(rows):
+    return [tuple("nan" if x != x else x for x in row) for row in rows]
+
+
+def test_reports_match_the_formula_functions():
     """A ParamGrid is valid where ProblemParams accepts the point, and its
-    report and regime hold the scalar ones, branches included."""
+    report and regime, like those of each ProblemParams, hold the formula
+    functions' values, branches and regimes included."""
     inf, nan = math.inf, math.nan
     points = list(itertools.product(
         (1, 2, 2.5, 3, 5, inf, nan),
@@ -226,11 +266,19 @@ def test_grid_reports_match_the_scalar_reports():
     columns = (rep.alpha, rep.s, rep.gamma_star, rep.alpha_branch, rep.s_branch,
                regime.growth, regime.liouville)
     got = list(zip(*(column.tolist() for column in columns)))
-    want = [_scalar_fields(point) for point in points]
-    assert [
-        tuple("nan" if x != x else x for x in row) for row in got
-    ] == [tuple("nan" if x != x else x for x in row) for row in want]
+    want = [_reference_fields(point) for point in points]
+    assert _rows(got) == _rows(want)
+    assert _rows(map(_point_fields, points)) == _rows(want)
     assert grid.valid.tolist() == [not math.isnan(row[1]) for row in want]
     assert {row[3] for row in got} == {"", "both", "gradient", "integrability"}
     assert {row[4] for row in got} == {"", "both", "gradient", "integrability"}
     assert {row[6] for row in got} == {"", "subcritical", "critical", "supercritical"}
+
+
+def test_one_point_reports_are_python_floats():
+    """The report bundle is float64 for any input; exactness is the formula
+    functions' contract (test_rational_inputs_stay_exact)."""
+    rep = exponent_report(ProblemParams(dim=3, p=Fraction(2), gamma=Fraction(4), q=Fraction(2)))
+    assert (rep.alpha, rep.s, rep.gamma_star) == (0.625, 1.5, 1.5)
+    assert all(type(x) is float for x in (rep.alpha, rep.s, rep.gamma_star))
+    assert (rep.alpha_branch, rep.s_branch) == (Branch.INTEGRABILITY, Branch.INTEGRABILITY)

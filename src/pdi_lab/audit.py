@@ -217,7 +217,6 @@ class CaccioppoliReport:
     fitted_growth: float
     fitted_K: float
     k_stable: bool
-    passed: bool
 
 
 def caccioppoli_audit(
@@ -228,9 +227,9 @@ def caccioppoli_audit(
 ) -> CaccioppoliReport:
     """Check E(t) = sigma(t) + lam*int u^- against K R^dim / (R-t)^s.
 
-    fitted_K is the smallest constant making the bound hold on t_list, so
-    ``passed`` only reports that it is finite. The sharp content is in the
-    two derived numbers: ``fitted_growth``, the log-log slope of E over the
+    fitted_K is the smallest constant making the bound hold on t_list, and
+    is finite (a non-finite K raises). The sharp content is in the two
+    derived numbers: ``fitted_growth``, the log-log slope of E over the
     small-t half of t_list (compare with dim - s), and ``k_stable``, which
     flags blow-up of K(t) = E(t)(R-t)^s/R^dim as t -> R. An unstable K means
     the energy grows faster than the predicted exponent allows.
@@ -281,7 +280,6 @@ def caccioppoli_audit(
         fitted_growth=fitted_growth,
         fitted_K=fitted_K,
         k_stable=k_stable,
-        passed=bool(math.isfinite(fitted_K)),
     )
 
 

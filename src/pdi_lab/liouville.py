@@ -503,6 +503,7 @@ def liouville_classify_euclidean(
     for gamma > p, a scaled bump for gamma < p, and a witness-unavailable
     note for gamma = p, whose known construction is logarithmic.
     """
+    _check_dim(dim)
     gamma_star = liouville_threshold(dim, p)
     _check_exponents(p, gamma)
     _check_c_h(c_h)

@@ -75,8 +75,8 @@ INFINITY = math.inf
 
 
 def _dim_ok(dim):
-    """A dimension is a finite integer >= 2."""
-    return (2 <= dim) & (dim < INFINITY) & (dim % 1 == 0)
+    """A dimension is an integer from 2 to 2**53, so an exact float."""
+    return (2 <= dim) & (dim <= 2**53) & (dim % 1 == 0)
 
 
 def _p_ok(p):
@@ -93,7 +93,7 @@ def _q_ok(q):
 
 def _check_dim(dim) -> None:
     if not _dim_ok(dim):
-        raise PreconditionViolation(f"dim must be an integer >= 2, got {dim}")
+        raise PreconditionViolation(f"dim must be an integer from 2 to 2**53, got {dim}")
 
 
 def _check_c_h(c_h) -> None:
@@ -127,7 +127,7 @@ def _check_exponents(p, gamma) -> None:
 class ProblemParams:
     """Coefficient tuple for one problem instance.
 
-    dim    space dimension (or homogeneous dimension), integer >= 2
+    dim    space dimension (or homogeneous dimension), integer from 2 to 2**53
     p      growth order of the flux, finite, p > 1
     gamma  gradient exponent, finite, gamma > p - 1
     lam    zero-order coefficient, lam >= 0

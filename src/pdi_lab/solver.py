@@ -68,7 +68,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
+from .errors import DomainExceeded, IllPosedBoundary, NoConvergence, PreconditionViolation
 from .params import ProblemParams, _in_range
 from .radial import (
     GeneralizedMeanCurvature,
@@ -129,10 +129,17 @@ class ZeroSource(RadialPowerSource):
 
 
 class SampledSource(Gridded, SourceTerm):
-    """Piecewise-linear interpolant of sampled source values."""
+    """Piecewise-linear interpolant of sampled source values, defined on
+    the span of its grid only: a radius outside it raises DomainExceeded."""
 
     what = "sampled source"
-    __call__ = Gridded.value
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        lo, hi = self.grid[0], self.grid[-1]
+        if r.min(initial=lo) < lo or r.max(initial=hi) > hi:
+            raise DomainExceeded(f"{self.what} queried outside its grid [{lo}, {hi}]")
+        return self.value(r)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +394,7 @@ def solve_radial_dirichlet(
         )
 
     if bc_left is not None:
-        values = bc_left + (bc_right - bc_left) * (grid - r_in) / (r_out - r_in)
+        values = bc_left + (bc_right - bc_left) * ((grid - r_in) / (r_out - r_in))
     else:
         values = np.full(grid.size, float(bc_right))
 

@@ -170,7 +170,7 @@ def test_sampled_sharp_profile_trapezoid_meets_the_closed_form():
     got = caccioppoli_audit(sampled, params, R=1.0, t_list=_CLI_T_LIST)
     assert np.max(np.abs(got.energies / want.energies - 1.0)) <= 2e-5
     assert got.fitted_growth == pytest.approx(5.0 / 3.0, abs=1e-6)
-    assert got.k_stable and got.passed
+    assert got.k_stable
 
 
 def test_energy_not_integrable_at_the_axis_raises():
@@ -338,7 +338,6 @@ def test_caccioppoli_sharpness_growth_and_stability():
     assert rep.predicted_s == pytest.approx(4.0 / 3.0)
     assert rep.fitted_growth == pytest.approx(5.0 / 3.0, abs=0.05)
     assert rep.k_stable
-    assert rep.passed
     assert rep.fitted_K > 0
 
 
@@ -351,7 +350,6 @@ def test_caccioppoli_constant_profile():
     assert rep.fitted_K == 0.0
     assert rep.k_stable
     assert math.isnan(rep.fitted_growth)
-    assert rep.passed
 
 
 def test_caccioppoli_flags_faster_growth():
@@ -393,7 +391,7 @@ def test_caccioppoli_bounded_k_peaking_near_the_boundary_is_stable(witness, dim,
     rep = caccioppoli_audit(u, params, R=1.0, t_list=_CLI_T_LIST)
     k_values = rep.energies * (1.0 - rep.radii_t) ** rep.predicted_s
     assert np.argmax(k_values) < k_values.size - 1
-    assert rep.k_stable and rep.passed
+    assert rep.k_stable
 
 
 def test_caccioppoli_t_list_guard():
@@ -424,7 +422,6 @@ def test_caccioppoli_integrability_branch_saturating_profile():
     want = 4.0 * math.pi / 27.0 * t_list
     assert np.max(np.abs(rep.energies - want) / want) < 1e-13
     assert rep.k_stable
-    assert rep.passed
 
 
 def test_caccioppoli_bound_holds_on_solver_output():
@@ -434,7 +431,6 @@ def test_caccioppoli_bound_holds_on_solver_output():
     rep = caccioppoli_audit(sol, params, R=1.0,
                             t_list=np.geomspace(0.02, 0.95, 20))
     assert rep.predicted_s == pytest.approx(2.0)
-    assert rep.passed
     assert rep.k_stable
     assert np.all(np.diff(rep.energies) >= 0)
 
@@ -473,7 +469,7 @@ def test_caccioppoli_audit_of_a_power_profile_never_evaluates_it(monkeypatch):
     params = ProblemParams(dim=3, p=2.0, gamma=4.0, lam=1.0)
     rep = caccioppoli_audit(sharpness_profile(3, 2.0, 4.0), params, R=1.0,
                             t_list=np.geomspace(0.02, 0.95, 24))
-    assert rep.passed
+    assert rep.k_stable
 
 
 def test_holder_fit_on_solver_output_matches_the_np_interp_route():

@@ -1147,7 +1147,7 @@ def _assert_exits_cleanly(argv):
 # Values at the float range's edges, and the dims past which omega_d and
 # r^d leave it.
 _EXTREME_SPECIALS = (5e-324, 1e-320, 1e-300, -1e-300, -1e300, 1.7976931348623157e308)
-_EXTREME_DIMS = (2, 3, 5, 10, 344, 1000)
+_EXTREME_DIMS = (2, 3, 5, 10, 344, 1000, 2**53 + 1, 10**400)
 
 
 def _extreme_argv(rng) -> list:

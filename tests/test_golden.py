@@ -186,6 +186,9 @@ BATTERY = [
     "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 1e-107 --bc-right 0 --nodes 17",
     "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 1e-105 --bc-right 0 --nodes 17",
     "solve --dim 344 --p 2 --gamma 2 --source power:1,0 --r-out 0.5 --bc-right 0 --nodes 17",
+    f"exponents {_SHARP} --dim 9007199254740993",  # 2**53 + 1 has no exact float
+    f"liouville {_SHARP} --dim 1{'0' * 308}",
+    f"manifold --profile euclidean --dim 1{'0' * 308} --p 2 --gamma 1.4",
     # The invocations CI checks after installing the console script.
     f"audit-holder {_SHARP} --scale-min 5e-324",
     "sigma-bound --dim 3 --p 2 --gamma 1.5 --profile power:1,-1 --sigma-r 1 "
@@ -220,6 +223,8 @@ BATTERY = [
     "manifold --profile power:1,1.001 --p 2 --gamma 2 --mode numeric",
     "manifold --profile exp:1,1e-4 --p 2 --gamma 2",
     "manifold --profile exp:1,1e-4 --p 2 --gamma 2 --mode numeric",
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --r-out 2.127894722981004e+52 "
+    "--bc-left 1 --bc-right=-1e+300 --nodes 64 --tol 1e-300",
     # The rest of the invocations CI once checked by hand after installing
     # the console script.
     f"verify-bump {_BUMP}",
@@ -248,6 +253,9 @@ BATTERY = [
     "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.4 --mode numeric",
     "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.6 --mode numeric",
     "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.4 --t-start 2e6 --mode numeric",
+    # A sampled source is refused past the ends of its grid.
+    "solve --dim 3 --p 2 --gamma 2 --source file:{golden}/cos6r.csv --r-out 2 --bc-right 0",
+    "morrey --source file:{golden}/cos6r.csv --theta 1.5 --omega-radius 3",
 ]
 
 

@@ -91,6 +91,8 @@ def test_params_validation():
         {"dim": math.nan},
         {"dim": math.inf},
         {"dim": 2.5},
+        {"dim": 2**53 + 1},  # no exact float
+        {"dim": 10**400},  # past the float range
         {"p": math.inf, "gamma": math.inf},
         {"p": math.nan},
         {"gamma": math.inf},
@@ -100,6 +102,11 @@ def test_params_validation():
     for bad in non_finite:
         with pytest.raises(PreconditionViolation):
             ProblemParams(**{"dim": 3, "p": 2.0, "gamma": 3.0, **bad})
+
+
+def test_dims_end_at_two_to_the_53():
+    assert ProblemParams(dim=2**53, p=2.0, gamma=3.0).dim == 2**53
+    assert ParamGrid([2**53, 2**54], 2.0, 3.0).valid.tolist() == [True, False]
 
 
 def test_infinite_q_gives_exact_zero():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pdi_lab import solver
-from pdi_lab.errors import IllPosedBoundary, NoConvergence, PreconditionViolation
+from pdi_lab.errors import DomainExceeded, IllPosedBoundary, NoConvergence, PreconditionViolation
 from pdi_lab.params import ProblemParams
 from pdi_lab.radial import (
     GeneralizedMeanCurvature,
@@ -806,6 +806,20 @@ def test_sampled_source_interpolates():
         config=SolverConfig(n_nodes=64),
     )
     assert np.all(np.isfinite(sol_a.values))
+
+
+def test_sampled_source_refuses_radii_outside_its_grid():
+    g = np.linspace(0.25, 1.0, 11)
+    src = SampledSource(g, quadratic_source(g))
+    assert src(g).tolist() == quadratic_source(g).tolist()
+    for r in ([0.2, 0.5], [0.5, 1.0 + 1e-15], 2.0):
+        with pytest.raises(DomainExceeded, match=r"outside its grid \[0.25, 1.0\]"):
+            src(r)
+    with pytest.raises(DomainExceeded):
+        solve_radial_dirichlet(
+            PLaplacian(2.0), PARAMS_22, src, (0.25, 2.0), bc_left=1.0, bc_right=0.0,
+            config=SolverConfig(n_nodes=16),
+        )
 
 
 def test_solution_value_interpolates_between_nodes():

@@ -377,7 +377,7 @@ def classify_regime(params: ProblemParams | ParamGrid) -> Regime:
     points and those with no gamma_star.
     """
     if not isinstance(params, ParamGrid):
-        liouville_threshold(params.dim, params.p)
+        liouville_threshold(params.dim, params.p)  # raises where there is no gamma_star
     grid = _as_grid(params)
     p, gamma = grid.p, grid.gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

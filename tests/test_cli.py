@@ -1144,8 +1144,8 @@ def _assert_exits_cleanly(argv):
         json.loads(text)
 
 
-# Values at the float range's edges, and the dims past which omega_d and
-# r^d leave it.
+# Values at the float range's edges, the dims past which omega_d and r^d
+# leave it, the first dim with no exact float and one past the float range.
 _EXTREME_SPECIALS = (5e-324, 1e-320, 1e-300, -1e-300, -1e300, 1.7976931348623157e308)
 _EXTREME_DIMS = (2, 3, 5, 10, 344, 1000, 2**53 + 1, 10**400)
 

@@ -87,10 +87,7 @@ def _gridded_ball_integral(u, nodal, t, dim):
     partial last panel is interpolated linearly so the result is continuous
     and nondecreasing in t.
     """
-    grid = u.grid
-    if np.any(t > grid[-1] * (1.0 + 1e-9)):
-        raise DomainExceeded(f"t={t.max()} is beyond the {u.what} grid (max {grid[-1]})")
-    t = np.minimum(t, grid[-1])
+    grid, t = u.grid, u.within(t)
     f = nodal * _shell_weight(grid, dim)
     h = grid[1:] - grid[:-1]
     cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * h)))

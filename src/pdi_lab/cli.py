@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -178,10 +177,12 @@ def _witness(args):
     return _parse_spec(args.witness, "witness", families, SampledProfile)
 
 
-def _parse_value_list(text: str):
+def _parse_value_list(text: str, integers: bool = False):
     """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive)
     of exact decimal steps from the typed start, each rounded once to a
-    float. NaN has no place in the sorted grid and is rejected; inf is allowed."""
+    float. NaN has no place in the sorted grid and is rejected; inf is allowed.
+    With ``integers`` (the dims), each value must be an integer that its
+    float holds exactly, as typed."""
     is_range = ":" in text
     parts = text.split(":" if is_range else ",")
     try:
@@ -191,18 +192,26 @@ def _parse_value_list(text: str):
     if not is_range:
         if any(map(math.isnan, values)):
             raise PreconditionViolation(f"value lists must not contain NaN, got {text!r}")
-        return values
-    if len(values) != 3:
-        raise PreconditionViolation(f"range syntax is start:stop:step, got {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise PreconditionViolation(f"range bounds and step must be finite, got {text!r}")
-    start, stop, step = values
-    if step <= 0:
-        raise PreconditionViolation("range step must be positive")
-    n = int(math.floor((stop - start) / step + 0.5)) + 1
-    exact_start, exact_step = Decimal(parts[0]), Decimal(parts[2])
-    return [float(exact_start + k * exact_step) for k in range(n)
-            if start + k * step <= stop + step / 2]
+        exact = map(Decimal, parts)
+    else:
+        if len(values) != 3:
+            raise PreconditionViolation(f"range syntax is start:stop:step, got {text!r}")
+        if not all(map(math.isfinite, values)):
+            raise PreconditionViolation(f"range bounds and step must be finite, got {text!r}")
+        start, stop, step = values
+        if step <= 0:
+            raise PreconditionViolation("range step must be positive")
+        n = int(math.floor((stop - start) / step + 0.5)) + 1
+        exact_start, exact_step = Decimal(parts[0]), Decimal(parts[2])
+        exact = [exact_start + k * exact_step for k in range(n)
+                 if start + k * step <= stop + step / 2]
+        values = [float(x) for x in exact]
+    if integers and not all(math.isfinite(v) and v == int(v) and Decimal(v) == x
+                            for v, x in zip(values, exact)):
+        raise PreconditionViolation(
+            f"sweep dims must be integers that a float holds exactly, got {text!r}"
+        )
+    return values
 
 
 def _jsonable(obj):
@@ -223,7 +232,10 @@ def _jsonable(obj):
 def _emit(args, results: dict, passed: bool, note: str = "") -> int:
     """Write the one report of a run: its params are every flag of the
     subcommand's COMMANDS row, by dest (``args.dests``); ``note`` ends the
-    stderr line."""
+    stderr line. ``hashlib`` is imported here, so a run that writes no
+    report (``sweep``) never loads OpenSSL."""
+    import hashlib
+
     params = {dest: getattr(args, dest) for dest in args.dests}
     params_clean = _jsonable(params)
     blob = json.dumps(params_clean, sort_keys=True).encode()
@@ -478,9 +490,7 @@ def _text(values: np.ndarray, fmt) -> list:
 
 
 def _cmd_sweep(args):
-    dims = _parse_value_list(args.dim)
-    if not all(math.isfinite(d) and d == int(d) for d in dims):
-        raise PreconditionViolation(f"sweep dims must be finite integers, got {args.dim!r}")
+    dims = _parse_value_list(args.dim, integers=True)
     ps = _parse_value_list(args.p)
     gammas = _parse_value_list(args.gamma)
     qs = _parse_value_list(args.q) if args.q else [INFINITY]

@@ -180,10 +180,7 @@ class SampledArea(Gridded, AreaProfile):
         return 1.0
 
     def area(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t > self.grid[-1] * (1.0 + 1e-12)) or np.any(t < self.grid[0]):
-            raise DomainExceeded("sampled area queried outside its grid")
-        return self.value(t)
+        return self.value(self.within(t))
 
 
 # ---------------------------------------------------------------------------

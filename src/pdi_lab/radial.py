@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     DegeneratePoint,
+    DomainExceeded,
     NoAdmissibleScale,
     PreconditionViolation,
 )
@@ -180,6 +181,16 @@ class Gridded:
 
     def value(self, r):
         return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
+
+    def within(self, r) -> np.ndarray:
+        """r as a float array, after the one out-of-grid rule of sampled
+        data: it is read on the span [grid[0], grid[-1]] of its grid only,
+        and a radius outside it, or NaN, raises DomainExceeded."""
+        r = np.asarray(r, dtype=float)
+        lo, hi = self.grid[0], self.grid[-1]
+        if not (lo <= r.min(initial=lo) and r.max(initial=hi) <= hi):
+            raise DomainExceeded(f"{self.what} queried outside its grid [{lo}, {hi}]")
+        return r
 
 
 class SampledProfile(Gridded):

@@ -49,18 +49,19 @@ The gradient term uses the centered difference (V_{i+1} - V_{i-1})/(2h)
 and enters interior rows only: a Dirichlet row pins the value, and at a
 zero-flux inner end the symmetric extension makes the gradient vanish.
 
-Each Newton step is one LAPACK ``gtsv`` solve (``solve_banded``). The
-routine is scipy's compiled ``dgtsv``, loaded once from the file of
-``scipy.linalg._flapack`` without importing ``scipy.linalg``, whose package
-initialiser would otherwise be most of a cold ``pdi-lab solve`` (about
-0.3 s instead of 0.55 s on a 2-vCPU host).
+Each Newton step is one LAPACK ``gtsv`` solve (``solve_banded``), in
+place on one workspace per solve that the Jacobian is assembled into. The
+routine comes from the OpenBLAS that ``import numpy`` has already mapped
+(``_dgtsv``), so a solve maps no native code of its own; only where
+numpy's build ships no such library does it import
+``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
+import glob
 import math
 import os
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainExceeded, IllPosedBoundary, NoConvergence, PreconditionViolation
+from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
 from .params import ProblemParams, _in_range
 from .radial import (
     GeneralizedMeanCurvature,
@@ -135,11 +136,7 @@ class SampledSource(Gridded, SourceTerm):
     what = "sampled source"
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.grid[0], self.grid[-1]
-        if r.min(initial=lo) < lo or r.max(initial=hi) > hi:
-            raise DomainExceeded(f"{self.what} queried outside its grid [{lo}, {hi}]")
-        return self.value(r)
+        return self.value(self.within(r))
 
 
 # ---------------------------------------------------------------------------
@@ -231,41 +228,74 @@ class _Discretization:
         self.reset_flat = self.gamma < 1.0 or not math.isfinite(self.c_h * self.gamma)
         self.bc_left, self.bc_right = bc_left, bc_right
         self.rows = slice(0 if bc_left is None else 1, grid.size - 1)
+        # The workspace of the Newton systems, formed by the first Jacobian.
+        self.system: Optional[_Tridiagonal] = None
 
 
 @functools.cache
 def _dgtsv():
-    """The ``dgtsv`` that ``scipy.linalg.lapack`` exports, loaded once from
-    the file of its extension ``scipy.linalg._flapack``, found without
-    importing scipy, so neither package initialiser runs. Where the file
-    is not found the public import serves."""
-    scipy = importlib.util.find_spec("scipy")
-    spec = None
-    if scipy is not None and scipy.submodule_search_locations:
-        spec = importlib.machinery.PathFinder.find_spec(
-            "scipy.linalg._flapack",
-            [os.path.join(root, "linalg") for root in scipy.submodule_search_locations],
+    """LAPACK ``dgtsv`` as a ctypes function, from the OpenBLAS that numpy's
+    wheel ships and ``import numpy`` has already mapped
+    (``numpy.libs/libscipy_openblas64_*``): the symbol ``scipy_dgtsv_64_``,
+    whose ILP64 interface takes every integer as an int64. None where
+    numpy's build has no such library."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    if not libs:
+        return None
+    routine = ctypes.CDLL(libs[0]).scipy_dgtsv_64_
+    routine.argtypes, routine.restype = (ctypes.c_void_p,) * 8, None
+    return routine
+
+
+class _Tridiagonal:
+    """A tridiagonal system J x = rhs, J[i+1, i] = sub[i], J[i, i] = dia[i],
+    J[i, i+1] = sup[i], held in one contiguous workspace of which ``sub``,
+    ``dia``, ``sup`` and ``rhs`` are views, zero to begin with.
+
+    ``gtsv()`` runs LAPACK ``gtsv`` on it in place and returns its info: the
+    solution replaces rhs, and the factors of J replace the other three. The
+    routine's argument pointers are formed here, once. Where ``_dgtsv`` has
+    no routine, scipy's ``dgtsv`` runs under the same contract through its
+    ``overwrite_*`` flags."""
+
+    def __init__(self, n: int):
+        buffer = (ctypes.c_double * (4 * n - 2))()  # zeroed
+        self.data = data = np.frombuffer(buffer)
+        self.sub, self.dia, self.sup, self.rhs = (
+            data[:n - 1], data[n - 1:2 * n - 1], data[2 * n - 1:3 * n - 2], data[3 * n - 2:]
         )
-    if spec is None:
-        from scipy.linalg.lapack import dgtsv
+        routine = _dgtsv()
+        if routine is None:
+            from scipy.linalg.lapack import dgtsv
 
-        return dgtsv
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.dgtsv
+            views = (self.sub, self.dia, self.sup, self.rhs)
+            self.gtsv = lambda: dgtsv(*views, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                                      overwrite_b=1)[4]
+            return
+        # n, nrhs, ldb and info, the routine's int64 arguments; the pointers
+        # are plain addresses, valid while ``data`` holds the buffer.
+        ints = (ctypes.c_int64 * 4)(n, 1, n, 0)
+        at, base = ctypes.addressof(ints), ctypes.addressof(buffer)
+        args = (at, at + 8, base, base + 8 * (n - 1), base + 8 * (2 * n - 1),
+                base + 8 * (3 * n - 2), at + 16, at + 24)
+
+        def gtsv():
+            routine(*args)
+            return ints[3]
+
+        self.gtsv = gtsv
 
 
-def solve_banded(sub, dia, sup, rhs):
-    """Solve the tridiagonal system J x = rhs, J[i+1, i] = sub[i],
-    J[i, i] = dia[i], J[i, i+1] = sup[i], with LAPACK ``gtsv``: the routine
-    and the inputs of ``scipy.linalg.solve_banded((1, 1), ...)``, so the
-    same bits, without its validation layers. ``_dgtsv`` loads the routine
-    on the first call without importing ``scipy.linalg``. The Newton
-    loop has refused a non-finite system before it calls this."""
-    x, info = _dgtsv()(sub, dia, sup, rhs)[3:]
-    if info > 0:
+def solve_banded(system: _Tridiagonal) -> np.ndarray:
+    """Solve the tridiagonal ``system`` with LAPACK ``gtsv``, in place: the
+    routine and the inputs of ``scipy.linalg.solve_banded((1, 1), ...)``, so
+    the same bits, without its validation layers or copies. Returns the
+    solution, which is ``system.rhs``. The Newton loop has refused a
+    non-finite system before it calls this."""
+    if system.gtsv() > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    return system.rhs
 
 
 def _roundoff_floor(sub, dia, sup, values, rows: slice) -> float:
@@ -308,8 +338,8 @@ def _residual(values: np.ndarray, disc: _Discretization, eps: float):
 
 
 def _jacobian(slopes, disc: _Discretization, eps: float):
-    """Tridiagonal Jacobian as (sub, dia, sup), the layout of
-    ``solve_banded``, from the slopes ``_residual`` returned for the
+    """Tridiagonal Jacobian as (sub, dia, sup), assembled into
+    ``disc.system``, from the slopes ``_residual`` returned for the
     iterate; one flux-derivative evaluation."""
     slope, dv = slopes
     # Minus the face coefficients area a'(slope) / h, so that each
@@ -322,11 +352,13 @@ def _jacobian(slopes, disc: _Discretization, eps: float):
         dham[dv == 0.0] = 0.0
     dham *= disc.inv_2h
 
-    # A Dirichlet row keeps its zero off-diagonal entries.
-    n = slope.size + 1
-    sub = np.zeros(n - 1)
-    dia = np.empty(n)
-    sup = np.zeros(n - 1)
+    # A Dirichlet row keeps its off-diagonal entry at zero; gtsv overwrote
+    # it with a factor of the last system.
+    system = disc.system
+    if system is None:
+        system = disc.system = _Tridiagonal(slope.size + 1)
+    sub, dia, sup = system.sub, system.dia, system.sup
+    sub[-1] = 0.0
     inner = np.add(minus_dflux[1:], minus_dflux[:-1], out=dia[1:-1])
     inner /= disc.vols_in
     np.subtract(disc.lam, inner, out=inner)
@@ -339,6 +371,7 @@ def _jacobian(slopes, disc: _Discretization, eps: float):
         sup[0] = minus_dflux[0] / disc.vol_0
         dia[0] = disc.lam - sup[0]
     else:
+        sup[0] = 0.0
         dia[0] = 1.0
     dia[-1] = 1.0
     return sub, dia, sup
@@ -427,8 +460,9 @@ def solve_radial_dirichlet(
                 if norm <= config.newton_tol + floor:
                     converged = True
                     break
+                np.negative(R, out=disc.system.rhs)
                 try:
-                    step = solve_banded(sub, dia, sup, -R)
+                    step = solve_banded(disc.system)
                 except np.linalg.LinAlgError as exc:
                     raise NoConvergence(f"Newton step failed at eps={eps:.1e}: {exc}") from None
                 iterations += 1

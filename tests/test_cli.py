@@ -19,7 +19,9 @@ from pdi_lab import cli
 from pdi_lab.audit import caccioppoli_audit, holder_fit
 from pdi_lab.cli import COMMANDS, REQUIRED, _sweep_rows, main, run
 from pdi_lab.errors import PreconditionViolation
-from pdi_lab.params import LiouvilleRegime, ProblemParams, classify_regime, exponent_report
+from pdi_lab.params import (
+    LiouvilleRegime, ParamGrid, ProblemParams, classify_regime, exponent_report,
+)
 from pdi_lab.radial import PLaplacian, SampledProfile, sharpness_profile
 from pdi_lab.solver import RadialPowerSource, SolverConfig, solve_radial_dirichlet
 
@@ -385,7 +387,7 @@ def test_audit_past_a_file_witness_grid_names_the_sampled_grid(capsys, sharp_sam
     rc, _, cap = run_cli(capsys, "audit-caccioppoli", *_PROBLEM_ARGS, "--witness", sharp_samples,
                          "--radius", "5")
     assert rc == 2
-    assert cap.err == "error: t=4.75 is beyond the sampled profile grid (max 1.0)\n"
+    assert cap.err == "error: sampled profile queried outside its grid [1e-06, 1.0]\n"
 
 
 def test_ball_solve_round_trips_through_a_file_witness(capsys, tmp_path):
@@ -878,6 +880,16 @@ def test_sweep_reports_once_per_invocation(capsys, monkeypatch, tmp_path):
     assert run(argv + ["--out", str(tmp_path / "table.csv")]) == 0
     assert calls == {"exponent_report": 2, "classify_regime": 2}
     capsys.readouterr()
+
+
+def test_exponents_reads_one_param_grid(capsys, monkeypatch):
+    # The report and the regime of one point share its one-point ParamGrid.
+    grids = []
+    post_init = ParamGrid.__post_init__
+    monkeypatch.setattr(ParamGrid, "__post_init__", lambda self: grids.append(post_init(self)))
+    assert run(["exponents", "--dim", "3", "--p", "2", "--gamma", "4"]) == 0
+    assert len(grids) == 1
+    assert '"liouville_regime": "supercritical"' in capsys.readouterr().out
 
 
 SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]

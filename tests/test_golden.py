@@ -187,6 +187,7 @@ BATTERY = [
     "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --r-out 1e-105 --bc-right 0 --nodes 17",
     "solve --dim 344 --p 2 --gamma 2 --source power:1,0 --r-out 0.5 --bc-right 0 --nodes 17",
     f"exponents {_SHARP} --dim 9007199254740993",  # 2**53 + 1 has no exact float
+    "sweep --dim 9007199254740993 --p 2 --gamma 4",
     f"liouville {_SHARP} --dim 1{'0' * 308}",
     f"manifold --profile euclidean --dim 1{'0' * 308} --p 2 --gamma 1.4",
     # The invocations CI checks after installing the console script.
@@ -253,9 +254,12 @@ BATTERY = [
     "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.4 --mode numeric",
     "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.6 --mode numeric",
     "manifold --profile file:{golden}/area_t2.csv --p 2 --gamma 1.4 --t-start 2e6 --mode numeric",
-    # A sampled source is refused past the ends of its grid.
+    # Sampled data is refused past the ends of its grid: a source, and a
+    # witness whose largest energy radius 0.95 R passes r = 1 by 4e-10.
     "solve --dim 3 --p 2 --gamma 2 --source file:{golden}/cos6r.csv --r-out 2 --bc-right 0",
     "morrey --source file:{golden}/cos6r.csv --theta 1.5 --omega-radius 3",
+    "audit-caccioppoli --dim 3 --p 2 --gamma 2 --witness file:{golden}/ball_solve.csv "
+    "--radius 1.0526315794",
 ]
 
 

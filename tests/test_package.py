@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import pdi_lab
+from pdi_lab import solver
 
 PUBLIC = {
     "__version__",
@@ -74,53 +77,96 @@ def test_import_and_exponents_do_not_load_scipy():
     assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
 
 
-def test_a_solve_loads_only_the_banded_solver_from_scipy():
-    # gtsv comes from scipy's compiled _flapack module, loaded from its file,
-    # so neither scipy's nor scipy.linalg's package initialiser runs.
+def test_a_solve_loads_no_scipy():
+    # gtsv comes from the OpenBLAS that numpy's wheel ships and has already
+    # mapped, so a solve on the pinned stack imports no scipy module.
     loaded = _fresh_modules(
-        "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, solve_radial_dirichlet\n"
-        "solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)"
+        "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, solve_radial_dirichlet, solver\n"
+        "solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)\n"
+        "assert solver._dgtsv() is not None"
     )
-    assert {m for m in loaded if m == "scipy" or m.startswith("scipy.")} == {"scipy.linalg._flapack"}
+    assert "pdi_lab.solver" in loaded
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
 
 
-# A tridiagonal system whose diagonal is small against its sub-diagonal,
-# so gtsv interchanges rows (its fill-in du2 is nonzero), and a system
-# from a Newton solve; each solved by solve_banded and by the dgtsv that
-# scipy.linalg.lapack exports, compared bit for bit.
-_GTSV_CHECK = """
-import sys
-import numpy as np
-from pdi_lab import solver
-rng = np.random.default_rng(20)
-n = 64
-pivoting = (rng.uniform(1.0, 2.0, n - 1), rng.uniform(-1e-3, 1e-3, n), rng.uniform(1.0, 2.0, n - 1), rng.standard_normal(n))
-newton = None
-def capture(sub, dia, sup, rhs):
-    global newton
-    newton = newton or (sub.copy(), dia.copy(), sup.copy(), rhs.copy())
-    return banded(sub, dia, sup, rhs)
-banded, solver.solve_banded = solver.solve_banded, capture
-solver.solve_radial_dirichlet(solver.PLaplacian(1.5), solver.ProblemParams(dim=3, p=1.5, gamma=1.2), solver.RadialPowerSource(2.0, 0.0), (0.25, 1.0), 0.9, 0.0)
-ours = [banded(*system) for system in (pivoting, newton)]
-"""
-_GTSV_COMPARE = """
-from scipy.linalg import lapack
-du2, _, _, x, info = lapack.dgtsv(*pivoting)
-assert info == 0 and np.any(du2 != 0.0)
-for system, mine in zip((pivoting, newton), ours):
-    assert mine.tobytes() == lapack.dgtsv(*system)[3].tobytes()
-assert solver._dgtsv() is lapack.dgtsv
-"""
+def test_a_sweep_loads_no_hashlib():
+    # Only a report's config_hash reads hashlib, which maps OpenSSL; a sweep
+    # writes CSV and no report.
+    loaded = _fresh_modules(
+        "import contextlib, io\n"
+        "from pdi_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.run(['sweep', '--dim', '3:5:1', '--p', '2', '--gamma', '1:4:0.5']) == 0"
+    )
+    assert "pdi_lab.cli" in loaded
+    assert not {"hashlib", "_hashlib"} & loaded
 
 
-def test_gtsv_is_scipys_when_scipy_linalg_is_imported_after_the_first_solve():
-    loaded = _fresh_modules(_GTSV_CHECK + "assert 'scipy.linalg' not in sys.modules\n" + _GTSV_COMPARE)
-    assert "scipy.linalg" in loaded
+def _gtsv_systems():
+    """A tridiagonal system whose diagonal is small against its
+    sub-diagonal, so gtsv interchanges rows (its fill-in du2 is nonzero),
+    and the first system of a Newton solve, as (sub, dia, sup, rhs)."""
+    rng = np.random.default_rng(20)
+    n = 64
+    pivoting = (rng.uniform(1.0, 2.0, n - 1), rng.uniform(-1e-3, 1e-3, n),
+                rng.uniform(1.0, 2.0, n - 1), rng.standard_normal(n))
+    newton = []
+    banded = solver.solve_banded
+
+    def capture(system):
+        if not newton:
+            newton.extend(a.copy() for a in (system.sub, system.dia, system.sup, system.rhs))
+        return banded(system)
+
+    solver.solve_banded = capture
+    try:
+        solver.solve_radial_dirichlet(
+            solver.PLaplacian(1.5), solver.ProblemParams(dim=3, p=1.5, gamma=1.2),
+            solver.RadialPowerSource(2.0, 0.0), (0.25, 1.0), 0.9, 0.0,
+        )
+    finally:
+        solver.solve_banded = banded
+    return pivoting, tuple(newton)
 
 
-def test_gtsv_is_scipys_when_scipy_linalg_is_imported_before_the_first_solve():
-    _fresh_modules("import scipy.linalg\n" + _GTSV_CHECK + _GTSV_COMPARE)
+def _solve_banded(sub, dia, sup, rhs) -> bytes:
+    system = solver._Tridiagonal(dia.size)
+    system.sub[:], system.dia[:], system.sup[:], system.rhs[:] = sub, dia, sup, rhs
+    return solver.solve_banded(system).tobytes()
+
+
+def test_solve_banded_is_scipys_dgtsv_bit_for_bit():
+    from scipy.linalg import lapack
+
+    pivoting, newton = _gtsv_systems()
+    du2, _, _, _, info = lapack.dgtsv(*pivoting)
+    assert info == 0 and np.any(du2 != 0.0)
+    assert solver._dgtsv() is not None
+    for system in (pivoting, newton):
+        assert _solve_banded(*system) == lapack.dgtsv(*system)[3].tobytes()
+
+
+def test_the_forced_fallback_gives_the_same_bits(monkeypatch):
+    # Where numpy ships no scipy-openblas library, scipy's public dgtsv
+    # solves in place through its overwrite flags, to the same bits.
+    from scipy.linalg import lapack
+
+    def solve():
+        return solver.solve_radial_dirichlet(
+            solver.PLaplacian(3.0), solver.ProblemParams(dim=3, p=3.0, gamma=2.5),
+            solver.RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0,
+        )
+
+    systems = _gtsv_systems()
+    direct, sol = [_solve_banded(*system) for system in systems], solve()
+    calls = []
+    dgtsv = lapack.dgtsv
+    monkeypatch.setattr(lapack, "dgtsv", lambda *a, **k: calls.append(1) or dgtsv(*a, **k))
+    monkeypatch.setattr(solver, "_dgtsv", lambda: None)
+    assert [_solve_banded(*system) for system in systems] == direct
+    fallback = solve()
+    assert len(calls) == 2 + fallback.meta["iterations"]
+    assert fallback.values.tobytes() == sol.values.tobytes() and fallback.meta == sol.meta
 
 
 def test_holder_fits_of_gridded_data_do_not_load_numpy_random():

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from pdi_lab import radial
+from pdi_lab.audit import gradient_energy
 from pdi_lab.errors import (
     DegeneratePoint,
+    DomainExceeded,
     NoAdmissibleScale,
     PreconditionViolation,
 )
@@ -213,6 +215,27 @@ def test_every_sampled_input_shares_one_rule(build, grid, values, message):
     with pytest.raises(PreconditionViolation, match=f"{build.what}.*{message}"):
         build(grid, values)
     build([0.0, 1.0], [1.0, 2.0])  # the smallest admissible data, from r = 0
+
+
+_READS = {
+    "source": lambda grid, values, r: SampledSource(grid, values)(r),
+    "area": lambda grid, values, r: SampledArea(grid, values).area(r),
+    "energy": lambda grid, values, r: gradient_energy(SampledProfile(grid, values), 2.0, r, 3),
+}
+
+
+@pytest.mark.parametrize("read", _READS.values(), ids=_READS)
+def test_every_sampled_read_shares_one_span_rule(read):
+    # Data is read on [grid[0], grid[-1]] exactly: the ends pass, and the
+    # next float past either end, or NaN, raises.
+    grid, values = [0.5, 1.0, 2.0], [1.0, 2.0, 4.0]
+    for r in (0.5, 2.0):
+        read(grid, values, r)
+    for r in (math.nextafter(0.5, 0.0), math.nextafter(2.0, 3.0)):
+        with pytest.raises(DomainExceeded, match=r"queried outside its grid \[0\.5, 2\.0\]$"):
+            read(grid, values, r)
+    with pytest.raises(DomainExceeded):
+        read(grid, values, math.nan)
 
 
 @pytest.mark.parametrize("values", [[1.0, 0.0], [1.0, -1.0]])

@@ -36,16 +36,17 @@ PARAMS_22 = ProblemParams(dim=3, p=2.0, gamma=2.0)
 
 @pytest.fixture(autouse=True)
 def finite_gtsv_input(monkeypatch):
-    """Every test here runs with a gtsv that asserts finite input: the
-    Newton loop refuses a non-finite system at its roundoff floor, so no
-    solve may hand one to ``solve_banded``."""
-    gtsv = solver._dgtsv()
+    """Every test here runs with a banded solve that asserts finite input:
+    the Newton loop refuses a non-finite system at its roundoff floor, so no
+    solve may hand one to gtsv, which only ``solve_banded`` calls. The check
+    reads the whole workspace: sub, dia, sup and rhs."""
+    banded = solver.solve_banded
 
-    def checked(*args):
-        assert all(np.all(np.isfinite(a)) for a in args[:4])
-        return gtsv(*args)
+    def checked(system):
+        assert np.all(np.isfinite(system.data))
+        return banded(system)
 
-    monkeypatch.setattr(solver, "_dgtsv", lambda: checked)
+    monkeypatch.setattr(solver, "solve_banded", checked)
 
 
 def kernel_errstate():
@@ -667,19 +668,47 @@ def _jacobian_cases():
                 yield (*solver._jacobian(slopes, disc, 1e-4), -R)
 
 
+def _system(sub, dia, sup, rhs):
+    """A workspace holding copies of the four arrays."""
+    system = solver._Tridiagonal(dia.size)
+    system.sub[:], system.dia[:], system.sup[:], system.rhs[:] = sub, dia, sup, rhs
+    return system
+
+
 def test_solve_banded_is_bit_identical_to_scipy():
     from scipy.linalg import solve_banded as scipy_banded
 
     for sub, dia, sup, rhs in _jacobian_cases():
         ab = np.zeros((3, dia.size))
         ab[0, 1:], ab[1], ab[2, :-1] = sup, dia, sub
-        assert np.array_equal(solver.solve_banded(sub, dia, sup, rhs), scipy_banded((1, 1), ab, rhs))
+        system = _system(sub, dia, sup, rhs)
+        x = solver.solve_banded(system)
+        assert x is system.rhs
+        assert np.array_equal(x, scipy_banded((1, 1), ab, rhs))
 
 
 def test_solve_banded_keeps_scipys_guards():
     sub, dia, sup, rhs = next(_jacobian_cases())
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solver.solve_banded(np.zeros_like(sub), np.zeros_like(dia), sup, rhs)
+        solver.solve_banded(_system(np.zeros_like(sub), np.zeros_like(dia), sup, rhs))
+
+
+@pytest.mark.parametrize("domain,bc_left", [((0.0, 1.0), None), ((0.25, 1.0), 0.5)])
+def test_a_jacobian_after_a_banded_solve_has_its_own_bits(domain, bc_left):
+    # gtsv overwrites the workspace with its factors, also the off-diagonal
+    # entries a Dirichlet row keeps at zero; the next Jacobian resets them.
+    params = ProblemParams(dim=3, p=1.5, gamma=1.2)
+    grid = np.linspace(domain[0], domain[1], 48)
+    disc = solver._Discretization(grid, PLaplacian(1.5), params, RadialPowerSource(2.0, 0.0),
+                                  bc_left, 0.0)
+    values = 1.0 - grid**2 + 0.01 * np.sin(7.0 * grid)
+    with kernel_errstate():
+        R, _, slopes = solver._residual(values, disc, 1e-4)
+        first = _bits(*solver._jacobian(slopes, disc, 1e-4))
+        np.negative(R, out=disc.system.rhs)
+        solver.solve_banded(disc.system)
+        assert _bits(disc.system.sub, disc.system.sup) != first[::2]
+        assert _bits(*solver._jacobian(slopes, disc, 1e-4)) == first
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

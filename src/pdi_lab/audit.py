@@ -54,7 +54,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainExceeded, InsufficientScales, NonIntegrable, PreconditionViolation
-from .params import ProblemParams, _check_dim, _in_range, caccioppoli_exponent, unit_ball_volume
+from .params import (ProblemParams, _check_dim, _check_positive, _in_range, caccioppoli_exponent,
+                     unit_ball_volume)
 from .quadrature import SAMPLE_PANEL_NODES, gauss_jacobi, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import Gridded, PowerProfile
@@ -170,8 +171,7 @@ def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
     Raises NonIntegrable when the integrand of a power profile is not
     integrable at the axis.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise PreconditionViolation(f"gamma must be finite and positive, got {gamma}")
+    _check_positive("gamma", gamma)
     if not (math.isfinite(t) and t >= 0):
         raise DomainExceeded(f"radius must be finite and >= 0, got t={t}")
     if t == 0:
@@ -231,8 +231,7 @@ def caccioppoli_audit(
     flags blow-up of K(t) = E(t)(R-t)^s/R^dim as t -> R. An unstable K means
     the energy grows faster than the predicted exponent allows.
     """
-    if not (math.isfinite(R) and R > 0):
-        raise PreconditionViolation(f"R must be finite and positive, got {R}")
+    _check_positive("R", R)
     t_arr = np.array(t_list, dtype=float)
     if t_arr.size < 2 or not ((t_arr > 0) & (t_arr < R)).all():
         raise PreconditionViolation("t_list must contain at least two radii in (0, R)")
@@ -578,8 +577,7 @@ def morrey_norm(
         raise PreconditionViolation(f"s_index must be >= 1, got {s_index}")
     if not 0 < theta <= dim:
         raise PreconditionViolation(f"theta must be in (0, dim], got {theta}")
-    if not (math.isfinite(omega_radius) and omega_radius > 0):
-        raise PreconditionViolation(f"omega_radius must be finite and positive, got {omega_radius}")
+    _check_positive("omega_radius", omega_radius)
     if not center_samples >= 1:
         raise PreconditionViolation(f"center_samples must be >= 1, got {center_samples}")
     if isinstance(f, RadialPowerSource):

@@ -43,9 +43,9 @@ import numpy as np
 from .errors import DomainExceeded, PreconditionViolation
 from .params import (
     ProblemParams,
-    _check_c_h,
     _check_dim,
     _check_exponents,
+    _check_positive,
     _critical_gamma,
     _energy_arm,
     _gradient_arm,
@@ -59,7 +59,7 @@ from .quadrature import gauss_legendre as quad  # noqa: F401 (no caller; perfben
 from .radial import (
     BumpProfile,
     Gridded,
-    RadialProfile,
+    PowerProfile,
     _certify_witness,
     bump_profile_scale,
     nonconstant_entire_profile,
@@ -218,7 +218,7 @@ class LiouvilleVerdict:
     gamma: float
     gamma_star: Optional[float]
     c_h: float = 1.0
-    witness: Optional[RadialProfile] = None
+    witness: Optional[PowerProfile | BumpProfile] = None
     witness_note: Optional[str] = None
 
 
@@ -283,8 +283,7 @@ def area_condition_test(
     a_k inside the band (-1e-2, 1e-2) around the borderline reads neither.
     """
     e = _comparison_exponent(p, gamma)
-    if not 0 < t_start < math.inf:
-        raise PreconditionViolation(f"t_start must be finite and positive, got {t_start}")
+    _check_positive("t_start", t_start)
     if mode not in ("analytic", "numeric"):
         raise PreconditionViolation(f"mode must be 'analytic' or 'numeric', got {mode!r}")
     if isinstance(profile, _PowerLawArea):
@@ -503,7 +502,7 @@ def liouville_classify_euclidean(
     _check_dim(dim)
     gamma_star = liouville_threshold(dim, p)
     _check_exponents(p, gamma)
-    _check_c_h(c_h)
+    _check_positive("c_h", c_h)
     verdict = functools.partial(
         LiouvilleVerdict, dim=dim, p=p, gamma=gamma, gamma_star=gamma_star, c_h=c_h
     )
@@ -516,7 +515,7 @@ def liouville_classify_euclidean(
             witness_note="WITNESS_UNAVAILABLE",
         )
     if gamma > p:
-        witness: RadialProfile = nonconstant_entire_profile(dim, p, gamma, c_h)
+        witness: PowerProfile | BumpProfile = nonconstant_entire_profile(dim, p, gamma, c_h)
     else:
         c = bump_profile_scale(dim, p, gamma, c_h)
         witness = BumpProfile(c=c, delta=-_gradient_arm(p, gamma))

@@ -96,9 +96,9 @@ def _check_dim(dim) -> None:
         raise PreconditionViolation(f"dim must be an integer from 2 to 2**53, got {dim}")
 
 
-def _check_c_h(c_h) -> None:
-    if not (math.isfinite(c_h) and c_h > 0):
-        raise PreconditionViolation(f"c_h must be finite and positive, got {c_h}")
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise PreconditionViolation(f"{name} must be finite and positive, got {value}")
 
 
 def _in_range(name: str, compute) -> float:
@@ -149,9 +149,8 @@ class ProblemParams:
         _check_exponents(self.p, self.gamma)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise PreconditionViolation(f"lam must be finite and >= 0, got {self.lam}")
-        _check_c_h(self.c_h)
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise PreconditionViolation(f"nu must be finite and positive, got {self.nu}")
+        _check_positive("c_h", self.c_h)
+        _check_positive("nu", self.nu)
         if not _q_ok(self.q):
             raise PreconditionViolation(f"q must be >= 1 or INFINITY, got {self.q}")
 

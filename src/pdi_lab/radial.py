@@ -49,8 +49,8 @@ from .errors import (
 )
 from .params import (
     ProblemParams,
-    _check_c_h,
     _check_exponents,
+    _check_positive,
     _critical_gamma,
     _gradient_arm,
     _growth_gap,
@@ -60,7 +60,6 @@ from .params import (
 )
 
 __all__ = [
-    "RadialProfile",
     "PowerProfile",
     "BumpProfile",
     "SampledProfile",
@@ -82,21 +81,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class RadialProfile:
-    """Base class: a scalar profile V(r) with two derivatives."""
-
-    def value(self, r):
-        raise NotImplementedError
-
-    def derivative(self, r):
-        raise NotImplementedError
-
-    def second_derivative(self, r):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerProfile(RadialProfile):
+class PowerProfile:
     """V(r) = c (r^a - shift); shift = 1 makes it vanish at r = 1."""
 
     c: float
@@ -120,7 +106,7 @@ class PowerProfile(RadialProfile):
 
 
 @dataclass(frozen=True)
-class BumpProfile(RadialProfile):
+class BumpProfile:
     """V(r) = c (1 + r^2)^(-delta/2), bounded with algebraic decay."""
 
     c: float
@@ -209,7 +195,9 @@ class OperatorKind:
 
     Every kind satisfies the growth bound |a(s)| <= |s|^(p-1) with its own
     growth order p, which is the structural condition the estimates need
-    with nu = 1. ``flux`` and ``flux_derivative`` return a new float array,
+    with nu = 1. The solver calls each kind's ``flux(s, eps)`` and
+    ``flux_derivative(s, eps)``, a(s) and a'(s) regularized by eps, by duck
+    typing: this class declares neither. Each returns a new float array,
     which the solver overwrites in place.
     """
 
@@ -218,12 +206,6 @@ class OperatorKind:
     def order_for(self, gamma: float) -> float:
         """The growth order a problem with this gamma takes, gamma > p - 1."""
         return self.p
-
-    def flux(self, s, eps: float = 0.0):
-        raise NotImplementedError
-
-    def flux_derivative(self, s, eps: float = 0.0):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -312,18 +294,21 @@ class MeanCurvature(GeneralizedMeanCurvature):
 # ---------------------------------------------------------------------------
 
 
-def radial_operator(p: float, profile: RadialProfile, r, dim: int):
+def radial_operator(p: float, profile: PowerProfile | BumpProfile, r, dim: int):
     """-Delta_p V = -div(|V'|^(p-2) V') at radius r > 0 (scalar or array).
 
     At a critical point V'(r) = 0 the value is 0 for p > 2, the plain
     Laplacian value -V'' for p = 2, and undefined for p < 2 unless the
     profile is flat there (V'' = 0 as well), where the limit 0 is returned.
+    ``profile`` is any V with ``derivative`` and ``second_derivative``
+    methods (a scan also reads ``value``), such as a ``PowerProfile`` or a
+    ``BumpProfile``.
     """
     out, _ = _operator_and_slope(p, profile, r, dim)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def _operator_and_slope(p: float, profile: RadialProfile, r, dim: int):
+def _operator_and_slope(p: float, profile: PowerProfile | BumpProfile, r, dim: int):
     """(-Delta_p V, V') at the radii r as 1-d arrays, each derivative of V
     evaluated once."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -365,7 +350,7 @@ def sharpness_profile(dim: int, p: float, gamma: float, c_h: float = 1.0) -> Pow
         raise PreconditionViolation(
             f"sharpness profile needs (dim-1)*gamma > dim*(p-1), got dim={dim}, p={p}, gamma={gamma}"
         )
-    _check_c_h(c_h)
+    _check_positive("c_h", c_h)
     a, e = _gradient_arm(p, gamma), 1.0 / (gamma - (p - 1))
     c = _in_range(f"the sharpness profile's c at c_h={c_h}",
                   lambda: -(_growth_gap(dim, p, gamma) ** e) / a * c_h**-e)
@@ -435,7 +420,7 @@ def _witness_scale(dim: int, p: float, gamma: float, c_h: float, bounded: bool):
     """(c, log10 |c|) of a witness's coefficient c = c1 (K/c_h)^(1/(gamma-p+1)),
     c1 = 1 for the bump and 1/a for the entire power, computed in logs: c
     is 0.0 or +-inf where it leaves the float range, log10 |c| is finite."""
-    _check_c_h(c_h)
+    _check_positive("c_h", c_h)
     a, K = _witness_constants(dim, p, gamma, bounded)
     c1 = 1.0 if bounded else 1.0 / a
     log_c = (math.log(K) - math.log(c_h)) / (gamma - (p - 1)) + math.log(abs(c1))
@@ -491,7 +476,7 @@ class ResidualReport:
         return float(np.max(np.abs(self.residuals)))
 
 
-def residual_scan(profile: RadialProfile, params: ProblemParams, grid,
+def residual_scan(profile: PowerProfile | BumpProfile, params: ProblemParams, grid,
                   tol: float = 1e-8) -> ResidualReport:
     """Evaluate -Delta_p V - c_h |V'|^gamma + lam V on a grid of radii, with
     p, c_h, gamma and lam read off ``params``.

@@ -79,7 +79,6 @@ from .radial import (
 )
 
 __all__ = [
-    "SourceTerm",
     "ZeroSource",
     "RadialPowerSource",
     "SampledSource",
@@ -95,13 +94,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class SourceTerm:
-    def __call__(self, r):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class RadialPowerSource(SourceTerm):
+class RadialPowerSource:
     """f(r) = amplitude * r^(-beta); singular at the axis when beta > 0."""
 
     amplitude: float
@@ -129,7 +123,7 @@ class ZeroSource(RadialPowerSource):
     beta: float = field(default=0.0, init=False)
 
 
-class SampledSource(Gridded, SourceTerm):
+class SampledSource(Gridded):
     """Piecewise-linear interpolant of sampled source values, defined on
     the span of its grid only: a radius outside it raises DomainExceeded."""
 

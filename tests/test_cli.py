@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from battery import FILES, GOLDEN, MOVES, SET
+
 import pdi_lab
 from pdi_lab import cli
 from pdi_lab.audit import caccioppoli_audit, holder_fit
@@ -1039,22 +1041,6 @@ _POOLS = {
 }
 # Kept present, so the work stays small whatever else is drawn.
 _SIZE_FLAGS = ("--nodes",)
-# The flags a valid, small invocation of each subcommand sets; every
-# other flag of its COMMANDS row keeps the table's default.
-_SET = {
-    "exponents": "--dim 3 --p 2 --gamma 4",
-    "verify-sharpness": "--dim 3 --p 2 --gamma 4 --nodes 17",
-    "verify-bump": "--dim 3 --p 2 --gamma 1.8 --nodes 17",
-    "solve": "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 "
-    "--bc-right 0 --nodes 17",
-    "audit-caccioppoli": "--dim 3 --p 2 --gamma 4",
-    "audit-holder": "--dim 3 --p 2 --gamma 4",
-    "morrey": "--source power:1,1 --theta 1.5",
-    "liouville": "--dim 3 --p 2 --gamma 1.4",
-    "manifold": "--profile power:1,2 --p 2 --gamma 1.4 --mode numeric",
-    "sigma-bound": "--dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10",
-    "sweep": "--dim 3,4 --p 2 --gamma 1:2:0.5 --q inf",
-}
 _ROWS = {name: flags for name, _, flags, _ in COMMANDS}
 
 
@@ -1075,9 +1061,9 @@ _RESULT_KEYS = {
 
 
 def test_results_keys_keep_their_order(capsys):
-    assert sorted(_RESULT_KEYS) == sorted(set(_SET) - {"sweep"})
+    assert sorted(_RESULT_KEYS) == sorted(set(SET) - {"sweep"})
     for command, keys in _RESULT_KEYS.items():
-        rc, report, _ = run_cli(capsys, command, *_SET[command].split())
+        rc, report, _ = run_cli(capsys, command, *SET[command].split())
         assert rc == 0
         assert list(report["results"]) == keys.split(), command
     # A witness side of liouville, for the keys of its nested witness.
@@ -1087,13 +1073,13 @@ def test_results_keys_keep_their_order(capsys):
 
 def _valid_flags(command) -> dict:
     """flag -> value of one valid, small invocation: the table's defaults,
-    then ``_SET``."""
+    then ``SET``."""
     flags = {
         flag: str(default)
         for flag, _, default in _ROWS[command]
         if default is not REQUIRED and default is not None
     }
-    tokens = _SET[command].split()
+    tokens = SET[command].split()
     flags.update(zip(tokens[::2], tokens[1::2]))
     return flags
 
@@ -1235,106 +1221,19 @@ def test_each_flag_moves_params_and_config_hash(capsys, tmp_path, command, flag)
     assert report["provenance"]["config_hash"] != base["provenance"]["config_hash"]
 
 
-# One invocation per (command, flag), and a second value of that flag: the
-# two runs must differ in results or passed. Many flags matter only in some
-# configurations, so each flag gets its own: verify-bump --nodes only where
-# the bump's slope underflows, liouville --c-h only above gamma*, manifold
-# --dim only with --profile euclidean, audit-caccioppoli --lambda only for
-# a witness that is negative somewhere ({negative}, a file: witness), and
-# manifold --t-start and --mode only on tabulated data ({area}, t^2 on
-# [1, 1e6]).
-_SHARP = "--dim 3 --p 2 --gamma 4"
-_SOLVE = "--dim 3 --p 2 --gamma 2 --source power:1,0 --r-in 0.5 --bc-left 1 --bc-right 0 --nodes 17"
-_SIGMA = "--dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10"
-_MOVES = {
-    ("exponents", "--dim"): (_SHARP, "4"),
-    ("exponents", "--p"): (_SHARP, "2.5"),
-    ("exponents", "--gamma"): (_SHARP, "5"),
-    ("exponents", "--q"): (_SHARP, "2"),
-    ("verify-sharpness", "--dim"): (_SHARP + " --nodes 17", "4"),
-    ("verify-sharpness", "--p"): (_SHARP + " --nodes 17", "2.5"),
-    ("verify-sharpness", "--gamma"): (_SHARP + " --nodes 17", "5"),
-    ("verify-sharpness", "--c-h"): (_SHARP + " --nodes 17", "2"),
-    ("verify-sharpness", "--nodes"): (_SHARP + " --nodes 17", "18"),
-    ("verify-sharpness", "--tol"): (_SHARP, "1e-20"),
-    ("verify-bump", "--dim"): ("--dim 3 --p 2 --gamma 1.8", "4"),
-    ("verify-bump", "--p"): ("--dim 3 --p 2 --gamma 1.8", "2.2"),
-    ("verify-bump", "--gamma"): ("--dim 3 --p 2 --gamma 1.8", "1.9"),
-    ("verify-bump", "--c-h"): ("--dim 3 --p 2 --gamma 1.8", "2"),
-    ("verify-bump", "--nodes"): ("--dim 5 --p 1.01 --gamma 0.0125000001 --nodes 3", "300"),
-    ("verify-bump", "--grid-max"): ("--dim 3 --p 2 --gamma 1.8", "20"),
-    ("solve", "--dim"): (_SOLVE, "4"),
-    ("solve", "--p"): (_SOLVE, "2.5"),
-    ("solve", "--gamma"): (_SOLVE, "2.5"),
-    ("solve", "--lambda"): (_SOLVE, "1"),
-    ("solve", "--c-h"): (_SOLVE, "2"),
-    ("solve", "--operator"): (_SOLVE, "gmc:4"),
-    ("solve", "--source"): (_SOLVE, "power:2,0"),
-    ("solve", "--r-in"): (_SOLVE, "0.25"),
-    ("solve", "--r-out"): (_SOLVE, "1.5"),
-    ("solve", "--bc-left"): (_SOLVE, "1.5"),
-    ("solve", "--bc-right"): (_SOLVE, "0.5"),
-    ("solve", "--nodes"): (_SOLVE, "18"),
-    ("solve", "--tol"): (_SOLVE, "1e-3"),
-    ("audit-caccioppoli", "--dim"): (_SHARP, "4"),
-    ("audit-caccioppoli", "--p"): (_SHARP, "2.5"),
-    ("audit-caccioppoli", "--gamma"): (_SHARP, "5"),
-    ("audit-caccioppoli", "--lambda"): (_SHARP + " --witness {negative}", "1"),
-    ("audit-caccioppoli", "--q"): (_SHARP, "1"),
-    ("audit-caccioppoli", "--witness"): (_SHARP, "linear"),
-    ("audit-caccioppoli", "--radius"): (_SHARP, "0.5"),
-    ("audit-holder", "--dim"): (_SHARP + " --q 2", "4"),
-    ("audit-holder", "--p"): (_SHARP, "2.5"),
-    ("audit-holder", "--gamma"): (_SHARP, "5"),
-    ("audit-holder", "--q"): (_SHARP, "2"),
-    ("audit-holder", "--witness"): (_SHARP, "linear"),
-    ("audit-holder", "--scale-min"): (_SHARP, "1e-4"),
-    ("audit-holder", "--scale-max"): (_SHARP, "0.5"),
-    ("audit-holder", "--tol"): (_SHARP + " --q 2", "0.01"),
-    ("morrey", "--source"): ("--source power:1,1 --theta 1.5", "power:2,1"),
-    ("morrey", "--s-index"): ("--source power:1,1 --theta 1.5", "1.25"),
-    ("morrey", "--theta"): ("--source power:1,1 --theta 1.5 --omega-radius 0.5", "2"),
-    ("morrey", "--omega-radius"): ("--source power:1,1 --theta 1.5", "0.5"),
-    ("morrey", "--dim"): ("--source power:1,1 --theta 1.5", "4"),
-    ("liouville", "--dim"): (_SHARP, "4"),
-    ("liouville", "--p"): (_SHARP, "2.5"),
-    ("liouville", "--gamma"): (_SHARP, "5"),
-    ("liouville", "--c-h"): (_SHARP, "2"),
-    ("manifold", "--profile"): ("--profile power:1,2 --p 2 --gamma 1.4", "power:1,3"),
-    ("manifold", "--dim"): ("--profile euclidean --dim 3 --p 2 --gamma 1.4", "4"),
-    ("manifold", "--p"): ("--profile power:1,2 --p 2 --gamma 1.4", "1.8"),
-    ("manifold", "--gamma"): ("--profile power:1,2 --p 2 --gamma 1.6", "1.4"),
-    # a closed-form area's verdict does not depend on where the walk starts
-    ("manifold", "--t-start"): ("--profile {area} --p 2 --gamma 1.4 --mode numeric", "2e6"),
-    # only tabulated data get no analytic verdict
-    ("manifold", "--mode"): ("--profile {area} --p 2 --gamma 1.4", "numeric"),
-    ("sigma-bound", "--dim"): (_SIGMA, "4"),
-    ("sigma-bound", "--p"): (_SIGMA, "1.8"),
-    ("sigma-bound", "--gamma"): (_SIGMA, "1.6"),
-    ("sigma-bound", "--c-h"): (_SIGMA, "2"),
-    ("sigma-bound", "--nu"): (_SIGMA, "2"),
-    ("sigma-bound", "--profile"): (_SIGMA, "power:1,3"),
-    ("sigma-bound", "--sigma-r"): (_SIGMA, "2"),
-    ("sigma-bound", "--radius-inner"): (_SIGMA, "2"),
-    ("sigma-bound", "--radius-outer"): (_SIGMA, "20"),
-}
 # --out writes a file.
 _UNMOVED = {"--out"}
 
 
 def test_every_flag_has_an_invocation_it_moves():
-    assert set(_MOVES) == {(name, flag) for name, flags in _ROWS.items() if name != "sweep"
+    assert set(MOVES) == {(name, flag) for name, flags in _ROWS.items() if name != "sweep"
                            for flag, _, _ in flags if flag not in _UNMOVED}
 
 
-@pytest.mark.parametrize("command, flag", list(_MOVES))
-def test_each_flag_moves_results_or_passed(capsys, tmp_path, command, flag):
-    invocation, other = _MOVES[command, flag]
-    grid = np.linspace(0.0, 1.0, 201)
-    negative = _write_samples(tmp_path / "negative.csv", grid, np.cos(6.0 * grid))
-    t = np.geomspace(1.0, 1e6, 40)
-    area = _write_samples(tmp_path / "area.csv", t, t**2)
-    tokens = invocation.format(negative=negative, area=area).split()
+@pytest.mark.parametrize("command, flag", list(MOVES))
+def test_each_flag_moves_results_or_passed(capsys, command, flag):
+    invocation, other = MOVES[command, flag]
+    tokens = invocation.format(**FILES).replace("{golden}", str(GOLDEN)).split()
     flags = dict(zip(tokens[::2], tokens[1::2]))
     rc, base, _ = run_cli(capsys, *_argv_of(command, flags))
     assert rc in (0, 1)

@@ -21,12 +21,12 @@ PUBLIC = {
     "ExponentReport", "holder_exponent", "caccioppoli_exponent", "unit_ball_volume",
     "liouville_threshold", "exponent_report", "classify_regime",
     # radial
-    "RadialProfile", "PowerProfile", "BumpProfile", "SampledProfile", "OperatorKind",
+    "PowerProfile", "BumpProfile", "SampledProfile", "OperatorKind",
     "PLaplacian", "MeanCurvature", "GeneralizedMeanCurvature", "ResidualReport",
     "radial_operator", "sharpness_profile", "nonconstant_entire_profile",
     "bump_profile_scale", "residual_scan",
     # solver
-    "SourceTerm", "ZeroSource", "RadialPowerSource", "SampledSource", "SolverConfig",
+    "ZeroSource", "RadialPowerSource", "SampledSource", "SolverConfig",
     "DiscreteRadialSolution", "solve_radial_dirichlet", "solution_residual",
     # audit
     "gradient_energy", "CaccioppoliReport", "caccioppoli_audit", "HolderFitReport",
@@ -41,7 +41,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned_and_listed_once():
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 68
     assert sorted(pdi_lab.__all__) == sorted(PUBLIC)
 
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pdi_lab.audit import caccioppoli_audit, gradient_energy, morrey_norm
 from pdi_lab.errors import PreconditionViolation
+from pdi_lab.liouville import PowerArea, area_condition_test, liouville_classify_euclidean
 from pdi_lab.params import (
     INFINITY,
     Branch,
@@ -25,6 +27,8 @@ from pdi_lab.params import (
     holder_exponent,
     liouville_threshold,
 )
+from pdi_lab.radial import PowerProfile, bump_profile_scale, sharpness_profile
+from pdi_lab.solver import RadialPowerSource
 
 
 @pytest.mark.parametrize(
@@ -102,6 +106,32 @@ def test_params_validation():
     for bad in non_finite:
         with pytest.raises(PreconditionViolation):
             ProblemParams(**{"dim": 3, "p": 2.0, "gamma": 3.0, **bad})
+
+
+# Every input that must be finite and positive, with a call that reads it:
+# one rule, one message.
+_POSITIVE = [
+    ("c_h", lambda v: ProblemParams(dim=3, p=2.0, gamma=3.0, c_h=v)),
+    ("nu", lambda v: ProblemParams(dim=3, p=2.0, gamma=3.0, nu=v)),
+    ("c_h", lambda v: sharpness_profile(3, 2.0, 4.0, c_h=v)),
+    ("c_h", lambda v: bump_profile_scale(3, 2.0, 1.8, v)),
+    ("c_h", lambda v: liouville_classify_euclidean(3, 2.0, 4.0, c_h=v)),
+    ("gamma", lambda v: gradient_energy(PowerProfile(1.0, 2.0), v, 0.5, 3)),
+    ("R", lambda v: caccioppoli_audit(PowerProfile(1.0, 2.0), ProblemParams(3, 2.0, 4.0), v,
+                                      [0.1, 0.2])),
+    ("omega_radius", lambda v: morrey_norm(RadialPowerSource(1.0, 1.0), 1.0, 1.5, v)),
+    ("t_start", lambda v: area_condition_test(PowerArea(1.0, 2.0), 2.0, 1.4, t_start=v,
+                                              mode="numeric")),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, call", _POSITIVE,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_POSITIVE)])
+def test_positive_inputs_share_one_refusal(name, call, value):
+    with pytest.raises(PreconditionViolation) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be finite and positive, got {value}"
 
 
 def test_dims_end_at_two_to_the_53():

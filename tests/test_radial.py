@@ -151,7 +151,7 @@ def test_mean_curvature_is_gmc_two():
         assert mc.flux_derivative(s, eps).tobytes() == ((1.0 + s * s) ** -1.5).tobytes()
 
 
-class _Hump(radial.RadialProfile):
+class _Hump:
     """V = 1 - (r - 1/2)^2: V' = -2 (r - 1/2) vanishes at r = 1/2, V'' = -2."""
 
     def value(self, r):

@@ -25,13 +25,7 @@ rewrite the file with
 and name the moved problems in CHANGES.md.
 """
 
-import json
-import pathlib
-import platform
-import sys
-
-import numpy as np
-import scipy
+from battery import GOLDEN, assert_unmoved, rewrite
 
 from pdi_lab import (
     GeneralizedMeanCurvature,
@@ -42,8 +36,6 @@ from pdi_lab import (
     SolverConfig,
     solve_radial_dirichlet,
 )
-
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "solver_grid.jsonl"
 
 _KINDS = [(f"p{p:g}", p, PLaplacian(p)) for p in (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0)] + [
     (f"gmc{k:g}", k, GeneralizedMeanCurvature(k)) for k in (2.0, 3.0, 4.0, 6.0)
@@ -75,31 +67,10 @@ def outcome(problem) -> dict:
     return {"problem": key, "steps": sol.meta["iterations"], "u": sol.values[nodes].tolist()}
 
 
-def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def _line(obj) -> str:
-    return json.dumps(obj)
-
-
 def test_solver_outcomes_match_the_battery():
-    header, *lines = GOLDEN.read_text().splitlines()
     assert len(PROBLEMS) == 312
-    assert [json.loads(line)["problem"] for line in lines] == [p[0] for p in PROBLEMS], (
-        "PROBLEMS and tests/golden/solver_grid.jsonl differ; rewrite the file"
-    )
-    moved = [
-        f"expected {line}\n  got      {got}"
-        for line, got in ((line, _line(outcome(p))) for line, p in zip(lines, PROBLEMS))
-        if got != line
-    ]
-    assert not moved, (
-        f"{len(moved)} solver outcomes moved (recorded on {header}, running on "
-        f"{_line(versions())}):\n" + "\n".join(moved)
-    )
+    assert_unmoved(GOLDEN / "solver_grid.jsonl", [p[0] for p in PROBLEMS], map(outcome, PROBLEMS))
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("".join(_line(obj) + "\n" for obj in [versions(), *map(outcome, PROBLEMS)]))
-    sys.stdout.write(f"wrote {len(PROBLEMS)} problems to {GOLDEN}\n")
+    rewrite(GOLDEN / "solver_grid.jsonl", map(outcome, PROBLEMS))

@@ -521,7 +521,7 @@ def _ball_mass(f, s_index, dim, rho):
         ends. Where f vanishes at one end only, |f|^s is |f at the other
         end|^s times the weight ((r - zero) / (other - zero))^s of the
         Gauss-Jacobi rule, exact for any s."""
-        out = quad(density, a, b, SAMPLE_PANEL_NODES)
+        out = quad(density, a, b)
         one_end = (fa == 0) != (fb == 0)
         if one_end.any():
             left = fa[one_end] == 0
@@ -609,7 +609,10 @@ def morrey_norm(
         )
     diam = 2.0 * omega_radius
     radii = np.geomspace(diam * 1e-4, diam, n_radii)
-    radii = np.unique(np.concatenate((radii, [omega_radius, diam])))
+    # np.unique's values from a sort and a neighbour mask: np.unique runs
+    # np.ma.is_masked, whose first call imports numpy.ma (about 1.2 MB).
+    radii = np.sort(np.concatenate((radii, [omega_radius, diam])))
+    radii = radii[np.concatenate(([True], radii[1:] != radii[:-1]))]
     mass = _ball_mass(f, s_index, dim, np.minimum(radii, omega_radius))
     values = radii ** ((theta - dim) / s_index) * mass ** (1.0 / s_index)
     i = int(np.argmax(values))

@@ -97,7 +97,11 @@ def _check_dim(dim) -> None:
 
 
 def _check_positive(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0):
+    try:
+        ok = math.isfinite(value) and value > 0
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
         raise PreconditionViolation(f"{name} must be finite and positive, got {value}")
 
 

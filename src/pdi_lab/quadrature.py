@@ -1,17 +1,20 @@
 """One fixed Gauss-Legendre rule, vectorized across integrals.
 
-``gauss_legendre(f, a, b, n)`` integrates f over every interval [a, b]
-of the broadcast arrays a, b with one call of f, on the nodes of all the
-intervals (shape ``broadcast(a, b).shape + (n,)``). f returns values
-whose last axis runs over the nodes; its other axes may broadcast
-further, as when a and b are scalars and f closes over per-interval
-arrays. The rule is exact for polynomials of degree 2n - 1 on each
-interval, so piecewise-polynomial data integrate exactly on panels that
-break at the sample nodes (``sample_panels``). ``gauss_jacobi`` is the
-rule of the weight |r - z|^beta at one end z of each interval, for the
-power of a piecewise-linear interpolant that vanishes there. Node counts
-are module constants; nothing adapts, so a result is a fixed function of
-its inputs.
+``gauss_legendre(f, a, b)`` integrates f over every interval [a, b] of
+the broadcast arrays a, b with one call of f, on the
+``SAMPLE_PANEL_NODES`` nodes of all the intervals (shape
+``broadcast(a, b).shape + (8,)``). f returns values whose last axis runs
+over the nodes; its other axes may broadcast further, as when a and b
+are scalars and f closes over per-interval arrays. The rule is exact for
+polynomials of degree 15 on each interval, so piecewise-polynomial data
+integrate exactly on panels that break at the sample nodes
+(``sample_panels``). Its nodes and weights are float literals, equal bit
+for bit to ``numpy.polynomial.legendre.leggauss(8)``, so no run imports
+``numpy.polynomial`` for them. ``gauss_jacobi`` is the rule of the
+weight |r - z|^beta at one end z of each interval, for the power of a
+piecewise-linear interpolant that vanishes there. Node counts are module
+constants; nothing adapts, so a result is a fixed function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -26,23 +29,25 @@ import numpy as np
 # s + dim <= 16.
 SAMPLE_PANEL_NODES = 8
 
+# The SAMPLE_PANEL_NODES-point rule on [-1, 1], read-only.
+_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
+_NODES.setflags(write=False)
+_WEIGHTS.setflags(write=False)
 
-@functools.lru_cache(maxsize=None)
-def _rule(n: int):
-    """Nodes and weights of the n-point rule on [-1, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
-
-def gauss_legendre(f, a, b, n: int):
+def gauss_legendre(f, a, b):
     """int_a^b f for every interval of the broadcast arrays a, b."""
-    x, w = _rule(n)
     a = np.asarray(a, dtype=float)[..., None]
     b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
-    return (f(a + half * (x + 1.0)) @ w) * half[..., 0]
+    return (f(a + half * (_NODES + 1.0)) @ _WEIGHTS) * half[..., 0]
 
 
 @functools.lru_cache(maxsize=None)

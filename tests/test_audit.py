@@ -1120,6 +1120,16 @@ def test_gauss_jacobi_rule_is_scipys_and_exact_for_degree_15(beta):
         assert quadrature.gauss_jacobi(lambda r: r**k, 1.0, 0.0, 8, beta) == pytest.approx(beta_fn, rel=1e-13)
 
 
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    from pdi_lab import quadrature
+
+    x, w = np.polynomial.legendre.leggauss(quadrature.SAMPLE_PANEL_NODES)
+    assert quadrature._NODES.tobytes() == x.tobytes() and quadrature._WEIGHTS.tobytes() == w.tobytes()
+    assert not (quadrature._NODES.flags.writeable or quadrature._WEIGHTS.flags.writeable)
+    for k in range(16):
+        assert quadrature.gauss_legendre(lambda r: r**k, 0.0, 1.0) == pytest.approx(1.0 / (k + 1.0), rel=1e-14)
+
+
 def test_morrey_d2_default_settings_is_two_pi():
     norm = morrey_norm(RadialPowerSource(1.0, 1.0), s_index=1.0, theta=1.5,
                        omega_radius=1.0, dim=2)

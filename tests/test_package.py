@@ -79,7 +79,8 @@ def test_import_and_exponents_do_not_load_scipy():
 
 def test_a_solve_loads_no_scipy():
     # gtsv comes from the OpenBLAS that numpy's wheel ships and has already
-    # mapped, so a solve on the pinned stack imports no scipy module.
+    # mapped, so a solve on the pinned stack imports no scipy module; and
+    # the package is lazy, so it loads no module that a solve does not call.
     loaded = _fresh_modules(
         "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, solve_radial_dirichlet, solver\n"
         "solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)\n"
@@ -87,6 +88,8 @@ def test_a_solve_loads_no_scipy():
     )
     assert "pdi_lab.solver" in loaded
     assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
+    assert not loaded & {"pdi_lab.audit", "pdi_lab.liouville", "pdi_lab.quadrature", "pdi_lab.cli",
+                         "numpy.ma", "numpy.polynomial", "numpy.random"}
 
 
 def test_a_sweep_loads_no_hashlib():
@@ -100,6 +103,10 @@ def test_a_sweep_loads_no_hashlib():
     )
     assert "pdi_lab.cli" in loaded
     assert not {"hashlib", "_hashlib"} & loaded
+
+
+def test_import_alone_loads_no_submodule():
+    assert not any(m.startswith("pdi_lab.") for m in _fresh_modules("import pdi_lab"))
 
 
 def _gtsv_systems():
@@ -171,14 +178,20 @@ def test_the_forced_fallback_gives_the_same_bits(monkeypatch):
 
 def test_holder_fits_of_gridded_data_do_not_load_numpy_random():
     # The exact bin sups draw nothing, so numpy.random, about 5 MB of
-    # resident memory, stays unloaded through a solve and both fits.
+    # resident memory, stays unloaded through a solve and both fits. With a
+    # sampled Morrey norm and a Caccioppoli audit, the audits load neither
+    # liouville nor numpy.ma (np.unique would) nor numpy.polynomial
+    # (leggauss would).
     loaded = _fresh_modules(
         "import numpy as np\n"
         "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, SampledProfile, holder_fit, solve_radial_dirichlet\n"
+        "from pdi_lab import PowerProfile, SampledSource, caccioppoli_audit, morrey_norm\n"
         "sol = solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)\n"
         "grid = np.linspace(0.0, 1.0, 500)\n"
         "for u in (sol, SampledProfile(grid, np.sin(40.0 * grid))):\n"
         "    holder_fit(u, 20000, (1e-3, 0.25), seed=3)\n"
+        "morrey_norm(SampledSource(grid, np.cos(6.0 * grid)), 1.0, 1.5, 1.0)\n"
+        "caccioppoli_audit(PowerProfile(1.0, 2.0), ProblemParams(3, 2.0, 4.0), 1.0, [0.1, 0.2])\n"
     )
-    assert "pdi_lab.audit" in loaded
-    assert "numpy.random" not in loaded
+    assert {"pdi_lab.audit", "pdi_lab.quadrature"} <= loaded
+    assert not loaded & {"numpy.random", "numpy.ma", "numpy.polynomial", "pdi_lab.liouville"}

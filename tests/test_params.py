@@ -125,7 +125,8 @@ _POSITIVE = [
 ]
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="1e400"), pytest.param(-10**400, id="-1e400")])
 @pytest.mark.parametrize("name, call", _POSITIVE,
                          ids=[f"{name}-{i}" for i, (name, _) in enumerate(_POSITIVE)])
 def test_positive_inputs_share_one_refusal(name, call, value):

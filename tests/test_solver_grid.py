@@ -17,7 +17,9 @@ The grid, d = 3 throughout:
   bc_left = 0.5; bc_right = 0 on both;
 - n in {64, 256} nodes and the constant source f in {1, 10}.
 
-That is 312 problems. After a change that moves an outcome on purpose,
+That is 312 problems, and one more: the annulus problem p = 3, gamma =
+2.25, f = 10 at 512 nodes, where Newton stalls although gamma < p is
+natural growth (the CLI's ``solve`` exits 1 on it). After a change that moves an outcome on purpose,
 rewrite the file with
 
     PYTHONPATH=src python tests/test_solver_grid.py
@@ -50,7 +52,7 @@ PROBLEMS = [
     for where, domain, bc_left in _DOMAINS
     for n in (64, 256)
     for f in (1.0, 10.0)
-]
+] + [("p3/gamma=2.25/annulus/n=512/f=10", PLaplacian(3.0), 2.25, (0.25, 1.0), 0.5, 512, 10.0)]
 
 
 def outcome(problem) -> dict:
@@ -68,7 +70,7 @@ def outcome(problem) -> dict:
 
 
 def test_solver_outcomes_match_the_battery():
-    assert len(PROBLEMS) == 312
+    assert len(PROBLEMS) == 313
     assert_unmoved(GOLDEN / "solver_grid.jsonl", [p[0] for p in PROBLEMS], map(outcome, PROBLEMS))
 
 

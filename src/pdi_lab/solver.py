@@ -38,6 +38,15 @@ only if every J_ij and V_j is) is NoConvergence before the test, so
 ``gtsv`` never sees an inf or a NaN; one ``np.errstate`` around the
 Newton loop silences a stiff trial.
 
+Each eps stage is one call of ``_newton_stage``, which records its work:
+``meta["stages"]`` holds one dict per stage with its ``eps``, its ``tol``
+(the stage tolerance; newton_tol for the final stage), its Newton
+``steps``, its ``residuals`` (the stage's start and one per line-search
+trial) and ``jacobians``, its last ``residual`` max and its last
+``floor`` (None where it formed no Jacobian). A step is one banded solve
+and every residual after the start one trial, so the records count
+those too, and ``meta["iterations"]`` is the sum of the steps.
+
 Discretization is conservative: fluxes live on face radii, and each cell
 is weighted by its exact shell volume (r_{i+1/2}^d - r_{i-1/2}^d)/d
 rather than h r_i^(d-1). With that weighting the scheme reproduces
@@ -51,19 +60,17 @@ zero-flux inner end the symmetric extension makes the gradient vanish.
 
 Each Newton step is one LAPACK ``gtsv`` solve (``solve_banded``), in
 place on one workspace per solve that the Jacobian is assembled into. The
-routine comes from the OpenBLAS that ``import numpy`` has already mapped
-(``_dgtsv``), so a solve maps no native code of its own; only where
-numpy's build ships no such library does it import
-``scipy.linalg.lapack``.
+routine comes from the OpenBLAS that ``import numpy`` has already mapped,
+found through numpy's own linalg extension (``_dgtsv``), so a solve maps
+no native code of its own; only where numpy's build exports no such
+routine does it import ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import glob
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -229,16 +236,13 @@ class _Discretization:
 @functools.cache
 def _dgtsv():
     """LAPACK ``dgtsv`` as a ctypes function, from the OpenBLAS that numpy's
-    wheel ships and ``import numpy`` has already mapped
-    (``numpy.libs/libscipy_openblas64_*``): the symbol ``scipy_dgtsv_64_``,
-    whose ILP64 interface takes every integer as an int64. None where
-    numpy's build has no such library."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs",
-                                  "libscipy_openblas64_*"))
-    if not libs:
-        return None
-    routine = ctypes.CDLL(libs[0]).scipy_dgtsv_64_
-    routine.argtypes, routine.restype = (ctypes.c_void_p,) * 8, None
+    wheel ships: the symbol ``scipy_dgtsv_64_``, whose ILP64 interface takes
+    every integer as an int64, resolved through numpy's ``_umath_linalg``
+    extension, which links that library and which ``import numpy`` has
+    already loaded. None where numpy's build exports no such symbol."""
+    routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_dgtsv_64_", None)
+    if routine is not None:
+        routine.argtypes, routine.restype = (ctypes.c_void_p,) * 8, None
     return routine
 
 
@@ -371,6 +375,68 @@ def _jacobian(slopes, disc: _Discretization, eps: float):
     return sub, dia, sup
 
 
+def _newton_stage(values, disc: _Discretization, eps: float, r0: Optional[float],
+                  newton_tol: float, final: bool):
+    """Newton steps at one eps from ``values`` until the convergence test
+    (module docstring) passes, the line search fails or ``_MAX_STEPS``
+    steps are taken. An intermediate stage also ends at its first residual
+    within its stage tolerance max(newton_tol, eps * r0); the final stage
+    raises NoConvergence unless its test passed. ``r0`` is None in the
+    solve's first stage, whose start residual sets it.
+
+    Returns the last iterate, the stage's record (module docstring) and
+    r0."""
+    R, norm, slopes = _residual(values, disc, eps)
+    if r0 is None:
+        # A non-finite start keeps newton_tol, and fails at its floor.
+        r0 = norm if math.isfinite(norm) else 0.0
+    tol = newton_tol if final else max(newton_tol, eps * r0)
+    steps, residuals, jacobians, floor = 0, 1, 0, None
+    converged = False
+    for _ in range(_MAX_STEPS):
+        # Intermediate stages only warm-start the next one; failure to
+        # fully converge there is harmless, and one within its stage
+        # tolerance ends there without a floor (module docstring).
+        if not final and norm <= tol:
+            converged = True
+            break
+        sub, dia, sup = _jacobian(slopes, disc, eps)
+        jacobians += 1
+        floor = _roundoff_floor(sub, dia, sup, values, disc.rows)
+        if not (math.isfinite(norm) and math.isfinite(floor)):
+            raise NoConvergence(
+                f"Newton step failed at eps={eps:.1e}: array must not contain infs or NaNs"
+            )
+        if norm <= newton_tol + floor:
+            converged = True
+            break
+        np.negative(R, out=disc.system.rhs)
+        try:
+            step = solve_banded(disc.system)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Newton step failed at eps={eps:.1e}: {exc}") from None
+        steps += 1
+        scale = 1.0
+        trial = values + step
+        for _ in range(_LINE_SEARCH_HALVINGS):
+            trial_R, trial_norm, trial_slopes = _residual(trial, disc, eps)
+            residuals += 1
+            if trial_norm < norm:
+                break
+            scale *= 0.5
+            trial = values + scale * step
+        else:
+            break
+        # The accepted trial's residual and slopes serve the next step.
+        values, R, norm, slopes = trial, trial_R, trial_norm, trial_slopes
+    if final and not converged:
+        raise NoConvergence(
+            f"Newton stalled at residual {norm:.3e} (tol {newton_tol:.1e}) at eps={eps:.1e}"
+        )
+    return values, {"eps": eps, "tol": tol, "steps": steps, "residuals": residuals,
+                    "jacobians": jacobians, "residual": norm, "floor": floor}, r0
+
+
 def solve_radial_dirichlet(
     kind: OperatorKind,
     params: ProblemParams,
@@ -387,6 +453,11 @@ def solve_radial_dirichlet(
     problem). ``bc_right`` is always a Dirichlet value. Raises
     NoConvergence if the final continuation stage fails the convergence
     test (module docstring) within ``_MAX_STEPS`` Newton steps.
+
+    ``meta`` holds ``iterations`` (the Newton steps of all stages),
+    ``final_residual`` and ``roundoff_floor`` (the final stage's passing
+    test), ``eps_final``, the boundary values, and ``stages``: one record
+    per eps stage, as the module docstring describes.
     """
     r_in, r_out = float(domain[0]), float(domain[1])
     if not math.inf > r_out > r_in >= 0:
@@ -425,66 +496,24 @@ def solve_radial_dirichlet(
     else:
         values = np.full(grid.size, float(bc_right))
 
-    iterations = 0
     schedule = _schedule(kind)
-    initial_norm = None
+    stages = []
     # A stiff trial may overflow and fail the line search: no warning due.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r0 = None
         for eps in schedule:
-            # Intermediate stages only warm-start the next one; failure to
-            # fully converge there is harmless, and one within its stage
-            # tolerance ends there without a floor (module docstring).
-            final = eps == schedule[-1]
-            R, norm, slopes = _residual(values, disc, eps)
-            if initial_norm is None:
-                # A non-finite start keeps newton_tol, and fails at its floor.
-                initial_norm = norm if math.isfinite(norm) else 0.0
-            stage_tol = max(config.newton_tol, eps * initial_norm)
-            converged = False
-            for _ in range(_MAX_STEPS):
-                if not final and norm <= stage_tol:
-                    converged = True
-                    break
-                sub, dia, sup = _jacobian(slopes, disc, eps)
-                floor = _roundoff_floor(sub, dia, sup, values, disc.rows)
-                if not (math.isfinite(norm) and math.isfinite(floor)):
-                    raise NoConvergence(
-                        f"Newton step failed at eps={eps:.1e}: array must not contain infs or NaNs"
-                    )
-                if norm <= config.newton_tol + floor:
-                    converged = True
-                    break
-                np.negative(R, out=disc.system.rhs)
-                try:
-                    step = solve_banded(disc.system)
-                except np.linalg.LinAlgError as exc:
-                    raise NoConvergence(f"Newton step failed at eps={eps:.1e}: {exc}") from None
-                iterations += 1
-                scale = 1.0
-                trial = values + step
-                for _ in range(_LINE_SEARCH_HALVINGS):
-                    trial_R, trial_norm, trial_slopes = _residual(trial, disc, eps)
-                    if trial_norm < norm:
-                        break
-                    scale *= 0.5
-                    trial = values + scale * step
-                else:
-                    break
-                # The accepted trial's residual and slopes serve the next step.
-                values, R, norm, slopes = trial, trial_R, trial_norm, trial_slopes
-    if not converged:
-        raise NoConvergence(
-            f"Newton stalled at residual {norm:.3e} "
-            f"(tol {config.newton_tol:.1e}) at eps={eps:.1e}"
-        )
+            values, stage, r0 = _newton_stage(values, disc, eps, r0, config.newton_tol,
+                                              eps == schedule[-1])
+            stages.append(stage)
 
     meta = {
-        "iterations": iterations,
-        "final_residual": norm,
-        "roundoff_floor": floor,
+        "iterations": sum(stage["steps"] for stage in stages),
+        "final_residual": stage["residual"],
+        "roundoff_floor": stage["floor"],
         "eps_final": eps,
         "bc_left": bc_left,
         "bc_right": bc_right,
+        "stages": stages,
     }
     return DiscreteRadialSolution(
         grid=grid, values=values, params=params, kind=kind, meta=meta

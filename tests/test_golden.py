@@ -176,6 +176,13 @@ BATTERY = list(dict.fromkeys([
     "morrey --source file:{golden}/cos6r.csv --theta 1.5 --omega-radius 3",
     "audit-caccioppoli --dim 3 --p 2 --gamma 2 --witness file:{golden}/ball_solve.csv "
     "--radius 1.0526315794",
+    # The refusals no line above reaches: a source with too few numbers, a
+    # range with no step, a malformed value list, and the bump witness at
+    # exactly gamma* = 1.5.
+    "morrey --source power:1 --theta 1.5",
+    "sweep --dim 3 --gamma 2 --p 2:3",
+    "sweep --dim 3 --gamma 2 --p abc",
+    "verify-bump --dim 3 --p 2 --gamma 1.5",
 ]))
 
 

@@ -446,6 +446,23 @@ def test_bump_scale_absent_below_threshold():
         bump_profile_scale(3, 2.0, 1.4, 1.0)
 
 
+@pytest.mark.parametrize("dim,p", [(3, 2.0), (4, 2.0), (4, 2.5), (5, 3.0)])
+def test_witness_constructors_refuse_exactly_the_critical_exponent(dim, p):
+    # At gamma* itself the growth gap is 0 and no witness scale exists:
+    # both constructors refuse with the library's own error there and one
+    # ulp below, not with the math domain error of the scale's logarithm.
+    # One ulp above, both build a finite witness.
+    gamma_star = _critical_gamma(dim, p)
+    for gamma in (math.nextafter(gamma_star, -math.inf), gamma_star):
+        with pytest.raises(PreconditionViolation, match="entire profile needs gamma >"):
+            nonconstant_entire_profile(dim, p, gamma)
+        with pytest.raises(NoAdmissibleScale, match="not above the critical exponent"):
+            bump_profile_scale(dim, p, gamma, 1.0)
+    above = math.nextafter(gamma_star, math.inf)
+    assert math.isfinite(nonconstant_entire_profile(dim, p, above).c)
+    assert 0.0 < bump_profile_scale(dim, p, above, 1.0) < math.inf
+
+
 def _log10_bump_scale(dim, p, gamma, c_h):
     """log10 of the closed-form bump scale, in logs so it cannot leave the
     float range."""

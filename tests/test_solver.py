@@ -343,110 +343,43 @@ def test_zero_tolerance_ends_at_roundoff():
     assert np.max(np.abs(sol.values - (1.0 - sol.grid**3))) <= 1e-3
 
 
-def _record_evaluations(monkeypatch):
-    """Wrap the residual, the Jacobian and the banded solve; returns the
-    list they append to: ("R", eps, iterate, norm), ("J", eps, slopes)
-    and ("step",)."""
-    events = []
-    residual, jacobian, banded = solver._residual, solver._jacobian, solver.solve_banded
-
-    def counting_residual(values, disc, eps):
-        out = residual(values, disc, eps)
-        events.append(("R", eps, values.copy(), out[1]))
-        return out
-
-    def counting_jacobian(slopes, disc, eps):
-        events.append(("J", eps, tuple(s.copy() for s in slopes)))
-        return jacobian(slopes, disc, eps)
-
-    def counting_banded(*args):
-        events.append(("step",))
-        return banded(*args)
-
-    monkeypatch.setattr(solver, "_residual", counting_residual)
-    monkeypatch.setattr(solver, "_jacobian", counting_jacobian)
-    monkeypatch.setattr(solver, "solve_banded", counting_banded)
-    return events
-
-
 def _slopes(values, h):
     return (values[1:] - values[:-1]) / h, (values[2:] - values[:-2]) / (2.0 * h)
 
 
-def _stage_tols(events, schedule, newton_tol=1e-10):
-    """Per eps stage, the tolerance its test reads: max(newton_tol, eps R0)
-    for an intermediate stage, R0 the norm of the solve's first residual,
-    and newton_tol for the final stage."""
-    r0 = events[0][3]
-    return {eps: newton_tol if eps == schedule[-1] else max(newton_tol, eps * r0)
-            for eps in schedule}
-
-
-def _stage_ends(events, schedule):
-    """Per eps stage: (final, its tolerance, the norm of its last residual,
-    whether a Jacobian followed that residual)."""
-    ends = []
-    tols = _stage_tols(events, schedule)
-    for eps in schedule:
-        stage = [e for e in events if e[0] != "step" and e[1] == eps]
-        last_r = max(i for i, e in enumerate(stage) if e[0] == "R")
-        ends.append((eps == schedule[-1], tols[eps], stage[last_r][3], last_r + 1 < len(stage)))
-    return ends
-
-
-def test_each_iterate_is_assembled_once(monkeypatch):
+def test_each_iterate_is_assembled_once():
     """One residual per eps stage start and per line-search trial; one
     Jacobian per Newton step, plus one at each test that ends the final
-    stage or a stage still above its stage tolerance. Every Jacobian is
-    formed at the current iterate, from the slopes its residual returned:
-    a rejected trial never builds one."""
-    events = _record_evaluations(monkeypatch)
+    stage or a stage still above its stage tolerance: a rejected trial
+    never builds one. The stage records count each."""
     prof = sharpness_profile(3, 2.0, 4.0)
-    runs = [
-        lambda: solve_quadratic(128),
-        lambda: solve_p15_ball(256),
-        lambda: solve_p3_ball(128),
-        lambda: solve_radial_dirichlet(
+    sols = [
+        solve_quadratic(128),
+        solve_p15_ball(256),
+        solve_p3_ball(128),
+        solve_radial_dirichlet(
             PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=4.0), ZeroSource(),
             (0.25, 1.0), bc_left=-prof.value(0.25), bc_right=0.0,
         ),
     ]
-    for run in runs:
-        events.clear()
-        sol = run()
+    for sol in sols:
+        stages = sol.meta["stages"]
         schedule = solver._schedule(sol.kind)
-        h = sol.grid[1] - sol.grid[0]
-        residuals = [(e[1], e[2]) for e in events if e[0] == "R"]
-        # a trial is a point after its stage's first residual that differs
-        # from the point evaluated just before it
-        trials = sum(
-            1 for (eps0, v0), (eps, v) in zip(residuals, residuals[1:])
-            if eps == eps0 and not np.array_equal(v, v0)
-        )
-        assert len(residuals) == len(schedule) + trials
-        jacobians = [i for i, e in enumerate(events) if e[0] == "J"]
-        steps = [e[0] for e in events].count("step")
-        assert trials >= steps == sol.meta["iterations"] > 0
-        # A test that passes ends its stage without a step. An intermediate
-        # stage ends at its first residual within its stage tolerance, with
-        # no Jacobian; a Jacobian follows only a residual of the final stage
-        # or one still above its stage's tolerance, where the floor can
-        # decide the test.
-        ends = _stage_ends(events, schedule)
-        tols = _stage_tols(events, schedule)
-        assert all(norm <= tol + (sol.meta["roundoff_floor"] if final else math.inf)
-                   for final, tol, norm, _ in ends)
-        assert all(with_j == (final or norm > tol) for final, tol, norm, with_j in ends)
-        passed = sum(1 for i in jacobians if i + 1 == len(events) or events[i + 1][0] != "step")
-        assert passed == sum(with_j for _, _, _, with_j in ends)
-        assert len(jacobians) == sol.meta["iterations"] + passed
-        for i in jacobians:
-            # at the point of the residual just before it: the stage's
-            # start or an accepted trial
-            tag, eps, v, norm = events[i - 1]
-            assert tag == "R" and eps == events[i][1]
-            assert eps == schedule[-1] or norm > tols[eps]
-            assert all(np.array_equal(a, b) for a, b in zip(events[i][2], _slopes(v, h)))
+        assert [stage["eps"] for stage in stages] == list(schedule)
+        assert sum(stage["steps"] for stage in stages) == sol.meta["iterations"] > 0
+        for stage in stages:
+            final = stage["eps"] == schedule[-1]
+            # every step takes at least one trial
+            assert stage["residuals"] - 1 >= stage["steps"]
+            # A test that passes ends its stage without a step. An
+            # intermediate stage ends at its first residual within its
+            # stage tolerance, with no Jacobian; a Jacobian follows only a
+            # residual of the final stage or one still above its stage's
+            # tolerance, where the floor decides the test.
+            with_j = final or stage["residual"] > stage["tol"]
+            assert stage["jacobians"] == stage["steps"] + with_j
+            if with_j:
+                assert stage["residual"] <= 1e-10 + stage["floor"]
 
 
 P3_PARAMS = ProblemParams(dim=3, p=3.0, gamma=3.5)
@@ -465,20 +398,23 @@ def solve_p3_ball(n):
     )
 
 
-def test_a_stage_within_tolerance_forms_no_jacobian(monkeypatch):
-    events = _record_evaluations(monkeypatch)
+def test_a_stage_within_tolerance_forms_no_jacobian():
     sol = solve_p3_ball(128)
+    stages = sol.meta["stages"]
     schedule = solver._schedule(sol.kind)
-    ends = _stage_ends(events, schedule)
+    disc = solver._Discretization(sol.grid, sol.kind, sol.params, p3_source, None, 0.0)
+    with kernel_errstate():
+        # R0, the residual max of the solve's first iterate, V = 0
+        r0 = solver._residual(np.zeros(sol.grid.size), disc, schedule[0])[1]
+    tols = [max(1e-10, eps * r0) for eps in schedule[:-1]] + [1e-10]
+    assert [stage["tol"] for stage in stages] == tols
     # some intermediate stage ends at its stage tolerance, still above
-    # newton_tol, with no Jacobian and no floor after its last residual
-    assert any(not final and 1e-10 < norm <= tol and not with_j
-               for final, tol, norm, with_j in ends)
+    # newton_tol, with no Jacobian after its last residual
+    assert any(1e-10 < stage["residual"] <= stage["tol"] and stage["jacobians"] == stage["steps"]
+               for stage in stages[:-1])
     # the final stage still forms the floor it reports: the floor of the
     # Jacobian at the solution
-    assert ends[-1][3]
-    monkeypatch.undo()
-    disc = solver._Discretization(sol.grid, sol.kind, sol.params, p3_source, None, 0.0)
+    assert stages[-1]["jacobians"] == stages[-1]["steps"] + 1
     with kernel_errstate():
         _, norm, slopes = solver._residual(sol.values, disc, schedule[-1])
         floor = solver._roundoff_floor(
@@ -508,18 +444,20 @@ def test_continued_solves_take_their_pinned_step_counts():
 def test_carried_slopes_are_the_iterates_own(monkeypatch, kind, gamma, domain, bc_left):
     # Every Jacobian reads slopes carried over from a residual; they must
     # equal, bit for bit, the slopes of the iterate the test is at, the
-    # point of the residual just before it.
+    # point of the residual just before it, at the same eps: the stage's
+    # start or an accepted trial.
     current = []
     residual, jacobian = solver._residual, solver._jacobian
 
     def tracking_residual(values, disc, eps):
-        current[:] = [values.copy(), disc.h]
+        current[:] = [values.copy(), disc.h, eps]
         return residual(values, disc, eps)
 
     def checked_jacobian(slopes, disc, eps):
-        values, h = current
+        values, h, residual_eps = current
         want = _slopes(values, h)
         assert len(slopes) == 2 and all(np.array_equal(a, b) for a, b in zip(slopes, want))
+        assert eps == residual_eps
         checked.append(eps)
         return jacobian(slopes, disc, eps)
 
@@ -530,6 +468,8 @@ def test_carried_slopes_are_the_iterates_own(monkeypatch, kind, gamma, domain, b
         kind, ProblemParams(dim=3, p=kind.p, gamma=gamma), RadialPowerSource(1.0, 0.0),
         domain, bc_left, 0.0, config=SolverConfig(n_nodes=128),
     )
+    # the stage records count the Jacobians the solve formed
+    assert len(checked) == sum(stage["jacobians"] for stage in sol.meta["stages"])
     assert len(checked) > sol.meta["iterations"] > 0
 
 

@@ -26,6 +26,10 @@ sorted by parameters and computed in one array pass over the grid (one
 ``ParamGrid`` report); each distinct number is formatted once and the CSV
 is joined directly, since no cell needs quoting. A NaN in any of its
 lists exits 2.
+
+The solver and the audits are imported by the handlers that call them
+(``solve``, ``morrey`` and the two ``audit-*`` subcommands), so no other
+subcommand loads either module.
 """
 
 from __future__ import annotations
@@ -72,14 +76,6 @@ from .radial import (
     residual_scan,
     sharpness_profile,
 )
-from .solver import (
-    RadialPowerSource,
-    SampledSource,
-    SolverConfig,
-    ZeroSource,
-    solve_radial_dirichlet,
-)
-from .audit import caccioppoli_audit, holder_fit, morrey_norm
 from .liouville import (
     EuclideanArea,
     ExponentialArea,
@@ -156,6 +152,8 @@ def _parse_spec(text: str, what: str, families: dict, sampled=None):
 
 
 def _source(args):
+    from .solver import RadialPowerSource, SampledSource, ZeroSource
+
     families = {"zero": (0, ZeroSource), "power": (2, RadialPowerSource)}
     return _parse_spec(args.source, "source", families, SampledSource)
 
@@ -321,6 +319,8 @@ def _cmd_verify_bump(args):
 
 
 def _cmd_solve(args):
+    from .solver import SolverConfig, solve_radial_dirichlet
+
     operators = {
         "p-laplacian": (0, lambda: PLaplacian(args.p)),
         "mean-curvature": (0, MeanCurvature),
@@ -354,6 +354,8 @@ def _cmd_solve(args):
 
 
 def _cmd_audit_caccioppoli(args):
+    from .audit import caccioppoli_audit
+
     params = _problem_params(args)
     u = _witness(args)
     radius = args.radius
@@ -367,6 +369,8 @@ def _cmd_audit_caccioppoli(args):
 
 
 def _cmd_audit_holder(args):
+    from .audit import holder_fit
+
     params = _problem_params(args)
     u = _witness(args)
     name = args.witness.strip().lower()  # as _parse_spec reads it
@@ -391,6 +395,8 @@ def _cmd_audit_holder(args):
 
 
 def _cmd_morrey(args):
+    from .audit import morrey_norm
+
     f = _source(args)
     norm = morrey_norm(
         f,

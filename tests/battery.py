@@ -1,14 +1,16 @@
 """The CLI invocation tables and the golden-file harness the tests share.
 
 This is not a test module. It imports without pytest or hypothesis, so
-that test_golden.py and test_solver_grid.py also run as plain scripts,
-which rewrite their golden files.
+that test_golden.py, test_solver_grid.py and test_acceptance.py also run
+as plain scripts, which rewrite their golden files.
 
 ``SET`` holds one valid, small invocation of each subcommand. ``MOVES``
 holds, per flag of each subcommand, an invocation and a second value of
 that flag that changes the report's results or passed. test_cli.py runs
 both sides of each move. test_golden.py holds each ``SET`` line and each
-moved line byte for byte, so every flag has a golden line.
+moved line byte for byte, so every flag has a golden line. ``THRESHOLDS``
+runs each subcommand that reads an exponent threshold at that threshold's
+float and its two neighbours, and test_golden.py holds those lines too.
 
 A golden file is a first line naming the Python, numpy and scipy versions
 it was written with, then one JSON object per case, whose first field
@@ -17,12 +19,15 @@ names the case. ``assert_unmoved`` compares a file with fresh records, and
 """
 
 import json
+import math
 import pathlib
 import platform
 import sys
 
 import numpy as np
 import scipy
+
+from pdi_lab.params import _critical_gamma
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -133,6 +138,40 @@ MOVES = {
     ("sigma-bound", "--radius-inner"): (SIGMA, "2"),
     ("sigma-bound", "--radius-outer"): (SIGMA, "20"),
 }
+
+
+# The subcommands that read an exponent threshold, each with the flags of
+# a valid invocation but --dim, --p and --gamma, and whether it reads --q.
+_THRESHOLD_COMMANDS = {
+    "exponents": ("", True),
+    "liouville": ("", False),
+    "verify-bump": ("", False),
+    "verify-sharpness": ("", False),
+    "audit-holder": ("", True),
+    "audit-caccioppoli": ("", True),
+    "manifold": ("--profile euclidean", False),
+    "sigma-bound": ("--sigma-r 1 --radius-inner 1 --radius-outer 10", False),
+}
+
+
+def _thresholds():
+    """Each threshold subcommand at d = 3, p = 2 (gamma* = 1.5) and p = 1.8
+    (gamma* is not dyadic), with gamma at gamma*, p and p - 1, each at its
+    float and both float neighbours; a subcommand that reads --q also runs
+    at q = d / gamma. Every number is written with repr, so it parses back
+    exactly."""
+    dim = 3
+    for command, (flags, reads_q) in _THRESHOLD_COMMANDS.items():
+        for p in (2.0, 1.8):
+            for edge in (_critical_gamma(dim, p), p, p - 1):
+                for gamma in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                    base = f"{command} --dim {dim} --p {p!r} --gamma {gamma!r} {flags}".rstrip()
+                    yield base
+                    if reads_q:
+                        yield f"{base} --q {dim / gamma!r}"
+
+
+THRESHOLDS = list(_thresholds())
 
 
 def versions() -> dict:

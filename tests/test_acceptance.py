@@ -1,15 +1,29 @@
 """Acceptance gate: the nine headline checks, one printed line each.
 
-Each test prints `[PASS|FAIL] criterion N: ...` through the capture
-bypass so the verdict lines always reach the terminal, then asserts.
-Tolerances here are contractual; do not widen them to make a failing
-build green.
+Each criterion measures its figures, and its test prints
+`[PASS|FAIL] criterion N: ...` through the capture bypass so the verdict
+lines always reach the terminal, then asserts. Tolerances here are
+contractual; do not widen them to make a failing build green.
+
+Criteria 1, 3 and 7 also print the seconds they took, which vary from run
+to run; the figures do not. ``tests/golden/acceptance.jsonl`` holds the
+nine figure strings, after a first line naming the Python, numpy and scipy
+versions they were written with, so a figure that moves inside its bound
+still shows as a diff of that file. After a change that moves a figure on
+purpose, rewrite the file with
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+and name the moved figures in CHANGES.md.
 """
 
+import contextlib
+import io
 import math
 import time
 
 import numpy as np
+from battery import GOLDEN, assert_unmoved, rewrite
 
 from pdi_lab.audit import caccioppoli_audit, gradient_energy, holder_fit, morrey_norm
 from pdi_lab.cli import main
@@ -32,12 +46,17 @@ from pdi_lab.solver import (
 )
 
 
-def announce(capsys, number, label, ok, detail):
+def announce(capsys, number, label, ok, figures, seconds=None):
+    timed = "" if seconds is None else f", {seconds:.2f}s"
     with capsys.disabled():
-        print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {label} ({detail})")
+        print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {label} ({figures}{timed})")
 
 
-def test_criterion_1_exponent_identity(capsys):
+# Each criterion returns whether it passed, its figures, and the seconds it
+# took where its line prints them (criteria 1, 3 and 7), else None.
+
+
+def criterion_1():
     t0 = time.perf_counter()
     dims = (3, 4, 5, 6, 8)
     ps = (1.5, 2.0, 2.5, 3.0)
@@ -55,12 +74,10 @@ def test_criterion_1_exponent_identity(capsys):
                     count += 1
     elapsed = time.perf_counter() - t0
     ok = count == 200 and worst <= 1e-12 and elapsed < 1.0
-    announce(capsys, 1, "alpha = 1 - s/gamma on 200 valid points", ok,
-             f"max deviation {worst:.3e}, {count} points, {elapsed:.2f}s")
-    assert ok
+    return ok, f"max deviation {worst:.3e}, {count} points", elapsed
 
 
-def test_criterion_2_sharpness_witness(capsys):
+def criterion_2():
     t0 = time.perf_counter()
     profile = sharpness_profile(3, 2.0, 4.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
@@ -69,12 +86,10 @@ def test_criterion_2_sharpness_witness(capsys):
     cube_err = abs(abs(profile.c) ** 3 - 45.0 / 8.0)
     elapsed = time.perf_counter() - t0
     ok = report.max_abs_residual < 1e-8 and cube_err <= 1e-12 and elapsed < 1.0
-    announce(capsys, 2, "explicit sharp solution residual and constant", ok,
-             f"max residual {report.max_abs_residual:.3e}, |c|^3 error {cube_err:.3e}")
-    assert ok
+    return ok, f"max residual {report.max_abs_residual:.3e}, |c|^3 error {cube_err:.3e}", None
 
 
-def test_criterion_3_solver_convergence(capsys):
+def criterion_3():
     t0 = time.perf_counter()
     sizes = (64, 128, 256, 512)
     params = ProblemParams(dim=3, p=2.0, gamma=2.0)
@@ -118,13 +133,10 @@ def test_criterion_3_solver_convergence(capsys):
     ]
     elapsed = time.perf_counter() - t0
     ok = mms_ok and min(ann_orders) >= 1.9 and elapsed < 30.0
-    announce(capsys, 3, "solver convergence orders", ok,
-             f"{mms_note}; annulus orders "
-             + ",".join(f"{o:.2f}" for o in ann_orders) + f"; {elapsed:.1f}s")
-    assert ok
+    return ok, f"{mms_note}; annulus orders " + ",".join(f"{o:.2f}" for o in ann_orders), elapsed
 
 
-def test_criterion_4_energy_quadrature(capsys):
+def criterion_4():
     profile = sharpness_profile(3, 2.0, 4.0)
     params = ProblemParams(dim=3, p=2.0, gamma=4.0)
     # |V'| = |c| a r^(a-1), so the ball integral collapses to
@@ -136,12 +148,10 @@ def test_criterion_4_energy_quadrature(capsys):
                             t_list=np.geomspace(0.02, 0.95, 24))
     slope_err = abs(rep.fitted_growth - 5.0 / 3.0)
     ok = rel <= 1e-3 and slope_err <= 0.05
-    announce(capsys, 4, "gradient energy closed form and small-t slope", ok,
-             f"rel err {rel:.2e}, slope {rep.fitted_growth:.4f}")
-    assert ok
+    return ok, f"rel err {rel:.2e}, slope {rep.fitted_growth:.4f}", None
 
 
-def test_criterion_5_holder_fit(capsys):
+def criterion_5():
     sharp = sharpness_profile(3, 2.0, 4.0)
     rep = holder_fit(sharp, pair_budget=20000, scale_range=(1e-4, 0.5),
                      predicted_alpha=2.0 / 3.0)
@@ -150,25 +160,21 @@ def test_criterion_5_holder_fit(capsys):
     sharp_err = abs(rep.fitted_alpha - 2.0 / 3.0)
     lin_err = abs(lin.fitted_alpha - 1.0)
     ok = sharp_err <= 0.05 and rep.r_squared >= 0.99 and lin_err <= 0.02
-    announce(capsys, 5, "empirical Holder exponents", ok,
-             f"sharp {rep.fitted_alpha:.4f} (r^2 {rep.r_squared:.4f}), "
-             f"linear {lin.fitted_alpha:.4f}")
-    assert ok
+    return ok, (f"sharp {rep.fitted_alpha:.4f} (r^2 {rep.r_squared:.4f}), "
+                f"linear {lin.fitted_alpha:.4f}"), None
 
 
-def test_criterion_6_morrey_norms(capsys):
+def criterion_6():
     norm = morrey_norm(RadialPowerSource(1.0, 1.0), s_index=1.0, theta=1.5,
                        omega_radius=1.0)
     rel = abs(norm.value - 2.0 * math.pi) / (2.0 * math.pi)
     diverging = morrey_norm(RadialPowerSource(1.0, 2.0), s_index=1.0, theta=1.5,
                             omega_radius=1.0)
     ok = rel <= 1e-6 and not norm.divergent and diverging.divergent
-    announce(capsys, 6, "Morrey norm oracle and divergence flag", ok,
-             f"|x|^-1 rel err {rel:.2e}, |x|^-2 divergent {diverging.divergent}")
-    assert ok
+    return ok, f"|x|^-1 rel err {rel:.2e}, |x|^-2 divergent {diverging.divergent}", None
 
 
-def test_criterion_7_liouville_phase_diagram(capsys):
+def criterion_7():
     t0 = time.perf_counter()
     mismatches = 0
     witnesses = 0
@@ -195,13 +201,11 @@ def test_criterion_7_liouville_phase_diagram(capsys):
                         failures += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and failures == 0 and elapsed < 300.0
-    announce(capsys, 7, "Liouville phase diagram consistency", ok,
-             f"{points} points, {mismatches} mismatches, "
-             f"{witnesses} witnesses ({failures} failed), {elapsed:.1f}s")
-    assert ok
+    return ok, (f"{points} points, {mismatches} mismatches, "
+                f"{witnesses} witnesses ({failures} failed)"), elapsed
 
 
-def test_criterion_8_sigma_bound_closed_forms(capsys):
+def criterion_8():
     area = EuclideanArea(3)
     sub = sigma_lower_bound(
         1.0, ProblemParams(dim=3, p=2.0, gamma=1.4), area, 1.0, 10.0
@@ -214,12 +218,10 @@ def test_criterion_8_sigma_bound_closed_forms(capsys):
     want_crit = math.log(10.0)
     rel_crit = abs(crit.comparison_integral - want_crit) / want_crit
     ok = rel_sub <= 1e-10 and rel_crit <= 1e-10
-    announce(capsys, 8, "sigma comparison integrals", ok,
-             f"power rel {rel_sub:.2e}, log rel {rel_crit:.2e}")
-    assert ok
+    return ok, f"power rel {rel_sub:.2e}, log rel {rel_crit:.2e}", None
 
 
-def test_criterion_9_determinism(capsys):
+def criterion_9():
     battery = [
         ["exponents", "--dim", "3", "--p", "2", "--gamma", "4"],
         ["verify-sharpness", "--dim", "3", "--p", "2", "--gamma", "4"],
@@ -234,7 +236,9 @@ def test_criterion_9_determinism(capsys):
     def run_all():
         chunks = []
         for argv in battery:
-            chunks.append((main(list(argv)), capsys.readouterr().out))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                chunks.append((main(list(argv)), out.getvalue()))
         return chunks
 
     first = run_all()
@@ -252,7 +256,76 @@ def test_criterion_9_determinism(capsys):
     )
     solver_same = np.array_equal(s1.values, s2.values) and s1.meta == s2.meta
     ok = identical and solver_same
-    announce(capsys, 9, "repeated runs are bit-identical", ok,
-             f"{len(battery)} CLI reports identical, each exit 0, {identical}, "
-             f"solver bitwise {solver_same}")
+    return ok, (f"{len(battery)} CLI reports identical, each exit 0, {identical}, "
+                f"solver bitwise {solver_same}"), None
+
+
+# number: (label, criterion)
+CRITERIA = {
+    1: ("alpha = 1 - s/gamma on 200 valid points", criterion_1),
+    2: ("explicit sharp solution residual and constant", criterion_2),
+    3: ("solver convergence orders", criterion_3),
+    4: ("gradient energy closed form and small-t slope", criterion_4),
+    5: ("empirical Holder exponents", criterion_5),
+    6: ("Morrey norm oracle and divergence flag", criterion_6),
+    7: ("Liouville phase diagram consistency", criterion_7),
+    8: ("sigma comparison integrals", criterion_8),
+    9: ("repeated runs are bit-identical", criterion_9),
+}
+
+
+def check(capsys, number):
+    label, criterion = CRITERIA[number]
+    ok, figures, seconds = criterion()
+    announce(capsys, number, label, ok, figures, seconds)
     assert ok
+
+
+def test_criterion_1_exponent_identity(capsys):
+    check(capsys, 1)
+
+
+def test_criterion_2_sharpness_witness(capsys):
+    check(capsys, 2)
+
+
+def test_criterion_3_solver_convergence(capsys):
+    check(capsys, 3)
+
+
+def test_criterion_4_energy_quadrature(capsys):
+    check(capsys, 4)
+
+
+def test_criterion_5_holder_fit(capsys):
+    check(capsys, 5)
+
+
+def test_criterion_6_morrey_norms(capsys):
+    check(capsys, 6)
+
+
+def test_criterion_7_liouville_phase_diagram(capsys):
+    check(capsys, 7)
+
+
+def test_criterion_8_sigma_bound_closed_forms(capsys):
+    check(capsys, 8)
+
+
+def test_criterion_9_determinism(capsys):
+    check(capsys, 9)
+
+
+def record(number) -> dict:
+    """Measure one criterion; its number and figures as the golden file
+    holds them."""
+    return {"criterion": number, "figures": CRITERIA[number][1]()[1]}
+
+
+def test_the_nine_figures_match_the_golden_file():
+    assert_unmoved(GOLDEN / "acceptance.jsonl", list(CRITERIA), map(record, CRITERIA))
+
+
+if __name__ == "__main__":
+    rewrite(GOLDEN / "acceptance.jsonl", map(record, CRITERIA))

@@ -22,8 +22,8 @@ import os
 import shlex
 import warnings
 
-from battery import (BUMP, FILES, GOLDEN, MORREY, MOVES, SET, SHARP, SIGMA, SOLVE, assert_unmoved,
-                     rewrite)
+from battery import (BUMP, FILES, GOLDEN, MORREY, MOVES, SET, SHARP, SIGMA, SOLVE, THRESHOLDS,
+                     assert_unmoved, rewrite)
 
 from pdi_lab import cli
 
@@ -183,6 +183,9 @@ BATTERY = list(dict.fromkeys([
     "sweep --dim 3 --gamma 2 --p 2:3",
     "sweep --dim 3 --gamma 2 --p abc",
     "verify-bump --dim 3 --p 2 --gamma 1.5",
+    # Each subcommand that reads an exponent threshold at gamma*, p and
+    # p - 1 and their float neighbours (battery.THRESHOLDS).
+    *THRESHOLDS,
 ]))
 
 

@@ -75,6 +75,20 @@ def test_import_and_exponents_do_not_load_scipy():
     )
     assert "pdi_lab.cli" in loaded
     assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
+    # Only the handlers that call the solver or the audits import them.
+    assert not loaded & {"pdi_lab.solver", "pdi_lab.audit"}
+
+
+def test_a_cli_solve_loads_no_audit():
+    loaded = _fresh_modules(
+        "import contextlib, io\n"
+        "from pdi_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.run(['solve', '--dim', '3', '--p', '2', '--gamma', '2', '--source', 'power:1,0', "
+        "'--bc-right', '0']) == 0"
+    )
+    assert "pdi_lab.solver" in loaded
+    assert "pdi_lab.audit" not in loaded
 
 
 def test_a_solve_loads_no_scipy():
@@ -94,7 +108,7 @@ def test_a_solve_loads_no_scipy():
 
 def test_a_sweep_loads_no_hashlib():
     # Only a report's config_hash reads hashlib, which maps OpenSSL; a sweep
-    # writes CSV and no report.
+    # writes CSV and no report, and calls neither the solver nor the audits.
     loaded = _fresh_modules(
         "import contextlib, io\n"
         "from pdi_lab import cli\n"
@@ -102,7 +116,7 @@ def test_a_sweep_loads_no_hashlib():
         "    assert cli.run(['sweep', '--dim', '3:5:1', '--p', '2', '--gamma', '1:4:0.5']) == 0"
     )
     assert "pdi_lab.cli" in loaded
-    assert not {"hashlib", "_hashlib"} & loaded
+    assert not {"hashlib", "_hashlib", "pdi_lab.solver", "pdi_lab.audit"} & loaded
 
 
 def test_import_alone_loads_no_submodule():

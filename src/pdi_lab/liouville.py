@@ -66,7 +66,6 @@ from .radial import (
 )
 
 __all__ = [
-    "AreaProfile",
     "EuclideanArea",
     "PowerArea",
     "ExponentialArea",
@@ -91,18 +90,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class AreaProfile:
-    """Growth law t -> area(dB_t), split as coefficient * shape(t).
+class _PowerLawArea:
+    """area(dB_t) = coefficient * t^shape_power.
 
-    The split lets closed-form integrals factor the constant out of the
-    comparison integral, which is what the reference identities pin down.
+    Every area law splits as coefficient * shape(t), so closed-form
+    integrals factor the constant out of the comparison integral, which is
+    what the reference identities pin down.
     """
-
-    coefficient: float
-
-
-class _PowerLawArea(AreaProfile):
-    """area(dB_t) = coefficient * t^shape_power."""
 
     shape_power: float
 
@@ -148,7 +142,7 @@ class PowerArea(_PowerLawArea):
 
 
 @dataclass(frozen=True)
-class ExponentialArea(AreaProfile):
+class ExponentialArea:
     """area(dB_t) = amplitude * exp(kappa t), the hyperbolic model growth."""
 
     amplitude: float
@@ -165,7 +159,7 @@ class ExponentialArea(AreaProfile):
         return self.amplitude
 
 
-class SampledArea(Gridded, AreaProfile):
+class SampledArea(Gridded):
     """Tabulated area data; decisions from it are heuristic at best."""
 
     what = "sampled area"
@@ -262,7 +256,7 @@ _SLOPE_BAND = 1e-2
 
 
 def area_condition_test(
-    profile: AreaProfile,
+    profile,
     p: float,
     gamma: float,
     t_start: float = 1.0,
@@ -363,7 +357,7 @@ def _power_integral(x: float, R: float, r: float) -> float:
         return r**one_minus * -math.expm1(-one_minus * log_ratio) / one_minus
 
 
-def _comparison_integral(profile: AreaProfile, e: float, R: float, r: float) -> float:
+def _comparison_integral(profile, e: float, R: float, r: float) -> float:
     """int_R^r (area(t) / coefficient)^(-e) dt in closed form. A sampled area
     is linear on each panel [a, b] between its nodes, so a panel is exact:
     (b - a) / (v_b - v_a) int_{v_a}^{v_b} v^(-e) dv, or (b - a) v_a^(-e)."""
@@ -381,7 +375,7 @@ def _comparison_integral(profile: AreaProfile, e: float, R: float, r: float) -> 
 def sigma_lower_bound(
     sigma_R: float,
     params: ProblemParams,
-    profile: AreaProfile,
+    profile,
     R: float,
     r: float,
 ) -> SigmaBoundReport:
@@ -426,7 +420,7 @@ def sigma_lower_bound(
 def find_contradiction_radius(
     sigma_R: float,
     params: ProblemParams,
-    profile: AreaProfile,
+    profile,
     R: float,
 ) -> Optional[SigmaBoundReport]:
     """The report at the first doubling r = 2^k R, k >= 1, where rhs
@@ -523,7 +517,7 @@ def liouville_classify_euclidean(
 
 
 def liouville_classify_manifold(
-    profile: AreaProfile,
+    profile,
     p: float,
     gamma: float,
     t_start: float = 1.0,

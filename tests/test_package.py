@@ -1,11 +1,14 @@
 """The package surface: ``pdi_lab.__all__`` is assembled from the modules'
-own export lists, so this test pins the public names in one place."""
+own export lists, so this test pins the public names in one place; and
+``LOADS``, the one table of which modules each kind of run loads."""
 
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import pdi_lab
 from pdi_lab import solver
@@ -32,7 +35,7 @@ PUBLIC = {
     "gradient_energy", "CaccioppoliReport", "caccioppoli_audit", "HolderFitReport",
     "holder_fit", "MorreyNorm", "morrey_norm",
     # liouville
-    "AreaProfile", "EuclideanArea", "PowerArea", "ExponentialArea", "SampledArea",
+    "EuclideanArea", "PowerArea", "ExponentialArea", "SampledArea",
     "IntegralVerdict", "Verdict", "Mechanism", "LiouvilleVerdict", "SigmaBoundReport",
     "power_area_diverges", "area_condition_test", "sigma_lower_bound",
     "find_contradiction_radius", "liouville_classify_euclidean",
@@ -41,8 +44,10 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned_and_listed_once():
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 67
     assert sorted(pdi_lab.__all__) == sorted(PUBLIC)
+    submodules = {m.name for m in pkgutil.iter_modules(pdi_lab.__path__)}
+    assert PUBLIC | submodules <= set(dir(pdi_lab))
 
 
 def test_every_public_name_resolves():
@@ -55,72 +60,81 @@ def test_every_public_name_resolves():
 
 def _fresh_modules(code: str) -> set:
     """The names in ``sys.modules`` after ``code`` runs in a fresh
-    interpreter that imports this checkout's ``pdi_lab``."""
+    interpreter that imports the same ``pdi_lab`` as this process."""
     src = os.path.dirname(os.path.dirname(pdi_lab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
+        [sys.executable, "-c", code + "\nimport sys; loaded = ' '.join(sys.modules)"
+                                      "\nimport pdi_lab; print(pdi_lab.__file__); print(loaded)"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    imported, loaded = proc.stdout.splitlines()
+    assert imported == pdi_lab.__file__
+    return set(loaded.split())
 
 
-def test_import_and_exponents_do_not_load_scipy():
-    loaded = _fresh_modules(
-        "import contextlib, io, pdi_lab\n"
-        "from pdi_lab import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert cli.run(['exponents', '--dim', '3', '--p', '2', '--gamma', '4']) == 0"
-    )
-    assert "pdi_lab.cli" in loaded
-    assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
-    # Only the handlers that call the solver or the audits import them.
-    assert not loaded & {"pdi_lab.solver", "pdi_lab.audit"}
+def _cli(*argv: str) -> str:
+    return ("import contextlib, io\nfrom pdi_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert cli.run({list(argv)!r}) == 0\n")
 
 
-def test_a_cli_solve_loads_no_audit():
-    loaded = _fresh_modules(
-        "import contextlib, io\n"
-        "from pdi_lab import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert cli.run(['solve', '--dim', '3', '--p', '2', '--gamma', '2', '--source', 'power:1,0', "
-        "'--bc-right', '0']) == 0"
-    )
-    assert "pdi_lab.solver" in loaded
-    assert "pdi_lab.audit" not in loaded
+_SOLVE = (
+    "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, solve_radial_dirichlet, solver\n"
+    "sol = solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)\n"
+    "assert solver._dgtsv() is not None\n"
+)
+# Holder fits of a solution and of sampled data, a sampled Morrey norm and
+# a Caccioppoli audit.
+_AUDITS = _SOLVE + (
+    "import numpy as np\n"
+    "from pdi_lab import PowerProfile, SampledProfile, SampledSource, caccioppoli_audit, holder_fit, morrey_norm\n"
+    "grid = np.linspace(0.0, 1.0, 500)\n"
+    "for u in (sol, SampledProfile(grid, np.sin(40.0 * grid))):\n"
+    "    holder_fit(u, 20000, (1e-3, 0.25), seed=3)\n"
+    "morrey_norm(SampledSource(grid, np.cos(6.0 * grid)), 1.0, 1.5, 1.0)\n"
+    "caccioppoli_audit(PowerProfile(1.0, 2.0), ProblemParams(3, 2.0, 4.0), 1.0, [0.1, 0.2])\n"
+)
+_CLI_RUN = {"pdi_lab", "pdi_lab.cli", "pdi_lab.errors", "pdi_lab.params", "pdi_lab.radial",
+            "pdi_lab.liouville", "pdi_lab.quadrature"}
+_LIBRARY_SOLVE = {"pdi_lab", "pdi_lab.errors", "pdi_lab.params", "pdi_lab.radial", "pdi_lab.solver"}
+# The packages of which no run loads a module. gtsv comes from the OpenBLAS
+# that numpy's wheel ships and has already mapped, so no run imports scipy.
+# The exact bin sups of a Holder fit draw nothing, so numpy.random (about
+# 5 MB resident) stays unloaded; morrey_norm dedupes its radii without
+# np.unique (numpy.ma) and the Gauss-Legendre rule is a literal, not
+# leggauss (numpy.polynomial).
+_NEVER = ("scipy", "numpy.ma", "numpy.polynomial", "numpy.random")
+
+# What each run loads: the program a fresh interpreter runs, the exact set
+# of pdi_lab modules it loads, and the packages of which it loads no
+# module. The package is lazy, so a run loads only the modules it calls,
+# and a CLI run imports the solver and the audits only in the handlers
+# that call them. Only a report's config_hash reads hashlib, which maps
+# OpenSSL, and a sweep writes no report.
+LOADS = {
+    "import": ("import pdi_lab", {"pdi_lab"}, _NEVER + ("numpy",)),
+    "cli-exponents": (_cli("exponents", "--dim", "3", "--p", "2", "--gamma", "4"), _CLI_RUN, _NEVER),
+    "cli-solve": (_cli("solve", "--dim", "3", "--p", "2", "--gamma", "2", "--source", "power:1,0", "--bc-right", "0"),
+                  _CLI_RUN | {"pdi_lab.solver"}, _NEVER),
+    "cli-sweep": (_cli("sweep", "--dim", "3:5:1", "--p", "2", "--gamma", "1:4:0.5"), _CLI_RUN,
+                  _NEVER + ("hashlib", "_hashlib")),
+    "library-solve": (_SOLVE, _LIBRARY_SOLVE, _NEVER),
+    "library-audits": (_AUDITS, _LIBRARY_SOLVE | {"pdi_lab.audit", "pdi_lab.quadrature"}, _NEVER),
+}
 
 
-def test_a_solve_loads_no_scipy():
-    # gtsv comes from the OpenBLAS that numpy's wheel ships and has already
-    # mapped, so a solve on the pinned stack imports no scipy module; and
-    # the package is lazy, so it loads no module that a solve does not call.
-    loaded = _fresh_modules(
-        "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, solve_radial_dirichlet, solver\n"
-        "solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)\n"
-        "assert solver._dgtsv() is not None"
-    )
-    assert "pdi_lab.solver" in loaded
-    assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
-    assert not loaded & {"pdi_lab.audit", "pdi_lab.liouville", "pdi_lab.quadrature", "pdi_lab.cli",
-                         "numpy.ma", "numpy.polynomial", "numpy.random"}
+def _within(modules, packages) -> set:
+    return {m for m in modules if any(m == pkg or m.startswith(pkg + ".") for pkg in packages)}
 
 
-def test_a_sweep_loads_no_hashlib():
-    # Only a report's config_hash reads hashlib, which maps OpenSSL; a sweep
-    # writes CSV and no report, and calls neither the solver nor the audits.
-    loaded = _fresh_modules(
-        "import contextlib, io\n"
-        "from pdi_lab import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert cli.run(['sweep', '--dim', '3:5:1', '--p', '2', '--gamma', '1:4:0.5']) == 0"
-    )
-    assert "pdi_lab.cli" in loaded
-    assert not {"hashlib", "_hashlib", "pdi_lab.solver", "pdi_lab.audit"} & loaded
-
-
-def test_import_alone_loads_no_submodule():
-    assert not any(m.startswith("pdi_lab.") for m in _fresh_modules("import pdi_lab"))
+@pytest.mark.parametrize("run", LOADS)
+def test_a_run_loads_exactly_its_modules(run):
+    program, modules, unloaded = LOADS[run]
+    loaded = _fresh_modules(program)
+    assert _within(loaded, ("pdi_lab",)) == modules
+    assert not _within(loaded, unloaded)
 
 
 def _gtsv_systems():
@@ -188,24 +202,3 @@ def test_the_forced_fallback_gives_the_same_bits(monkeypatch):
     fallback = solve()
     assert len(calls) == 2 + fallback.meta["iterations"]
     assert fallback.values.tobytes() == sol.values.tobytes() and fallback.meta == sol.meta
-
-
-def test_holder_fits_of_gridded_data_do_not_load_numpy_random():
-    # The exact bin sups draw nothing, so numpy.random, about 5 MB of
-    # resident memory, stays unloaded through a solve and both fits. With a
-    # sampled Morrey norm and a Caccioppoli audit, the audits load neither
-    # liouville nor numpy.ma (np.unique would) nor numpy.polynomial
-    # (leggauss would).
-    loaded = _fresh_modules(
-        "import numpy as np\n"
-        "from pdi_lab import PLaplacian, ProblemParams, RadialPowerSource, SampledProfile, holder_fit, solve_radial_dirichlet\n"
-        "from pdi_lab import PowerProfile, SampledSource, caccioppoli_audit, morrey_norm\n"
-        "sol = solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(dim=3, p=2.0, gamma=2.0), RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0)\n"
-        "grid = np.linspace(0.0, 1.0, 500)\n"
-        "for u in (sol, SampledProfile(grid, np.sin(40.0 * grid))):\n"
-        "    holder_fit(u, 20000, (1e-3, 0.25), seed=3)\n"
-        "morrey_norm(SampledSource(grid, np.cos(6.0 * grid)), 1.0, 1.5, 1.0)\n"
-        "caccioppoli_audit(PowerProfile(1.0, 2.0), ProblemParams(3, 2.0, 4.0), 1.0, [0.1, 0.2])\n"
-    )
-    assert {"pdi_lab.audit", "pdi_lab.quadrature"} <= loaded
-    assert not loaded & {"numpy.random", "numpy.ma", "numpy.polynomial", "pdi_lab.liouville"}

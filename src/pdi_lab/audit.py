@@ -428,8 +428,7 @@ def holder_fit(
         raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
     if not seed >= 0:
         raise PreconditionViolation(f"seed must be >= 0, got {seed}")
-    if not tolerance >= 0:
-        raise PreconditionViolation(f"tolerance must be >= 0, got {tolerance}")
+    _check_positive("tolerance", tolerance, zero_ok=True)
     if not isinstance(u, (PowerProfile, Gridded)):
         raise PreconditionViolation(
             "Holder fits take a PowerProfile or gridded data (a sampled profile or a solution), "

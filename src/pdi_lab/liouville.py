@@ -121,14 +121,13 @@ class EuclideanArea(_PowerLawArea):
 
 @dataclass(frozen=True)
 class PowerArea(_PowerLawArea):
-    """area(dB_t) = amplitude * t^beta."""
+    """area(dB_t) = amplitude * t^beta, amplitude finite and > 0."""
 
     amplitude: float
     beta: float
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise PreconditionViolation("area amplitude must be positive")
+        _check_positive("amplitude", self.amplitude)
         if not math.isfinite(self.beta):
             raise PreconditionViolation(f"area exponent beta must be finite, got {self.beta}")
 
@@ -143,14 +142,14 @@ class PowerArea(_PowerLawArea):
 
 @dataclass(frozen=True)
 class ExponentialArea:
-    """area(dB_t) = amplitude * exp(kappa t), the hyperbolic model growth."""
+    """area(dB_t) = amplitude * exp(kappa t), the hyperbolic model growth,
+    amplitude finite and > 0."""
 
     amplitude: float
     kappa: float
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise PreconditionViolation("area amplitude must be positive")
+        _check_positive("amplitude", self.amplitude)
         if not math.isfinite(self.kappa):
             raise PreconditionViolation(f"area rate kappa must be finite, got {self.kappa}")
 
@@ -172,9 +171,6 @@ class SampledArea(Gridded):
     @property
     def coefficient(self) -> float:
         return 1.0
-
-    def area(self, t):
-        return self.value(self.within(t))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +359,7 @@ def _comparison_integral(profile, e: float, R: float, r: float) -> float:
     (b - a) / (v_b - v_a) int_{v_a}^{v_b} v^(-e) dv, or (b - a) v_a^(-e)."""
     if isinstance(profile, SampledArea):
         edges = sample_panels(profile.grid, R, r).tolist()
-        v = profile.area(edges).tolist()  # DomainExceeded past the grid
+        v = profile.value(edges).tolist()  # DomainExceeded past the grid
         return sum((b - a) * (va**-e if va == vb else _power_integral(e, va, vb) / (vb - va))
                    for a, b, va, vb in zip(edges, edges[1:], v, v[1:]))
     if isinstance(profile, _PowerLawArea):
@@ -384,13 +380,14 @@ def sigma_lower_bound(
     The exponentially weighted energy of a nonnegative supersolution (the
     e^(-u) multiplier) gives the identical comparison integral, so it
     needs no code path here. A sampled area's integral is exact per panel.
-    An lhs, a constant C, an area factor coefficient^-e or a comparison
-    integral past the float range raises PreconditionViolation, the
-    r-independent ones first.
+    sigma_R and R must be finite and > 0 (sigma_R > 0 is the nonconstant
+    hypothesis), and R <= r. An lhs, a constant C, an area factor
+    coefficient^-e or a comparison integral past the float range raises
+    PreconditionViolation, the r-independent ones first.
     """
-    if not sigma_R > 0:
-        raise PreconditionViolation("sigma_R must be positive (nonconstant hypothesis)")
-    if not 0 < R <= r:
+    _check_positive("sigma_R", sigma_R)
+    _check_positive("R", R)
+    if not R <= r:
         raise PreconditionViolation(f"need 0 < R <= r, got R={R}, r={r}")
     e = _comparison_exponent(params.p, params.gamma)
     lhs = _in_range("lhs", lambda: sigma_R**-e / e)

@@ -96,13 +96,18 @@ def _check_dim(dim) -> None:
         raise PreconditionViolation(f"dim must be an integer from 2 to 2**53, got {dim}")
 
 
-def _check_positive(name: str, value) -> None:
+def _check_positive(name: str, value, zero_ok: bool = False) -> None:
+    """The one refusal of a number that must be finite and > 0, or finite
+    and >= 0 with ``zero_ok``: PreconditionViolation "<name> must be finite
+    and positive, got <value>" (">= 0" for "positive" with ``zero_ok``).
+    NaN, +-inf and an int past the float range are refused."""
     try:
-        ok = math.isfinite(value) and value > 0
+        ok = math.isfinite(value) and (value >= 0 if zero_ok else value > 0)
     except OverflowError:  # an int past the float range
         ok = False
     if not ok:
-        raise PreconditionViolation(f"{name} must be finite and positive, got {value}")
+        rule = ">= 0" if zero_ok else "positive"
+        raise PreconditionViolation(f"{name} must be finite and {rule}, got {value}")
 
 
 def _in_range(name: str, compute) -> float:
@@ -134,9 +139,9 @@ class ProblemParams:
     dim    space dimension (or homogeneous dimension), integer from 2 to 2**53
     p      growth order of the flux, finite, p > 1
     gamma  gradient exponent, finite, gamma > p - 1
-    lam    zero-order coefficient, lam >= 0
-    c_h    gradient-term constant, c_h > 0
-    nu     flux bound constant, nu > 0
+    lam    zero-order coefficient, finite, lam >= 0
+    c_h    gradient-term constant, finite, c_h > 0
+    nu     flux bound constant, finite, nu > 0
     q      integrability index of the source, q >= 1 or INFINITY
     """
 
@@ -151,8 +156,7 @@ class ProblemParams:
     def __post_init__(self):
         _check_dim(self.dim)
         _check_exponents(self.p, self.gamma)
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise PreconditionViolation(f"lam must be finite and >= 0, got {self.lam}")
+        _check_positive("lam", self.lam, zero_ok=True)
         _check_positive("c_h", self.c_h)
         _check_positive("nu", self.nu)
         if not _q_ok(self.q):

@@ -155,8 +155,10 @@ def _checked_samples(grid, values, what: str):
 class Gridded:
     """Data on a grid of radii, read as its piecewise-linear interpolant
     (``np.interp``): the one type of sampled profiles, sources and areas
-    and of solver output. Construction applies ``_checked_samples``;
-    ``what`` names the data in its error messages."""
+    and of solver output. Construction applies ``_checked_samples``, and
+    ``value``, the one read, applies ``within``, so no gridded data is read
+    outside its grid or at NaN; ``what`` names the data in its error
+    messages."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -166,12 +168,13 @@ class Gridded:
         self.grid, self.values = _checked_samples(self.grid, self.values, self.what)
 
     def value(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
+        return np.interp(self.within(r), self.grid, self.values)
 
     def within(self, r) -> np.ndarray:
-        """r as a float array, after the one out-of-grid rule of sampled
-        data: it is read on the span [grid[0], grid[-1]] of its grid only,
-        and a radius outside it, or NaN, raises DomainExceeded."""
+        """r as a float array, after the one out-of-grid rule of gridded
+        data, which ``value`` and the audits' integrals apply: it is read
+        on the span [grid[0], grid[-1]] of its grid only, and a radius
+        outside it, or NaN, raises DomainExceeded."""
         r = np.asarray(r, dtype=float)
         lo, hi = self.grid[0], self.grid[-1]
         if not (lo <= r.min(initial=lo) and r.max(initial=hi) <= hi):
@@ -312,7 +315,7 @@ def _operator_and_slope(p: float, profile: PowerProfile | BumpProfile, r, dim: i
     """(-Delta_p V, V') at the radii r as 1-d arrays, each derivative of V
     evaluated once."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rr <= 0):
+    if not np.all(rr > 0):  # NaN fails too
         raise PreconditionViolation("radial operator is evaluated at radii r > 0")
     v1 = np.atleast_1d(np.asarray(profile.derivative(rr), dtype=float))
     v2 = np.atleast_1d(np.asarray(profile.second_derivative(rr), dtype=float))
@@ -481,12 +484,12 @@ def residual_scan(profile: PowerProfile | BumpProfile, params: ProblemParams, gr
     """Evaluate -Delta_p V - c_h |V'|^gamma + lam V on a grid of radii, with
     p, c_h, gamma and lam read off ``params``.
 
-    The report passes when the minimum residual is >= -tol; use tol = 0 for
-    strict inequality witnesses and scan the negated profile to certify
-    equality-form solutions with a two-sided bound on ``max_abs_residual``.
+    The report passes when the minimum residual is >= -tol, tol finite and
+    >= 0; use tol = 0 for strict inequality witnesses and scan the negated
+    profile to certify equality-form solutions with a two-sided bound on
+    ``max_abs_residual``.
     """
-    if not tol >= 0:
-        raise PreconditionViolation(f"tol must be >= 0, got {tol}")
+    _check_positive("tol", tol, zero_ok=True)
     grid = np.asarray(grid, dtype=float)
     op, v1 = _operator_and_slope(params.p, profile, grid, params.dim)
     res = op - params.c_h * np.abs(v1) ** params.gamma + params.lam * profile.value(grid)

@@ -77,7 +77,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
-from .params import ProblemParams, _in_range
+from .params import ProblemParams, _check_positive, _in_range
 from .radial import (
     GeneralizedMeanCurvature,
     Gridded,
@@ -131,13 +131,12 @@ class ZeroSource(RadialPowerSource):
 
 
 class SampledSource(Gridded):
-    """Piecewise-linear interpolant of sampled source values, defined on
-    the span of its grid only: a radius outside it raises DomainExceeded."""
+    """Piecewise-linear interpolant of sampled source values; f(r) is the
+    one read of gridded data, so a radius outside the grid raises
+    DomainExceeded."""
 
     what = "sampled source"
-
-    def __call__(self, r):
-        return self.value(self.within(r))
+    __call__ = Gridded.value
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ class SampledSource(Gridded):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid size and Newton tolerance."""
+    """Grid size and Newton tolerance (finite, >= 0)."""
 
     n_nodes: int = 256
     newton_tol: float = 1e-10
@@ -155,8 +154,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_nodes < 8:
             raise PreconditionViolation("need at least 8 nodes")
-        if not self.newton_tol >= 0:
-            raise PreconditionViolation(f"Newton tolerance must be >= 0, got {self.newton_tol}")
+        _check_positive("newton_tol", self.newton_tol, zero_ok=True)
 
 
 # Regularizations of the degenerate kinds, each stage warm-starting the
@@ -183,7 +181,8 @@ def _schedule(kind: OperatorKind) -> tuple:
 @dataclass(eq=False)
 class DiscreteRadialSolution(Gridded):
     """Nodal values on a uniform radial grid, with solve metadata, read as
-    their piecewise-linear interpolant like all gridded data.
+    their piecewise-linear interpolant on the grid's span, like all gridded
+    data.
 
     The solver's grid is a ``linspace`` and its iterate converged and
     finite, so the sampled-data checks are not run.

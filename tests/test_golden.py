@@ -186,6 +186,15 @@ BATTERY = list(dict.fromkeys([
     # Each subcommand that reads an exponent threshold at gamma*, p and
     # p - 1 and their float neighbours (battery.THRESHOLDS).
     *THRESHOLDS,
+    # An infinite tolerance, energy, radius or area amplitude is refused:
+    # each of these once exited 0 with a report.
+    "solve --dim 3 --p 2 --gamma 2 --source power:1,0 --bc-right 0 --tol inf",
+    f"sigma-bound {SIGMA} --sigma-r inf",
+    f"sigma-bound {SIGMA} --radius-inner inf --radius-outer inf",
+    f"sigma-bound {SIGMA} --profile power:inf,2",
+    "manifold --profile exp:inf,0.5 --p 2 --gamma 1.4",
+    f"verify-sharpness {SHARP} --tol inf",
+    f"audit-holder {SHARP} --tol inf",
 ]))
 
 

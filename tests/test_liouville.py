@@ -346,7 +346,7 @@ def test_area_profile_guards():
         ExponentialArea(-1.0, 1.0)
     area = SampledArea([1.0, 4.0], [1.0, 2.0])
     with pytest.raises(DomainExceeded):
-        area.area(5.0)
+        area.value(5.0)
 
 
 def test_euclidean_area_values():
@@ -368,10 +368,10 @@ def test_exponential_area_values():
 def test_sampled_area_reads_its_nodes_and_interpolates_between_them():
     area = SampledArea([1.0, 2.0, 4.0], [3.0, 5.0, 6.0])
     assert area.coefficient == 1.0
-    assert area.area([1.0, 2.0, 4.0]).tolist() == [3.0, 5.0, 6.0]
-    assert area.area([1.5, 3.0]).tolist() == [4.0, 5.5]
+    assert area.value([1.0, 2.0, 4.0]).tolist() == [3.0, 5.0, 6.0]
+    assert area.value([1.5, 3.0]).tolist() == [4.0, 5.5]
     with pytest.raises(DomainExceeded):
-        area.area(0.5)
+        area.value(0.5)
 
 
 # ---------------------------------------------------------------------------

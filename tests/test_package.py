@@ -138,9 +138,11 @@ def test_a_run_loads_exactly_its_modules(run):
 
 
 def _gtsv_systems():
-    """A tridiagonal system whose diagonal is small against its
-    sub-diagonal, so gtsv interchanges rows (its fill-in du2 is nonzero),
-    and the first system of a Newton solve, as (sub, dia, sup, rhs)."""
+    """Ten tridiagonal systems, as (sub, dia, sup, rhs): one whose diagonal
+    is small against its sub-diagonal, so gtsv interchanges rows (its
+    fill-in du2 is nonzero); the first system of a Newton solve; and the
+    Jacobian of each of four operators at a non-trivial iterate, with a
+    zero-flux and with a Dirichlet left end."""
     rng = np.random.default_rng(20)
     n = 64
     pivoting = (rng.uniform(1.0, 2.0, n - 1), rng.uniform(-1e-3, 1e-3, n),
@@ -161,23 +163,41 @@ def _gtsv_systems():
         )
     finally:
         solver.solve_banded = banded
-    return pivoting, tuple(newton)
+    systems = [pivoting, tuple(newton)]
+    kinds = ((pdi_lab.PLaplacian(1.5), 1.2), (pdi_lab.PLaplacian(3.0), 2.5),
+             (pdi_lab.MeanCurvature(), 1.5), (pdi_lab.GeneralizedMeanCurvature(4.0), 2.5))
+    for kind, gamma in kinds:
+        params = pdi_lab.ProblemParams(dim=3, p=kind.p, gamma=gamma)
+        for domain, bc_left in (((0.0, 1.0), None), ((0.25, 1.0), 0.9)):
+            grid = np.linspace(domain[0], domain[1], n)
+            disc = solver._Discretization(grid, kind, params, pdi_lab.RadialPowerSource(2.0, 0.0),
+                                          bc_left, 0.0)
+            values = 1.0 - grid**2 + 0.01 * np.sin(7.0 * grid)
+            # The errstate a solve enters around its kernels.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                R, _, slopes = solver._residual(values, disc, 1e-4)
+                systems.append((*solver._jacobian(slopes, disc, 1e-4), -R))
+    return systems
 
 
 def _solve_banded(sub, dia, sup, rhs) -> bytes:
     system = solver._Tridiagonal(dia.size)
     system.sub[:], system.dia[:], system.sup[:], system.rhs[:] = sub, dia, sup, rhs
-    return solver.solve_banded(system).tobytes()
+    x = solver.solve_banded(system)
+    assert x is system.rhs  # solved in place
+    return x.tobytes()
 
 
 def test_solve_banded_is_scipys_dgtsv_bit_for_bit():
+    # scipy's dgtsv is the routine scipy.linalg.solve_banded runs for
+    # (l, u) = (1, 1).
     from scipy.linalg import lapack
 
-    pivoting, newton = _gtsv_systems()
-    du2, _, _, _, info = lapack.dgtsv(*pivoting)
+    systems = _gtsv_systems()
+    du2, _, _, _, info = lapack.dgtsv(*systems[0])
     assert info == 0 and np.any(du2 != 0.0)
     assert solver._dgtsv() is not None
-    for system in (pivoting, newton):
+    for system in systems:
         assert _solve_banded(*system) == lapack.dgtsv(*system)[3].tobytes()
 
 
@@ -200,5 +220,5 @@ def test_the_forced_fallback_gives_the_same_bits(monkeypatch):
     monkeypatch.setattr(solver, "_dgtsv", lambda: None)
     assert [_solve_banded(*system) for system in systems] == direct
     fallback = solve()
-    assert len(calls) == 2 + fallback.meta["iterations"]
+    assert len(calls) == len(systems) + fallback.meta["iterations"]
     assert fallback.values.tobytes() == sol.values.tobytes() and fallback.meta == sol.meta

@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pdi_lab.audit import caccioppoli_audit, gradient_energy, morrey_norm
+from pdi_lab.audit import caccioppoli_audit, gradient_energy, holder_fit, morrey_norm
 from pdi_lab.errors import PreconditionViolation
-from pdi_lab.liouville import PowerArea, area_condition_test, liouville_classify_euclidean
+from pdi_lab.liouville import (
+    EuclideanArea,
+    ExponentialArea,
+    PowerArea,
+    area_condition_test,
+    liouville_classify_euclidean,
+    sigma_lower_bound,
+)
 from pdi_lab.params import (
     INFINITY,
     Branch,
@@ -27,8 +34,8 @@ from pdi_lab.params import (
     holder_exponent,
     liouville_threshold,
 )
-from pdi_lab.radial import PowerProfile, bump_profile_scale, sharpness_profile
-from pdi_lab.solver import RadialPowerSource
+from pdi_lab.radial import PowerProfile, bump_profile_scale, residual_scan, sharpness_profile
+from pdi_lab.solver import RadialPowerSource, SolverConfig
 
 
 @pytest.mark.parametrize(
@@ -122,17 +129,46 @@ _POSITIVE = [
     ("omega_radius", lambda v: morrey_norm(RadialPowerSource(1.0, 1.0), 1.0, 1.5, v)),
     ("t_start", lambda v: area_condition_test(PowerArea(1.0, 2.0), 2.0, 1.4, t_start=v,
                                               mode="numeric")),
+    ("sigma_R", lambda v: sigma_lower_bound(v, ProblemParams(3, 2.0, 1.4), EuclideanArea(3), 1.0, 10.0)),
+    ("R", lambda v: sigma_lower_bound(1.0, ProblemParams(3, 2.0, 1.4), EuclideanArea(3), v, 10.0)),
+    ("amplitude", lambda v: PowerArea(v, 2.0)),
+    ("amplitude", lambda v: ExponentialArea(v, 0.5)),
 ]
 
+# Each number that may be 0 but must be finite and not negative.
+_NONNEGATIVE = [
+    ("lam", lambda v: ProblemParams(dim=3, p=2.0, gamma=3.0, lam=v)),
+    ("newton_tol", lambda v: SolverConfig(newton_tol=v)),
+    ("tol", lambda v: residual_scan(sharpness_profile(3, 2.0, 4.0), ProblemParams(3, 2.0, 4.0),
+                                    [0.5], tol=v)),
+    ("tolerance", lambda v: holder_fit(PowerProfile(1.0, 0.5), 1, (1e-3, 0.25), tolerance=v)),
+]
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf,
-                                   pytest.param(10**400, id="1e400"), pytest.param(-10**400, id="-1e400")])
+_NON_FINITE = [math.nan, math.inf, -math.inf,
+               pytest.param(10**400, id="1e400"), pytest.param(-10**400, id="-1e400")]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, *_NON_FINITE])
 @pytest.mark.parametrize("name, call", _POSITIVE,
                          ids=[f"{name}-{i}" for i, (name, _) in enumerate(_POSITIVE)])
 def test_positive_inputs_share_one_refusal(name, call, value):
     with pytest.raises(PreconditionViolation) as refused:
         call(value)
     assert str(refused.value) == f"{name} must be finite and positive, got {value}"
+
+
+@pytest.mark.parametrize("value", [-1.0, *_NON_FINITE])
+@pytest.mark.parametrize("name, call", _NONNEGATIVE, ids=[name for name, _ in _NONNEGATIVE])
+def test_nonnegative_inputs_share_one_refusal(name, call, value):
+    with pytest.raises(PreconditionViolation) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be finite and >= 0, got {value}"
+
+
+@pytest.mark.parametrize("name, call", _NONNEGATIVE, ids=[name for name, _ in _NONNEGATIVE])
+def test_nonnegative_inputs_accept_zero(name, call):
+    for zero in (0.0, -0.0, 0):
+        call(zero)
 
 
 def test_dims_end_at_two_to_the_53():

@@ -32,7 +32,7 @@ from pdi_lab.radial import (
     residual_scan,
     sharpness_profile,
 )
-from pdi_lab.solver import SampledSource
+from pdi_lab.solver import DiscreteRadialSolution, SampledSource
 
 ALL_KINDS = [PLaplacian(2.0), PLaplacian(3.0), MeanCurvature(), GeneralizedMeanCurvature(4.0)]
 
@@ -187,8 +187,12 @@ def test_sampled_profile_guards():
     (lambda: BumpProfile(1.0, 0.0), "needs delta > 0"),
     (lambda: GeneralizedMeanCurvature(1.5), "needs k >= 2"),
     (lambda: radial_operator(2.0, PowerProfile(1.0, 2.0), 0.0, 3), "radii r > 0"),
+    (lambda: radial_operator(2.0, PowerProfile(1.0, 2.0), math.nan, 3), "radii r > 0"),
+    (lambda: residual_scan(sharpness_profile(3, 2.0, 4.0), ProblemParams(3, 2.0, 4.0), [0.5, math.nan]),
+     "radii r > 0"),
     (lambda: radial._certify_witness(3, 2.0, 1.8, True, [0.0, 1.0]), "radii > 0 only"),
-], ids=["power-a0", "bump-delta0", "gmc-k1.5", "operator-at-0", "witness-grid-at-0"])
+], ids=["power-a0", "bump-delta0", "gmc-k1.5", "operator-at-0", "operator-at-nan", "scan-at-nan",
+        "witness-grid-at-0"])
 def test_profiles_operators_and_scans_refuse_what_they_cannot_evaluate(call, message):
     with pytest.raises(PreconditionViolation, match=message):
         call()
@@ -218,8 +222,11 @@ def test_every_sampled_input_shares_one_rule(build, grid, values, message):
 
 
 _READS = {
+    "profile": lambda grid, values, r: SampledProfile(grid, values).value(r),
     "source": lambda grid, values, r: SampledSource(grid, values)(r),
-    "area": lambda grid, values, r: SampledArea(grid, values).area(r),
+    "area": lambda grid, values, r: SampledArea(grid, values).value(r),
+    "solution": lambda grid, values, r: DiscreteRadialSolution(
+        np.asarray(grid), np.asarray(values), ProblemParams(3, 2.0, 2.0), PLaplacian(2.0), {}).value(r),
     "energy": lambda grid, values, r: gradient_energy(SampledProfile(grid, values), 2.0, r, 3),
 }
 

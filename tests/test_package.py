@@ -222,3 +222,22 @@ def test_the_forced_fallback_gives_the_same_bits(monkeypatch):
     fallback = solve()
     assert len(calls) == len(systems) + fallback.meta["iterations"]
     assert fallback.values.tobytes() == sol.values.tobytes() and fallback.meta == sol.meta
+
+
+def test_without_numpys_dgtsv_or_scipy_a_cli_solve_exits_2_with_one_line(monkeypatch, capsys):
+    # scipy is only the fallback's extra: where numpy's build exports no
+    # dgtsv and scipy is not installed, the solve's first workspace is
+    # refused with the extra to install. scipy.linalg is loaded first, so
+    # that blocking its lapack module leaves the package whole.
+    from scipy.linalg import lapack  # noqa: F401
+
+    from pdi_lab import cli
+
+    monkeypatch.setattr(solver, "_dgtsv", lambda: None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
+    rc = cli.run(["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--source", "power:1,0",
+                  "--bc-right", "0"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == ("error: this numpy build exports no LAPACK dgtsv, and the solver's fallback "
+                   'needs scipy: pip install "pdi-lab[scipy]"\n')

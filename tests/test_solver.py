@@ -709,16 +709,46 @@ def test_a_solve_through_overflowing_trials_emits_no_warning(monkeypatch):
 ])
 def test_a_grid_past_the_float_range_is_refused_before_any_newton_step(monkeypatch, dim, domain,
                                                                        bc_left):
-    calls = []
+    # The grid geometry is memoized, a refusal is not: the second call is
+    # refused again, with the same message.
+    calls, messages = [], []
     monkeypatch.setattr(solver, "_residual", lambda *args: calls.append(1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PreconditionViolation, match="leaves the float range"):
-            solve_radial_dirichlet(
-                PLaplacian(2.0), ProblemParams(dim=dim, p=2.0, gamma=2.0),
-                RadialPowerSource(1.0, 0.0), domain, bc_left, 0.0, config=SolverConfig(n_nodes=17),
-            )
-    assert calls == []
+        for _ in range(2):
+            with pytest.raises(PreconditionViolation, match="leaves the float range") as refused:
+                solve_radial_dirichlet(
+                    PLaplacian(2.0), ProblemParams(dim=dim, p=2.0, gamma=2.0),
+                    RadialPowerSource(1.0, 0.0), domain, bc_left, 0.0,
+                    config=SolverConfig(n_nodes=17),
+                )
+            messages.append(str(refused.value))
+    assert calls == [] and messages[0] == messages[1]
+
+
+def test_the_memoized_grid_geometry_is_read_only_and_shared_by_no_solution():
+    # Writing into a solution's grid and values moves no later solve on the
+    # same grid shape, and no caller can write into the memoized geometry.
+    def solve():
+        return solve_radial_dirichlet(
+            PLaplacian(1.5), P15_PARAMS, RadialPowerSource(1.0, 0.0), (0.25, 1.0), 0.5, 0.0,
+            config=SolverConfig(n_nodes=64),
+        )
+
+    first = solve()
+    bits = _bits(first.grid, first.values)
+    first.grid[:] = 7.0
+    first.values[:] = 7.0
+    again = solve()
+    assert _bits(again.grid, again.values) == bits
+    h, vols, area = solver._grid_geometry(0.25, 1.0, 64, 3)
+    disc = solver._Discretization(again.grid, again.kind, again.params, RadialPowerSource(1.0, 0.0),
+                                  0.5, 0.0)
+    assert disc.vols is vols and disc.area is area and disc.h == h
+    for memoized in (vols, area):
+        assert not memoized.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            memoized[0] = 1.0
 
 
 @pytest.mark.parametrize("kind,gamma", [

@@ -20,11 +20,12 @@ radii. A power profile V = c (r^a - shift), the form of the sharp
 solutions, is closed-form: sigma(t) = d omega_d |c a|^gamma t^e / e with
 e = (a - 1) gamma + d (not integrable at the axis when e <= 0), and
 int_{B_t} V^- is the primitive of -V r^(d-1) split at r = shift^(1/a),
-where V changes sign. Gridded solutions integrate by the trapezoid rule
-on their own grid: one cumulative sum over the panels, closed at each
-radius by a linearly interpolated partial panel, so values at grid radii
-telescope exactly over disjoint shells and no second interpolation error
-enters. Energies of any other input are refused.
+where V changes sign. Gridded data are their piecewise-linear
+interpolant, integrated exactly from the first node. Its slope s_k is
+constant on panel k, so sigma(t) is omega_d times the sum of |s_k|^gamma
+(r_(k+1)^d - r_k^d), the last panel cut at t; u^- is linear on each panel
+of the Morrey mass below, where the Gauss rule is exact. Energies of any
+other input are refused.
 
 The line fits take their means and sums from ``np.add.reduce`` and the
 Caccioppoli audit its other reductions from array methods: on the 13 to
@@ -76,31 +77,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _shell_weight(r: np.ndarray, dim: int) -> np.ndarray:
-    return dim * unit_ball_volume(dim) * r ** (dim - 1)
+def _gridded_energies(u, gamma, t, dim):
+    """sigma at each radius of the array t of the interpolant of the
+    ``Gridded`` u: omega_d sum_k |s_k|^gamma (b^d - a^d) over its panels
+    [a, b] from the first node, the last one cut at t.
 
-
-def _gridded_ball_integral(u, nodal, t, dim):
-    """Trapezoid of nodal data on the grid of the ``Gridded`` u against the
-    shell measure, from grid[0] to each radius of the array t.
-
-    Cutting at a grid node makes values telescope exactly over shells; a
-    partial last panel is interpolated linearly so the result is continuous
-    and nondecreasing in t.
+    b^d - a^d is b^(d-1) times b (1 - (a/b)^d) = -b expm1(d log1p((a -
+    b) / b)): nothing cancels, and no power of a radius past b^(d-1) is
+    formed, so a finite energy is not lost to an overflow of b^d.
     """
     grid, t = u.grid, u.within(t)
-    f = nodal * _shell_weight(grid, dim)
-    h = grid[1:] - grid[:-1]
-    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * h)))
-    # Panel k holds t: grid[k] <= t < grid[k + 1] inside the grid, k = 0
-    # below it and k = n - 2 at its last node, where the partial panel is
-    # the whole one.
+    steep = np.abs(np.diff(u.values) / np.diff(grid)) ** gamma
+    # Panel k holds t: grid[k] <= t < grid[k + 1] inside the grid, and
+    # k = n - 2 at its last node, where the cut panel is the whole one.
     k = np.searchsorted(grid[1:-1], t, side="right")
-    g_k, f_k = grid[k], f[k]
-    width = t - g_k
-    end_val = f_k + width / h[k] * (f[k + 1] - f_k)
-    total = cumulative[k] + 0.5 * (f_k + end_val) * width
-    return np.where(t > grid[0], total, 0.0)
+    a, b = np.concatenate((grid[:-1], grid[k])), np.concatenate((grid[1:], t))
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at a = 0
+        shells = -b * np.expm1(dim * np.log1p((a - b) / b))
+    e = np.concatenate((steep, steep[k])) * (unit_ball_volume(dim) * b ** (dim - 1)) * shells
+    whole = grid.size - 1
+    return np.concatenate(([0.0], np.cumsum(e[:whole])))[k] + e[whole:]
 
 
 def _power_energies(u, gamma, t, dim):
@@ -146,11 +142,10 @@ def _ball_integral(u, t, dim: int, gamma: Optional[float] = None) -> np.ndarray:
     """int_{B_t} |u'|^gamma dx, or int_{B_t} u^- dx when gamma is None, for
     a radial u and each radius of the array t.
 
-    A ``PowerProfile`` takes its closed forms. Gridded inputs (solver
-    output, sampled profile) are integrated on their own grid starting at
-    its first node, u' by ``np.gradient``, by one cumulative trapezoid
-    closed at each t with a linear partial panel. Any other input raises
-    PreconditionViolation.
+    A ``PowerProfile`` takes its closed forms, and gridded inputs (solver
+    output, sampled profile) the exact integrals of their interpolant from
+    their first node: the energy by panels, u^- by the panels of the
+    Morrey mass. Any other input raises PreconditionViolation.
     """
     if isinstance(u, PowerProfile):
         return _power_negative_part(u, t, dim) if gamma is None else _power_energies(u, gamma, t, dim)
@@ -159,9 +154,7 @@ def _ball_integral(u, t, dim: int, gamma: Optional[float] = None) -> np.ndarray:
             "energies take a PowerProfile or gridded data (a sampled profile or a solution), "
             f"got {type(u).__name__}"
         )
-    w = u.values
-    nodal = np.maximum(-w, 0.0) if gamma is None else np.abs(np.gradient(w, u.grid)) ** gamma
-    return _gridded_ball_integral(u, nodal, t, dim)
+    return _ball_mass(u, 1.0, dim, t, negative=True) if gamma is None else _gridded_energies(u, gamma, t, dim)
 
 
 def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
@@ -172,6 +165,7 @@ def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
     integrable at the axis.
     """
     _check_positive("gamma", gamma)
+    _check_dim(dim)
     if not (math.isfinite(t) and t >= 0):
         raise DomainExceeded(f"radius must be finite and >= 0, got t={t}")
     if t == 0:
@@ -506,14 +500,21 @@ def _zero_crossings(grid, values):
     return grid[at] + a / (a + b) * (grid[at + 1] - grid[at])
 
 
-def _ball_mass(f, s_index, dim, rho):
-    """int over B_rho(0) of |f|^s for each radius of the array rho."""
+def _ball_mass(f, s_index, dim, rho, negative=False):
+    """int over B_rho(0) of |f|^s, or of f^- (s = 1) when ``negative``, for
+    the ``Gridded`` f from its first node and each radius of the array rho.
+    """
+
+    def read(r):
+        """f at the radii r, or f^-, which is linear with f on each panel,
+        where f keeps one sign."""
+        return np.maximum(-f.value(r), 0.0) if negative else f.value(r)
 
     def shell(r):
-        return _shell_weight(r, dim)
+        return dim * unit_ball_volume(dim) * r ** (dim - 1)
 
     def density(r):
-        return np.abs(f(r)) ** s_index * shell(r)
+        return np.abs(read(r)) ** s_index * shell(r)
 
     def masses(a, b, fa, fb):
         """The integral over each panel [a, b], f being fa and fb at its
@@ -533,14 +534,14 @@ def _ball_mass(f, s_index, dim, rho):
     # its zero crossings, where |f|^s does; between them |f|^s r^(dim-1) is
     # smooth (a polynomial for an integer s).
     crossings = _zero_crossings(f.grid, f.values)
-    edges = sample_panels(np.sort(np.concatenate((f.grid, crossings))), 0.0,
-                          float(np.max(rho, initial=0.0)))
-    ends = f(edges)
+    edges = sample_panels(np.sort(np.concatenate((f.grid, crossings))), f.grid[0],
+                          float(np.max(rho, initial=f.grid[0])))
+    ends = read(edges)
     ends[np.isin(edges, crossings)] = 0.0
     panels = masses(edges[:-1], edges[1:], ends[:-1], ends[1:])
     cumulative = np.concatenate(([0.0], np.cumsum(panels)))
     k = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, edges.size - 2)
-    return cumulative[k] + masses(edges[k], rho, ends[k], f(rho))
+    return cumulative[k] + masses(edges[k], rho, ends[k], read(rho))
 
 
 def morrey_norm(
@@ -606,6 +607,7 @@ def morrey_norm(
         raise PreconditionViolation(
             f"morrey_norm takes a power or sampled source, got {type(f).__name__}"
         )
+    f.within(0.0)  # a ball centred at the origin reads f from r = 0
     diam = 2.0 * omega_radius
     radii = np.geomspace(diam * 1e-4, diam, n_radii)
     # np.unique's values from a sort and a neighbour mask: np.unique runs

@@ -49,6 +49,7 @@ from .errors import (
 )
 from .params import (
     ProblemParams,
+    _check_dim,
     _check_exponents,
     _check_positive,
     _critical_gamma,
@@ -307,6 +308,7 @@ def radial_operator(p: float, profile: PowerProfile | BumpProfile, r, dim: int):
     methods (a scan also reads ``value``), such as a ``PowerProfile`` or a
     ``BumpProfile``.
     """
+    _check_dim(dim)
     out, _ = _operator_and_slope(p, profile, r, dim)
     return float(out[0]) if np.ndim(r) == 0 else out
 
@@ -347,6 +349,7 @@ def sharpness_profile(dim: int, p: float, gamma: float, c_h: float = 1.0) -> Pow
     c. The profile's modulus of continuity at the origin is exactly r^a,
     which matches the gradient arm of the Holder exponent formula.
     """
+    _check_dim(dim)
     if not gamma > p:
         raise PreconditionViolation(f"sharpness profile needs gamma > p, got gamma={gamma}, p={p}")
     if not gamma > _critical_gamma(dim, p):
@@ -370,6 +373,7 @@ def nonconstant_entire_profile(dim: int, p: float, gamma: float, c_h: float = 1.
     gamma above the critical exponent and gamma != p; at gamma = p the
     family degenerates to a logarithm and no power profile is returned.
     """
+    _check_dim(dim)
     gamma_star = liouville_threshold(dim, p)
     if not gamma > gamma_star:
         raise PreconditionViolation(f"entire profile needs gamma > {gamma_star}, got gamma={gamma}")
@@ -399,6 +403,7 @@ def bump_profile_scale(dim: int, p: float, gamma: float, c_h: float):
     largest scale valid for every radius. At or below gamma* =
     _critical_gamma(dim, p), g <= 0 and no scale exists.
     """
+    _check_dim(dim)
     _check_exponents(p, gamma)
     if not gamma < p:
         raise PreconditionViolation(f"bump witness needs gamma < p, got gamma={gamma}, p={p}")

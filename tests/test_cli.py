@@ -330,7 +330,7 @@ def sharp_samples(tmp_path):
 
 
 def test_audit_caccioppoli_file_witness_meets_the_sharp_witness(capsys, sharp_samples):
-    # The gridded trapezoid on the samples against the closed form.
+    # The exact energies of the samples' interpolant against the closed form.
     rc, sampled, _ = run_cli(capsys, "audit-caccioppoli", *_PROBLEM_ARGS, "--witness", sharp_samples)
     rc_sharp, sharp, _ = run_cli(capsys, "audit-caccioppoli", *_PROBLEM_ARGS)
     assert rc == rc_sharp == 0

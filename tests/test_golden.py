@@ -126,7 +126,7 @@ BATTERY = list(dict.fromkeys([
     "morrey --source power:1,1 --theta 2 --omega-radius 1e-200",
     "liouville --dim 10 --p 8 --gamma 8.1",
     f"solve {SOLVE} --nu 2",
-    # The faults of ROADMAP items 2, 3, 10, 13 and 17.
+    # The faults of ROADMAP items 2, 3 and 10.
     "solve --dim 3 --p 1.2 --gamma 2 --source power:1e8,0 --bc-right 0 --nodes 64",
     "solve --dim 3 --p 1.2 --gamma 2 --source power:1e8,0 --bc-right 0 --nodes 256",
     "solve --dim 3 --p 1.2 --gamma 2 --source power:1e8,0 --bc-right 0 --nodes 1024",

@@ -191,8 +191,16 @@ def test_sampled_profile_guards():
     (lambda: residual_scan(sharpness_profile(3, 2.0, 4.0), ProblemParams(3, 2.0, 4.0), [0.5, math.nan]),
      "radii r > 0"),
     (lambda: radial._certify_witness(3, 2.0, 1.8, True, [0.0, 1.0]), "radii > 0 only"),
+    # A dimension is refused by the shared rule before it enters a formula,
+    # where 0 read NaN, -1 read -inf and 2.5 read a number.
+    (lambda: gradient_energy(SampledProfile([0.0, 1.0], [0.0, 1.0]), 2.0, 0.5, 0), "dim must be an integer"),
+    (lambda: radial_operator(2.0, PowerProfile(1.0, 2.0), 0.5, 2.5), "dim must be an integer"),
+    (lambda: sharpness_profile(0, 2.0, 4.0), "dim must be an integer"),
+    (lambda: nonconstant_entire_profile(-1, 2.0, 4.0), "dim must be an integer"),
+    (lambda: bump_profile_scale(0, 2.0, 1.8, 1.0), "dim must be an integer"),
 ], ids=["power-a0", "bump-delta0", "gmc-k1.5", "operator-at-0", "operator-at-nan", "scan-at-nan",
-        "witness-grid-at-0"])
+        "witness-grid-at-0", "energy-dim0", "operator-dim2.5", "sharp-dim0", "entire-dim-1",
+        "bump-scale-dim0"])
 def test_profiles_operators_and_scans_refuse_what_they_cannot_evaluate(call, message):
     with pytest.raises(PreconditionViolation, match=message):
         call()

@@ -195,6 +195,11 @@ BATTERY = list(dict.fromkeys([
     "manifold --profile exp:inf,0.5 --p 2 --gamma 1.4",
     f"verify-sharpness {SHARP} --tol inf",
     f"audit-holder {SHARP} --tol inf",
+    # A Euclidean area whose amplitude dim * omega_dim is below the normal
+    # floats (dim >= 436): the manifold verdict reads only its exponent,
+    # and the sigma bound, which reads the amplitude, refuses it.
+    "manifold --profile euclidean --dim 1000 --p 2 --gamma 1.5",
+    "sigma-bound --dim 1000 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10",
 ]))
 
 

@@ -90,20 +90,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _PowerLawArea:
-    """area(dB_t) = coefficient * t^shape_power.
-
-    Every area law splits as coefficient * shape(t), so closed-form
-    integrals factor the constant out of the comparison integral, which is
-    what the reference identities pin down.
-    """
-
-    shape_power: float
+# Every area law is amplitude * shape(t): the comparison integral reads the
+# shape alone, and the sigma bound multiplies it by the area factor
+# amplitude^-e.
 
 
 @dataclass(frozen=True)
-class EuclideanArea(_PowerLawArea):
-    """area(dB_t) = dim * omega_dim * t^(dim-1)."""
+class EuclideanArea:
+    """area(dB_t) = amplitude * t^beta, with amplitude = dim * omega_dim and
+    beta = dim - 1 computed on access, so the area test of a dim whose
+    amplitude is below the normal floats reads beta alone."""
 
     dim: int
 
@@ -111,16 +107,16 @@ class EuclideanArea(_PowerLawArea):
         _check_dim(self.dim)
 
     @property
-    def coefficient(self) -> float:
+    def amplitude(self) -> float:
         return self.dim * unit_ball_volume(self.dim)
 
     @property
-    def shape_power(self) -> float:
+    def beta(self) -> float:
         return float(self.dim - 1)
 
 
 @dataclass(frozen=True)
-class PowerArea(_PowerLawArea):
+class PowerArea:
     """area(dB_t) = amplitude * t^beta, amplitude finite and > 0."""
 
     amplitude: float
@@ -130,14 +126,6 @@ class PowerArea(_PowerLawArea):
         _check_positive("amplitude", self.amplitude)
         if not math.isfinite(self.beta):
             raise PreconditionViolation(f"area exponent beta must be finite, got {self.beta}")
-
-    @property
-    def coefficient(self) -> float:
-        return self.amplitude
-
-    @property
-    def shape_power(self) -> float:
-        return self.beta
 
 
 @dataclass(frozen=True)
@@ -153,24 +141,18 @@ class ExponentialArea:
         if not math.isfinite(self.kappa):
             raise PreconditionViolation(f"area rate kappa must be finite, got {self.kappa}")
 
-    @property
-    def coefficient(self) -> float:
-        return self.amplitude
-
 
 class SampledArea(Gridded):
-    """Tabulated area data; decisions from it are heuristic at best."""
+    """Tabulated area data, amplitude 1; decisions from it are heuristic at
+    best."""
 
     what = "sampled area"
+    amplitude = 1.0
 
     def __post_init__(self):
         super().__post_init__()
         if not np.all(self.values > 0):
             raise PreconditionViolation("area values must be strictly positive")
-
-    @property
-    def coefficient(self) -> float:
-        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +258,8 @@ def area_condition_test(
     _check_positive("t_start", t_start)
     if mode not in ("analytic", "numeric"):
         raise PreconditionViolation(f"mode must be 'analytic' or 'numeric', got {mode!r}")
-    if isinstance(profile, _PowerLawArea):
-        diverges = power_area_diverges(profile.shape_power, p, gamma)
+    if isinstance(profile, (EuclideanArea, PowerArea)):
+        diverges = power_area_diverges(profile.beta, p, gamma)
         return IntegralVerdict.DIVERGENT if diverges else IntegralVerdict.CONVERGENT
     if isinstance(profile, ExponentialArea):
         return IntegralVerdict.CONVERGENT if profile.kappa > 0 else IntegralVerdict.DIVERGENT
@@ -330,8 +312,8 @@ class SigmaBoundReport:
     rhs: float
     constant_C: float
     comparison_integral: float
-    area_integral: float  # int_R^r area(dB_t)^(-e) dt: coefficient^-e times the above
-    coefficient: float
+    area_integral: float  # int_R^r area(dB_t)^(-e) dt: area_factor times the above
+    area_factor: float  # amplitude^-e
     exponent_e: float
     contradiction: bool
 
@@ -354,7 +336,7 @@ def _power_integral(x: float, R: float, r: float) -> float:
 
 
 def _comparison_integral(profile, e: float, R: float, r: float) -> float:
-    """int_R^r (area(t) / coefficient)^(-e) dt in closed form. A sampled area
+    """int_R^r (area(t) / amplitude)^(-e) dt in closed form. A sampled area
     is linear on each panel [a, b] between its nodes, so a panel is exact:
     (b - a) / (v_b - v_a) int_{v_a}^{v_b} v^(-e) dv, or (b - a) v_a^(-e)."""
     if isinstance(profile, SampledArea):
@@ -362,8 +344,8 @@ def _comparison_integral(profile, e: float, R: float, r: float) -> float:
         v = profile.value(edges).tolist()  # DomainExceeded past the grid
         return sum((b - a) * (va**-e if va == vb else _power_integral(e, va, vb) / (vb - va))
                    for a, b, va, vb in zip(edges, edges[1:], v, v[1:]))
-    if isinstance(profile, _PowerLawArea):
-        return _power_integral(profile.shape_power * e, R, r)
+    if isinstance(profile, (EuclideanArea, PowerArea)):
+        return _power_integral(profile.beta * e, R, r)
     ke = profile.kappa * e
     return r - R if ke == 0.0 else (math.exp(-ke * R) - math.exp(-ke * r)) / ke
 
@@ -382,7 +364,7 @@ def sigma_lower_bound(
     needs no code path here. A sampled area's integral is exact per panel.
     sigma_R and R must be finite and > 0 (sigma_R > 0 is the nonconstant
     hypothesis), and R <= r. An lhs, a constant C, an area factor
-    coefficient^-e or a comparison integral past the float range raises
+    amplitude^-e or a comparison integral past the float range raises
     PreconditionViolation, the r-independent ones first.
     """
     _check_positive("sigma_R", sigma_R)
@@ -393,7 +375,7 @@ def sigma_lower_bound(
     lhs = _in_range("lhs", lambda: sigma_R**-e / e)
     arm = _energy_arm(params.p, params.gamma)
     constant_C = _in_range("constant_C", lambda: (params.c_h / params.nu) ** arm * e)
-    area_factor = _in_range("coefficient^-e", lambda: profile.coefficient**-e)
+    area_factor = _in_range("area_factor", lambda: profile.amplitude**-e)
     # An infinite integral times a tiny C would claim a contradiction that
     # no finite radius shows, so it is refused, not reported.
     comparison = _in_range(f"the comparison integral up to r={r}",
@@ -408,7 +390,7 @@ def sigma_lower_bound(
         constant_C=constant_C,
         comparison_integral=comparison,
         area_integral=area_factor * comparison,
-        coefficient=profile.coefficient,
+        area_factor=area_factor,
         exponent_e=e,
         contradiction=bool(rhs > lhs),
     )
@@ -428,11 +410,11 @@ def find_contradiction_radius(
     The result is that of doubling r from 2R, found by bisection over k in
     [0, last + 1], last the last k with 2^k R finite. The walk stops at
     2^k R where the comparison integral I is refused or rhs =
-    C coefficient^-e I, built as the sigma bound builds it, exceeds lhs.
+    C area_factor I, built as the sigma bound builds it, exceeds lhs.
     Each of the two holds from some k on, so the first k where either holds
     is the walk's: r/R = 2^k is exact; a closed-form I is built from log,
     expm1 and exp, all monotone in r, and stays refused once it overflows;
-    the fixed positive factor C coefficient^-e keeps rhs monotone in
+    the fixed positive factor C area_factor keeps rhs monotone in
     floating point. A sampled area's I sums nonnegative panel terms left
     to right; doubling r keeps the panels below the last node under r,
     lengthens the one r cuts and appends the rest, and every r past the
@@ -447,7 +429,7 @@ def find_contradiction_radius(
     the float range; on a convergent one it is the expected outcome.
     """
     first = sigma_lower_bound(sigma_R, params, profile, R, R)  # rhs = 0, so k = 0 goes on
-    scale = first.constant_C * profile.coefficient**-first.exponent_e  # rhs / I, as built
+    scale = first.constant_C * first.area_factor  # rhs / I, as built
 
     def stops(k):
         try:

@@ -660,7 +660,7 @@ def test_manifold_numeric_mode(capsys):
 def test_manifold_numeric_mode_reads_the_analytic_verdict(capsys, argv):
     # Slowly growing exponential areas, a power area just past gamma*, a
     # subnormal start, a start whose increments all underflow to zero, an
-    # integrand past the float range from the start, a coefficient of
+    # integrand past the float range from the start, an amplitude of
     # 1e-300 and convergent integrals whose doubling slopes sit within 1e-3
     # of 0: each reads its analytic verdict, with the one stderr line of
     # the report and no warning.
@@ -964,7 +964,7 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
          "--radius-inner", "1", "--radius-outer", "2"],
         ["sigma-bound", "--dim", "3", "--p", "2", "--gamma", "2", "--c-h", "1e300", "--nu", "1e-300",
          "--sigma-r", "1", "--radius-inner", "1", "--radius-outer", "2"],
-        # The area factor coefficient^-e, e = 499, is past the float range too.
+        # The area factor amplitude^-e, e = 499, is past the float range too.
         ["sigma-bound", "--dim", "3", "--p", "1.01", "--gamma", "5", "--profile", "power:1e-10,1",
          "--sigma-r", "1", "--radius-inner", "1", "--radius-outer", "2"],
         # The unit ball volume is below the normal floats.

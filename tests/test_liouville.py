@@ -350,24 +350,24 @@ def test_area_profile_guards():
 
 
 def test_euclidean_area_values():
-    # area(dB_t) = coefficient t^shape_power: 4 pi t^2 in R^3, 2 pi t in R^2
+    # area(dB_t) = amplitude t^beta: 4 pi t^2 in R^3, 2 pi t in R^2
     area = EuclideanArea(3)
-    assert area.coefficient == pytest.approx(4.0 * math.pi)
-    assert area.shape_power == 2.0
-    assert EuclideanArea(2).coefficient == pytest.approx(2.0 * math.pi)
-    assert EuclideanArea(2).shape_power == 1.0
+    assert area.amplitude == pytest.approx(4.0 * math.pi)
+    assert area.beta == 2.0
+    assert EuclideanArea(2).amplitude == pytest.approx(2.0 * math.pi)
+    assert EuclideanArea(2).beta == 1.0
 
 
 def test_exponential_area_values():
-    # area(dB_t) = amplitude e^(kappa t): the amplitude is its coefficient
+    # area(dB_t) = amplitude e^(kappa t)
     area = ExponentialArea(2.0, 0.5)
-    assert area.coefficient == 2.0
+    assert area.amplitude == 2.0
     assert area.kappa == 0.5
 
 
 def test_sampled_area_reads_its_nodes_and_interpolates_between_them():
     area = SampledArea([1.0, 2.0, 4.0], [3.0, 5.0, 6.0])
-    assert area.coefficient == 1.0
+    assert area.amplitude == 1.0
     assert area.value([1.0, 2.0, 4.0]).tolist() == [3.0, 5.0, 6.0]
     assert area.value([1.5, 3.0]).tolist() == [4.0, 5.5]
     with pytest.raises(DomainExceeded):
@@ -398,7 +398,7 @@ def test_sigma_bound_comparison_integral_closed_form():
 
 
 def test_sigma_bound_logarithmic_point():
-    # gamma 1.5: shape_power * e = 1 exactly, integral of 1/t
+    # gamma 1.5: beta * e = 1 exactly, integral of 1/t
     rep = sigma_lower_bound(1.0, _params(1.5), EuclideanArea(3), 1.0, math.e)
     assert rep.comparison_integral == pytest.approx(1.0, rel=1e-15)
 
@@ -419,6 +419,23 @@ def test_sigma_bound_rhs_scales_with_hamiltonian_constant():
     assert boosted.comparison_integral == base.comparison_integral
 
 
+@pytest.mark.parametrize("area", [
+    EuclideanArea(3),
+    PowerArea(2.0, 1.0),
+    ExponentialArea(2.0, -0.5),
+    SampledArea([1.0, 2.0, 64.0], [3.0, 4.0, 5.0]),
+], ids=["euclidean", "power", "exponential", "sampled"])
+def test_sigma_bound_rhs_is_the_product_of_its_reported_factors(area):
+    # rhs = C * amplitude^-e * I, and the report holds each factor, so the
+    # product of its fields is rhs to the bit, at a given r and at the
+    # contradiction radius alike.
+    for rep in (sigma_lower_bound(1.0, _params(1.4), area, 1.0, 10.0),
+                find_contradiction_radius(1.0, _params(1.4), area, 1.0)):
+        assert rep.area_factor == area.amplitude**-rep.exponent_e
+        assert rep.rhs == rep.constant_C * rep.area_factor * rep.comparison_integral
+        assert rep.area_integral == rep.area_factor * rep.comparison_integral
+
+
 def test_sigma_bound_exponential_area_closed_form():
     rep = sigma_lower_bound(1.0, _params(2.0), ExponentialArea(1.0, 1.0), 1.0, 2.0)
     want = math.exp(-1.0) - math.exp(-2.0)
@@ -436,7 +453,7 @@ def test_sigma_bound_sampled_area_matches_exponential_closed_form():
     area = SampledArea(grid, 2.0 * np.exp(0.5 * grid))
     num = sigma_lower_bound(1.0, _params(1.4), area, 1.0, 4.0)
     ref = sigma_lower_bound(1.0, _params(1.4), ExponentialArea(2.0, 0.5), 1.0, 4.0)
-    # sampled coefficient is 1, so compare the full area integral instead
+    # a sampled amplitude is 1, so compare the full area integral instead
     assert num.area_integral == pytest.approx(ref.area_integral, rel=1e-6)
 
 
@@ -445,7 +462,7 @@ def test_sigma_bound_sampled_area_matches_power_closed_form():
     area = SampledArea(grid, 4.0 * math.pi * grid**2)
     num = sigma_lower_bound(1.0, _params(1.4), area, 1.0, 16.0)
     ref = sigma_lower_bound(1.0, _params(1.4), EuclideanArea(3), 1.0, 16.0)
-    # sampled coefficient is 1, so compare the full area integral instead
+    # a sampled amplitude is 1, so compare the full area integral instead
     assert num.area_integral == pytest.approx(ref.area_integral, rel=1e-6)
     with pytest.raises(DomainExceeded):
         sigma_lower_bound(1.0, _params(1.4), area, 1.0, 32.0)
@@ -752,7 +769,7 @@ def test_contradiction_radius_equals_the_doubling_walk(monkeypatch, d):
 
 
 def test_contradiction_radius_near_a_convergent_limit_is_a_short_search(monkeypatch):
-    # lhs / (C coefficient^-e) lies within rounding of the limit of a
+    # lhs / (C area_factor) lies within rounding of the limit of a
     # convergent integral: the closed form crosses at 2^38, the float
     # integral never does, and the walk ends past the float range. The
     # bisection finds that between its two sigma bound calls.

@@ -27,11 +27,15 @@ constant on panel k, so sigma(t) is omega_d times the sum of |s_k|^gamma
 of the Morrey mass below, where the Gauss rule is exact. Energies of any
 other input are refused.
 
-The line fits take their means and sums from ``np.add.reduce`` and the
-Caccioppoli audit its other reductions from array methods: on the 13 to
-24 points of a closed-form fit, the Python-level wrappers ``np.mean``,
-``np.sum``, ``np.max`` and ``np.sort`` cost more than the arithmetic, and
-the same pairwise sums give the same bits.
+The Holder fit and the Caccioppoli growth fit share one least-squares
+routine, which forms the means and the centred x and y once. It returns
+the slope and intercept, from ``np.dot`` of the centred arrays, and the
+centred sum of squares of y that the Holder fit's R^2 divides by; the
+growth fit ignores that sum. Its means and sums come from
+``np.add.reduce``, and the Caccioppoli audit's other reductions from array
+methods: on the 8 to 24 points of a closed-form fit, the Python-level
+wrappers ``np.mean``, ``np.sum``, ``np.max`` and ``np.sort`` cost more
+than the arithmetic, and the same pairwise sums give the same bits.
 
 A Morrey norm is taken over centred balls, one mass per radius. For a
 power source the mass and the whole norm are closed-form, and exact for
@@ -178,26 +182,14 @@ def gradient_energy(u, gamma: float, t: float, dim: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mean(x: np.ndarray):
-    """np.mean of a 1-D float array: its pairwise sum over its size."""
-    return np.add.reduce(x) / x.size
-
-
-def _line_fit(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope and intercept of the line y = slope x + intercept,
-    from the centred sums."""
-    x_mean, y_mean = _mean(x), _mean(y)
-    dx = x - x_mean
-    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
-    return slope, float(y_mean - slope * x_mean)
-
-
-def _r_squared(x: np.ndarray, y: np.ndarray, slope: float, intercept: float) -> float:
-    """The coefficient of determination of the line fitted to (x, y); 1 when
-    y is constant."""
-    ss_res = float(np.add.reduce((y - (slope * x + intercept)) ** 2))
-    ss_tot = float(np.add.reduce((y - _mean(y)) ** 2))
-    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+def _least_squares(x: np.ndarray, y: np.ndarray):
+    """The least-squares line y = slope x + intercept through the points
+    (x, y), from the centred sums, and the centred sum of squares of y that
+    its R^2 divides by: ``(slope, intercept, ss_tot)``."""
+    x_mean, y_mean = np.add.reduce(x) / x.size, np.add.reduce(y) / y.size
+    dx, dy = x - x_mean, y - y_mean
+    slope = float(np.dot(dx, dy) / np.dot(dx, dx))
+    return slope, float(y_mean - slope * x_mean), float(np.add.reduce(dy * dy))
 
 
 @dataclass(eq=False)
@@ -242,14 +234,13 @@ def caccioppoli_audit(
         raise PreconditionViolation(
             f"R={R} leaves the float range: the energies or R^dim are not finite"
         )
-    fitted_K = float(k_values.max())
+    top = int(k_values.argmax())
+    fitted_K = float(k_values[top])
 
-    positive = energies > 0
     half = t_arr.size // 2
-    if np.count_nonzero(positive[:half]) >= 2:
-        lo = positive.copy()
-        lo[half:] = False
-        fitted_growth = _line_fit(np.log(t_arr[lo]), np.log(energies[lo]))[0]
+    lo = energies[:half] > 0
+    if np.count_nonzero(lo) >= 2:
+        fitted_growth = _least_squares(np.log(t_arr[:half][lo]), np.log(energies[:half][lo]))[0]
     else:
         fitted_growth = math.nan
 
@@ -260,7 +251,7 @@ def caccioppoli_audit(
     # (R-t)^s/R^dim peaks at t = (dim-s)R/dim, which may lie in that
     # last fifth, and is stable.
     tail = max(1, t_arr.size // 5)
-    rising = int(k_values.argmax()) == t_arr.size - 1
+    rising = top == t_arr.size - 1
     k_stable = not (rising and fitted_K > 2.0 * float(k_values[:-tail].max()))
 
     return CaccioppoliReport(
@@ -372,6 +363,12 @@ def _gridded_bin_sups(u, d_hi, h_min):
     return np.asarray(sup_inc, dtype=float), np.asarray(sup_dist, dtype=float)
 
 
+# 2^-k for every bin index k of a Holder fit, 0 past k = 1074. For floats
+# 2^-1074 <= h_min < h_max < 2^1024 the rounded log2(h_max / h_min) is at
+# most 2098, so no fit has more than 2099 bins.
+_HALVINGS = np.ldexp(1.0, -np.arange(2099))
+
+
 @dataclass(eq=False)
 class HolderFitReport:
     scales: np.ndarray
@@ -439,15 +436,16 @@ def holder_fit(
     # ratio itself may overflow; the mantissa ratio lies in (1/2, 2).
     (m_hi, e_hi), (m_lo, e_lo) = math.frexp(h_max), math.frexp(h_min)
     n_bins = max(int(math.floor(math.log2(m_hi / m_lo) + (e_hi - e_lo))) + 1, 1)
-    d_hi = h_max * np.ldexp(1.0, -np.arange(n_bins))
+    d_hi = h_max * _HALVINGS[:n_bins]  # the floats of h_max * np.ldexp(1.0, -k)
 
     if isinstance(u, PowerProfile):
         if u.a < 0 and u.c != 0:
             raise PreconditionViolation(f"power profile with a = {u.a} < 0 is unbounded at r = 0")
         r1 = 1.0 - d_hi if u.a > 1 else 0.0
-        inc = np.abs(u.c * ((r1 + d_hi) ** u.a - np.power(r1, u.a)))
-        nonzero = inc > 0
-        sup_inc, sup_dist = inc[nonzero], d_hi[nonzero]
+        sup_inc, sup_dist = np.abs(u.c * ((r1 + d_hi) ** u.a - np.power(r1, u.a))), d_hi
+        if not np.minimum.reduce(sup_inc) > 0:  # drop the bins whose sup is 0 (or NaN)
+            nonzero = sup_inc > 0
+            sup_inc, sup_dist = sup_inc[nonzero], d_hi[nonzero]
     else:
         sup_inc, sup_dist = _gridded_bin_sups(u, d_hi, h_min)
     if sup_inc.size < 3:
@@ -457,8 +455,9 @@ def holder_fit(
 
     x = np.log(sup_dist)
     y = np.log(sup_inc)
-    slope, intercept = _line_fit(x, y)
-    r_squared = _r_squared(x, y, slope, intercept)
+    slope, intercept, ss_tot = _least_squares(x, y)
+    ss_res = float(np.add.reduce((y - (slope * x + intercept)) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
     passed = None
     if predicted_alpha is not None:

@@ -45,6 +45,7 @@ from .params import (
     ProblemParams,
     _check_dim,
     _check_exponents,
+    _check_finite,
     _check_positive,
     _critical_gamma,
     _energy_arm,
@@ -124,8 +125,7 @@ class PowerArea:
 
     def __post_init__(self):
         _check_positive("amplitude", self.amplitude)
-        if not math.isfinite(self.beta):
-            raise PreconditionViolation(f"area exponent beta must be finite, got {self.beta}")
+        _check_finite("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ class ExponentialArea:
 
     def __post_init__(self):
         _check_positive("amplitude", self.amplitude)
-        if not math.isfinite(self.kappa):
-            raise PreconditionViolation(f"area rate kappa must be finite, got {self.kappa}")
+        _check_finite("kappa", self.kappa)
 
 
 class SampledArea(Gridded):
@@ -469,8 +468,10 @@ def liouville_classify_euclidean(
 
     LIOUVILLE iff gamma <= gamma* = dim(p-1)/(dim-1) (threshold included);
     otherwise a nonconstant witness is attached: the entire power profile
-    for gamma > p, a scaled bump for gamma < p, and a witness-unavailable
-    note for gamma = p, whose known construction is logarithmic.
+    for gamma > p and a scaled bump for gamma < p, the mechanism
+    COUNTEREXAMPLE_WITNESS. At gamma = p, whose known construction is
+    logarithmic, the verdict rests on gamma > gamma* alone: the mechanism
+    is CLOSED_FORM_THRESHOLD, with a witness-unavailable note.
     """
     _check_dim(dim)
     gamma_star = liouville_threshold(dim, p)
@@ -484,7 +485,7 @@ def liouville_classify_euclidean(
     if gamma == p:
         return verdict(
             Verdict.NO_LIOUVILLE,
-            Mechanism.COUNTEREXAMPLE_WITNESS,
+            Mechanism.CLOSED_FORM_THRESHOLD,
             witness_note="WITNESS_UNAVAILABLE",
         )
     if gamma > p:

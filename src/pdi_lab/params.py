@@ -110,6 +110,18 @@ def _check_positive(name: str, value, zero_ok: bool = False) -> None:
         raise PreconditionViolation(f"{name} must be finite and {rule}, got {value}")
 
 
+def _check_finite(name: str, value) -> None:
+    """The one refusal of a number that must be finite: PreconditionViolation
+    "<name> must be finite, got <value>". NaN, +-inf and an int past the
+    float range are refused."""
+    try:
+        ok = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        raise PreconditionViolation(f"{name} must be finite, got {value}")
+
+
 def _in_range(name: str, compute) -> float:
     """compute(), or PreconditionViolation naming ``name`` where it leaves
     the float range: inf, NaN or an OverflowError (from ``**``, math.exp)."""

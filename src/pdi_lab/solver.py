@@ -81,7 +81,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllPosedBoundary, NoConvergence, PdiLabError, PreconditionViolation
-from .params import ProblemParams, _check_positive, _in_range
+from .params import ProblemParams, _check_finite, _check_positive, _in_range
 from .radial import (
     GeneralizedMeanCurvature,
     Gridded,
@@ -113,10 +113,8 @@ class RadialPowerSource:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and math.isfinite(self.beta)):
-            raise PreconditionViolation(
-                f"power source needs finite amplitude and beta, got {self.amplitude}, {self.beta}"
-            )
+        _check_finite("amplitude", self.amplitude)
+        _check_finite("beta", self.beta)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -508,10 +506,9 @@ def solve_radial_dirichlet(
         )
     if bc_right is None:
         raise IllPosedBoundary("the outer boundary needs a Dirichlet value")
-    if not (math.isfinite(bc_right) and (bc_left is None or math.isfinite(bc_left))):
-        raise PreconditionViolation(
-            f"boundary values must be finite, got bc_left={bc_left}, bc_right={bc_right}"
-        )
+    if bc_left is not None:
+        _check_finite("bc_left", bc_left)
+    _check_finite("bc_right", bc_right)
 
     # The solution's own grid, shared with nothing; its geometry is the
     # memoized one, refused before any source value is read.

@@ -859,7 +859,7 @@ def test_line_fit_meets_polyfit():
         for _ in range(50):
             x = np.log(np.sort(rng.uniform(1e-4, 1.0, n)))
             y = rng.normal() * x + rng.normal(size=n) * 0.1 + rng.normal()
-            slope, intercept = audit._line_fit(x, y)
+            slope, intercept, _ = audit._least_squares(x, y)
             want_slope, want_intercept = np.polyfit(x, y, 1)
             assert slope == pytest.approx(want_slope, rel=1e-12, abs=1e-12)
             assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=1e-12)
@@ -909,16 +909,16 @@ def _same_bits(a, b):
 def test_closed_form_fits_equal_the_np_mean_and_np_sum_reference_to_the_bit():
     # The fits take their means and sums from np.add.reduce and their other
     # reductions from array methods; np.mean, np.sum, np.max, np.argmax and
-    # np.sort give the same bits.
+    # np.sort give the same bits. The centred sum of squares is the one
+    # R^2 divides by, and R^2 itself is held by the Holder fit's test below.
     rng = np.random.default_rng(36)
     for n in range(2, 65):
         for _ in range(8):
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
             y = rng.normal() * x + rng.normal(size=n) * 10.0 ** rng.uniform(-12, 0)
-            slope, intercept = audit._line_fit(x, y)
+            slope, intercept, ss_tot = audit._least_squares(x, y)
             assert _same_bits([slope, intercept], _reference_line_fit(x, y))
-            assert _same_bits(audit._r_squared(x, y, slope, intercept),
-                              _reference_r_squared(x, y, slope, intercept))
+            assert _same_bits(ss_tot, np.sum((y - np.mean(y)) ** 2))
             u = PowerProfile(rng.uniform(-3, 3), rng.uniform(0.7, 3), rng.choice([0.0, 1.0]))
             params = ProblemParams(dim=int(rng.integers(2, 7)), p=rng.uniform(1.2, 3),
                                    gamma=rng.uniform(3.5, 5), lam=rng.choice([0.0, 0.7]))
@@ -930,22 +930,53 @@ def test_closed_form_fits_equal_the_np_mean_and_np_sum_reference_to_the_bit():
             assert rep.k_stable is stable
 
 
+def _reference_bin_distances(h_min, h_max):
+    """The bins' upper distances h_max 2^-k, one per k with 2^k <= h_max /
+    h_min (in logs, since the ratio may overflow)."""
+    n = int(np.floor(np.log2(h_max) - np.log2(h_min))) + 1
+    return h_max * np.ldexp(1.0, -np.arange(n))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_power_holder_fit_equals_the_array_reference_to_the_bit(seed):
     # Each bin's widest pair, anchored at r = 0 for a <= 1 and at
-    # r = 1 - d for a > 1, through array powers of both radii.
+    # r = 1 - d for a > 1, through array powers of both radii; a bin whose
+    # increment is 0 is dropped. Scale ranges reach down to the least
+    # subnormal, where 2^-k itself is subnormal.
     rng = np.random.default_rng(seed)
-    for _ in range(50):
-        u = PowerProfile(rng.uniform(-3, 3), rng.uniform(0.05, 3.0), 1.0)
-        h_min, h_max = 10.0 ** rng.uniform(-8, -3), rng.uniform(0.1, 1.0)
+    draws = [(PowerProfile(rng.uniform(-3, 3), rng.uniform(0.05, 3.0), 1.0),
+              10.0 ** rng.uniform(-8, -3), rng.uniform(0.1, 1.0)) for _ in range(50)]
+    draws += [(PowerProfile(rng.uniform(-3, 3), rng.uniform(0.05, 3.0), 1.0), 5e-324, 1.0),
+              (PowerProfile(1.0, 0.5), 5e-324, rng.uniform(0.1, 1.0)),
+              # 1 - d rounds to 1 below d = 2^-53, so those bins' increments are 0
+              (PowerProfile(rng.uniform(0.5, 3), rng.uniform(1.5, 3.0), 1.0), 1e-20, 0.5),
+              # c d^a underflows to 0 below d = 1e-24
+              (PowerProfile(1e-300, 1.0), 1e-30, 0.5)]
+    dropped = 0
+    for u, h_min, h_max in draws:
         rep = holder_fit(u, 1, (h_min, h_max))
-        anchor = 1.0 - rep.scales if u.a > 1 else np.zeros(rep.scales.size)
-        inc = np.abs(u.c * ((anchor + rep.scales) ** u.a - anchor**u.a))
-        assert _same_bits(rep.max_increments, inc)
-        x, y = np.log(rep.scales), np.log(inc)
+        d = _reference_bin_distances(h_min, h_max)
+        anchor = 1.0 - d if u.a > 1 else np.zeros(d.size)
+        inc = np.abs(u.c * ((anchor + d) ** u.a - anchor**u.a))
+        kept = inc > 0
+        dropped += d.size - np.count_nonzero(kept)
+        assert _same_bits(rep.scales, d[kept]) and _same_bits(rep.max_increments, inc[kept])
+        x, y = np.log(d[kept]), np.log(inc[kept])
         slope, intercept = _reference_line_fit(x, y)
         assert _same_bits([rep.fitted_alpha, rep.r_squared],
                           [slope, _reference_r_squared(x, y, slope, intercept)])
+    assert dropped > 0
+
+    # Gridded data on a span far past 1, down to the least subnormal
+    # distance: h_max 2^-k is 0 past k = 1074, where np.ldexp(h_max, -k)
+    # is still a few subnormals wide. A linear interpolant's sup in each
+    # bin is at its widest distance, max(h_max 2^-k, h_min).
+    span = float(rng.uniform(1e3, 4e3))
+    u = SampledProfile(np.array([0.0, 1.0, span]), np.array([0.0, 1.0, span]))
+    rep = holder_fit(u, 1, (5e-324, span))
+    d = _reference_bin_distances(5e-324, span)
+    assert d[-5] == 0.0 and np.ldexp(span, 5 - d.size) > 5e-324
+    assert _same_bits(rep.scales, np.maximum(d, 5e-324))
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])

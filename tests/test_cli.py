@@ -213,6 +213,20 @@ def test_solve_refuses_gamma_below_the_operator_growth_order(capsys):
     assert rc == 2 and cap.err == "error: gamma must be finite and exceed p - 1 = 1.0, got 0.9\n"
 
 
+@pytest.mark.parametrize("argv, name, value", [
+    ("solve --dim 3 --p 2 --gamma 4 --source power:inf,0 --r-out 1 --bc-right 0", "amplitude", "inf"),
+    ("morrey --source power:1,nan --theta 1.5", "beta", "nan"),
+    ("solve --dim 3 --p 2 --gamma 4 --source power:1,0 --r-in 0.5 --bc-left=-inf --bc-right 0",
+     "bc_left", "-inf"),
+    ("solve --dim 3 --p 2 --gamma 4 --source power:1,0 --bc-right inf", "bc_right", "inf"),
+    ("manifold --profile power:1,inf --p 2 --gamma 1.6", "beta", "inf"),
+    ("manifold --profile exp:1,nan --p 2 --gamma 1.6", "kappa", "nan"),
+])
+def test_finite_only_inputs_exit_2_with_the_shared_message(capsys, argv, name, value):
+    rc, _, cap = run_cli(capsys, *argv.split())
+    assert rc == 2 and cap.err == f"error: {name} must be finite, got {value}\n"
+
+
 @pytest.mark.parametrize("operator", ["mean-curvature", "gmc:2", "gmc:2.000001"])
 def test_solve_gamma_floor_is_continuous_at_mean_curvature(capsys, operator):
     # gmc:k admits gamma > k/2 - 1; mean curvature, bounded by |s|^(p-1)
@@ -607,6 +621,8 @@ def test_liouville_gamma_equals_p(capsys):
     )
     assert rc == 0
     assert report["results"]["verdict"] == "NO_LIOUVILLE"
+    # gamma > gamma* decides it; no witness is built
+    assert report["results"]["mechanism"] == "CLOSED_FORM_THRESHOLD"
     assert report["results"]["witness_note"] == "WITNESS_UNAVAILABLE"
 
 

@@ -851,10 +851,13 @@ def test_classify_euclidean_entire_witness_above_p():
 
 
 def test_classify_euclidean_gamma_equal_p():
-    v = liouville_classify_euclidean(3, 2.0, 2.0)
-    assert v.verdict is Verdict.NO_LIOUVILLE
-    assert v.witness is None
-    assert v.witness_note == "WITNESS_UNAVAILABLE"
+    # gamma > gamma* decides the verdict, not a witness: none is built.
+    for v in (liouville_classify_euclidean(3, 2.0, 2.0),
+              liouville_classify_manifold(EuclideanArea(3), 2.0, 2.0)):
+        assert v.verdict is Verdict.NO_LIOUVILLE
+        assert v.mechanism is Mechanism.CLOSED_FORM_THRESHOLD
+        assert v.witness is None
+        assert v.witness_note == "WITNESS_UNAVAILABLE"
     with pytest.raises(PreconditionViolation):
         verify_euclidean_witness(v)
 

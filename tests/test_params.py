@@ -34,8 +34,8 @@ from pdi_lab.params import (
     holder_exponent,
     liouville_threshold,
 )
-from pdi_lab.radial import PowerProfile, bump_profile_scale, residual_scan, sharpness_profile
-from pdi_lab.solver import RadialPowerSource, SolverConfig
+from pdi_lab.radial import PLaplacian, PowerProfile, bump_profile_scale, residual_scan, sharpness_profile
+from pdi_lab.solver import RadialPowerSource, SolverConfig, solve_radial_dirichlet
 
 
 @pytest.mark.parametrize(
@@ -144,6 +144,18 @@ _NONNEGATIVE = [
     ("tolerance", lambda v: holder_fit(PowerProfile(1.0, 0.5), 1, (1e-3, 0.25), tolerance=v)),
 ]
 
+# Each number that may take any sign but must be finite.
+_FINITE = [
+    ("amplitude", lambda v: RadialPowerSource(v, 1.0)),
+    ("beta", lambda v: RadialPowerSource(1.0, v)),
+    ("beta", lambda v: PowerArea(1.0, v)),
+    ("kappa", lambda v: ExponentialArea(1.0, v)),
+    ("bc_left", lambda v: solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(3, 2.0, 1.5),
+                                                 RadialPowerSource(0.0, 0.0), (0.5, 1.0), v, 0.0)),
+    ("bc_right", lambda v: solve_radial_dirichlet(PLaplacian(2.0), ProblemParams(3, 2.0, 1.5),
+                                                  RadialPowerSource(0.0, 0.0), (0.5, 1.0), 0.0, v)),
+]
+
 _NON_FINITE = [math.nan, math.inf, -math.inf,
                pytest.param(10**400, id="1e400"), pytest.param(-10**400, id="-1e400")]
 
@@ -163,6 +175,22 @@ def test_nonnegative_inputs_share_one_refusal(name, call, value):
     with pytest.raises(PreconditionViolation) as refused:
         call(value)
     assert str(refused.value) == f"{name} must be finite and >= 0, got {value}"
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("name, call", _FINITE,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_FINITE)])
+def test_finite_inputs_share_one_refusal(name, call, value):
+    with pytest.raises(PreconditionViolation) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("name, call", _FINITE,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_FINITE)])
+def test_finite_inputs_accept_either_sign(name, call):
+    for value in (-0.5, 0.0, 0.5):
+        call(value)
 
 
 @pytest.mark.parametrize("name, call", _NONNEGATIVE, ids=[name for name, _ in _NONNEGATIVE])

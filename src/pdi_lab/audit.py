@@ -61,7 +61,7 @@ import numpy as np
 from .errors import DomainExceeded, InsufficientScales, NonIntegrable, PreconditionViolation
 from .params import (ProblemParams, _check_dim, _check_positive, _in_range, caccioppoli_exponent,
                      unit_ball_volume)
-from .quadrature import SAMPLE_PANEL_NODES, gauss_jacobi, sample_panels
+from .quadrature import gauss_jacobi, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import Gridded, PowerProfile
 from .solver import RadialPowerSource, SampledSource
@@ -213,9 +213,11 @@ def caccioppoli_audit(
     fitted_K is the smallest constant making the bound hold on t_list, and
     is finite (a non-finite K raises). The sharp content is in the two
     derived numbers: ``fitted_growth``, the log-log slope of E over the
-    small-t half of t_list (compare with dim - s), and ``k_stable``, which
-    flags blow-up of K(t) = E(t)(R-t)^s/R^dim as t -> R. An unstable K means
-    the energy grows faster than the predicted exponent allows.
+    small-t half of t_list (compare with dim - s; NaN when fewer than two
+    radii there, distinct in log t, have positive energy), and
+    ``k_stable``, which flags blow-up of K(t) = E(t)(R-t)^s/R^dim as
+    t -> R. An unstable K means the energy grows faster than the predicted
+    exponent allows.
     """
     _check_positive("R", R)
     t_arr = np.array(t_list, dtype=float)
@@ -239,10 +241,9 @@ def caccioppoli_audit(
 
     half = t_arr.size // 2
     lo = energies[:half] > 0
-    if np.count_nonzero(lo) >= 2:
-        fitted_growth = _least_squares(np.log(t_arr[:half][lo]), np.log(energies[:half][lo]))[0]
-    else:
-        fitted_growth = math.nan
+    x, y = np.log(t_arr[:half][lo]), np.log(energies[:half][lo])
+    # The radii are sorted, so a line through them needs x[0] < x[-1].
+    fitted_growth = _least_squares(x, y)[0] if x.size and x[0] < x[-1] else math.nan
 
     # The bound is slack for small t (K -> 0 there), so instability is
     # judged at the boundary end only: K must still be rising at the
@@ -447,7 +448,8 @@ def holder_fit(
             nonzero = sup_inc > 0
             sup_inc, sup_dist = sup_inc[nonzero], d_hi[nonzero]
     else:
-        sup_inc, sup_dist = _gridded_bin_sups(u, d_hi, h_min)
+        with np.errstate(over="ignore"):  # a reach x + d past the float max is past the grid
+            sup_inc, sup_dist = _gridded_bin_sups(u, d_hi, h_min)
     if sup_inc.size < 3:
         raise InsufficientScales(
             f"only {sup_inc.size} nonempty distance bins, need at least 3"
@@ -526,7 +528,7 @@ def _ball_mass(f, s_index, dim, rho, negative=False):
             left = fa[one_end] == 0
             a, b, fa, fb = a[one_end], b[one_end], fa[one_end], fb[one_end]
             out[one_end] = np.abs(np.where(left, fb, fa)) ** s_index * gauss_jacobi(
-                shell, np.where(left, a, b), np.where(left, b, a), SAMPLE_PANEL_NODES, s_index)
+                shell, np.where(left, a, b), np.where(left, b, a), s_index)
         return out
 
     # Panels break at the sample nodes, where the interpolant kinks, and at

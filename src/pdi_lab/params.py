@@ -174,12 +174,6 @@ class ProblemParams:
         if not _q_ok(self.q):
             raise PreconditionViolation(f"q must be >= 1 or INFINITY, got {self.q}")
 
-    @cached_property
-    def _grid(self) -> ParamGrid:
-        """This point as a one-point ParamGrid, formed once, so that its
-        ``exponent_report`` and ``classify_regime`` read one grid."""
-        return ParamGrid(self.dim, self.p, self.gamma, q=self.q)
-
     @property
     def dim_over_q(self):
         # Exact zero for q = INFINITY, so the branch selection below never
@@ -346,8 +340,10 @@ def liouville_threshold(dim, p):
 
 
 def _as_grid(params: ProblemParams | ParamGrid) -> ParamGrid:
-    """A ParamGrid as it is; a ProblemParams as its one-point ParamGrid."""
-    return params if isinstance(params, ParamGrid) else params._grid
+    """A ParamGrid as it is; a ProblemParams as a one-point ParamGrid, built
+    anew on each call, since no caller reads one point's grid twice."""
+    return (params if isinstance(params, ParamGrid)
+            else ParamGrid(params.dim, params.p, params.gamma, q=params.q))
 
 
 def _number(value) -> float | None:

@@ -10,11 +10,11 @@ polynomials of degree 15 on each interval, so piecewise-polynomial data
 integrate exactly on panels that break at the sample nodes
 (``sample_panels``). Its nodes and weights are float literals, equal bit
 for bit to ``numpy.polynomial.legendre.leggauss(8)``, so no run imports
-``numpy.polynomial`` for them. ``gauss_jacobi`` is the rule of the
-weight |r - z|^beta at one end z of each interval, for the power of a
-piecewise-linear interpolant that vanishes there. Node counts are module
-constants; nothing adapts, so a result is a fixed function of its
-inputs.
+``numpy.polynomial`` for them. ``gauss_jacobi`` is the
+``SAMPLE_PANEL_NODES``-point rule of the weight |r - z|^beta at one end z
+of each interval, for the power of a piecewise-linear interpolant that
+vanishes there. Both rules take their node count from that one constant;
+nothing adapts, so a result is a fixed function of its inputs.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ def gauss_legendre(f, a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobi_rule(n: int, beta: float):
-    """Nodes and weights of the n-point Gauss rule of the weight
-    (1 + x)^beta on [-1, 1], beta > 0, read-only: the eigenvalues and first
-    eigenvector components of the Jacobi matrix of the monic Jacobi
-    polynomials (Golub & Welsch, *Calculation of Gauss quadrature rules*,
-    Math. Comp. 23, 1969)."""
-    c = 2.0 * np.arange(n) + beta  # 2k + beta
-    k, ck = np.arange(1.0, n), c[1:]
+def _jacobi_rule(beta: float):
+    """Nodes and weights of the SAMPLE_PANEL_NODES-point Gauss rule of the
+    weight (1 + x)^beta on [-1, 1], beta > 0, read-only: the eigenvalues
+    and first eigenvector components of the Jacobi matrix of the monic
+    Jacobi polynomials (Golub & Welsch, *Calculation of Gauss quadrature
+    rules*, Math. Comp. 23, 1969)."""
+    c = 2.0 * np.arange(SAMPLE_PANEL_NODES) + beta  # 2k + beta
+    k, ck = np.arange(1.0, SAMPLE_PANEL_NODES), c[1:]
     off = np.sqrt(4.0 * k**2 * (k + beta) ** 2 / (ck**2 * (ck + 1.0) * (ck - 1.0)))
     x, v = np.linalg.eigh(np.diag(beta**2 / (c * (c + 2.0))) + np.diag(off, 1) + np.diag(off, -1))
     w = 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
@@ -67,11 +67,12 @@ def _jacobi_rule(n: int, beta: float):
     return x, w
 
 
-def gauss_jacobi(f, z, e, n: int, beta: float):
+def gauss_jacobi(f, z, e, beta: float):
     """int of ((r - z) / (e - z))^beta f(r) over the interval between z and
     e, for every pair of the broadcast arrays z, e (either may be the
-    larger): exact for polynomials f of degree 2n - 1, whatever beta > 0."""
-    x, w = _jacobi_rule(n, beta)
+    larger), on SAMPLE_PANEL_NODES nodes: exact for polynomials f of degree
+    15, whatever beta > 0."""
+    x, w = _jacobi_rule(beta)
     z = np.asarray(z, dtype=float)[..., None]
     e = np.asarray(e, dtype=float)[..., None]
     half = 0.5 * (e - z)

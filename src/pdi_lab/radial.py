@@ -446,10 +446,9 @@ def _certify_witness(dim: int, p: float, gamma: float, bounded: bool, grid):
     a strict supersolution where w' is normal (past that, delta in the
     hundreds and p near 1, the residual keeps no digit and |w'|^(p-2) can
     overflow). The entire power is a solution: -w is scanned, each residual
-    within 1e-8 of K |w'|^gamma."""
+    within 1e-8 of K |w'|^gamma. Both callers pass radii > 0 only; a
+    radius <= 0 or NaN is dropped by the bump filter or refused by the scan."""
     grid = np.array(grid, dtype=float, ndmin=1)  # a copy: no report holds the caller's array
-    if not (grid.size and (grid > 0).all()):
-        raise PreconditionViolation("scan grid must contain radii > 0 only")
     a, K = _witness_constants(dim, p, gamma, bounded)
     unit = BumpProfile(1.0, -a) if bounded else PowerProfile(-1.0 / a, a)
     if bounded:

@@ -500,6 +500,22 @@ def test_caccioppoli_t_list_guard():
             caccioppoli_audit(prof, params, R=R, t_list=[0.25, 0.5])
 
 
+@pytest.mark.parametrize("a, t_list", [
+    (2.0, [0.1, 0.1, 0.5, 0.6]),  # one radius twice
+    (1.0, [1e-100, math.nextafter(1e-100, 1.0), 0.5, 0.6]),  # two radii, one float log t
+], ids=["repeated-radius", "equal-logs"])
+def test_caccioppoli_growth_is_nan_without_two_distinct_radii_and_warns_nothing(a, t_list):
+    # The line fit would divide 0 by 0 here; it is not attempted.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = caccioppoli_audit(PowerProfile(1.0, a), ProblemParams(3, 2.0, 4.0), 1.0, t_list)
+    assert (rep.energies[:2] > 0).all() and math.isnan(rep.fitted_growth)
+    # Three distinct radii in the small-t half fit as before.
+    rep = caccioppoli_audit(PowerProfile(1.0, 2.0), ProblemParams(3, 2.0, 4.0), 1.0,
+                            [0.1, 0.2, 0.3, 0.5, 0.6, 0.7])
+    assert rep.fitted_growth == 6.9999999999999964
+
+
 def test_caccioppoli_integrability_branch_saturating_profile():
     """With q small enough the exponent comes from the integrability arm,
     s = dim/q, and u = r^(1 - s/gamma) saturates it: the energy integrand
@@ -826,6 +842,16 @@ def test_holder_fit_of_a_negative_power_sampled_off_the_axis_is_finite():
     rep = holder_fit(SampledProfile(g, g**-0.5), 20000, (1e-3, 0.25))
     assert math.isfinite(rep.fitted_alpha) and math.isfinite(rep.r_squared)
     assert 0.9 < rep.fitted_alpha < 1.0 and rep.r_squared > 0.99
+
+
+def test_gridded_holder_fit_reaching_past_the_float_max_warns_nothing():
+    # Node 0 plus a distance near the float max reaches past both the grid
+    # and the float range; x + d is inf there, past the grid as it should be.
+    u = SampledProfile(np.array([0.0, 1.7976931348623157e308]), np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = holder_fit(u, 1, (1e300, 1.7976931348623157e308))
+    assert rep.fitted_alpha == 0.9999999997058328 and rep.scales.size == 28
 
 
 @pytest.mark.parametrize("scale_range", [(0.075, 0.3), (0.04375, 0.7), (0.05625, 0.45), (1e-3, 0.25)])
@@ -1241,16 +1267,16 @@ def test_gauss_jacobi_rule_is_scipys_and_exact_for_degree_15(beta):
 
     from pdi_lab import quadrature
 
-    x, w = quadrature._jacobi_rule(8, beta)
-    want_x, want_w = roots_jacobi(8, 0.0, beta)
+    x, w = quadrature._jacobi_rule(beta)
+    want_x, want_w = roots_jacobi(quadrature.SAMPLE_PANEL_NODES, 0.0, beta)
     assert np.allclose(x, want_x, rtol=0, atol=1e-14) and np.allclose(w, want_w, rtol=1e-13)
     # int_0^1 (r / 1)^beta r^k dr = 1 / (beta + k + 1), from either end.
     for k in range(16):
         want = 1.0 / (beta + k + 1.0)
-        assert quadrature.gauss_jacobi(lambda r: r**k, 0.0, 1.0, 8, beta) == pytest.approx(want, rel=1e-13)
+        assert quadrature.gauss_jacobi(lambda r: r**k, 0.0, 1.0, beta) == pytest.approx(want, rel=1e-13)
         # the zero at the right end: (1 - r)^beta r^k integrates to B(k + 1, beta + 1)
         beta_fn = math.exp(math.lgamma(k + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(k + beta + 2.0))
-        assert quadrature.gauss_jacobi(lambda r: r**k, 1.0, 0.0, 8, beta) == pytest.approx(beta_fn, rel=1e-13)
+        assert quadrature.gauss_jacobi(lambda r: r**k, 1.0, 0.0, beta) == pytest.approx(beta_fn, rel=1e-13)
 
 
 def test_gauss_legendre_rule_is_leggauss_bit_for_bit():

@@ -17,14 +17,16 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from battery import FILES, GOLDEN, MOVES, SET
 
 import pdi_lab
-from pdi_lab import cli
+from pdi_lab import cli, liouville, radial
 from pdi_lab.audit import caccioppoli_audit, holder_fit
 from pdi_lab.cli import COMMANDS, REQUIRED, _sweep_rows, main, run
 from pdi_lab.errors import PreconditionViolation
 from pdi_lab.params import (
-    LiouvilleRegime, ParamGrid, ProblemParams, classify_regime, exponent_report,
+    LiouvilleRegime, ProblemParams, classify_regime, exponent_report,
 )
-from pdi_lab.radial import PLaplacian, SampledProfile, sharpness_profile
+from pdi_lab.radial import (
+    BumpProfile, PLaplacian, PowerProfile, SampledProfile, sharpness_profile,
+)
 from pdi_lab.solver import RadialPowerSource, SolverConfig, solve_radial_dirichlet
 
 
@@ -900,16 +902,6 @@ def test_sweep_reports_once_per_invocation(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
-def test_exponents_reads_one_param_grid(capsys, monkeypatch):
-    # The report and the regime of one point share its one-point ParamGrid.
-    grids = []
-    post_init = ParamGrid.__post_init__
-    monkeypatch.setattr(ParamGrid, "__post_init__", lambda self: grids.append(post_init(self)))
-    assert run(["exponents", "--dim", "3", "--p", "2", "--gamma", "4"]) == 0
-    assert len(grids) == 1
-    assert '"liouville_regime": "supercritical"' in capsys.readouterr().out
-
-
 SOLVE = ["solve", "--dim", "3", "--p", "2", "--gamma", "2", "--r-out", "1"]
 
 
@@ -1156,6 +1148,48 @@ def _assert_exits_cleanly(argv):
     else:
         assert text.count("\n") == 1
         json.loads(text)
+
+
+@contextlib.contextmanager
+def _witness_scan_grids():
+    """Every grid the witness scan receives from the CLI or from
+    ``verify_euclidean_witness``, each asserted to hold radii > 0 only."""
+    grids, scan = [], radial._certify_witness
+
+    def checked(dim, p, gamma, bounded, grid):
+        grids.append(np.array(grid, dtype=float))
+        assert np.all(grids[-1] > 0), grids[-1]
+        return scan(dim, p, gamma, bounded, grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_certify_witness", checked)
+        patch.setattr(liouville, "_certify_witness", checked)
+        yield grids
+
+
+# The witness scan does not refuse a radius <= 0 or NaN itself: over the
+# whole range of --nodes and --grid-max that verify-bump accepts, and on
+# the module grids, its callers hand it radii > 0 only.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nodes=st.integers(2, 1000),
+       grid_max=st.floats(0.05, 1.7976931348623157e308, exclude_min=True))
+@example(nodes=2, grid_max=1.7976931348623157e308)
+@example(nodes=1000, grid_max=math.nextafter(0.05, 1.0))
+def test_verify_bump_hands_the_witness_scan_radii_above_0(nodes, grid_max):
+    argv = ["verify-bump", "--dim", "3", "--p", "2", "--gamma", "1.8",
+            f"--nodes={nodes}", f"--grid-max={grid_max!r}"]
+    with _witness_scan_grids() as grids, contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) in (0, 1)
+    assert [grid.size for grid in grids] == [nodes]
+
+
+@pytest.mark.parametrize("gamma", [1.8, 4.0], ids=["bump", "entire-power"])
+def test_verify_euclidean_witness_hands_the_scan_radii_above_0(gamma):
+    verdict = liouville.liouville_classify_euclidean(3, 2.0, gamma)
+    assert isinstance(verdict.witness, BumpProfile if gamma < 2.0 else PowerProfile)
+    with _witness_scan_grids() as grids:
+        assert liouville.verify_euclidean_witness(verdict)[1]
+    assert len(grids) == 1
 
 
 # Values at the float range's edges, the dims past which omega_d and r^d

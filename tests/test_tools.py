@@ -1,5 +1,6 @@
-"""tools/op_latencies.py on synthetic run files: each case's fastest
-repetition, its rank and share, and the case or cases at the median."""
+"""The tools on synthetic files: tools/op_latencies.py (each case's
+fastest repetition, its rank and share, and the case or cases at the
+median) and tools/code_lines.py (the lines that hold code)."""
 
 import json
 import pathlib
@@ -9,8 +10,10 @@ import sys
 
 import pytest
 
-_TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "op_latencies.py"
+_TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+_TOOL = _TOOLS / "op_latencies.py"
 op_latencies = runpy.run_path(str(_TOOL))
+code_lines = runpy.run_path(str(_TOOLS / "code_lines.py"))["code_lines"]
 
 
 def _run(cases, workers):
@@ -50,3 +53,58 @@ def test_median_ranks_match_the_statistics_median(n):
     ordered, median = op_latencies["ranking"]([(f"c{i}", float(i), True) for i in range(n)])
     values = [secs for _, secs, _ in ordered]
     assert sum(values[r - 1] for r in median) / len(median) == statistics.median(values)
+
+
+# Each line that counts ends in "# code"; the other non-blank lines are
+# docstrings, comments or the closing quotes of a docstring.
+_SOURCE = '''"""The module docstring,
+over two lines."""
+
+import math  # code
+
+# A comment on a line of its own.
+
+
+class Box:  # code
+    """The class docstring."""
+
+    side = 2.0  # code
+
+    def area(self):  # code
+        """The function
+        docstring."""
+        "a string expression after the docstring"  # code
+        return math.fsum(  # code
+            [self.side,  # code
+             self.side],  # code
+        )  # code
+
+
+async def idle():  # code
+    """The async function docstring."""
+
+
+"a module-level string expression"  # code
+'''
+_CODE = [i for i, line in enumerate(_SOURCE.splitlines(), 1) if line.endswith("# code")]
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(_SOURCE)
+    assert code_lines(path) == len(_CODE) == 11
+    # A file of docstrings, comments and blank lines alone holds no code.
+    bare = tmp_path / "bare.py"
+    bare.write_text('"""Only a docstring."""\n\n# and a comment\n')
+    assert code_lines(bare) == 0
+
+
+def test_code_lines_prints_each_file_and_the_total(monkeypatch, capsys, tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(_SOURCE)
+    second.write_text('x = max(1,\n        2)\n')  # a call over two lines counts two
+    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(first), str(second)])
+    runpy.run_path(str(_TOOLS / "code_lines.py"), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        f"    11 {first}", f"     2 {second}", "    13 total",
+    ]

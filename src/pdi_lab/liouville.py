@@ -268,7 +268,7 @@ def area_condition_test(
     T, total, increments, overflowed = t_start, 0.0, [], False
     while 2.0 * T < math.inf:
         try:
-            increment = _comparison_integral(profile, e, T, 2.0 * T)
+            increment = _comparison_integral(profile, e, T)(2.0 * T)
         except OverflowError:
             increment = math.inf
         except DomainExceeded:
@@ -334,19 +334,63 @@ def _power_integral(x: float, R: float, r: float) -> float:
         return r**one_minus * -math.expm1(-one_minus * log_ratio) / one_minus
 
 
-def _comparison_integral(profile, e: float, R: float, r: float) -> float:
-    """int_R^r (area(t) / amplitude)^(-e) dt in closed form. A sampled area
-    is linear on each panel [a, b] between its nodes, so a panel is exact:
-    (b - a) / (v_b - v_a) int_{v_a}^{v_b} v^(-e) dv, or (b - a) v_a^(-e)."""
+def _sampled_integral(area: SampledArea, e: float, R: float, r: float) -> float:
+    """int_R^r area(t)^(-e) dt. The area is linear on each panel [a, b]
+    between its nodes, so a panel is exact: (b - a) / (v_b - v_a)
+    int_{v_a}^{v_b} v^(-e) dv, or (b - a) v_a^(-e)."""
+    edges = sample_panels(area.grid, R, r).tolist()
+    v = area.value(edges).tolist()  # DomainExceeded past the grid
+    return sum((b - a) * (va**-e if va == vb else _power_integral(e, va, vb) / (vb - va))
+               for a, b, va, vb in zip(edges, edges[1:], v, v[1:]))
+
+
+def _comparison_integral(profile, e: float, R: float):
+    """The function r -> int_R^r (area(t) / amplitude)^(-e) dt in closed
+    form, with the area family read once."""
     if isinstance(profile, SampledArea):
-        edges = sample_panels(profile.grid, R, r).tolist()
-        v = profile.value(edges).tolist()  # DomainExceeded past the grid
-        return sum((b - a) * (va**-e if va == vb else _power_integral(e, va, vb) / (vb - va))
-                   for a, b, va, vb in zip(edges, edges[1:], v, v[1:]))
+        return functools.partial(_sampled_integral, profile, e, R)
     if isinstance(profile, (EuclideanArea, PowerArea)):
-        return _power_integral(profile.beta * e, R, r)
+        return functools.partial(_power_integral, profile.beta * e, R)
     ke = profile.kappa * e
-    return r - R if ke == 0.0 else (math.exp(-ke * R) - math.exp(-ke * r)) / ke
+    return (lambda r: r - R) if ke == 0.0 else lambda r: (math.exp(-ke * R) - math.exp(-ke * r)) / ke
+
+
+def _sigma_constants(sigma_R: float, params: ProblemParams, profile, R: float, r: float):
+    """The sigma bound's refusals, all but the comparison integral's, in
+    their order; then its r-independent constants (e, lhs, C, area_factor)."""
+    _check_positive("sigma_R", sigma_R)
+    _check_positive("R", R)
+    if not R <= r:
+        raise PreconditionViolation(f"need 0 < R <= r, got R={R}, r={r}")
+    e = _comparison_exponent(params.p, params.gamma)
+    lhs = _in_range("lhs", lambda: sigma_R**-e / e)
+    arm = _energy_arm(params.p, params.gamma)
+    constant_C = _in_range("constant_C", lambda: (params.c_h / params.nu) ** arm * e)
+    area_factor = _in_range("area_factor", lambda: profile.amplitude**-e)
+    return e, lhs, constant_C, area_factor
+
+
+def _sigma_report(sigma_R: float, R: float, r: float, integral, e: float, lhs: float,
+                  constant_C: float, area_factor: float) -> SigmaBoundReport:
+    """The report at r from the function ``_comparison_integral`` returns
+    and the constants ``_sigma_constants`` returns."""
+    # An infinite integral times a tiny C would claim a contradiction that
+    # no finite radius shows, so it is refused, not reported.
+    comparison = _in_range(f"the comparison integral up to r={r}", lambda: integral(r))
+    rhs = constant_C * area_factor * comparison
+    return SigmaBoundReport(
+        R=R,
+        r=r,
+        sigma_R=sigma_R,
+        lhs=lhs,
+        rhs=rhs,
+        constant_C=constant_C,
+        comparison_integral=comparison,
+        area_integral=area_factor * comparison,
+        area_factor=area_factor,
+        exponent_e=e,
+        contradiction=bool(rhs > lhs),
+    )
 
 
 def sigma_lower_bound(
@@ -364,35 +408,12 @@ def sigma_lower_bound(
     sigma_R and R must be finite and > 0 (sigma_R > 0 is the nonconstant
     hypothesis), and R <= r. An lhs, a constant C, an area factor
     amplitude^-e or a comparison integral past the float range raises
-    PreconditionViolation, the r-independent ones first.
+    PreconditionViolation, the r-independent ones first: the constants
+    and their refusals come from one helper, the report at r from
+    another, which ``find_contradiction_radius`` shares.
     """
-    _check_positive("sigma_R", sigma_R)
-    _check_positive("R", R)
-    if not R <= r:
-        raise PreconditionViolation(f"need 0 < R <= r, got R={R}, r={r}")
-    e = _comparison_exponent(params.p, params.gamma)
-    lhs = _in_range("lhs", lambda: sigma_R**-e / e)
-    arm = _energy_arm(params.p, params.gamma)
-    constant_C = _in_range("constant_C", lambda: (params.c_h / params.nu) ** arm * e)
-    area_factor = _in_range("area_factor", lambda: profile.amplitude**-e)
-    # An infinite integral times a tiny C would claim a contradiction that
-    # no finite radius shows, so it is refused, not reported.
-    comparison = _in_range(f"the comparison integral up to r={r}",
-                           lambda: _comparison_integral(profile, e, R, r))
-    rhs = constant_C * area_factor * comparison
-    return SigmaBoundReport(
-        R=R,
-        r=r,
-        sigma_R=sigma_R,
-        lhs=lhs,
-        rhs=rhs,
-        constant_C=constant_C,
-        comparison_integral=comparison,
-        area_integral=area_factor * comparison,
-        area_factor=area_factor,
-        exponent_e=e,
-        contradiction=bool(rhs > lhs),
-    )
+    constants = _sigma_constants(sigma_R, params, profile, R, r)
+    return _sigma_report(sigma_R, R, r, _comparison_integral(profile, constants[0], R), *constants)
 
 
 def find_contradiction_radius(
@@ -421,29 +442,29 @@ def find_contradiction_radius(
     the lengthened panel, whose term can come out an ulp short where the
     integrand falls steeply across it: with lhs inside that ulp of rhs,
     the bisection can report another doubling than the walk. The sigma
-    bound runs twice: at r = R, which refuses every bad input but r, and
-    at the k found (the last one where none stops), for the report.
+    bound's constants are validated once, as at r = R, and I is bound to
+    (profile, e, R) once. I is evaluated at r = R, which refuses an R
+    outside a sampled area's grid and an I past the float range there,
+    then at each probe, and at the k found (the last one where none
+    stops) for the report, built as the sigma bound builds it.
 
     A None return on a divergent-area profile means the crossing lies past
     the float range; on a convergent one it is the expected outcome.
     """
-    first = sigma_lower_bound(sigma_R, params, profile, R, R)  # rhs = 0, so k = 0 goes on
-    scale = first.constant_C * first.area_factor  # rhs / I, as built
-
-    def stops(k):
-        try:
-            integral = _comparison_integral(profile, first.exponent_e, R, math.ldexp(R, k))
-        except (OverflowError, DomainExceeded):
-            return True
-        return not math.isfinite(integral) or scale * integral > first.lhs
-
+    e, lhs, constant_C, area_factor = constants = _sigma_constants(sigma_R, params, profile, R, R)
+    integral = _comparison_integral(profile, e, R)
+    _in_range(f"the comparison integral up to r={R}", lambda: integral(R))  # 0, so k = 0 goes on
     last = 1024 - math.frexp(R)[1]  # the last k with 2^k R finite
     lo, hi = 0, last + 1  # the walk goes on at 2^lo R and has stopped by 2^hi R
     while hi - lo > 1:
         k = (lo + hi) // 2
-        lo, hi = (lo, k) if stops(k) else (k, hi)
+        try:  # rhs as built; "not <=" stops an infinite or NaN I too
+            stops = not constant_C * area_factor * integral(math.ldexp(R, k)) <= lhs
+        except (OverflowError, DomainExceeded):
+            stops = True
+        lo, hi = (lo, k) if stops else (k, hi)
     try:
-        report = sigma_lower_bound(sigma_R, params, profile, R, math.ldexp(R, min(hi, last)))
+        report = _sigma_report(sigma_R, R, math.ldexp(R, min(hi, last)), integral, *constants)
     except (PreconditionViolation, DomainExceeded):
         return None
     return report if report.contradiction else None

@@ -147,8 +147,7 @@ def _checked_samples(grid, values, what: str):
         raise PreconditionViolation(f"{what}: grid and values must be finite")
     if not np.all(np.diff(grid) > 0):
         raise PreconditionViolation(f"{what}: grid must be strictly increasing")
-    if not grid[0] >= 0:
-        raise PreconditionViolation(f"{what}: radii must be >= 0, got {grid[0]}")
+    _check_positive(f"{what}: radii", grid[0], zero_ok=True)
     return grid, values
 
 

@@ -512,7 +512,7 @@ def test_sampled_comparison_integral_matches_adaptive_quadrature(grid, values, e
     from scipy.integrate import quad as adaptive_quad
 
     grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
-    got = liouville._comparison_integral(SampledArea(grid, values), e, 1.0, grid[-1])
+    got = liouville._comparison_integral(SampledArea(grid, values), e, 1.0)(grid[-1])
     want = sum(
         adaptive_quad(lambda t: np.interp(t, grid, values) ** -e, a, b, epsabs=0.0, epsrel=1e-13,
                       limit=200)[0]
@@ -666,6 +666,36 @@ def test_sigma_bound_refuses_an_lhs_or_constant_past_the_float_range(sigma_R, pa
         find_contradiction_radius(sigma_R, params, EuclideanArea(3), 1.0)
 
 
+@pytest.mark.parametrize("sigma_R, params, profile, R, r, first, searched", [
+    # sigma_R = 0 and R = -1
+    (0.0, ProblemParams(dim=3, p=2, gamma=1.5), EuclideanArea(3), -1.0, 2.0,
+     "sigma_R must be finite and positive, got 0.0", True),
+    # R = 0 and r < R
+    (1.0, ProblemParams(dim=3, p=2, gamma=1.5), EuclideanArea(3), 0.0, -1.0,
+     "R must be finite and positive, got 0.0", False),
+    # r < R and lhs = (1e-3)^-4999 / 4999
+    (1e-3, ProblemParams(dim=3, p=1.001, gamma=5), EuclideanArea(3), 2.0, 1.0,
+     "need 0 < R <= r, got R=2.0, r=1.0", False),
+    # lhs as above, and constant_C from c_h / nu = inf
+    (1e-3, ProblemParams(dim=3, p=1.001, gamma=5, c_h=1e300, nu=1e-300), EuclideanArea(3), 1.0, 2.0,
+     "lhs leaves the float range", True),
+    # constant_C from (1e300)^3 * 3, and area_factor = (1e-300)^-3
+    (1.0, ProblemParams(dim=3, p=1.5, gamma=2, c_h=1e300), PowerArea(1e-300, 2.0), 1.0, 2.0,
+     "constant_C leaves the float range", True),
+    # area_factor = (1e-300)^-3, and an integrand e^(3t) whose integral
+    # from R = 1e3 leaves the float range at r = R already
+    (1.0, ProblemParams(dim=3, p=2, gamma=4), ExponentialArea(1e-300, -1.0), 1e3, 2e3,
+     "area_factor leaves the float range", True),
+], ids=["sigma_R-R", "R-r", "r-lhs", "lhs-C", "C-area_factor", "area_factor-integral"])
+def test_sigma_bound_refuses_the_first_of_two_faults(sigma_R, params, profile, R, r, first, searched):
+    # Each row breaks two rules; the refusal is the first in the sigma
+    # bound's order, and the search's too where both rules are fixed before
+    # the doubling.
+    assert _outcome(sigma_lower_bound, sigma_R, params, profile, R, r) == (PreconditionViolation, first)
+    if searched:
+        assert _outcome(find_contradiction_radius, sigma_R, params, profile, R) == (PreconditionViolation, first)
+
+
 @pytest.mark.parametrize("profile", [PowerArea(1.0, -1.0), ExponentialArea(1.0, -1.0)])
 def test_contradiction_radius_ends_where_the_comparison_integral_leaves_the_float_range(profile):
     # c_h = 1e-300 makes C so small that rhs stays below lhs until the
@@ -719,9 +749,24 @@ def _outcome(search, *args):
 
 
 def _counted(monkeypatch):
-    calls, bound = [], liouville.sigma_lower_bound
-    monkeypatch.setattr(liouville, "sigma_lower_bound", lambda *a, **k: calls.append(a) or bound(*a, **k))
-    return calls
+    # The sigma bound calls, and the radii at which every comparison
+    # integral the module binds is evaluated.
+    bounds, evaluations = [], []
+    sigma, bind = liouville.sigma_lower_bound, liouville._comparison_integral
+
+    def counted_bind(*args):
+        integral = bind(*args)
+        return lambda r: evaluations.append(r) or integral(r)
+
+    monkeypatch.setattr(liouville, "sigma_lower_bound", lambda *a, **k: bounds.append(a) or sigma(*a, **k))
+    monkeypatch.setattr(liouville, "_comparison_integral", counted_bind)
+    return bounds, evaluations
+
+
+def _most_evaluations(R):
+    # One at R, one per bisection probe over k in [0, last + 1], and one
+    # for the report: 12 at R = 1.
+    return 2 + math.ceil(math.log2(1024 - math.frexp(R)[1] + 1))
 
 
 _SAMPLED_T2 = np.geomspace(1.0, 1e4, 30)
@@ -733,8 +778,9 @@ def test_contradiction_radius_equals_the_doubling_walk(monkeypatch, d):
     # non-Euclidean areas do not read dim and run at d = 3 only. The walk
     # to the end of the float range (c_h = 1e-300 underflows C to 0) takes
     # about a thousand calls, so those cases run at sigma_R = R = 1 only.
-    # The search takes two sigma bound calls whatever the walk takes, one
-    # where the first refuses.
+    # The search makes no sigma bound call, whatever the walk takes, and
+    # evaluates the integral at most 2 + ceil(log2(last + 1)) times, at
+    # most once where it refuses.
     areas = [EuclideanArea(d)]
     if d == 3:
         areas += [PowerArea(1.0, -1.0), PowerArea(1.0, 0.5),
@@ -755,14 +801,16 @@ def test_contradiction_radius_equals_the_doubling_walk(monkeypatch, d):
             (1.0, 2.0, 1.0, EuclideanArea(3)), (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0)),
             (1.0, 1.5, 1e-300, ExponentialArea(1.0, -1.0)), (1e3, 1.2, 1.0, ExponentialArea(1.0, 0.0)),
         ]]
-    calls = _counted(monkeypatch)
+    bounds, evaluations = _counted(monkeypatch)
     crossings = nones = 0
     for case in cases:
         want = _outcome(_doubling_walk, *case)
-        calls.clear()
+        bounds.clear()
+        evaluations.clear()
         got = _outcome(find_contradiction_radius, *case)
         assert got == want, case
-        assert len(calls) == (1 if isinstance(got, tuple) else 2), case
+        assert not bounds, case
+        assert len(evaluations) <= (1 if isinstance(got, tuple) else _most_evaluations(case[3])), case
         crossings += isinstance(got, dict)
         nones += got is None
     assert crossings and nones
@@ -772,11 +820,11 @@ def test_contradiction_radius_near_a_convergent_limit_is_a_short_search(monkeypa
     # lhs / (C area_factor) lies within rounding of the limit of a
     # convergent integral: the closed form crosses at 2^38, the float
     # integral never does, and the walk ends past the float range. The
-    # bisection finds that between its two sigma bound calls.
+    # bisection finds that in at most 12 evaluations of the integral.
     problem, area = _params(2.000000000002, 1.0), PowerArea(1.0, 2.0)
-    calls = _counted(monkeypatch)
+    bounds, evaluations = _counted(monkeypatch)
     assert find_contradiction_radius(1.0, problem, area, 1.0) is None
-    assert len(calls) == 2
+    assert not bounds and len(evaluations) <= 12
     assert _doubling_walk(1.0, problem, area, 1.0) is None
 
 
@@ -788,12 +836,15 @@ def test_contradiction_radius_near_a_convergent_limit_is_a_short_search(monkeypa
     (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0), None),
     (1.0, 1.5, 1e-300, ExponentialArea(1.0, -1.0), None),
 ])
-def test_contradiction_radius_takes_at_most_four_sigma_bounds(monkeypatch, sigma_R, gamma, c_h, area, r):
-    # The walk takes 12, 22, 648, 1,024, 684 and 12 calls here.
-    calls = _counted(monkeypatch)
+def test_contradiction_radius_evaluates_the_integral_at_most_twelve_times(monkeypatch, sigma_R, gamma, c_h,
+                                                                          area, r):
+    # The walk takes 12, 22, 648, 1,024, 684 and 12 sigma bound calls here;
+    # the search makes none.
+    bounds, evaluations = _counted(monkeypatch)
     report = find_contradiction_radius(sigma_R, _params(gamma, c_h), area, 1.0)
     assert (report and report.r) == r
-    assert len(calls) <= 4
+    assert not bounds
+    assert len(evaluations) <= _most_evaluations(1.0) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ _BAD_SAMPLES = [
     ([0.1, math.inf], [1.0, 1.0], "finite"),
     ([0.2, 0.1], [1.0, 1.0], "strictly increasing"),
     ([0.1, 0.1, 0.3], [1.0, 1.0, 1.0], "strictly increasing"),
-    ([-0.1, 0.2], [1.0, 1.0], r"radii must be >= 0"),
+    ([-0.1, 0.2], [1.0, 1.0], r"radii must be finite and >= 0, got -0.1"),
 ]
 
 

@@ -1,6 +1,7 @@
 """The tools on synthetic files: tools/op_latencies.py (each case's
 fastest repetition, its rank and share, and the case or cases at the
-median) and tools/code_lines.py (the lines that hold code)."""
+median; two runs compared case by case) and tools/code_lines.py (the
+lines that hold code)."""
 
 import json
 import pathlib
@@ -53,6 +54,57 @@ def test_median_ranks_match_the_statistics_median(n):
     ordered, median = op_latencies["ranking"]([(f"c{i}", float(i), True) for i in range(n)])
     values = [secs for _, secs, _ in ordered]
     assert sum(values[r - 1] for r in median) / len(median) == statistics.median(values)
+
+
+def _compare(monkeypatch, tmp_path, parent, change):
+    paths = [tmp_path / "run-parent.json", tmp_path / "run-change.json"]
+    for path, run in zip(paths, (parent, change)):
+        path.write_text(json.dumps(run))
+    monkeypatch.setattr(sys, "argv", ["op_latencies.py", "--compare", *map(str, paths)])
+    runpy.run_path(str(_TOOL), run_name="__main__")
+
+
+def test_compare_prints_both_sides_case_by_case(monkeypatch, capsys, tmp_path):
+    # Four cases; the change halves "b" and fails "d", which then counts
+    # as +infinity in its median, as in run.py.
+    names = ["a", "b", "c", "d"]
+    parent = _run(names, [[[0, 0.001, True], [1, 0.004, True], [2, 0.003, True], [3, 0.002, True]]])
+    change = _run(names, [[[0, 0.001, True], [1, 0.002, True], [2, 0.003, True], [3, 0.0025, False]]])
+    _compare(monkeypatch, tmp_path, parent, change)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["rank", "parent", "ms", "rank", "change", "ms", "ratio", "case"]
+    assert [line.split() for line in out[1:5]] == [
+        ["1", "1.0000", "1", "1.0000", "1.000", "a"],
+        ["2", "2.0000", "4", "2.5000", "1.250", "d", "(change", "failed)"],
+        ["3", "3.0000", "3", "3.0000", "1.000", "c"],
+        ["4", "4.0000", "2", "2.0000", "0.500", "b"],
+    ]
+    assert out[5] == "parent: op_p50_ms 2.50000, median of 4 cases: d (rank 2), c (rank 3)"
+    assert out[6] == "change: op_p50_ms 2.50000, median of 4 cases: b (rank 2), c (rank 3)"
+    assert len(out) == 7
+
+
+def test_compare_median_is_run_py_median_with_a_failed_case(monkeypatch, capsys, tmp_path):
+    # The middle case fails on the change side: it ranks last, and the
+    # median of (1, 3, +inf) ms is 3.
+    parent = _run(["x", "y", "z"], [[[0, 0.001, True], [1, 0.002, True], [2, 0.003, True]]])
+    change = _run(["x", "y", "z"], [[[0, 0.001, True], [1, 0.002, False], [2, 0.003, True]]])
+    _compare(monkeypatch, tmp_path, parent, change)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == "parent: op_p50_ms 2.00000, median of 3 cases: y (rank 2)"
+    assert out[-1] == "change: op_p50_ms 3.00000, median of 3 cases: z (rank 2)"
+
+
+def test_compare_refuses_runs_of_different_case_lists(monkeypatch, capsys, tmp_path):
+    parent = _run(["a", "b"], [[[0, 0.001, True], [1, 0.002, True]]])
+    change = _run(["a", "c"], [[[0, 0.001, True], [1, 0.002, True]]])
+    with pytest.raises(SystemExit) as exit_info:
+        _compare(monkeypatch, tmp_path, parent, change)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"op_latencies: {tmp_path / 'run-parent.json'} and {tmp_path / 'run-change.json'}"
+                            " time different case lists\n")
 
 
 # Each line that counts ends in "# code"; the other non-blank lines are

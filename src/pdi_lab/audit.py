@@ -59,8 +59,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainExceeded, InsufficientScales, NonIntegrable, PreconditionViolation
-from .params import (ProblemParams, _check_dim, _check_positive, _in_range, caccioppoli_exponent,
-                     unit_ball_volume)
+from .params import (ProblemParams, _check_count, _check_dim, _check_positive, _in_range,
+                     caccioppoli_exponent, unit_ball_volume)
 from .quadrature import gauss_jacobi, sample_panels
 from .quadrature import gauss_legendre as quad
 from .radial import Gridded, PowerProfile
@@ -399,9 +399,9 @@ def holder_fit(
     u is a ``PowerProfile``, fitted on [0, 1], or gridded data (a sampled
     profile or a solution), fitted on its grid's span; any other input
     raises PreconditionViolation. Both sups are exact, so no pairs are
-    drawn: ``seed`` and ``pair_budget`` change nothing, are only
-    validated, and remain only for the benchmark's calls
-    (``perfbench/cases.py``).
+    drawn: ``seed`` (an integer >= 0) and ``pair_budget`` (an integer >=
+    1) change nothing, are only validated, and remain only for the
+    benchmark's calls (``perfbench/cases.py``).
 
     A power takes the closed form: |u(r + delta) - u(r)| increases with
     delta and is monotone in r, so each bin's sup is its widest pair,
@@ -416,10 +416,8 @@ def holder_fit(
     attained at a vertex: a node pair whose gap lies in the bin, or a node
     against the point at distance lo or hi on either side of it.
     """
-    if not pair_budget >= 1:
-        raise PreconditionViolation(f"pair_budget must be >= 1, got {pair_budget}")
-    if not seed >= 0:
-        raise PreconditionViolation(f"seed must be >= 0, got {seed}")
+    _check_count("pair_budget", pair_budget, 1)
+    _check_count("seed", seed, 0)
     _check_positive("tolerance", tolerance, zero_ok=True)
     if not isinstance(u, (PowerProfile, Gridded)):
         raise PreconditionViolation(
@@ -569,9 +567,10 @@ def morrey_norm(
     holds for |f| radial and nonincreasing (a power with beta >= 0, or
     zero) by the rearrangement inequality (Lieb & Loss, *Analysis*, Thm
     3.4); otherwise the value is a lower bound of the sup over all balls
-    centred in Omega. ``center_samples`` must be >= 1 and no longer
-    changes the result. A value past the float range raises
-    PreconditionViolation, as the sigma bound's numbers do.
+    centred in Omega. ``center_samples`` must be an integer >= 1 and no
+    longer changes the result; ``n_radii`` must be an integer >= 0. A
+    value past the float range raises PreconditionViolation, as the sigma
+    bound's numbers do.
     """
     _check_dim(dim)
     if not s_index >= 1:
@@ -579,8 +578,8 @@ def morrey_norm(
     if not 0 < theta <= dim:
         raise PreconditionViolation(f"theta must be in (0, dim], got {theta}")
     _check_positive("omega_radius", omega_radius)
-    if not center_samples >= 1:
-        raise PreconditionViolation(f"center_samples must be >= 1, got {center_samples}")
+    _check_count("center_samples", center_samples, 1)
+    _check_count("n_radii", n_radii, 0)
     if isinstance(f, RadialPowerSource):
         if s_index * f.beta >= dim:
             raise NonIntegrable(

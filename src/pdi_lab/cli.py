@@ -58,7 +58,9 @@ from .params import (
     LiouvilleRegime,
     ParamGrid,
     ProblemParams,
+    _check_count,
     _gradient_arm,
+    _in_range,
     classify_regime,
     exponent_report,
     holder_exponent,
@@ -199,7 +201,7 @@ def _parse_value_list(text: str, integers: bool = False):
         start, stop, step = values
         if step <= 0:
             raise PreconditionViolation("range step must be positive")
-        n = int(math.floor((stop - start) / step + 0.5)) + 1
+        n = _in_range(f"the count of {text!r}", lambda: math.floor((stop - start) / step + 0.5)) + 1
         exact_start, exact_step = Decimal(parts[0]), Decimal(parts[2])
         exact = [exact_start + k * exact_step for k in range(n)
                  if start + k * step <= stop + step / 2]
@@ -284,14 +286,9 @@ def _cmd_exponents(args):
     return results, True
 
 
-def _check_nodes(nodes: int) -> None:
-    if not nodes >= 2:
-        raise PreconditionViolation(f"--nodes must be at least 2, got {nodes}")
-
-
 def _cmd_verify_sharpness(args):
     params = ProblemParams(dim=args.dim, p=args.p, gamma=args.gamma)
-    _check_nodes(args.nodes)
+    _check_count("--nodes", args.nodes, 2)
     c = sharpness_profile(args.dim, args.p, args.gamma, args.c_h).c
     # The c_h profile is k u, k = c_h^(-1/(gamma-p+1)), its residual k^(p-1) times u's.
     u = sharpness_profile(args.dim, args.p, args.gamma)  # c_h = 1, as in params
@@ -304,7 +301,7 @@ def _cmd_verify_sharpness(args):
 
 def _cmd_verify_bump(args):
     _problem_params(args)  # validates the problem flags
-    _check_nodes(args.nodes)
+    _check_count("--nodes", args.nodes, 2)
     if not 0.05 < args.grid_max < math.inf:
         raise PreconditionViolation(f"--grid-max must be finite and exceed 0.05, got {args.grid_max}")
     grid = np.linspace(0.05, args.grid_max, args.nodes)

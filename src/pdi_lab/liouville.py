@@ -150,8 +150,7 @@ class SampledArea(Gridded):
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.all(self.values > 0):
-            raise PreconditionViolation("area values must be strictly positive")
+        _check_positive(f"{self.what}: values", float(self.values.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,14 @@ def _check_finite(name: str, value) -> None:
         raise PreconditionViolation(f"{name} must be finite, got {value}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """The one refusal of a count: PreconditionViolation "<name> must be an
+    integer >= <least>, got <value>" for anything but an int or a numpy
+    integer of at least ``least``. NaN and every float are refused."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise PreconditionViolation(f"{name} must be an integer >= {least}, got {value}")
+
+
 def _in_range(name: str, compute) -> float:
     """compute(), or PreconditionViolation naming ``name`` where it leaves
     the float range: inf, NaN or an OverflowError (from ``**``, math.exp)."""

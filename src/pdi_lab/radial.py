@@ -49,6 +49,7 @@ from .errors import (
 )
 from .params import (
     ProblemParams,
+    _check_count,
     _check_dim,
     _check_exponents,
     _check_positive,
@@ -494,6 +495,7 @@ def residual_scan(profile: PowerProfile | BumpProfile, params: ProblemParams, gr
     """
     _check_positive("tol", tol, zero_ok=True)
     grid = np.asarray(grid, dtype=float)
+    _check_count("grid size", grid.size, 1)
     op, v1 = _operator_and_slope(params.p, profile, grid, params.dim)
     res = op - params.c_h * np.abs(v1) ** params.gamma + params.lam * profile.value(grid)
     min_res = float(np.min(res))

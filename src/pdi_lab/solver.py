@@ -81,7 +81,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllPosedBoundary, NoConvergence, PdiLabError, PreconditionViolation
-from .params import ProblemParams, _check_finite, _check_positive, _in_range
+from .params import ProblemParams, _check_count, _check_finite, _check_positive, _in_range
 from .radial import (
     GeneralizedMeanCurvature,
     Gridded,
@@ -148,14 +148,13 @@ class SampledSource(Gridded):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid size and Newton tolerance (finite, >= 0)."""
+    """Grid size (an integer >= 8) and Newton tolerance (finite, >= 0)."""
 
     n_nodes: int = 256
     newton_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_nodes < 8:
-            raise PreconditionViolation("need at least 8 nodes")
+        _check_count("n_nodes", self.n_nodes, 8)
         _check_positive("newton_tol", self.newton_tol, zero_ok=True)
 
 

@@ -298,7 +298,7 @@ def test_unreadable_csv_is_usage_error(capsys, tmp_path, content):
         (["audit-holder", "--dim", "3", "--p", "2", "--gamma", "4", "--witness"],
          b"r,value\n0,1\n0,2\n", "sampled profile: grid must be strictly increasing"),
         (["manifold", "--p", "2", "--gamma", "1.4", "--profile"], b"r,value\n1,1\n2,0\n",
-         "area values must be strictly positive"),
+         "sampled area: values must be finite and positive, got 0.0"),
         (["morrey", "--theta", "1.5", "--source"], b"0,1\n\xd5\xff,2\n",
          "'utf-8' codec can't decode byte 0xd5 in position 4: invalid continuation byte"),
     ],
@@ -991,6 +991,9 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         ["sweep", "--dim", "2.5", "--p", "2", "--gamma", "3"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "0:inf:1"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "1:3:inf"],
+        # A range whose count leaves the float range.
+        ["sweep", "--dim", "3", "--p", "2", "--gamma", "0:1e300:1e-300"],
+        ["sweep", "--dim", "3", "--p", "2", "--gamma=-1e308:1e308:1"],
         # A range step must be positive.
         ["sweep", "--dim", "3", "--p", "1:2:0", "--gamma", "3"],
         ["sweep", "--dim", "3", "--p", "2:1:-0.5", "--gamma", "3"],
@@ -1040,7 +1043,8 @@ _SPECS = (
     "exp:1,nan", "euclidean", "gmc:4", "gmc:", "mean-curvature", "p-laplacian", "sharpness",
     "linear", "file:/nonexistent/f.csv", "file:", "bogus", "",
 )
-_LISTS = ("3", "2,3", "nan", "inf", "1e400", "2.5", "-1", "1:2:0.5", "0:inf:1", "1:3:inf", "1:2", "x", "")
+_LISTS = ("3", "2,3", "nan", "inf", "1e400", "2.5", "-1", "1:2:0.5", "0:inf:1", "1:3:inf", "1:2", "x", "",
+          "0:1e300:1e-300")
 _POOLS = {
     "--nodes": _COUNTS,
     "--operator": _SPECS, "--source": _SPECS, "--witness": _SPECS, "--profile": _SPECS,

@@ -177,11 +177,12 @@ BATTERY = list(dict.fromkeys([
     "audit-caccioppoli --dim 3 --p 2 --gamma 2 --witness file:{golden}/ball_solve.csv "
     "--radius 1.0526315794",
     # The refusals no line above reaches: a source with too few numbers, a
-    # range with no step, a malformed value list, and the bump witness at
-    # exactly gamma* = 1.5.
+    # range with no step, a malformed value list, a range whose count leaves
+    # the float range, and the bump witness at exactly gamma* = 1.5.
     "morrey --source power:1 --theta 1.5",
     "sweep --dim 3 --gamma 2 --p 2:3",
     "sweep --dim 3 --gamma 2 --p abc",
+    "sweep --dim 3 --p 2 --gamma 0:1e300:1e-300",
     "verify-bump --dim 3 --p 2 --gamma 1.5",
     # Each subcommand that reads an exponent threshold at gamma*, p and
     # p - 1 and their float neighbours (battery.THRESHOLDS).

@@ -4,11 +4,13 @@ alpha = 1 - s/gamma that ties the Holder and energy exponents together."""
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pdi_lab import cli
 from pdi_lab.audit import caccioppoli_audit, gradient_energy, holder_fit, morrey_norm
 from pdi_lab.errors import PreconditionViolation
 from pdi_lab.liouville import (
@@ -35,7 +37,7 @@ from pdi_lab.params import (
     liouville_threshold,
 )
 from pdi_lab.radial import PLaplacian, PowerProfile, bump_profile_scale, residual_scan, sharpness_profile
-from pdi_lab.solver import RadialPowerSource, SolverConfig, solve_radial_dirichlet
+from pdi_lab.solver import RadialPowerSource, SampledSource, SolverConfig, solve_radial_dirichlet
 
 
 @pytest.mark.parametrize(
@@ -197,6 +199,51 @@ def test_finite_inputs_accept_either_sign(name, call):
 def test_nonnegative_inputs_accept_zero(name, call):
     for zero in (0.0, -0.0, 0):
         call(zero)
+
+
+_SAMPLED_SOURCE = SampledSource([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+
+
+def _verify_sharpness(nodes):
+    return cli._cmd_verify_sharpness(
+        SimpleNamespace(dim=3, p=2.0, gamma=4.0, c_h=1.0, nodes=nodes, tol=1e-8))
+
+
+def _verify_bump(nodes):
+    return cli._cmd_verify_bump(
+        SimpleNamespace(dim=3, p=2.0, gamma=1.8, c_h=1.0, nodes=nodes, grid_max=10.0))
+
+
+# Each count, its least value and a call that reads it: one rule, one message.
+_COUNTS = [
+    ("n_nodes", 8, lambda v: SolverConfig(n_nodes=v)),
+    ("pair_budget", 1, lambda v: holder_fit(PowerProfile(1.0, 0.5), v, (1e-3, 0.25))),
+    ("seed", 0, lambda v: holder_fit(PowerProfile(1.0, 0.5), 1, (1e-3, 0.25), seed=v)),
+    ("center_samples", 1, lambda v: morrey_norm(_SAMPLED_SOURCE, 1.0, 1.5, 1.0, center_samples=v)),
+    ("n_radii", 0, lambda v: morrey_norm(_SAMPLED_SOURCE, 1.0, 1.5, 1.0, n_radii=v)),
+    ("--nodes", 2, _verify_sharpness),
+    ("--nodes", 2, _verify_bump),
+]
+_COUNT_IDS = [f"{name}-{i}" for i, (name, _, _) in enumerate(_COUNTS)]
+
+
+@pytest.mark.parametrize("name, least, call", _COUNTS, ids=_COUNT_IDS)
+def test_counts_share_one_refusal(name, least, call):
+    for value in (math.nan, least + 0.5, least - 1):
+        with pytest.raises(PreconditionViolation) as refused:
+            call(value)
+        assert str(refused.value) == f"{name} must be an integer >= {least}, got {value}"
+
+
+@pytest.mark.parametrize("name, least, call", _COUNTS, ids=_COUNT_IDS)
+def test_counts_accept_a_numpy_integer(name, least, call):
+    call(np.int64(least))
+
+
+def test_residual_scan_refuses_an_empty_grid():
+    with pytest.raises(PreconditionViolation) as refused:
+        residual_scan(sharpness_profile(3, 2.0, 4.0), ProblemParams(3, 2.0, 4.0), [])
+    assert str(refused.value) == "grid size must be an integer >= 1, got 0"
 
 
 def test_dims_end_at_two_to_the_53():

@@ -177,6 +177,16 @@ def _witness(args):
     return _parse_spec(args.witness, "witness", families, SampledProfile)
 
 
+# The most rows a sweep holds: its peak memory grows by about 0.8 KB a row
+# (CHANGES.md), so a full sweep peaks near 0.9 GB.
+_SWEEP_ROWS = 10**6
+
+
+def _check_rows(what: str, n: int):
+    if n > _SWEEP_ROWS:
+        raise PreconditionViolation(f"{what} gives more than the {_SWEEP_ROWS:,} rows a sweep holds")
+
+
 def _parse_value_list(text: str, integers: bool = False):
     """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive)
     of exact decimal steps from the typed start, each rounded once to a
@@ -202,6 +212,7 @@ def _parse_value_list(text: str, integers: bool = False):
         if step <= 0:
             raise PreconditionViolation("range step must be positive")
         n = _in_range(f"the count of {text!r}", lambda: math.floor((stop - start) / step + 0.5)) + 1
+        _check_rows(f"the range {text!r}", n)
         exact_start, exact_step = Decimal(parts[0]), Decimal(parts[2])
         exact = [exact_start + k * exact_step for k in range(n)
                  if start + k * step <= stop + step / 2]
@@ -497,6 +508,7 @@ def _cmd_sweep(args):
     ps = _parse_value_list(args.p)
     gammas = _parse_value_list(args.gamma)
     qs = _parse_value_list(args.q) if args.q else [INFINITY]
+    _check_rows("the product of the sweep's axes", len(dims) * len(ps) * len(gammas) * len(qs))
     # The product in loop order, sorted stably by (dim, p, gamma, q): the
     # order of sorted() over the point tuples, ties included.
     axes = np.meshgrid(dims, ps, gammas, qs, indexing="ij")

@@ -4,8 +4,16 @@ For a radial function u(x) = V(|x|), ``radial_operator`` evaluates
 
     -Delta_p u = -|V'|^(p-2) [ (p - 1) V'' + (dim - 1) V' / r ]
 
-at radii where the expression makes sense. The operator kinds (scalar
-fluxes a(s)) are those of the solver.
+at radii where the expression makes sense. The operator kinds, each a
+divergence-form operator given by its scalar flux a(s), are those of the
+solver, which reads them by duck typing through one protocol: the growth
+order ``p``, with |a(s)| <= |s|^(p-1), the structural condition the
+estimates need with nu = 1; ``order_for(gamma)``, the order a problem with
+that gamma takes; ``degeneracy``, the exponent e of the regularized flux
+derivative eps^e at zero slope (p - 2, or k - 2 for gmc:k), which is 0
+exactly for the uniformly smooth kinds; and ``flux(s, eps)`` and
+``flux_derivative(s, eps)``, a(s) and a'(s) regularized by eps, each a new
+float array, which the solver overwrites in place.
 
 The closed-form profile families below are the explicit objects used
 throughout the package:
@@ -65,7 +73,6 @@ __all__ = [
     "PowerProfile",
     "BumpProfile",
     "SampledProfile",
-    "OperatorKind",
     "PLaplacian",
     "MeanCurvature",
     "GeneralizedMeanCurvature",
@@ -194,26 +201,8 @@ class SampledProfile(Gridded):
 # ---------------------------------------------------------------------------
 
 
-class OperatorKind:
-    """A divergence-form operator given by its scalar flux a(s).
-
-    Every kind satisfies the growth bound |a(s)| <= |s|^(p-1) with its own
-    growth order p, which is the structural condition the estimates need
-    with nu = 1. The solver calls each kind's ``flux(s, eps)`` and
-    ``flux_derivative(s, eps)``, a(s) and a'(s) regularized by eps, by duck
-    typing: this class declares neither. Each returns a new float array,
-    which the solver overwrites in place.
-    """
-
-    p: float
-
-    def order_for(self, gamma: float) -> float:
-        """The growth order a problem with this gamma takes, gamma > p - 1."""
-        return self.p
-
-
 @dataclass(frozen=True)
-class PLaplacian(OperatorKind):
+class PLaplacian:
     """a(s) = |s|^(p-2) s, regularized to (s^2 + eps^2)^((p-2)/2) s."""
 
     p: float
@@ -221,6 +210,13 @@ class PLaplacian(OperatorKind):
     def __post_init__(self):
         if not _p_ok(self.p):  # the rule and message of ProblemParams
             raise PreconditionViolation(f"p must be finite and exceed 1, got {self.p}")
+
+    @property
+    def degeneracy(self) -> float:
+        return self.p - 2.0
+
+    def order_for(self, gamma: float) -> float:
+        return self.p
 
     def flux(self, s, eps: float = 0.0):
         s = np.asarray(s, dtype=float)
@@ -233,7 +229,7 @@ class PLaplacian(OperatorKind):
 
 
 @dataclass(frozen=True)
-class GeneralizedMeanCurvature(OperatorKind):
+class GeneralizedMeanCurvature:
     """a(s) = s |s|^(k-2) / sqrt(1 + |s|^k) with k >= 2; growth order k/2."""
 
     k: float
@@ -248,6 +244,10 @@ class GeneralizedMeanCurvature(OperatorKind):
         p > 1, and gmc:2 is mean curvature, taken at order 2 (|a(s)| <= |s|),
         the largest of its orders (``order_for``)."""
         return self.k / 2.0 if self.k > 2.0 else 2.0
+
+    @property
+    def degeneracy(self) -> float:
+        return self.k - 2.0
 
     def order_for(self, gamma: float) -> float:
         """p, except that mean curvature is bounded by |s|^(p-1) for every p

@@ -6,14 +6,15 @@ Solves the two-point boundary problem
 
 on an interval [r_in, r_out], with a Dirichlet value at r_out and either
 a Dirichlet value or a zero-flux condition at r_in. The flux a_eps is the
-operator kind's regularized flux. The Laplacian and the mean-curvature
-flux (gmc with k = 2) are solved at eps = 1e-10 directly; the other
-kinds, the singular p < 2 p-Laplacian included, are continued through
-the fixed schedule eps = 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, each stage
-warm-starting the next. An intermediate stage is solved only to its
-stage tolerance max(newton_tol, eps * R0), R0 the max residual of the
-solve's initial iterate (0 when that is not finite, so a non-finite start
-fails at its own stage): it ends at its first residual within it.
+operator kind's regularized flux. A kind of degeneracy 0 (``degeneracy``,
+p - 2 or k - 2 for gmc:k), the Laplacian and the mean-curvature flux, is
+solved at eps = 1e-10 directly in one stage; every other kind, the
+singular p < 2 p-Laplacian included, is continued through the fixed
+schedule eps = 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, each stage warm-starting
+the next. An intermediate stage is solved only to its stage tolerance
+max(newton_tol, eps * R0), R0 the max residual of the solve's initial
+iterate (0 when that is not finite, so a non-finite start fails at its
+own stage): it ends at its first residual within it.
 
 Each Newton step starts with the one convergence test: the max residual
 over non-Dirichlet rows is at most newton_tol + eps_mach * max_i sum_j
@@ -82,12 +83,7 @@ import numpy as np
 
 from .errors import IllPosedBoundary, NoConvergence, PdiLabError, PreconditionViolation
 from .params import ProblemParams, _check_count, _check_finite, _check_positive, _in_range
-from .radial import (
-    GeneralizedMeanCurvature,
-    Gridded,
-    OperatorKind,
-    PLaplacian,
-)
+from .radial import Gridded
 
 __all__ = [
     "ZeroSource",
@@ -158,25 +154,17 @@ class SolverConfig:
         _check_positive("newton_tol", self.newton_tol, zero_ok=True)
 
 
-# Regularizations of the degenerate kinds, each stage warm-starting the
-# next; the last is the final eps of every solve.
+# The regularizations of a kind of nonzero degeneracy e, whose regularized
+# flux derivative is eps^e at zero slope, each stage warm-starting the
+# next; the last is the final eps of every solve, and a kind of degeneracy
+# 0 takes it alone. The singular p < 2 p-Laplacian keeps the schedule:
+# started at the final eps, Newton passes the roundoff floor this inflates
+# at iterates far from the solution.
 _CONTINUATION = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 # The Newton step budget of each eps stage.
 _MAX_STEPS = 60
 # A line search tries the full Newton step, then halves it up to this often.
 _LINE_SEARCH_HALVINGS = 30
-
-
-def _schedule(kind: OperatorKind) -> tuple:
-    # The Laplacian and the mean-curvature flux (gmc with k = 2) are
-    # uniformly smooth; a single stage at the final eps suffices. The p < 2
-    # p-Laplacian is singular at zero slope, where its regularized
-    # derivative is eps^(p-2), and keeps the schedule: started at the final
-    # eps, Newton passes the roundoff floor this inflates at iterates far
-    # from the solution.
-    smooth = (isinstance(kind, PLaplacian) and kind.p == 2.0
-              or isinstance(kind, GeneralizedMeanCurvature) and kind.k == 2.0)
-    return _CONTINUATION[-1:] if smooth else _CONTINUATION
 
 
 @dataclass(eq=False)
@@ -191,7 +179,7 @@ class DiscreteRadialSolution(Gridded):
 
     what = "solution"
     params: ProblemParams
-    kind: OperatorKind
+    kind: object
     meta: dict
 
     def __post_init__(self):
@@ -474,7 +462,7 @@ def _newton_stage(values, disc: _Discretization, eps: float, r0: Optional[float]
 
 
 def solve_radial_dirichlet(
-    kind: OperatorKind,
+    kind,
     params: ProblemParams,
     f: Callable,
     domain: tuple,
@@ -523,7 +511,7 @@ def solve_radial_dirichlet(
     else:
         values = np.full(grid.size, float(bc_right))
 
-    schedule = _schedule(kind)
+    schedule = _CONTINUATION if kind.degeneracy else _CONTINUATION[-1:]
     stages = []
     # A stiff trial may overflow and fail the line search: no warning due.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -775,6 +775,26 @@ def test_sweep_range_syntax_and_outfile(capsys, tmp_path):
     assert [r["gamma"] for r in rows] == ["1.2", "1.4", "1.6", "1.8", "2.0"]
 
 
+@pytest.mark.parametrize("p, gamma, refused", [
+    ("2", "1:6:1", None),
+    ("2", "1:7:1", "the range '1:7:1'"),
+    ("2,3", "1:3:1", None),
+    ("2,3", "1:4:1", "the product of the sweep's axes"),
+])
+def test_sweep_refuses_rows_past_its_limit(capsys, monkeypatch, p, gamma, refused):
+    # Both refusals read one limit, here 6 rows: a range's count before its
+    # values are built, and the product of the axes before their grid.
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", 6)
+    if refused:
+        monkeypatch.setattr(np, "meshgrid", lambda *a, **k: pytest.fail("the grid was built"))
+    rc, _, cap = run_cli(capsys, "sweep", "--dim", "3", "--p", p, "--gamma", gamma)
+    if refused is None:
+        assert rc == 0 and cap.err == "sweep: 6 rows\n"
+    else:
+        assert rc == 2 and cap.out == ""
+        assert cap.err == f"error: {refused} gives more than the 6 rows a sweep holds\n"
+
+
 @pytest.mark.parametrize("axis, text, want", [
     ("--gamma", "0.6:1.2:0.2", ["0.6", "0.8", "1.0", "1.2"]),
     ("--p", "1.00000000001:1.00000000003:0.00000000001",
@@ -994,6 +1014,9 @@ def test_csv_row_that_does_not_parse_is_named(capsys, tmp_path):
         # A range whose count leaves the float range.
         ["sweep", "--dim", "3", "--p", "2", "--gamma", "0:1e300:1e-300"],
         ["sweep", "--dim", "3", "--p", "2", "--gamma=-1e308:1e308:1"],
+        # A finite range count, or a product of axes, past the rows a sweep holds.
+        ["sweep", "--dim", "3", "--p", "2", "--gamma", "0:1:1e-300"],
+        ["sweep", "--dim", "3", "--p", "1:1000:1", "--gamma", "1:1001:1"],
         # A range step must be positive.
         ["sweep", "--dim", "3", "--p", "1:2:0", "--gamma", "3"],
         ["sweep", "--dim", "3", "--p", "2:1:-0.5", "--gamma", "3"],
@@ -1044,7 +1067,7 @@ _SPECS = (
     "linear", "file:/nonexistent/f.csv", "file:", "bogus", "",
 )
 _LISTS = ("3", "2,3", "nan", "inf", "1e400", "2.5", "-1", "1:2:0.5", "0:inf:1", "1:3:inf", "1:2", "x", "",
-          "0:1e300:1e-300")
+          "0:1e300:1e-300", "0:1:1e-300")
 _POOLS = {
     "--nodes": _COUNTS,
     "--operator": _SPECS, "--source": _SPECS, "--witness": _SPECS, "--profile": _SPECS,

@@ -178,11 +178,14 @@ BATTERY = list(dict.fromkeys([
     "--radius 1.0526315794",
     # The refusals no line above reaches: a source with too few numbers, a
     # range with no step, a malformed value list, a range whose count leaves
-    # the float range, and the bump witness at exactly gamma* = 1.5.
+    # the float range, a range and a product of axes past the rows a sweep
+    # holds, and the bump witness at exactly gamma* = 1.5.
     "morrey --source power:1 --theta 1.5",
     "sweep --dim 3 --gamma 2 --p 2:3",
     "sweep --dim 3 --gamma 2 --p abc",
     "sweep --dim 3 --p 2 --gamma 0:1e300:1e-300",
+    "sweep --dim 3 --p 2 --gamma 0:1:1e-300",
+    "sweep --dim 3 --p 1:1000:1 --gamma 1:1001:1",
     "verify-bump --dim 3 --p 2 --gamma 1.5",
     # Each subcommand that reads an exponent threshold at gamma*, p and
     # p - 1 and their float neighbours (battery.THRESHOLDS).
@@ -201,6 +204,14 @@ BATTERY = list(dict.fromkeys([
     # and the sigma bound, which reads the amplitude, refuses it.
     "manifold --profile euclidean --dim 1000 --p 2 --gamma 1.5",
     "sigma-bound --dim 1000 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer 10",
+    # Feature branches no line above reaches: the exponential comparison
+    # integral and its kappa = 0 branch, mean curvature's growth order
+    # 1 + gamma/2 with the flat-slope Jacobian reset of gamma < 1, and the
+    # log-space unit-ball volume.
+    f"sigma-bound {SIGMA} --profile exp:1,0.5",
+    f"sigma-bound {SIGMA} --profile exp:1,0",
+    "solve --dim 3 --p 2 --gamma 0.5 --operator mean-curvature --source power:1,0 --bc-right 0",
+    f"morrey {MORREY} --dim 400",
 ]))
 
 

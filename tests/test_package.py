@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdi_lab
-from pdi_lab import solver
+from pdi_lab import radial, solver
 
 PUBLIC = {
     "__version__",
@@ -24,8 +24,8 @@ PUBLIC = {
     "ExponentReport", "holder_exponent", "caccioppoli_exponent", "unit_ball_volume",
     "liouville_threshold", "exponent_report", "classify_regime",
     # radial
-    "PowerProfile", "BumpProfile", "SampledProfile", "OperatorKind",
-    "PLaplacian", "MeanCurvature", "GeneralizedMeanCurvature", "ResidualReport",
+    "PowerProfile", "BumpProfile", "SampledProfile", "PLaplacian", "MeanCurvature",
+    "GeneralizedMeanCurvature", "ResidualReport",
     "radial_operator", "sharpness_profile", "nonconstant_entire_profile",
     "bump_profile_scale", "residual_scan",
     # solver
@@ -44,7 +44,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned_and_listed_once():
-    assert len(PUBLIC) == 67
+    assert len(PUBLIC) == 66
     assert sorted(pdi_lab.__all__) == sorted(PUBLIC)
     submodules = {m.name for m in pkgutil.iter_modules(pdi_lab.__path__)}
     assert PUBLIC | submodules <= set(dir(pdi_lab))
@@ -158,7 +158,7 @@ def _gtsv_systems():
     solver.solve_banded = capture
     try:
         solver.solve_radial_dirichlet(
-            solver.PLaplacian(1.5), solver.ProblemParams(dim=3, p=1.5, gamma=1.2),
+            radial.PLaplacian(1.5), solver.ProblemParams(dim=3, p=1.5, gamma=1.2),
             solver.RadialPowerSource(2.0, 0.0), (0.25, 1.0), 0.9, 0.0,
         )
     finally:
@@ -208,7 +208,7 @@ def test_the_forced_fallback_gives_the_same_bits(monkeypatch):
 
     def solve():
         return solver.solve_radial_dirichlet(
-            solver.PLaplacian(3.0), solver.ProblemParams(dim=3, p=3.0, gamma=2.5),
+            radial.PLaplacian(3.0), solver.ProblemParams(dim=3, p=3.0, gamma=2.5),
             solver.RadialPowerSource(1.0, 0.0), (0.0, 1.0), None, 0.0,
         )
 

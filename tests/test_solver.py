@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_solver_grid import _KINDS
 
 from pdi_lab import solver
 from pdi_lab.errors import DomainExceeded, IllPosedBoundary, NoConvergence, PreconditionViolation
@@ -266,18 +267,39 @@ def test_config_validation():
         SolverConfig(newton_tol=math.nan)
 
 
+def _stage_eps(kind, gamma):
+    """The eps of each stage of an annulus solve that converges for every
+    kind of the solver battery at gamma = order - 0.75."""
+    sol = solve_radial_dirichlet(
+        kind, ProblemParams(dim=3, p=kind.order_for(gamma), gamma=gamma), RadialPowerSource(1.0, 0.0),
+        (0.25, 1.0), bc_left=0.5, bc_right=0.0, config=SolverConfig(n_nodes=64),
+    )
+    return [stage["eps"] for stage in sol.meta["stages"]]
+
+
 def test_continuation_schedule_shape():
-    final = solver._schedule(PLaplacian(2.0))
+    final = _stage_eps(PLaplacian(2.0), 1.25)
     assert len(final) == 1 and 0 < final[0] <= 1e-8
     # The uniformly smooth fluxes: gmc with k = 2 is the mean-curvature flux
     for kind in (MeanCurvature(), GeneralizedMeanCurvature(2.0)):
-        assert solver._schedule(kind) == final
+        assert _stage_eps(kind, 1.25) == final
     # Degenerate (p > 2) and singular (p < 2) kinds are continued
-    for kind in (PLaplacian(1.2), PLaplacian(1.5), PLaplacian(3.0), GeneralizedMeanCurvature(4.0)):
-        staged = solver._schedule(kind)
+    for kind, gamma in ((PLaplacian(1.2), 0.45), (PLaplacian(1.5), 0.75), (PLaplacian(3.0), 2.25),
+                        (GeneralizedMeanCurvature(4.0), 3.25)):
+        staged = _stage_eps(kind, gamma)
         assert staged[-1] == final[0]
         assert len(staged) > 1
     assert all(b < a for a, b in zip(staged, staged[1:]))
+
+
+@pytest.mark.parametrize("order, kind", [pytest.param(order, kind, id=name) for name, order, kind
+                                          in _KINDS + [("mc", 2.0, MeanCurvature())]])
+def test_degeneracy_sets_the_stages(order, kind):
+    # p - 2 for the p-Laplacian and k - 2 for gmc:k: exactly 0 only at p = 2 and k = 2
+    assert kind.degeneracy == order - 2.0
+    assert (kind.degeneracy == 0.0) == (order == 2.0)
+    expected = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10] if kind.degeneracy else [1e-10]
+    assert _stage_eps(kind, order - 0.75) == expected
 
 
 P15_PARAMS = ProblemParams(dim=3, p=1.5, gamma=1.2)
@@ -364,11 +386,10 @@ def test_each_iterate_is_assembled_once():
     ]
     for sol in sols:
         stages = sol.meta["stages"]
-        schedule = solver._schedule(sol.kind)
-        assert [stage["eps"] for stage in stages] == list(schedule)
+        assert stages[-1]["eps"] == sol.meta["eps_final"]
         assert sum(stage["steps"] for stage in stages) == sol.meta["iterations"] > 0
         for stage in stages:
-            final = stage["eps"] == schedule[-1]
+            final = stage is stages[-1]
             # every step takes at least one trial
             assert stage["residuals"] - 1 >= stage["steps"]
             # A test that passes ends its stage without a step. An
@@ -401,7 +422,7 @@ def solve_p3_ball(n):
 def test_a_stage_within_tolerance_forms_no_jacobian():
     sol = solve_p3_ball(128)
     stages = sol.meta["stages"]
-    schedule = solver._schedule(sol.kind)
+    schedule = [stage["eps"] for stage in stages]
     disc = solver._Discretization(sol.grid, sol.kind, sol.params, p3_source, None, 0.0)
     with kernel_errstate():
         # R0, the residual max of the solve's first iterate, V = 0

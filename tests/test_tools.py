@@ -160,3 +160,19 @@ def test_code_lines_prints_each_file_and_the_total(monkeypatch, capsys, tmp_path
     assert capsys.readouterr().out.splitlines() == [
         f"    11 {first}", f"     2 {second}", "    13 total",
     ]
+
+
+def test_code_lines_expands_a_directory_to_its_sorted_python_files(monkeypatch, capsys, tmp_path):
+    # A directory counts as its *.py files in sorted order, as a shell glob
+    # names them; other files and subdirectories are left out.
+    (tmp_path / "b.py").write_text("y = 2\n")
+    (tmp_path / "a.py").write_text(_SOURCE)
+    (tmp_path / "notes.txt").write_text("z = 3\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.py").write_text("w = 4\n")
+    lone = tmp_path / "sub" / "c.py"
+    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path), str(lone)])
+    runpy.run_path(str(_TOOLS / "code_lines.py"), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        f"    11 {tmp_path / 'a.py'}", f"     1 {tmp_path / 'b.py'}", f"     1 {lone}", "    13 total",
+    ]

@@ -2,11 +2,14 @@
 than a comment, a docstring or blank space.
 
     python tools/code_lines.py src/pdi_lab/*.py
+    python tools/code_lines.py src/pdi_lab
 
-prints each file's count and the total.
+print each file's count and the total; a directory stands for its *.py
+files, in sorted order.
 """
 
 import ast
+import pathlib
 import sys
 import tokenize
 
@@ -33,8 +36,17 @@ def code_lines(path) -> int:
     return len(lines - docstrings)
 
 
+def expand(args) -> list:
+    """The files named by ``args``, each directory replaced by its *.py files."""
+    files = []
+    for arg in args:
+        path = pathlib.Path(arg)
+        files += sorted(map(str, path.glob("*.py"))) if path.is_dir() else [arg]
+    return files
+
+
 if __name__ == "__main__":
-    counts = {path: code_lines(path) for path in sys.argv[1:]}
+    counts = {path: code_lines(path) for path in expand(sys.argv[1:])}
     for path, count in counts.items():
         print(f"{count:6d} {path}")
     print(f"{sum(counts.values()):6d} total")

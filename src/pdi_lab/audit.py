@@ -543,6 +543,14 @@ def _ball_mass(f, s_index, dim, rho, negative=False):
     return cumulative[k] + masses(edges[k], rho, ends[k], read(rho))
 
 
+def _power_morrey_value(scale: float, dim: int, ex: float, s_index: float, omega_radius: float,
+                        power: float) -> float:
+    """scale (d omega_d / ex)^(1/s) omega_radius^(power/s), the Morrey value
+    of a power source at omega_radius."""
+    return scale * ((dim * unit_ball_volume(dim) / ex) ** (1.0 / s_index)
+                    * omega_radius ** (power / s_index))
+
+
 def morrey_norm(
     f,
     s_index: float,
@@ -598,9 +606,8 @@ def morrey_norm(
             # rho^((theta-d)/s) (d omega_d rho^ex / ex)^(1/s), ex = d - s beta, with
             # the powers of rho combined, so only a value past the float range is lost.
             ex = dim - s_index * f.beta
-            value = _in_range("the Morrey value", lambda: scale * (
-                (dim * unit_ball_volume(dim) / ex) ** (1.0 / s_index)
-                * omega_radius ** ((theta - s_index * f.beta) / s_index)))
+            value = _in_range("the Morrey value", _power_morrey_value, scale, dim, ex, s_index, omega_radius,
+                              theta - s_index * f.beta)
         return MorreyNorm(s_index=s_index, theta=theta, value=value, divergent=divergent,
                           argmax_radius=0.0 if divergent else omega_radius, exact=exact)
     if not isinstance(f, SampledSource):
@@ -620,7 +627,7 @@ def morrey_norm(
     return MorreyNorm(
         s_index=s_index,
         theta=theta,
-        value=_in_range("the Morrey value", lambda: float(values[i])),
+        value=_in_range("the Morrey value", float, values[i]),
         divergent=False,
         argmax_radius=float(radii[i]),
         exact=False,

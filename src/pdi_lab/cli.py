@@ -187,6 +187,12 @@ def _check_rows(what: str, n: int):
         raise PreconditionViolation(f"{what} gives more than the {_SWEEP_ROWS:,} rows a sweep holds")
 
 
+def _range_count(text: str, start: float, stop: float, step: float) -> int:
+    """The steps of the range ``text`` = start:stop:step, rounded; the text
+    names the range in a refusal."""
+    return math.floor((stop - start) / step + 0.5)
+
+
 def _parse_value_list(text: str, integers: bool = False):
     """Grid syntax: comma list '1,2,3' or range 'start:stop:step' (inclusive)
     of exact decimal steps from the typed start, each rounded once to a
@@ -211,7 +217,7 @@ def _parse_value_list(text: str, integers: bool = False):
         start, stop, step = values
         if step <= 0:
             raise PreconditionViolation("range step must be positive")
-        n = _in_range(f"the count of {text!r}", lambda: math.floor((stop - start) / step + 0.5)) + 1
+        n = _in_range("the count of {!r}", _range_count, text, start, stop, step) + 1
         _check_rows(f"the range {text!r}", n)
         exact_start, exact_step = Decimal(parts[0]), Decimal(parts[2])
         exact = [exact_start + k * exact_step for k in range(n)

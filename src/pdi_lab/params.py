@@ -130,15 +130,17 @@ def _check_count(name: str, value, least: int) -> None:
         raise PreconditionViolation(f"{name} must be an integer >= {least}, got {value}")
 
 
-def _in_range(name: str, compute) -> float:
-    """compute(), or PreconditionViolation naming ``name`` where it leaves
-    the float range: inf, NaN or an OverflowError (from ``**``, math.exp)."""
+def _in_range(name: str, compute, *args) -> float:
+    """compute(*args), or PreconditionViolation naming ``name.format(*args)``
+    where it leaves the float range: inf, NaN or an OverflowError (from
+    ``**``, math.exp). The name is formatted only for the refusal, so a
+    value in range costs no message and no closure."""
     try:
-        value = compute()
+        value = compute(*args)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise PreconditionViolation(f"{name} leaves the float range")
+        raise PreconditionViolation(f"{name.format(*args)} leaves the float range")
     return value
 
 

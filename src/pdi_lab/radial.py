@@ -336,6 +336,10 @@ def _operator_and_slope(p: float, profile: PowerProfile | BumpProfile, r, dim: i
 # ---------------------------------------------------------------------------
 
 
+def _sharpness_c(c_h: float, dim: int, p: float, gamma: float, a: float, e: float) -> float:
+    return -(_growth_gap(dim, p, gamma) ** e) / a * c_h**-e
+
+
 def sharpness_profile(dim: int, p: float, gamma: float, c_h: float = 1.0) -> PowerProfile:
     """Explicit solution of -Delta_p u = c_h |Du|^gamma on the unit ball.
 
@@ -358,8 +362,7 @@ def sharpness_profile(dim: int, p: float, gamma: float, c_h: float = 1.0) -> Pow
         )
     _check_positive("c_h", c_h)
     a, e = _gradient_arm(p, gamma), 1.0 / (gamma - (p - 1))
-    c = _in_range(f"the sharpness profile's c at c_h={c_h}",
-                  lambda: -(_growth_gap(dim, p, gamma) ** e) / a * c_h**-e)
+    c = _in_range("the sharpness profile's c at c_h={}", _sharpness_c, c_h, dim, p, gamma, a, e)
     return PowerProfile(c=c, a=a, shift=1.0)
 
 

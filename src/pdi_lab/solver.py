@@ -198,6 +198,13 @@ _EPS_MACH = float(np.finfo(float).eps)
 _GEOMETRY_CACHE_SIZE = 8
 
 
+def _grid_bound(dim: int, r_out: float, h: float) -> float:
+    """max(r_out^dim, 0.5 / h), +inf where h is not > 0. r_out^d bounds
+    every power r^d and face area r^(d-1) of the grid, and once it is
+    finite no sum of two nodes nears the float max."""
+    return max(r_out**dim, 0.5 / h if h > 0 else math.inf)
+
+
 @functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _grid_geometry(r_in: float, r_out: float, n_nodes: int, dim: int) -> tuple:
     """The spacing h, the exact shell volumes and the interior face areas
@@ -206,13 +213,10 @@ def _grid_geometry(r_in: float, r_out: float, n_nodes: int, dim: int) -> tuple:
     them. Refuses a grid where one of them leaves the float range, or a
     volume or area underflows to 0; a refusal is not cached, so a refused
     grid is refused again with the same message."""
-    # r_out^d bounds every power r^d and face area r^(d-1) of the grid, and
-    # once it is finite no sum of two nodes nears the float max.
-    what = f"the grid at dim={dim}, in its spacing, shell volumes or face areas,"
-    _in_range(what, lambda: r_out**dim)
+    what = "the grid at dim={}, in its spacing, shell volumes or face areas,"
     grid = np.linspace(r_in, r_out, n_nodes)
     h = float(grid[1] - grid[0])
-    _in_range(what, lambda: 0.5 / h if h > 0 else math.inf)
+    _in_range(what, _grid_bound, dim, r_out, h)
     faces = np.concatenate(([grid[0]], (grid[:-1] + grid[1:]) / 2.0, [grid[-1]]))
     powers = faces**dim
     vols = (powers[1:] - powers[:-1]) / dim
@@ -220,7 +224,7 @@ def _grid_geometry(r_in: float, r_out: float, n_nodes: int, dim: int) -> tuple:
     # Every residual divides by the shell volumes and weights the fluxes by
     # the interior face areas; neither may underflow to 0.
     if not (vols.min() > 0.0 and area.min() > 0.0):
-        raise PreconditionViolation(f"{what} leaves the float range")
+        raise PreconditionViolation(f"{what.format(dim)} leaves the float range")
     vols.flags.writeable = area.flags.writeable = False
     return h, vols, area
 

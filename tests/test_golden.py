@@ -212,6 +212,11 @@ BATTERY = list(dict.fromkeys([
     f"sigma-bound {SIGMA} --profile exp:1,0",
     "solve --dim 3 --p 2 --gamma 0.5 --operator mean-curvature --source power:1,0 --bc-right 0",
     f"morrey {MORREY} --dim 400",
+    # --radius-outer inf: accepted where the comparison integral converges,
+    # which is then the exact improper integral (int_1^inf t^-3 dt = 0.5),
+    # and refused where it diverges.
+    "sigma-bound --dim 3 --p 2 --gamma 2.5 --sigma-r 1 --radius-inner 1 --radius-outer inf",
+    "sigma-bound --dim 3 --p 2 --gamma 1.4 --sigma-r 1 --radius-inner 1 --radius-outer inf",
 ]))
 
 

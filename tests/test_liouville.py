@@ -3,7 +3,9 @@
 import decimal
 import itertools
 import math
+import pathlib
 import re
+import runpy
 import warnings
 from decimal import Decimal
 
@@ -770,6 +772,41 @@ def _most_evaluations(R):
 
 
 _SAMPLED_T2 = np.geomspace(1.0, 1e4, 30)
+_PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+# The edges of the closed-form guess k* of find_contradiction_radius, at
+# p = 2 on one area each: sigma_R, gamma, c_h, area, R and the evaluations
+# of the integral the search makes (4 where k* is the walk's doubling).
+_GUESS_EDGES = [
+    (1.0, 1.25, 1.0, PowerArea(1.0, 4.0), 1.0, 4),  # beta e = 1: log(r*/R) = T
+    (1e3, 1.25, 1.0, PowerArea(1.0, 4.0), 1e3, 4),
+    (1.0, 1.2, 1.0, ExponentialArea(1.0, 0.0), 1.0, 4),  # kappa e = 0: r* = R + T
+    (1.0, 1.2, 1.0, ExponentialArea(1.0, -1.0), 1.0, 4),
+    (1e3, 1.5, 1.0, ExponentialArea(1.0, 0.5), 0.1, 4),  # kappa > 0: a crossing
+    (1.0, 1.2, 1.0, ExponentialArea(2.0, 1e-3), 1.0, 4),
+    (1.0, 1.2, 1.0, ExponentialArea(1.0, 1.0), 1.0, 12),  # kappa > 0: the limit is short of T
+    (1.0, 1.4, 1.0, PowerArea(1.0, -2.475), 1.3 * 2.0**1000, 3),  # x = -0.99: R^(1 - x) overflows
+    (1.0, 1.4, 1.0, PowerArea(1.0, -2.475), 1.7 * 2.0**-1000, 4),  # and R^(x - 1) here
+    (1.0, 1.4, 1.0, PowerArea(1.0, 2.0), 1.7 * 2.0**-1000, 4),
+    (1.0, 1.9, 1.0, PowerArea(1.0, 2.0), 1.3 * 2.0**1000, 7),  # x = 1.8: R^(1 - x) underflows
+    (1.0, 1.9, 1.0, PowerArea(1.0, 2.0), 1.7 * 2.0**-1000, 3),
+    (1.0, 1.5, 1e-300, PowerArea(1e-300, 2.0), 1.0, 12),  # the scale C area_factor underflows to 0
+    (1e-300, 1.5, 1e-100, PowerArea(1.0, 2.0), 1.0, 12),  # lhs / scale overflows
+    (1e-300, 1.5, 1.0, PowerArea(1.0, 2.0), 1.0, 12),  # k* = 5.8e150, past last
+    (3.997e-4, 1.5, 1.0, EuclideanArea(3), 1.0, 3),  # k* = last + 1: k* - 1 = last is probed
+    (1.0, 1.4, 1.0, EuclideanArea(3), 1e300, 3),  # k* = 1: k* - 1 = 0 is not
+]
+
+
+@pytest.mark.parametrize("sigma_R, gamma, c_h, area, R, count", _GUESS_EDGES)
+def test_contradiction_radius_evaluations_at_the_guess_edges(monkeypatch, sigma_R, gamma, c_h, area, R,
+                                                             count):
+    # 3 where the probe at k* settles the bracket alone, 12 or 7 (the
+    # bisection over [0, last + 1]) where no k* lies inside it.
+    bounds, evaluations = _counted(monkeypatch)
+    find_contradiction_radius(sigma_R, _params(gamma, c_h), area, R)
+    assert len(evaluations) == count and not bounds
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
@@ -801,6 +838,8 @@ def test_contradiction_radius_equals_the_doubling_walk(monkeypatch, d):
             (1.0, 2.0, 1.0, EuclideanArea(3)), (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0)),
             (1.0, 1.5, 1e-300, ExponentialArea(1.0, -1.0)), (1e3, 1.2, 1.0, ExponentialArea(1.0, 0.0)),
         ]]
+        # and the edges of the closed-form guess
+        cases += [(sigma_R, _params(gamma, c_h), area, R) for sigma_R, gamma, c_h, area, R, _ in _GUESS_EDGES]
     bounds, evaluations = _counted(monkeypatch)
     crossings = nones = 0
     for case in cases:
@@ -828,23 +867,39 @@ def test_contradiction_radius_near_a_convergent_limit_is_a_short_search(monkeypa
     assert _doubling_walk(1.0, problem, area, 1.0) is None
 
 
-@pytest.mark.parametrize("sigma_R, gamma, c_h, area, r", [
-    (1.0, 1.4, 1.0, EuclideanArea(3), 2.0**11),
-    (1.0, 1.5, 1.0, EuclideanArea(3), 2.0**21),
-    (1e-3, 1.5, 1.0, EuclideanArea(3), 2.0**647),
-    (1.0, 2.0, 1.0, EuclideanArea(3), None),
-    (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0), None),
-    (1.0, 1.5, 1e-300, ExponentialArea(1.0, -1.0), None),
+@pytest.mark.parametrize("sigma_R, gamma, c_h, area, r, count", [
+    (1.0, 1.4, 1.0, EuclideanArea(3), 2.0**11, 4),
+    (1.0, 1.5, 1.0, EuclideanArea(3), 2.0**21, 4),
+    (1e-3, 1.5, 1.0, EuclideanArea(3), 2.0**647, 4),
+    (1.0, 2.0, 1.0, EuclideanArea(3), None, 12),
+    (1.0, 1.5, 1e-300, PowerArea(1.0, -1.0), None, 12),
+    (1.0, 1.5, 1e-300, ExponentialArea(1.0, -1.0), None, 12),
 ])
-def test_contradiction_radius_evaluates_the_integral_at_most_twelve_times(monkeypatch, sigma_R, gamma, c_h,
-                                                                          area, r):
+def test_contradiction_radius_evaluates_the_integral_four_times_at_a_closed_form_crossing(
+        monkeypatch, sigma_R, gamma, c_h, area, r, count):
     # The walk takes 12, 22, 648, 1,024, 684 and 12 sigma bound calls here;
-    # the search makes none.
+    # the search makes none. At a crossing: once at R, at k* and k* - 1,
+    # and for the report. Without one (a convergent area; C underflows to
+    # 0, so no k* is formed) the bisection over [0, 1024] takes 10 probes.
     bounds, evaluations = _counted(monkeypatch)
     report = find_contradiction_radius(sigma_R, _params(gamma, c_h), area, 1.0)
     assert (report and report.r) == r
     assert not bounds
-    assert len(evaluations) <= _most_evaluations(1.0) == 12
+    assert len(evaluations) == count <= _most_evaluations(1.0) == 12
+
+
+def test_contradiction_radius_benchmark_cases_take_four_evaluations(monkeypatch):
+    # perfbench/cases.py's CONTRADICTIONS: d, p, gamma, at sigma_R = R = 1
+    # on R^d. Each closed-form guess is right: 12 evaluations became 4.
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    contradictions = runpy.run_path(str(_PERFBENCH / "cases.py"))["CONTRADICTIONS"]
+    assert len(contradictions) == 4
+    bounds, evaluations = _counted(monkeypatch)
+    for d, p, gamma in contradictions:
+        evaluations.clear()
+        report = find_contradiction_radius(1.0, ProblemParams(dim=d, p=p, gamma=gamma), EuclideanArea(d), 1.0)
+        assert report.contradiction and len(evaluations) == 4, (d, p, gamma)
+    assert not bounds
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The tools on synthetic files: tools/op_latencies.py (each case's
 fastest repetition, its rank and share, and the case or cases at the
-median; two runs compared case by case) and tools/code_lines.py (the
-lines that hold code)."""
+median; two runs compared case by case), tools/code_lines.py (the
+lines that hold code) and tools/bench_pairs.py (alternating benchmark
+pairs, summarized per metric, on stand-in run.py scripts)."""
 
 import json
 import pathlib
@@ -14,6 +15,7 @@ import pytest
 _TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 _TOOL = _TOOLS / "op_latencies.py"
 op_latencies = runpy.run_path(str(_TOOL))
+bench_pairs = runpy.run_path(str(_TOOLS / "bench_pairs.py"))
 code_lines = runpy.run_path(str(_TOOLS / "code_lines.py"))["code_lines"]
 
 
@@ -176,3 +178,88 @@ def test_code_lines_expands_a_directory_to_its_sorted_python_files(monkeypatch, 
     assert capsys.readouterr().out.splitlines() == [
         f"    11 {tmp_path / 'a.py'}", f"     1 {tmp_path / 'b.py'}", f"     1 {lone}", "    13 total",
     ]
+
+
+# ---------------------------------------------------------------------------
+# tools/bench_pairs.py
+# ---------------------------------------------------------------------------
+
+_END_TO_END = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+               {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+
+
+def _run_line(ops_per_s, op_p50_ms, failed=0):
+    # The last stdout line of perfbench/run.py, after its readable lines.
+    metrics = {"ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+               "op_p50_ms": {"value": op_p50_ms, "unit": "ms"}}
+    return (f"workload classify: seed 1\n  op_p50_ms {op_p50_ms}\n"
+            + json.dumps({"correct": True, "attempted": 43, "failed": failed, "metrics": metrics}) + "\n")
+
+
+def test_bench_pairs_reads_the_last_run_line():
+    assert bench_pairs["parse_run"](_run_line(100.0, 0.5, failed=2)) == {
+        "failed": 2, "attempted": 43, "metrics": {"ops_per_s": 100.0, "op_p50_ms": 0.5}}
+
+
+def test_bench_pairs_summary_medians_quartiles_and_wins():
+    # Five pairs. ops_per_s is better higher: the change wins pairs 0, 1
+    # and 4, ties pair 2 and loses pair 3. op_p50_ms is better lower: it
+    # wins all but the tie of pair 4.
+    parse = bench_pairs["parse_run"]
+    pairs = [(parse(_run_line(a, b)), parse(_run_line(c, d))) for a, b, c, d in [
+        (100.0, 0.50, 110.0, 0.40), (90.0, 0.60, 95.0, 0.45), (80.0, 0.55, 80.0, 0.50),
+        (120.0, 0.70, 100.0, 0.65), (70.0, 0.40, 75.0, 0.40)]]
+    rows = bench_pairs["summarize"](pairs, _END_TO_END)
+    parent_ops, parent_p50 = [90.0, 100.0, 80.0, 120.0, 70.0], [0.50, 0.60, 0.55, 0.70, 0.40]
+    q_ops = statistics.quantiles(parent_ops, n=4, method="inclusive")
+    q_p50 = statistics.quantiles(parent_p50, n=4, method="inclusive")
+    assert rows[0] == ("ops_per_s", "1/s", 90.0, 95.0, 95.0 / 90.0 - 1.0, q_ops[0], q_ops[2], 3)
+    assert rows[1] == ("op_p50_ms", "ms", 0.55, 0.45, 0.45 / 0.55 - 1.0, q_p50[0], q_p50[2], 4)
+    lines = bench_pairs["table"](pairs, _END_TO_END).splitlines()
+    assert lines[0].split() == ["metric", "unit", "parent", "change", "diff", "parent", "q1", "parent", "q3",
+                                "change", "wins"]
+    assert lines[1].split() == ["ops_per_s", "1/s", "90", "95", "+5.6%", "80", "100", "3/5"]
+    assert lines[2].split() == ["op_p50_ms", "ms", "0.55", "0.45", "-18.2%", "0.5", "0.6", "4/5"]
+    assert lines[3:] == ["parent failed ops per run: 0, 0, 0, 0, 0 of 43",
+                         "change failed ops per run: 0, 0, 0, 0, 0 of 43"]
+
+
+def test_bench_pairs_quartiles_of_one_run_are_its_value():
+    assert bench_pairs["quartiles"]([0.25]) == (0.25, 0.25, 0.25)
+
+
+def _fake_checkout(path, op_p50_ms, log, exit_code=0):
+    # A checkout whose perfbench/run.py logs its side and seed, then prints
+    # a run line: a stand-in for the benchmark, which these tests never run.
+    (path / "perfbench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": _END_TO_END}))
+    (path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
+        f"open({str(log)!r}, 'a').write({path.name!r} + ' ' + seed + '\\n')\n"
+        f"sys.stdout.write({_run_line(100.0, op_p50_ms)!r})\n"
+        f"sys.exit({exit_code})\n")
+    return str(path)
+
+
+def test_bench_pairs_alternates_the_sides_on_one_seed_per_pair(capsys, tmp_path):
+    log = tmp_path / "order.log"
+    parent = _fake_checkout(tmp_path / "parent", 0.5, log)
+    change = _fake_checkout(tmp_path / "change", 0.4, log)
+    bench_pairs["main"]([parent, change, "--workload", "classify", "--pairs", "3", "--seconds", "1",
+                         "--seed", "7"])
+    assert log.read_text().split("\n")[:-1] == ["parent 7", "change 7", "change 8", "parent 8", "parent 9",
+                                                  "change 9"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "pair 0: seed 7, parent first, op_p50_ms 0.5 -> 0.4"
+    assert out[1] == "pair 1: seed 8, change first, op_p50_ms 0.5 -> 0.4"
+    assert out[5].split()[-1] == "3/3"
+
+
+def test_bench_pairs_stops_at_a_failed_run(tmp_path):
+    log = tmp_path / "order.log"
+    parent = _fake_checkout(tmp_path / "parent", 0.5, log)
+    change = _fake_checkout(tmp_path / "change", 0.4, log, exit_code=1)
+    with pytest.raises(SystemExit, match="seed 1 exited 1"):
+        bench_pairs["main"]([parent, change, "--workload", "classify", "--pairs", "2", "--seconds", "1"])
+    assert log.read_text() == "parent 1\nchange 1\n"

@@ -10,8 +10,10 @@ Three measurements, one per estimate being checked:
   Every bin's sup is exact. A power profile's increments are monotone in
   the radius and increase with the distance, so each bin's sup is its
   widest pair at one end of [0, 1], in closed form. Gridded data take the
-  sup of their interpolant at the vertices where it is attained, the node
-  pairs read from one sparse table of window extrema.
+  sup of their interpolant at the vertices where it is attained. Monotone
+  data read the maximum of each node's window of pair partners at its
+  last node; other data read the node pairs from one sparse table of
+  window extrema.
 * ``morrey_norm``: sup over r of r^((theta-dim)/s) ||h||_{L^s(B_r(0) cap
   Omega)} on a ball Omega = B_omega(0).
 
@@ -290,7 +292,7 @@ def _window_extrema(w, longest):
         h = 1 << (k - 1)
         n = m - 2 * h + 1  # the windows of row k that fit
         right = val[k - 1, h : h + n] >= val[k - 1, :n]
-        val[k, :n] = np.where(right, val[k - 1, h : h + n], val[k - 1, :n])
+        np.maximum(val[k - 1, h : h + n], val[k - 1, :n], out=val[k, :n])
         arg[k, :n] = np.where(right, arg[k - 1, h : h + n], arg[k - 1, :n])
     at_start = m * lg
     return val.reshape(-1, 2), arg.reshape(-1, 2), at_start, at_start - (1 << lg)
@@ -305,10 +307,16 @@ def _gridded_bin_sups(u, d_hi, h_min):
     The nodes are the grid radii, and the vertices are those of
     ``holder_fit``'s docstring. Node i's partners in a bin form a window
     [A(lo), B(hi)) of nodes, A(d) and B(d) being the first node at float
-    gap >= d and > d from it; ``np.searchsorted`` on the rounded sums
-    x + d is at most one step off A(d), and one step back or ahead mends
-    it. lo of a bin is hi of the next, so each distance is taken once, and
-    only its own arrays live.
+    gap >= d and > d from it; ``searchsorted`` on the rounded sums x + d
+    is at most one step off A(d), and one step back or ahead mends it. lo
+    of a bin is hi of the next, so each distance is taken once, and only
+    its own arrays live.
+
+    Monotone values (nondecreasing or nonincreasing, the sign of their
+    steps taken once) rise along one column of [v, -v], whose maximum on
+    a window is at its last node, B(hi) - 1 for node i: the rightmost
+    argmax, so a tie keeps the widest distance, as the table does. Other
+    values read a sparse table of window extrema of both columns.
     """
     x, v = u.grid, u.values
     at = np.arange(x.size)
@@ -319,22 +327,28 @@ def _gridded_bin_sups(u, d_hi, h_min):
         """A(d), B(d) and the largest increment from a node to the point at
         distance d ahead of or behind it, within the grid's span."""
         reach, back = x + d, x - d
-        j = np.searchsorted(x, reach)
+        j = x.searchsorted(reach)
         a = j - (before.take(j) - x >= d) + (after.take(j) - x < d)
         b = a
         while (tie := after.take(b) - x == d).any():
             b = b + tie
-        k_reach, k_back = np.searchsorted(reach, x[-1], side="right"), np.searchsorted(back, x[0])
+        k_reach, k_back = reach.searchsorted(x[-1], side="right"), back.searchsorted(x[0])
         ends = np.concatenate((reach[:k_reach], back[k_back:]))
-        inc = np.abs(u.value(ends) - np.concatenate((v[:k_reach], v[k_back:])))
+        # The ends lie on the span by construction, so np.interp reads them
+        # as u.value would, without its range check.
+        inc = np.abs(np.interp(ends, x, v) - np.concatenate((v[:k_reach], v[k_back:])))
         return a, b, inc.max(initial=0.0)
 
-    # Increments up and down at once, as window maxima of v and of -v. No
-    # window holds more than the partners of its node within h_max.
     last = {d_hi[0]: distance(d_hi[0])}  # the last distance taken: hi of the next bin
-    partners = last[d_hi[0]][1] - at - 1
-    w = np.stack((v, -v), axis=1)
-    val, arg, at_start, at_end = _window_extrema(w, max(int(partners.max()), 1))
+    step = np.diff(v)
+    rising = v if (step >= 0).all() else -v if (step <= 0).all() else None
+    if rising is None:
+        # Increments up and down at once, as window maxima of v and of -v.
+        # No window holds more than the partners of its node within h_max.
+        w = np.stack((v, -v), axis=1)
+        partners = last[d_hi[0]][1] - at - 1
+        val, arg, at_start, at_end = _window_extrema(w, max(int(partners.max()), 1))
+        next_at = at + 1
 
     # Each bin's sup and its distance, as the largest (increment, distance)
     # pair: ties go to the widest distance, so a node pair, never wider
@@ -348,15 +362,24 @@ def _gridded_bin_sups(u, d_hi, h_min):
         # Node i's window; an empty one reads node i alone, whose increment
         # 0 no bin keeps.
         empty = b <= a
-        a, b = np.where(empty, at, a), np.where(empty, at + 1, b)
-        fa, fb = at_start.take(b - a) + a, at_end.take(b - a) + b
-        va, vb = val.take(fa, axis=0), val.take(fb, axis=0)
-        inc = np.maximum(va, vb) - w
+        if rising is not None:
+            end = np.where(empty, at, b - 1)
+            inc = rising.take(end) - rising
+        else:
+            a, b = np.where(empty, at, a), np.where(empty, next_at, b)
+            width = b - a
+            fa, fb = at_start.take(width) + a, at_end.take(width) + b
+            va, vb = val.take(fa, axis=0), val.take(fb, axis=0)
+            inc = (np.maximum(va, vb) - w).ravel()  # node i's columns at 2 i and 2 i + 1
         best = max((interp_lo, lo), (interp_hi, hi))
         top = inc.max()
         if top >= best[0]:
-            i, half = (inc == top).nonzero()
-            j = np.where(vb[i, half] >= va[i, half], arg[fb[i], half], arg[fa[i], half])
+            ties = np.flatnonzero(inc == top)
+            if rising is not None:
+                i, j = ties, end.take(ties)
+            else:
+                i, half = ties >> 1, ties & 1
+                j = np.where(vb[i, half] >= va[i, half], arg[fb[i], half], arg[fa[i], half])
             best = max(best, (top, (x.take(j) - x.take(i)).max()))
         if best[0] > 0:
             sup_inc.append(best[0])
@@ -414,7 +437,10 @@ def holder_fit(
     each cell of the arrangement of the lines r = node, r + delta = node,
     delta = lo and delta = hi the increment is linear, so the sup is
     attained at a vertex: a node pair whose gap lies in the bin, or a node
-    against the point at distance lo or hi on either side of it.
+    against the point at distance lo or hi on either side of it. On
+    nondecreasing or nonincreasing values the largest node pair of a node
+    is its farthest partner in the bin; other values find it in a sparse
+    table of window maxima. Both give the same bits.
     """
     _check_count("pair_budget", pair_budget, 1)
     _check_count("seed", seed, 0)

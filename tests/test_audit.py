@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from battery import GOLDEN
 from pdi_lab import audit
 from pdi_lab.audit import (
     caccioppoli_audit,
@@ -709,6 +710,16 @@ def _vertex_oracle_cases():
     walk = _rough_walk(4)
     inside = (walk.grid >= 0.31) & (walk.grid <= 1.777)
     ramp = 0.01 * np.arange(11, 20)
+    # Monotone data, read at each window's last node: a nondecreasing walk
+    # on a random grid whose steps repeat (0, 0.5, 1), so plateaus and equal
+    # increments tie across nodes and distances; its negation; constant
+    # values, which leave no bin; and runs of 0.0 and -0.0 on a dyadic grid.
+    # On monotone data the point at distance hi bounds every node pair up
+    # to rounding, so a node pair wins only past a rounded reach, as in
+    # rounded-down: that grid's rising and falling versions.
+    rng = np.random.default_rng(8)
+    stairs = SampledProfile(np.sort(rng.uniform(0.1, 2.3, 500)), np.cumsum(rng.choice([0.0, 0.5, 1.0], 500)))
+    signed_zeros = np.where(dyadic < 0.5, np.where(np.arange(dyadic.size) % 2, -0.0, 0.0), np.floor(8.0 * dyadic))
     return {
         "cole-hopf": (cole_hopf, (1e-3, 0.25)),
         "cole-hopf-wide": (cole_hopf, (1e-4, 0.5)),
@@ -730,6 +741,12 @@ def _vertex_oracle_cases():
         "rounded-down": (rounded_down, (0.0625, 0.5)),
         "rounded-up": (rounded_up, (0.09375, 0.75)),
         "float-runs": (SampledProfile(runs, np.arange(runs.size) // 2 % 3), (0.05, 0.8)),
+        "stairs": (stairs, (1e-3, 0.5)),
+        "stairs-negated": (SampledProfile(stairs.grid, -stairs.values), (2e-3, 0.3)),
+        "constant": (SampledProfile(dyadic, np.full(dyadic.size, 0.75)), (1 / 128, 0.25)),
+        "signed-zeros": (SampledProfile(dyadic, signed_zeros), (1 / 128, 0.5)),
+        "rounded-down-rising": (SampledProfile(rounded_down.grid, [0.0, 1.0, 2.0, 3.0]), (0.0625, 0.5)),
+        "rounded-down-falling": (SampledProfile(rounded_down.grid, [0.0, -1.0, -2.0, -3.0]), (0.0625, 0.5)),
     }
 
 
@@ -737,15 +754,42 @@ def _vertex_oracle_cases():
     "cole-hopf", "cole-hopf-wide", "sharp-annulus", "sharp-annulus-2e-3", "rough-uniform", "walk-0",
     "walk-1", "walk-2", "below-spacing", "narrow-domain", "wide-domain", "ramp-narrow",
     "dyadic-rough", "dyadic-ramp", "dyadic-ramp-narrow", "rounded-down", "rounded-up", "float-runs",
+    "stairs", "stairs-negated", "constant", "signed-zeros", "rounded-down-rising", "rounded-down-falling",
 ])
 def test_gridded_holder_fit_is_the_vertex_enumeration(case):
-    # The sparse-table fit against a loop over every vertex, bins and
-    # distances alike, to the bit.
+    # The fit, by its sparse table or by its monotone reader, against a
+    # loop over every vertex, bins and distances alike, to the bit; with
+    # fewer than 3 nonzero bins the fit is refused.
     u, scale_range = _vertex_oracle_cases()[case]
-    got = holder_fit(u, 20000, scale_range)
     scales, increments = _vertex_sups(u, scale_range)
+    if scales.size < 3:
+        with pytest.raises(InsufficientScales):
+            holder_fit(u, 20000, scale_range)
+        return
+    got = holder_fit(u, 20000, scale_range)
     assert got.scales.tobytes() == scales.tobytes()
     assert got.max_increments.tobytes() == increments.tobytes()
+
+
+def test_monotone_gridded_fits_build_no_window_table(monkeypatch):
+    # The benchmark's two 1,024-node solver outputs and ball_solve.csv are
+    # monotone and read each window's last node; cos6r.csv and a rough
+    # walk are not, and build the sparse table once per fit.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    table = audit._window_extrema
+    monkeypatch.setattr(audit, "_window_extrema", counted)
+    cole_hopf, annulus, _ = _gridded_holder_inputs()
+    ball, cos6r = (SampledProfile(*np.loadtxt(GOLDEN / name, delimiter=",", skiprows=1).T)
+                   for name in ("ball_solve.csv", "cos6r.csv"))
+    for u, want in ((cole_hopf, 0), (annulus, 0), (ball, 0), (cos6r, 1), (_rough_walk(0), 1)):
+        calls.clear()
+        holder_fit(u, 1, (1e-3, 0.25))
+        assert len(calls) == want
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -2,7 +2,8 @@
 fastest repetition, its rank and share, and the case or cases at the
 median; two runs compared case by case), tools/code_lines.py (the
 lines that hold code) and tools/bench_pairs.py (alternating benchmark
-pairs, summarized per metric, on stand-in run.py scripts)."""
+pairs, summarized per metric with a verdict, on stand-in run.py
+scripts)."""
 
 import json
 import pathlib
@@ -213,15 +214,51 @@ def test_bench_pairs_summary_medians_quartiles_and_wins():
     parent_ops, parent_p50 = [90.0, 100.0, 80.0, 120.0, 70.0], [0.50, 0.60, 0.55, 0.70, 0.40]
     q_ops = statistics.quantiles(parent_ops, n=4, method="inclusive")
     q_p50 = statistics.quantiles(parent_p50, n=4, method="inclusive")
-    assert rows[0] == ("ops_per_s", "1/s", 90.0, 95.0, 95.0 / 90.0 - 1.0, q_ops[0], q_ops[2], 3)
-    assert rows[1] == ("op_p50_ms", "ms", 0.55, 0.45, 0.45 / 0.55 - 1.0, q_p50[0], q_p50[2], 4)
+    assert rows[0] == ("ops_per_s", "1/s", 90.0, 95.0, 95.0 / 90.0 - 1.0, q_ops[0], q_ops[2], 3, "within bound")
+    assert rows[1] == ("op_p50_ms", "ms", 0.55, 0.45, 0.45 / 0.55 - 1.0, q_p50[0], q_p50[2], 4, "within bound")
     lines = bench_pairs["table"](pairs, _END_TO_END).splitlines()
     assert lines[0].split() == ["metric", "unit", "parent", "change", "diff", "parent", "q1", "parent", "q3",
-                                "change", "wins"]
-    assert lines[1].split() == ["ops_per_s", "1/s", "90", "95", "+5.6%", "80", "100", "3/5"]
-    assert lines[2].split() == ["op_p50_ms", "ms", "0.55", "0.45", "-18.2%", "0.5", "0.6", "4/5"]
+                                "change", "wins", "verdict"]
+    assert lines[1].split() == ["ops_per_s", "1/s", "90", "95", "+5.6%", "80", "100", "3/5", "within", "bound"]
+    assert lines[2].split() == ["op_p50_ms", "ms", "0.55", "0.45", "-18.2%", "0.5", "0.6", "4/5", "within", "bound"]
     assert lines[3:] == ["parent failed ops per run: 0, 0, 0, 0, 0 of 43",
                          "change failed ops per run: 0, 0, 0, 0, 0 of 43"]
+
+
+_HIGHER, _LOWER = _END_TO_END  # bound 0.25 on both
+_PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]  # median 100, q3 - q1 = 2
+
+
+@pytest.mark.parametrize("after, spec, want", [
+    # 10 of 10 wins, median +10 against a spread of 2.
+    ([110.0] * 10, _HIGHER, "gain"),
+    # The same runs read on a lower-is-better metric: -10% is no regression.
+    ([110.0] * 10, _LOWER, "within bound"),
+    # 9 of 10 wins is a gain; 8 of 10 is not, however large the median move.
+    ([110.0] * 9 + [90.0], _HIGHER, "gain"),
+    ([110.0] * 8 + [90.0] * 2, _HIGHER, "within bound"),
+    # 10 wins but the median moves +1.5, inside the spread of 2.
+    ([p + 1.5 for p in _PARENT], _HIGHER, "within bound"),
+    # -30% against a 25% bound, either way round.
+    ([70.0] * 10, _HIGHER, "worse"),
+    ([130.0] * 10, _LOWER, "worse"),
+    # -20% is inside the bound.
+    ([80.0] * 10, _HIGHER, "within bound"),
+])
+def test_bench_pairs_verdict_on_steady_parents(after, spec, want):
+    assert bench_pairs["verdict"](_PARENT, after, spec) == want
+
+
+def test_bench_pairs_verdict_on_a_parent_spread_wider_than_the_bound():
+    # The parent's quartiles 70 and 130 are 60% apart: a median move of
+    # +10% is unresolved, unless every change run beats every parent run;
+    # past the bound the change still reads worse.
+    parent = [60.0, 70.0, 70.0, 100.0, 130.0, 130.0, 140.0]
+    assert bench_pairs["quartiles"](parent) == (70.0, 100.0, 130.0)
+    verdict = bench_pairs["verdict"]
+    assert verdict(parent, [110.0] * 7, _HIGHER) == "unresolved"
+    assert verdict(parent, [141.0, 150.0, 141.0, 150.0, 141.0, 150.0, 150.0], _HIGHER) == "within bound"
+    assert verdict(parent, [50.0] * 7, _HIGHER) == "worse"
 
 
 def test_bench_pairs_quartiles_of_one_run_are_its_value():
@@ -253,7 +290,8 @@ def test_bench_pairs_alternates_the_sides_on_one_seed_per_pair(capsys, tmp_path)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "pair 0: seed 7, parent first, op_p50_ms 0.5 -> 0.4"
     assert out[1] == "pair 1: seed 8, change first, op_p50_ms 0.5 -> 0.4"
-    assert out[5].split()[-1] == "3/3"
+    assert out[4].split()[-3:] == ["0/3", "within", "bound"]  # ops_per_s, 100 on both sides
+    assert out[5].split()[-2:] == ["3/3", "gain"]
 
 
 def test_bench_pairs_stops_at_a_failed_run(tmp_path):

@@ -10,10 +10,20 @@ records stay in its checkout's ``.perfbench/`` (``tools/op_latencies.py
 --compare`` reads two of them). Then, per end-to-end metric of
 ``BENCHMARK.json`` in CHANGE, it prints each side's median, the parent's
 quartiles and how many pairs the change won (the better direction from
-``BENCHMARK.json``; ties count for neither side), and the failed ops per
-side. A run that exits non-zero or outlasts its timeout stops the tool,
-with its process group killed, so no process is left behind.
-Standard library only.
+``BENCHMARK.json``; ties count for neither side), its verdict, and the
+failed ops per side. The verdicts, first match wins:
+
+* ``gain``: the change wins at least 9 of 10 pairs and its median beats
+  the parent's by more than the parent's q3 - q1;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` (a fraction of the parent's median);
+* ``unresolved``: the parent's q3 - q1 is wider than the bound, and not
+  every change run beats every parent run;
+* ``within bound``: otherwise.
+
+A run that exits non-zero or outlasts its timeout stops the tool, with
+its process group killed, so no process is left behind. Standard library
+only.
 """
 
 import argparse
@@ -40,10 +50,27 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def verdict(before, after, spec) -> str:
+    """The verdict of the module docstring on one metric's parent and
+    change values, pair by pair, and its ``BENCHMARK.json`` entry."""
+    sign = -1.0 if spec["better"] == "lower" else 1.0
+    parent, change = [sign * a for a in before], [sign * b for b in after]  # higher is better
+    q1, mid, q3 = quartiles(parent)
+    spread, gain = q3 - q1, statistics.median(change) - mid
+    wins = sum(b > a for a, b in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and gain > spread:
+        return "gain"
+    if -gain > spec["bound"] * abs(mid):
+        return "worse"
+    if spread > spec["bound"] * abs(mid) and not min(change) > max(parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs, end_to_end) -> list:
     """One row per metric of ``end_to_end`` (BENCHMARK.json's list):
     name, unit, parent median, change median, their relative difference,
-    the parent's q1 and q3, and the pairs the change won."""
+    the parent's q1 and q3, the pairs the change won and its verdict."""
     rows = []
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -52,16 +79,17 @@ def summarize(pairs, end_to_end) -> list:
         wins = sum((b < a) if lower else (b > a) for a, b in zip(before, after))
         q1, mid, q3 = quartiles(before)
         new = statistics.median(after)
-        rows.append((name, spec["unit"], mid, new, new / mid - 1.0 if mid else float("nan"), q1, q3, wins))
+        rows.append((name, spec["unit"], mid, new, new / mid - 1.0 if mid else float("nan"), q1, q3, wins,
+                     verdict(before, after, spec)))
     return rows
 
 
 def table(pairs, end_to_end) -> str:
     lines = [f"{'metric':12} {'unit':5} {'parent':>12} {'change':>12} {'diff':>8} "
-             f"{'parent q1':>12} {'parent q3':>12}  change wins"]
-    for name, unit, before, after, diff, q1, q3, wins in summarize(pairs, end_to_end):
+             f"{'parent q1':>12} {'parent q3':>12}  change wins  verdict"]
+    for name, unit, before, after, diff, q1, q3, wins, word in summarize(pairs, end_to_end):
         lines.append(f"{name:12} {unit:5} {before:12.6g} {after:12.6g} {100.0 * diff:+7.1f}% "
-                     f"{q1:12.6g} {q3:12.6g}  {wins}/{len(pairs)}")
+                     f"{q1:12.6g} {q3:12.6g}  {f'{wins}/{len(pairs)}':11}  {word}")
     for side, index in (("parent", 0), ("change", 1)):
         failed = [pair[index]["failed"] for pair in pairs]
         lines.append(f"{side} failed ops per run: {', '.join(map(str, failed))} "

@@ -12,8 +12,9 @@ Three measurements, one per estimate being checked:
   widest pair at one end of [0, 1], in closed form. Gridded data take the
   sup of their interpolant at the vertices where it is attained. Monotone
   data read the maximum of each node's window of pair partners at its
-  last node; other data read the node pairs from one sparse table of
-  window extrema.
+  last node, and only in the bins where an exact bound lets a node pair
+  reach the interpolated sup; other data read the node pairs from one
+  sparse table of window extrema.
 * ``morrey_norm``: sup over r of r^((theta-dim)/s) ||h||_{L^s(B_r(0) cap
   Omega)} on a ball Omega = B_omega(0).
 
@@ -298,6 +299,21 @@ def _window_extrema(w, longest):
     return val.reshape(-1, 2), arg.reshape(-1, 2), at_start, at_start - (1 << lg)
 
 
+def _node_windows(x, d, reach, before, after):
+    """A(d) and B(d) for each node i of the grid x: the first node at float
+    gap >= d and > d from node i. ``searchsorted`` on the rounded sums
+    ``reach`` = x + d is at most one step off A(d), and one step back or
+    ahead mends it; B(d) walks on from A(d) past the nodes at gap d
+    exactly. ``before`` and ``after`` read node j - 1 and node j at index
+    j, past either end as -inf and inf."""
+    j = x.searchsorted(reach)
+    a = j - (before.take(j) - x >= d) + (after.take(j) - x < d)
+    b = a
+    while (tie := after.take(b) - x == d).any():
+        b = b + tie
+    return a, b
+
+
 def _gridded_bin_sups(u, d_hi, h_min):
     """Per bin [lo, hi], the exact sup of |u(r + delta) - u(r)| over
     r < r + delta on the grid's span with delta in the bin, for the
@@ -306,17 +322,25 @@ def _gridded_bin_sups(u, d_hi, h_min):
 
     The nodes are the grid radii, and the vertices are those of
     ``holder_fit``'s docstring. Node i's partners in a bin form a window
-    [A(lo), B(hi)) of nodes, A(d) and B(d) being the first node at float
-    gap >= d and > d from it; ``searchsorted`` on the rounded sums x + d
-    is at most one step off A(d), and one step back or ahead mends it. lo
-    of a bin is hi of the next, so each distance is taken once, and only
-    its own arrays live.
+    [A(lo), B(hi)) of nodes (``_node_windows``). lo of a bin is hi of the
+    next, so each distance's interpolated increments and windows are taken
+    at most once, and only its own arrays live.
 
     Monotone values (nondecreasing or nonincreasing, the sign of their
     steps taken once) rise along one column of [v, -v], whose maximum on
     a window is at its last node, B(hi) - 1 for node i: the rightmost
     argmax, so a tie keeps the widest distance, as the table does. Other
     values read a sparse table of window extrema of both columns.
+
+    A monotone bin searches its windows only where a node pair could reach
+    the interpolated increment at lo or hi. With g the least float gap of
+    neighbours, a partner j of node i has fl(x_j - x_i) <= hi and every
+    gap is at least g / (1 + u), so j - i <= K = floor(hi / g (1 +
+    1e-14)), the margin far above the 4 u the roundings can take. The
+    rising column is nondecreasing and rounding is monotone, so no node
+    pair's increment exceeds the largest of rising[i + K] - rising[i];
+    below the interpolated best it cannot win, and the bin keeps that best
+    bit for bit.
     """
     x, v = u.grid, u.values
     at = np.arange(x.size)
@@ -324,31 +348,42 @@ def _gridded_bin_sups(u, d_hi, h_min):
     before, after = np.concatenate(([-np.inf], x)), np.append(x, np.inf)
 
     def distance(d):
-        """A(d), B(d) and the largest increment from a node to the point at
-        distance d ahead of or behind it, within the grid's span."""
+        """[the largest increment from a node to the point at distance d
+        ahead of or behind it, within the grid's span; x + d; A(d) and B(d)
+        once searched]."""
         reach, back = x + d, x - d
-        j = x.searchsorted(reach)
-        a = j - (before.take(j) - x >= d) + (after.take(j) - x < d)
-        b = a
-        while (tie := after.take(b) - x == d).any():
-            b = b + tie
         k_reach, k_back = reach.searchsorted(x[-1], side="right"), back.searchsorted(x[0])
         ends = np.concatenate((reach[:k_reach], back[k_back:]))
         # The ends lie on the span by construction, so np.interp reads them
         # as u.value would, without its range check.
         inc = np.abs(np.interp(ends, x, v) - np.concatenate((v[:k_reach], v[k_back:])))
-        return a, b, inc.max(initial=0.0)
+        return [inc.max(initial=0.0), reach, None]
 
-    last = {d_hi[0]: distance(d_hi[0])}  # the last distance taken: hi of the next bin
+    def windows(d, taken):
+        """A(d) and B(d) of the distance d taken, searched once."""
+        if taken[2] is None:
+            taken[2] = _node_windows(x, d, taken[1], before, after)
+        return taken[2]
+
+    def pair_bound(hi):
+        """The bound of the docstring on the node pairs of a monotone bin
+        up to hi."""
+        steps = hi / gap * (1.0 + 1e-14)
+        k = int(steps) if steps < x.size - 1 else x.size - 1
+        return (rising[k:] - rising[:-k]).max() if k else 0.0
+
+    last_d, last = d_hi[0], distance(d_hi[0])  # the last distance taken: hi of the next bin
     step = np.diff(v)
     rising = v if (step >= 0).all() else -v if (step <= 0).all() else None
     if rising is None:
         # Increments up and down at once, as window maxima of v and of -v.
         # No window holds more than the partners of its node within h_max.
         w = np.stack((v, -v), axis=1)
-        partners = last[d_hi[0]][1] - at - 1
+        partners = windows(last_d, last)[1] - at - 1
         val, arg, at_start, at_end = _window_extrema(w, max(int(partners.max()), 1))
         next_at = at + 1
+    else:
+        gap = np.diff(x).min()
 
     # Each bin's sup and its distance, as the largest (increment, distance)
     # pair: ties go to the widest distance, so a node pair, never wider
@@ -356,34 +391,36 @@ def _gridded_bin_sups(u, d_hi, h_min):
     sup_inc, sup_dist = [], []
     for hi in d_hi:
         lo = max(hi / 2.0, h_min)
-        _, b, interp_hi = last.get(hi) or distance(hi)
-        last = {lo: distance(lo)}
-        a, _, interp_lo = last[lo]
-        # Node i's window; an empty one reads node i alone, whose increment
-        # 0 no bin keeps.
-        empty = b <= a
-        if rising is not None:
-            end = np.where(empty, at, b - 1)
-            inc = rising.take(end) - rising
-        else:
-            a, b = np.where(empty, at, a), np.where(empty, next_at, b)
-            width = b - a
-            fa, fb = at_start.take(width) + a, at_end.take(width) + b
-            va, vb = val.take(fa, axis=0), val.take(fb, axis=0)
-            inc = (np.maximum(va, vb) - w).ravel()  # node i's columns at 2 i and 2 i + 1
-        best = max((interp_lo, lo), (interp_hi, hi))
-        top = inc.max()
-        if top >= best[0]:
-            ties = np.flatnonzero(inc == top)
+        at_hi = last if hi == last_d else distance(hi)
+        at_lo = at_hi if lo == hi else distance(lo)
+        best = max((at_lo[0], lo), (at_hi[0], hi))
+        if rising is None or pair_bound(hi) >= best[0]:
+            a, b = windows(lo, at_lo)[0], windows(hi, at_hi)[1]
+            # Node i's window; an empty one reads node i alone, whose
+            # increment 0 no bin keeps.
+            empty = b <= a
             if rising is not None:
-                i, j = ties, end.take(ties)
+                end = np.where(empty, at, b - 1)
+                inc = rising.take(end) - rising
             else:
-                i, half = ties >> 1, ties & 1
-                j = np.where(vb[i, half] >= va[i, half], arg[fb[i], half], arg[fa[i], half])
-            best = max(best, (top, (x.take(j) - x.take(i)).max()))
+                a, b = np.where(empty, at, a), np.where(empty, next_at, b)
+                width = b - a
+                fa, fb = at_start.take(width) + a, at_end.take(width) + b
+                va, vb = val.take(fa, axis=0), val.take(fb, axis=0)
+                inc = (np.maximum(va, vb) - w).ravel()  # node i's columns at 2 i and 2 i + 1
+            top = inc.max()
+            if top >= best[0]:
+                ties = np.flatnonzero(inc == top)
+                if rising is not None:
+                    i, j = ties, end.take(ties)
+                else:
+                    i, half = ties >> 1, ties & 1
+                    j = np.where(vb[i, half] >= va[i, half], arg[fb[i], half], arg[fa[i], half])
+                best = max(best, (top, (x.take(j) - x.take(i)).max()))
         if best[0] > 0:
             sup_inc.append(best[0])
             sup_dist.append(best[1])
+        last_d, last = lo, at_lo
     return np.asarray(sup_inc, dtype=float), np.asarray(sup_dist, dtype=float)
 
 
@@ -439,8 +476,11 @@ def holder_fit(
     attained at a vertex: a node pair whose gap lies in the bin, or a node
     against the point at distance lo or hi on either side of it. On
     nondecreasing or nonincreasing values the largest node pair of a node
-    is its farthest partner in the bin; other values find it in a sparse
-    table of window maxima. Both give the same bits.
+    is its farthest partner in the bin, and a bin where the bound of
+    ``_gridded_bin_sups`` keeps every node pair below the interpolated
+    best locates none; other values find it in a sparse table of window
+    maxima. Both give the same bits. A bin's sup past the float range
+    (values whose differences overflow) is refused.
     """
     _check_count("pair_budget", pair_budget, 1)
     _check_count("seed", seed, 0)
@@ -472,8 +512,12 @@ def holder_fit(
             nonzero = sup_inc > 0
             sup_inc, sup_dist = sup_inc[nonzero], d_hi[nonzero]
     else:
-        with np.errstate(over="ignore"):  # a reach x + d past the float max is past the grid
+        # A reach x + d past the float max is past the grid, and hi / g past
+        # it bounds nothing; an increment past it is refused here.
+        with np.errstate(over="ignore"):
             sup_inc, sup_dist = _gridded_bin_sups(u, d_hi, h_min)
+        if not np.isfinite(sup_inc).all():
+            raise PreconditionViolation("a bin's sup increment leaves the float range")
     if sup_inc.size < 3:
         raise InsufficientScales(
             f"only {sup_inc.size} nonempty distance bins, need at least 3"

@@ -720,6 +720,12 @@ def _vertex_oracle_cases():
     rng = np.random.default_rng(8)
     stairs = SampledProfile(np.sort(rng.uniform(0.1, 2.3, 500)), np.cumsum(rng.choice([0.0, 0.5, 1.0], 500)))
     signed_zeros = np.where(dyadic < 0.5, np.where(np.arange(dyadic.size) % 2, -0.0, 0.0), np.floor(8.0 * dyadic))
+    # Monotone bins search their windows only where the bound on K-node
+    # increments reaches the interpolated best: log on a geometric grid
+    # stays below it from the 0.0625 bin down, so those bins skip; the
+    # squares of the dyadic nodes tie it exactly in every bin, K nodes
+    # being a gap of hi exactly, so every bin falls back.
+    geometric = np.geomspace(0.5, 1.0, 50)
     return {
         "cole-hopf": (cole_hopf, (1e-3, 0.25)),
         "cole-hopf-wide": (cole_hopf, (1e-4, 0.5)),
@@ -747,6 +753,8 @@ def _vertex_oracle_cases():
         "signed-zeros": (SampledProfile(dyadic, signed_zeros), (1 / 128, 0.5)),
         "rounded-down-rising": (SampledProfile(rounded_down.grid, [0.0, 1.0, 2.0, 3.0]), (0.0625, 0.5)),
         "rounded-down-falling": (SampledProfile(rounded_down.grid, [0.0, -1.0, -2.0, -3.0]), (0.0625, 0.5)),
+        "geometric-log": (SampledProfile(geometric, np.log(geometric)), (1e-4, 0.25)),
+        "dyadic-square": (SampledProfile(dyadic, dyadic**2), (1 / 128, 0.25)),
     }
 
 
@@ -755,6 +763,7 @@ def _vertex_oracle_cases():
     "walk-1", "walk-2", "below-spacing", "narrow-domain", "wide-domain", "ramp-narrow",
     "dyadic-rough", "dyadic-ramp", "dyadic-ramp-narrow", "rounded-down", "rounded-up", "float-runs",
     "stairs", "stairs-negated", "constant", "signed-zeros", "rounded-down-rising", "rounded-down-falling",
+    "geometric-log", "dyadic-square",
 ])
 def test_gridded_holder_fit_is_the_vertex_enumeration(case):
     # The fit, by its sparse table or by its monotone reader, against a
@@ -790,6 +799,51 @@ def test_monotone_gridded_fits_build_no_window_table(monkeypatch):
         calls.clear()
         holder_fit(u, 1, (1e-3, 0.25))
         assert len(calls) == want
+
+
+def test_monotone_gridded_fits_search_windows_only_where_a_node_pair_can_win(monkeypatch):
+    # A monotone bin whose bound on node pairs stays below the interpolated
+    # best searches no node windows: none in any bin of the Cole-Hopf
+    # output or of log on a geometric grid below 0.0625, and on the sharp
+    # annulus only the 0.25 bin, 0.25 being 341 of its gaps. Where a node
+    # pair wins, or the bound ties the best, the bin searches. Non-monotone
+    # data search each distance once, shared by the bins it bounds.
+    searched = []
+
+    def counted(x, d, *args):
+        searched.append(float(d))
+        return search(x, d, *args)
+
+    search = audit._node_windows
+    monkeypatch.setattr(audit, "_node_windows", counted)
+    cole_hopf, annulus, _ = _gridded_holder_inputs()
+    cases = _vertex_oracle_cases()
+    cos6r = SampledProfile(*np.loadtxt(GOLDEN / "cos6r.csv", delimiter=",", skiprows=1).T)
+    for u, scale_range, want in (
+        (cole_hopf, (1e-3, 0.25), []),
+        (annulus, (1e-3, 0.25), [0.25, 0.125]),
+        (*cases["geometric-log"], [0.25, 0.125, 0.0625]),
+        (*cases["dyadic-square"], [0.25 * 2.0**-k for k in range(6)]),
+        (cos6r, (1e-3, 0.25), [0.25 * 2.0**-k for k in range(8)] + [1e-3]),
+    ):
+        searched.clear()
+        holder_fit(u, 1, scale_range)
+        assert sorted(searched, reverse=True) == want
+    u, scale_range = cases["rounded-down-rising"]
+    searched.clear()
+    holder_fit(u, 1, scale_range)
+    assert searched
+
+
+def test_gridded_holder_fit_refuses_increments_past_the_float_range():
+    # Finite values 3.4e308 apart: their increments overflow to inf, and a
+    # fit through them would be NaN.
+    g = np.linspace(0, 2, 41)
+    u = SampledProfile(g, np.where(np.sin(9 * g) > 0, -1.7e308, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolation, match="leaves the float range"):
+            holder_fit(u, 1, (0.01, 1.0))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
